@@ -32,11 +32,9 @@ from .sources import (
     two_mode_squeezed_vacuum,
 )
 from .optics import (
-    BeamSplitterUnitary,
     JointDistribution,
     ZeroHeraldError,
     apply_beam_splitter,
-    beam_splitter,
     conditional_single_photon,
     joint_probability,
     split,

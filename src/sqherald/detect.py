@@ -18,8 +18,8 @@ import math
 
 import numpy as np
 
-from . import analysis, optics, sources
-from .fockspace import Truncation, default_truncation, fock_state
+from . import analysis, optics
+from .fockspace import Truncation, default_truncation
 
 
 class ZeroClickError(ZeroDivisionError):
@@ -95,13 +95,6 @@ def click_statistics(dist: optics.JointDistribution, det: DetectorModel) -> Hera
     )
 
 
-def _cat_state(r: float, sign: int, trunc: Truncation):
-    # continuous r -> 0 limit of the odd superposition: the two-photon level
-    if sign < 0 and r == 0.0:
-        return fock_state(2, trunc)
-    return sources.squeezed_cat(r, sign, trunc)
-
-
 def heralded_cat_statistics(
     r: float, det: DetectorModel, trunc: Truncation | None = None, sign: int = -1
 ) -> HeraldedStatistics:
@@ -109,8 +102,7 @@ def heralded_cat_statistics(
     into the threshold detector."""
     if trunc is None:
         trunc = default_truncation(r)
-    cat = _cat_state(r, sign, trunc)
-    return click_statistics(optics.joint_probability(optics.split(cat)), det)
+    return click_statistics(optics.split_joint(r, sign, trunc), det)
 
 
 def tmss_click_statistics(r: float, det: DetectorModel) -> HeraldedStatistics:
@@ -182,8 +174,7 @@ def g2_heralded_cat(
     """Heralded g2 of the split odd superposition."""
     if trunc is None:
         trunc = default_truncation(r)
-    cat = _cat_state(r, -1, trunc)
-    dist = optics.joint_probability(optics.split(cat))
+    dist = optics.split_joint(r, -1, trunc)
     w = det.click_weights(trunc.dim)
     return _g2_subnormalized(w @ dist.p)
 

@@ -180,9 +180,7 @@ def p1_heralded(
 
     if pair_trunc is None:
         pair_trunc = default_truncation(r)
-    cat = sources.squeezed_cat(r, -1, pair_trunc)
-    dist = optics.joint_probability(optics.split(cat))
-    p11 = float(dist.p[1, 1])
+    p11 = float(optics.split_joint(r, -1, pair_trunc).p[1, 1])
     return p11 * p0_generation(sched, r, trunc)
 
 

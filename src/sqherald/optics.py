@@ -6,8 +6,15 @@ U a^dag U^dag = (a^dag - b^dag)/sqrt(2) and a single photon pair splits as
 
     |2, 0>  ->  (1/2)|2, 0> - (1/sqrt 2)|1, 1> + (1/2)|0, 2>.
 
-U conserves total photon number, so it decomposes into one orthogonal
-block per total N; blocks are built once per cutoff and cached.
+With vacuum in port b only the columns |N, 0> of U are needed, and they
+have a closed form (Campos, Saleh & Teich, PRA 40, 1371 (1989)):
+
+    U |N, 0> = sum_k (-1)^(N-k) sqrt(C(N, k) / 2^N) |k, N-k>.
+
+split() gathers these coefficients from a table built once per cutoff.
+apply_beam_splitter() acts on arbitrary two-mode states through the
+orthogonal per-total-N blocks exp(theta G_N); it is the independent
+reference that the tests and `verify` check split() against.
 """
 from __future__ import annotations
 
@@ -19,6 +26,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 from scipy.sparse.linalg import expm_multiply
+from scipy.special import gammaln
 
 from . import sources
 from .fockspace import (
@@ -26,6 +34,7 @@ from .fockspace import (
     Truncation,
     TruncationError,
     TwoModeState,
+    fock_state,
 )
 
 BALANCED_ANGLE = math.pi / 4.0
@@ -55,26 +64,11 @@ def _blocks(dim: int, theta: float) -> tuple[np.ndarray, ...]:
     return tuple(out)
 
 
-@dataclasses.dataclass(frozen=True)
-class BeamSplitterUnitary:
-    """Number-conserving two-mode unitary stored as per-total-N blocks."""
-
-    blocks: tuple[np.ndarray, ...]
-    truncation: Truncation
-    theta: float
-
-    def block(self, total: int) -> np.ndarray:
-        return self.blocks[total]
-
-
-def beam_splitter(trunc: Truncation, theta: float = BALANCED_ANGLE) -> BeamSplitterUnitary:
-    return BeamSplitterUnitary(_blocks(trunc.dim, theta), trunc, theta)
-
-
 def apply_beam_splitter(state: TwoModeState, theta: float = BALANCED_ANGLE) -> TwoModeState:
     """Apply the beam splitter to an arbitrary two-mode state.
 
-    Anti-diagonals with total photon number >= dim cannot be represented
+    Reference path: split() is checked against it, and production never
+    calls it.  Anti-diagonals with total photon number >= dim cannot be represented
     and are dropped; the lost mass shows up as a norm deficit on the
     output, mirroring how the cutoff treats every other operation.
     """
@@ -88,25 +82,40 @@ def apply_beam_splitter(state: TwoModeState, theta: float = BALANCED_ANGLE) -> T
     return TwoModeState(out, state.truncation)
 
 
-def split(state: SingleModeState, theta: float = BALANCED_ANGLE) -> TwoModeState:
-    """Send `state` into port a of the beam splitter with vacuum in port b.
+@functools.lru_cache(maxsize=16)
+def _balanced_columns(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form balanced-splitter image of every |N, 0>, N < dim.
 
-    Cheaper than apply_beam_splitter on a tensor product: the input only
-    populates basis states |N, 0>, so each block contributes one column.
+    Returns (coeff, totals): coeff[n_a, n_b] is the amplitude that |N, 0>
+    with N = n_a + n_b sends to |n_a, n_b>, and totals[n_a, n_b] = N,
+    except that totals >= dim, which the cutoff cannot hold, all point at
+    index dim (a zero pad slot in split()).
+    """
+    n = np.arange(dim)
+    totals = np.add.outer(n, n)
+    log_fact = gammaln(np.arange(2 * dim - 1) + 1.0)
+    # the grouped sum keeps |coeff| exactly symmetric under n_a <-> n_b
+    log_coeff = 0.5 * (
+        log_fact[totals] - np.add.outer(log_fact[:dim], log_fact[:dim]) - totals * math.log(2.0)
+    )
+    coeff = np.where(n % 2 == 0, 1.0, -1.0) * np.exp(log_coeff)
+    totals = np.minimum(totals, dim)
+    coeff.setflags(write=False)
+    totals.setflags(write=False)
+    return coeff, totals
+
+
+def split(state: SingleModeState) -> TwoModeState:
+    """Send `state` into port a of the balanced splitter with vacuum in
+    port b: out[n_a, n_b] = coeff[n_a, n_b] * amps[n_a + n_b].
+
+    Totals n_a + n_b >= dim are dropped, as in apply_beam_splitter.
     """
     norm = state.norm_sq()
     if norm > 1.0 + 1e-9 or 1.0 - norm > state.truncation.tail_tol:
         raise ValueError(f"input must be normalized up to the tail tolerance, |psi|^2 = {norm}")
-    d = state.dim
-    blocks = _blocks(d, theta)
-    out = np.zeros((d, d), dtype=complex)
-    rows = np.arange(d)
-    for total in range(d):
-        amp = state.amps[total]
-        if amp != 0.0:
-            k = rows[: total + 1]
-            out[k, total - k] = blocks[total][:, total] * amp
-    return TwoModeState(out, state.truncation)
+    coeff, totals = _balanced_columns(state.dim)
+    return TwoModeState(coeff * np.append(state.amps, 0.0)[totals], state.truncation)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -136,6 +145,22 @@ def joint_probability(state: TwoModeState) -> JointDistribution:
     p = state.joint_distribution()
     deficit = 1.0 - float(np.sum(p))
     return JointDistribution(p, deficit, state.truncation)
+
+
+def split_joint(r: float, sign: int | None, trunc: Truncation) -> JointDistribution:
+    """Joint distribution of a split source: the superposition |r; sign>
+    for sign = +1 or -1, plain squeezed vacuum |r> for sign = None.
+
+    The odd superposition at r = 0 is taken as its r -> 0 limit, the
+    two-photon level |2>, so swept columns extend continuously to r = 0.
+    """
+    if sign is None:
+        state = sources.squeezed_vacuum(r, trunc)
+    elif sign < 0 and r == 0.0:
+        state = fock_state(2, trunc)
+    else:
+        state = sources.squeezed_cat(r, sign, trunc)
+    return joint_probability(split(state))
 
 
 def conditional_single_photon(dist: JointDistribution) -> float:

@@ -14,7 +14,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from . import analysis, detect, fockspace, kerr, optics, sources
+from . import analysis, detect, kerr, optics, sources
 from .fockspace import Truncation, default_truncation
 from .detect import DetectorModel
 from .kerr import KerrSchedule
@@ -49,31 +49,16 @@ class Quantity:
         return default_truncation(r, tail_tol)
 
 
-def _cat_joint(r: float, sign: int, trunc: Truncation) -> optics.JointDistribution:
-    # r -> 0 limit of the odd superposition is the bare two-photon level,
-    # so swept columns extend continuously to r = 0
-    if sign < 0 and r == 0.0:
-        cat = fockspace.fock_state(2, trunc)
-    else:
-        cat = sources.squeezed_cat(r, sign, trunc)
-    return optics.joint_probability(optics.split(cat))
-
-
-def _squeezed_joint(r: float, trunc: Truncation) -> optics.JointDistribution:
-    sq = sources.squeezed_vacuum(r, trunc)
-    return optics.joint_probability(optics.split(sq))
-
-
 def _q_p11_cat_minus(trunc, r):
-    return float(_cat_joint(r, -1, trunc).p[1, 1])
+    return float(optics.split_joint(r, -1, trunc).p[1, 1])
 
 
 def _q_p11_cat_plus(trunc, r):
-    return float(_cat_joint(r, +1, trunc).p[1, 1])
+    return float(optics.split_joint(r, +1, trunc).p[1, 1])
 
 
 def _q_p11_squeezed(trunc, r):
-    return float(_squeezed_joint(r, trunc).p[1, 1])
+    return float(optics.split_joint(r, None, trunc).p[1, 1])
 
 
 def _q_p11_tmss(trunc, r):
@@ -81,11 +66,11 @@ def _q_p11_tmss(trunc, r):
 
 
 def _q_pc_cat_minus(trunc, r):
-    return optics.conditional_single_photon(_cat_joint(r, -1, trunc))
+    return optics.conditional_single_photon(optics.split_joint(r, -1, trunc))
 
 
 def _q_pc_squeezed(trunc, r):
-    return optics.conditional_single_photon(_squeezed_joint(r, trunc))
+    return optics.conditional_single_photon(optics.split_joint(r, None, trunc))
 
 
 def _q_herald_prob_cat_minus(trunc, r):
@@ -289,9 +274,9 @@ FIG2_R = 0.725
 def _fig2(dim=None, tail_tol=None, eta=None, alpha=None, seed=None) -> Table:
     """Photon-number content of the herald row: P(1, n) for each source."""
     trunc = _override_trunc(dim, tail_tol) or default_truncation(FIG2_R, tail_tol or 1e-3)
-    squeezed = _squeezed_joint(FIG2_R, trunc)
-    minus = _cat_joint(FIG2_R, -1, trunc)
-    plus = _cat_joint(FIG2_R, +1, trunc)
+    squeezed = optics.split_joint(FIG2_R, None, trunc)
+    minus = optics.split_joint(FIG2_R, -1, trunc)
+    plus = optics.split_joint(FIG2_R, +1, trunc)
     levels = min(FIG2_LEVELS, trunc.dim)
     rows = [
         (float(n), float(squeezed.p[1, n]), float(minus.p[1, n]), float(plus.p[1, n]))

@@ -71,11 +71,6 @@ def _result(index: int, label: str, fn) -> CriterionResult:
     return CriterionResult(index, label, checks.ok, checks.detail())
 
 
-def _cat_joint(r: float, sign: int, trunc: Truncation) -> optics.JointDistribution:
-    cat = sources.squeezed_cat(r, sign, trunc)
-    return optics.joint_probability(optics.split(cat))
-
-
 def criterion_1(cfg: VerifyConfig) -> CriterionResult:
     def run():
         c = _Checks()
@@ -90,7 +85,7 @@ def criterion_2(cfg: VerifyConfig) -> CriterionResult:
     def run():
         c = _Checks()
         trunc = cfg.trunc(0.725)
-        minus = _cat_joint(0.725, -1, trunc)
+        minus = optics.split_joint(0.725, -1, trunc)
         c.close("P(1,1;-)", float(minus.p[1, 1]), 0.453, 5e-4)
         c.close("P(1,5;-)", float(minus.p[1, 5]), 7.85e-3, 5e-5)
         for n in (0, 2, 3, 4):
@@ -99,7 +94,7 @@ def criterion_2(cfg: VerifyConfig) -> CriterionResult:
                 float(minus.p[1, n]) <= 1e-12,
                 f"{float(minus.p[1, n]):.3e}",
             )
-        sq = optics.joint_probability(optics.split(sources.squeezed_vacuum(0.725, trunc)))
+        sq = optics.split_joint(0.725, None, trunc)
         c.close("P(1,1)", float(sq.p[1, 1]), 7.54e-2, 5e-5)
         return c
 
@@ -111,17 +106,15 @@ def criterion_3(cfg: VerifyConfig) -> CriterionResult:
         c = _Checks()
         c.close(
             "P_c(0.725;-)",
-            optics.conditional_single_photon(_cat_joint(0.725, -1, cfg.trunc(0.725))),
+            optics.conditional_single_photon(optics.split_joint(0.725, -1, cfg.trunc(0.725))),
             0.983,
             5e-4,
         )
-        sq = optics.joint_probability(
-            optics.split(sources.squeezed_vacuum(0.725, cfg.trunc(0.725)))
-        )
+        sq = optics.split_joint(0.725, None, cfg.trunc(0.725))
         c.close("P_c(0.725)", optics.conditional_single_photon(sq), 0.859, 5e-4)
         c.close(
             "P_c(1.146;-)",
-            optics.conditional_single_photon(_cat_joint(1.146, -1, cfg.trunc(1.146))),
+            optics.conditional_single_photon(optics.split_joint(1.146, -1, cfg.trunc(1.146))),
             0.9488,
             5e-4,
         )
@@ -241,7 +234,7 @@ def criterion_11(cfg: VerifyConfig) -> CriterionResult:
         trunc = cfg.trunc(0.725)
         totals = np.add.outer(np.arange(trunc.dim), np.arange(trunc.dim))
         for sign, residue in ((-1, 2), (+1, 0)):
-            dist = _cat_joint(0.725, sign, trunc)
+            dist = optics.split_joint(0.725, sign, trunc)
             leak = float(np.max(dist.p[totals % 4 != residue]))
             c.holds(
                 f"parity leak, sign {sign:+d}", leak <= 1e-14, f"{leak:.3e}"
@@ -295,11 +288,11 @@ def criterion_11(cfg: VerifyConfig) -> CriterionResult:
         cond_ok = True
         for r in grid:
             tr = cfg.trunc(float(r))
-            minus = _cat_joint(float(r), -1, tr)
+            minus = optics.split_joint(float(r), -1, tr)
             bench = optics.tmss_joint_probability(float(r), tr)
             if not float(minus.p[1, 1]) > float(bench.p[1, 1]):
                 dom_ok = False
-            sq = optics.joint_probability(optics.split(sources.squeezed_vacuum(float(r), tr)))
+            sq = optics.split_joint(float(r), None, tr)
             if optics.conditional_single_photon(minus) < optics.conditional_single_photon(sq):
                 cond_ok = False
         c.holds("P(1,1;-) > benchmark P(1,1) on 200-point grid", dom_ok, str(dom_ok))
@@ -329,7 +322,7 @@ def criterion_12(cfg: VerifyConfig) -> CriterionResult:
         yield_vals = np.array(
             [
                 sources.herald_probability(float(r), -1)
-                * float(_cat_joint(float(r), -1, cfg.trunc(float(r))).p[1, 1])
+                * float(optics.split_joint(float(r), -1, cfg.trunc(float(r))).p[1, 1])
                 for r in grid
             ]
         )

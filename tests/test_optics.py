@@ -48,12 +48,29 @@ def test_split_vacuum_is_identity():
 
 
 def test_blocks_are_orthogonal():
-    trunc = fs.Truncation(24)
-    bs = optics.beam_splitter(trunc)
-    for total in range(trunc.dim - 1):
-        block = bs.block(total)
+    blocks = optics._blocks(24, optics.BALANCED_ANGLE)
+    for total in range(23):
+        block = blocks[total]
         gram = block.T @ block - np.eye(total + 1)
         assert np.max(np.abs(gram)) < 1e-10
+
+
+@pytest.mark.parametrize("dim", [24, 64, 160, 240])
+def test_closed_form_split_matches_expm_blocks(dim):
+    trunc = fs.Truncation(dim)
+    rng = np.random.default_rng(dim)
+    amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    amps /= np.linalg.norm(amps)
+    st = fs.SingleModeState(amps, trunc)
+    closed = optics.split(st)
+    oracle = optics.apply_beam_splitter(fs.tensor(st, fs.vacuum_state(trunc)))
+    assert np.max(np.abs(closed.amps - oracle.amps)) <= 1e-13
+
+
+def test_split_builds_no_expm_blocks():
+    before = optics._blocks.cache_info()
+    optics.split(fs.fock_state(3, fs.Truncation(37)))
+    assert optics._blocks.cache_info() == before
 
 
 def test_total_photon_number_is_conserved():
