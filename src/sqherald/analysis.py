@@ -13,7 +13,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .fockspace import Truncation
+from .fockspace import NumericalFailureError, Truncation
 
 CONVERGENCE_TOL = 1e-8
 GOLDEN_TOL = 1e-4
@@ -99,6 +99,11 @@ def _evaluate_checked(
     base = trunc if trunc is not None else q.trunc_for(params, tail_tol)
     v1 = float(q.fn(base, **params))
     v2 = float(q.fn(base.scaled(1.5), **params))
+    if not (math.isfinite(v1) and math.isfinite(v2)):
+        raise NumericalFailureError(
+            f"{getattr(q, 'name', q)} is not finite at dim {base.dim} ({v1!r}) "
+            f"or dim {base.scaled(1.5).dim} ({v2!r}) at {params}"
+        )
     if abs(v1 - v2) > CONVERGENCE_TOL:
         raise ConvergenceError(
             f"{getattr(q, 'name', q)} moved by {abs(v1 - v2):.3e} between "

@@ -43,7 +43,6 @@ class RunConfig:
     tail_tol: float | None = None
     eta: float | None = None
     alpha: float | None = None
-    seed: int | None = None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,8 +87,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="detector efficiency override")
     parser.add_argument("--alpha", type=float, default=None,
                         help="pump amplitude override")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for Monte Carlo averaging modes")
 
 
 def _format_float(value: float) -> str:
@@ -147,7 +144,6 @@ def _config(args) -> RunConfig:
         tail_tol=args.tail_tol,
         eta=args.eta,
         alpha=args.alpha,
-        seed=args.seed,
     )
 
 
@@ -177,8 +173,7 @@ def cmd_figure(args) -> int:
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return EXIT_USAGE
-    table = fig.build(dim=cfg.dim, tail_tol=cfg.tail_tol, eta=cfg.eta,
-                      alpha=cfg.alpha, seed=cfg.seed)
+    table = fig.build(dim=cfg.dim, tail_tol=cfg.tail_tol, eta=cfg.eta, alpha=cfg.alpha)
     metadata = {"figure": fig.name, "description": fig.description, **table.metadata}
     _emit(table.columns, table.rows, metadata, cfg)
     return EXIT_OK

@@ -5,9 +5,16 @@ Mode 1 (the photon-pair mode) lives on the truncated Fock grid; mode 2
 (the bright pump) is tracked symbolically as coherent labels, because the
 exact overlap of two coherent states has a closed form and pump amplitudes
 around alpha = 10 would otherwise need hundreds of Fock levels.
+
+Every label-series probability runs through one kernel,
+`_overlap_probability`, on the cached nonzero pair terms of
+`_pair_series`.  `kerr_evolve`, `HybridKerrState` and `coherent_overlap`
+build the same overlap from explicit states; they are the oracle the
+tests check the kernel against.
 """
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import functools
 import math
@@ -29,7 +36,8 @@ SERIES_TAIL_TOL = 1e-11
 
 # escalation ladder; larger r keeps more pair terms, which oscillate at
 # frequency ~ alpha^2 * n under a 1/(alpha*n) wide envelope, so the node
-# count has to scale with the highest retained pair index
+# count has to scale with the highest retained pair index; every order is
+# even, so each rule splits into two mirrored halves (see _hermite_rule)
 QUADRATURE_ORDERS = (64, 128, 256, 512, 1024, 2048, 4096, 8192)
 QUADRATURE_AGREEMENT = 1e-9
 
@@ -54,6 +62,8 @@ class KerrSchedule:
     alpha: complex
 
     def __post_init__(self):
+        if not (math.isfinite(self.tau_tilde) and cmath.isfinite(self.alpha)):
+            raise ValueError("interaction phase and pump amplitude must be finite")
         if abs(self.alpha) == 0.0:
             raise ValueError("pump amplitude must be nonzero")
         object.__setattr__(self, "tau_tilde", float(self.tau_tilde) % TWO_PI)
@@ -61,7 +71,7 @@ class KerrSchedule:
 
 @dataclasses.dataclass(frozen=True)
 class HybridKerrState:
-    """Sum over pair index n of c_n |2n>_1 |beta_n>_2.
+    """Sum over pair index n of c_n |2n>_1 |beta_n>_2 (oracle path).
 
     coeffs are the squeezed-vacuum coefficients of the even levels |2n>;
     labels are the coherent amplitudes beta_n of mode 2.
@@ -102,6 +112,7 @@ class HybridKerrState:
         ]
 
 
+@functools.lru_cache(maxsize=256)
 def series_truncation(r: float, tail_tol: float = SERIES_TAIL_TOL) -> Truncation:
     """Cutoff for label-based sums, which never build matrices and can
     afford tails far below the matrix default."""
@@ -112,7 +123,8 @@ def series_truncation(r: float, tail_tol: float = SERIES_TAIL_TOL) -> Truncation
 def kerr_evolve(r: float, sched: KerrSchedule, trunc: Truncation) -> HybridKerrState:
     """Evolve S(r)|0>_1 |alpha>_2 under the cross-Kerr coupling for phase
     tau_tilde: each pair component |2n> imprints e^{-i n tau_tilde} on the
-    pump label."""
+    pump label.  Oracle for the label-series kernel; no production
+    quantity builds the state."""
     base = sources.squeezed_vacuum(r, trunc)
     pairs = (trunc.dim + 1) // 2
     n = np.arange(pairs)
@@ -146,21 +158,15 @@ def p0_generation(
     the branch weight N_sign(r)/4, up to the residual overlap of the
     |+alpha> and |-alpha> labels.
     """
-    if r <= 0.0:
+    if not r > 0.0:
         raise ValueError("squeezing must be positive")
     if trunc is None:
         trunc = series_truncation(r)
     if label is None:
         label = -sched.alpha if sign < 0 else sched.alpha
-    state = kerr_evolve(r, sched, trunc)
-    cat = sources.squeezed_cat(r, sign, trunc)
-    d = cat.amps[state.photon_numbers]
-    logover = (
-        -0.5 * (np.abs(state.labels) ** 2 + abs(label) ** 2)
-        + np.conj(state.labels) * label
-    )
-    overlap = np.sum(np.conj(state.coeffs) * d * np.exp(logover))
-    return float(np.abs(overlap) ** 2)
+    n, g = _pair_series(r, sign, trunc)
+    taus = np.array([sched.tau_tilde])
+    return float(_overlap_probability(taus, n, g, sched.alpha, label)[0])
 
 
 def p1_heralded(
@@ -184,32 +190,61 @@ def p1_heralded(
     return p11 * p0_generation(sched, r, trunc)
 
 
+@functools.lru_cache(maxsize=256)
+def _pair_series(r: float, sign: int, trunc: Truncation) -> tuple[np.ndarray, np.ndarray]:
+    """Nonzero terms of the label series: pair indices n and real weights
+    g_n = conj(c_n) d_{2n} of squeezed vacuum c against the sign
+    superposition d.
+
+    The superposition keeps every other pair level, so half the weights
+    are exact zeros; only exact zeros are dropped.  Small tail terms stay,
+    so the 1.5x-cutoff recheck still compares two different series.
+    """
+    base = sources.squeezed_vacuum(r, trunc)
+    cat = sources.squeezed_cat(r, sign, trunc)
+    levels = 2 * np.arange((trunc.dim + 1) // 2)
+    # both amplitude vectors are real, so g_n = conj(c_n) d_{2n} is too
+    g = (base.amps[levels] * cat.amps[levels]).real
+    n = np.flatnonzero(g)
+    g = g[n]
+    n.setflags(write=False)
+    g.setflags(write=False)
+    return n, g
+
+
+def _overlap_probability(
+    taus: np.ndarray, n: np.ndarray, g: np.ndarray, alpha: complex, label: complex
+) -> np.ndarray:
+    """|sum_n g_n <alpha e^{-i n tau} | label>|^2 for each tau, g real.
+
+    Each overlap is exp(c0 + w e^{i n tau}) with c0 = -(|alpha|^2 +
+    |label|^2)/2 and w = conj(alpha) label; its modulus and phase come
+    from cos(n tau) and sin(n tau) in real arithmetic.
+    """
+    c0 = -0.5 * (abs(alpha) ** 2 + abs(label) ** 2)
+    w = complex(np.conj(alpha) * label)
+    nt = np.outer(n, taus)
+    cos_nt = np.cos(nt)
+    sin_nt = np.sin(nt)
+    mag = np.exp(c0 + w.real * cos_nt - w.imag * sin_nt)
+    phase = w.real * sin_nt + w.imag * cos_nt
+    re = g @ (mag * np.cos(phase))
+    im = g @ (mag * np.sin(phase))
+    return re * re + im * im
+
+
 @functools.lru_cache(maxsize=128)
 def _phase_series(r: float, alpha: float, dim: int | None) -> tuple[np.ndarray, np.ndarray, float]:
-    """Precompute the pair-index weights g_n = conj(c_n) d_{2n} and the
-    tau_tilde = pi reference probability for the ratio kernel."""
-    if r <= 0.0:
+    """Odd-branch pair terms and the tau_tilde = pi reference probability
+    for the ratio kernel."""
+    if not r > 0.0:
         raise ValueError("squeezing must be positive")
-    if alpha <= 0.0:
-        raise ValueError("pump amplitude must be real and positive")
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise ValueError("pump amplitude must be real, finite and positive")
     trunc = series_truncation(r) if dim is None else Truncation(dim, tail_tol=1e-9)
-    base = sources.squeezed_vacuum(r, trunc)
-    cat = sources.squeezed_cat(r, -1, trunc)
-    pairs = (trunc.dim + 1) // 2
-    n = np.arange(pairs)
-    g = np.conj(base.amps[2 * n]) * cat.amps[2 * n]
-    ref = _branch_probability(np.array([math.pi]), n, g, alpha)[0]
+    n, g = _pair_series(r, -1, trunc)
+    ref = _overlap_probability(np.array([math.pi]), n, g, alpha, -alpha)[0]
     return n, g, float(ref)
-
-
-def _branch_probability(taus: np.ndarray, n: np.ndarray, g: np.ndarray, alpha: float) -> np.ndarray:
-    """|sum_n g_n <alpha e^{-i n tau} | -alpha>|^2 for each tau.
-
-    The overlap factor is exp(-alpha^2 (1 + e^{i n tau})).
-    """
-    phases = np.exp(1j * np.outer(n, taus))
-    f = g @ np.exp(-alpha * alpha * (1.0 + phases))
-    return np.abs(f) ** 2
 
 
 def phase_error_ratio(r: float, alpha: float, dtheta: float, dim: int | None = None) -> float:
@@ -217,15 +252,28 @@ def phase_error_ratio(r: float, alpha: float, dtheta: float, dim: int | None = N
     pi + dtheta, normalized by its dtheta = 0 value (so R(., ., 0) = 1
     exactly and residual finite-alpha effects cancel)."""
     n, g, ref = _phase_series(r, alpha, dim)
-    val = _branch_probability(np.array([math.pi + dtheta]), n, g, alpha)[0]
+    val = _overlap_probability(np.array([math.pi + dtheta]), n, g, alpha, -alpha)[0]
     return float(val / ref)
 
 
 @functools.lru_cache(maxsize=len(QUADRATURE_ORDERS))
 def _hermite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positive nodes of the even-order Gauss-Hermite rule, with doubled
+    weights.
+
+    With g and w = -alpha^2 real, F(pi - x) = conj(F(pi + x)), so the
+    averaged |F|^2 is even in x and the mirrored half of the symmetric
+    rule adds nothing.
+    """
     # scipy's nodes stay accurate at the high orders of the ladder, where
-    # numpy's recurrence-based hermgauss overflows
+    # numpy's recurrence-based hermgauss overflows; its rules are exactly
+    # mirror-symmetric
     nodes, weights = scipy.special.roots_hermite(order)
+    half = order // 2
+    nodes = nodes[half:]
+    weights = 2.0 * weights[half:]
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
     return nodes, weights
 
 
@@ -235,7 +283,7 @@ def _averaged_ratio_quadrature(
     n, g, ref = _phase_series(r, alpha, dim)
     nodes, weights = _hermite_rule(order)
     taus = math.pi + math.sqrt(2.0) * sigma * nodes
-    vals = _branch_probability(taus, n, g, alpha) / ref
+    vals = _overlap_probability(taus, n, g, alpha, -alpha) / ref
     return float(np.dot(weights, vals) / math.sqrt(math.pi))
 
 
@@ -255,8 +303,8 @@ def gaussian_averaged_ratio(
     escalation fails.  method="monte-carlo" draws `samples` phases with a
     caller-supplied seed (fit-robustness studies only).
     """
-    if sigma < 0.0:
-        raise ValueError("sigma must be nonnegative")
+    if not (math.isfinite(sigma) and sigma >= 0.0):
+        raise ValueError("sigma must be finite and nonnegative")
     if sigma == 0.0:
         return 1.0
     if method == "quadrature":
@@ -276,7 +324,7 @@ def gaussian_averaged_ratio(
         rng = np.random.default_rng(seed)
         n, g, ref = _phase_series(r, alpha, dim)
         taus = math.pi + rng.normal(0.0, sigma, size=samples)
-        vals = _branch_probability(taus, n, g, alpha) / ref
+        vals = _overlap_probability(taus, n, g, alpha, -alpha) / ref
         return float(np.mean(vals))
     raise ValueError(f"unknown method {method!r}")
 

@@ -216,8 +216,8 @@ class Figure:
     description: str
     builder: Callable[..., Table]
 
-    def build(self, dim=None, tail_tol=None, eta=None, alpha=None, seed=None) -> Table:
-        return self.builder(dim=dim, tail_tol=tail_tol, eta=eta, alpha=alpha, seed=seed)
+    def build(self, dim=None, tail_tol=None, eta=None, alpha=None) -> Table:
+        return self.builder(dim=dim, tail_tol=tail_tol, eta=eta, alpha=alpha)
 
 
 def _override_trunc(dim, tail_tol) -> Truncation | None:
@@ -271,7 +271,7 @@ FIG2_LEVELS = 12
 FIG2_R = 0.725
 
 
-def _fig2(dim=None, tail_tol=None, eta=None, alpha=None, seed=None) -> Table:
+def _fig2(dim=None, tail_tol=None, eta=None, alpha=None) -> Table:
     """Photon-number content of the herald row: P(1, n) for each source."""
     trunc = _override_trunc(dim, tail_tol) or default_truncation(FIG2_R, tail_tol or 1e-3)
     squeezed = optics.split_joint(FIG2_R, None, trunc)
@@ -292,7 +292,7 @@ def _fig2(dim=None, tail_tol=None, eta=None, alpha=None, seed=None) -> Table:
 
 
 def _line(var, grid, names, fixed=None):
-    def build(dim=None, tail_tol=None, eta=None, alpha=None, seed=None):
+    def build(dim=None, tail_tol=None, eta=None, alpha=None):
         extra = dict(fixed or {})
         if eta is not None:
             extra["eta"] = eta
@@ -305,7 +305,7 @@ def _line(var, grid, names, fixed=None):
 
 
 def _surface(var1, grid1, var2, grid2, names, fixed=None):
-    def build(dim=None, tail_tol=None, eta=None, alpha=None, seed=None):
+    def build(dim=None, tail_tol=None, eta=None, alpha=None):
         extra = dict(fixed or {})
         if eta is not None:
             extra["eta"] = eta
@@ -318,7 +318,7 @@ def _surface(var1, grid1, var2, grid2, names, fixed=None):
     return build
 
 
-def _fig5a(dim=None, tail_tol=None, eta=None, alpha=None, seed=None) -> Table:
+def _fig5a(dim=None, tail_tol=None, eta=None, alpha=None) -> Table:
     """Averaged ratio against sigma at r = 0.725 for three pump strengths."""
     trunc = _override_trunc(dim, tail_tol)
     tables = []

@@ -1,5 +1,8 @@
 """Unit tests for sweeps, maximization and crossing search."""
 
+import math
+import types
+
 import numpy as np
 import pytest
 
@@ -80,6 +83,15 @@ def test_convergence_check_flags_unstable_cutoff():
         analysis.sweep(spec, "pc_cat_minus", trunc=fs.Truncation(8, tail_tol=0.9))
     message = str(err.value)
     assert "pc_cat_minus" in message and "dim 8" in message and "r" in message
+
+
+def test_convergence_check_rejects_nan():
+    # NaN compares False against the tolerance, so the gate must test it
+    quantity = types.SimpleNamespace(name="nan_quantity", fn=lambda trunc, r: math.nan)
+    spec = analysis.SweepSpec("r", 0.5, 0.5, 1)
+    with pytest.raises(fs.NumericalFailureError) as err:
+        analysis.sweep(spec, quantity, trunc=fs.Truncation(8))
+    assert "nan_quantity" in str(err.value)
 
 
 def test_convergence_check_passes_cutoff_independent_quantity():

@@ -198,6 +198,29 @@ def test_sweep_outside_supported_squeezing_exits_usage(capsys):
     assert "invalid parameter" in err
 
 
+@pytest.mark.parametrize(
+    "quantity, fixed",
+    [
+        ("phase_ratio", ("sigma=inf",)),
+        ("phase_ratio", ("sigma=nan",)),
+        ("phase_ratio", ("sigma=0.001", "alpha=inf")),
+        ("phase_ratio", ("sigma=0.001", "alpha=nan")),
+        ("p0_cat_minus", ("alpha=nan",)),
+        ("p0_cat_minus", ("alpha=inf",)),
+        ("p0_cat_minus", ("tau_tilde=inf",)),
+    ],
+)
+def test_sweep_non_finite_kerr_input_exits_usage(capsys, quantity, fixed):
+    argv = ["sweep", "--quantity", quantity, "--var", "r",
+            "--lo", "0.5", "--hi", "0.6", "--points", "2"]
+    for item in fixed:
+        argv += ["--set", item]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert "invalid parameter" in err
+
+
 def test_repeat_runs_are_byte_identical(capsys):
     argv = ("sweep", "--quantity", "pclickc_cat_minus", "--var", "r",
             "--lo", "0.2", "--hi", "1.0", "--points", "7")

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.special
 
+from sqherald import analysis, kerr, sources
 from sqherald import fockspace as fs
-from sqherald import kerr, sources
 
 IDEAL = kerr.KerrSchedule(math.pi, 10.0)
 
@@ -38,6 +39,10 @@ def test_schedule_validation():
         kerr.KerrSchedule(math.pi, 0.0)
     wrapped = kerr.KerrSchedule(2.0 * math.pi + 0.5, 4.0)
     assert wrapped.tau_tilde == pytest.approx(0.5, abs=1e-12)
+    for tau, alpha in ((math.inf, 4.0), (math.nan, 4.0), (math.pi, math.inf),
+                       (math.pi, math.nan), (math.pi, complex(1.0, math.nan))):
+        with pytest.raises(ValueError):
+            kerr.KerrSchedule(tau, alpha)
 
 
 def test_hybrid_state_requires_converged_coefficients():
@@ -64,6 +69,79 @@ def test_coherent_overlap_closed_form():
     beta, gamma = 2.0, 2.0 * np.exp(-0.4j)
     expected = np.exp(-0.5 * 8.0 + np.conj(beta) * gamma)
     assert kerr.coherent_overlap(beta, gamma) == pytest.approx(expected, abs=1e-12)
+
+
+def state_path_p0(sched, r, sign, label):
+    """Oracle: project the explicit hybrid state from kerr_evolve onto the
+    superposition and the label, one coherent_overlap per pair term."""
+    trunc = kerr.series_truncation(r)
+    state = kerr.kerr_evolve(r, sched, trunc)
+    d = sources.squeezed_cat(r, sign, trunc).amps
+    amp = sum(
+        np.conj(d[2 * n]) * c * kerr.coherent_overlap(label, beta)
+        for n, c, beta in state.components()
+    )
+    return abs(amp) ** 2
+
+
+def test_p0_matches_state_path_oracle():
+    for sign, alpha, label in (
+        (-1, 3.0 + 1.0j, -3.0 - 1.0j),
+        (+1, 3.0 + 1.0j, 3.0 + 1.0j),
+        (-1, 2.0 - 0.5j, -1.5 + 0.8j),
+        (+1, 1.2j, 0.3 - 1.1j),
+    ):
+        for tau in (0.0, 0.7, math.pi, 4.0):
+            sched = kerr.KerrSchedule(tau, alpha)
+            for r in (0.725, 1.5):
+                kernel = kerr.p0_generation(sched, r, sign=sign, label=label)
+                assert abs(kernel - state_path_p0(sched, r, sign, label)) < 1e-12
+
+
+def test_pair_series_drops_exactly_the_zero_terms():
+    for r in (0.725, 2.0):
+        trunc = kerr.series_truncation(r)
+        levels = 2 * np.arange((trunc.dim + 1) // 2)
+        base = sources.squeezed_vacuum(r, trunc).amps[levels]
+        for sign in (-1, +1):
+            full = (np.conj(base) * sources.squeezed_cat(r, sign, trunc).amps[levels]).real
+            n, g = kerr._pair_series(r, sign, trunc)
+            assert np.array_equal(n, np.flatnonzero(full))
+            assert np.array_equal(g, full[n])
+            assert np.all(n % 2 == (1 if sign < 0 else 0))
+            assert not (n.flags.writeable or g.flags.writeable)
+        # negligible tail terms are kept, so the 1.5x recheck compares two
+        # different series
+        wider, _ = kerr._pair_series(r, -1, trunc.scaled(1.5))
+        assert len(wider) > len(kerr._pair_series(r, -1, trunc)[0])
+
+
+def test_p0_sweep_builds_the_series_once():
+    r = 0.8125
+    series = kerr._pair_series.cache_info()
+    cutoff = kerr.series_truncation.cache_info()
+    spec = analysis.SweepSpec("tau_tilde", 0.0, 2.0 * math.pi, 9, {"r": r})
+    analysis.sweep(spec, "p0_cat_minus")
+    series_after = kerr._pair_series.cache_info()
+    cutoff_after = kerr.series_truncation.cache_info()
+    # one build at the working cutoff and one at 1.5x, reused by all 9 taus
+    assert series_after.misses - series.misses == 2
+    assert series_after.hits - series.hits == 2 * 9 - 2
+    assert cutoff_after.misses - cutoff.misses == 1
+
+
+def test_half_hermite_rule_equals_full_symmetric_rule():
+    alpha = 10.0
+    for order in (64, 128, 256, 512, 1024):
+        nodes, weights = scipy.special.roots_hermite(order)
+        for r in (0.725, 2.0):
+            n, g, ref = kerr._phase_series(r, alpha, None)
+            for sigma in (1e-3, 4e-3):
+                taus = math.pi + math.sqrt(2.0) * sigma * nodes
+                vals = kerr._overlap_probability(taus, n, g, alpha, -alpha) / ref
+                full = float(np.dot(weights, vals) / math.sqrt(math.pi))
+                half = kerr._averaged_ratio_quadrature(r, alpha, sigma, order, None)
+                assert abs(half - full) < 1e-13
 
 
 def test_series_truncation_floor():
@@ -199,6 +277,12 @@ def test_averaged_ratio_input_validation():
         kerr.gaussian_averaged_ratio(0.725, 10.0, 1e-3, method="monte-carlo")
     with pytest.raises(ValueError):
         kerr.gaussian_averaged_ratio(0.725, 10.0, 1e-3, method="simpson")
+    for sigma in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            kerr.gaussian_averaged_ratio(0.725, 10.0, sigma)
+    for alpha in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            kerr.gaussian_averaged_ratio(0.725, alpha, 1e-3)
 
 
 def test_tolerable_jitter_scale():
