@@ -66,16 +66,12 @@ class SweepResult:
 
     columns: tuple[str, ...]
     rows: np.ndarray
-    converged: np.ndarray
     metadata: dict
 
     def __post_init__(self):
         rows = np.array(self.rows, dtype=float)
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
-        flags = np.array(self.converged, dtype=bool)
-        flags.setflags(write=False)
-        object.__setattr__(self, "converged", flags)
 
     def column(self, name: str) -> np.ndarray:
         return self.rows[:, self.columns.index(name)]
@@ -88,6 +84,33 @@ def _resolve(quantity):
 
         return registry.resolve(quantity)
     return quantity
+
+
+def _check_parameters(q, given: set[str], swept: tuple[str, ...]) -> None:
+    """Reject, before anything is evaluated, a name that is both fixed by
+    the caller and swept, a swept or fixed name the quantity does not take,
+    and a variable left without a value.  Plain callables declare no
+    parameters, so only the first check applies to them."""
+    both = sorted(given & set(swept))
+    if both:
+        raise ValueError(f"cannot both sweep and fix {', '.join(both)}")
+    variables = getattr(q, "variables", None)
+    if variables is None:
+        return
+    known = set(variables) | set(q.defaults)
+    listing = ", ".join(sorted(known))
+    for var in swept:
+        if var not in known:
+            raise ValueError(f"{q.name} cannot be swept over {var!r}; parameters: {listing}")
+    unknown = sorted(given - known)
+    if unknown:
+        raise ValueError(
+            f"{q.name} takes no parameter {', '.join(unknown)}; parameters: {listing}"
+        )
+    have = given | set(q.defaults) | set(swept)
+    missing = [var for var in variables if var not in have]
+    if missing:
+        raise ValueError(f"{q.name} needs a value for {', '.join(missing)}")
 
 
 def _evaluate_checked(
@@ -122,49 +145,44 @@ def sweep(
     """Evaluate a quantity on a 1-D or 2-D uniform grid.
 
     Row order is ascending in the first grid, then the second; identical
-    specs give bit-identical results.  Any row failing the convergence
+    specs give bit-identical results.  Unknown or missing parameters are a
+    ValueError before any evaluation.  Any row failing the convergence
     check aborts the sweep with the offending parameters in the message.
     """
     q = _resolve(quantity)
     name = getattr(q, "name", "value")
+    given = {**spec.fixed, **(second.fixed if second is not None else {})}
+    swept = (spec.variable,) if second is None else (spec.variable, second.variable)
+    _check_parameters(q, set(given), swept)
+    fixed = {**getattr(q, "defaults", {}), **given}
     xs = spec.grid()
     dims: set[int] = set()
     rows = []
-    flags = []
     if second is None:
         columns = (spec.variable, name)
         for x in xs:
-            params = {**getattr(q, "defaults", {}), **spec.fixed, spec.variable: float(x)}
+            params = {**fixed, spec.variable: float(x)}
             val, dim = _evaluate_checked(q, params, trunc, tail_tol)
             if dim is not None:
                 dims.add(dim)
             rows.append((float(x), val))
-            flags.append(True)
     else:
         columns = (spec.variable, second.variable, name)
         ys = second.grid()
         for x in xs:
             for y in ys:
-                params = {
-                    **getattr(q, "defaults", {}),
-                    **spec.fixed,
-                    **second.fixed,
-                    spec.variable: float(x),
-                    second.variable: float(y),
-                }
+                params = {**fixed, spec.variable: float(x), second.variable: float(y)}
                 val, dim = _evaluate_checked(q, params, trunc, tail_tol)
                 if dim is not None:
                     dims.add(dim)
                 rows.append((float(x), float(y), val))
-                flags.append(True)
     metadata = {
         "quantity": name,
         "convergence_tol": CONVERGENCE_TOL,
         "dims": sorted(dims) if dims else "analytic",
-        "fixed": {**getattr(q, "defaults", {}), **spec.fixed,
-                  **(second.fixed if second is not None else {})},
+        "fixed": fixed,
     }
-    return SweepResult(columns, np.array(rows), np.array(flags), metadata)
+    return SweepResult(columns, np.array(rows), metadata)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -13,7 +13,7 @@ import sys
 
 from . import __version__, analysis, registry, verification
 from .analysis import ConvergenceError, NoCrossingError
-from .fockspace import NumericalFailureError, Truncation, TruncationError
+from .fockspace import NumericalFailureError, TruncationError
 from .kerr import QuadratureConvergenceError
 
 EXIT_OK = 0
@@ -206,22 +206,12 @@ def cmd_sweep(args) -> int:
     if args.var is None or args.lo is None or args.hi is None or args.points is None:
         print("--var, --lo, --hi and --points are required", file=sys.stderr)
         return EXIT_USAGE
-    known = set(quantity.variables) | set(quantity.defaults)
-    if args.var not in known:
-        print(
-            f"{args.quantity} cannot be swept over {args.var!r}; "
-            f"parameters: {', '.join(sorted(known))}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
     try:
         spec = analysis.SweepSpec(args.var, args.lo, args.hi, args.points, fixed)
     except ValueError as exc:
         print(f"invalid sweep range: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    trunc = None
-    if cfg.dim is not None:
-        trunc = Truncation(cfg.dim) if cfg.tail_tol is None else Truncation(cfg.dim, cfg.tail_tol)
+    trunc = registry.override_truncation(cfg.dim, cfg.tail_tol, quantity.series)
     result = analysis.sweep(spec, quantity, trunc=trunc, tail_tol=cfg.tail_tol)
     metadata = {
         "quantity": quantity.name,

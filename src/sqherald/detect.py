@@ -74,15 +74,11 @@ class HeraldedStatistics:
         object.__setattr__(self, "conditional_photon_dist", arr)
 
 
-def click_statistics(dist: optics.JointDistribution, det: DetectorModel) -> HeraldedStatistics:
-    """Click-detect mode a of a joint distribution.
-
-    The weighted signal row q(n_b) = sum_{n_a} w_{n_a} p(n_a, n_b) gives
-    p_click as its total mass, p_click_1 as its n_b = 1 entry, and the
-    conditional signal distribution after normalization.
-    """
-    w = det.click_weights(dist.truncation.dim)
-    weighted_b = w @ dist.p
+def _statistics(weighted_b: np.ndarray) -> HeraldedStatistics:
+    """Click statistics from the click-weighted signal row
+    q(n_b) = sum_{n_a} w_{n_a} p(n_a, n_b): p_click is its total mass,
+    p_click_1 its n_b = 1 entry, and the conditional signal distribution
+    its normalization."""
     p_click = float(weighted_b.sum())
     if p_click == 0.0:
         raise ZeroClickError("click probability vanished")
@@ -95,6 +91,12 @@ def click_statistics(dist: optics.JointDistribution, det: DetectorModel) -> Hera
     )
 
 
+def click_statistics(dist: optics.JointDistribution, det: DetectorModel) -> HeraldedStatistics:
+    """Click-detect mode a of a joint distribution (the dense oracle for
+    heralded_cat_statistics)."""
+    return _statistics(det.click_weights(dist.truncation.dim) @ dist.p)
+
+
 def heralded_cat_statistics(
     r: float, det: DetectorModel, trunc: Truncation | None = None, sign: int = -1
 ) -> HeraldedStatistics:
@@ -102,7 +104,7 @@ def heralded_cat_statistics(
     into the threshold detector."""
     if trunc is None:
         trunc = default_truncation(r)
-    return click_statistics(optics.split_joint(r, sign, trunc), det)
+    return _statistics(optics.weighted_row(r, sign, trunc, det.click_weights(trunc.dim)))
 
 
 def tmss_click_statistics(r: float, det: DetectorModel) -> HeraldedStatistics:
@@ -174,9 +176,7 @@ def g2_heralded_cat(
     """Heralded g2 of the split odd superposition."""
     if trunc is None:
         trunc = default_truncation(r)
-    dist = optics.split_joint(r, -1, trunc)
-    w = det.click_weights(trunc.dim)
-    return _g2_subnormalized(w @ dist.p)
+    return _g2_subnormalized(optics.weighted_row(r, -1, trunc, det.click_weights(trunc.dim)))
 
 
 def g2_tmss(r: float, det: DetectorModel) -> float:

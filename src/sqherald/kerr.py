@@ -22,8 +22,8 @@ import math
 import numpy as np
 import scipy.special
 
-from . import sources
-from .fockspace import Truncation, TruncationError
+from . import optics, sources
+from .fockspace import Truncation, TruncationError, default_truncation
 
 TWO_PI = 2.0 * math.pi
 
@@ -33,6 +33,8 @@ COEFF_NORM_TOL = 1e-10
 
 # Tail target for the automatically chosen series cutoff.
 SERIES_TAIL_TOL = 1e-11
+# Tail mass the label-series states may leave above that cutoff.
+SERIES_STATE_TOL = 1e-9
 
 # escalation ladder; larger r keeps more pair terms, which oscillate at
 # frequency ~ alpha^2 * n under a 1/(alpha*n) wide envelope, so the node
@@ -117,7 +119,7 @@ def series_truncation(r: float, tail_tol: float = SERIES_TAIL_TOL) -> Truncation
     """Cutoff for label-based sums, which never build matrices and can
     afford tails far below the matrix default."""
     dim = max(64, sources.converged_dim(r, tail_tol))
-    return Truncation(dim, tail_tol=1e-9)
+    return Truncation(dim, tail_tol=SERIES_STATE_TOL)
 
 
 def kerr_evolve(r: float, sched: KerrSchedule, trunc: Truncation) -> HybridKerrState:
@@ -178,15 +180,13 @@ def p1_heralded(
     """Joint probability of heralding the odd branch and then finding one
     photon in each splitter arm: P(1,1; r; odd) * p0.
 
-    The pair factor runs on the matrix path with its own (smaller) cutoff;
-    the p0 factor reuses the label-based series cutoff.
+    The pair factor P(1,1) = p_2 / 2 comes from the cached photon-number
+    kernel at its own (smaller) cutoff; only its tail check depends on that
+    cutoff.  The p0 factor reuses the label-based series cutoff.
     """
-    from . import optics
-    from .fockspace import default_truncation
-
     if pair_trunc is None:
         pair_trunc = default_truncation(r)
-    p11 = float(optics.split_joint(r, -1, pair_trunc).p[1, 1])
+    p11 = float(optics.herald_row(r, -1, pair_trunc)[1])
     return p11 * p0_generation(sched, r, trunc)
 
 
@@ -234,14 +234,17 @@ def _overlap_probability(
 
 
 @functools.lru_cache(maxsize=128)
-def _phase_series(r: float, alpha: float, dim: int | None) -> tuple[np.ndarray, np.ndarray, float]:
+def _phase_series(
+    r: float, alpha: float, dim: int | None, tail_tol: float = SERIES_STATE_TOL
+) -> tuple[np.ndarray, np.ndarray, float]:
     """Odd-branch pair terms and the tau_tilde = pi reference probability
-    for the ratio kernel."""
+    for the ratio kernel, at cutoff dim (default: the series cutoff) with
+    tail tolerance tail_tol."""
     if not r > 0.0:
         raise ValueError("squeezing must be positive")
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise ValueError("pump amplitude must be real, finite and positive")
-    trunc = series_truncation(r) if dim is None else Truncation(dim, tail_tol=1e-9)
+    trunc = Truncation(series_truncation(r).dim if dim is None else dim, tail_tol)
     n, g = _pair_series(r, -1, trunc)
     ref = _overlap_probability(np.array([math.pi]), n, g, alpha, -alpha)[0]
     return n, g, float(ref)
@@ -278,9 +281,14 @@ def _hermite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _averaged_ratio_quadrature(
-    r: float, alpha: float, sigma: float, order: int, dim: int | None
+    r: float,
+    alpha: float,
+    sigma: float,
+    order: int,
+    dim: int | None,
+    tail_tol: float = SERIES_STATE_TOL,
 ) -> float:
-    n, g, ref = _phase_series(r, alpha, dim)
+    n, g, ref = _phase_series(r, alpha, dim, tail_tol)
     nodes, weights = _hermite_rule(order)
     taus = math.pi + math.sqrt(2.0) * sigma * nodes
     vals = _overlap_probability(taus, n, g, alpha, -alpha) / ref
@@ -295,22 +303,25 @@ def gaussian_averaged_ratio(
     samples: int = 200_000,
     seed: int | None = None,
     dim: int | None = None,
+    tail_tol: float = SERIES_STATE_TOL,
 ) -> float:
     """Average phase_error_ratio over dtheta ~ N(0, sigma^2).
 
     The default path is Gauss-Hermite quadrature with automatic order
     escalation; consecutive orders must agree within 1e-9 or the
     escalation fails.  method="monte-carlo" draws `samples` phases with a
-    caller-supplied seed (fit-robustness studies only).
+    caller-supplied seed (fit-robustness studies only).  The series runs
+    at cutoff dim (default: series_truncation(r)) and raises
+    TruncationError when more than tail_tol of the state lies beyond it.
     """
     if not (math.isfinite(sigma) and sigma >= 0.0):
         raise ValueError("sigma must be finite and nonnegative")
     if sigma == 0.0:
         return 1.0
     if method == "quadrature":
-        prev = _averaged_ratio_quadrature(r, alpha, sigma, QUADRATURE_ORDERS[0], dim)
+        prev = _averaged_ratio_quadrature(r, alpha, sigma, QUADRATURE_ORDERS[0], dim, tail_tol)
         for order in QUADRATURE_ORDERS[1:]:
-            cur = _averaged_ratio_quadrature(r, alpha, sigma, order, dim)
+            cur = _averaged_ratio_quadrature(r, alpha, sigma, order, dim, tail_tol)
             if abs(cur - prev) <= QUADRATURE_AGREEMENT:
                 return cur
             prev = cur
@@ -322,7 +333,7 @@ def gaussian_averaged_ratio(
         if seed is None:
             raise ValueError("monte-carlo averaging requires a seed")
         rng = np.random.default_rng(seed)
-        n, g, ref = _phase_series(r, alpha, dim)
+        n, g, ref = _phase_series(r, alpha, dim, tail_tol)
         taus = math.pi + rng.normal(0.0, sigma, size=samples)
         vals = _overlap_probability(taus, n, g, alpha, -alpha) / ref
         return float(np.mean(vals))

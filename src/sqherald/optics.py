@@ -11,10 +11,17 @@ have a closed form (Campos, Saleh & Teich, PRA 40, 1371 (1989)):
 
     U |N, 0> = sum_k (-1)^(N-k) sqrt(C(N, k) / 2^N) |k, N-k>.
 
-split() gathers these coefficients from a table built once per cutoff.
+Squaring them, P(n_a, n_b) = C(N, n_a) 2^-N p_N with N = n_a + n_b, so
+every production statistic is a contraction over the source's
+photon-number distribution p_N (photon_numbers): the herald row P(1, n_b)
+(herald_row) and the herald-weighted signal row (weighted_row).
+
+split() gathers the amplitudes into a dense two-mode table built once per
+cutoff, and joint_probability() squares it; together they are the dense
+oracle that the tests and `verify` check the kernels against.
 apply_beam_splitter() acts on arbitrary two-mode states through the
 orthogonal per-total-N blocks exp(theta G_N); it is the independent
-reference that the tests and `verify` check split() against.
+reference for split().
 """
 from __future__ import annotations
 
@@ -147,12 +154,18 @@ def joint_probability(state: TwoModeState) -> JointDistribution:
     return JointDistribution(p, deficit, state.truncation)
 
 
-def split_joint(r: float, sign: int | None, trunc: Truncation) -> JointDistribution:
-    """Joint distribution of a split source: the superposition |r; sign>
-    for sign = +1 or -1, plain squeezed vacuum |r> for sign = None.
+@functools.lru_cache(maxsize=512)
+def photon_numbers(r: float, sign: int | None, trunc: Truncation) -> np.ndarray:
+    """Photon-number distribution p_N, N < dim, of a source: the
+    superposition |r; sign> for sign = +1 or -1, plain squeezed vacuum |r>
+    for sign = None.
 
-    The odd superposition at r = 0 is taken as its r -> 0 limit, the
-    two-photon level |2>, so swept columns extend continuously to r = 0.
+    With vacuum in port b the balanced splitter gives
+    P(n_a, n_b) = C(N, n_a) 2^-N p_N with N = n_a + n_b, so every split
+    statistic is a contraction over this vector.  The source constructors
+    raise TruncationError for tails beyond the cutoff's tolerance.  The odd
+    superposition at r = 0 is taken as its r -> 0 limit, the two-photon
+    level |2>, so swept columns extend continuously to r = 0.
     """
     if sign is None:
         state = sources.squeezed_vacuum(r, trunc)
@@ -160,16 +173,49 @@ def split_joint(r: float, sign: int | None, trunc: Truncation) -> JointDistribut
         state = fock_state(2, trunc)
     else:
         state = sources.squeezed_cat(r, sign, trunc)
-    return joint_probability(split(state))
+    p = np.abs(state.amps) ** 2
+    p.setflags(write=False)
+    return p
 
 
-def conditional_single_photon(dist: JointDistribution) -> float:
-    """P(n_b = 1 | n_a = 1): the single-photon fraction of the heralded mode."""
-    row = dist.p[1, :]
+def herald_row(r: float, sign: int | None, trunc: Truncation) -> np.ndarray:
+    """P(1, n_b) of the split source for n_b < dim:
+    (n_b + 1) 2^-(n_b + 1) p_(n_b + 1).  The last entry, total dim, lies
+    beyond the cutoff and is zero.  Its entry 1 is P(1,1) = p_2 / 2."""
+    p = photon_numbers(r, sign, trunc)
+    n = np.arange(1, trunc.dim)
+    return np.append(np.ldexp(n * p[1:], -n), 0.0)
+
+
+@functools.lru_cache(maxsize=16)
+def _pair_weights(dim: int) -> np.ndarray:
+    """B[n_a, n_b] = C(N, n_a) 2^-N, the squared closed-form coefficients."""
+    coeff, _ = _balanced_columns(dim)
+    weights = coeff * coeff
+    weights.setflags(write=False)
+    return weights
+
+
+def weighted_row(r: float, sign: int | None, trunc: Truncation, w: np.ndarray) -> np.ndarray:
+    """sum_{n_a} w_{n_a} P(n_a, n_b) of the split source for n_b < dim, in
+    real arithmetic: P(n_a, n_b) = B[n_a, n_b] p_(n_a + n_b), and totals
+    n_a + n_b >= dim, which the cutoff drops, read a zero pad slot."""
+    _, totals = _balanced_columns(trunc.dim)
+    p = np.append(photon_numbers(r, sign, trunc), 0.0)
+    return w @ (_pair_weights(trunc.dim) * p[totals])
+
+
+def single_photon_fraction(row: np.ndarray) -> float:
+    """P(n_b = 1 | n_a = 1) from the herald row P(1, n_b)."""
     total = float(np.sum(row))
     if total == 0.0:
         raise ZeroHeraldError("herald outcome n_a = 1 has zero probability")
     return float(row[1]) / total
+
+
+def conditional_single_photon(dist: JointDistribution) -> float:
+    """P(n_b = 1 | n_a = 1): the single-photon fraction of the heralded mode."""
+    return single_photon_fraction(dist.p[1, :])
 
 
 def tmss_joint_probability(r: float, trunc: Truncation) -> JointDistribution:

@@ -15,7 +15,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import analysis, detect, kerr, optics, sources
-from .fockspace import Truncation, default_truncation
+from .fockspace import DEFAULT_TAIL_TOL, Truncation, default_truncation
 from .detect import DetectorModel
 from .kerr import KerrSchedule
 
@@ -50,27 +50,27 @@ class Quantity:
 
 
 def _q_p11_cat_minus(trunc, r):
-    return float(optics.split_joint(r, -1, trunc).p[1, 1])
+    return float(optics.herald_row(r, -1, trunc)[1])
 
 
 def _q_p11_cat_plus(trunc, r):
-    return float(optics.split_joint(r, +1, trunc).p[1, 1])
+    return float(optics.herald_row(r, +1, trunc)[1])
 
 
 def _q_p11_squeezed(trunc, r):
-    return float(optics.split_joint(r, None, trunc).p[1, 1])
+    return float(optics.herald_row(r, None, trunc)[1])
 
 
 def _q_p11_tmss(trunc, r):
-    return float(optics.tmss_joint_probability(r, trunc).p[1, 1])
+    return sources.tmss_p11(r, trunc)
 
 
 def _q_pc_cat_minus(trunc, r):
-    return optics.conditional_single_photon(optics.split_joint(r, -1, trunc))
+    return optics.single_photon_fraction(optics.herald_row(r, -1, trunc))
 
 
 def _q_pc_squeezed(trunc, r):
-    return optics.conditional_single_photon(optics.split_joint(r, None, trunc))
+    return optics.single_photon_fraction(optics.herald_row(r, None, trunc))
 
 
 def _q_herald_prob_cat_minus(trunc, r):
@@ -93,8 +93,7 @@ def _q_p1_cat_minus(trunc, tau_tilde, r, alpha):
 
 
 def _q_phase_ratio(trunc, sigma, r, alpha):
-    dim = None if trunc is None else trunc.dim
-    return kerr.gaussian_averaged_ratio(r, alpha, sigma, dim=dim)
+    return kerr.gaussian_averaged_ratio(r, alpha, sigma, dim=trunc.dim, tail_tol=trunc.tail_tol)
 
 
 def _q_pclick_cat_minus(trunc, r, eta):
@@ -220,11 +219,14 @@ class Figure:
         return self.builder(dim=dim, tail_tol=tail_tol, eta=eta, alpha=alpha)
 
 
-def _override_trunc(dim, tail_tol) -> Truncation | None:
+def override_truncation(dim, tail_tol, series: bool = False) -> Truncation | None:
+    """The cutoff that a dim override fixes, or None without one.  Without
+    a tail_tol override, label-series quantities keep the series state
+    tolerance and matrix quantities the matrix default, as in trunc_for."""
     if dim is None:
         return None
     if tail_tol is None:
-        return Truncation(dim)
+        tail_tol = kerr.SERIES_STATE_TOL if series else DEFAULT_TAIL_TOL
     return Truncation(dim, tail_tol)
 
 
@@ -237,9 +239,9 @@ def _joined_sweeps(
 ) -> Table:
     """Sweep several quantities over the same grid and join the value
     columns."""
-    trunc = _override_trunc(dim, tail_tol)
     results = [
-        analysis.sweep(spec, name, second=second, trunc=trunc, tail_tol=tail_tol)
+        analysis.sweep(spec, name, second=second, tail_tol=tail_tol,
+                       trunc=override_truncation(dim, tail_tol, resolve(name).series))
         for name in names
     ]
     grid_cols = results[0].columns[:-1]
@@ -271,24 +273,28 @@ FIG2_LEVELS = 12
 FIG2_R = 0.725
 
 
+def _no_overrides(figure: str, eta, alpha) -> None:
+    """Figures that fix or sweep eta and alpha themselves reject the
+    overrides instead of ignoring them."""
+    if eta is not None or alpha is not None:
+        raise ValueError(f"{figure} takes no eta or alpha override")
+
+
 def _fig2(dim=None, tail_tol=None, eta=None, alpha=None) -> Table:
     """Photon-number content of the herald row: P(1, n) for each source."""
-    trunc = _override_trunc(dim, tail_tol) or default_truncation(FIG2_R, tail_tol or 1e-3)
-    squeezed = optics.split_joint(FIG2_R, None, trunc)
-    minus = optics.split_joint(FIG2_R, -1, trunc)
-    plus = optics.split_joint(FIG2_R, +1, trunc)
+    _no_overrides("fig2", eta, alpha)
+    trunc = override_truncation(dim, tail_tol) or default_truncation(FIG2_R, tail_tol or 1e-3)
     levels = min(FIG2_LEVELS, trunc.dim)
-    rows = [
-        (float(n), float(squeezed.p[1, n]), float(minus.p[1, n]), float(plus.p[1, n]))
-        for n in range(levels)
-    ]
+    rows = np.column_stack(
+        [np.arange(levels, dtype=float)]
+        + [optics.herald_row(FIG2_R, sign, trunc)[:levels] for sign in (None, -1, +1)]
+    )
     metadata = {
         "dims": [trunc.dim],
         "convergence_tol": analysis.CONVERGENCE_TOL,
         "fixed": {"r": FIG2_R},
     }
-    return Table(("n", "p1n_squeezed", "p1n_cat_minus", "p1n_cat_plus"),
-                 np.array(rows), metadata)
+    return Table(("n", "p1n_squeezed", "p1n_cat_minus", "p1n_cat_plus"), rows, metadata)
 
 
 def _line(var, grid, names, fixed=None):
@@ -320,7 +326,8 @@ def _surface(var1, grid1, var2, grid2, names, fixed=None):
 
 def _fig5a(dim=None, tail_tol=None, eta=None, alpha=None) -> Table:
     """Averaged ratio against sigma at r = 0.725 for three pump strengths."""
-    trunc = _override_trunc(dim, tail_tol)
+    _no_overrides("fig5a", eta, alpha)
+    trunc = override_truncation(dim, tail_tol, series=True)
     tables = []
     alphas = (9.0, 10.0, 11.0)
     for a in alphas:

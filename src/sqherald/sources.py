@@ -59,22 +59,28 @@ def _even_log_weights(r: float, pairs: int) -> tuple[np.ndarray, np.ndarray]:
     return logmag, sign
 
 
+def _vacuum_log_weights(r: float, trunc: Truncation) -> tuple[np.ndarray, np.ndarray]:
+    """log|c_2k| and signs of squeezed vacuum for 2k < dim, after checking
+    that the tail mass beyond the cutoff fits its tolerance."""
+    _check_squeeze(r)
+    logmag, sign = _even_log_weights(r, (trunc.dim + 1) // 2)
+    tail = 1.0 - float(np.sum(np.exp(2.0 * logmag)))
+    if tail > trunc.tail_tol:
+        raise TruncationError(
+            f"squeezed vacuum at r = {r} does not fit in dim = {trunc.dim}", tail
+        )
+    return logmag, sign
+
+
 def squeezed_vacuum(r: float, trunc: Truncation) -> SingleModeState:
     """S(r)|0>: even-level amplitudes c_{2k} proportional to (-tanh r)^k.
 
     The sign convention matches squeeze_matrix: positive r gives a real
     state with alternating signs on levels 0, 2, 4, ...
     """
-    _check_squeeze(r)
-    pairs = (trunc.dim + 1) // 2
-    logmag, sign = _even_log_weights(r, pairs)
+    logmag, sign = _vacuum_log_weights(r, trunc)
     amps = np.zeros(trunc.dim, dtype=complex)
-    amps[2 * np.arange(pairs)] = sign * np.exp(logmag)
-    tail = 1.0 - float(np.sum(np.exp(2.0 * logmag)))
-    if tail > trunc.tail_tol:
-        raise TruncationError(
-            f"squeezed vacuum at r = {r} does not fit in dim = {trunc.dim}", tail
-        )
+    amps[0::2] = sign * np.exp(logmag)
     return SingleModeState(amps, trunc)
 
 
@@ -98,15 +104,26 @@ def converged_dim(r: float, tail_tol: float, max_dim: int = 8192) -> int:
 def cat_norm(r: float, sign: int) -> float:
     """Norm-square N_pm(r) of S(r)|0> pm S(-r)|0>.
 
-    N_pm = 2 (1 pm 1 / (cosh r sqrt(1 + tanh^2 r))); the two branches sum
-    to 4 identically.
+    N_pm = 2 (1 pm 1/c) with c = sqrt(cosh 2r) = cosh r sqrt(1 + tanh^2 r);
+    the two branches sum to 4 identically.  The odd branch is evaluated as
+    4 sinh^2 r / (c (c + 1)), which does not cancel at small r.
     """
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     _check_squeeze(r)
-    t = math.tanh(r)
-    overlap = 1.0 / (math.cosh(r) * math.sqrt(1.0 + t * t))
-    return 2.0 * (1.0 + sign * overlap)
+    c = math.sqrt(math.cosh(2.0 * r))
+    if sign > 0:
+        return 2.0 * (1.0 + 1.0 / c)
+    return 4.0 * math.sinh(r) ** 2 / (c * (c + 1.0))
+
+
+def _log_cat_norm(r: float, sign: int) -> float:
+    """log N_pm(r), the odd branch logged factor by factor so that it
+    stays finite where sinh^2 r underflows."""
+    if sign > 0:
+        return math.log(cat_norm(r, sign))
+    c = math.sqrt(math.cosh(2.0 * r))
+    return 2.0 * math.log(2.0 * math.sinh(abs(r))) - math.log(c * (c + 1.0))
 
 
 def squeezed_cat(r: float, sign: int, trunc: Truncation) -> SingleModeState:
@@ -119,16 +136,14 @@ def squeezed_cat(r: float, sign: int, trunc: Truncation) -> SingleModeState:
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     if sign < 0 and r == 0.0:
         raise DegenerateStateError("the odd superposition vanishes at r = 0")
-    base = squeezed_vacuum(r, trunc)
-    norm = cat_norm(r, sign)
+    logmag, sign_k = _vacuum_log_weights(r, trunc)
     # S(-r) flips the sign of every odd-k pair level, so the sum/difference
-    # keeps pair levels with k even/odd and doubles them.
-    keep = np.zeros(trunc.dim)
-    pairs = (trunc.dim + 1) // 2
-    k = np.arange(pairs)
-    kept_pairs = k[(k % 2 == 0) if sign > 0 else (k % 2 == 1)]
-    keep[2 * kept_pairs] = 2.0
-    amps = base.amps * keep / math.sqrt(norm)
+    # keeps pair levels with k even/odd and doubles them; the amplitudes
+    # 2 c_2k / sqrt(N_pm) are formed in log space, where N_- underflows as
+    # r -> 0
+    k = np.arange(0 if sign > 0 else 1, len(logmag), 2)
+    amps = np.zeros(trunc.dim, dtype=complex)
+    amps[2 * k] = sign_k[k] * np.exp(logmag[k] + LN2 - 0.5 * _log_cat_norm(r, sign))
     tail = 1.0 - float(np.sum(np.abs(amps) ** 2))
     if tail > trunc.tail_tol:
         raise TruncationError(
@@ -144,6 +159,26 @@ def herald_probability(r: float, sign: int) -> float:
     return cat_norm(r, sign) / 4.0
 
 
+def _tmss_tanh(r: float, trunc: Truncation) -> float:
+    """tanh |r| of the two-mode squeezed vacuum, after checking that its
+    tail mass tanh^(2 dim) r fits the cutoff."""
+    _check_squeeze(r)
+    t = math.tanh(abs(r))
+    tail = (t * t) ** trunc.dim
+    if tail > trunc.tail_tol:
+        raise TruncationError(
+            f"two-mode squeezed vacuum at r = {r} does not fit in dim = {trunc.dim}",
+            tail,
+        )
+    return t
+
+
+def tmss_p11(r: float, trunc: Truncation) -> float:
+    """P(1,1) = tanh^2 r / cosh^2 r of the two-mode squeezed vacuum."""
+    t = _tmss_tanh(r, trunc)
+    return t * t / math.cosh(r) ** 2
+
+
 def two_mode_squeezed_vacuum(r: float, trunc: Truncation) -> TwoModeState:
     """Two-mode squeezed vacuum with Schmidt amplitudes tanh^n r / cosh r.
 
@@ -151,20 +186,12 @@ def two_mode_squeezed_vacuum(r: float, trunc: Truncation) -> TwoModeState:
     statistics downstream, so any relative phase convention on the
     Schmidt terms would give the same tables.
     """
-    _check_squeeze(r)
+    t = _tmss_tanh(r, trunc)
     n = np.arange(trunc.dim)
-    t = math.tanh(abs(r))
     if t == 0.0:
         diag = np.where(n == 0, 1.0, 0.0)
-        tail = 0.0
     else:
         diag = np.exp(n * math.log(t) - math.log(math.cosh(r)))
-        tail = (t * t) ** trunc.dim
-    if tail > trunc.tail_tol:
-        raise TruncationError(
-            f"two-mode squeezed vacuum at r = {r} does not fit in dim = {trunc.dim}",
-            tail,
-        )
     amps = np.zeros((trunc.dim, trunc.dim), dtype=complex)
     np.fill_diagonal(amps, diag)
     return TwoModeState(amps, trunc)

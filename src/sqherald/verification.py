@@ -85,17 +85,17 @@ def criterion_2(cfg: VerifyConfig) -> CriterionResult:
     def run():
         c = _Checks()
         trunc = cfg.trunc(0.725)
-        minus = optics.split_joint(0.725, -1, trunc)
-        c.close("P(1,1;-)", float(minus.p[1, 1]), 0.453, 5e-4)
-        c.close("P(1,5;-)", float(minus.p[1, 5]), 7.85e-3, 5e-5)
+        minus = optics.herald_row(0.725, -1, trunc)
+        c.close("P(1,1;-)", float(minus[1]), 0.453, 5e-4)
+        c.close("P(1,5;-)", float(minus[5]), 7.85e-3, 5e-5)
         for n in (0, 2, 3, 4):
             c.holds(
                 f"P(1,{n};-) = 0",
-                float(minus.p[1, n]) <= 1e-12,
-                f"{float(minus.p[1, n]):.3e}",
+                float(minus[n]) <= 1e-12,
+                f"{float(minus[n]):.3e}",
             )
-        sq = optics.split_joint(0.725, None, trunc)
-        c.close("P(1,1)", float(sq.p[1, 1]), 7.54e-2, 5e-5)
+        sq = optics.herald_row(0.725, None, trunc)
+        c.close("P(1,1)", float(sq[1]), 7.54e-2, 5e-5)
         return c
 
     return _result(2, "herald-row probabilities at r = 0.725", run)
@@ -104,20 +104,13 @@ def criterion_2(cfg: VerifyConfig) -> CriterionResult:
 def criterion_3(cfg: VerifyConfig) -> CriterionResult:
     def run():
         c = _Checks()
-        c.close(
-            "P_c(0.725;-)",
-            optics.conditional_single_photon(optics.split_joint(0.725, -1, cfg.trunc(0.725))),
-            0.983,
-            5e-4,
-        )
-        sq = optics.split_joint(0.725, None, cfg.trunc(0.725))
-        c.close("P_c(0.725)", optics.conditional_single_photon(sq), 0.859, 5e-4)
-        c.close(
-            "P_c(1.146;-)",
-            optics.conditional_single_photon(optics.split_joint(1.146, -1, cfg.trunc(1.146))),
-            0.9488,
-            5e-4,
-        )
+        for label, r, sign, expected in (
+            ("P_c(0.725;-)", 0.725, -1, 0.983),
+            ("P_c(0.725)", 0.725, None, 0.859),
+            ("P_c(1.146;-)", 1.146, -1, 0.9488),
+        ):
+            row = optics.herald_row(r, sign, cfg.trunc(r))
+            c.close(label, optics.single_photon_fraction(row), expected, 5e-4)
         return c
 
     return _result(3, "single-photon conditionals", run)
@@ -234,7 +227,8 @@ def criterion_11(cfg: VerifyConfig) -> CriterionResult:
         trunc = cfg.trunc(0.725)
         totals = np.add.outer(np.arange(trunc.dim), np.arange(trunc.dim))
         for sign, residue in ((-1, 2), (+1, 0)):
-            dist = optics.split_joint(0.725, sign, trunc)
+            state = sources.squeezed_cat(0.725, sign, trunc)
+            dist = optics.joint_probability(optics.split(state))
             leak = float(np.max(dist.p[totals % 4 != residue]))
             c.holds(
                 f"parity leak, sign {sign:+d}", leak <= 1e-14, f"{leak:.3e}"
@@ -288,12 +282,11 @@ def criterion_11(cfg: VerifyConfig) -> CriterionResult:
         cond_ok = True
         for r in grid:
             tr = cfg.trunc(float(r))
-            minus = optics.split_joint(float(r), -1, tr)
-            bench = optics.tmss_joint_probability(float(r), tr)
-            if not float(minus.p[1, 1]) > float(bench.p[1, 1]):
+            minus = optics.herald_row(float(r), -1, tr)
+            if not float(minus[1]) > sources.tmss_p11(float(r), tr):
                 dom_ok = False
-            sq = optics.split_joint(float(r), None, tr)
-            if optics.conditional_single_photon(minus) < optics.conditional_single_photon(sq):
+            sq = optics.herald_row(float(r), None, tr)
+            if optics.single_photon_fraction(minus) < optics.single_photon_fraction(sq):
                 cond_ok = False
         c.holds("P(1,1;-) > benchmark P(1,1) on 200-point grid", dom_ok, str(dom_ok))
         c.holds("P_c(-) >= P_c on 200-point grid", cond_ok, str(cond_ok))
@@ -322,16 +315,11 @@ def criterion_12(cfg: VerifyConfig) -> CriterionResult:
         yield_vals = np.array(
             [
                 sources.herald_probability(float(r), -1)
-                * float(optics.split_joint(float(r), -1, cfg.trunc(float(r))).p[1, 1])
+                * float(optics.herald_row(float(r), -1, cfg.trunc(float(r)))[1])
                 for r in grid
             ]
         )
-        bench_vals = np.array(
-            [
-                float(optics.tmss_joint_probability(float(r), cfg.trunc(float(r))).p[1, 1])
-                for r in grid
-            ]
-        )
+        bench_vals = np.array([sources.tmss_p11(float(r), cfg.trunc(float(r))) for r in grid])
         i_min = int(np.argmin(yield_vals))
         c.holds(
             "pair yield > 4e-6 for r >= 0.004",

@@ -221,6 +221,58 @@ def test_sweep_non_finite_kerr_input_exits_usage(capsys, quantity, fixed):
     assert "invalid parameter" in err
 
 
+def test_phase_ratio_honours_the_tail_tolerance(capsys):
+    argv = ["sweep", "--quantity", "phase_ratio", "--var", "r", "--lo", "1.9", "--hi", "2.0",
+            "--points", "2", "--set", "sigma=0.001"]
+    code, out, err = run_cli(capsys, *argv, "--tail-tol", "0")
+    assert code == cli.EXIT_NUMERICAL
+    assert out == ""
+    assert "does not fit" in err
+    code, out, err = run_cli(capsys, *argv, "--tail-tol", "1e-9")
+    assert code == cli.EXIT_OK, err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", "--quantity", "phase_ratio", "--var", "sigma", "--lo", "0.001", "--hi", "0.002",
+         "--points", "2"),
+        ("figure", "fig5a"),
+    ],
+)
+def test_dim_override_keeps_the_series_tail_tolerance(capsys, argv):
+    # at dim 24 the r = 0.725 series leaves 2.1e-6 of its mass out: within
+    # the matrix default 1e-3, beyond the series tolerance 1e-9
+    code, out, err = run_cli(capsys, *argv, "--dim", "24")
+    assert code == cli.EXIT_NUMERICAL
+    assert out == ""
+    assert "does not fit in dim = 24" in err
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (("sweep", "--quantity", "p11_tmss", "--var", "r", "--lo", "0.1", "--hi", "0.5",
+          "--points", "3", "--set", "foo=1"), "takes no parameter foo"),
+        (("sweep", "--quantity", "p11_tmss", "--var", "r", "--lo", "0.1", "--hi", "0.5",
+          "--points", "3", "--alpha", "10"), "takes no parameter alpha"),
+        (("figure", "fig3b", "--eta", "0.8"), "takes no parameter eta"),
+        (("sweep", "--quantity", "p0_cat_minus", "--var", "tau_tilde", "--lo", "0.0",
+          "--hi", "1.0", "--points", "2"), "needs a value for r"),
+        (("figure", "fig2", "--eta", "0.8"), "no eta or alpha override"),
+        (("figure", "fig5a", "--alpha", "9"), "no eta or alpha override"),
+        (("figure", "fig7a", "--eta", "0.8"), "cannot both sweep and fix eta"),
+        (("sweep", "--quantity", "p11_tmss", "--var", "r", "--lo", "0.1", "--hi", "0.5",
+          "--points", "3", "--set", "r=0.2"), "cannot both sweep and fix r"),
+    ],
+)
+def test_bad_parameters_exit_usage(capsys, argv, reason):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert "invalid parameter" in err and reason in err
+
+
 def test_repeat_runs_are_byte_identical(capsys):
     argv = ("sweep", "--quantity", "pclickc_cat_minus", "--var", "r",
             "--lo", "0.2", "--hi", "1.0", "--points", "7")

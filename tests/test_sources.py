@@ -76,6 +76,17 @@ def test_cat_norm_closed_form():
     assert sources.cat_norm(r, +1) / 4.0 == pytest.approx(0.833, abs=5e-4)
 
 
+def test_odd_branch_keeps_its_precision_as_r_vanishes():
+    # N_- = 2 (1 - 1/sqrt(cosh 2r)) = 2 r^2 - 7 r^4 / 3 + O(r^6): the direct
+    # difference cancels to noise below r ~ 1e-8, the evaluated form does not
+    for r in (1e-4, 1e-8, 1e-100):
+        series = 2.0 * r * r - 7.0 * r**4 / 3.0
+        assert sources.cat_norm(r, -1) == pytest.approx(series, rel=1e-14)
+    for r in (1e-8, 1e-300, 5e-324):
+        st = sources.squeezed_cat(r, -1, fs.Truncation(16))
+        assert st.photon_distribution()[2] == pytest.approx(1.0, abs=1e-12)
+
+
 def test_cat_norms_sum_to_four():
     for r in np.linspace(0.0, 2.0, 21):
         total = sources.cat_norm(float(r), +1) + sources.cat_norm(float(r), -1)
