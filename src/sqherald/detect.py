@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 
@@ -78,9 +79,10 @@ def _statistics(weighted_b: np.ndarray) -> HeraldedStatistics:
     """Click statistics from the click-weighted signal row
     q(n_b) = sum_{n_a} w_{n_a} p(n_a, n_b): p_click is its total mass,
     p_click_1 its n_b = 1 entry, and the conditional signal distribution
-    its normalization."""
+    its normalization.  A subnormal click probability has lost its
+    digits, so it counts as vanished."""
     p_click = float(weighted_b.sum())
-    if p_click == 0.0:
+    if p_click < sys.float_info.min:
         raise ZeroClickError("click probability vanished")
     p_click_1 = float(weighted_b[1])
     return HeraldedStatistics(
@@ -160,11 +162,12 @@ def _g2_subnormalized(weighted_b: np.ndarray) -> float:
 
     Keeping the click probability inside the moments reproduces the
     closed-form benchmark below; normalizing first would divide it out
-    of the numerator and denominator asymmetrically.
+    of the numerator and denominator asymmetrically.  A subnormal squared
+    mean has lost its digits, so it counts as zero.
     """
     n = np.arange(len(weighted_b))
     m1 = float(n @ weighted_b)
-    if m1 == 0.0:
+    if m1 * m1 < sys.float_info.min:
         raise ZeroMeanError("mean photon number is zero")
     m2 = float((n * (n - 1.0)) @ weighted_b)
     return m2 / (m1 * m1)

@@ -10,7 +10,8 @@ Every label-series probability runs through one kernel,
 `_overlap_probability`, on the cached nonzero pair terms of
 `_pair_series`.  `kerr_evolve`, `HybridKerrState` and `coherent_overlap`
 build the same overlap from explicit states; they are the oracle the
-tests check the kernel against.
+tests check the kernel against.  The phase-noise average is a periodic
+trapezoid rule; the Gauss-Hermite ladder is its oracle.
 """
 from __future__ import annotations
 
@@ -36,10 +37,25 @@ SERIES_TAIL_TOL = 1e-11
 # Tail mass the label-series states may leave above that cutoff.
 SERIES_STATE_TOL = 1e-9
 
-# escalation ladder; larger r keeps more pair terms, which oscillate at
-# frequency ~ alpha^2 * n under a 1/(alpha*n) wide envelope, so the node
-# count has to scale with the highest retained pair index; every order is
-# even, so each rule splits into two mirrored halves (see _hermite_rule)
+# Phase-noise average: trapezoid rule on the half period [0, pi] with
+# coarse step h = pi/M, cut at the first even fine node past
+# TRAPEZOID_WINDOW sigmas; the rules at h and h/2 must agree within
+# TRAPEZOID_AGREEMENT.  The pair term n carries the harmonics k*n of
+# delta with k Poisson-distributed around alpha^2, so the integrand's
+# weight lies below the band (alpha + TRAPEZOID_BAND_PAD)^2 * n[-1].
+# The kernel sees at most TRAPEZOID_CHUNK nodes per call, and a rule
+# that needs more than TRAPEZOID_MAX_NODES nodes is refused.
+TRAPEZOID_WINDOW = 9.0
+TRAPEZOID_AGREEMENT = 1e-12
+TRAPEZOID_BAND_PAD = 3.0
+TRAPEZOID_CHUNK = 4096
+TRAPEZOID_MAX_NODES = 2**20
+
+# Gauss-Hermite escalation ladder (the oracle for the trapezoid rule);
+# larger r keeps more pair terms, which oscillate at frequency
+# ~ alpha^2 * n under a 1/(alpha*n) wide envelope, so the node count has
+# to scale with the highest retained pair index; every order is even, so
+# each rule splits into two mirrored halves (see _hermite_rule)
 QUADRATURE_ORDERS = (64, 128, 256, 512, 1024, 2048, 4096, 8192)
 QUADRATURE_AGREEMENT = 1e-9
 
@@ -48,7 +64,7 @@ FIT_SAMPLES = 21
 
 
 class QuadratureConvergenceError(RuntimeError):
-    """Gauss-Hermite order escalation exhausted without agreement."""
+    """A phase-noise quadrature disagrees with its own refinement."""
 
 
 class FitDegenerateError(ValueError):
@@ -259,10 +275,89 @@ def phase_error_ratio(r: float, alpha: float, dtheta: float, dim: int | None = N
     return float(val / ref)
 
 
+def _trapezoid_rule(sigma: float, band: float) -> tuple[np.ndarray, np.ndarray]:
+    """Fine nodes delta_j = j h/2 in [0, pi] and the weights of the
+    trapezoid rule at step h/2 for the wrapped normal of width sigma > 0,
+    for an integrand whose weight lies below the harmonic `band`.
+
+    h = pi/M with M = ceil(2pi/sigma) + ceil(band/2): the coarse rule's
+    2M nodes per period then integrate the product of the integrand and
+    the weight (band 9/sigma) exactly, and h <= sigma/2.  A grid that
+    reaches pi lands on it; it stops at j = 2M or at the first even j
+    past TRAPEZOID_WINDOW sigmas.  The integrand is even and
+    2pi-periodic, so every weight is doubled except at 0 and pi, which
+    are their own mirror images.  The rule at step h takes the even nodes
+    with twice their weights.  The wrapped normal sums whichever of its
+    two series is shorter: the copies phi_sigma(delta + 2pi k) for
+    sigma^2 <= 2pi, in units of sigma (so sigma/2 may underflow), and
+    its Fourier series (1 + 2 sum_k e^{-k^2 sigma^2/2} cos k delta)/2pi
+    above; neither needs more than nine terms.
+    """
+    if not math.isfinite(band):
+        raise QuadratureConvergenceError(f"integrand band {band} is not finite")
+    # M overflows a float when sigma is tiny, so it and the step in units
+    # of sigma come from the exact integer ratios of pi and sigma
+    pi_n, pi_d = math.pi.as_integer_ratio()
+    s_n, s_d = sigma.as_integer_ratio()
+    m = -(-2 * pi_n * s_d // (pi_d * s_n)) + math.ceil(band / 2.0)
+    step = pi_n * s_d / (2 * m * pi_d * s_n)  # h/2 in units of sigma
+    last = 2 * m
+    if TRAPEZOID_WINDOW * sigma < math.pi:
+        last = min(last, 2 * (int(TRAPEZOID_WINDOW / (2.0 * step)) + 1))
+    if last >= TRAPEZOID_MAX_NODES:
+        raise QuadratureConvergenceError(
+            f"the trapezoid rule needs {last + 1} nodes, more than "
+            f"{TRAPEZOID_MAX_NODES} (band {band:.4g}, sigma = {sigma})"
+        )
+    j = np.arange(last + 1)
+    if sigma * sigma <= TWO_PI:
+        u = j * step
+        density = np.zeros(last + 1)
+        wraps = math.ceil(TRAPEZOID_WINDOW * sigma / TWO_PI)
+        # the wrapped copies of a narrow Gaussian sit at +-inf in units of sigma
+        with np.errstate(over="ignore"):
+            for k in range(-wraps, wraps + 1):
+                density += np.exp(-0.5 * (u + TWO_PI * k / sigma) ** 2)
+        deltas = sigma * u
+        weights = step / math.sqrt(TWO_PI) * density
+    else:
+        half_step = math.pi / (2 * m)
+        deltas = j * half_step
+        density = np.ones(last + 1)
+        for k in range(1, math.ceil(TRAPEZOID_WINDOW / sigma) + 1):
+            density += 2.0 * math.exp(-0.5 * (k * sigma) * (k * sigma)) * np.cos(k * deltas)
+        weights = half_step / TWO_PI * density
+    weights[1:] *= 2.0
+    if last == 2 * m:
+        weights[-1] /= 2.0
+    return deltas, weights
+
+
+def _averaged_ratio_trapezoid(
+    r: float, alpha: float, sigma: float, dim: int | None, tail_tol: float
+) -> float:
+    n, g, ref = _phase_series(r, alpha, dim, tail_tol)
+    band = (alpha + TRAPEZOID_BAND_PAD) ** 2 * float(n[-1])
+    deltas, weights = _trapezoid_rule(sigma, band)
+    taus = math.pi + deltas
+    vals = np.concatenate([
+        _overlap_probability(taus[i:i + TRAPEZOID_CHUNK], n, g, alpha, -alpha)
+        for i in range(0, len(taus), TRAPEZOID_CHUNK)
+    ]) / ref
+    fine = float(np.dot(weights, vals))
+    coarse = 2.0 * float(np.dot(weights[::2], vals[::2]))
+    if abs(coarse - fine) > TRAPEZOID_AGREEMENT:
+        raise QuadratureConvergenceError(
+            f"trapezoid steps h and h/2 disagree by {abs(coarse - fine):.3g} > "
+            f"{TRAPEZOID_AGREEMENT} at r = {r}, alpha = {alpha}, sigma = {sigma}"
+        )
+    return fine
+
+
 @functools.lru_cache(maxsize=len(QUADRATURE_ORDERS))
 def _hermite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Positive nodes of the even-order Gauss-Hermite rule, with doubled
-    weights.
+    weights (oracle).
 
     With g and w = -alpha^2 real, F(pi - x) = conj(F(pi + x)), so the
     averaged |F|^2 is even in x and the mirrored half of the symmetric
@@ -295,6 +390,23 @@ def _averaged_ratio_quadrature(
     return float(np.dot(weights, vals) / math.sqrt(math.pi))
 
 
+def _hermite_ladder_ratio(r: float, alpha: float, sigma: float) -> float:
+    """Gaussian-averaged ratio from the Gauss-Hermite ladder: the first
+    adjacent pair of QUADRATURE_ORDERS that agrees within
+    QUADRATURE_AGREEMENT (oracle for the trapezoid rule; no production
+    quantity calls it)."""
+    prev = _averaged_ratio_quadrature(r, alpha, sigma, QUADRATURE_ORDERS[0], None)
+    for order in QUADRATURE_ORDERS[1:]:
+        cur = _averaged_ratio_quadrature(r, alpha, sigma, order, None)
+        if abs(cur - prev) <= QUADRATURE_AGREEMENT:
+            return cur
+        prev = cur
+    raise QuadratureConvergenceError(
+        f"orders {QUADRATURE_ORDERS} disagree beyond {QUADRATURE_AGREEMENT} "
+        f"at r = {r}, alpha = {alpha}, sigma = {sigma}"
+    )
+
+
 def gaussian_averaged_ratio(
     r: float,
     alpha: float,
@@ -307,28 +419,20 @@ def gaussian_averaged_ratio(
 ) -> float:
     """Average phase_error_ratio over dtheta ~ N(0, sigma^2).
 
-    The default path is Gauss-Hermite quadrature with automatic order
-    escalation; consecutive orders must agree within 1e-9 or the
-    escalation fails.  method="monte-carlo" draws `samples` phases with a
-    caller-supplied seed (fit-robustness studies only).  The series runs
-    at cutoff dim (default: series_truncation(r)) and raises
-    TruncationError when more than tail_tol of the state lies beyond it.
+    The default path is the periodic trapezoid rule of _trapezoid_rule,
+    which must agree with itself at twice the step within 1e-12 or raises
+    QuadratureConvergenceError.  method="monte-carlo" draws `samples`
+    phases with a caller-supplied seed (fit-robustness studies only).
+    The series runs at cutoff dim (default: series_truncation(r)) and
+    raises TruncationError when more than tail_tol of the state lies
+    beyond it.
     """
     if not (math.isfinite(sigma) and sigma >= 0.0):
         raise ValueError("sigma must be finite and nonnegative")
     if sigma == 0.0:
         return 1.0
     if method == "quadrature":
-        prev = _averaged_ratio_quadrature(r, alpha, sigma, QUADRATURE_ORDERS[0], dim, tail_tol)
-        for order in QUADRATURE_ORDERS[1:]:
-            cur = _averaged_ratio_quadrature(r, alpha, sigma, order, dim, tail_tol)
-            if abs(cur - prev) <= QUADRATURE_AGREEMENT:
-                return cur
-            prev = cur
-        raise QuadratureConvergenceError(
-            f"orders {QUADRATURE_ORDERS} disagree beyond {QUADRATURE_AGREEMENT} "
-            f"at r = {r}, alpha = {alpha}, sigma = {sigma}"
-        )
+        return _averaged_ratio_trapezoid(r, alpha, sigma, dim, tail_tol)
     if method == "monte-carlo":
         if seed is None:
             raise ValueError("monte-carlo averaging requires a seed")

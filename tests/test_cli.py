@@ -232,6 +232,25 @@ def test_phase_ratio_honours_the_tail_tolerance(capsys):
     assert code == cli.EXIT_OK, err
 
 
+def test_phase_ratio_covers_wide_phase_noise(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--quantity", "phase_ratio", "--var", "sigma",
+                             "--lo", "0.3", "--hi", "5", "--points", "3", "--set", "r=2")
+    assert code == cli.EXIT_OK, err
+    _, _, rows = parse_csv(out)
+    assert len(rows) == 3
+    assert all(0.0 < row[1] <= 1.0 for row in rows)
+
+
+def test_subnormal_click_probability_exits_numerical(capsys):
+    # at eta = 1e-320 both click probabilities are subnormal, and their
+    # ratio would keep about three digits
+    code, out, err = run_cli(capsys, "sweep", "--quantity", "pclickc_cat_minus", "--var", "r",
+                             "--lo", "0.5", "--hi", "0.6", "--points", "2", "--eta", "1e-320")
+    assert code == cli.EXIT_NUMERICAL
+    assert out == ""
+    assert "click probability vanished" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -144,6 +144,20 @@ def test_g2_from_photon_dist_validation():
         detect.g2_from_photon_dist(vac)
 
 
+def test_subnormal_click_mass_counts_as_zero():
+    # below the smallest normal float the probabilities and moments have
+    # lost their digits
+    row = np.zeros(4)
+    row[1] = 1e-310
+    with pytest.raises(detect.ZeroClickError):
+        detect._statistics(row)
+    row[1] = 1e-160
+    with pytest.raises(detect.ZeroMeanError):
+        detect._g2_subnormalized(row)
+    with pytest.raises(detect.ZeroMeanError):
+        detect.g2_heralded_cat(0.5, detect.DetectorModel(1e-320))
+
+
 def test_g2_heralded_cat_limits_and_fixture():
     assert detect.g2_heralded_cat(0.005, detect.DetectorModel(1.0)) < 1e-8
     assert detect.g2_heralded_cat(0.005, DET9) < 1e-3

@@ -3,10 +3,10 @@ and finite values."""
 import numpy as np
 import pytest
 
-from sqherald import analysis, registry
+from sqherald import analysis, kerr, registry
 
-# row counts for every figure except the (r, sigma) noise surface, whose
-# full build runs the quadrature ladder at depth and takes ~1 minute
+# row counts for every figure except the (r, sigma) noise surface, which
+# has its own test below
 CHEAP = {
     "fig2": 12,
     "fig3a": 201,
@@ -48,6 +48,22 @@ def test_pair_yield_table_peaks_at_the_known_argmax():
     best = int(np.argmax(table.rows[:, 1]))
     assert abs(table.rows[best, 0] - 1.146) <= 0.011
     assert abs(table.rows[best, 1] - 0.09623) <= 2e-4
+
+
+def test_noise_surface_builds_in_full():
+    table = registry.figure("fig5b").build()
+    assert table.columns == ("r", "sigma", "phase_ratio")
+    assert table.rows.shape == (40 * 41, 3)
+    values = table.rows[:, 2]
+    assert np.all(np.isfinite(values))
+    assert np.all((values > 0.0) & (values <= 1.0))
+    # r = 0.725 is not on the surface's r grid (step 0.05); 0.75 is
+    for r, sigma in ((2.0, 4e-3), (0.75, 1e-3)):
+        row = np.flatnonzero(np.isclose(table.rows[:, 0], r) & np.isclose(table.rows[:, 1], sigma))
+        assert len(row) == 1
+        r_grid, sigma_grid = table.rows[row[0], :2]
+        oracle = kerr._hermite_ladder_ratio(r_grid, 10.0, sigma_grid)
+        assert abs(values[row[0]] - oracle) < 1e-12
 
 
 def test_noise_surface_worst_corner_converges():

@@ -1,13 +1,14 @@
 """Unit tests for the cross-Kerr heralding stage and phase-noise fits."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.optimize
 import scipy.special
 
-from sqherald import analysis, kerr, sources
+from sqherald import analysis, kerr, registry, sources
 from sqherald import fockspace as fs
 
 IDEAL = kerr.KerrSchedule(math.pi, 10.0)
@@ -142,6 +143,99 @@ def test_half_hermite_rule_equals_full_symmetric_rule():
                 full = float(np.dot(weights, vals) / math.sqrt(math.pi))
                 half = kerr._averaged_ratio_quadrature(r, alpha, sigma, order, None)
                 assert abs(half - full) < 1e-13
+
+
+def test_trapezoid_matches_the_hermite_oracle():
+    cases = [(r, 10.0, sigma) for r in (0.05, 0.725, 2.0) for sigma in (1e-4, 1e-3, 4e-3)]
+    # twice the pump amplitude puts four times the harmonics in the band
+    cases.append((2.0, 20.0, 1e-3))
+    for r, alpha, sigma in cases:
+        trapezoid = kerr.gaussian_averaged_ratio(r, alpha, sigma)
+        ladder = kerr._hermite_ladder_ratio(r, alpha, sigma)
+        assert abs(trapezoid - ladder) < 1e-12
+
+
+def test_trapezoid_rule_grid_and_weights():
+    band = 1000.0
+    # a narrow Gaussian: the grid stops at the first even node past 9 sigma
+    deltas, weights = kerr._trapezoid_rule(4e-3, band)
+    half_step = math.pi / (2 * (math.ceil(2 * math.pi / 4e-3) + 500))
+    assert len(deltas) % 2 == 1
+    assert deltas[-1] > 9 * 4e-3 > deltas[-3]
+    assert abs(deltas[1] - half_step) < 1e-18
+    assert abs(weights.sum() - 1.0) < 1e-14
+    assert abs(2.0 * weights[::2].sum() - 1.0) < 1e-14
+    # wide ones: the grid lands on pi, whose weight is not doubled; the
+    # Fourier series of the wrapped normal (sigma = 3) matches its copies
+    for sigma in (1.0, 3.0):
+        deltas, weights = kerr._trapezoid_rule(sigma, band)
+        assert len(deltas) == 2 * (math.ceil(2 * math.pi / sigma) + 500) + 1
+        assert abs(deltas[-1] - math.pi) < 1e-15
+        assert abs(weights.sum() - 1.0) < 1e-14
+        copies = sum(
+            np.exp(-0.5 * ((deltas + 2 * math.pi * k) / sigma) ** 2) for k in range(-20, 21)
+        ) / (sigma * math.sqrt(2 * math.pi))
+        expected = 2.0 * copies * (deltas[1] - deltas[0])
+        expected[[0, -1]] /= 2.0
+        assert np.allclose(weights, expected, rtol=1e-13, atol=0.0)
+
+
+def test_production_never_reaches_the_hermite_ladder(monkeypatch):
+    def refuse(order):
+        raise AssertionError("Gauss-Hermite oracle reached from production")
+
+    monkeypatch.setattr(kerr, "_hermite_rule", refuse)
+    for name in ("fig4a", "fig5a"):
+        assert np.all(np.isfinite(registry.figure(name).build().rows))
+    spec = analysis.SweepSpec("r", *registry.R_GRID_SURFACE, {"alpha": 10.0, "sigma": 0.004})
+    column = analysis.sweep(spec, "phase_ratio").rows[:, 1]
+    assert np.all((column > 0.0) & (column < 1.0))
+    with pytest.raises(AssertionError, match="oracle reached"):
+        kerr._hermite_ladder_ratio(0.725, 10.0, 1e-3)
+
+
+def test_coarse_trapezoid_step_fails_the_gate(monkeypatch):
+    rule = kerr._trapezoid_rule
+    monkeypatch.setattr(kerr, "_trapezoid_rule", lambda sigma, band: rule(sigma, band / 100))
+    with pytest.raises(kerr.QuadratureConvergenceError, match="disagree"):
+        kerr.gaussian_averaged_ratio(2.0, 10.0, 0.3)
+
+
+def test_trapezoid_rule_refuses_oversized_grids():
+    # at r = 2 a wide sigma needs (alpha + 3)^2 * 315 nodes, past 2^20
+    # for alpha = 60; the refusal comes before any node is evaluated
+    with pytest.raises(kerr.QuadratureConvergenceError, match="nodes"):
+        kerr.gaussian_averaged_ratio(2.0, 60.0, 1.0)
+    with pytest.raises(kerr.QuadratureConvergenceError, match="not finite"):
+        kerr._trapezoid_rule(1.0, math.inf)
+
+
+def test_averaged_ratio_covers_wide_phase_noise():
+    # the Gauss-Hermite ladder gives up here (sigma = 0.3 at r = 0.725,
+    # sigma = 0.01 at r = 2); the periodic rule covers the whole period
+    for r in (0.05, 2.0):
+        values = [kerr.gaussian_averaged_ratio(r, 10.0, sigma) for sigma in (0.3, 1.0, 5.0)]
+        assert all(0.0 < v <= 1.0 for v in values)
+        assert values[0] > values[1] > values[2]
+
+
+def test_averaged_ratio_at_vanishing_sigma():
+    # sigma/2 underflows at the smallest subnormal; the grid is built in
+    # units of sigma, so nothing divides by zero or overflows
+    for sigma in (5e-324, 1e-300):
+        for r in (0.725, 2.0):
+            with warnings.catch_warnings(), np.errstate(divide="raise", invalid="raise"):
+                warnings.simplefilter("error")
+                value = kerr.gaussian_averaged_ratio(r, 10.0, sigma)
+            assert abs(value - 1.0) <= 1e-15
+
+
+def test_averaged_ratio_at_huge_sigma():
+    # the phase is uniform over the period; the Fourier series of the
+    # wrapped normal keeps one term, whose factor underflows to zero
+    values = [kerr.gaussian_averaged_ratio(0.725, 10.0, sigma) for sigma in (1e3, 1e300)]
+    assert 0.0 < values[0] <= 1.0
+    assert values[1] == values[0]
 
 
 def test_series_truncation_floor():
