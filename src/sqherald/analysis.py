@@ -113,13 +113,20 @@ def _check_parameters(q, given: set[str], swept: tuple[str, ...]) -> None:
         raise ValueError(f"{q.name} needs a value for {', '.join(missing)}")
 
 
-def _evaluate_checked(
-    q, params: dict, trunc: Truncation | None, tail_tol: float | None = None
-) -> tuple[float, int | None]:
+def _cutoff(q, params: Mapping[str, float], dim=None, tail_tol=None) -> Truncation | None:
+    """registry.truncation for one evaluation; plain callables count as
+    matrix quantities."""
+    from . import registry
+
+    kind = getattr(q, "cutoff", "matrix")
+    return registry.truncation(kind, params.get("r", 0.0), dim, tail_tol)
+
+
+def _evaluate_checked(q, params: dict, dim, tail_tol) -> tuple[float, int | None]:
     """Value at the working cutoff, after agreeing with the 1.5x cutoff."""
-    if not getattr(q, "uses_truncation", True):
+    base = _cutoff(q, params, dim, tail_tol)
+    if base is None:
         return float(q.fn(None, **params)), None
-    base = trunc if trunc is not None else q.trunc_for(params, tail_tol)
     v1 = float(q.fn(base, **params))
     v2 = float(q.fn(base.scaled(1.5), **params))
     if not (math.isfinite(v1) and math.isfinite(v2)):
@@ -139,15 +146,18 @@ def sweep(
     spec: SweepSpec,
     quantity,
     second: SweepSpec | None = None,
-    trunc: Truncation | None = None,
+    dim: int | None = None,
     tail_tol: float | None = None,
 ) -> SweepResult:
     """Evaluate a quantity on a 1-D or 2-D uniform grid.
 
     Row order is ascending in the first grid, then the second; identical
-    specs give bit-identical results.  Unknown or missing parameters are a
-    ValueError before any evaluation.  Any row failing the convergence
-    check aborts the sweep with the offending parameters in the message.
+    specs give bit-identical results.  Each point runs at
+    registry.truncation(cutoff, r, dim, tail_tol): dim and tail_tol are
+    the user's overrides, None keeps the default.  Unknown or missing
+    parameters are a ValueError before any evaluation.  Any row failing
+    the convergence check aborts the sweep with the offending parameters
+    in the message.
     """
     q = _resolve(quantity)
     name = getattr(q, "name", "value")
@@ -162,9 +172,9 @@ def sweep(
         columns = (spec.variable, name)
         for x in xs:
             params = {**fixed, spec.variable: float(x)}
-            val, dim = _evaluate_checked(q, params, trunc, tail_tol)
-            if dim is not None:
-                dims.add(dim)
+            val, used = _evaluate_checked(q, params, dim, tail_tol)
+            if used is not None:
+                dims.add(used)
             rows.append((float(x), val))
     else:
         columns = (spec.variable, second.variable, name)
@@ -172,9 +182,9 @@ def sweep(
         for x in xs:
             for y in ys:
                 params = {**fixed, spec.variable: float(x), second.variable: float(y)}
-                val, dim = _evaluate_checked(q, params, trunc, tail_tol)
-                if dim is not None:
-                    dims.add(dim)
+                val, used = _evaluate_checked(q, params, dim, tail_tol)
+                if used is not None:
+                    dims.add(used)
                 rows.append((float(x), float(y), val))
     metadata = {
         "quantity": name,
@@ -208,8 +218,7 @@ def _objective(quantity) -> Callable[[float], float]:
 
     def f(x: float) -> float:
         params = {**q.defaults, var: float(x)}
-        trunc = q.trunc_for(params) if q.uses_truncation else None
-        return float(q.fn(trunc, **params))
+        return float(q.fn(_cutoff(q, params), **params))
 
     return f
 

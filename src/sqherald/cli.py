@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 verification failure, 2 numerical failure
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -30,19 +29,6 @@ NUMERICAL_ERRORS = (
     ZeroDivisionError,
     FloatingPointError,
 )
-
-
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    """Resolved flag values shared by the subcommands."""
-
-    selector: str | None = None
-    fmt: str = "csv"
-    out: str = "-"
-    dim: int | None = None
-    tail_tol: float | None = None
-    eta: float | None = None
-    alpha: float | None = None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -122,29 +108,17 @@ def _render_json(columns, rows, metadata) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(columns, rows, metadata, cfg: RunConfig) -> None:
+def _emit(columns, rows, metadata, args) -> None:
     metadata = {**metadata, "version": __version__}
-    if cfg.fmt == "json":
+    if args.format == "json":
         text = _render_json(columns, rows, metadata)
     else:
         text = _render_csv(columns, rows, metadata)
-    if cfg.out == "-":
+    if args.out == "-":
         sys.stdout.write(text)
     else:
-        with open(cfg.out, "w", encoding="utf-8") as handle:
+        with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
-
-
-def _config(args) -> RunConfig:
-    return RunConfig(
-        selector=getattr(args, "selector", None),
-        fmt=args.format,
-        out=args.out,
-        dim=args.dim,
-        tail_tol=args.tail_tol,
-        eta=args.eta,
-        alpha=args.alpha,
-    )
 
 
 def _print_figures() -> None:
@@ -163,19 +137,17 @@ def cmd_figure(args) -> int:
     if args.list:
         _print_figures()
         return EXIT_OK
-    cfg = _config(args)
-    selector = cfg.selector or args.figure
-    if selector is None:
+    if args.selector is None:
         print("a figure selector is required (or use --list)", file=sys.stderr)
         return EXIT_USAGE
     try:
-        fig = registry.figure(selector)
+        fig = registry.figure(args.selector)
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return EXIT_USAGE
-    table = fig.build(dim=cfg.dim, tail_tol=cfg.tail_tol, eta=cfg.eta, alpha=cfg.alpha)
+    table = fig.build(dim=args.dim, tail_tol=args.tail_tol, eta=args.eta, alpha=args.alpha)
     metadata = {"figure": fig.name, "description": fig.description, **table.metadata}
-    _emit(table.columns, table.rows, metadata, cfg)
+    _emit(table.columns, table.rows, metadata, args)
     return EXIT_OK
 
 
@@ -183,7 +155,6 @@ def cmd_sweep(args) -> int:
     if args.list:
         _print_quantities()
         return EXIT_OK
-    cfg = _config(args)
     if args.quantity is None:
         print("--quantity is required (or use --list)", file=sys.stderr)
         return EXIT_USAGE
@@ -193,10 +164,10 @@ def cmd_sweep(args) -> int:
         print(exc.args[0], file=sys.stderr)
         return EXIT_USAGE
     fixed: dict[str, float] = {}
-    if cfg.eta is not None:
-        fixed["eta"] = cfg.eta
-    if cfg.alpha is not None:
-        fixed["alpha"] = cfg.alpha
+    if args.eta is not None:
+        fixed["eta"] = args.eta
+    if args.alpha is not None:
+        fixed["alpha"] = args.alpha
     for item in args.fixed or ():
         key, _, value = item.partition("=")
         if not _:
@@ -211,8 +182,7 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         print(f"invalid sweep range: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    trunc = registry.override_truncation(cfg.dim, cfg.tail_tol, quantity.series)
-    result = analysis.sweep(spec, quantity, trunc=trunc, tail_tol=cfg.tail_tol)
+    result = analysis.sweep(spec, quantity, dim=args.dim, tail_tol=args.tail_tol)
     metadata = {
         "quantity": quantity.name,
         "variable": spec.variable,
@@ -221,9 +191,7 @@ def cmd_sweep(args) -> int:
         "points": spec.points,
         **result.metadata,
     }
-    metadata.pop("fixed", None)
-    metadata["fixed"] = result.metadata["fixed"]
-    _emit(result.columns, result.rows, metadata, cfg)
+    _emit(result.columns, result.rows, metadata, args)
     return EXIT_OK
 
 
@@ -258,8 +226,6 @@ def build_parser() -> _Parser:
                            parents=[], add_help=True)
     p_fig.add_argument("selector", nargs="?", default=None,
                        help="figure name, e.g. fig3a (see --list)")
-    p_fig.add_argument("--figure", default=None, metavar="NAME",
-                       help="alternative way to pick the figure")
     p_fig.add_argument("--list", action="store_true", help="list figure selectors")
     _add_common(p_fig)
     p_fig.set_defaults(handler=cmd_figure)
@@ -279,7 +245,8 @@ def build_parser() -> _Parser:
     p_verify = sub.add_parser("verify", help="run the acceptance checks")
     p_verify.add_argument("--dim", type=_positive_dim, default=None,
                           help="force the Fock cutoff for every truncated computation")
-    p_verify.add_argument("--tail-tol", type=_tail_tol, default=None)
+    p_verify.add_argument("--tail-tol", type=_tail_tol, default=None,
+                          help="probability mass allowed above the cutoff")
     p_verify.add_argument("--eta", type=_eta, default=None,
                           help="detector efficiency for the crossover criterion")
     p_verify.set_defaults(handler=cmd_verify)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import sys
+from typing import Callable
 
 import numpy as np
 
@@ -205,17 +206,18 @@ def quality_crossover(
     lo: float = 0.02,
     hi: float = 2.0,
     tol: float = 1e-4,
-    trunc: Truncation | None = None,
+    cutoff: Callable[[float], Truncation] = default_truncation,
 ) -> float:
     """Squeezing at which the split superposition's heralded g2 stops
     beating the two-mode squeezed benchmark's.
 
-    Bisects g2_heralded_cat - g2_tmss on [lo, hi]; raises NoCrossingError
-    when the difference does not change sign there (at eta = 1 the
-    benchmark g2 is identically zero, so no interior crossing exists).
+    Bisects g2_heralded_cat - g2_tmss on [lo, hi], with the source at
+    cutoff(r); raises NoCrossingError when the difference does not change
+    sign there (at eta = 1 the benchmark g2 is identically zero, so no
+    interior crossing exists).
     """
 
     def gap(r: float) -> float:
-        return g2_heralded_cat(r, det, trunc) - g2_tmss(r, det)
+        return g2_heralded_cat(r, det, cutoff(r)) - g2_tmss(r, det)
 
     return analysis.find_crossing(gap, lambda _: 0.0, lo, hi, tol=tol)

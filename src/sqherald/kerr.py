@@ -11,7 +11,8 @@ Every label-series probability runs through one kernel,
 `_pair_series`.  `kerr_evolve`, `HybridKerrState` and `coherent_overlap`
 build the same overlap from explicit states; they are the oracle the
 tests check the kernel against.  The phase-noise average is a periodic
-trapezoid rule; the Gauss-Hermite ladder is its oracle.
+trapezoid rule; the Gauss-Hermite ladder and a seeded Monte Carlo
+average are its oracles.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ import numpy as np
 import scipy.special
 
 from . import optics, sources
-from .fockspace import Truncation, TruncationError, default_truncation
+from .fockspace import Truncation, TruncationError
 
 TWO_PI = 2.0 * math.pi
 
@@ -187,22 +188,17 @@ def p0_generation(
     return float(_overlap_probability(taus, n, g, sched.alpha, label)[0])
 
 
-def p1_heralded(
-    sched: KerrSchedule,
-    r: float,
-    trunc: Truncation | None = None,
-    pair_trunc: Truncation | None = None,
-) -> float:
+def p1_heralded(sched: KerrSchedule, r: float, trunc: Truncation | None = None) -> float:
     """Joint probability of heralding the odd branch and then finding one
     photon in each splitter arm: P(1,1; r; odd) * p0.
 
-    The pair factor P(1,1) = p_2 / 2 comes from the cached photon-number
-    kernel at its own (smaller) cutoff; only its tail check depends on that
-    cutoff.  The p0 factor reuses the label-based series cutoff.
+    Both factors run at trunc (default: the series cutoff).  The pair
+    factor P(1,1) = p_2 / 2 comes from the cached photon-number kernel;
+    only its tail check depends on the cutoff.
     """
-    if pair_trunc is None:
-        pair_trunc = default_truncation(r)
-    p11 = float(optics.herald_row(r, -1, pair_trunc)[1])
+    if trunc is None:
+        trunc = series_truncation(r)
+    p11 = float(optics.herald_row(r, -1, trunc)[1])
     return p11 * p0_generation(sched, r, trunc)
 
 
@@ -407,41 +403,41 @@ def _hermite_ladder_ratio(r: float, alpha: float, sigma: float) -> float:
     )
 
 
+def _monte_carlo_ratio(
+    r: float, alpha: float, sigma: float, samples: int, seed: int | None
+) -> float:
+    """Mean of phase_error_ratio over `samples` seeded draws dtheta ~
+    N(0, sigma^2) at the series cutoff (oracle for the trapezoid rule; no
+    production quantity calls it)."""
+    if seed is None:
+        raise ValueError("monte-carlo averaging requires a seed")
+    rng = np.random.default_rng(seed)
+    n, g, ref = _phase_series(r, alpha, None)
+    taus = math.pi + rng.normal(0.0, sigma, size=samples)
+    vals = _overlap_probability(taus, n, g, alpha, -alpha) / ref
+    return float(np.mean(vals))
+
+
 def gaussian_averaged_ratio(
     r: float,
     alpha: float,
     sigma: float,
-    method: str = "quadrature",
-    samples: int = 200_000,
-    seed: int | None = None,
     dim: int | None = None,
     tail_tol: float = SERIES_STATE_TOL,
 ) -> float:
     """Average phase_error_ratio over dtheta ~ N(0, sigma^2).
 
-    The default path is the periodic trapezoid rule of _trapezoid_rule,
-    which must agree with itself at twice the step within 1e-12 or raises
-    QuadratureConvergenceError.  method="monte-carlo" draws `samples`
-    phases with a caller-supplied seed (fit-robustness studies only).
-    The series runs at cutoff dim (default: series_truncation(r)) and
-    raises TruncationError when more than tail_tol of the state lies
-    beyond it.
+    The average is the periodic trapezoid rule of _trapezoid_rule, which
+    must agree with itself at twice the step within 1e-12 or raises
+    QuadratureConvergenceError.  The series runs at cutoff dim (default:
+    series_truncation(r)) and raises TruncationError when more than
+    tail_tol of the state lies beyond it.
     """
     if not (math.isfinite(sigma) and sigma >= 0.0):
         raise ValueError("sigma must be finite and nonnegative")
     if sigma == 0.0:
         return 1.0
-    if method == "quadrature":
-        return _averaged_ratio_trapezoid(r, alpha, sigma, dim, tail_tol)
-    if method == "monte-carlo":
-        if seed is None:
-            raise ValueError("monte-carlo averaging requires a seed")
-        rng = np.random.default_rng(seed)
-        n, g, ref = _phase_series(r, alpha, dim, tail_tol)
-        taus = math.pi + rng.normal(0.0, sigma, size=samples)
-        vals = _overlap_probability(taus, n, g, alpha, -alpha) / ref
-        return float(np.mean(vals))
-    raise ValueError(f"unknown method {method!r}")
+    return _averaged_ratio_trapezoid(r, alpha, sigma, dim, tail_tol)
 
 
 def fit_lambda(samples) -> tuple[float, float]:
@@ -484,25 +480,16 @@ class FitResult:
 
 
 def fitted_decay_rate(
-    r: float,
-    alpha: float,
-    method: str = "quadrature",
-    samples: int = 200_000,
-    seed: int | None = None,
-    dim: int | None = None,
+    r: float, alpha: float, dim: int | None = None, tail_tol: float = SERIES_STATE_TOL
 ) -> FitResult:
-    """Canonical decay-rate fit: 21 uniform sigmas on [0, 0.001].
+    """Canonical decay-rate fit: 21 uniform sigmas on [0, 0.001], each
+    averaged at cutoff dim with tail tolerance tail_tol.
 
     Residuals of ln R against the fitted line are recorded on the result
     rather than asserted against any threshold.
     """
     sigmas = np.linspace(0.0, FIT_SIGMA_MAX, FIT_SAMPLES)
-    ratios = [
-        gaussian_averaged_ratio(
-            r, alpha, s, method=method, samples=samples, seed=seed, dim=dim
-        )
-        for s in sigmas
-    ]
+    ratios = [gaussian_averaged_ratio(r, alpha, s, dim, tail_tol) for s in sigmas]
     lam, stderr = fit_lambda(zip(sigmas, ratios))
     resid = np.log(ratios) + lam * sigmas * sigmas
     return FitResult(lam, stderr, resid)

@@ -9,6 +9,7 @@ benchmark.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Callable, Mapping
 
@@ -20,33 +21,46 @@ from .detect import DetectorModel
 from .kerr import KerrSchedule
 
 
+@functools.lru_cache(maxsize=4096)
+def truncation(
+    kind: str, r: float, dim: int | None = None, tail_tol: float | None = None
+) -> Truncation | None:
+    """The cutoff policy of every quantity, figure and verify criterion.
+
+    kind is a Quantity's cutoff: "analytic" quantities take none (None);
+    "matrix" ones default to default_truncation(r) and DEFAULT_TAIL_TOL,
+    "series" (label-series) ones to kerr.series_truncation(r) and
+    kerr.SERIES_STATE_TOL.  A dim or tail_tol override replaces only its
+    own half of the default.  Cached, so every evaluation at the same
+    cutoff shares one Truncation.
+    """
+    if kind == "analytic":
+        return None
+    if kind == "series":
+        tier, default_tol = kerr.series_truncation, kerr.SERIES_STATE_TOL
+    elif kind == "matrix":
+        tier, default_tol = default_truncation, DEFAULT_TAIL_TOL
+    else:
+        raise ValueError(f"unknown cutoff kind {kind!r}")
+    if dim is None:
+        dim = tier(abs(r)).dim
+    return Truncation(dim, default_tol if tail_tol is None else tail_tol)
+
+
 @dataclasses.dataclass(frozen=True)
 class Quantity:
-    """A named scalar computation fn(trunc, **params) -> float."""
+    """A named scalar computation fn(trunc, **params) -> float, with trunc
+    = truncation(cutoff, r, ...)."""
 
     name: str
     doc: str
     fn: Callable[..., float]
     variables: tuple[str, ...]
     defaults: Mapping[str, float]
-    uses_truncation: bool = True
-    series: bool = False
+    cutoff: str = "matrix"
 
     def __post_init__(self):
         object.__setattr__(self, "defaults", dict(self.defaults))
-
-    def trunc_for(self, params: Mapping[str, float], tail_tol: float | None = None) -> Truncation:
-        """Default cutoff for one evaluation; label-series quantities get
-        the deeper series cutoff, matrix quantities the 64/160 default."""
-        r = abs(float(params.get("r", 0.0)))
-        if self.series:
-            base = kerr.series_truncation(r)
-            if tail_tol is None:
-                return base
-            return Truncation(base.dim, tail_tol)
-        if tail_tol is None:
-            return default_truncation(r)
-        return default_truncation(r, tail_tol)
 
 
 def _q_p11_cat_minus(trunc, r):
@@ -148,18 +162,18 @@ def _quantities() -> dict[str, Quantity]:
         Quantity("pc_squeezed", "P(n_b=1 | n_a=1) for split squeezed vacuum",
                  _q_pc_squeezed, ("r",), {}),
         Quantity("herald_prob_cat_minus", "odd-branch weight N_-(r)/4",
-                 _q_herald_prob_cat_minus, ("r",), {}, uses_truncation=False),
+                 _q_herald_prob_cat_minus, ("r",), {}, cutoff="analytic"),
         Quantity("herald_yield_cat_minus", "pair yield N_-(r)/4 * P(1,1)",
                  _q_herald_yield_cat_minus, ("r",), {}),
         Quantity("p0_cat_minus", "odd-branch projection probability after the Kerr step",
                  _q_p0_cat_minus, ("tau_tilde", "r"), {"tau_tilde": math.pi, "alpha": 10.0},
-                 series=True),
+                 cutoff="series"),
         Quantity("p1_cat_minus", "heralded pair probability after the Kerr step",
                  _q_p1_cat_minus, ("tau_tilde", "r"), {"tau_tilde": math.pi, "alpha": 10.0},
-                 series=True),
+                 cutoff="series"),
         Quantity("phase_ratio", "Gaussian-averaged phase-noise ratio R(r, alpha, sigma)",
                  _q_phase_ratio, ("sigma", "r"), {"r": 0.725, "alpha": 10.0},
-                 series=True),
+                 cutoff="series"),
         Quantity("pclick_cat_minus", "herald click probability, odd superposition",
                  _q_pclick_cat_minus, ("r", "eta"), {"eta": 0.9}),
         Quantity("pclick1_cat_minus", "single-photon click probability, odd superposition",
@@ -169,15 +183,15 @@ def _quantities() -> dict[str, Quantity]:
         Quantity("pclick1_yield_cat_minus", "branch weight times single-photon click probability",
                  _q_pclick1_yield_cat_minus, ("r", "eta"), {"eta": 0.9}),
         Quantity("pclick_tmss", "herald click probability, two-mode squeezed benchmark",
-                 _q_pclick_tmss, ("r", "eta"), {"eta": 0.9}, uses_truncation=False),
+                 _q_pclick_tmss, ("r", "eta"), {"eta": 0.9}, cutoff="analytic"),
         Quantity("pclick1_tmss", "single-photon click probability, benchmark",
-                 _q_pclick1_tmss, ("r", "eta"), {"eta": 0.9}, uses_truncation=False),
+                 _q_pclick1_tmss, ("r", "eta"), {"eta": 0.9}, cutoff="analytic"),
         Quantity("pclickc_tmss", "single-photon fraction of clicks, benchmark",
-                 _q_pclickc_tmss, ("r", "eta"), {"eta": 0.9}, uses_truncation=False),
+                 _q_pclickc_tmss, ("r", "eta"), {"eta": 0.9}, cutoff="analytic"),
         Quantity("g2_cat_minus", "heralded zero-delay g2, odd superposition",
                  _q_g2_cat_minus, ("r", "eta"), {"eta": 0.9}),
         Quantity("g2_tmss", "heralded zero-delay g2, benchmark (closed form)",
-                 _q_g2_tmss, ("r", "eta"), {"eta": 0.9}, uses_truncation=False),
+                 _q_g2_tmss, ("r", "eta"), {"eta": 0.9}, cutoff="analytic"),
     ]
     return {q.name: q for q in items}
 
@@ -219,17 +233,6 @@ class Figure:
         return self.builder(dim=dim, tail_tol=tail_tol, eta=eta, alpha=alpha)
 
 
-def override_truncation(dim, tail_tol, series: bool = False) -> Truncation | None:
-    """The cutoff that a dim override fixes, or None without one.  Without
-    a tail_tol override, label-series quantities keep the series state
-    tolerance and matrix quantities the matrix default, as in trunc_for."""
-    if dim is None:
-        return None
-    if tail_tol is None:
-        tail_tol = kerr.SERIES_STATE_TOL if series else DEFAULT_TAIL_TOL
-    return Truncation(dim, tail_tol)
-
-
 def _joined_sweeps(
     spec: analysis.SweepSpec,
     names: list[str],
@@ -240,8 +243,7 @@ def _joined_sweeps(
     """Sweep several quantities over the same grid and join the value
     columns."""
     results = [
-        analysis.sweep(spec, name, second=second, tail_tol=tail_tol,
-                       trunc=override_truncation(dim, tail_tol, resolve(name).series))
+        analysis.sweep(spec, name, second=second, dim=dim, tail_tol=tail_tol)
         for name in names
     ]
     grid_cols = results[0].columns[:-1]
@@ -283,7 +285,7 @@ def _no_overrides(figure: str, eta, alpha) -> None:
 def _fig2(dim=None, tail_tol=None, eta=None, alpha=None) -> Table:
     """Photon-number content of the herald row: P(1, n) for each source."""
     _no_overrides("fig2", eta, alpha)
-    trunc = override_truncation(dim, tail_tol) or default_truncation(FIG2_R, tail_tol or 1e-3)
+    trunc = truncation("matrix", FIG2_R, dim, tail_tol)
     levels = min(FIG2_LEVELS, trunc.dim)
     rows = np.column_stack(
         [np.arange(levels, dtype=float)]
@@ -297,42 +299,30 @@ def _fig2(dim=None, tail_tol=None, eta=None, alpha=None) -> Table:
     return Table(("n", "p1n_squeezed", "p1n_cat_minus", "p1n_cat_plus"), rows, metadata)
 
 
-def _line(var, grid, names, fixed=None):
+def _surface(var1, grid1, var2, grid2, names):
+    """Builder that joins the sweeps of names over the var1 grid, or over
+    the (var1, var2) surface when var2 is given."""
     def build(dim=None, tail_tol=None, eta=None, alpha=None):
-        extra = dict(fixed or {})
-        if eta is not None:
-            extra["eta"] = eta
-        if alpha is not None:
-            extra["alpha"] = alpha
-        spec = analysis.SweepSpec(var, grid[0], grid[1], grid[2], extra)
-        return _joined_sweeps(spec, names, None, dim, tail_tol)
-
-    return build
-
-
-def _surface(var1, grid1, var2, grid2, names, fixed=None):
-    def build(dim=None, tail_tol=None, eta=None, alpha=None):
-        extra = dict(fixed or {})
-        if eta is not None:
-            extra["eta"] = eta
-        if alpha is not None:
-            extra["alpha"] = alpha
-        spec = analysis.SweepSpec(var1, grid1[0], grid1[1], grid1[2], extra)
-        second = analysis.SweepSpec(var2, grid2[0], grid2[1], grid2[2])
+        extra = {k: v for k, v in (("eta", eta), ("alpha", alpha)) if v is not None}
+        spec = analysis.SweepSpec(var1, *grid1, extra)
+        second = None if var2 is None else analysis.SweepSpec(var2, *grid2)
         return _joined_sweeps(spec, names, second, dim, tail_tol)
 
     return build
 
 
+def _line(var, grid, names):
+    return _surface(var, grid, None, None, names)
+
+
 def _fig5a(dim=None, tail_tol=None, eta=None, alpha=None) -> Table:
     """Averaged ratio against sigma at r = 0.725 for three pump strengths."""
     _no_overrides("fig5a", eta, alpha)
-    trunc = override_truncation(dim, tail_tol, series=True)
     tables = []
     alphas = (9.0, 10.0, 11.0)
     for a in alphas:
         spec = analysis.SweepSpec("sigma", *SIGMA_GRID, {"r": 0.725, "alpha": a})
-        tables.append(analysis.sweep(spec, "phase_ratio", trunc=trunc, tail_tol=tail_tol))
+        tables.append(analysis.sweep(spec, "phase_ratio", dim=dim, tail_tol=tail_tol))
     rows = np.hstack(
         [tables[0].rows[:, :1]] + [t.rows[:, 1:] for t in tables]
     )

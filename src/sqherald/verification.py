@@ -14,7 +14,7 @@ import numpy as np
 
 from . import analysis, detect, kerr, optics, registry, sources
 from .detect import DetectorModel
-from .fockspace import Truncation, default_truncation
+from .fockspace import Truncation
 
 
 @dataclasses.dataclass(frozen=True)
@@ -34,11 +34,13 @@ class VerifyConfig:
     eta: float = 0.9
 
     def trunc(self, r: float) -> Truncation:
-        if self.dim is not None:
-            if self.tail_tol is not None:
-                return Truncation(self.dim, self.tail_tol)
-            return Truncation(self.dim)
-        return default_truncation(r, self.tail_tol if self.tail_tol is not None else 1e-3)
+        return registry.truncation("matrix", r, self.dim, self.tail_tol)
+
+    def of_r(self, name: str):
+        """The registered matrix quantity name as a function of r alone,
+        evaluated at trunc(r)."""
+        q = registry.resolve(name)
+        return lambda r: float(q.fn(self.trunc(float(r)), r=float(r)))
 
 
 class _Checks:
@@ -119,7 +121,7 @@ def criterion_3(cfg: VerifyConfig) -> CriterionResult:
 def criterion_4(cfg: VerifyConfig) -> CriterionResult:
     def run():
         c = _Checks()
-        res = analysis.maximize_1d("herald_yield_cat_minus", 0.0, 2.0)
+        res = analysis.maximize_1d(cfg.of_r("herald_yield_cat_minus"), 0.0, 2.0)
         c.close("argmax_r of the pair yield", res.argmax, 1.146, 1e-3)
         c.close("max pair yield", res.value, 0.09623, 1e-4)
         c.holds("unimodal", res.unimodal, str(res.unimodal))
@@ -131,7 +133,7 @@ def criterion_4(cfg: VerifyConfig) -> CriterionResult:
 def criterion_5(cfg: VerifyConfig) -> CriterionResult:
     def run():
         c = _Checks()
-        res = analysis.maximize_1d("p11_tmss", 0.0, 2.0)
+        res = analysis.maximize_1d(cfg.of_r("p11_tmss"), 0.0, 2.0)
         c.close("argmax_r of benchmark P(1,1)", res.argmax, 0.881, 1e-3)
         c.close("max benchmark P(1,1)", res.value, 0.2500, 1e-6)
         dist = optics.tmss_joint_probability(0.881, cfg.trunc(0.881))
@@ -155,8 +157,9 @@ def criterion_6(cfg: VerifyConfig) -> CriterionResult:
 def criterion_7(cfg: VerifyConfig) -> CriterionResult:
     def run():
         c = _Checks()
+        trunc = registry.truncation("series", 0.725, cfg.dim, cfg.tail_tol)
         for alpha, expected in ((9.0, 3401.0), (10.0, 5102.0), (11.0, 7360.0)):
-            fit = kerr.fitted_decay_rate(0.725, alpha, dim=cfg.dim)
+            fit = kerr.fitted_decay_rate(0.725, alpha, trunc.dim, trunc.tail_tol)
             c.close(f"decay rate, alpha = {alpha:g}", fit.decay_rate, expected, 0.01 * expected)
         return c
 
@@ -212,7 +215,7 @@ def criterion_9(cfg: VerifyConfig) -> CriterionResult:
 def criterion_10(cfg: VerifyConfig) -> CriterionResult:
     def run():
         c = _Checks()
-        r_cross = detect.quality_crossover(DetectorModel(cfg.eta))
+        r_cross = detect.quality_crossover(DetectorModel(cfg.eta), cutoff=cfg.trunc)
         c.close(f"g2 crossover at eta = {cfg.eta:g}", r_cross, 0.504, 5e-3)
         return c
 
@@ -252,7 +255,7 @@ def criterion_11(cfg: VerifyConfig) -> CriterionResult:
         c.holds("per-block mass conserved", worst_block <= 1e-12, f"{worst_block:.3e}")
 
         # construction-path equivalence at dim 48
-        path_trunc = Truncation(48, tail_tol=1e-3)
+        path_trunc = Truncation(48)
         direct = optics.split(sources.squeezed_vacuum(0.725, path_trunc))
         decomposed = optics.split_via_squeezer_decomposition(0.725, path_trunc)
         gap = float(np.max(np.abs(direct.joint_distribution() - decomposed.joint_distribution())))

@@ -1,12 +1,13 @@
 """Unit tests for sweeps, maximization and crossing search."""
 
+import dataclasses
 import math
 import types
 
 import numpy as np
 import pytest
 
-from sqherald import analysis, registry, sources
+from sqherald import analysis, kerr, registry, sources
 from sqherald import fockspace as fs
 
 
@@ -47,7 +48,7 @@ def test_single_point_sweep_matches_direct_call():
     spec = analysis.SweepSpec("r", 0.725, 0.725, 1)
     result = analysis.sweep(spec, "p11_cat_minus")
     q = registry.resolve("p11_cat_minus")
-    direct = q.fn(q.trunc_for({"r": 0.725}), r=0.725)
+    direct = q.fn(registry.truncation(q.cutoff, 0.725), r=0.725)
     assert result.rows[0, 1] == direct
 
 
@@ -79,7 +80,7 @@ def test_convergence_check_flags_unstable_cutoff():
     # between dim and 1.5 dim; a loose tail_tol lets the states build
     spec = analysis.SweepSpec("r", 1.2, 1.2, 1)
     with pytest.raises(analysis.ConvergenceError) as err:
-        analysis.sweep(spec, "pc_cat_minus", trunc=fs.Truncation(8, tail_tol=0.9))
+        analysis.sweep(spec, "pc_cat_minus", dim=8, tail_tol=0.9)
     message = str(err.value)
     assert "pc_cat_minus" in message and "dim 8" in message and "r" in message
 
@@ -89,7 +90,7 @@ def test_convergence_check_rejects_nan():
     quantity = types.SimpleNamespace(name="nan_quantity", fn=lambda trunc, r: math.nan)
     spec = analysis.SweepSpec("r", 0.5, 0.5, 1)
     with pytest.raises(fs.NumericalFailureError) as err:
-        analysis.sweep(spec, quantity, trunc=fs.Truncation(8))
+        analysis.sweep(spec, quantity, dim=8)
     assert "nan_quantity" in str(err.value)
 
 
@@ -97,8 +98,39 @@ def test_convergence_check_passes_cutoff_independent_quantity():
     # P(1,1) is set entirely by the exact total-2 block, so even dim 8 is
     # convergent for it
     spec = analysis.SweepSpec("r", 1.2, 1.2, 1)
-    result = analysis.sweep(spec, "p11_cat_minus", trunc=fs.Truncation(8, tail_tol=0.9))
+    result = analysis.sweep(spec, "p11_cat_minus", dim=8, tail_tol=0.9)
     assert result.rows.shape == (1, 2)
+
+
+# r = 1.5 sits where the matrix default (160) and the series cutoff differ
+POLICY_R = 1.5
+DOCUMENTED_TAIL_TOLS = {"matrix": 1e-3, "series": 1e-9}
+
+
+@pytest.mark.parametrize("dim, tail_tol", [(None, None), (400, None), (None, 1e-6), (400, 1e-6)])
+@pytest.mark.parametrize("name", sorted(registry.QUANTITIES))
+def test_every_quantity_runs_at_the_one_cutoff_policy(monkeypatch, name, dim, tail_tol):
+    q = registry.QUANTITIES[name]
+    seen = []
+
+    def spy(trunc, **params):
+        seen.append(trunc)
+        return q.fn(trunc, **params)
+
+    monkeypatch.setitem(registry.QUANTITIES, name, dataclasses.replace(q, fn=spy))
+    fixed = {"sigma": 1e-3} if "sigma" in q.variables else {}
+    spec = analysis.SweepSpec("r", POLICY_R, POLICY_R, 1, fixed)
+    analysis.sweep(spec, name, dim=dim, tail_tol=tail_tol)
+    expected = registry.truncation(q.cutoff, POLICY_R, dim, tail_tol)
+    if q.cutoff == "analytic":
+        assert expected is None
+        assert seen == [None]
+        return
+    assert seen == [expected, expected.scaled(1.5)]
+    # an override replaces only its own half of the documented default
+    tier = kerr.series_truncation if q.cutoff == "series" else fs.default_truncation
+    assert expected.dim == (tier(POLICY_R).dim if dim is None else dim)
+    assert expected.tail_tol == (DOCUMENTED_TAIL_TOLS[q.cutoff] if tail_tol is None else tail_tol)
 
 
 def test_maximize_yield_benchmark():

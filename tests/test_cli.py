@@ -331,6 +331,36 @@ def test_verify_with_inadequate_cutoff_reports_failures(capsys):
         assert f"[{index:2d}]" in out
 
 
+def test_fig2_honours_a_zero_tail_tolerance(capsys):
+    # the r = 0.725 herald row leaves 6.3e-15 of its mass above dim 64
+    code, out, err = run_cli(capsys, "figure", "fig2", "--tail-tol", "0")
+    assert code == cli.EXIT_NUMERICAL
+    assert out == ""
+    assert "does not fit in dim = 64" in err
+
+
+@pytest.mark.parametrize(
+    "flags, failing",
+    [
+        (("--dim", "8"), (4, 10)),
+        (("--tail-tol", "0"), (4, 7, 10)),
+    ],
+)
+def test_verify_overrides_reach_every_criterion(capsys, flags, failing):
+    # the maximization, decay-rate fit and crossover criteria run at the
+    # overridden cutoff like the others, so an inadequate one fails them
+    code, out, err = run_cli(capsys, "verify", *flags)
+    assert code == cli.EXIT_VERIFY
+    verdicts = {
+        int(line[6:8]): line.startswith("PASS")
+        for line in out.splitlines()
+        if line.startswith(("PASS", "FAIL"))
+    }
+    assert len(verdicts) == 12
+    for index in failing:
+        assert not verdicts[index], out
+
+
 def test_verify_reports_the_known_small_r_floor_failure(capsys):
     # criterion 12's lower bound sits marginally above the exact yield at
     # the left edge of its r-range, so a faithful evaluation must fail it

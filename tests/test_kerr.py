@@ -354,13 +354,9 @@ def test_averaged_ratio_degenerate_and_monotone():
 def test_averaged_ratio_monte_carlo_agrees_with_quadrature():
     sigma = 1e-3
     quad = kerr.gaussian_averaged_ratio(0.725, 10.0, sigma)
-    mc = kerr.gaussian_averaged_ratio(
-        0.725, 10.0, sigma, method="monte-carlo", samples=200_000, seed=7
-    )
+    mc = kerr._monte_carlo_ratio(0.725, 10.0, sigma, 200_000, 7)
     assert abs(mc - quad) < 5e-5
-    again = kerr.gaussian_averaged_ratio(
-        0.725, 10.0, sigma, method="monte-carlo", samples=200_000, seed=7
-    )
+    again = kerr._monte_carlo_ratio(0.725, 10.0, sigma, 200_000, 7)
     assert again == mc
 
 
@@ -368,9 +364,7 @@ def test_averaged_ratio_input_validation():
     with pytest.raises(ValueError):
         kerr.gaussian_averaged_ratio(0.725, 10.0, -1e-4)
     with pytest.raises(ValueError):
-        kerr.gaussian_averaged_ratio(0.725, 10.0, 1e-3, method="monte-carlo")
-    with pytest.raises(ValueError):
-        kerr.gaussian_averaged_ratio(0.725, 10.0, 1e-3, method="simpson")
+        kerr._monte_carlo_ratio(0.725, 10.0, 1e-3, 200_000, None)
     for sigma in (math.inf, math.nan):
         with pytest.raises(ValueError):
             kerr.gaussian_averaged_ratio(0.725, 10.0, sigma)
@@ -419,9 +413,10 @@ def test_fitted_decay_rate_quadrature():
 
 def test_fitted_decay_rate_monte_carlo_within_noise():
     quad = kerr.fitted_decay_rate(0.725, 10.0)
-    noisy = kerr.fitted_decay_rate(
-        0.725, 10.0, method="monte-carlo", samples=100_000, seed=11
-    )
-    assert abs(noisy.decay_rate - quad.decay_rate) < 3.0 * max(
-        noisy.stderr, 1e-12
+    # the ratio is exactly 1 at sigma = 0
+    sigmas = np.linspace(0.0, kerr.FIT_SIGMA_MAX, kerr.FIT_SAMPLES)
+    ratios = [kerr._monte_carlo_ratio(0.725, 10.0, s, 100_000, 11) if s else 1.0 for s in sigmas]
+    noisy_rate, noisy_stderr = kerr.fit_lambda(zip(sigmas, ratios))
+    assert abs(noisy_rate - quad.decay_rate) < 3.0 * max(
+        noisy_stderr, 1e-12
     ) + 0.01 * quad.decay_rate
