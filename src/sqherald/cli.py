@@ -182,6 +182,7 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         print(f"invalid sweep range: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    registry.reject_idle_overrides([quantity.name], args.dim, args.tail_tol)
     result = analysis.sweep(spec, quantity, dim=args.dim, tail_tol=args.tail_tol)
     metadata = {
         "quantity": quantity.name,

@@ -192,13 +192,10 @@ def g2_tmss(r: float, det: DetectorModel) -> float:
     return -3.0 + 2.0 / eta + eta + (1.0 - eta) * math.cosh(2.0 * r)
 
 
-def g2_tmss_numeric(r: float, det: DetectorModel, trunc: Truncation | None = None) -> float:
-    """Same quantity from the truncated joint grid; oracle for g2_tmss."""
-    if trunc is None:
-        trunc = default_truncation(r)
-    dist = optics.tmss_joint_probability(r, trunc)
-    w = det.click_weights(trunc.dim)
-    return _g2_subnormalized(w @ dist.p)
+def g2_numeric(dist: optics.JointDistribution, det: DetectorModel) -> float:
+    """Heralded g2 of a joint distribution with mode a click-detected (the
+    dense oracle for g2_tmss on tmss_joint_probability)."""
+    return _g2_subnormalized(det.click_weights(dist.truncation.dim) @ dist.p)
 
 
 def quality_crossover(

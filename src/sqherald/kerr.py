@@ -22,7 +22,6 @@ import functools
 import math
 
 import numpy as np
-import scipy.special
 
 from . import optics, sources
 from .fockspace import Truncation, TruncationError
@@ -198,7 +197,7 @@ def p1_heralded(sched: KerrSchedule, r: float, trunc: Truncation | None = None) 
     """
     if trunc is None:
         trunc = series_truncation(r)
-    p11 = float(optics.herald_row(r, -1, trunc)[1])
+    p11 = float(optics.photon_numbers(r, -1, trunc)[2]) / 2.0
     return p11 * p0_generation(sched, r, trunc)
 
 
@@ -361,8 +360,10 @@ def _hermite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     """
     # scipy's nodes stay accurate at the high orders of the ladder, where
     # numpy's recurrence-based hermgauss overflows; its rules are exactly
-    # mirror-symmetric
-    nodes, weights = scipy.special.roots_hermite(order)
+    # mirror-symmetric.  The oracle needs scipy (the test extra).
+    from scipy.special import roots_hermite
+
+    nodes, weights = roots_hermite(order)
     half = order // 2
     nodes = nodes[half:]
     weights = 2.0 * weights[half:]
@@ -455,7 +456,7 @@ def fit_lambda(samples) -> tuple[float, float]:
         raise ValueError(f"sigmas must lie in [0, {FIT_SIGMA_MAX}]")
     if np.any(val <= 0.0) or np.any(val > 1.0 + 1e-12):
         raise ValueError("ratios must lie in (0, 1]")
-    if np.unique(sig).size < 2:
+    if sig.min() == sig.max():
         raise FitDegenerateError("all sigmas equal; decay rate is unidentifiable")
     x = sig * sig
     y = np.log(val)

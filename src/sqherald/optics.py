@@ -21,7 +21,8 @@ cutoff, and joint_probability() squares it; together they are the dense
 oracle that the tests and `verify` check the kernels against.
 apply_beam_splitter() acts on arbitrary two-mode states through the
 orthogonal per-total-N blocks exp(theta G_N); it is the independent
-reference for split().
+reference for split().  two_mode_squeeze_apply() is the reference
+two-mode squeezer, one exponentiated block per diagonal n_a - n_b.
 """
 from __future__ import annotations
 
@@ -30,10 +31,6 @@ import functools
 import math
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-from scipy.sparse.linalg import expm_multiply
-from scipy.special import gammaln
 
 from . import sources
 from .fockspace import (
@@ -41,7 +38,9 @@ from .fockspace import (
     Truncation,
     TruncationError,
     TwoModeState,
+    expm_antisymmetric,
     fock_state,
+    log_factorials,
 )
 
 BALANCED_ANGLE = math.pi / 4.0
@@ -57,15 +56,13 @@ def _blocks(dim: int, theta: float) -> tuple[np.ndarray, ...]:
 
     Block N acts on the basis |k, N-k>, k = 0..N, with generator
     G[k+1, k] = theta sqrt((k+1)(N-k)) and G[k-1, k] = -theta sqrt(k(N-k+1)).
-    The generator is real antisymmetric, so expm gives an exactly
-    orthogonal matrix.
+    The generator is real antisymmetric, so each block is orthogonal.
     """
     out = []
     for total in range(dim):
         k = np.arange(total)
         lower = theta * np.sqrt((k + 1.0) * (total - k))
-        gen = np.diag(lower, k=-1) - np.diag(lower, k=1)
-        block = scipy.linalg.expm(gen) if total else np.ones((1, 1))
+        block = expm_antisymmetric(np.diag(lower, k=-1) - np.diag(lower, k=1))
         block.setflags(write=False)
         out.append(block)
     return tuple(out)
@@ -100,7 +97,7 @@ def _balanced_columns(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """
     n = np.arange(dim)
     totals = np.add.outer(n, n)
-    log_fact = gammaln(np.arange(2 * dim - 1) + 1.0)
+    log_fact = log_factorials(2 * dim - 1)
     # the grouped sum keeps |coeff| exactly symmetric under n_a <-> n_b
     log_coeff = 0.5 * (
         log_fact[totals] - np.add.outer(log_fact[:dim], log_fact[:dim]) - totals * math.log(2.0)
@@ -223,38 +220,27 @@ def tmss_joint_probability(r: float, trunc: Truncation) -> JointDistribution:
     return joint_probability(sources.two_mode_squeezed_vacuum(r, trunc))
 
 
-def _two_mode_squeeze_generator(dim: int) -> scipy.sparse.csr_matrix:
-    """Sparse generator of S_ab(s) = exp[s (ab - a^dag b^dag)] at s = 1."""
-    coeff_rows = []
-    coeff_cols = []
-    coeff_vals = []
-    # ab |n_a, n_b> = sqrt(n_a n_b) |n_a - 1, n_b - 1>
-    for na in range(1, dim):
-        for nb in range(1, dim):
-            src = na * dim + nb
-            dst = (na - 1) * dim + (nb - 1)
-            val = math.sqrt(na * nb)
-            coeff_rows.append(dst)
-            coeff_cols.append(src)
-            coeff_vals.append(val)
-            # minus the adjoint entry
-            coeff_rows.append(src)
-            coeff_cols.append(dst)
-            coeff_vals.append(-val)
-    return scipy.sparse.csr_matrix(
-        (coeff_vals, (coeff_rows, coeff_cols)), shape=(dim * dim, dim * dim)
-    )
-
-
 def two_mode_squeeze_apply(s: float, state: TwoModeState) -> TwoModeState:
-    """Apply S_ab(s) = exp[s (ab - a^dag b^dag)] via a sparse Krylov product.
+    """Apply S_ab(s) = exp[s (ab - a^dag b^dag)] one diagonal at a time.
 
-    Reference path for decomposition checks; the production splitter never
-    needs it.
+    The generator keeps n_a - n_b fixed, so on the diagonal
+    |m + p, m + q> (p - q = n_a - n_b) it is tridiagonal with
+    G[m-1, m] = sqrt((m + p)(m + q)) = -G[m, m-1].  A diagonal with no
+    amplitude stays zero.  Reference path for decomposition checks; the
+    production splitter never needs it.
     """
-    gen = _two_mode_squeeze_generator(state.dim)
-    vec = expm_multiply(s * gen, state.amps.ravel())
-    return TwoModeState(vec.reshape(state.dim, state.dim), state.truncation)
+    d = state.dim
+    out = np.zeros((d, d), dtype=complex)
+    for offset in range(1 - d, d):
+        rows = np.arange(max(offset, 0), d + min(offset, 0))
+        cols = rows - offset
+        vec = state.amps[rows, cols]
+        if not vec.any():
+            continue
+        upper = s * np.sqrt(rows[1:] * cols[1:])
+        block = expm_antisymmetric(np.diag(upper, k=1) - np.diag(upper, k=-1))
+        out[rows, cols] = block @ vec
+    return TwoModeState(out, state.truncation)
 
 
 def split_via_squeezer_decomposition(r: float, trunc: Truncation) -> TwoModeState:
@@ -274,8 +260,8 @@ def split_via_squeezer_decomposition(r: float, trunc: Truncation) -> TwoModeStat
 
 
 def tmss_schmidt_check(r: float, trunc: Truncation) -> TwoModeState:
-    """S_ab(r)|0,0> built the same sparse way, for comparing probability
-    tables against two_mode_squeezed_vacuum."""
+    """S_ab(r)|0,0> built by two_mode_squeeze_apply, for comparing
+    probability tables against two_mode_squeezed_vacuum."""
     vac = np.zeros((trunc.dim, trunc.dim), dtype=complex)
     vac[0, 0] = 1.0
     return two_mode_squeeze_apply(r, TwoModeState(vac, trunc))

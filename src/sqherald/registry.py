@@ -207,6 +207,17 @@ def resolve(name: str) -> Quantity:
         raise KeyError(f"unknown quantity {name!r}; registered: {known}") from None
 
 
+def reject_idle_overrides(names, dim, tail_tol) -> None:
+    """Refuse a dim or tail_tol override when none of the named quantities
+    has a cutoff to take it, instead of ignoring it."""
+    if (dim is not None or tail_tol is not None) and all(
+        resolve(name).cutoff == "analytic" for name in names
+    ):
+        raise ValueError(
+            f"{', '.join(names)}: no cutoff, so the dim and tail_tol overrides do not apply"
+        )
+
+
 @dataclasses.dataclass(frozen=True)
 class Table:
     """Column-labelled numeric table plus provenance metadata."""
@@ -242,6 +253,7 @@ def _joined_sweeps(
 ) -> Table:
     """Sweep several quantities over the same grid and join the value
     columns."""
+    reject_idle_overrides(names, dim, tail_tol)
     results = [
         analysis.sweep(spec, name, second=second, dim=dim, tail_tol=tail_tol)
         for name in names

@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 from .fockspace import (
     SQUEEZE_LIMIT,
@@ -17,6 +16,7 @@ from .fockspace import (
     Truncation,
     TruncationError,
     TwoModeState,
+    log_factorials,
 )
 
 LN2 = math.log(2.0)
@@ -44,11 +44,12 @@ def _even_log_weights(r: float, pairs: int) -> tuple[np.ndarray, np.ndarray]:
     """
     k = np.arange(pairs)
     t = math.tanh(abs(r))
+    log_fact = log_factorials(2 * pairs - 1)
     logmag = (
         -0.5 * math.log(math.cosh(r))
-        + 0.5 * gammaln(2.0 * k + 1.0)
+        + 0.5 * log_fact[2 * k]
         - k * LN2
-        - gammaln(k + 1.0)
+        - log_fact[k]
     )
     if t > 0.0:
         logmag = logmag + k * math.log(t)

@@ -194,13 +194,11 @@ def criterion_9(cfg: VerifyConfig) -> CriterionResult:
         rs = np.linspace(0.04, 2.0, 50)
         etas = (0.7, 0.775, 0.85, 0.925, 1.0)
         worst = 0.0
-        for eta in etas:
-            det = DetectorModel(eta)
-            for r in rs:
-                gap = abs(
-                    detect.g2_tmss_numeric(float(r), det, cfg.trunc(float(r)))
-                    - detect.g2_tmss(float(r), det)
-                )
+        for r in rs:
+            dist = optics.tmss_joint_probability(float(r), cfg.trunc(float(r)))
+            for eta in etas:
+                det = DetectorModel(eta)
+                gap = abs(detect.g2_numeric(dist, det) - detect.g2_tmss(float(r), det))
                 worst = max(worst, gap)
         c.holds("numeric vs closed form on 50x5 grid", worst <= 1e-8, f"max gap {worst:.3e}")
         perfect = DetectorModel(1.0)

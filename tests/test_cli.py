@@ -1,11 +1,15 @@
 """Command-line behavior: exit codes, table formats, overrides, and
 byte-level determinism."""
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sqherald
 from sqherald import cli, detect, optics, sources
 from sqherald.detect import DetectorModel
 from sqherald.fockspace import default_truncation
@@ -321,6 +325,56 @@ def test_no_subcommand_prints_help_and_exits_usage(capsys):
     out = capsys.readouterr().out
     assert code == cli.EXIT_USAGE
     assert "figure" in out and "sweep" in out and "verify" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("figure", "fig6b", "--dim", "8", "--tail-tol", "0"),
+        ("sweep", "--quantity", "pclick_tmss", "--var", "r", "--lo", "0.1", "--hi", "5",
+         "--points", "2", "--dim", "2"),
+    ],
+)
+def test_cutoff_overrides_on_cutoff_free_work_exit_usage(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert "no cutoff" in err
+
+
+@pytest.mark.parametrize("name", ["fig7a", "fig7b", "fig9a", "fig9b"])
+def test_mixed_figures_take_cutoff_overrides(capsys, name):
+    code, out, err = run_cli(capsys, "figure", name, "--dim", "240", "--tail-tol", "1e-3")
+    assert code == cli.EXIT_OK, err
+    meta, _, _ = parse_csv(out)
+    assert json.loads(meta["dims"]) == [240]
+
+
+SCIPY_FREE_RUN = """
+import os, sys
+sys.modules["scipy"] = None
+from sqherald import cli, registry
+for name in registry.FIGURES:
+    if name != "fig5b":
+        assert cli.main(["figure", name, "--out", os.devnull]) == 0, name
+assert cli.main(["sweep", "--quantity", "phase_ratio", "--var", "sigma", "--lo", "0",
+                 "--hi", "0.004", "--points", "2", "--out", os.devnull]) == 0
+sys.exit(cli.main(["verify"]))
+"""
+
+
+def test_figures_and_verify_run_without_scipy():
+    # scipy is a test dependency only: with every scipy import refused,
+    # the figures, a phase-noise column and verify still run, and verify
+    # fails only the known criterion 12
+    src = str(Path(sqherald.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", SCIPY_FREE_RUN], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == cli.EXIT_VERIFY, proc.stderr
+    verdicts = [line[:4] + line[5:9] for line in proc.stdout.splitlines()
+                if line.startswith(("PASS", "FAIL"))]
+    assert verdicts == [f"PASS[{i:2d}]" for i in range(1, 12)] + ["FAIL[12]"]
 
 
 def test_verify_with_inadequate_cutoff_reports_failures(capsys):

@@ -179,7 +179,8 @@ def test_g2_tmss_closed_form():
 def test_g2_tmss_numeric_agreement():
     for r, eta in ((0.3, 0.8), (0.7, 0.85), (1.6, 0.95)):
         det = detect.DetectorModel(eta)
-        assert abs(detect.g2_tmss_numeric(r, det) - detect.g2_tmss(r, det)) < 1e-8
+        dist = optics.tmss_joint_probability(r, fs.default_truncation(r))
+        assert abs(detect.g2_numeric(dist, det) - detect.g2_tmss(r, det)) < 1e-8
 
 
 def test_g2_comparison_straddles_crossover():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.special import gammaln
 
 from sqherald import fockspace as fs
 from sqherald import sources
@@ -99,6 +101,28 @@ def test_ladder_operators():
 def test_squeeze_matrix_identity_at_zero():
     tr = fs.Truncation(20)
     assert np.array_equal(fs.squeeze_matrix(0.0, tr).matrix, np.eye(20))
+
+
+def test_squeeze_matrix_rejects_a_non_finite_parameter():
+    with pytest.raises(fs.NumericalFailureError):
+        fs.squeeze_matrix(float("nan"), fs.Truncation(8))
+
+
+def test_log_factorials_match_scipy_gammaln():
+    count = 16384
+    table = fs.log_factorials(count)
+    np.testing.assert_allclose(table, gammaln(np.arange(count) + 1.0), rtol=1e-14, atol=0.0)
+    assert not table.flags.writeable
+    assert fs.log_factorials(count) is table
+
+
+def test_expm_antisymmetric_matches_scipy_expm():
+    rng = np.random.default_rng(20261018)
+    for dim in range(2, 65):
+        m = rng.normal(size=(dim, dim))
+        gen = m - m.T
+        gap = np.max(np.abs(fs.expm_antisymmetric(gen) - scipy.linalg.expm(gen)))
+        assert gap <= 1e-13, (dim, gap)
 
 
 def test_squeeze_matrix_rejects_large_parameter():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from sqherald import fockspace as fs
 from sqherald import optics, sources
@@ -214,6 +215,26 @@ def test_two_mode_squeeze_reproduces_schmidt_diagonal():
     target = sources.two_mode_squeezed_vacuum(r, trunc)
     gap = np.abs(evolved.joint_distribution() - target.joint_distribution())
     assert gap.max() < 1e-10
+
+
+def test_two_mode_squeeze_matches_dense_expm():
+    # the full generator ab - a^dag b^dag on the flattened dim x dim grid
+    dim, s = 7, 0.4
+    gen = np.zeros((dim * dim, dim * dim))
+    for na in range(1, dim):
+        for nb in range(1, dim):
+            src, dst = na * dim + nb, (na - 1) * dim + nb - 1
+            gen[dst, src] = math.sqrt(na * nb)
+            gen[src, dst] = -math.sqrt(na * nb)
+    rng = np.random.default_rng(7)
+    amps = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    # an empty diagonal n_a - n_b = 2 must stay empty
+    rows = np.arange(2, dim)
+    amps[rows, rows - 2] = 0.0
+    want = (scipy.linalg.expm(s * gen) @ amps.ravel()).reshape(dim, dim)
+    got = optics.two_mode_squeeze_apply(s, fs.TwoModeState(amps, fs.Truncation(dim))).amps
+    assert np.max(np.abs(got - want)) <= 1e-13
+    assert not np.any(got[rows, rows - 2])
 
 
 def test_opposite_squeezers_through_splitter_give_tmss_probabilities():
