@@ -1,8 +1,10 @@
 """Sweeps, 1-D maximization and crossing detection for the figure data.
 
 Quantities are addressed either by a registered name (see registry.py) or
-by passing a callable directly.  Every swept evaluation of a truncated
-quantity is recomputed at 1.5x the cutoff and must agree within
+by passing an object with the Quantity attributes.  A sweep is one grouped
+evaluation: its points are grouped by cutoff, and the quantity runs once
+per group on arrays of the group's parameter values, then once more at
+1.5x the cutoff; every row must agree between the two within
 CONVERGENCE_TOL, so published tables are convergence-checked row by row.
 """
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .fockspace import NumericalFailureError, Truncation
+from .fockspace import SQUEEZE_LIMIT, NumericalFailureError, Truncation
 
 CONVERGENCE_TOL = 1e-8
 GOLDEN_TOL = 1e-4
@@ -122,24 +124,81 @@ def _cutoff(q, params: Mapping[str, float], dim=None, tail_tol=None) -> Truncati
     return registry.truncation(kind, params.get("r", 0.0), dim, tail_tol)
 
 
-def _evaluate_checked(q, params: dict, dim, tail_tol) -> tuple[float, int | None]:
-    """Value at the working cutoff, after agreeing with the 1.5x cutoff."""
-    base = _cutoff(q, params, dim, tail_tol)
-    if base is None:
-        return float(q.fn(None, **params)), None
-    v1 = float(q.fn(base, **params))
-    v2 = float(q.fn(base.scaled(1.5), **params))
-    if not (math.isfinite(v1) and math.isfinite(v2)):
+def _first_seen(keys) -> tuple[list, np.ndarray]:
+    """The distinct keys in order of first appearance, and each key's
+    index among them."""
+    index: dict = {}
+    at = np.array([index.setdefault(key, len(index)) for key in keys], dtype=np.intp)
+    return list(index), at
+
+
+def distinct(*columns) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The distinct rows of equal-length 1-D columns, in order of first
+    appearance, as one array per column, and each row's index among them."""
+    rows, at = _first_seen(zip(*(np.asarray(c).tolist() for c in columns)))
+    return tuple(np.array(rows, dtype=float).reshape(len(rows), len(columns)).T), at
+
+
+def evaluate(
+    quantity, params: Mapping, dim: int | None = None, tail_tol: float | None = None
+) -> tuple[np.ndarray, list[int]]:
+    """Values of a quantity at every point of its parameters, and the
+    cutoffs used.
+
+    params maps each parameter to a float, held fixed, or to a 1-D array
+    with one entry per point; the arrays share one length.  An r outside
+    [0, SQUEEZE_LIMIT] is a ValueError before anything is evaluated.  The
+    points are grouped by registry.truncation(cutoff, r, dim, tail_tol),
+    and q.fn runs once per group with the arrays restricted to the group,
+    then once more at 1.5x that cutoff; analytic quantities (cutoff None)
+    run once.  Each point must be finite, at both cutoffs, and move by at
+    most CONVERGENCE_TOL between them; the first point in order that does
+    not is named in the NumericalFailureError or ConvergenceError.
+    """
+    from . import registry
+
+    q = _resolve(quantity)
+    name = getattr(q, "name", q)
+    arrays = {k: np.asarray(v, dtype=float) for k, v in params.items() if np.ndim(v)}
+    size = len(next(iter(arrays.values()))) if arrays else 1
+    r = np.broadcast_to(np.asarray(params.get("r", 0.0), dtype=float), (size,))
+    outside = ~((r >= 0.0) & (r <= SQUEEZE_LIMIT))
+    if np.any(outside):
+        raise ValueError(f"r must lie in [0, {SQUEEZE_LIMIT}], got {r[outside][0]}")
+    (rs,), r_at = distinct(r)
+    kind = getattr(q, "cutoff", "matrix")
+    bases, group_of_r = _first_seen(registry.truncation(kind, x, dim, tail_tol) for x in rs)
+    group = group_of_r[r_at]
+    v1 = np.empty(size)
+    v2 = np.empty(size)
+    for g, base in enumerate(bases):
+        idx = np.flatnonzero(group == g)
+        sub = {k: arrays[k][idx] if k in arrays else v for k, v in params.items()}
+        v1[idx] = q.fn(base, **sub)
+        v2[idx] = v1[idx] if base is None else q.fn(base.scaled(1.5), **sub)
+
+    def point(i: int) -> dict:
+        return {k: float(arrays[k][i]) if k in arrays else v for k, v in params.items()}
+
+    bad = ~(np.isfinite(v1) & np.isfinite(v2))
+    if np.any(bad):
+        i = int(np.flatnonzero(bad)[0])
+        base = bases[group[i]]
+        where = "" if base is None else (
+            f" at dim {base.dim} ({float(v1[i])!r}) or dim {base.scaled(1.5).dim}"
+        )
         raise NumericalFailureError(
-            f"{getattr(q, 'name', q)} is not finite at dim {base.dim} ({v1!r}) "
-            f"or dim {base.scaled(1.5).dim} ({v2!r}) at {params}"
+            f"{name} is not finite{where} ({float(v2[i])!r}) at {point(i)}"
         )
-    if abs(v1 - v2) > CONVERGENCE_TOL:
+    moved = np.abs(v1 - v2) > CONVERGENCE_TOL
+    if np.any(moved):
+        i = int(np.flatnonzero(moved)[0])
+        base = bases[group[i]]
         raise ConvergenceError(
-            f"{getattr(q, 'name', q)} moved by {abs(v1 - v2):.3e} between "
-            f"dim {base.dim} and dim {base.scaled(1.5).dim} at {params}"
+            f"{name} moved by {abs(v1[i] - v2[i]):.3e} between "
+            f"dim {base.dim} and dim {base.scaled(1.5).dim} at {point(i)}"
         )
-    return v1, base.dim
+    return v1, sorted({b.dim for b in bases if b is not None})
 
 
 def sweep(
@@ -152,12 +211,12 @@ def sweep(
     """Evaluate a quantity on a 1-D or 2-D uniform grid.
 
     Row order is ascending in the first grid, then the second; identical
-    specs give bit-identical results.  Each point runs at
-    registry.truncation(cutoff, r, dim, tail_tol): dim and tail_tol are
-    the user's overrides, None keeps the default.  Unknown or missing
-    parameters are a ValueError before any evaluation.  Any row failing
-    the convergence check aborts the sweep with the offending parameters
-    in the message.
+    specs give bit-identical results.  The grid is one evaluate() call:
+    each point runs at registry.truncation(cutoff, r, dim, tail_tol),
+    where dim and tail_tol are the user's overrides and None keeps the
+    default.  Unknown or missing parameters are a ValueError before any
+    evaluation.  Any row failing the convergence check aborts the sweep
+    with the offending parameters in the message.
     """
     q = _resolve(quantity)
     name = getattr(q, "name", "value")
@@ -166,33 +225,19 @@ def sweep(
     _check_parameters(q, set(given), swept)
     fixed = {**getattr(q, "defaults", {}), **given}
     xs = spec.grid()
-    dims: set[int] = set()
-    rows = []
     if second is None:
-        columns = (spec.variable, name)
-        for x in xs:
-            params = {**fixed, spec.variable: float(x)}
-            val, used = _evaluate_checked(q, params, dim, tail_tol)
-            if used is not None:
-                dims.add(used)
-            rows.append((float(x), val))
+        grid = {spec.variable: xs}
     else:
-        columns = (spec.variable, second.variable, name)
         ys = second.grid()
-        for x in xs:
-            for y in ys:
-                params = {**fixed, spec.variable: float(x), second.variable: float(y)}
-                val, used = _evaluate_checked(q, params, dim, tail_tol)
-                if used is not None:
-                    dims.add(used)
-                rows.append((float(x), float(y), val))
+        grid = {spec.variable: np.repeat(xs, len(ys)), second.variable: np.tile(ys, len(xs))}
+    values, dims = evaluate(q, {**fixed, **grid}, dim, tail_tol)
     metadata = {
         "quantity": name,
         "convergence_tol": CONVERGENCE_TOL,
-        "dims": sorted(dims) if dims else "analytic",
+        "dims": dims if dims else "analytic",
         "fixed": fixed,
     }
-    return SweepResult(columns, np.array(rows), metadata)
+    return SweepResult(swept + (name,), np.column_stack([*grid.values(), values]), metadata)
 
 
 @dataclasses.dataclass(frozen=True)

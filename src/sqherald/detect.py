@@ -10,6 +10,21 @@ w-weighted sum over the herald arm: the plain click probability weights
 the full mode-a marginal, the single-photon click probability keeps only
 signal level n_b = 1, and their ratio is the single-photon fraction of
 clicks.  Signal-arm quality metrics follow the same weighted ensemble.
+
+With vacuum in port b the split source has P(n_a, n_b) = C(N, n_a) 2^-N
+p_N, so the binomial theorem sums each statistic over n_a in closed form.
+With x = 1 - eta and phi_M = ((1 + x)^M - 1)/x (phi_M = M at eta = 1):
+
+    p_click   = sum_N p_N eta 2^-N phi_N
+    p_click_1 = sum_{N>=2} p_N eta x^(N-2) N 2^-N
+    m1        = sum_N p_N eta 2^-N N phi_(N-1)
+    m2        = sum_N p_N eta 2^-N N (N-1) phi_(N-2)
+
+and the heralded g2 is m2 / m1^2.  heralded_clicks and heralded_g2 take
+a column of points (r_i, eta_i) at one cutoff as one product of the
+distinct sources' p_N rows with the distinct efficiencies' kernels.
+heralded_cat_statistics, click_statistics and g2_numeric weight explicit
+rows and tables instead; they are the oracles for these kernels.
 """
 from __future__ import annotations
 
@@ -23,6 +38,8 @@ import numpy as np
 from . import analysis, optics
 from .fockspace import Truncation, default_truncation
 
+TINY = sys.float_info.min
+
 
 class ZeroClickError(ZeroDivisionError):
     """The detector never fires for this input."""
@@ -32,6 +49,12 @@ class ZeroMeanError(ZeroDivisionError):
     """Second-order coherence is undefined for a zero-mean distribution."""
 
 
+def _check_eta(eta) -> None:
+    bad = ~((np.asarray(eta) > 0.0) & (np.asarray(eta) <= 1.0))
+    if np.any(bad):
+        raise ValueError(f"eta must lie in (0, 1], got {np.asarray(eta)[bad][0]}")
+
+
 @dataclasses.dataclass(frozen=True)
 class DetectorModel:
     """Threshold ("click / no click") detector with efficiency eta."""
@@ -39,8 +62,7 @@ class DetectorModel:
     eta: float
 
     def __post_init__(self):
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError(f"eta must lie in (0, 1], got {self.eta}")
+        _check_eta(self.eta)
 
     def click_weights(self, count: int) -> np.ndarray:
         """w[k] = eta (1-eta)^{k-1} for k >= 1, w[0] = 0.
@@ -83,7 +105,7 @@ def _statistics(weighted_b: np.ndarray) -> HeraldedStatistics:
     its normalization.  A subnormal click probability has lost its
     digits, so it counts as vanished."""
     p_click = float(weighted_b.sum())
-    if p_click < sys.float_info.min:
+    if p_click < TINY:
         raise ZeroClickError("click probability vanished")
     p_click_1 = float(weighted_b[1])
     return HeraldedStatistics(
@@ -96,22 +118,79 @@ def _statistics(weighted_b: np.ndarray) -> HeraldedStatistics:
 
 def click_statistics(dist: optics.JointDistribution, det: DetectorModel) -> HeraldedStatistics:
     """Click-detect mode a of a joint distribution (the dense oracle for
-    heralded_cat_statistics)."""
+    the binomial kernels)."""
     return _statistics(det.click_weights(dist.truncation.dim) @ dist.p)
 
 
 def heralded_cat_statistics(
     r: float, det: DetectorModel, trunc: Truncation | None = None, sign: int = -1
 ) -> HeraldedStatistics:
-    """Full pipeline: superposition source, balanced splitter, herald arm
-    into the threshold detector."""
+    """Click statistics of the split superposition from its click-weighted
+    signal row optics.weighted_row (an O(dim^2) oracle for
+    heralded_clicks; no production quantity calls it)."""
     if trunc is None:
         trunc = default_truncation(r)
     return _statistics(optics.weighted_row(r, sign, trunc, det.click_weights(trunc.dim)))
 
 
-def tmss_click_statistics(r: float, det: DetectorModel) -> HeraldedStatistics:
-    """Closed-form click statistics of the two-mode squeezed benchmark.
+def _binomial_kernels(dim: int, eta: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The (dim, E) kernels of p_click, p_click_1, m1 and m2 over N < dim
+    for the E efficiencies eta (see the module docstring)."""
+    n = np.arange(dim)[:, None]
+    x = 1.0 - eta
+
+    def phi(m):
+        # ((1 + x)^m - 1)/x, which is m at x = 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(x == 0.0, 1.0 * m, np.expm1(m * np.log1p(x)) / x)
+
+    scale = eta * np.ldexp(1.0, -n)
+    click = scale * phi(n)
+    single = np.where(n >= 2, scale * n * x ** np.maximum(n - 2, 0), 0.0)
+    m1 = scale * n * phi(n - 1)
+    m2 = scale * (n * (n - 1.0)) * phi(n - 2)
+    return click, single, m1, m2
+
+
+def _moments(r, eta, trunc: Truncation, sign: int) -> tuple[np.ndarray, ...]:
+    """p_click, p_click_1, m1 and m2 of the split sign superposition at
+    every point (r_i, eta_i): the p_N rows of the distinct r values times
+    the kernels of the distinct efficiencies."""
+    (rs,), r_at = analysis.distinct(r)
+    (etas,), eta_at = analysis.distinct(eta)
+    _check_eta(etas)
+    p = optics.photon_number_rows(rs, sign, trunc)
+    return tuple((p @ kernel)[r_at, eta_at] for kernel in _binomial_kernels(trunc.dim, etas))
+
+
+def heralded_clicks(
+    r: np.ndarray, eta: np.ndarray, trunc: Truncation, sign: int = -1
+) -> tuple[np.ndarray, np.ndarray]:
+    """p_click and p_click_1 of the split sign superposition at each point
+    (r_i, eta_i) of two equal-length 1-D arrays.  A subnormal click
+    probability has lost its digits, so it counts as vanished."""
+    p_click, p_click_1, _, _ = _moments(r, eta, trunc, sign)
+    if np.any(p_click < TINY):
+        raise ZeroClickError("click probability vanished")
+    return p_click, p_click_1
+
+
+def heralded_g2(
+    r: np.ndarray, eta: np.ndarray, trunc: Truncation, sign: int = -1
+) -> np.ndarray:
+    """Heralded g2 = m2 / m1^2 of the split sign superposition at each
+    point (r_i, eta_i).  The moments keep the click probability inside, as
+    the closed-form benchmark does; a subnormal squared mean has lost its
+    digits, so it counts as zero."""
+    _, _, m1, m2 = _moments(r, eta, trunc, sign)
+    if np.any(m1 * m1 < TINY):
+        raise ZeroMeanError("mean photon number is zero")
+    return m2 / (m1 * m1)
+
+
+def benchmark_clicks(r, eta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form p_click, p_click_1 and p_click_c of the two-mode squeezed
+    benchmark, elementwise.
 
     With x = tanh^2 r and z = (1-eta) x, the weighted geometric sums give
 
@@ -119,22 +198,28 @@ def tmss_click_statistics(r: float, det: DetectorModel) -> HeraldedStatistics:
         p_click_1 = eta tanh^2 r / cosh^2 r
         p_click_c = eta + (1 - eta) / cosh^2 r
 
-    and p_click_c = p_click_1 / p_click identically.
+    and p_click_c = p_click_1 / p_click identically; at r = 0 the last
+    stays finite.
     """
-    eta = det.eta
-    t = math.tanh(r)
-    x = t * t
-    z = (1.0 - eta) * x
-    c2 = math.cosh(r) ** 2
+    _check_eta(eta)
+    x = np.tanh(r) ** 2
+    c2 = np.cosh(r) ** 2
+    p_click = eta * x / (c2 * (1.0 - (1.0 - eta) * x))
+    return p_click, eta * x / c2, eta + (1.0 - eta) / c2
+
+
+def tmss_click_statistics(r: float, det: DetectorModel) -> HeraldedStatistics:
+    """benchmark_clicks at one point, with the conditional signal
+    distribution q(n) = (1-z) z^{n-1}, z = (1 - eta) tanh^2 r, on at least
+    64 levels (the oracle form; no production quantity calls it)."""
+    p_click, p_click_1, p_click_c = (float(v) for v in benchmark_clicks(r, det.eta))
+    x = math.tanh(r) ** 2
     if x == 0.0:
         # r = 0 limit: no pairs, but the conditional closed form stays finite
         one = np.zeros(2)
         one[1] = 1.0
-        return HeraldedStatistics(0.0, 0.0, eta + (1.0 - eta) / c2, one)
-    p_click = eta * x / (c2 * (1.0 - z))
-    p_click_1 = eta * x / c2
-    p_click_c = eta + (1.0 - eta) / c2
-    # Conditional signal distribution is geometric: q(n) = (1-z) z^{n-1}.
+        return HeraldedStatistics(0.0, 0.0, p_click_c, one)
+    z = (1.0 - det.eta) * x
     levels = max(64, int(math.ceil(-36.0 / math.log(z))) if z > 0.0 else 2)
     n = np.arange(levels)
     q = np.zeros(levels)
@@ -168,7 +253,7 @@ def _g2_subnormalized(weighted_b: np.ndarray) -> float:
     """
     n = np.arange(len(weighted_b))
     m1 = float(n @ weighted_b)
-    if m1 * m1 < sys.float_info.min:
+    if m1 * m1 < TINY:
         raise ZeroMeanError("mean photon number is zero")
     m2 = float((n * (n - 1.0)) @ weighted_b)
     return m2 / (m1 * m1)
@@ -177,19 +262,25 @@ def _g2_subnormalized(weighted_b: np.ndarray) -> float:
 def g2_heralded_cat(
     r: float, det: DetectorModel, trunc: Truncation | None = None
 ) -> float:
-    """Heralded g2 of the split odd superposition."""
+    """Heralded g2 of the split odd superposition at one point."""
     if trunc is None:
         trunc = default_truncation(r)
-    return _g2_subnormalized(optics.weighted_row(r, -1, trunc, det.click_weights(trunc.dim)))
+    return float(heralded_g2(np.array([r]), np.array([det.eta]), trunc)[0])
 
 
-def g2_tmss(r: float, det: DetectorModel) -> float:
-    """Closed-form heralded g2 of the two-mode squeezed benchmark:
+def benchmark_g2(r, eta):
+    """Closed-form heralded g2 of the two-mode squeezed benchmark,
+    elementwise:
 
         g2 = -3 + 2/eta + eta + (1 - eta) cosh 2r
     """
-    eta = det.eta
-    return -3.0 + 2.0 / eta + eta + (1.0 - eta) * math.cosh(2.0 * r)
+    _check_eta(eta)
+    return -3.0 + 2.0 / eta + eta + (1.0 - eta) * np.cosh(2.0 * r)
+
+
+def g2_tmss(r: float, det: DetectorModel) -> float:
+    """benchmark_g2 at one point."""
+    return float(benchmark_g2(r, det.eta))
 
 
 def g2_numeric(dist: optics.JointDistribution, det: DetectorModel) -> float:

@@ -80,11 +80,17 @@ class KerrSchedule:
     alpha: complex
 
     def __post_init__(self):
-        if not (math.isfinite(self.tau_tilde) and cmath.isfinite(self.alpha)):
-            raise ValueError("interaction phase and pump amplitude must be finite")
-        if abs(self.alpha) == 0.0:
-            raise ValueError("pump amplitude must be nonzero")
+        _check_schedule(self.tau_tilde, self.alpha)
         object.__setattr__(self, "tau_tilde", float(self.tau_tilde) % TWO_PI)
+
+
+def _check_schedule(tau_tilde, alpha: complex) -> None:
+    """Interaction phases (a float or an array) and the pump amplitude
+    must be finite, and the pump nonzero."""
+    if not (np.all(np.isfinite(tau_tilde)) and cmath.isfinite(alpha)):
+        raise ValueError("interaction phase and pump amplitude must be finite")
+    if abs(alpha) == 0.0:
+        raise ValueError("pump amplitude must be nonzero")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -161,6 +167,34 @@ def coherent_overlap(beta: complex, gamma: complex) -> complex:
     )
 
 
+def p0_over_tau(
+    taus: np.ndarray,
+    r: float,
+    alpha: complex,
+    trunc: Truncation | None = None,
+    sign: int = -1,
+    label: complex | None = None,
+) -> np.ndarray:
+    """Probability of projecting the Kerr output onto the superposition
+    branch |r; sign>_1 |label>_2, at each interaction phase of the 1-D
+    array taus (taken mod 2pi), in one pass over the label series.
+
+    Defaults target the odd branch paired with |-alpha>, the herald that
+    announces photon-pair generation.  At tau_tilde = pi this approaches
+    the branch weight N_sign(r)/4, up to the residual overlap of the
+    |+alpha> and |-alpha> labels.
+    """
+    _check_schedule(taus, alpha)
+    if not r > 0.0:
+        raise ValueError("squeezing must be positive")
+    if trunc is None:
+        trunc = series_truncation(r)
+    if label is None:
+        label = -alpha if sign < 0 else alpha
+    n, g = _pair_series(r, sign, trunc)
+    return _overlap_probability(np.mod(taus, TWO_PI), n, g, alpha, label)
+
+
 def p0_generation(
     sched: KerrSchedule,
     r: float,
@@ -168,28 +202,17 @@ def p0_generation(
     sign: int = -1,
     label: complex | None = None,
 ) -> float:
-    """Probability of projecting the Kerr output onto the superposition
-    branch |r; sign>_1 |label>_2.
-
-    Defaults target the odd branch paired with |-alpha>, the herald that
-    announces photon-pair generation.  At tau_tilde = pi this approaches
-    the branch weight N_sign(r)/4, up to the residual overlap of the
-    |+alpha> and |-alpha> labels.
-    """
-    if not r > 0.0:
-        raise ValueError("squeezing must be positive")
-    if trunc is None:
-        trunc = series_truncation(r)
-    if label is None:
-        label = -sched.alpha if sign < 0 else sched.alpha
-    n, g = _pair_series(r, sign, trunc)
+    """p0_over_tau at the schedule's one interaction phase."""
     taus = np.array([sched.tau_tilde])
-    return float(_overlap_probability(taus, n, g, sched.alpha, label)[0])
+    return float(p0_over_tau(taus, r, sched.alpha, trunc, sign, label)[0])
 
 
-def p1_heralded(sched: KerrSchedule, r: float, trunc: Truncation | None = None) -> float:
+def p1_over_tau(
+    taus: np.ndarray, r: float, alpha: complex, trunc: Truncation | None = None
+) -> np.ndarray:
     """Joint probability of heralding the odd branch and then finding one
-    photon in each splitter arm: P(1,1; r; odd) * p0.
+    photon in each splitter arm, P(1,1; r; odd) * p0, at each interaction
+    phase of taus.
 
     Both factors run at trunc (default: the series cutoff).  The pair
     factor P(1,1) = p_2 / 2 comes from the cached photon-number kernel;
@@ -198,7 +221,12 @@ def p1_heralded(sched: KerrSchedule, r: float, trunc: Truncation | None = None) 
     if trunc is None:
         trunc = series_truncation(r)
     p11 = float(optics.photon_numbers(r, -1, trunc)[2]) / 2.0
-    return p11 * p0_generation(sched, r, trunc)
+    return p11 * p0_over_tau(taus, r, alpha, trunc)
+
+
+def p1_heralded(sched: KerrSchedule, r: float, trunc: Truncation | None = None) -> float:
+    """p1_over_tau at the schedule's one interaction phase."""
+    return float(p1_over_tau(np.array([sched.tau_tilde]), r, sched.alpha, trunc)[0])
 
 
 @functools.lru_cache(maxsize=256)

@@ -13,8 +13,11 @@ have a closed form (Campos, Saleh & Teich, PRA 40, 1371 (1989)):
 
 Squaring them, P(n_a, n_b) = C(N, n_a) 2^-N p_N with N = n_a + n_b, so
 every production statistic is a contraction over the source's
-photon-number distribution p_N (photon_numbers): the herald row P(1, n_b)
-(herald_row) and the herald-weighted signal row (weighted_row).
+photon-number distribution p_N, built for a whole column of r values at
+once (photon_number_rows): the pair probability P(1,1) = p_2/2, the herald
+total P(n_a = 1) (herald_totals), the herald row P(1, n_b) (herald_row)
+and the binomial click kernels of detect.  weighted_row, the O(dim^2)
+click-weighted signal row, is the oracle for those kernels.
 
 split() gathers the amplitudes into a dense two-mode table built once per
 cutoff, and joint_probability() squares it; together they are the dense
@@ -39,7 +42,6 @@ from .fockspace import (
     TruncationError,
     TwoModeState,
     expm_antisymmetric,
-    fock_state,
     log_factorials,
 )
 
@@ -151,26 +153,29 @@ def joint_probability(state: TwoModeState) -> JointDistribution:
     return JointDistribution(p, deficit, state.truncation)
 
 
-@functools.lru_cache(maxsize=512)
-def photon_numbers(r: float, sign: int | None, trunc: Truncation) -> np.ndarray:
-    """Photon-number distribution p_N, N < dim, of a source: the
-    superposition |r; sign> for sign = +1 or -1, plain squeezed vacuum |r>
-    for sign = None.
+def photon_number_rows(r: np.ndarray, sign: int | None, trunc: Truncation) -> np.ndarray:
+    """Photon-number distributions p_N, N < dim, one row per entry of the
+    1-D array r, of a source: the superposition |r; sign> for sign = +1 or
+    -1, plain squeezed vacuum |r> for sign = None.
 
     With vacuum in port b the balanced splitter gives
     P(n_a, n_b) = C(N, n_a) 2^-N p_N with N = n_a + n_b, so every split
-    statistic is a contraction over this vector.  The source constructors
-    raise TruncationError for tails beyond the cutoff's tolerance.  The odd
-    superposition at r = 0 is taken as its r -> 0 limit, the two-photon
-    level |2>, so swept columns extend continuously to r = 0.
+    statistic is a contraction over these rows.  The source's tail checks
+    raise TruncationError for the first r whose tail exceeds the cutoff's
+    tolerance.  The odd superposition at r = 0 is taken as its r -> 0
+    limit, the two-photon level |2>, so swept columns extend continuously
+    to r = 0.
     """
-    if sign is None:
-        state = sources.squeezed_vacuum(r, trunc)
-    elif sign < 0 and r == 0.0:
-        state = fock_state(2, trunc)
-    else:
-        state = sources.squeezed_cat(r, sign, trunc)
-    p = np.abs(state.amps) ** 2
+    mag = sources.pair_amplitudes(np.asarray(r, dtype=float), sign, trunc)
+    p = np.zeros(mag.shape[:-1] + (trunc.dim,))
+    p[..., 0::2] = mag * mag
+    return p
+
+
+@functools.lru_cache(maxsize=512)
+def photon_numbers(r: float, sign: int | None, trunc: Truncation) -> np.ndarray:
+    """The photon_number_rows row of one r, cached and read-only."""
+    p = photon_number_rows(np.array([r]), sign, trunc)[0]
     p.setflags(write=False)
     return p
 
@@ -182,6 +187,13 @@ def herald_row(r: float, sign: int | None, trunc: Truncation) -> np.ndarray:
     p = photon_numbers(r, sign, trunc)
     n = np.arange(1, trunc.dim)
     return np.append(np.ldexp(n * p[1:], -n), 0.0)
+
+
+def herald_totals(p: np.ndarray) -> np.ndarray:
+    """P(n_a = 1) = sum_N N 2^-N p_N of each row of photon-number
+    distributions: the total mass of its herald row."""
+    n = np.arange(p.shape[-1])
+    return p @ np.ldexp(n, -n)
 
 
 @functools.lru_cache(maxsize=16)
@@ -196,7 +208,8 @@ def _pair_weights(dim: int) -> np.ndarray:
 def weighted_row(r: float, sign: int | None, trunc: Truncation, w: np.ndarray) -> np.ndarray:
     """sum_{n_a} w_{n_a} P(n_a, n_b) of the split source for n_b < dim, in
     real arithmetic: P(n_a, n_b) = B[n_a, n_b] p_(n_a + n_b), and totals
-    n_a + n_b >= dim, which the cutoff drops, read a zero pad slot."""
+    n_a + n_b >= dim, which the cutoff drops, read a zero pad slot.  The
+    O(dim^2) oracle for the binomial click kernels of detect."""
     _, totals = _balanced_columns(trunc.dim)
     p = np.append(photon_numbers(r, sign, trunc), 0.0)
     return w @ (_pair_weights(trunc.dim) * p[totals])
@@ -204,10 +217,14 @@ def weighted_row(r: float, sign: int | None, trunc: Truncation, w: np.ndarray) -
 
 def single_photon_fraction(row: np.ndarray) -> float:
     """P(n_b = 1 | n_a = 1) from the herald row P(1, n_b)."""
-    total = float(np.sum(row))
-    if total == 0.0:
+    return float(single_photon_fractions(row[1], np.sum(row)))
+
+
+def single_photon_fractions(p11, herald_total):
+    """P(n_b = 1 | n_a = 1) = P(1,1) / P(n_a = 1), elementwise."""
+    if np.any(herald_total == 0.0):
         raise ZeroHeraldError("herald outcome n_a = 1 has zero probability")
-    return float(row[1]) / total
+    return p11 / herald_total
 
 
 def conditional_single_photon(dist: JointDistribution) -> float:

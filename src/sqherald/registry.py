@@ -17,8 +17,6 @@ import numpy as np
 
 from . import analysis, detect, kerr, optics, sources
 from .fockspace import DEFAULT_TAIL_TOL, Truncation, default_truncation
-from .detect import DetectorModel
-from .kerr import KerrSchedule
 
 
 @functools.lru_cache(maxsize=4096)
@@ -49,8 +47,10 @@ def truncation(
 
 @dataclasses.dataclass(frozen=True)
 class Quantity:
-    """A named scalar computation fn(trunc, **params) -> float, with trunc
-    = truncation(cutoff, r, ...)."""
+    """A named computation fn(trunc, **params), with trunc =
+    truncation(cutoff, r, ...).  fn takes every parameter as a float or as
+    a 1-D array over points (arrays of one length): floats alone give a
+    float, any array gives an array of values, one per point."""
 
     name: str
     doc: str
@@ -63,16 +63,43 @@ class Quantity:
         object.__setattr__(self, "defaults", dict(self.defaults))
 
 
+def _pointwise(kernel):
+    """Quantity fn from a kernel over equal-length 1-D parameter arrays:
+    the parameters are broadcast to one length, and a call with floats
+    only gets a float back, so analysis.evaluate and scalar callers such
+    as maximize_1d share one code path."""
+
+    @functools.wraps(kernel)
+    def fn(trunc, **params):
+        if all(np.ndim(v) == 0 for v in params.values()):
+            return float(kernel(trunc, **{k: np.array([v], dtype=float)
+                                          for k, v in params.items()})[0])
+        arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in params.values()))
+        return kernel(trunc, **dict(zip(params, arrays)))
+
+    return fn
+
+
+def _p11(trunc, r, sign):
+    # P(1,1) = p_2 / 2
+    return optics.photon_number_rows(r, sign, trunc)[:, 2] / 2.0
+
+
+def _pc(trunc, r, sign):
+    p = optics.photon_number_rows(r, sign, trunc)
+    return optics.single_photon_fractions(p[:, 2] / 2.0, optics.herald_totals(p))
+
+
 def _q_p11_cat_minus(trunc, r):
-    return float(optics.herald_row(r, -1, trunc)[1])
+    return _p11(trunc, r, -1)
 
 
 def _q_p11_cat_plus(trunc, r):
-    return float(optics.herald_row(r, +1, trunc)[1])
+    return _p11(trunc, r, +1)
 
 
 def _q_p11_squeezed(trunc, r):
-    return float(optics.herald_row(r, None, trunc)[1])
+    return _p11(trunc, r, None)
 
 
 def _q_p11_tmss(trunc, r):
@@ -80,11 +107,11 @@ def _q_p11_tmss(trunc, r):
 
 
 def _q_pc_cat_minus(trunc, r):
-    return optics.single_photon_fraction(optics.herald_row(r, -1, trunc))
+    return _pc(trunc, r, -1)
 
 
 def _q_pc_squeezed(trunc, r):
-    return optics.single_photon_fraction(optics.herald_row(r, None, trunc))
+    return _pc(trunc, r, None)
 
 
 def _q_herald_prob_cat_minus(trunc, r):
@@ -92,59 +119,72 @@ def _q_herald_prob_cat_minus(trunc, r):
 
 
 def _q_herald_yield_cat_minus(trunc, r):
-    # continuous extension: the odd branch carries no weight at r = 0
-    if r == 0.0:
-        return 0.0
-    return sources.herald_probability(r, -1) * _q_p11_cat_minus(trunc, r)
+    # the odd branch weight is exactly 0 at r = 0, where P(1,1) is its limit 1/2
+    return sources.herald_probability(r, -1) * _p11(trunc, r, -1)
+
+
+def _over_tau(kernel, trunc, tau_tilde, r, alpha):
+    """kernel(taus, r, alpha, trunc) once per distinct (r, alpha), over all
+    the interaction phases that share them."""
+    (rs, alphas), at = analysis.distinct(r, alpha)
+    out = np.empty(len(tau_tilde))
+    for j, (rj, aj) in enumerate(zip(rs.tolist(), alphas.tolist())):
+        sel = at == j
+        out[sel] = kernel(tau_tilde[sel], rj, aj, trunc)
+    return out
 
 
 def _q_p0_cat_minus(trunc, tau_tilde, r, alpha):
-    return kerr.p0_generation(KerrSchedule(tau_tilde, alpha), r, trunc)
+    return _over_tau(kerr.p0_over_tau, trunc, tau_tilde, r, alpha)
 
 
 def _q_p1_cat_minus(trunc, tau_tilde, r, alpha):
-    return kerr.p1_heralded(KerrSchedule(tau_tilde, alpha), r, trunc)
+    return _over_tau(kerr.p1_over_tau, trunc, tau_tilde, r, alpha)
 
 
 def _q_phase_ratio(trunc, sigma, r, alpha):
-    return kerr.gaussian_averaged_ratio(r, alpha, sigma, dim=trunc.dim, tail_tol=trunc.tail_tol)
+    # one trapezoid rule per point; the points of a group do not share a grid
+    return np.array([
+        kerr.gaussian_averaged_ratio(ri, ai, si, dim=trunc.dim, tail_tol=trunc.tail_tol)
+        for si, ri, ai in zip(sigma.tolist(), r.tolist(), alpha.tolist())
+    ])
 
 
 def _q_pclick_cat_minus(trunc, r, eta):
-    return detect.heralded_cat_statistics(r, DetectorModel(eta), trunc).p_click
+    return detect.heralded_clicks(r, eta, trunc)[0]
 
 
 def _q_pclick1_cat_minus(trunc, r, eta):
-    return detect.heralded_cat_statistics(r, DetectorModel(eta), trunc).p_click_1
+    return detect.heralded_clicks(r, eta, trunc)[1]
 
 
 def _q_pclickc_cat_minus(trunc, r, eta):
-    return detect.heralded_cat_statistics(r, DetectorModel(eta), trunc).p_click_c
+    p_click, p_click_1 = detect.heralded_clicks(r, eta, trunc)
+    return p_click_1 / p_click
 
 
 def _q_pclick1_yield_cat_minus(trunc, r, eta):
-    stats = detect.heralded_cat_statistics(r, DetectorModel(eta), trunc)
-    return sources.herald_probability(r, -1) * stats.p_click_1
+    return sources.herald_probability(r, -1) * detect.heralded_clicks(r, eta, trunc)[1]
 
 
 def _q_pclick_tmss(trunc, r, eta):
-    return detect.tmss_click_statistics(r, DetectorModel(eta)).p_click
+    return detect.benchmark_clicks(r, eta)[0]
 
 
 def _q_pclick1_tmss(trunc, r, eta):
-    return detect.tmss_click_statistics(r, DetectorModel(eta)).p_click_1
+    return detect.benchmark_clicks(r, eta)[1]
 
 
 def _q_pclickc_tmss(trunc, r, eta):
-    return detect.tmss_click_statistics(r, DetectorModel(eta)).p_click_c
+    return detect.benchmark_clicks(r, eta)[2]
 
 
 def _q_g2_cat_minus(trunc, r, eta):
-    return detect.g2_heralded_cat(r, DetectorModel(eta), trunc)
+    return detect.heralded_g2(r, eta, trunc)
 
 
 def _q_g2_tmss(trunc, r, eta):
-    return detect.g2_tmss(r, DetectorModel(eta))
+    return detect.benchmark_g2(r, eta)
 
 
 def _quantities() -> dict[str, Quantity]:
@@ -193,7 +233,7 @@ def _quantities() -> dict[str, Quantity]:
         Quantity("g2_tmss", "heralded zero-delay g2, benchmark (closed form)",
                  _q_g2_tmss, ("r", "eta"), {"eta": 0.9}, cutoff="analytic"),
     ]
-    return {q.name: q for q in items}
+    return {q.name: dataclasses.replace(q, fn=_pointwise(q.fn)) for q in items}
 
 
 QUANTITIES: dict[str, Quantity] = _quantities()

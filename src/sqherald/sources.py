@@ -31,46 +31,87 @@ def squeezing_db(r: float) -> float:
     return 20.0 * r / math.log(10.0)
 
 
-def _check_squeeze(r: float) -> None:
-    if abs(r) > SQUEEZE_LIMIT:
-        raise ValueError(f"|r| must not exceed {SQUEEZE_LIMIT}, got {r}")
+def _check_squeeze(r) -> None:
+    over = np.abs(r) > SQUEEZE_LIMIT
+    if np.any(over):
+        raise ValueError(f"|r| must not exceed {SQUEEZE_LIMIT}, got {np.asarray(r)[over][0]}")
 
 
-def _even_log_weights(r: float, pairs: int) -> tuple[np.ndarray, np.ndarray]:
-    """log|c| and sign of the squeezed-vacuum coefficient of |2k>, k < pairs.
+def _check_tails(r, trunc: Truncation, *checks: tuple[np.ndarray, str]) -> None:
+    """TruncationError for the first r whose tail mass beyond the cutoff
+    exceeds its tolerance in any of the (tail, what) checks, naming the
+    first check it fails; `what` is formatted with r."""
+    if not any(np.any(tail > trunc.tail_tol) for tail, _ in checks):
+        return
+    over = np.array([np.atleast_1d(tail) > trunc.tail_tol for tail, _ in checks])
+    i = np.flatnonzero(over.any(axis=0))[0]
+    tail, what = checks[int(np.flatnonzero(over[:, i])[0])]
+    raise TruncationError(
+        f"{what.format(r=float(np.atleast_1d(r)[i]))} does not fit in dim = {trunc.dim}",
+        float(np.atleast_1d(tail)[i]),
+    )
+
+
+def _even_log_weights(r, pairs: int) -> np.ndarray:
+    """log|c_2k| of squeezed vacuum for k < pairs, with one row per entry
+    of an array r.
 
     c_{2k} = (cosh r)^{-1/2} sqrt((2k)!) / (2^k k!) (-tanh r)^k, evaluated
     in log space so large cutoffs stay finite.
     """
+    r = np.asarray(r, dtype=float)[..., None]
     k = np.arange(pairs)
-    t = math.tanh(abs(r))
     log_fact = log_factorials(2 * pairs - 1)
-    logmag = (
-        -0.5 * math.log(math.cosh(r))
-        + 0.5 * log_fact[2 * k]
-        - k * LN2
-        - log_fact[k]
-    )
-    if t > 0.0:
-        logmag = logmag + k * math.log(t)
-    else:
-        # r = 0: only k = 0 survives
-        logmag = np.where(k == 0, logmag, -np.inf)
-    sign = np.where(k % 2 == 0, 1.0, -1.0) if r > 0 else np.ones(pairs)
-    return logmag, sign
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k_log_t = k * np.log(np.tanh(np.abs(r)))
+    # r = 0: log tanh r = -inf, and only k = 0 survives
+    k_log_t[..., 0] = 0.0
+    return -0.5 * np.log(np.cosh(r)) + 0.5 * log_fact[2 * k] - k * LN2 - log_fact[k] + k_log_t
 
 
-def _vacuum_log_weights(r: float, trunc: Truncation) -> tuple[np.ndarray, np.ndarray]:
-    """log|c_2k| and signs of squeezed vacuum for 2k < dim, after checking
-    that the tail mass beyond the cutoff fits its tolerance."""
+def _pair_signs(r: float, pairs: int) -> np.ndarray:
+    """Signs of c_2k, k < pairs: those of (-tanh r)^k for r > 0."""
+    return np.where((np.arange(pairs) % 2 == 1) & (r > 0), -1.0, 1.0)
+
+
+def _log_cat_norm(r, sign: int):
+    """log N_pm(r), the odd branch logged factor by factor so that it
+    stays finite where sinh^2 r underflows."""
+    if sign > 0:
+        return np.log(cat_norm(r, sign))
+    c = np.sqrt(np.cosh(2.0 * r))
+    with np.errstate(divide="ignore"):
+        return 2.0 * np.log(2.0 * np.sinh(np.abs(r))) - np.log(c * (c + 1.0))
+
+
+def pair_amplitudes(r, sign: int | None, trunc: Truncation) -> np.ndarray:
+    """|c_2k| of the pair levels |2k>, 2k < dim, of squeezed vacuum (sign
+    None) or of the sign superposition, one row per entry of an array r,
+    after checking both tail masses against the cutoff.
+
+    The superposition keeps pair levels with k even/odd and doubles them
+    (S(-r) flips the sign of every odd-k level); its amplitudes
+    2 c_2k / sqrt(N_pm) are formed in log space, where N_- underflows as
+    r -> 0.  At r = 0 the odd branch is its r -> 0 limit, |2>.
+    """
     _check_squeeze(r)
-    logmag, sign = _even_log_weights(r, (trunc.dim + 1) // 2)
-    tail = 1.0 - float(np.sum(np.exp(2.0 * logmag)))
-    if tail > trunc.tail_tol:
-        raise TruncationError(
-            f"squeezed vacuum at r = {r} does not fit in dim = {trunc.dim}", tail
-        )
-    return logmag, sign
+    logmag = _even_log_weights(r, (trunc.dim + 1) // 2)
+    vacuum = (1.0 - np.sum(np.exp(2.0 * logmag), axis=-1), "squeezed vacuum at r = {r}")
+    if sign is None:
+        _check_tails(r, trunc, vacuum)
+        return np.exp(logmag)
+    r_col = np.asarray(r, dtype=float)[..., None]
+    kept = slice(0 if sign > 0 else 1, None, 2)
+    logamp = np.full(logmag.shape, -np.inf)
+    with np.errstate(invalid="ignore"):
+        logamp[..., kept] = logmag[..., kept] + LN2 - 0.5 * _log_cat_norm(r_col, sign)
+    if sign < 0 and np.any(r_col == 0.0):
+        limit = np.where(np.arange(logmag.shape[-1]) == 1, 0.0, -np.inf)
+        logamp = np.where(r_col == 0.0, limit, logamp)
+    mag = np.exp(logamp)
+    _check_tails(r, trunc, vacuum, (1.0 - np.sum(mag * mag, axis=-1),
+                                    "superposition at r = {r}, sign = %+d" % sign))
+    return mag
 
 
 def squeezed_vacuum(r: float, trunc: Truncation) -> SingleModeState:
@@ -79,9 +120,9 @@ def squeezed_vacuum(r: float, trunc: Truncation) -> SingleModeState:
     The sign convention matches squeeze_matrix: positive r gives a real
     state with alternating signs on levels 0, 2, 4, ...
     """
-    logmag, sign = _vacuum_log_weights(r, trunc)
+    mag = pair_amplitudes(r, None, trunc)
     amps = np.zeros(trunc.dim, dtype=complex)
-    amps[0::2] = sign * np.exp(logmag)
+    amps[0::2] = _pair_signs(r, len(mag)) * mag
     return SingleModeState(amps, trunc)
 
 
@@ -91,7 +132,7 @@ def converged_dim(r: float, tail_tol: float, max_dim: int = 8192) -> int:
     block = 64
     pairs = block
     while True:
-        logmag, _ = _even_log_weights(r, pairs)
+        logmag = _even_log_weights(r, pairs)
         cum = np.cumsum(np.exp(2.0 * logmag))
         tails = 1.0 - cum
         hit = np.nonzero(tails <= tail_tol)[0]
@@ -102,8 +143,9 @@ def converged_dim(r: float, tail_tol: float, max_dim: int = 8192) -> int:
             raise ValueError(f"no cutoff below {max_dim} reaches tail {tail_tol}")
 
 
-def cat_norm(r: float, sign: int) -> float:
-    """Norm-square N_pm(r) of S(r)|0> pm S(-r)|0>.
+def cat_norm(r, sign: int):
+    """Norm-square N_pm(r) of S(r)|0> pm S(-r)|0>, elementwise for an
+    array r.
 
     N_pm = 2 (1 pm 1/c) with c = sqrt(cosh 2r) = cosh r sqrt(1 + tanh^2 r);
     the two branches sum to 4 identically.  The odd branch is evaluated as
@@ -112,19 +154,10 @@ def cat_norm(r: float, sign: int) -> float:
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     _check_squeeze(r)
-    c = math.sqrt(math.cosh(2.0 * r))
+    c = np.sqrt(np.cosh(2.0 * r))
     if sign > 0:
         return 2.0 * (1.0 + 1.0 / c)
-    return 4.0 * math.sinh(r) ** 2 / (c * (c + 1.0))
-
-
-def _log_cat_norm(r: float, sign: int) -> float:
-    """log N_pm(r), the odd branch logged factor by factor so that it
-    stays finite where sinh^2 r underflows."""
-    if sign > 0:
-        return math.log(cat_norm(r, sign))
-    c = math.sqrt(math.cosh(2.0 * r))
-    return 2.0 * math.log(2.0 * math.sinh(abs(r))) - math.log(c * (c + 1.0))
+    return 4.0 * np.sinh(r) ** 2 / (c * (c + 1.0))
 
 
 def squeezed_cat(r: float, sign: int, trunc: Truncation) -> SingleModeState:
@@ -137,47 +170,32 @@ def squeezed_cat(r: float, sign: int, trunc: Truncation) -> SingleModeState:
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     if sign < 0 and r == 0.0:
         raise DegenerateStateError("the odd superposition vanishes at r = 0")
-    logmag, sign_k = _vacuum_log_weights(r, trunc)
-    # S(-r) flips the sign of every odd-k pair level, so the sum/difference
-    # keeps pair levels with k even/odd and doubles them; the amplitudes
-    # 2 c_2k / sqrt(N_pm) are formed in log space, where N_- underflows as
-    # r -> 0
-    k = np.arange(0 if sign > 0 else 1, len(logmag), 2)
+    mag = pair_amplitudes(r, sign, trunc)
     amps = np.zeros(trunc.dim, dtype=complex)
-    amps[2 * k] = sign_k[k] * np.exp(logmag[k] + LN2 - 0.5 * _log_cat_norm(r, sign))
-    tail = 1.0 - float(np.sum(np.abs(amps) ** 2))
-    if tail > trunc.tail_tol:
-        raise TruncationError(
-            f"superposition at r = {r}, sign = {sign:+d} does not fit in "
-            f"dim = {trunc.dim}",
-            tail,
-        )
+    amps[0::2] = _pair_signs(r, len(mag)) * mag
     return SingleModeState(amps, trunc)
 
 
-def herald_probability(r: float, sign: int) -> float:
-    """Probability N_pm(r)/4 of projecting S(r)|0> onto the pm superposition."""
+def herald_probability(r, sign: int):
+    """Probability N_pm(r)/4 of projecting S(r)|0> onto the pm
+    superposition, elementwise for an array r."""
     return cat_norm(r, sign) / 4.0
 
 
-def _tmss_tanh(r: float, trunc: Truncation) -> float:
+def _tmss_tanh(r, trunc: Truncation):
     """tanh |r| of the two-mode squeezed vacuum, after checking that its
     tail mass tanh^(2 dim) r fits the cutoff."""
     _check_squeeze(r)
-    t = math.tanh(abs(r))
-    tail = (t * t) ** trunc.dim
-    if tail > trunc.tail_tol:
-        raise TruncationError(
-            f"two-mode squeezed vacuum at r = {r} does not fit in dim = {trunc.dim}",
-            tail,
-        )
+    t = np.tanh(np.abs(r))
+    _check_tails(r, trunc, ((t * t) ** trunc.dim, "two-mode squeezed vacuum at r = {r}"))
     return t
 
 
-def tmss_p11(r: float, trunc: Truncation) -> float:
-    """P(1,1) = tanh^2 r / cosh^2 r of the two-mode squeezed vacuum."""
+def tmss_p11(r, trunc: Truncation):
+    """P(1,1) = tanh^2 r / cosh^2 r of the two-mode squeezed vacuum,
+    elementwise for an array r."""
     t = _tmss_tanh(r, trunc)
-    return t * t / math.cosh(r) ** 2
+    return t * t / np.cosh(r) ** 2
 
 
 def two_mode_squeezed_vacuum(r: float, trunc: Truncation) -> TwoModeState:

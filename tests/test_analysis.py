@@ -6,6 +6,8 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqherald import analysis, kerr, registry, sources
 from sqherald import fockspace as fs
@@ -131,6 +133,84 @@ def test_every_quantity_runs_at_the_one_cutoff_policy(monkeypatch, name, dim, ta
     tier = kerr.series_truncation if q.cutoff == "series" else fs.default_truncation
     assert expected.dim == (tier(POLICY_R).dim if dim is None else dim)
     assert expected.tail_tol == (DOCUMENTED_TAIL_TOLS[q.cutoff] if tail_tol is None else tail_tol)
+
+
+def _outcome(fn):
+    """The value of fn(), or the type of the exception it raises."""
+    try:
+        return fn()
+    except Exception as exc:  # compared by type against the other path
+        return type(exc)
+
+
+@st.composite
+def _columns(draw, name):
+    """Parameter columns for a quantity: r on both sides of the r = 1.2
+    boundary between the matrix cutoffs 64 and 160, in drawn order, and
+    eta, tau_tilde and sigma where the quantity takes them."""
+    slow = name == "phase_ratio"
+    low = draw(st.lists(st.floats(0.0, 1.2), min_size=1, max_size=2 if slow else 3))
+    high = draw(st.lists(st.floats(1.2, 2.0, exclude_min=True), min_size=1,
+                         max_size=1 if slow else 3))
+    rs = draw(st.permutations(low + high))
+    size = len(rs)
+    columns = {"r": np.array(rs)}
+    q = registry.QUANTITIES[name]
+    others = {
+        "eta": st.floats(0.0, 1.0, exclude_min=True),
+        "tau_tilde": st.floats(0.0, 2.0 * math.pi),
+        "sigma": st.floats(0.0, 1e-3),
+    }
+    for var, values in others.items():
+        if var in q.variables:
+            columns[var] = np.array(draw(st.lists(values, min_size=size, max_size=size)))
+    return columns
+
+
+@pytest.mark.parametrize("name", sorted(registry.QUANTITIES))
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_grouped_evaluation_matches_scalar_calls(name, data):
+    # one grouped call per cutoff against one evaluation per point with
+    # floats, which takes the scalar path of the same quantity function
+    q = registry.QUANTITIES[name]
+    columns = data.draw(_columns(name))
+    grouped = _outcome(lambda: analysis.evaluate(q, {**q.defaults, **columns})[0])
+    scalars = [
+        _outcome(lambda i=i: analysis.evaluate(
+            q, {**q.defaults, **{k: float(v[i]) for k, v in columns.items()}})[0][0])
+        for i in range(len(columns["r"]))
+    ]
+    if isinstance(grouped, type):
+        assert grouped in scalars
+        return
+    for value, scalar in zip(grouped, scalars):
+        assert not isinstance(scalar, type), scalar
+        assert abs(value - scalar) <= 1e-13 * abs(scalar)
+
+
+def test_evaluate_names_the_first_unconverged_point():
+    # the groups run in order of first appearance, dim 64 (r = 0.2, 0.7)
+    # before dim 160 (r = 1.5), but the error names the first point in
+    # order that moves with the cutoff
+    quantity = types.SimpleNamespace(
+        name="drifting", fn=lambda trunc, r: np.where(r > 0.5, float(trunc.dim), 0.0)
+    )
+    with pytest.raises(analysis.ConvergenceError) as err:
+        analysis.evaluate(quantity, {"r": np.array([0.2, 1.5, 0.7])})
+    assert "between dim 160 and dim 240 at {'r': 1.5}" in str(err.value)
+
+
+def test_evaluate_rejects_r_outside_the_squeezing_domain():
+    calls = []
+    quantity = types.SimpleNamespace(
+        name="spy", cutoff="analytic", fn=lambda trunc, r: calls.append(r) or r
+    )
+    for bad in (-1e-3, 3.0 + 1e-9, math.nan):
+        with pytest.raises(ValueError) as err:
+            analysis.evaluate(quantity, {"r": np.array([0.5, bad])})
+        assert "r must lie in [0, 3.0]" in str(err.value)
+    assert calls == []
 
 
 def test_maximize_yield_benchmark():

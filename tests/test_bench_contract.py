@@ -35,8 +35,9 @@ def test_traced_sweep_yields_the_layer_metrics(capsys):
     assert registry.QUANTITIES == quantities
     tracer.annotate_series_pairs()
     metrics, notes = tracing.layer_metrics(tracer.spans)
-    # two points, each at the series cutoff and at 1.5x
-    assert metrics["registry.evals"] == 4.0
+    # two points at one cutoff: one grouped call at the series cutoff and
+    # one at 1.5x, each averaging both points
+    assert metrics["registry.evals"] == 2.0
     assert metrics["kerr.avg_ratio_calls"] == 4.0
     assert metrics["kerr.series_pairs"] > 0.0
     assert 0.0 < metrics["analysis.recheck_share"] < 1.0

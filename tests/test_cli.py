@@ -203,6 +203,29 @@ def test_sweep_outside_supported_squeezing_exits_usage(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", "--quantity", "pclick_tmss", "--var", "r", "--lo", "4", "--hi", "5",
+         "--points", "2"),
+        ("sweep", "--quantity", "pclick_tmss", "--var", "eta", "--lo", "0.7", "--hi", "1.0",
+         "--points", "2", "--set", "r=10"),
+        ("sweep", "--quantity", "p11_tmss", "--var", "r", "--lo", "-1", "--hi", "-0.5",
+         "--points", "2"),
+        ("sweep", "--quantity", "g2_tmss", "--var", "r", "--lo", "-1", "--hi", "-0.5",
+         "--points", "2"),
+        ("sweep", "--quantity", "p11_cat_minus", "--var", "r", "--lo", "-1", "--hi", "-0.5",
+         "--points", "2"),
+    ],
+)
+def test_r_outside_the_squeezing_domain_exits_usage(capsys, argv):
+    # analytic and cutoff-bearing quantities share one r domain, [0, 3]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert "invalid parameter: r must lie in [0, 3.0]" in err
+
+
+@pytest.mark.parametrize(
     "quantity, fixed",
     [
         ("phase_ratio", ("sigma=inf",)),
@@ -253,6 +276,16 @@ def test_subnormal_click_probability_exits_numerical(capsys):
     assert code == cli.EXIT_NUMERICAL
     assert out == ""
     assert "click probability vanished" in err
+
+
+def test_non_finite_closed_form_exits_numerical(capsys):
+    # 2/eta overflows at eta = 1e-320; analytic values are checked for
+    # finiteness like the cutoff-bearing ones
+    code, out, err = run_cli(capsys, "sweep", "--quantity", "g2_tmss", "--var", "r",
+                             "--lo", "0.1", "--hi", "0.5", "--points", "2", "--eta", "1e-320")
+    assert code == cli.EXIT_NUMERICAL
+    assert out == ""
+    assert "g2_tmss is not finite (inf) at" in err
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 """Photon-number kernels: every non-Kerr quantity is a contraction over the
 source distribution p_N, checked against the dense split tables that stay
 as the oracle."""
+import collections
+import dataclasses
 import math
 import sys
 
@@ -56,33 +58,50 @@ def test_kernels_match_the_dense_split(r, eta, sign):
 
     # below the smallest normal float a click probability, or the squared
     # mean of g2, has lost its precision in both paths, so the ratios built
-    # on it are only range-checked there
+    # on it are only range-checked there.  Two kernels face the dense
+    # table: the click-weighted row weighted_row and the binomial closed
+    # forms of detect.heralded_clicks and detect.heralded_g2.
     stats = ("p_click", "p_click_1", "p_click_c")
     w = det.click_weights(trunc.dim)
     kernel_row = optics.weighted_row(r, sign, trunc, w)
     weighted = w @ dist.p
-    kernel = _outcome(lambda: detect._statistics(kernel_row))
-    if float(np.sum(weighted)) < sys.float_info.min:
-        assert kernel is detect.ZeroClickError or all(
-            0.0 <= getattr(kernel, name) <= 1.0 for name in stats
-        )
-    else:
-        oracle = detect.click_statistics(dist, det)
-        for name in stats:
-            value = getattr(kernel, name)
-            assert abs(value - getattr(oracle, name)) <= 1e-13
-            assert 0.0 <= value <= 1.0
-        gap = np.abs(kernel.conditional_photon_dist - oracle.conditional_photon_dist)
+    point = (np.array([r]), np.array([eta]), trunc, sign)
+
+    def binomial():
+        p_click, p_click_1 = (float(v[0]) for v in detect.heralded_clicks(*point))
+        return dict(zip(stats, (p_click, p_click_1, p_click_1 / p_click)))
+
+    kernels = [
+        _outcome(lambda: vars(detect._statistics(kernel_row))),
+        _outcome(binomial),
+    ]
+    normal = float(np.sum(weighted)) >= sys.float_info.min
+    oracle = detect.click_statistics(dist, det) if normal else None
+    for kernel in kernels:
+        if not normal:
+            assert kernel is detect.ZeroClickError or all(
+                0.0 <= kernel[name] <= 1.0 for name in stats
+            )
+        else:
+            for name in stats:
+                value = kernel[name]
+                assert abs(value - getattr(oracle, name)) <= 1e-13
+                assert 0.0 <= value <= 1.0
+    if normal:
+        gap = np.abs(kernels[0]["conditional_photon_dist"] - oracle.conditional_photon_dist)
         assert np.max(gap) <= 1e-13
 
-    g2 = _outcome(lambda: detect._g2_subnormalized(kernel_row))
     m1 = float(np.arange(trunc.dim) @ weighted)
-    if m1 * m1 < sys.float_info.min:
-        assert isinstance(g2, type) or g2 >= 0.0
-    else:
-        g2_oracle = detect._g2_subnormalized(weighted)
-        assert g2 >= 0.0
-        assert abs(g2 - g2_oracle) <= 1e-13 * max(1.0, g2_oracle)
+    for g2 in (
+        _outcome(lambda: detect._g2_subnormalized(kernel_row)),
+        _outcome(lambda: float(detect.heralded_g2(*point)[0])),
+    ):
+        if m1 * m1 < sys.float_info.min:
+            assert isinstance(g2, type) or g2 >= 0.0
+        else:
+            g2_oracle = detect._g2_subnormalized(weighted)
+            assert g2 >= 0.0
+            assert abs(g2 - g2_oracle) <= 1e-13 * max(1.0, g2_oracle)
 
 
 def test_photon_numbers_are_cached_and_read_only():
@@ -138,3 +157,31 @@ def test_no_production_quantity_builds_a_dense_table(monkeypatch):
         assert np.all(np.isfinite(table.rows))
     sched = kerr.KerrSchedule(math.pi, 10.0)
     assert kerr.p1_heralded(sched, 1.146) > 0.0
+
+
+def test_figures_reach_no_click_oracle_and_group_by_cutoff(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("click oracle reached from production")
+
+    monkeypatch.setattr(optics, "weighted_row", refuse)
+    monkeypatch.setattr(detect, "heralded_cat_statistics", refuse)
+    monkeypatch.setattr(detect, "tmss_click_statistics", refuse)
+    calls = collections.Counter()
+    for name, q in list(registry.QUANTITIES.items()):
+        def counted(trunc, _fn=q.fn, _name=name, **params):
+            calls[_name] += 1
+            return _fn(trunc, **params)
+
+        monkeypatch.setitem(registry.QUANTITIES, name, dataclasses.replace(q, fn=counted))
+    for name in NON_KERR_FIGURES:
+        table = registry.figure(name).build()
+        assert np.all(np.isfinite(table.rows))
+
+    # fig7a: one call per cutoff of its r grid, and one more at 1.5x
+    calls.clear()
+    table = registry.figure("fig7a").build()
+    rs = np.linspace(*registry.R_GRID_SURFACE)
+    for name in table.columns[2:]:
+        cutoffs = {registry.truncation(registry.QUANTITIES[name].cutoff, float(r)) for r in rs}
+        assert 1 <= calls[name] <= 2 * len(cutoffs)
+    assert calls["pclick1_cat_minus"] == 4

@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 
 from sqherald import fockspace as fs
-from sqherald import optics, sources
+from sqherald import optics, sources, verification
 
 
 def binomial_column(total: int) -> np.ndarray:
@@ -258,3 +258,21 @@ def test_split_requires_normalized_input():
     bad = fs.SingleModeState(np.full(8, 0.1, dtype=complex), trunc)
     with pytest.raises(ValueError):
         optics.split(bad)
+
+
+def test_criterion_11_flags_a_corrupted_splitter_block(monkeypatch):
+    # the deterministic dense state of the per-block check populates every
+    # block, so a block that is no longer orthogonal moves its mass
+    exact = optics._blocks
+
+    def corrupted(dim, theta):
+        blocks = list(exact(dim, theta))
+        blocks[5] = 1.01 * blocks[5]
+        return tuple(blocks)
+
+    assert verification.criterion_11(verification.VerifyConfig()).passed
+    monkeypatch.setattr(optics, "_blocks", corrupted)
+    result = verification.criterion_11(verification.VerifyConfig())
+    assert not result.passed
+    moved = float(result.detail.split("per-block mass conserved: ")[1].split(";")[0])
+    assert moved > 1e-12
