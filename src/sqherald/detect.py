@@ -22,23 +22,19 @@ With x = 1 - eta and phi_M = ((1 + x)^M - 1)/x (phi_M = M at eta = 1):
 
 and the heralded g2 is m2 / m1^2.  heralded_clicks and heralded_g2 take
 a column of points (r_i, eta_i) at one cutoff as one product of the
-distinct sources' p_N rows with the distinct efficiencies' kernels.
-heralded_cat_statistics, click_statistics and g2_numeric weight explicit
-rows and tables instead; they are the oracles for these kernels.
+distinct sources' p_N rows with the distinct efficiencies' kernels.  The
+two-mode squeezed benchmark has elementwise closed forms
+(benchmark_clicks, benchmark_g2).
 """
 from __future__ import annotations
 
 import dataclasses
-import math
-import sys
 from typing import Callable
 
 import numpy as np
 
 from . import analysis, optics
-from .fockspace import Truncation, default_truncation
-
-TINY = sys.float_info.min
+from .fockspace import TINY, Truncation, default_truncation
 
 
 class ZeroClickError(ZeroDivisionError):
@@ -64,74 +60,6 @@ class DetectorModel:
     def __post_init__(self):
         _check_eta(self.eta)
 
-    def click_weights(self, count: int) -> np.ndarray:
-        """w[k] = eta (1-eta)^{k-1} for k >= 1, w[0] = 0.
-
-        These weight the herald-arm photon number when exactly one
-        counted photon is required; their tail sum is the plain click
-        probability.
-        """
-        k = np.arange(count)
-        w = np.zeros(count)
-        w[1:] = self.eta * (1.0 - self.eta) ** (k[1:] - 1.0)
-        return w
-
-
-@dataclasses.dataclass(frozen=True)
-class HeraldedStatistics:
-    """Click probabilities and the click-conditioned signal distribution.
-
-    p_click: probability the herald detector fires at all.
-    p_click_1: probability it fires with exactly one detected photon.
-    p_click_c: conditional probability the click was single-photon.
-    conditional_photon_dist: signal-mode distribution given a click.
-    """
-
-    p_click: float
-    p_click_1: float
-    p_click_c: float
-    conditional_photon_dist: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.conditional_photon_dist, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "conditional_photon_dist", arr)
-
-
-def _statistics(weighted_b: np.ndarray) -> HeraldedStatistics:
-    """Click statistics from the click-weighted signal row
-    q(n_b) = sum_{n_a} w_{n_a} p(n_a, n_b): p_click is its total mass,
-    p_click_1 its n_b = 1 entry, and the conditional signal distribution
-    its normalization.  A subnormal click probability has lost its
-    digits, so it counts as vanished."""
-    p_click = float(weighted_b.sum())
-    if p_click < TINY:
-        raise ZeroClickError("click probability vanished")
-    p_click_1 = float(weighted_b[1])
-    return HeraldedStatistics(
-        p_click=p_click,
-        p_click_1=p_click_1,
-        p_click_c=p_click_1 / p_click,
-        conditional_photon_dist=weighted_b / p_click,
-    )
-
-
-def click_statistics(dist: optics.JointDistribution, det: DetectorModel) -> HeraldedStatistics:
-    """Click-detect mode a of a joint distribution (the dense oracle for
-    the binomial kernels)."""
-    return _statistics(det.click_weights(dist.truncation.dim) @ dist.p)
-
-
-def heralded_cat_statistics(
-    r: float, det: DetectorModel, trunc: Truncation | None = None, sign: int = -1
-) -> HeraldedStatistics:
-    """Click statistics of the split superposition from its click-weighted
-    signal row optics.weighted_row (an O(dim^2) oracle for
-    heralded_clicks; no production quantity calls it)."""
-    if trunc is None:
-        trunc = default_truncation(r)
-    return _statistics(optics.weighted_row(r, sign, trunc, det.click_weights(trunc.dim)))
-
 
 def _binomial_kernels(dim: int, eta: np.ndarray) -> tuple[np.ndarray, ...]:
     """The (dim, E) kernels of p_click, p_click_1, m1 and m2 over N < dim
@@ -144,11 +72,12 @@ def _binomial_kernels(dim: int, eta: np.ndarray) -> tuple[np.ndarray, ...]:
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(x == 0.0, 1.0 * m, np.expm1(m * np.log1p(x)) / x)
 
-    scale = eta * np.ldexp(1.0, -n)
-    click = scale * phi(n)
-    single = np.where(n >= 2, scale * n * x ** np.maximum(n - 2, 0), 0.0)
-    m1 = scale * n * phi(n - 1)
-    m2 = scale * (n * (n - 1.0)) * phi(n - 2)
+    # 2^-N scales last: exact, and eta 2^-N would lose digits as a
+    # subnormal where eta is tiny and phi_N ~ 2^N restores the size
+    click = np.ldexp(eta * phi(n), -n)
+    single = np.where(n >= 2, np.ldexp(eta * n * x ** np.maximum(n - 2, 0), -n), 0.0)
+    m1 = np.ldexp(eta * n * phi(n - 1), -n)
+    m2 = np.ldexp(eta * (n * (n - 1.0)) * phi(n - 2), -n)
     return click, single, m1, m2
 
 
@@ -208,57 +137,6 @@ def benchmark_clicks(r, eta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return p_click, eta * x / c2, eta + (1.0 - eta) / c2
 
 
-def tmss_click_statistics(r: float, det: DetectorModel) -> HeraldedStatistics:
-    """benchmark_clicks at one point, with the conditional signal
-    distribution q(n) = (1-z) z^{n-1}, z = (1 - eta) tanh^2 r, on at least
-    64 levels (the oracle form; no production quantity calls it)."""
-    p_click, p_click_1, p_click_c = (float(v) for v in benchmark_clicks(r, det.eta))
-    x = math.tanh(r) ** 2
-    if x == 0.0:
-        # r = 0 limit: no pairs, but the conditional closed form stays finite
-        one = np.zeros(2)
-        one[1] = 1.0
-        return HeraldedStatistics(0.0, 0.0, p_click_c, one)
-    z = (1.0 - det.eta) * x
-    levels = max(64, int(math.ceil(-36.0 / math.log(z))) if z > 0.0 else 2)
-    n = np.arange(levels)
-    q = np.zeros(levels)
-    q[1:] = (1.0 - z) * z ** (n[1:] - 1.0)
-    q /= q.sum()
-    return HeraldedStatistics(p_click, p_click_1, p_click_c, q)
-
-
-def g2_from_photon_dist(dist: np.ndarray) -> float:
-    """Zero-delay second-order coherence of a normalized photon-number
-    distribution: <n(n-1)> / <n>^2."""
-    q = np.asarray(dist, dtype=float)
-    total = float(q.sum())
-    if abs(total - 1.0) > 1e-10:
-        raise ValueError(f"distribution must be normalized, sums to {total}")
-    n = np.arange(len(q))
-    m1 = float(n @ q)
-    if m1 == 0.0:
-        raise ZeroMeanError("mean photon number is zero")
-    m2 = float((n * (n - 1.0)) @ q)
-    return m2 / (m1 * m1)
-
-
-def _g2_subnormalized(weighted_b: np.ndarray) -> float:
-    """g2 over the click-weighted (unnormalized) signal ensemble.
-
-    Keeping the click probability inside the moments reproduces the
-    closed-form benchmark below; normalizing first would divide it out
-    of the numerator and denominator asymmetrically.  A subnormal squared
-    mean has lost its digits, so it counts as zero.
-    """
-    n = np.arange(len(weighted_b))
-    m1 = float(n @ weighted_b)
-    if m1 * m1 < TINY:
-        raise ZeroMeanError("mean photon number is zero")
-    m2 = float((n * (n - 1.0)) @ weighted_b)
-    return m2 / (m1 * m1)
-
-
 def g2_heralded_cat(
     r: float, det: DetectorModel, trunc: Truncation | None = None
 ) -> float:
@@ -281,12 +159,6 @@ def benchmark_g2(r, eta):
 def g2_tmss(r: float, det: DetectorModel) -> float:
     """benchmark_g2 at one point."""
     return float(benchmark_g2(r, det.eta))
-
-
-def g2_numeric(dist: optics.JointDistribution, det: DetectorModel) -> float:
-    """Heralded g2 of a joint distribution with mode a click-detected (the
-    dense oracle for g2_tmss on tmss_joint_probability)."""
-    return _g2_subnormalized(det.click_weights(dist.truncation.dim) @ dist.p)
 
 
 def quality_crossover(

@@ -8,11 +8,8 @@ around alpha = 10 would otherwise need hundreds of Fock levels.
 
 Every label-series probability runs through one kernel,
 `_overlap_probability`, on the cached nonzero pair terms of
-`_pair_series`.  `kerr_evolve`, `HybridKerrState` and `coherent_overlap`
-build the same overlap from explicit states; they are the oracle the
-tests check the kernel against.  The phase-noise average is a periodic
-trapezoid rule; the Gauss-Hermite ladder and a seeded Monte Carlo
-average are its oracles.
+`_pair_series`.  The phase-noise average is a periodic trapezoid rule
+checked against itself at half the step.
 """
 from __future__ import annotations
 
@@ -24,13 +21,9 @@ import math
 import numpy as np
 
 from . import optics, sources
-from .fockspace import Truncation, TruncationError
+from .fockspace import TINY, NumericalFailureError, Truncation
 
 TWO_PI = 2.0 * math.pi
-
-# Coefficient sums are accepted as converged when they carry at least this
-# much of the unit norm.
-COEFF_NORM_TOL = 1e-10
 
 # Tail target for the automatically chosen series cutoff.
 SERIES_TAIL_TOL = 1e-11
@@ -50,14 +43,6 @@ TRAPEZOID_AGREEMENT = 1e-12
 TRAPEZOID_BAND_PAD = 3.0
 TRAPEZOID_CHUNK = 4096
 TRAPEZOID_MAX_NODES = 2**20
-
-# Gauss-Hermite escalation ladder (the oracle for the trapezoid rule);
-# larger r keeps more pair terms, which oscillate at frequency
-# ~ alpha^2 * n under a 1/(alpha*n) wide envelope, so the node count has
-# to scale with the highest retained pair index; every order is even, so
-# each rule splits into two mirrored halves (see _hermite_rule)
-QUADRATURE_ORDERS = (64, 128, 256, 512, 1024, 2048, 4096, 8192)
-QUADRATURE_AGREEMENT = 1e-9
 
 FIT_SIGMA_MAX = 1e-3
 FIT_SAMPLES = 21
@@ -93,78 +78,12 @@ def _check_schedule(tau_tilde, alpha: complex) -> None:
         raise ValueError("pump amplitude must be nonzero")
 
 
-@dataclasses.dataclass(frozen=True)
-class HybridKerrState:
-    """Sum over pair index n of c_n |2n>_1 |beta_n>_2 (oracle path).
-
-    coeffs are the squeezed-vacuum coefficients of the even levels |2n>;
-    labels are the coherent amplitudes beta_n of mode 2.
-    """
-
-    coeffs: np.ndarray
-    labels: np.ndarray
-    truncation: Truncation
-
-    def __post_init__(self):
-        c = np.array(self.coeffs, dtype=complex)
-        b = np.array(self.labels, dtype=complex)
-        if c.ndim != 1 or c.shape != b.shape:
-            raise ValueError("coeffs and labels must be vectors of equal length")
-        total = float(np.sum(np.abs(c) ** 2))
-        if abs(total - 1.0) > COEFF_NORM_TOL:
-            raise TruncationError(
-                "hybrid state coefficients are not converged", 1.0 - total
-            )
-        c.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-        object.__setattr__(self, "labels", b)
-
-    @property
-    def pair_indices(self) -> np.ndarray:
-        return np.arange(len(self.coeffs))
-
-    @property
-    def photon_numbers(self) -> np.ndarray:
-        return 2 * self.pair_indices
-
-    def components(self) -> list[tuple[int, complex, complex]]:
-        """(n, c_n, beta_n) triples; the Fock level of component n is 2n."""
-        return [
-            (int(n), complex(c), complex(b))
-            for n, c, b in zip(self.pair_indices, self.coeffs, self.labels)
-        ]
-
-
 @functools.lru_cache(maxsize=256)
 def series_truncation(r: float, tail_tol: float = SERIES_TAIL_TOL) -> Truncation:
     """Cutoff for label-based sums, which never build matrices and can
     afford tails far below the matrix default."""
     dim = max(64, sources.converged_dim(r, tail_tol))
     return Truncation(dim, tail_tol=SERIES_STATE_TOL)
-
-
-def kerr_evolve(r: float, sched: KerrSchedule, trunc: Truncation) -> HybridKerrState:
-    """Evolve S(r)|0>_1 |alpha>_2 under the cross-Kerr coupling for phase
-    tau_tilde: each pair component |2n> imprints e^{-i n tau_tilde} on the
-    pump label.  Oracle for the label-series kernel; no production
-    quantity builds the state."""
-    base = sources.squeezed_vacuum(r, trunc)
-    pairs = (trunc.dim + 1) // 2
-    n = np.arange(pairs)
-    coeffs = base.amps[2 * n]
-    labels = sched.alpha * np.exp(-1j * n * sched.tau_tilde)
-    return HybridKerrState(coeffs, labels, trunc)
-
-
-def coherent_overlap(beta: complex, gamma: complex) -> complex:
-    """<beta|gamma> = exp(-|beta|^2/2 - |gamma|^2/2 + conj(beta) gamma)."""
-    return complex(
-        np.exp(
-            -0.5 * (abs(beta) ** 2 + abs(gamma) ** 2)
-            + np.conj(beta) * gamma
-        )
-    )
 
 
 def p0_over_tau(
@@ -235,15 +154,13 @@ def _pair_series(r: float, sign: int, trunc: Truncation) -> tuple[np.ndarray, np
     g_n = conj(c_n) d_{2n} of squeezed vacuum c against the sign
     superposition d.
 
-    The superposition keeps every other pair level, so half the weights
-    are exact zeros; only exact zeros are dropped.  Small tail terms stay,
-    so the 1.5x-cutoff recheck still compares two different series.
+    Both amplitudes are real and carry the same sign (-1)^n, so g_n is
+    the product of their magnitudes.  The superposition keeps every other
+    pair level, so half the weights are exact zeros; only exact zeros are
+    dropped.  Small tail terms stay, so the 1.5x-cutoff recheck still
+    compares two different series.
     """
-    base = sources.squeezed_vacuum(r, trunc)
-    cat = sources.squeezed_cat(r, sign, trunc)
-    levels = 2 * np.arange((trunc.dim + 1) // 2)
-    # both amplitude vectors are real, so g_n = conj(c_n) d_{2n} is too
-    g = (base.amps[levels] * cat.amps[levels]).real
+    g = sources.pair_amplitudes(r, None, trunc) * sources.pair_amplitudes(r, sign, trunc)
     n = np.flatnonzero(g)
     g = g[n]
     n.setflags(write=False)
@@ -278,15 +195,23 @@ def _phase_series(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Odd-branch pair terms and the tau_tilde = pi reference probability
     for the ratio kernel, at cutoff dim (default: the series cutoff) with
-    tail tolerance tail_tol."""
+    tail tolerance tail_tol.  A reference probability below the smallest
+    normal float has lost its digits, and every ratio against it with
+    them, so it raises NumericalFailureError."""
     if not r > 0.0:
         raise ValueError("squeezing must be positive")
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise ValueError("pump amplitude must be real, finite and positive")
     trunc = Truncation(series_truncation(r).dim if dim is None else dim, tail_tol)
     n, g = _pair_series(r, -1, trunc)
-    ref = _overlap_probability(np.array([math.pi]), n, g, alpha, -alpha)[0]
-    return n, g, float(ref)
+    ref = float(_overlap_probability(np.array([math.pi]), n, g, alpha, -alpha)[0])
+    # written so that a NaN reference fails too
+    if not ref >= TINY:
+        raise NumericalFailureError(
+            f"herald probability {ref:.3g} at tau_tilde = pi has lost its digits "
+            f"at r = {r}, alpha = {alpha}"
+        )
+    return n, g, ref
 
 
 def phase_error_ratio(r: float, alpha: float, dtheta: float, dim: int | None = None) -> float:
@@ -377,76 +302,6 @@ def _averaged_ratio_trapezoid(
     return fine
 
 
-@functools.lru_cache(maxsize=len(QUADRATURE_ORDERS))
-def _hermite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Positive nodes of the even-order Gauss-Hermite rule, with doubled
-    weights (oracle).
-
-    With g and w = -alpha^2 real, F(pi - x) = conj(F(pi + x)), so the
-    averaged |F|^2 is even in x and the mirrored half of the symmetric
-    rule adds nothing.
-    """
-    # scipy's nodes stay accurate at the high orders of the ladder, where
-    # numpy's recurrence-based hermgauss overflows; its rules are exactly
-    # mirror-symmetric.  The oracle needs scipy (the test extra).
-    from scipy.special import roots_hermite
-
-    nodes, weights = roots_hermite(order)
-    half = order // 2
-    nodes = nodes[half:]
-    weights = 2.0 * weights[half:]
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
-
-
-def _averaged_ratio_quadrature(
-    r: float,
-    alpha: float,
-    sigma: float,
-    order: int,
-    dim: int | None,
-    tail_tol: float = SERIES_STATE_TOL,
-) -> float:
-    n, g, ref = _phase_series(r, alpha, dim, tail_tol)
-    nodes, weights = _hermite_rule(order)
-    taus = math.pi + math.sqrt(2.0) * sigma * nodes
-    vals = _overlap_probability(taus, n, g, alpha, -alpha) / ref
-    return float(np.dot(weights, vals) / math.sqrt(math.pi))
-
-
-def _hermite_ladder_ratio(r: float, alpha: float, sigma: float) -> float:
-    """Gaussian-averaged ratio from the Gauss-Hermite ladder: the first
-    adjacent pair of QUADRATURE_ORDERS that agrees within
-    QUADRATURE_AGREEMENT (oracle for the trapezoid rule; no production
-    quantity calls it)."""
-    prev = _averaged_ratio_quadrature(r, alpha, sigma, QUADRATURE_ORDERS[0], None)
-    for order in QUADRATURE_ORDERS[1:]:
-        cur = _averaged_ratio_quadrature(r, alpha, sigma, order, None)
-        if abs(cur - prev) <= QUADRATURE_AGREEMENT:
-            return cur
-        prev = cur
-    raise QuadratureConvergenceError(
-        f"orders {QUADRATURE_ORDERS} disagree beyond {QUADRATURE_AGREEMENT} "
-        f"at r = {r}, alpha = {alpha}, sigma = {sigma}"
-    )
-
-
-def _monte_carlo_ratio(
-    r: float, alpha: float, sigma: float, samples: int, seed: int | None
-) -> float:
-    """Mean of phase_error_ratio over `samples` seeded draws dtheta ~
-    N(0, sigma^2) at the series cutoff (oracle for the trapezoid rule; no
-    production quantity calls it)."""
-    if seed is None:
-        raise ValueError("monte-carlo averaging requires a seed")
-    rng = np.random.default_rng(seed)
-    n, g, ref = _phase_series(r, alpha, None)
-    taus = math.pi + rng.normal(0.0, sigma, size=samples)
-    vals = _overlap_probability(taus, n, g, alpha, -alpha) / ref
-    return float(np.mean(vals))
-
-
 def gaussian_averaged_ratio(
     r: float,
     alpha: float,
@@ -460,7 +315,9 @@ def gaussian_averaged_ratio(
     must agree with itself at twice the step within 1e-12 or raises
     QuadratureConvergenceError.  The series runs at cutoff dim (default:
     series_truncation(r)) and raises TruncationError when more than
-    tail_tol of the state lies beyond it.
+    tail_tol of the state lies beyond it, and NumericalFailureError where
+    the reference probability, about r^2/2, is below the smallest normal
+    float (r below about 2e-154).
     """
     if not (math.isfinite(sigma) and sigma >= 0.0):
         raise ValueError("sigma must be finite and nonnegative")

@@ -1,0 +1,646 @@
+"""Reference paths: the independent computations that `verify` and the
+tests check the production kernels against.
+
+- Explicit state vectors over the truncated Fock space, the matrix
+  squeezer and coherent amplitudes.
+- The source states as vectors: squeezed vacuum, the sign superpositions
+  and the two-mode squeezed vacuum.
+- Three balanced-splitter paths: the dense closed-form table split(), the
+  orthogonal per-total-N blocks of apply_beam_splitter(), and the squeezer
+  decomposition through the per-diagonal two-mode squeezer.
+- Dense click statistics and the numeric heralded g2 of a joint table.
+- The explicit cross-Kerr state, and the Gauss-Hermite ladder and seeded
+  Monte Carlo averages of the phase-noise ratio.
+
+No figure, sweep or production kernel imports this module; production
+numbers come from the photon-number rows of optics, the binomial kernels
+of detect and the label series of kerr.  scipy (the test extra) is
+imported only inside coherent_amplitudes and _hermite_rule.
+"""
+from __future__ import annotations
+
+import dataclasses
+import functools
+import math
+
+import numpy as np
+
+from . import kerr, sources
+from .detect import TINY, DetectorModel, ZeroClickError, ZeroMeanError
+from .fockspace import (
+    SQUEEZE_LIMIT,
+    NumericalFailureError,
+    Truncation,
+    TruncationError,
+    log_factorials,
+)
+
+BALANCED_ANGLE = math.pi / 4.0
+
+# Coefficient sums of the explicit Kerr state are accepted as converged
+# when they carry at least this much of the unit norm.
+COEFF_NORM_TOL = 1e-10
+
+# Gauss-Hermite escalation ladder (the oracle for the trapezoid rule);
+# larger r keeps more pair terms, which oscillate at frequency
+# ~ alpha^2 * n under a 1/(alpha*n) wide envelope, so the node count has
+# to scale with the highest retained pair index; every order is even, so
+# each rule splits into two mirrored halves (see _hermite_rule)
+QUADRATURE_ORDERS = (64, 128, 256, 512, 1024, 2048, 4096, 8192)
+QUADRATURE_AGREEMENT = 1e-9
+
+
+# ------------------------------------------------------------ Fock space
+
+
+class TruncationMismatchError(ValueError):
+    """Operands were constructed with different truncations."""
+
+
+class DegenerateStateError(ValueError):
+    """The requested superposition has zero norm and is undefined."""
+
+
+def _frozen_array(obj, name: str, values: np.ndarray) -> None:
+    arr = np.array(values, dtype=complex)
+    arr.setflags(write=False)
+    object.__setattr__(obj, name, arr)
+
+
+@dataclasses.dataclass(frozen=True)
+class SingleModeState:
+    """Amplitudes over photon numbers 0..dim-1 for one mode."""
+
+    amps: np.ndarray
+    truncation: Truncation
+
+    def __post_init__(self):
+        if np.ndim(self.amps) != 1 or len(self.amps) != self.truncation.dim:
+            raise ValueError("amps must be a vector of length truncation.dim")
+        _frozen_array(self, "amps", self.amps)
+
+    @property
+    def dim(self) -> int:
+        return self.truncation.dim
+
+    def norm_sq(self) -> float:
+        return float(np.vdot(self.amps, self.amps).real)
+
+    def photon_distribution(self) -> np.ndarray:
+        return np.abs(self.amps) ** 2
+
+
+@dataclasses.dataclass(frozen=True)
+class TwoModeState:
+    """Amplitudes amps[n_a, n_b] over a dim x dim photon-number grid."""
+
+    amps: np.ndarray
+    truncation: Truncation
+
+    def __post_init__(self):
+        d = self.truncation.dim
+        if np.shape(self.amps) != (d, d):
+            raise ValueError("amps must be a dim x dim matrix")
+        _frozen_array(self, "amps", self.amps)
+
+    @property
+    def dim(self) -> int:
+        return self.truncation.dim
+
+    def norm_sq(self) -> float:
+        return float(np.vdot(self.amps, self.amps).real)
+
+    def joint_distribution(self) -> np.ndarray:
+        return np.abs(self.amps) ** 2
+
+
+def _require_same_truncation(u, v) -> None:
+    if u.truncation != v.truncation:
+        raise TruncationMismatchError(
+            f"truncations differ: {u.truncation} vs {v.truncation}"
+        )
+
+
+def vacuum_state(trunc: Truncation) -> SingleModeState:
+    """|0> in the truncated space."""
+    amps = np.zeros(trunc.dim, dtype=complex)
+    amps[0] = 1.0
+    return SingleModeState(amps, trunc)
+
+
+def fock_state(n: int, trunc: Truncation) -> SingleModeState:
+    """|n>; n must lie below the cutoff."""
+    if not 0 <= n < trunc.dim:
+        raise ValueError(f"level {n} outside 0..{trunc.dim - 1}")
+    amps = np.zeros(trunc.dim, dtype=complex)
+    amps[n] = 1.0
+    return SingleModeState(amps, trunc)
+
+
+def coherent_amplitudes(alpha: complex, trunc: Truncation) -> SingleModeState:
+    """Coherent state |alpha>: amps[n] = exp(-|alpha|^2/2) alpha^n / sqrt(n!).
+
+    Magnitudes are accumulated in log space so large |alpha| does not
+    overflow intermediate factorials.  Raises TruncationError when the
+    mass above the cutoff exceeds the tolerance.  Needs scipy (the test
+    extra): gammaln's rounding is what keeps the computed
+    |<alpha|-alpha>|^2 at alpha = 10 near 1e-30.
+    """
+    from scipy.special import gammaln
+
+    n = np.arange(trunc.dim)
+    a = abs(alpha)
+    if a == 0.0:
+        return vacuum_state(trunc)
+    logmag = -0.5 * a * a + n * math.log(a) - 0.5 * gammaln(n + 1.0)
+    phase = np.exp(1j * n * np.angle(alpha))
+    amps = np.exp(logmag) * phase
+    tail = 1.0 - float(np.sum(np.exp(2.0 * logmag)))
+    if tail > trunc.tail_tol:
+        raise TruncationError(
+            f"coherent state with |alpha| = {a} does not fit in dim = {trunc.dim}",
+            tail,
+        )
+    return SingleModeState(amps, trunc)
+
+
+def annihilation(trunc: Truncation) -> np.ndarray:
+    """Lowering operator a: a|n> = sqrt(n)|n-1>, as a dim x dim matrix."""
+    return np.diag(np.sqrt(np.arange(1, trunc.dim, dtype=float)), k=1)
+
+
+def expm_antisymmetric(gen: np.ndarray) -> np.ndarray:
+    """exp(gen) of a real antisymmetric matrix, an orthogonal matrix.
+
+    i gen is Hermitian with eigendecomposition V diag(w) V^H, so
+    exp(gen) = V diag(e^{-i w}) V^H, whose imaginary part is round-off.
+    """
+    if not np.all(np.isfinite(gen)):
+        raise NumericalFailureError("matrix exponential of a non-finite generator")
+    w, v = np.linalg.eigh(1j * gen)
+    return ((v * np.exp(-1j * w)) @ v.conj().T).real
+
+
+def squeeze_matrix(r: float, trunc: Truncation) -> np.ndarray:
+    """Single-mode squeezer S(r) = exp[(r/2)(a^2 - a^dag^2)] on the cutoff space.
+
+    The generator is real antisymmetric, so expm_antisymmetric gives an
+    orthogonal matrix: inverse pairs compose to the identity and
+    unitarity holds on the whole space to machine precision.  The price is a boundary
+    reflection: amplitude that the untruncated operator would push past
+    the cutoff folds back, perturbing the vacuum column at the
+    ~0.3 * tanh(r)**(dim/2) scale.  Size dim so that this is below the
+    accuracy you need (dim >= 80 gives < 1e-8 for r <= 0.725).
+    """
+    if abs(r) > SQUEEZE_LIMIT:
+        raise ValueError(f"|r| must not exceed {SQUEEZE_LIMIT}, got {r}")
+    a = annihilation(trunc)
+    return expm_antisymmetric(0.5 * r * (a @ a - a.T @ a.T))
+
+
+def inner_product(u: SingleModeState | TwoModeState, v: SingleModeState | TwoModeState) -> complex:
+    """<u|v>, conjugate-linear in the first argument."""
+    if type(u) is not type(v):
+        raise TypeError("inner product needs two states of the same kind")
+    _require_same_truncation(u, v)
+    return complex(np.vdot(u.amps, v.amps))
+
+
+def tensor(a: SingleModeState, b: SingleModeState) -> TwoModeState:
+    """Product state with amps[n_a, n_b] = a[n_a] * b[n_b]."""
+    _require_same_truncation(a, b)
+    return TwoModeState(np.outer(a.amps, b.amps), a.truncation)
+
+
+# --------------------------------------------------------------- sources
+
+
+def _pair_signs(r: float, pairs: int) -> np.ndarray:
+    """Signs of c_2k, k < pairs: those of (-tanh r)^k for r > 0."""
+    return np.where((np.arange(pairs) % 2 == 1) & (r > 0), -1.0, 1.0)
+
+
+def squeezed_vacuum(r: float, trunc: Truncation) -> SingleModeState:
+    """S(r)|0>: even-level amplitudes c_{2k} proportional to (-tanh r)^k.
+
+    The sign convention matches squeeze_matrix: positive r gives a real
+    state with alternating signs on levels 0, 2, 4, ...
+    """
+    mag = sources.pair_amplitudes(r, None, trunc)
+    amps = np.zeros(trunc.dim, dtype=complex)
+    amps[0::2] = _pair_signs(r, len(mag)) * mag
+    return SingleModeState(amps, trunc)
+
+
+def squeezed_cat(r: float, sign: int, trunc: Truncation) -> SingleModeState:
+    """Normalized superposition (S(r)|0> pm S(-r)|0>) / sqrt(N_pm).
+
+    The plus branch lives on levels 0, 4, 8, ...; the minus branch on
+    2, 6, 10, ...  The minus branch is undefined at r = 0.
+    """
+    if sign not in (+1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign}")
+    if sign < 0 and r == 0.0:
+        raise DegenerateStateError("the odd superposition vanishes at r = 0")
+    mag = sources.pair_amplitudes(r, sign, trunc)
+    amps = np.zeros(trunc.dim, dtype=complex)
+    amps[0::2] = _pair_signs(r, len(mag)) * mag
+    return SingleModeState(amps, trunc)
+
+
+def two_mode_squeezed_vacuum(r: float, trunc: Truncation) -> TwoModeState:
+    """Two-mode squeezed vacuum with Schmidt amplitudes tanh^n r / cosh r.
+
+    Amplitudes are taken real and positive; only |amps|^2 feeds the
+    statistics downstream, so any relative phase convention on the
+    Schmidt terms would give the same tables.
+    """
+    t = sources._tmss_tanh(r, trunc)
+    n = np.arange(trunc.dim)
+    if t == 0.0:
+        diag = np.where(n == 0, 1.0, 0.0)
+    else:
+        diag = np.exp(n * math.log(t) - math.log(math.cosh(r)))
+    amps = np.zeros((trunc.dim, trunc.dim), dtype=complex)
+    np.fill_diagonal(amps, diag)
+    return TwoModeState(amps, trunc)
+
+
+# -------------------------------------------------------------- splitter
+
+
+@functools.lru_cache(maxsize=16)
+def _blocks(dim: int, theta: float) -> tuple[np.ndarray, ...]:
+    """Orthogonal beam-splitter blocks, one per total photon number N < dim.
+
+    Block N acts on the basis |k, N-k>, k = 0..N, with generator
+    G[k+1, k] = theta sqrt((k+1)(N-k)) and G[k-1, k] = -theta sqrt(k(N-k+1)).
+    The generator is real antisymmetric, so each block is orthogonal.
+    """
+    out = []
+    for total in range(dim):
+        k = np.arange(total)
+        lower = theta * np.sqrt((k + 1.0) * (total - k))
+        block = expm_antisymmetric(np.diag(lower, k=-1) - np.diag(lower, k=1))
+        block.setflags(write=False)
+        out.append(block)
+    return tuple(out)
+
+
+def apply_beam_splitter(state: TwoModeState, theta: float = BALANCED_ANGLE) -> TwoModeState:
+    """Apply U = exp[theta (a^dag b - a b^dag)] to an arbitrary two-mode
+    state, one orthogonal block per total photon number.
+
+    At theta = pi/4, U a^dag U^dag = (a^dag - b^dag)/sqrt(2).  The
+    independent reference for split().  Anti-diagonals with total photon
+    number >= dim cannot be represented and are dropped; the lost mass
+    shows up as a norm deficit on the output, mirroring how the cutoff
+    treats every other operation.
+    """
+    d = state.dim
+    blocks = _blocks(d, theta)
+    rows = np.arange(d)
+    out = np.zeros((d, d), dtype=complex)
+    for total in range(d):
+        k = rows[: total + 1]
+        out[k, total - k] = blocks[total] @ state.amps[k, total - k]
+    return TwoModeState(out, state.truncation)
+
+
+@functools.lru_cache(maxsize=16)
+def _balanced_columns(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form balanced-splitter image of every |N, 0>, N < dim
+    (Campos, Saleh & Teich, PRA 40, 1371 (1989)):
+
+        U |N, 0> = sum_k (-1)^(N-k) sqrt(C(N, k) / 2^N) |k, N-k>.
+
+    Returns (coeff, totals): coeff[n_a, n_b] is the amplitude that |N, 0>
+    with N = n_a + n_b sends to |n_a, n_b>, and totals[n_a, n_b] = N,
+    except that totals >= dim, which the cutoff cannot hold, all point at
+    index dim (a zero pad slot in split()).
+    """
+    n = np.arange(dim)
+    totals = np.add.outer(n, n)
+    log_fact = log_factorials(2 * dim - 1)
+    # the grouped sum keeps |coeff| exactly symmetric under n_a <-> n_b
+    log_coeff = 0.5 * (
+        log_fact[totals] - np.add.outer(log_fact[:dim], log_fact[:dim]) - totals * math.log(2.0)
+    )
+    coeff = np.where(n % 2 == 0, 1.0, -1.0) * np.exp(log_coeff)
+    totals = np.minimum(totals, dim)
+    coeff.setflags(write=False)
+    totals.setflags(write=False)
+    return coeff, totals
+
+
+def split(state: SingleModeState) -> TwoModeState:
+    """Send `state` into port a of the balanced splitter with vacuum in
+    port b: out[n_a, n_b] = coeff[n_a, n_b] * amps[n_a + n_b].
+
+    Totals n_a + n_b >= dim are dropped, as in apply_beam_splitter.
+    """
+    norm = state.norm_sq()
+    if norm > 1.0 + 1e-9 or 1.0 - norm > state.truncation.tail_tol:
+        raise ValueError(f"input must be normalized up to the tail tolerance, |psi|^2 = {norm}")
+    coeff, totals = _balanced_columns(state.dim)
+    return TwoModeState(coeff * np.append(state.amps, 0.0)[totals], state.truncation)
+
+
+@dataclasses.dataclass(frozen=True)
+class JointDistribution:
+    """Joint photon-number probabilities p[n_a, n_b] plus truncation deficit.
+
+    deficit = 1 - sum(p); constructors guarantee it stays below the
+    truncation's tail tolerance.
+    """
+
+    p: np.ndarray
+    deficit: float
+    truncation: Truncation
+
+    def __post_init__(self):
+        d = self.truncation.dim
+        if np.shape(self.p) != (d, d):
+            raise ValueError("p must be dim x dim")
+        arr = np.array(self.p, dtype=float)
+        arr.setflags(write=False)
+        object.__setattr__(self, "p", arr)
+        if self.deficit > self.truncation.tail_tol:
+            raise TruncationError("joint distribution lost too much mass", self.deficit)
+
+
+def joint_probability(state: TwoModeState) -> JointDistribution:
+    p = state.joint_distribution()
+    deficit = 1.0 - float(np.sum(p))
+    return JointDistribution(p, deficit, state.truncation)
+
+
+def tmss_joint_probability(r: float, trunc: Truncation) -> JointDistribution:
+    """Joint distribution of the two-mode squeezed vacuum benchmark."""
+    return joint_probability(two_mode_squeezed_vacuum(r, trunc))
+
+
+def two_mode_squeeze_apply(s: float, state: TwoModeState) -> TwoModeState:
+    """Apply S_ab(s) = exp[s (ab - a^dag b^dag)] one diagonal at a time.
+
+    The generator keeps n_a - n_b fixed, so on the diagonal
+    |m + p, m + q> (p - q = n_a - n_b) it is tridiagonal with
+    G[m-1, m] = sqrt((m + p)(m + q)) = -G[m, m-1].  A diagonal with no
+    amplitude stays zero.
+    """
+    d = state.dim
+    out = np.zeros((d, d), dtype=complex)
+    for offset in range(1 - d, d):
+        rows = np.arange(max(offset, 0), d + min(offset, 0))
+        cols = rows - offset
+        vec = state.amps[rows, cols]
+        if not vec.any():
+            continue
+        upper = s * np.sqrt(rows[1:] * cols[1:])
+        block = expm_antisymmetric(np.diag(upper, k=1) - np.diag(upper, k=-1))
+        out[rows, cols] = block @ vec
+    return TwoModeState(out, state.truncation)
+
+
+def split_via_squeezer_decomposition(r: float, trunc: Truncation) -> TwoModeState:
+    """Split squeezed vacuum using the squeezer identity instead of blocks:
+
+        U (S_a(r)|0,0>) = S_ab(-r/2) S_a(r/2) S_b(r/2) |0, 0>
+
+    with the sign conventions fixed above.  Amplitudes agree with split()
+    to machine precision on photon totals well below the cutoff; near the
+    cutoff the two paths truncate differently (split() drops whole totals
+    >= dim, this path keeps the square grid), so compare probability
+    tables, or amplitudes on totals < dim/2.
+    """
+    half = squeezed_vacuum(r / 2.0, trunc)
+    product = np.outer(half.amps, half.amps)
+    return two_mode_squeeze_apply(-r / 2.0, TwoModeState(product, trunc))
+
+
+def tmss_schmidt_check(r: float, trunc: Truncation) -> TwoModeState:
+    """S_ab(r)|0,0> built by two_mode_squeeze_apply, for comparing
+    probability tables against two_mode_squeezed_vacuum."""
+    vac = np.zeros((trunc.dim, trunc.dim), dtype=complex)
+    vac[0, 0] = 1.0
+    return two_mode_squeeze_apply(r, TwoModeState(vac, trunc))
+
+
+# ------------------------------------------------------------- detection
+
+
+def click_weights(eta: float, count: int) -> np.ndarray:
+    """w[k] = eta (1-eta)^{k-1} for k >= 1, w[0] = 0.
+
+    These weight the herald-arm photon number when exactly one counted
+    photon is required; their tail sum is the plain click probability.
+    """
+    k = np.arange(count)
+    w = np.zeros(count)
+    w[1:] = eta * (1.0 - eta) ** (k[1:] - 1.0)
+    return w
+
+
+@dataclasses.dataclass(frozen=True)
+class HeraldedStatistics:
+    """Click probabilities and the click-conditioned signal distribution.
+
+    p_click: probability the herald detector fires at all.
+    p_click_1: probability it fires with exactly one detected photon.
+    p_click_c: conditional probability the click was single-photon.
+    conditional_photon_dist: signal-mode distribution given a click.
+    """
+
+    p_click: float
+    p_click_1: float
+    p_click_c: float
+    conditional_photon_dist: np.ndarray
+
+    def __post_init__(self):
+        arr = np.array(self.conditional_photon_dist, dtype=float)
+        arr.setflags(write=False)
+        object.__setattr__(self, "conditional_photon_dist", arr)
+
+
+def _statistics(weighted_b: np.ndarray) -> HeraldedStatistics:
+    """Click statistics from the click-weighted signal row
+    q(n_b) = sum_{n_a} w_{n_a} p(n_a, n_b): p_click is its total mass,
+    p_click_1 its n_b = 1 entry, and the conditional signal distribution
+    its normalization.  A subnormal click probability has lost its
+    digits, so it counts as vanished."""
+    p_click = float(weighted_b.sum())
+    if p_click < TINY:
+        raise ZeroClickError("click probability vanished")
+    p_click_1 = float(weighted_b[1])
+    return HeraldedStatistics(
+        p_click=p_click,
+        p_click_1=p_click_1,
+        p_click_c=p_click_1 / p_click,
+        conditional_photon_dist=weighted_b / p_click,
+    )
+
+
+def click_statistics(dist: JointDistribution, det: DetectorModel) -> HeraldedStatistics:
+    """Click-detect mode a of a joint distribution (the dense oracle for
+    detect.heralded_clicks and detect.benchmark_clicks)."""
+    return _statistics(click_weights(det.eta, dist.truncation.dim) @ dist.p)
+
+
+def _g2_subnormalized(weighted_b: np.ndarray) -> float:
+    """g2 over the click-weighted (unnormalized) signal ensemble.
+
+    Keeping the click probability inside the moments reproduces the
+    closed-form benchmark; normalizing first would divide it out of the
+    numerator and denominator asymmetrically.  A subnormal squared mean
+    has lost its digits, so it counts as zero.
+    """
+    n = np.arange(len(weighted_b))
+    m1 = float(n @ weighted_b)
+    if m1 * m1 < TINY:
+        raise ZeroMeanError("mean photon number is zero")
+    m2 = float((n * (n - 1.0)) @ weighted_b)
+    return m2 / (m1 * m1)
+
+
+def g2_numeric(dist: JointDistribution, det: DetectorModel) -> float:
+    """Heralded g2 of a joint distribution with mode a click-detected (the
+    dense oracle for detect.heralded_g2 and, on tmss_joint_probability,
+    for detect.benchmark_g2)."""
+    return _g2_subnormalized(click_weights(det.eta, dist.truncation.dim) @ dist.p)
+
+
+# ------------------------------------------------------------------ Kerr
+
+
+@dataclasses.dataclass(frozen=True)
+class HybridKerrState:
+    """Sum over pair index n of c_n |2n>_1 |beta_n>_2.
+
+    coeffs are the squeezed-vacuum coefficients of the even levels |2n>;
+    labels are the coherent amplitudes beta_n of mode 2.
+    """
+
+    coeffs: np.ndarray
+    labels: np.ndarray
+    truncation: Truncation
+
+    def __post_init__(self):
+        c = np.array(self.coeffs, dtype=complex)
+        b = np.array(self.labels, dtype=complex)
+        if c.ndim != 1 or c.shape != b.shape:
+            raise ValueError("coeffs and labels must be vectors of equal length")
+        total = float(np.sum(np.abs(c) ** 2))
+        if abs(total - 1.0) > COEFF_NORM_TOL:
+            raise TruncationError(
+                "hybrid state coefficients are not converged", 1.0 - total
+            )
+        c.setflags(write=False)
+        b.setflags(write=False)
+        object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "labels", b)
+
+    @property
+    def pair_indices(self) -> np.ndarray:
+        return np.arange(len(self.coeffs))
+
+    @property
+    def photon_numbers(self) -> np.ndarray:
+        return 2 * self.pair_indices
+
+    def components(self) -> list[tuple[int, complex, complex]]:
+        """(n, c_n, beta_n) triples; the Fock level of component n is 2n."""
+        return [
+            (int(n), complex(c), complex(b))
+            for n, c, b in zip(self.pair_indices, self.coeffs, self.labels)
+        ]
+
+
+def kerr_evolve(r: float, sched: kerr.KerrSchedule, trunc: Truncation) -> HybridKerrState:
+    """Evolve S(r)|0>_1 |alpha>_2 under the cross-Kerr coupling for phase
+    tau_tilde: each pair component |2n> imprints e^{-i n tau_tilde} on the
+    pump label."""
+    base = squeezed_vacuum(r, trunc)
+    pairs = (trunc.dim + 1) // 2
+    n = np.arange(pairs)
+    coeffs = base.amps[2 * n]
+    labels = sched.alpha * np.exp(-1j * n * sched.tau_tilde)
+    return HybridKerrState(coeffs, labels, trunc)
+
+
+def coherent_overlap(beta: complex, gamma: complex) -> complex:
+    """<beta|gamma> = exp(-|beta|^2/2 - |gamma|^2/2 + conj(beta) gamma)."""
+    return complex(
+        np.exp(
+            -0.5 * (abs(beta) ** 2 + abs(gamma) ** 2)
+            + np.conj(beta) * gamma
+        )
+    )
+
+
+@functools.lru_cache(maxsize=len(QUADRATURE_ORDERS))
+def _hermite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positive nodes of the even-order Gauss-Hermite rule, with doubled
+    weights.
+
+    With g and w = -alpha^2 real, F(pi - x) = conj(F(pi + x)), so the
+    averaged |F|^2 is even in x and the mirrored half of the symmetric
+    rule adds nothing.
+    """
+    # scipy's nodes stay accurate at the high orders of the ladder, where
+    # numpy's recurrence-based hermgauss overflows; its rules are exactly
+    # mirror-symmetric.
+    from scipy.special import roots_hermite
+
+    nodes, weights = roots_hermite(order)
+    half = order // 2
+    nodes = nodes[half:]
+    weights = 2.0 * weights[half:]
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
+def _averaged_ratio_quadrature(
+    r: float,
+    alpha: float,
+    sigma: float,
+    order: int,
+    dim: int | None,
+    tail_tol: float = kerr.SERIES_STATE_TOL,
+) -> float:
+    n, g, ref = kerr._phase_series(r, alpha, dim, tail_tol)
+    nodes, weights = _hermite_rule(order)
+    taus = math.pi + math.sqrt(2.0) * sigma * nodes
+    vals = kerr._overlap_probability(taus, n, g, alpha, -alpha) / ref
+    return float(np.dot(weights, vals) / math.sqrt(math.pi))
+
+
+def _hermite_ladder_ratio(r: float, alpha: float, sigma: float) -> float:
+    """Gaussian-averaged ratio from the Gauss-Hermite ladder: the first
+    adjacent pair of QUADRATURE_ORDERS that agrees within
+    QUADRATURE_AGREEMENT (the oracle for kerr.gaussian_averaged_ratio)."""
+    prev = _averaged_ratio_quadrature(r, alpha, sigma, QUADRATURE_ORDERS[0], None)
+    for order in QUADRATURE_ORDERS[1:]:
+        cur = _averaged_ratio_quadrature(r, alpha, sigma, order, None)
+        if abs(cur - prev) <= QUADRATURE_AGREEMENT:
+            return cur
+        prev = cur
+    raise kerr.QuadratureConvergenceError(
+        f"orders {QUADRATURE_ORDERS} disagree beyond {QUADRATURE_AGREEMENT} "
+        f"at r = {r}, alpha = {alpha}, sigma = {sigma}"
+    )
+
+
+def _monte_carlo_ratio(
+    r: float, alpha: float, sigma: float, samples: int, seed: int | None
+) -> float:
+    """Mean of kerr.phase_error_ratio over `samples` seeded draws dtheta ~
+    N(0, sigma^2) at the series cutoff (a second oracle for
+    kerr.gaussian_averaged_ratio)."""
+    if seed is None:
+        raise ValueError("monte-carlo averaging requires a seed")
+    rng = np.random.default_rng(seed)
+    n, g, ref = kerr._phase_series(r, alpha, None)
+    taus = math.pi + rng.normal(0.0, sigma, size=samples)
+    vals = kerr._overlap_probability(taus, n, g, alpha, -alpha) / ref
+    return float(np.mean(vals))

@@ -1,8 +1,10 @@
-"""Source states with closed-form Fock coefficients.
+"""Closed-form Fock coefficients of the source states.
 
 Covers single-mode squeezed vacuum, its normalized sum and difference with
 the oppositely squeezed state (the even/odd "cat" superpositions used for
-heralding), and the two-mode squeezed vacuum benchmark.
+heralding), and the two-mode squeezed vacuum benchmark: pair amplitudes
+with their tail checks, superposition norms and herald probabilities, and
+the benchmark's P(1,1).
 """
 from __future__ import annotations
 
@@ -10,20 +12,9 @@ import math
 
 import numpy as np
 
-from .fockspace import (
-    SQUEEZE_LIMIT,
-    SingleModeState,
-    Truncation,
-    TruncationError,
-    TwoModeState,
-    log_factorials,
-)
+from .fockspace import SQUEEZE_LIMIT, Truncation, TruncationError, log_factorials
 
 LN2 = math.log(2.0)
-
-
-class DegenerateStateError(ValueError):
-    """The requested superposition has zero norm and is undefined."""
 
 
 def squeezing_db(r: float) -> float:
@@ -69,11 +60,6 @@ def _even_log_weights(r, pairs: int) -> np.ndarray:
     return -0.5 * np.log(np.cosh(r)) + 0.5 * log_fact[2 * k] - k * LN2 - log_fact[k] + k_log_t
 
 
-def _pair_signs(r: float, pairs: int) -> np.ndarray:
-    """Signs of c_2k, k < pairs: those of (-tanh r)^k for r > 0."""
-    return np.where((np.arange(pairs) % 2 == 1) & (r > 0), -1.0, 1.0)
-
-
 def _log_cat_norm(r, sign: int):
     """log N_pm(r), the odd branch logged factor by factor so that it
     stays finite where sinh^2 r underflows."""
@@ -94,6 +80,8 @@ def pair_amplitudes(r, sign: int | None, trunc: Truncation) -> np.ndarray:
     2 c_2k / sqrt(N_pm) are formed in log space, where N_- underflows as
     r -> 0.  At r = 0 the odd branch is its r -> 0 limit, |2>.
     """
+    if sign not in (None, +1, -1):
+        raise ValueError(f"sign must be +1, -1 or None, got {sign}")
     _check_squeeze(r)
     logmag = _even_log_weights(r, (trunc.dim + 1) // 2)
     vacuum = (1.0 - np.sum(np.exp(2.0 * logmag), axis=-1), "squeezed vacuum at r = {r}")
@@ -112,18 +100,6 @@ def pair_amplitudes(r, sign: int | None, trunc: Truncation) -> np.ndarray:
     _check_tails(r, trunc, vacuum, (1.0 - np.sum(mag * mag, axis=-1),
                                     "superposition at r = {r}, sign = %+d" % sign))
     return mag
-
-
-def squeezed_vacuum(r: float, trunc: Truncation) -> SingleModeState:
-    """S(r)|0>: even-level amplitudes c_{2k} proportional to (-tanh r)^k.
-
-    The sign convention matches squeeze_matrix: positive r gives a real
-    state with alternating signs on levels 0, 2, 4, ...
-    """
-    mag = pair_amplitudes(r, None, trunc)
-    amps = np.zeros(trunc.dim, dtype=complex)
-    amps[0::2] = _pair_signs(r, len(mag)) * mag
-    return SingleModeState(amps, trunc)
 
 
 def converged_dim(r: float, tail_tol: float, max_dim: int = 8192) -> int:
@@ -160,22 +136,6 @@ def cat_norm(r, sign: int):
     return 4.0 * np.sinh(r) ** 2 / (c * (c + 1.0))
 
 
-def squeezed_cat(r: float, sign: int, trunc: Truncation) -> SingleModeState:
-    """Normalized superposition (S(r)|0> pm S(-r)|0>) / sqrt(N_pm).
-
-    The plus branch lives on levels 0, 4, 8, ...; the minus branch on
-    2, 6, 10, ...  The minus branch is undefined at r = 0.
-    """
-    if sign not in (+1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    if sign < 0 and r == 0.0:
-        raise DegenerateStateError("the odd superposition vanishes at r = 0")
-    mag = pair_amplitudes(r, sign, trunc)
-    amps = np.zeros(trunc.dim, dtype=complex)
-    amps[0::2] = _pair_signs(r, len(mag)) * mag
-    return SingleModeState(amps, trunc)
-
-
 def herald_probability(r, sign: int):
     """Probability N_pm(r)/4 of projecting S(r)|0> onto the pm
     superposition, elementwise for an array r."""
@@ -196,21 +156,3 @@ def tmss_p11(r, trunc: Truncation):
     elementwise for an array r."""
     t = _tmss_tanh(r, trunc)
     return t * t / np.cosh(r) ** 2
-
-
-def two_mode_squeezed_vacuum(r: float, trunc: Truncation) -> TwoModeState:
-    """Two-mode squeezed vacuum with Schmidt amplitudes tanh^n r / cosh r.
-
-    Amplitudes are taken real and positive; only |amps|^2 feeds the
-    statistics downstream, so any relative phase convention on the
-    Schmidt terms would give the same tables.
-    """
-    t = _tmss_tanh(r, trunc)
-    n = np.arange(trunc.dim)
-    if t == 0.0:
-        diag = np.where(n == 0, 1.0, 0.0)
-    else:
-        diag = np.exp(n * math.log(t) - math.log(math.cosh(r)))
-    amps = np.zeros((trunc.dim, trunc.dim), dtype=complex)
-    np.fill_diagonal(amps, diag)
-    return TwoModeState(amps, trunc)

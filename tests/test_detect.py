@@ -5,10 +5,25 @@ import math
 import numpy as np
 import pytest
 
-from sqherald import analysis, detect, optics, sources
+from sqherald import analysis, detect, optics, reference
 from sqherald import fockspace as fs
 
 DET9 = detect.DetectorModel(0.9)
+
+
+def cat_clicks(r, eta):
+    """p_click, p_click_1 and p_click_c of the split odd superposition at
+    one point, from the production kernel at the default cutoff."""
+    p_click, p_click_1 = (
+        float(v[0])
+        for v in detect.heralded_clicks(np.array([r]), np.array([eta]), fs.default_truncation(r))
+    )
+    return p_click, p_click_1, p_click_1 / p_click
+
+
+def tmss_clicks(r, eta):
+    """The benchmark's closed-form click statistics at one point."""
+    return tuple(float(v) for v in detect.benchmark_clicks(r, eta))
 
 
 def test_detector_model_validation():
@@ -21,9 +36,8 @@ def test_detector_model_validation():
 
 def test_click_weights_geometric_completeness():
     eta = 0.73
-    det = detect.DetectorModel(eta)
     dim = 40
-    w = det.click_weights(dim + 1)
+    w = reference.click_weights(eta, dim + 1)
     assert w[0] == 0.0
     assert w[1] == eta
     assert np.max(np.abs(np.diff(np.log(w[1:])) - math.log(1.0 - eta))) < 1e-12
@@ -34,8 +48,8 @@ def test_click_weights_geometric_completeness():
 
 def test_click_statistics_two_photon_hand_computation():
     # split |2>: outcomes (2,0), (1,1), (0,2) with weights 1/4, 1/2, 1/4
-    dist = optics.joint_probability(optics.split(fs.fock_state(2, fs.Truncation(16))))
-    st = detect.click_statistics(dist, DET9)
+    dist = reference.joint_probability(reference.split(reference.fock_state(2, fs.Truncation(16))))
+    st = reference.click_statistics(dist, DET9)
     assert st.p_click_1 == pytest.approx(0.45, abs=1e-15)
     assert st.p_click == pytest.approx(0.45 + 0.9 * 0.1 * 0.25, abs=1e-15)
     assert st.p_click_c == pytest.approx(0.45 / 0.4725, abs=1e-14)
@@ -43,105 +57,81 @@ def test_click_statistics_two_photon_hand_computation():
 
 
 def test_click_statistics_small_squeezing_limit():
-    st = detect.heralded_cat_statistics(0.01, DET9)
-    assert st.p_click_1 == pytest.approx(0.45, abs=1e-3)
-    assert st.p_click == pytest.approx(0.4725, abs=1e-3)
-    assert st.p_click_c == pytest.approx(0.9524, abs=1e-3)
+    p_click, p_click_1, p_click_c = cat_clicks(0.01, 0.9)
+    assert p_click_1 == pytest.approx(0.45, abs=1e-3)
+    assert p_click == pytest.approx(0.4725, abs=1e-3)
+    assert p_click_c == pytest.approx(0.9524, abs=1e-3)
 
 
 def test_click_statistics_invariants():
     for r, eta in ((0.3, 0.75), (0.725, 0.9), (1.5, 1.0)):
-        st = detect.heralded_cat_statistics(r, detect.DetectorModel(eta))
-        assert 0.0 <= st.p_click_1 <= st.p_click <= 1.0
-        assert st.p_click_c == pytest.approx(st.p_click_1 / st.p_click, abs=1e-15)
+        p_click, p_click_1, p_click_c = cat_clicks(r, eta)
+        assert 0.0 <= p_click_1 <= p_click <= 1.0
+        assert p_click_c == pytest.approx(p_click_1 / p_click, abs=1e-15)
 
 
 def test_perfect_detector_reduces_to_ideal_herald():
     trunc = fs.Truncation(64)
-    dist = optics.joint_probability(
-        optics.split(sources.squeezed_cat(0.725, -1, trunc))
+    dist = reference.joint_probability(
+        reference.split(reference.squeezed_cat(0.725, -1, trunc))
     )
-    st = detect.click_statistics(dist, detect.DetectorModel(1.0))
-    assert abs(st.p_click_c - optics.conditional_single_photon(dist)) < 1e-12
+    st = reference.click_statistics(dist, detect.DetectorModel(1.0))
+    assert abs(st.p_click_c - optics.single_photon_fraction(dist.p[1])) < 1e-12
 
 
 def test_heralded_cat_regression_fixture():
-    st = detect.heralded_cat_statistics(0.725, DET9)
-    assert st.p_click == pytest.approx(0.4369454696970719, abs=1e-12)
-    assert st.p_click_1 == pytest.approx(0.40736880622208627, abs=1e-12)
-    assert st.p_click_c == pytest.approx(0.9323104013517048, abs=1e-12)
+    p_click, p_click_1, p_click_c = cat_clicks(0.725, 0.9)
+    assert p_click == pytest.approx(0.4369454696970719, abs=1e-12)
+    assert p_click_1 == pytest.approx(0.40736880622208627, abs=1e-12)
+    assert p_click_c == pytest.approx(0.9323104013517048, abs=1e-12)
 
 
 def test_click_statistics_zero_click():
-    dist = optics.joint_probability(optics.split(fs.vacuum_state(fs.Truncation(8))))
+    dist = reference.joint_probability(reference.split(reference.vacuum_state(fs.Truncation(8))))
     with pytest.raises(detect.ZeroClickError):
-        detect.click_statistics(dist, DET9)
+        reference.click_statistics(dist, DET9)
 
 
 def test_tmss_click_closed_forms():
-    st = detect.tmss_click_statistics(0.5, DET9)
-    assert st.p_click_1 == pytest.approx(
+    _, p_click_1, _ = tmss_clicks(0.5, 0.9)
+    assert p_click_1 == pytest.approx(
         0.9 * math.tanh(0.5) ** 2 / math.cosh(0.5) ** 2, abs=1e-15
     )
-    assert st.p_click_1 == pytest.approx(0.151, abs=5e-4)
+    assert p_click_1 == pytest.approx(0.151, abs=5e-4)
     for r in (0.1, 0.5, 1.0, 2.0):
-        s = detect.tmss_click_statistics(r, DET9)
-        assert s.p_click_c == pytest.approx(0.9 + 0.1 / math.cosh(r) ** 2, abs=1e-15)
-        assert s.p_click_c == pytest.approx(s.p_click_1 / s.p_click, abs=1e-14)
+        p_click, p_click_1, p_click_c = tmss_clicks(r, 0.9)
+        assert p_click_c == pytest.approx(0.9 + 0.1 / math.cosh(r) ** 2, abs=1e-15)
+        assert p_click_c == pytest.approx(p_click_1 / p_click, abs=1e-14)
         denom = 2.0 - 0.9 * (1.0 - math.cosh(2.0 * r))
-        assert s.p_click == pytest.approx(
+        assert p_click == pytest.approx(
             2.0 * 0.9 * math.tanh(r) ** 2 / denom, abs=1e-15
         )
 
 
 def test_tmss_click_trivial_limit():
-    st = detect.tmss_click_statistics(0.0, DET9)
-    assert st.p_click == 0.0
-    assert st.p_click_1 == 0.0
-    assert st.p_click_c == 1.0
-    assert st.conditional_photon_dist[1] == 1.0
+    p_click, p_click_1, p_click_c = tmss_clicks(0.0, 0.9)
+    assert p_click == 0.0
+    assert p_click_1 == 0.0
+    assert p_click_c == 1.0
 
 
 def test_tmss_click_numeric_equivalence():
     for r in (0.1, 0.5, 1.0, 1.7, 2.0):
         trunc = fs.default_truncation(r)
         for eta in (0.7, 0.9, 1.0):
-            det = detect.DetectorModel(eta)
-            analytic = detect.tmss_click_statistics(r, det)
-            numeric = detect.click_statistics(
-                optics.tmss_joint_probability(r, trunc), det
+            analytic = tmss_clicks(r, eta)
+            numeric = reference.click_statistics(
+                reference.tmss_joint_probability(r, trunc), detect.DetectorModel(eta)
             )
-            assert abs(analytic.p_click - numeric.p_click) < 1e-10
-            assert abs(analytic.p_click_1 - numeric.p_click_1) < 1e-10
-            assert abs(analytic.p_click_c - numeric.p_click_c) < 1e-10
-            overlap = min(
-                len(analytic.conditional_photon_dist),
-                len(numeric.conditional_photon_dist),
-            )
-            assert np.max(np.abs(
-                analytic.conditional_photon_dist[:overlap]
-                - numeric.conditional_photon_dist[:overlap]
-            )) < 1e-12
-
-
-def test_g2_from_photon_dist_basics():
-    one = np.zeros(8)
-    one[1] = 1.0
-    assert detect.g2_from_photon_dist(one) == 0.0
-    two = np.zeros(8)
-    two[2] = 1.0
-    assert detect.g2_from_photon_dist(two) == pytest.approx(0.5, abs=1e-15)
-    poisson = fs.coherent_amplitudes(1.0, fs.Truncation(80)).photon_distribution()
-    assert detect.g2_from_photon_dist(poisson) == pytest.approx(1.0, abs=1e-10)
-
-
-def test_g2_from_photon_dist_validation():
-    with pytest.raises(ValueError):
-        detect.g2_from_photon_dist(np.array([0.5, 0.2]))
-    vac = np.zeros(4)
-    vac[0] = 1.0
-    with pytest.raises(detect.ZeroMeanError):
-        detect.g2_from_photon_dist(vac)
+            assert abs(analytic[0] - numeric.p_click) < 1e-10
+            assert abs(analytic[1] - numeric.p_click_1) < 1e-10
+            assert abs(analytic[2] - numeric.p_click_c) < 1e-10
+            # the click-conditioned signal is geometric, (1 - z) z^(n-1)
+            # with z = (1 - eta) tanh^2 r
+            z = (1.0 - eta) * math.tanh(r) ** 2
+            geometric = np.zeros(trunc.dim)
+            geometric[1:] = (1.0 - z) * z ** np.arange(trunc.dim - 1.0)
+            assert np.max(np.abs(geometric - numeric.conditional_photon_dist)) < 1e-12
 
 
 def test_subnormal_click_mass_counts_as_zero():
@@ -150,10 +140,10 @@ def test_subnormal_click_mass_counts_as_zero():
     row = np.zeros(4)
     row[1] = 1e-310
     with pytest.raises(detect.ZeroClickError):
-        detect._statistics(row)
+        reference._statistics(row)
     row[1] = 1e-160
     with pytest.raises(detect.ZeroMeanError):
-        detect._g2_subnormalized(row)
+        reference._g2_subnormalized(row)
     with pytest.raises(detect.ZeroMeanError):
         detect.g2_heralded_cat(0.5, detect.DetectorModel(1e-320))
 
@@ -179,8 +169,8 @@ def test_g2_tmss_closed_form():
 def test_g2_tmss_numeric_agreement():
     for r, eta in ((0.3, 0.8), (0.7, 0.85), (1.6, 0.95)):
         det = detect.DetectorModel(eta)
-        dist = optics.tmss_joint_probability(r, fs.default_truncation(r))
-        assert abs(detect.g2_numeric(dist, det) - detect.g2_tmss(r, det)) < 1e-8
+        dist = reference.tmss_joint_probability(r, fs.default_truncation(r))
+        assert abs(reference.g2_numeric(dist, det) - detect.g2_tmss(r, det)) < 1e-8
 
 
 def test_g2_comparison_straddles_crossover():
@@ -190,26 +180,22 @@ def test_g2_comparison_straddles_crossover():
 
 
 def test_conditional_quality_monotone_in_squeezing():
-    values = [
-        detect.heralded_cat_statistics(float(r), DET9).p_click_c
-        for r in np.linspace(0.05, 2.0, 40)
-    ]
+    values = [cat_clicks(float(r), 0.9)[2] for r in np.linspace(0.05, 2.0, 40)]
     assert all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
 
 
 def test_click_orderings_against_benchmark():
     for r in (0.2, 0.725, 1.4, 2.0):
         for eta in (0.7, 0.85, 0.99):
-            det = detect.DetectorModel(eta)
-            cat = detect.heralded_cat_statistics(r, det)
-            tmss = detect.tmss_click_statistics(r, det)
-            assert cat.p_click_1 > tmss.p_click_1
-            assert cat.p_click_c < tmss.p_click_c
+            _, cat_1, cat_c = cat_clicks(r, eta)
+            _, tmss_1, tmss_c = tmss_clicks(r, eta)
+            assert cat_1 > tmss_1
+            assert cat_c < tmss_c
 
 
 def test_click_limits_at_small_squeezing():
-    assert detect.tmss_click_statistics(1e-6, DET9).p_click_1 < 1e-9
-    assert detect.heralded_cat_statistics(1e-3, DET9).p_click_1 > 0.4
+    assert tmss_clicks(1e-6, 0.9)[1] < 1e-9
+    assert cat_clicks(1e-3, 0.9)[1] > 0.4
 
 
 def test_quality_crossover_at_stated_efficiency():

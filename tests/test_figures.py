@@ -3,7 +3,7 @@ and finite values."""
 import numpy as np
 import pytest
 
-from sqherald import analysis, kerr, registry
+from sqherald import analysis, reference, registry
 
 # row counts for every figure except the (r, sigma) noise surface, which
 # has its own test below
@@ -62,7 +62,7 @@ def test_noise_surface_builds_in_full():
         row = np.flatnonzero(np.isclose(table.rows[:, 0], r) & np.isclose(table.rows[:, 1], sigma))
         assert len(row) == 1
         r_grid, sigma_grid = table.rows[row[0], :2]
-        oracle = kerr._hermite_ladder_ratio(r_grid, 10.0, sigma_grid)
+        oracle = reference._hermite_ladder_ratio(r_grid, 10.0, sigma_grid)
         assert abs(values[row[0]] - oracle) < 1e-12
 
 

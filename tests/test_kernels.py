@@ -1,31 +1,30 @@
 """Photon-number kernels: every non-Kerr quantity is a contraction over the
-source distribution p_N, checked against the dense split tables that stay
-as the oracle."""
+source distribution p_N, checked against the dense split tables of the
+reference module, which no production path imports."""
 import collections
 import dataclasses
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sqherald import detect, kerr, optics, registry, sources
+import sqherald
+from sqherald import detect, optics, reference, registry, sources
 from sqherald import fockspace as fs
 from sqherald.detect import DetectorModel
 
-NON_KERR_FIGURES = (
-    "fig2", "fig3a", "fig3b", "fig6a", "fig6b", "fig7a", "fig7b", "fig8", "fig9a", "fig9b",
-)
-
-
 def _dense(r, sign, trunc):
     if sign is None:
-        state = sources.squeezed_vacuum(r, trunc)
+        state = reference.squeezed_vacuum(r, trunc)
     else:
-        state = sources.squeezed_cat(r, sign, trunc)
-    return optics.joint_probability(optics.split(state))
+        state = reference.squeezed_cat(r, sign, trunc)
+    return reference.joint_probability(reference.split(state))
 
 
 def _outcome(fn):
@@ -47,6 +46,7 @@ def _outcome(fn):
 @example(r=2.0, eta=1.0, sign=None)
 @example(r=1e-300, eta=0.9, sign=-1)
 @example(r=1e-80, eta=0.5625, sign=+1)
+@example(r=2.0, eta=9.748317765662491e-300, sign=-1)
 def test_kernels_match_the_dense_split(r, eta, sign):
     trunc = fs.default_truncation(r)
     det = DetectorModel(eta)
@@ -58,50 +58,36 @@ def test_kernels_match_the_dense_split(r, eta, sign):
 
     # below the smallest normal float a click probability, or the squared
     # mean of g2, has lost its precision in both paths, so the ratios built
-    # on it are only range-checked there.  Two kernels face the dense
-    # table: the click-weighted row weighted_row and the binomial closed
-    # forms of detect.heralded_clicks and detect.heralded_g2.
+    # on it are only range-checked there.  The binomial closed forms of
+    # detect.heralded_clicks and detect.heralded_g2 face the dense table.
     stats = ("p_click", "p_click_1", "p_click_c")
-    w = det.click_weights(trunc.dim)
-    kernel_row = optics.weighted_row(r, sign, trunc, w)
-    weighted = w @ dist.p
+    weighted = reference.click_weights(eta, trunc.dim) @ dist.p
     point = (np.array([r]), np.array([eta]), trunc, sign)
 
     def binomial():
         p_click, p_click_1 = (float(v[0]) for v in detect.heralded_clicks(*point))
         return dict(zip(stats, (p_click, p_click_1, p_click_1 / p_click)))
 
-    kernels = [
-        _outcome(lambda: vars(detect._statistics(kernel_row))),
-        _outcome(binomial),
-    ]
-    normal = float(np.sum(weighted)) >= sys.float_info.min
-    oracle = detect.click_statistics(dist, det) if normal else None
-    for kernel in kernels:
-        if not normal:
-            assert kernel is detect.ZeroClickError or all(
-                0.0 <= kernel[name] <= 1.0 for name in stats
-            )
-        else:
-            for name in stats:
-                value = kernel[name]
-                assert abs(value - getattr(oracle, name)) <= 1e-13
-                assert 0.0 <= value <= 1.0
-    if normal:
-        gap = np.abs(kernels[0]["conditional_photon_dist"] - oracle.conditional_photon_dist)
-        assert np.max(gap) <= 1e-13
+    kernel = _outcome(binomial)
+    if float(np.sum(weighted)) < sys.float_info.min:
+        assert kernel is detect.ZeroClickError or all(
+            0.0 <= kernel[name] <= 1.0 for name in stats
+        )
+    else:
+        oracle = reference.click_statistics(dist, det)
+        for name in stats:
+            value = kernel[name]
+            assert abs(value - getattr(oracle, name)) <= 1e-13
+            assert 0.0 <= value <= 1.0
 
     m1 = float(np.arange(trunc.dim) @ weighted)
-    for g2 in (
-        _outcome(lambda: detect._g2_subnormalized(kernel_row)),
-        _outcome(lambda: float(detect.heralded_g2(*point)[0])),
-    ):
-        if m1 * m1 < sys.float_info.min:
-            assert isinstance(g2, type) or g2 >= 0.0
-        else:
-            g2_oracle = detect._g2_subnormalized(weighted)
-            assert g2 >= 0.0
-            assert abs(g2 - g2_oracle) <= 1e-13 * max(1.0, g2_oracle)
+    g2 = _outcome(lambda: float(detect.heralded_g2(*point)[0]))
+    if m1 * m1 < sys.float_info.min:
+        assert isinstance(g2, type) or g2 >= 0.0
+    else:
+        g2_oracle = reference._g2_subnormalized(weighted)
+        assert g2 >= 0.0
+        assert abs(g2 - g2_oracle) <= 1e-13 * max(1.0, g2_oracle)
 
 
 def test_photon_numbers_are_cached_and_read_only():
@@ -136,7 +122,7 @@ def test_pair_factor_is_half_of_p2():
 def test_tmss_p11_matches_the_dense_benchmark():
     for r in (0.0, 0.004, 0.881, 2.0):
         trunc = fs.default_truncation(r)
-        dense = float(optics.tmss_joint_probability(r, trunc).p[1, 1])
+        dense = float(reference.tmss_joint_probability(r, trunc).p[1, 1])
         assert abs(sources.tmss_p11(r, trunc) - dense) <= 1e-15
     with pytest.raises(fs.TruncationError):
         sources.tmss_p11(2.0, fs.Truncation(16))
@@ -144,28 +130,36 @@ def test_tmss_p11_matches_the_dense_benchmark():
         sources.tmss_p11(3.5, fs.Truncation(16))
 
 
-def test_no_production_quantity_builds_a_dense_table(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("dense oracle reached from production")
+REFERENCE_FREE_RUN = """
+import math, sys
+import numpy as np
+sys.modules["sqherald.reference"] = None
+import sqherald
+from sqherald import analysis, kerr, registry
+for name in registry.FIGURES:
+    if name != "fig5b":
+        assert np.all(np.isfinite(registry.figure(name).build().rows)), name
+spec = analysis.SweepSpec("r", *registry.R_GRID_SURFACE, {"alpha": 10.0, "sigma": 0.004})
+column = analysis.sweep(spec, "phase_ratio").rows[:, 1]
+assert np.all((column > 0.0) & (column < 1.0))
+assert kerr.p1_heralded(kerr.KerrSchedule(math.pi, 10.0), 1.146) > 0.0
+"""
 
-    monkeypatch.setattr(optics, "split", refuse)
-    monkeypatch.setattr(optics, "joint_probability", refuse)
-    monkeypatch.setattr(sources, "two_mode_squeezed_vacuum", refuse)
-    optics.photon_numbers.cache_clear()
-    for name in NON_KERR_FIGURES:
-        table = registry.figure(name).build()
-        assert np.all(np.isfinite(table.rows))
-    sched = kerr.KerrSchedule(math.pi, 10.0)
-    assert kerr.p1_heralded(sched, 1.146) > 0.0
+
+def test_production_never_imports_the_reference_module():
+    # with every import of sqherald.reference refused, the package, every
+    # figure (fig5b's path is the phase_ratio column's), a phase-noise
+    # column and the Kerr pair probability still run: no production path
+    # reaches a dense table, a dense click statistic or the Gauss-Hermite
+    # ladder
+    src = str(Path(sqherald.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", REFERENCE_FREE_RUN], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
 
 
-def test_figures_reach_no_click_oracle_and_group_by_cutoff(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("click oracle reached from production")
-
-    monkeypatch.setattr(optics, "weighted_row", refuse)
-    monkeypatch.setattr(detect, "heralded_cat_statistics", refuse)
-    monkeypatch.setattr(detect, "tmss_click_statistics", refuse)
+def test_fig7a_groups_its_evaluations_by_cutoff(monkeypatch):
     calls = collections.Counter()
     for name, q in list(registry.QUANTITIES.items()):
         def counted(trunc, _fn=q.fn, _name=name, **params):
@@ -173,12 +167,8 @@ def test_figures_reach_no_click_oracle_and_group_by_cutoff(monkeypatch):
             return _fn(trunc, **params)
 
         monkeypatch.setitem(registry.QUANTITIES, name, dataclasses.replace(q, fn=counted))
-    for name in NON_KERR_FIGURES:
-        table = registry.figure(name).build()
-        assert np.all(np.isfinite(table.rows))
 
-    # fig7a: one call per cutoff of its r grid, and one more at 1.5x
-    calls.clear()
+    # one call per cutoff of its r grid, and one more at 1.5x
     table = registry.figure("fig7a").build()
     rs = np.linspace(*registry.R_GRID_SURFACE)
     for name in table.columns[2:]:

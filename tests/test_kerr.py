@@ -8,7 +8,7 @@ import pytest
 import scipy.optimize
 import scipy.special
 
-from sqherald import analysis, kerr, registry, sources
+from sqherald import analysis, kerr, reference, sources
 from sqherald import fockspace as fs
 
 IDEAL = kerr.KerrSchedule(math.pi, 10.0)
@@ -23,14 +23,14 @@ def fock_grid_p0(tau_tilde, r, sign, alpha, label, sys_dim, pump_dim):
     """
     sys_t = fs.Truncation(sys_dim)
     pump_t = fs.Truncation(pump_dim)
-    sv = sources.squeezed_vacuum(r, sys_t).amps
-    pump = fs.coherent_amplitudes(alpha, pump_t).amps
+    sv = reference.squeezed_vacuum(r, sys_t).amps
+    pump = reference.coherent_amplitudes(alpha, pump_t).amps
     n1 = np.arange(sys_dim)
     n2 = np.arange(pump_dim)
     phases = np.exp(-0.5j * tau_tilde * np.outer(n1, n2))
     joint = np.outer(sv, pump) * phases
-    cat = sources.squeezed_cat(r, sign, sys_t).amps
-    target_pump = fs.coherent_amplitudes(label, pump_t).amps
+    cat = reference.squeezed_cat(r, sign, sys_t).amps
+    target_pump = reference.coherent_amplitudes(label, pump_t).amps
     amp = np.conj(cat) @ joint @ np.conj(target_pump)
     return float(abs(amp) ** 2)
 
@@ -49,37 +49,37 @@ def test_schedule_validation():
 def test_hybrid_state_requires_converged_coefficients():
     trunc = fs.Truncation(16)
     with pytest.raises(fs.TruncationError):
-        kerr.HybridKerrState(np.array([0.5]), np.array([1.0 + 0j]), trunc)
+        reference.HybridKerrState(np.array([0.5]), np.array([1.0 + 0j]), trunc)
 
 
 def test_kerr_evolve_imprints_pair_phases():
     sched = kerr.KerrSchedule(0.7, 2.5)
-    state = kerr.kerr_evolve(0.725, sched, kerr.series_truncation(0.725))
+    state = reference.kerr_evolve(0.725, sched, kerr.series_truncation(0.725))
     n = state.pair_indices
     expected = 2.5 * np.exp(-1j * n * 0.7)
     assert np.max(np.abs(state.labels - expected)) < 1e-14
     assert np.array_equal(state.photon_numbers, 2 * n)
-    full_turn = kerr.kerr_evolve(
+    full_turn = reference.kerr_evolve(
         0.725, kerr.KerrSchedule(2.0 * math.pi, 2.5), kerr.series_truncation(0.725)
     )
     assert np.max(np.abs(full_turn.labels - 2.5)) < 1e-12
 
 
 def test_coherent_overlap_closed_form():
-    assert kerr.coherent_overlap(1.3, 1.3) == pytest.approx(1.0, abs=1e-15)
+    assert reference.coherent_overlap(1.3, 1.3) == pytest.approx(1.0, abs=1e-15)
     beta, gamma = 2.0, 2.0 * np.exp(-0.4j)
     expected = np.exp(-0.5 * 8.0 + np.conj(beta) * gamma)
-    assert kerr.coherent_overlap(beta, gamma) == pytest.approx(expected, abs=1e-12)
+    assert reference.coherent_overlap(beta, gamma) == pytest.approx(expected, abs=1e-12)
 
 
 def state_path_p0(sched, r, sign, label):
     """Oracle: project the explicit hybrid state from kerr_evolve onto the
     superposition and the label, one coherent_overlap per pair term."""
     trunc = kerr.series_truncation(r)
-    state = kerr.kerr_evolve(r, sched, trunc)
-    d = sources.squeezed_cat(r, sign, trunc).amps
+    state = reference.kerr_evolve(r, sched, trunc)
+    d = reference.squeezed_cat(r, sign, trunc).amps
     amp = sum(
-        np.conj(d[2 * n]) * c * kerr.coherent_overlap(label, beta)
+        np.conj(d[2 * n]) * c * reference.coherent_overlap(label, beta)
         for n, c, beta in state.components()
     )
     return abs(amp) ** 2
@@ -103,9 +103,9 @@ def test_pair_series_drops_exactly_the_zero_terms():
     for r in (0.725, 2.0):
         trunc = kerr.series_truncation(r)
         levels = 2 * np.arange((trunc.dim + 1) // 2)
-        base = sources.squeezed_vacuum(r, trunc).amps[levels]
+        base = reference.squeezed_vacuum(r, trunc).amps[levels]
         for sign in (-1, +1):
-            full = (np.conj(base) * sources.squeezed_cat(r, sign, trunc).amps[levels]).real
+            full = (np.conj(base) * reference.squeezed_cat(r, sign, trunc).amps[levels]).real
             n, g = kerr._pair_series(r, sign, trunc)
             assert np.array_equal(n, np.flatnonzero(full))
             assert np.array_equal(g, full[n])
@@ -142,7 +142,7 @@ def test_half_hermite_rule_equals_full_symmetric_rule():
                 taus = math.pi + math.sqrt(2.0) * sigma * nodes
                 vals = kerr._overlap_probability(taus, n, g, alpha, -alpha) / ref
                 full = float(np.dot(weights, vals) / math.sqrt(math.pi))
-                half = kerr._averaged_ratio_quadrature(r, alpha, sigma, order, None)
+                half = reference._averaged_ratio_quadrature(r, alpha, sigma, order, None)
                 assert abs(half - full) < 1e-13
 
 
@@ -152,7 +152,7 @@ def test_trapezoid_matches_the_hermite_oracle():
     cases.append((2.0, 20.0, 1e-3))
     for r, alpha, sigma in cases:
         trapezoid = kerr.gaussian_averaged_ratio(r, alpha, sigma)
-        ladder = kerr._hermite_ladder_ratio(r, alpha, sigma)
+        ladder = reference._hermite_ladder_ratio(r, alpha, sigma)
         assert abs(trapezoid - ladder) < 1e-12
 
 
@@ -179,20 +179,6 @@ def test_trapezoid_rule_grid_and_weights():
         expected = 2.0 * copies * (deltas[1] - deltas[0])
         expected[[0, -1]] /= 2.0
         assert np.allclose(weights, expected, rtol=1e-13, atol=0.0)
-
-
-def test_production_never_reaches_the_hermite_ladder(monkeypatch):
-    def refuse(order):
-        raise AssertionError("Gauss-Hermite oracle reached from production")
-
-    monkeypatch.setattr(kerr, "_hermite_rule", refuse)
-    for name in ("fig4a", "fig5a"):
-        assert np.all(np.isfinite(registry.figure(name).build().rows))
-    spec = analysis.SweepSpec("r", *registry.R_GRID_SURFACE, {"alpha": 10.0, "sigma": 0.004})
-    column = analysis.sweep(spec, "phase_ratio").rows[:, 1]
-    assert np.all((column > 0.0) & (column < 1.0))
-    with pytest.raises(AssertionError, match="oracle reached"):
-        kerr._hermite_ladder_ratio(0.725, 10.0, 1e-3)
 
 
 def test_coarse_trapezoid_step_fails_the_gate(monkeypatch):
@@ -231,6 +217,18 @@ def test_averaged_ratio_at_vanishing_sigma():
             assert abs(value - 1.0) <= 1e-15
 
 
+def test_ratio_whose_reference_has_lost_its_digits_fails_numerically():
+    # the tau_tilde = pi reference probability is about r^2/2: zero at
+    # r = 1e-200 (a ratio against it would be NaN) and subnormal at
+    # r = 1e-160 (the trapezoid gate would misreport a disagreement)
+    for r in (1e-200, 1e-160):
+        with pytest.raises(fs.NumericalFailureError, match="lost its digits"):
+            kerr.gaussian_averaged_ratio(r, 10.0, 0.1)
+        with pytest.raises(fs.NumericalFailureError, match="lost its digits"):
+            kerr.phase_error_ratio(r, 10.0, 0.1)
+    assert 0.0 < kerr.gaussian_averaged_ratio(1e-150, 10.0, 0.1) < 1.0
+
+
 def test_averaged_ratio_at_huge_sigma():
     # the phase is uniform over the period; the Fourier series of the
     # wrapped normal keeps one term, whose factor underflows to zero
@@ -257,6 +255,11 @@ def test_p0_vanishes_without_interaction():
 def test_p0_rejects_nonpositive_squeezing():
     with pytest.raises(ValueError):
         kerr.p0_generation(IDEAL, 0.0)
+
+
+def test_p0_rejects_an_unknown_branch_sign():
+    with pytest.raises(ValueError, match="sign"):
+        kerr.p0_generation(IDEAL, 0.725, sign=0)
 
 
 def test_branch_probabilities_sum_to_one():
@@ -355,9 +358,9 @@ def test_averaged_ratio_degenerate_and_monotone():
 def test_averaged_ratio_monte_carlo_agrees_with_quadrature():
     sigma = 1e-3
     quad = kerr.gaussian_averaged_ratio(0.725, 10.0, sigma)
-    mc = kerr._monte_carlo_ratio(0.725, 10.0, sigma, 200_000, 7)
+    mc = reference._monte_carlo_ratio(0.725, 10.0, sigma, 200_000, 7)
     assert abs(mc - quad) < 5e-5
-    again = kerr._monte_carlo_ratio(0.725, 10.0, sigma, 200_000, 7)
+    again = reference._monte_carlo_ratio(0.725, 10.0, sigma, 200_000, 7)
     assert again == mc
 
 
@@ -365,7 +368,7 @@ def test_averaged_ratio_input_validation():
     with pytest.raises(ValueError):
         kerr.gaussian_averaged_ratio(0.725, 10.0, -1e-4)
     with pytest.raises(ValueError):
-        kerr._monte_carlo_ratio(0.725, 10.0, 1e-3, 200_000, None)
+        reference._monte_carlo_ratio(0.725, 10.0, 1e-3, 200_000, None)
     for sigma in (math.inf, math.nan):
         with pytest.raises(ValueError):
             kerr.gaussian_averaged_ratio(0.725, 10.0, sigma)
@@ -416,7 +419,7 @@ def test_fitted_decay_rate_monte_carlo_within_noise():
     quad = kerr.fitted_decay_rate(0.725, 10.0)
     # the ratio is exactly 1 at sigma = 0
     sigmas = np.linspace(0.0, kerr.FIT_SIGMA_MAX, kerr.FIT_SAMPLES)
-    ratios = [kerr._monte_carlo_ratio(0.725, 10.0, s, 100_000, 11) if s else 1.0 for s in sigmas]
+    ratios = [reference._monte_carlo_ratio(0.725, 10.0, s, 100_000, 11) if s else 1.0 for s in sigmas]
     noisy_rate, noisy_stderr = kerr.fit_lambda(zip(sigmas, ratios))
     assert abs(noisy_rate - quad.decay_rate) < 3.0 * max(
         noisy_stderr, 1e-12

@@ -1,4 +1,5 @@
-"""Unit tests for the balanced beam splitter and pair statistics."""
+"""Unit tests for the balanced beam splitter: the reference splitter paths
+and the pair statistics read from them."""
 
 import math
 
@@ -7,7 +8,7 @@ import pytest
 import scipy.linalg
 
 from sqherald import fockspace as fs
-from sqherald import optics, sources, verification
+from sqherald import optics, reference, verification
 
 
 def binomial_column(total: int) -> np.ndarray:
@@ -24,7 +25,7 @@ def binomial_column(total: int) -> np.ndarray:
 def test_split_fock_states_match_binomial_closed_form():
     trunc = fs.Truncation(12)
     for total in (0, 1, 2, 3, 5, 8):
-        st = optics.split(fs.fock_state(total, trunc))
+        st = reference.split(reference.fock_state(total, trunc))
         assert np.max(np.abs(st.amps.imag)) == 0.0
         block = np.array(
             [st.amps[na, total - na].real for na in range(total + 1)]
@@ -33,7 +34,7 @@ def test_split_fock_states_match_binomial_closed_form():
 
 
 def test_split_two_photon_example():
-    st = optics.split(fs.fock_state(2, fs.Truncation(8)))
+    st = reference.split(reference.fock_state(2, fs.Truncation(8)))
     assert st.amps[2, 0].real == pytest.approx(0.5, abs=1e-14)
     assert st.amps[0, 2].real == pytest.approx(0.5, abs=1e-14)
     assert st.amps[1, 1].real == pytest.approx(-1.0 / math.sqrt(2.0), abs=1e-14)
@@ -43,13 +44,13 @@ def test_split_two_photon_example():
 
 
 def test_split_vacuum_is_identity():
-    st = optics.split(fs.vacuum_state(fs.Truncation(6)))
+    st = reference.split(reference.vacuum_state(fs.Truncation(6)))
     assert st.amps[0, 0] == 1.0
     assert st.norm_sq() == 1.0
 
 
 def test_blocks_are_orthogonal():
-    blocks = optics._blocks(24, optics.BALANCED_ANGLE)
+    blocks = reference._blocks(24, reference.BALANCED_ANGLE)
     for total in range(23):
         block = blocks[total]
         gram = block.T @ block - np.eye(total + 1)
@@ -62,16 +63,16 @@ def test_closed_form_split_matches_expm_blocks(dim):
     rng = np.random.default_rng(dim)
     amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     amps /= np.linalg.norm(amps)
-    st = fs.SingleModeState(amps, trunc)
-    closed = optics.split(st)
-    oracle = optics.apply_beam_splitter(fs.tensor(st, fs.vacuum_state(trunc)))
+    st = reference.SingleModeState(amps, trunc)
+    closed = reference.split(st)
+    oracle = reference.apply_beam_splitter(reference.tensor(st, reference.vacuum_state(trunc)))
     assert np.max(np.abs(closed.amps - oracle.amps)) <= 1e-13
 
 
 def test_split_builds_no_expm_blocks():
-    before = optics._blocks.cache_info()
-    optics.split(fs.fock_state(3, fs.Truncation(37)))
-    assert optics._blocks.cache_info() == before
+    before = reference._blocks.cache_info()
+    reference.split(reference.fock_state(3, fs.Truncation(37)))
+    assert reference._blocks.cache_info() == before
 
 
 def test_total_photon_number_is_conserved():
@@ -79,8 +80,8 @@ def test_total_photon_number_is_conserved():
     rng = np.random.default_rng(20260814)
     amps = rng.normal(size=trunc.dim) + 1j * rng.normal(size=trunc.dim)
     amps /= np.linalg.norm(amps)
-    st = fs.SingleModeState(amps, trunc)
-    out = optics.split(st)
+    st = reference.SingleModeState(amps, trunc)
+    out = reference.split(st)
     dist = out.joint_distribution()
     totals = np.add.outer(np.arange(trunc.dim), np.arange(trunc.dim))
     for total in range(trunc.dim):
@@ -89,7 +90,7 @@ def test_total_photon_number_is_conserved():
 
 
 def test_split_output_is_symmetric_in_probability():
-    st = optics.split(sources.squeezed_vacuum(0.725, fs.Truncation(48)))
+    st = reference.split(reference.squeezed_vacuum(0.725, fs.Truncation(48)))
     dist = st.joint_distribution()
     assert np.max(np.abs(dist - dist.T)) < 1e-16
 
@@ -97,23 +98,23 @@ def test_split_output_is_symmetric_in_probability():
 def test_parity_selection_rules():
     trunc = fs.Truncation(48)
     totals = np.add.outer(np.arange(trunc.dim), np.arange(trunc.dim))
-    minus = optics.split(sources.squeezed_cat(0.725, -1, trunc))
+    minus = reference.split(reference.squeezed_cat(0.725, -1, trunc))
     assert np.max(np.abs(minus.amps[totals % 4 != 2])) < 1e-14
-    plus = optics.split(sources.squeezed_cat(0.725, +1, trunc))
+    plus = reference.split(reference.squeezed_cat(0.725, +1, trunc))
     assert np.max(np.abs(plus.amps[totals % 4 != 0])) < 1e-14
 
 
 def test_joint_probability_benchmark_values():
     trunc = fs.Truncation(64)
-    minus = optics.joint_probability(
-        optics.split(sources.squeezed_cat(0.725, -1, trunc))
+    minus = reference.joint_probability(
+        reference.split(reference.squeezed_cat(0.725, -1, trunc))
     )
     assert minus.p[1, 1] == pytest.approx(0.453, abs=5e-4)
     assert minus.p[1, 5] == pytest.approx(7.85e-3, abs=5e-5)
     for nb in (0, 2, 3, 4):
         assert minus.p[1, nb] < 1e-12
-    squeezed = optics.joint_probability(
-        optics.split(sources.squeezed_vacuum(0.725, trunc))
+    squeezed = reference.joint_probability(
+        reference.split(reference.squeezed_vacuum(0.725, trunc))
     )
     assert squeezed.p[1, 1] == pytest.approx(7.54e-2, abs=5e-5)
 
@@ -122,82 +123,82 @@ def test_conditional_single_photon_benchmark_values():
     trunc = fs.Truncation(64)
 
     def conditional(state):
-        return optics.conditional_single_photon(
-            optics.joint_probability(optics.split(state))
+        return optics.single_photon_fraction(
+            reference.joint_probability(reference.split(state)).p[1]
         )
 
-    assert conditional(sources.squeezed_cat(0.725, -1, trunc)) == pytest.approx(
+    assert conditional(reference.squeezed_cat(0.725, -1, trunc)) == pytest.approx(
         0.983, abs=5e-4
     )
-    assert conditional(sources.squeezed_vacuum(0.725, trunc)) == pytest.approx(
+    assert conditional(reference.squeezed_vacuum(0.725, trunc)) == pytest.approx(
         0.859, abs=5e-4
     )
-    assert conditional(sources.squeezed_cat(1.146, -1, trunc)) == pytest.approx(
+    assert conditional(reference.squeezed_cat(1.146, -1, trunc)) == pytest.approx(
         0.9488, abs=5e-4
     )
 
 
 def test_minus_cat_pair_probability_approaches_half():
     trunc = fs.Truncation(32)
-    dist = optics.joint_probability(
-        optics.split(sources.squeezed_cat(0.01, -1, trunc))
+    dist = reference.joint_probability(
+        reference.split(reference.squeezed_cat(0.01, -1, trunc))
     )
     assert dist.p[1, 1] == pytest.approx(0.5, abs=1e-3)
 
 
 def test_conditional_raises_on_empty_herald_row():
-    dist = optics.joint_probability(
-        optics.split(fs.vacuum_state(fs.Truncation(16)))
+    dist = reference.joint_probability(
+        reference.split(reference.vacuum_state(fs.Truncation(16)))
     )
     with pytest.raises(optics.ZeroHeraldError):
-        optics.conditional_single_photon(dist)
+        optics.single_photon_fraction(dist.p[1])
 
 
 def test_joint_distribution_deficit_accounting():
     trunc = fs.Truncation(16)
-    dist = optics.joint_probability(optics.split(fs.fock_state(3, trunc)))
+    dist = reference.joint_probability(reference.split(reference.fock_state(3, trunc)))
     assert abs(dist.p.sum() + dist.deficit - 1.0) < 1e-12
     lossy = np.zeros((16, 16), dtype=complex)
     lossy[0, 0] = math.sqrt(0.7)
     with pytest.raises(fs.TruncationError):
-        optics.joint_probability(fs.TwoModeState(lossy, trunc))
+        reference.joint_probability(reference.TwoModeState(lossy, trunc))
 
 
 def test_tmss_joint_probability_form():
     trunc = fs.Truncation(64)
-    dist = optics.tmss_joint_probability(0.881, trunc)
+    dist = reference.tmss_joint_probability(0.881, trunc)
     assert dist.p[1, 1] == pytest.approx(0.25, abs=1e-6)
     off = dist.p - np.diag(np.diag(dist.p))
     assert off.sum() < 1e-14
     row1 = dist.p[1, :]
     assert row1[1] > 0.0
     assert np.max(np.abs(np.delete(row1, 1))) == 0.0
-    assert optics.conditional_single_photon(dist) == 1.0
-    trivial = optics.tmss_joint_probability(0.0, fs.Truncation(8))
+    assert optics.single_photon_fraction(dist.p[1]) == 1.0
+    trivial = reference.tmss_joint_probability(0.0, fs.Truncation(8))
     assert trivial.p[0, 0] == 1.0
 
 
 def test_pair_dominance_over_benchmark_on_spot_grid():
     for r in np.linspace(0.05, 2.0, 25):
         trunc = fs.default_truncation(float(r))
-        minus = optics.joint_probability(
-            optics.split(sources.squeezed_cat(float(r), -1, trunc))
+        minus = reference.joint_probability(
+            reference.split(reference.squeezed_cat(float(r), -1, trunc))
         )
-        tmss = optics.tmss_joint_probability(float(r), trunc)
+        tmss = reference.tmss_joint_probability(float(r), trunc)
         assert minus.p[1, 1] > tmss.p[1, 1]
-        squeezed = optics.joint_probability(
-            optics.split(sources.squeezed_vacuum(float(r), trunc))
+        squeezed = reference.joint_probability(
+            reference.split(reference.squeezed_vacuum(float(r), trunc))
         )
-        assert optics.conditional_single_photon(minus) >= optics.conditional_single_photon(
-            squeezed
+        assert optics.single_photon_fraction(minus.p[1]) >= optics.single_photon_fraction(
+            squeezed.p[1]
         )
 
 
 def test_decomposition_path_agrees_with_direct_unitary():
     r = 0.725
     trunc = fs.Truncation(48)
-    direct = optics.split(sources.squeezed_vacuum(r, trunc))
-    decomposed = optics.split_via_squeezer_decomposition(r, trunc)
+    direct = reference.split(reference.squeezed_vacuum(r, trunc))
+    decomposed = reference.split_via_squeezer_decomposition(r, trunc)
     prob_gap = np.abs(
         decomposed.joint_distribution() - direct.joint_distribution()
     )
@@ -211,8 +212,8 @@ def test_decomposition_path_agrees_with_direct_unitary():
 def test_two_mode_squeeze_reproduces_schmidt_diagonal():
     r = 0.9
     trunc = fs.Truncation(48)
-    evolved = optics.tmss_schmidt_check(r, trunc)
-    target = sources.two_mode_squeezed_vacuum(r, trunc)
+    evolved = reference.tmss_schmidt_check(r, trunc)
+    target = reference.two_mode_squeezed_vacuum(r, trunc)
     gap = np.abs(evolved.joint_distribution() - target.joint_distribution())
     assert gap.max() < 1e-10
 
@@ -232,7 +233,7 @@ def test_two_mode_squeeze_matches_dense_expm():
     rows = np.arange(2, dim)
     amps[rows, rows - 2] = 0.0
     want = (scipy.linalg.expm(s * gen) @ amps.ravel()).reshape(dim, dim)
-    got = optics.two_mode_squeeze_apply(s, fs.TwoModeState(amps, fs.Truncation(dim))).amps
+    got = reference.two_mode_squeeze_apply(s, reference.TwoModeState(amps, fs.Truncation(dim))).amps
     assert np.max(np.abs(got - want)) <= 1e-13
     assert not np.any(got[rows, rows - 2])
 
@@ -240,12 +241,12 @@ def test_two_mode_squeeze_matches_dense_expm():
 def test_opposite_squeezers_through_splitter_give_tmss_probabilities():
     r = 0.9
     trunc = fs.Truncation(64)
-    product = fs.tensor(
-        sources.squeezed_vacuum(r, trunc), sources.squeezed_vacuum(-r, trunc)
+    product = reference.tensor(
+        reference.squeezed_vacuum(r, trunc), reference.squeezed_vacuum(-r, trunc)
     )
-    out = optics.apply_beam_splitter(product)
+    out = reference.apply_beam_splitter(product)
     window = 28
-    target = sources.two_mode_squeezed_vacuum(r, trunc)
+    target = reference.two_mode_squeezed_vacuum(r, trunc)
     gap = np.abs(
         out.joint_distribution()[:window, :window]
         - target.joint_distribution()[:window, :window]
@@ -255,15 +256,15 @@ def test_opposite_squeezers_through_splitter_give_tmss_probabilities():
 
 def test_split_requires_normalized_input():
     trunc = fs.Truncation(8)
-    bad = fs.SingleModeState(np.full(8, 0.1, dtype=complex), trunc)
+    bad = reference.SingleModeState(np.full(8, 0.1, dtype=complex), trunc)
     with pytest.raises(ValueError):
-        optics.split(bad)
+        reference.split(bad)
 
 
 def test_criterion_11_flags_a_corrupted_splitter_block(monkeypatch):
     # the deterministic dense state of the per-block check populates every
     # block, so a block that is no longer orthogonal moves its mass
-    exact = optics._blocks
+    exact = reference._blocks
 
     def corrupted(dim, theta):
         blocks = list(exact(dim, theta))
@@ -271,7 +272,7 @@ def test_criterion_11_flags_a_corrupted_splitter_block(monkeypatch):
         return tuple(blocks)
 
     assert verification.criterion_11(verification.VerifyConfig()).passed
-    monkeypatch.setattr(optics, "_blocks", corrupted)
+    monkeypatch.setattr(reference, "_blocks", corrupted)
     result = verification.criterion_11(verification.VerifyConfig())
     assert not result.passed
     moved = float(result.detail.split("per-block mass conserved: ")[1].split(";")[0])

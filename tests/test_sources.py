@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sqherald import fockspace as fs
-from sqherald import sources
+from sqherald import reference, sources
 
 
 def test_squeezing_db():
@@ -16,7 +16,7 @@ def test_squeezing_db():
 
 def test_squeezed_vacuum_closed_form_leading_entries():
     r = 0.725
-    st = sources.squeezed_vacuum(r, fs.Truncation(64))
+    st = reference.squeezed_vacuum(r, fs.Truncation(64))
     assert st.amps[0] == pytest.approx(1.0 / math.sqrt(math.cosh(r)), abs=1e-14)
     expected_2 = -math.tanh(r) / (math.sqrt(2.0) * math.sqrt(math.cosh(r)))
     assert st.amps[2] == pytest.approx(expected_2, abs=1e-14)
@@ -36,30 +36,30 @@ def test_squeezed_vacuum_parity_and_norm():
     # truncation tolerance; small r at dim 64 is tight to machine precision
     for r, bound in ((0.2, 1e-12), (-0.8, 1e-12), (1.9, 1e-3)):
         trunc = fs.default_truncation(abs(r))
-        st = sources.squeezed_vacuum(r, trunc)
+        st = reference.squeezed_vacuum(r, trunc)
         assert np.all(st.amps[1::2] == 0.0)
         assert abs(st.norm_sq() - 1.0) < bound
     assert np.array_equal(
-        sources.squeezed_vacuum(0.0, fs.Truncation(16)).amps,
-        fs.vacuum_state(fs.Truncation(16)).amps,
+        reference.squeezed_vacuum(0.0, fs.Truncation(16)).amps,
+        reference.vacuum_state(fs.Truncation(16)).amps,
     )
 
 
 def test_negative_r_flips_all_signs_positive():
-    st = sources.squeezed_vacuum(-0.9, fs.Truncation(64))
+    st = reference.squeezed_vacuum(-0.9, fs.Truncation(64))
     assert np.all(st.amps[::2] > 0.0)
 
 
 def test_squeezed_vacuum_insufficient_cutoff():
     with pytest.raises(fs.TruncationError) as err:
-        sources.squeezed_vacuum(1.2, fs.Truncation(8, tail_tol=1e-6))
+        reference.squeezed_vacuum(1.2, fs.Truncation(8, tail_tol=1e-6))
     assert err.value.tail_mass > 1e-6
 
 
 def test_converged_dim_meets_requested_tail():
     for r, tol in ((0.725, 1e-8), (1.5, 1e-10), (2.0, 1e-11)):
         dim = sources.converged_dim(r, tol)
-        st = sources.squeezed_vacuum(r, fs.Truncation(dim, tail_tol=tol))
+        st = reference.squeezed_vacuum(r, fs.Truncation(dim, tail_tol=tol))
         assert abs(st.norm_sq() - 1.0) <= tol
         assert sources.converged_dim(r, tol * 100.0) <= dim
 
@@ -83,7 +83,7 @@ def test_odd_branch_keeps_its_precision_as_r_vanishes():
         series = 2.0 * r * r - 7.0 * r**4 / 3.0
         assert sources.cat_norm(r, -1) == pytest.approx(series, rel=1e-14)
     for r in (1e-8, 1e-300, 5e-324):
-        st = sources.squeezed_cat(r, -1, fs.Truncation(16))
+        st = reference.squeezed_cat(r, -1, fs.Truncation(16))
         assert st.photon_distribution()[2] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -107,9 +107,9 @@ def test_minus_branch_weight_increases_toward_half():
 def test_cat_norm_matches_inner_product_construction():
     r = 0.9
     trunc = fs.Truncation(96)
-    plus = sources.squeezed_vacuum(r, trunc)
-    minus = sources.squeezed_vacuum(-r, trunc)
-    overlap = fs.inner_product(plus, minus).real
+    plus = reference.squeezed_vacuum(r, trunc)
+    minus = reference.squeezed_vacuum(-r, trunc)
+    overlap = reference.inner_product(plus, minus).real
     for sign in (+1, -1):
         direct = 2.0 * (1.0 + sign * overlap)
         assert abs(direct - sources.cat_norm(r, sign)) < 1e-10
@@ -117,8 +117,8 @@ def test_cat_norm_matches_inner_product_construction():
 
 def test_squeezed_cat_support_and_norm():
     trunc = fs.Truncation(64)
-    minus = sources.squeezed_cat(0.725, -1, trunc)
-    plus = sources.squeezed_cat(0.725, +1, trunc)
+    minus = reference.squeezed_cat(0.725, -1, trunc)
+    plus = reference.squeezed_cat(0.725, +1, trunc)
     n = np.arange(trunc.dim)
     assert np.max(np.abs(minus.amps[n % 4 != 2])) < 1e-14
     assert np.max(np.abs(plus.amps[n % 4 != 0])) < 1e-14
@@ -128,15 +128,15 @@ def test_squeezed_cat_support_and_norm():
 
 def test_squeezed_cat_degenerate_and_trivial_limits():
     trunc = fs.Truncation(16)
-    with pytest.raises(sources.DegenerateStateError):
-        sources.squeezed_cat(0.0, -1, trunc)
+    with pytest.raises(reference.DegenerateStateError):
+        reference.squeezed_cat(0.0, -1, trunc)
     assert np.array_equal(
-        sources.squeezed_cat(0.0, +1, trunc).amps, fs.vacuum_state(trunc).amps
+        reference.squeezed_cat(0.0, +1, trunc).amps, reference.vacuum_state(trunc).amps
     )
 
 
 def test_minus_cat_approaches_two_photon_state():
-    st = sources.squeezed_cat(1e-3, -1, fs.Truncation(32))
+    st = reference.squeezed_cat(1e-3, -1, fs.Truncation(32))
     assert abs(st.amps[2]) == pytest.approx(1.0, abs=1e-5)
     assert st.photon_distribution()[2] == pytest.approx(1.0, abs=1e-6)
 
@@ -144,13 +144,13 @@ def test_minus_cat_approaches_two_photon_state():
 def test_superposition_reconstructs_squeezed_vacuum():
     r = 0.725
     trunc = fs.Truncation(64)
-    plus = sources.squeezed_cat(r, +1, trunc)
-    minus = sources.squeezed_cat(r, -1, trunc)
+    plus = reference.squeezed_cat(r, +1, trunc)
+    minus = reference.squeezed_cat(r, -1, trunc)
     rebuilt = (
         math.sqrt(sources.cat_norm(r, +1) / 4.0) * plus.amps
         + math.sqrt(sources.cat_norm(r, -1) / 4.0) * minus.amps
     )
-    target = sources.squeezed_vacuum(r, trunc).amps
+    target = reference.squeezed_vacuum(r, trunc).amps
     assert np.max(np.abs(rebuilt - target)) < 1e-10
 
 
@@ -163,7 +163,7 @@ def test_herald_probability_values():
 def test_two_mode_squeezed_vacuum_schmidt_form():
     r = 0.881
     trunc = fs.Truncation(64)
-    st = sources.two_mode_squeezed_vacuum(r, trunc)
+    st = reference.two_mode_squeezed_vacuum(r, trunc)
     dist = st.joint_distribution()
     off_diag = dist - np.diag(np.diag(dist))
     assert off_diag.sum() < 1e-14
@@ -173,13 +173,13 @@ def test_two_mode_squeezed_vacuum_schmidt_form():
 
 
 def test_two_mode_squeezed_vacuum_at_half():
-    st = sources.two_mode_squeezed_vacuum(0.5, fs.Truncation(48))
+    st = reference.two_mode_squeezed_vacuum(0.5, fs.Truncation(48))
     expected = (math.tanh(0.5) / math.cosh(0.5)) ** 2
     assert st.joint_distribution()[1, 1] == pytest.approx(expected, abs=1e-15)
     assert expected == pytest.approx(0.168, abs=5e-4)
 
 
 def test_two_mode_squeezed_vacuum_trivial_limit():
-    st = sources.two_mode_squeezed_vacuum(0.0, fs.Truncation(8))
+    st = reference.two_mode_squeezed_vacuum(0.0, fs.Truncation(8))
     assert st.amps[0, 0] == 1.0
     assert st.norm_sq() == 1.0
