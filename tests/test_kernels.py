@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sqherald
-from sqherald import detect, optics, reference, registry, sources
+from sqherald import detect, kerr, optics, reference, registry, sources
 from sqherald import fockspace as fs
 from sqherald.detect import DetectorModel
 
@@ -128,6 +128,26 @@ def test_tmss_p11_matches_the_dense_benchmark():
         sources.tmss_p11(2.0, fs.Truncation(16))
     with pytest.raises(ValueError):
         sources.tmss_p11(3.5, fs.Truncation(16))
+
+
+NON_KERR_FIGURES = (
+    "fig2", "fig3a", "fig3b", "fig6a", "fig6b", "fig7a", "fig7b", "fig8", "fig9a", "fig9b",
+)
+
+
+def test_no_production_quantity_builds_a_dense_table(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense oracle reached from production")
+
+    monkeypatch.setattr(reference, "split", refuse)
+    monkeypatch.setattr(reference, "joint_probability", refuse)
+    monkeypatch.setattr(reference, "two_mode_squeezed_vacuum", refuse)
+    optics.photon_numbers.cache_clear()
+    for name in NON_KERR_FIGURES:
+        table = registry.figure(name).build()
+        assert np.all(np.isfinite(table.rows))
+    sched = kerr.KerrSchedule(math.pi, 10.0)
+    assert kerr.p1_heralded(sched, 1.146) > 0.0
 
 
 REFERENCE_FREE_RUN = """

@@ -8,7 +8,7 @@ import pytest
 import scipy.optimize
 import scipy.special
 
-from sqherald import analysis, kerr, reference, sources
+from sqherald import analysis, kerr, reference, registry, sources
 from sqherald import fockspace as fs
 
 IDEAL = kerr.KerrSchedule(math.pi, 10.0)
@@ -179,6 +179,20 @@ def test_trapezoid_rule_grid_and_weights():
         expected = 2.0 * copies * (deltas[1] - deltas[0])
         expected[[0, -1]] /= 2.0
         assert np.allclose(weights, expected, rtol=1e-13, atol=0.0)
+
+
+def test_production_never_reaches_the_hermite_ladder(monkeypatch):
+    def refuse(order):
+        raise AssertionError("Gauss-Hermite oracle reached from production")
+
+    monkeypatch.setattr(reference, "_hermite_rule", refuse)
+    for name in ("fig4a", "fig5a"):
+        assert np.all(np.isfinite(registry.figure(name).build().rows))
+    spec = analysis.SweepSpec("r", *registry.R_GRID_SURFACE, {"alpha": 10.0, "sigma": 0.004})
+    column = analysis.sweep(spec, "phase_ratio").rows[:, 1]
+    assert np.all((column > 0.0) & (column < 1.0))
+    with pytest.raises(AssertionError, match="oracle reached"):
+        reference._hermite_ladder_ratio(0.725, 10.0, 1e-3)
 
 
 def test_coarse_trapezoid_step_fails_the_gate(monkeypatch):
