@@ -6,16 +6,18 @@ evaluation: its points are grouped by cutoff, and the quantity runs once
 per group on arrays of the group's parameter values, then once more at
 1.5x the cutoff; every row must agree between the two within
 CONVERGENCE_TOL, so published tables are convergence-checked row by row.
+The scan and check grids of maximize_1d are grouped the same way, one call
+per cutoff and no recheck.
 """
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .fockspace import SQUEEZE_LIMIT, NumericalFailureError, Truncation
+from .fockspace import SQUEEZE_LIMIT, NumericalFailureError
 
 CONVERGENCE_TOL = 1e-8
 GOLDEN_TOL = 1e-4
@@ -115,15 +117,6 @@ def _check_parameters(q, given: set[str], swept: tuple[str, ...]) -> None:
         raise ValueError(f"{q.name} needs a value for {', '.join(missing)}")
 
 
-def _cutoff(q, params: Mapping[str, float], dim=None, tail_tol=None) -> Truncation | None:
-    """registry.truncation for one evaluation; plain callables count as
-    matrix quantities."""
-    from . import registry
-
-    kind = getattr(q, "cutoff", "matrix")
-    return registry.truncation(kind, params.get("r", 0.0), dim, tail_tol)
-
-
 def _first_seen(keys) -> tuple[list, np.ndarray]:
     """The distinct keys in order of first appearance, and each key's
     index among them."""
@@ -139,11 +132,77 @@ def distinct(*columns) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     return tuple(np.array(rows, dtype=float).reshape(len(rows), len(columns)).T), at
 
 
+def _require_finite(values: np.ndarray, name: str, point: Callable[[int], dict]) -> np.ndarray:
+    """values, or a NumericalFailureError naming the first point in order
+    whose value is not finite."""
+    bad = ~np.isfinite(values)
+    if np.any(bad):
+        i = int(np.flatnonzero(bad)[0])
+        raise NumericalFailureError(f"{name} is not finite ({float(values[i])!r}) at {point(i)}")
+    return values
+
+
+@dataclasses.dataclass(frozen=True)
+class _Groups:
+    """The points of a parameter mapping grouped by cutoff: cutoffs holds
+    the distinct registry.truncation values in order of first appearance,
+    and group each point's index among them."""
+
+    params: Mapping
+    arrays: dict
+    cutoffs: list
+    group: np.ndarray
+
+    def __iter__(self):
+        """(cutoff, the group's point indices, params restricted to them)
+        for each group in order."""
+        for g, cutoff in enumerate(self.cutoffs):
+            idx = np.flatnonzero(self.group == g)
+            yield cutoff, idx, {
+                k: self.arrays[k][idx] if k in self.arrays else v for k, v in self.params.items()
+            }
+
+    def point(self, i: int) -> dict:
+        return {
+            k: float(self.arrays[k][i]) if k in self.arrays else v for k, v in self.params.items()
+        }
+
+
+def _by_cutoff(q, params: Mapping, dim, tail_tol) -> _Groups:
+    """The points of params (see evaluate) grouped by
+    registry.truncation(q.cutoff, r, dim, tail_tol), one lookup per
+    distinct r; a quantity without a cutoff counts as matrix.  An r outside
+    [0, SQUEEZE_LIMIT] is a ValueError."""
+    from . import registry
+
+    arrays = {k: np.asarray(v, dtype=float) for k, v in params.items() if np.ndim(v)}
+    size = len(next(iter(arrays.values()))) if arrays else 1
+    r = np.broadcast_to(np.asarray(params.get("r", 0.0), dtype=float), (size,))
+    outside = ~((r >= 0.0) & (r <= SQUEEZE_LIMIT))
+    if np.any(outside):
+        raise ValueError(f"r must lie in [0, {SQUEEZE_LIMIT}], got {r[outside][0]}")
+    (rs,), r_at = distinct(r)
+    kind = getattr(q, "cutoff", "matrix")
+    cutoffs, group_of_r = _first_seen(registry.truncation(kind, x, dim, tail_tol) for x in rs)
+    return _Groups(params, arrays, cutoffs, group_of_r[r_at])
+
+
+class Evaluation(NamedTuple):
+    """evaluate's values, the cutoff dims used, and the largest move
+    |v(dim) - v(1.5 dim)| with the point where it happens (the first such
+    point; analytic quantities move by 0)."""
+
+    values: np.ndarray
+    dims: list[int]
+    max_move: float
+    max_move_at: dict
+
+
 def evaluate(
     quantity, params: Mapping, dim: int | None = None, tail_tol: float | None = None
-) -> tuple[np.ndarray, list[int]]:
-    """Values of a quantity at every point of its parameters, and the
-    cutoffs used.
+) -> Evaluation:
+    """Values of a quantity at every point of its parameters, the cutoffs
+    used and the largest move between them.
 
     params maps each parameter to a float, held fixed, or to a 1-D array
     with one entry per point; the arrays share one length.  An r outside
@@ -155,50 +214,36 @@ def evaluate(
     most CONVERGENCE_TOL between them; the first point in order that does
     not is named in the NumericalFailureError or ConvergenceError.
     """
-    from . import registry
-
     q = _resolve(quantity)
     name = getattr(q, "name", q)
-    arrays = {k: np.asarray(v, dtype=float) for k, v in params.items() if np.ndim(v)}
-    size = len(next(iter(arrays.values()))) if arrays else 1
-    r = np.broadcast_to(np.asarray(params.get("r", 0.0), dtype=float), (size,))
-    outside = ~((r >= 0.0) & (r <= SQUEEZE_LIMIT))
-    if np.any(outside):
-        raise ValueError(f"r must lie in [0, {SQUEEZE_LIMIT}], got {r[outside][0]}")
-    (rs,), r_at = distinct(r)
-    kind = getattr(q, "cutoff", "matrix")
-    bases, group_of_r = _first_seen(registry.truncation(kind, x, dim, tail_tol) for x in rs)
-    group = group_of_r[r_at]
-    v1 = np.empty(size)
-    v2 = np.empty(size)
-    for g, base in enumerate(bases):
-        idx = np.flatnonzero(group == g)
-        sub = {k: arrays[k][idx] if k in arrays else v for k, v in params.items()}
-        v1[idx] = q.fn(base, **sub)
-        v2[idx] = v1[idx] if base is None else q.fn(base.scaled(1.5), **sub)
-
-    def point(i: int) -> dict:
-        return {k: float(arrays[k][i]) if k in arrays else v for k, v in params.items()}
-
+    groups = _by_cutoff(q, params, dim, tail_tol)
+    v1 = np.empty(len(groups.group))
+    v2 = np.empty(len(groups.group))
+    for cutoff, idx, sub in groups:
+        v1[idx] = q.fn(cutoff, **sub)
+        v2[idx] = v1[idx] if cutoff is None else q.fn(cutoff.scaled(1.5), **sub)
     bad = ~(np.isfinite(v1) & np.isfinite(v2))
     if np.any(bad):
         i = int(np.flatnonzero(bad)[0])
-        base = bases[group[i]]
+        base = groups.cutoffs[groups.group[i]]
         where = "" if base is None else (
             f" at dim {base.dim} ({float(v1[i])!r}) or dim {base.scaled(1.5).dim}"
         )
         raise NumericalFailureError(
-            f"{name} is not finite{where} ({float(v2[i])!r}) at {point(i)}"
+            f"{name} is not finite{where} ({float(v2[i])!r}) at {groups.point(i)}"
         )
-    moved = np.abs(v1 - v2) > CONVERGENCE_TOL
+    move = np.abs(v1 - v2)
+    moved = move > CONVERGENCE_TOL
     if np.any(moved):
         i = int(np.flatnonzero(moved)[0])
-        base = bases[group[i]]
+        base = groups.cutoffs[groups.group[i]]
         raise ConvergenceError(
-            f"{name} moved by {abs(v1[i] - v2[i]):.3e} between "
-            f"dim {base.dim} and dim {base.scaled(1.5).dim} at {point(i)}"
+            f"{name} moved by {move[i]:.3e} between "
+            f"dim {base.dim} and dim {base.scaled(1.5).dim} at {groups.point(i)}"
         )
-    return v1, sorted({b.dim for b in bases if b is not None})
+    worst = int(np.argmax(move))
+    dims = sorted({b.dim for b in groups.cutoffs if b is not None})
+    return Evaluation(v1, dims, float(move[worst]), groups.point(worst))
 
 
 def sweep(
@@ -230,14 +275,18 @@ def sweep(
     else:
         ys = second.grid()
         grid = {spec.variable: np.repeat(xs, len(ys)), second.variable: np.tile(ys, len(xs))}
-    values, dims = evaluate(q, {**fixed, **grid}, dim, tail_tol)
+    result = evaluate(q, {**fixed, **grid}, dim, tail_tol)
     metadata = {
         "quantity": name,
         "convergence_tol": CONVERGENCE_TOL,
-        "dims": dims if dims else "analytic",
+        "dims": result.dims if result.dims else "analytic",
         "fixed": fixed,
+        "max_move": result.max_move,
+        "max_move_at": result.max_move_at,
     }
-    return SweepResult(swept + (name,), np.column_stack([*grid.values(), values]), metadata)
+    return SweepResult(
+        swept + (name,), np.column_stack([*grid.values(), result.values]), metadata
+    )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -255,17 +304,48 @@ class MaximizeResult:
         return iter((self.argmax, self.value))
 
 
-def _objective(quantity) -> Callable[[float], float]:
-    if callable(quantity):
-        return quantity
+@dataclasses.dataclass(frozen=True)
+class ArrayObjective:
+    """A function of one variable that takes a 1-D array of points and
+    returns one value per point, so that maximize_1d evaluates each of its
+    grids in one call.  A value that is not finite is a
+    NumericalFailureError naming the first such point as {var: x}."""
+
+    fn: Callable[[np.ndarray], np.ndarray]
+    name: str = "objective"
+    var: str = "x"
+
+    def __call__(self, xs) -> np.ndarray:
+        xs = np.asarray(xs, dtype=float)
+        values = np.asarray(self.fn(xs), dtype=float)
+        return _require_finite(values, self.name, lambda i: {self.var: float(xs[i])})
+
+
+def objective(quantity, dim: int | None = None, tail_tol: float | None = None) -> ArrayObjective:
+    """A registered quantity (a name or a Quantity) as a function of its
+    first variable, the others at their defaults: each array of points is
+    one q.fn call per cutoff group registry.truncation(q.cutoff, r, dim,
+    tail_tol), with no 1.5x recheck."""
     q = _resolve(quantity)
     var = q.variables[0]
 
-    def f(x: float) -> float:
-        params = {**q.defaults, var: float(x)}
-        return float(q.fn(_cutoff(q, params), **params))
+    def values(xs: np.ndarray) -> np.ndarray:
+        out = np.empty(len(xs))
+        for cutoff, idx, sub in _by_cutoff(q, {**q.defaults, var: xs}, dim, tail_tol):
+            out[idx] = q.fn(cutoff, **sub)
+        return out
 
-    return f
+    return ArrayObjective(values, q.name, var)
+
+
+def _objective(quantity) -> ArrayObjective:
+    """maximize_1d's objective: an ArrayObjective as it is, a float-only
+    callable once per point, and a registered quantity through objective."""
+    if isinstance(quantity, ArrayObjective):
+        return quantity
+    if callable(quantity):
+        return ArrayObjective(lambda xs: [quantity(x) for x in xs])
+    return objective(quantity)
 
 
 def _golden_section(f, a: float, b: float, tol: float) -> tuple[float, float]:
@@ -291,11 +371,20 @@ def maximize_1d(quantity, lo: float, hi: float, tol: float = GOLDEN_TOL) -> Maxi
 
     A 201-point grid check afterwards guards against missed modes: if any
     grid value beats the polished maximum, the search is repeated around
-    the grid winner and the result is flagged non-unimodal.
+    the grid winner and the result is flagged non-unimodal.  quantity is a
+    registered name or Quantity (see objective), an ArrayObjective, or a
+    callable taking one float.  The scan and the check grid are one
+    objective call each, and golden section calls it on one-point arrays;
+    a value that is not finite is a NumericalFailureError naming the first
+    such point.
     """
-    f = _objective(quantity)
+    on_grid = _objective(quantity)
+
+    def f(x: float) -> float:
+        return float(on_grid(np.array([x]))[0])
+
     xs = np.linspace(lo, hi, SCAN_POINTS)
-    vals = np.array([f(x) for x in xs])
+    vals = on_grid(xs)
     best = int(np.argmax(vals))
     a = xs[max(best - 1, 0)]
     b = xs[min(best + 1, SCAN_POINTS - 1)]
@@ -304,7 +393,7 @@ def maximize_1d(quantity, lo: float, hi: float, tol: float = GOLDEN_TOL) -> Maxi
         x_star, v_star = float(xs[best]), float(vals[best])
     unimodal = True
     check = np.linspace(lo, hi, CHECK_POINTS)
-    cvals = np.array([f(x) for x in check])
+    cvals = on_grid(check)
     cbest = int(np.argmax(cvals))
     if cvals[cbest] > v_star + 1e-9:
         unimodal = False
@@ -317,10 +406,13 @@ def maximize_1d(quantity, lo: float, hi: float, tol: float = GOLDEN_TOL) -> Maxi
 
 
 def find_crossing(f, g, lo: float, hi: float, tol: float = GOLDEN_TOL) -> float:
-    """Bisection root of f - g on [lo, hi]; the difference must change sign."""
+    """Bisection root of f - g on [lo, hi]; the difference must change
+    sign, and a difference that is not finite is a NumericalFailureError
+    naming its point."""
 
     def h(x: float) -> float:
-        return f(x) - g(x)
+        value = np.array([f(x) - g(x)], dtype=float)
+        return float(_require_finite(value, "f - g", lambda i: {"x": float(x)})[0])
 
     ha = h(lo)
     hb = h(hi)

@@ -28,6 +28,7 @@ NUMERICAL_ERRORS = (
     QuadratureConvergenceError,
     ZeroDivisionError,
     FloatingPointError,
+    OverflowError,
 )
 
 

@@ -151,9 +151,13 @@ def benchmark_g2(r, eta):
     elementwise:
 
         g2 = -3 + 2/eta + eta + (1 - eta) cosh 2r
+
+    2/eta overflows to inf for a subnormal eta without a warning; the
+    callers' finiteness checks report it.
     """
     _check_eta(eta)
-    return -3.0 + 2.0 / eta + eta + (1.0 - eta) * np.cosh(2.0 * r)
+    with np.errstate(over="ignore", divide="ignore"):
+        return -3.0 + 2.0 / eta + eta + (1.0 - eta) * np.cosh(2.0 * r)
 
 
 def g2_tmss(r: float, det: DetectorModel) -> float:

@@ -67,7 +67,7 @@ def _pointwise(kernel):
     """Quantity fn from a kernel over equal-length 1-D parameter arrays:
     the parameters are broadcast to one length, and a call with floats
     only gets a float back, so analysis.evaluate and scalar callers such
-    as maximize_1d share one code path."""
+    as verify's dim-versus-1.5-dim check share one code path."""
 
     @functools.wraps(kernel)
     def fn(trunc, **params):
@@ -313,8 +313,19 @@ def _joined_sweeps(
         "dims": sorted(dims) if dims else "analytic",
         "convergence_tol": analysis.CONVERGENCE_TOL,
         "fixed": fixed,
+        **_worst_move(results),
     }
     return Table(tuple(grid_cols) + tuple(names), table_rows, metadata)
+
+
+def _worst_move(results) -> dict:
+    """The max_move and max_move_at metadata of several sweeps: the first
+    largest move, at its point and with its quantity's name."""
+    worst = max(results, key=lambda res: res.metadata["max_move"])
+    return {
+        "max_move": worst.metadata["max_move"],
+        "max_move_at": {"quantity": worst.metadata["quantity"], **worst.metadata["max_move_at"]},
+    }
 
 
 R_GRID = (0.01, 2.0, 201)
@@ -339,16 +350,25 @@ def _fig2(dim=None, tail_tol=None, eta=None, alpha=None) -> Table:
     _no_overrides("fig2", eta, alpha)
     trunc = truncation("matrix", FIG2_R, dim, tail_tol)
     levels = min(FIG2_LEVELS, trunc.dim)
-    rows = np.column_stack(
-        [np.arange(levels, dtype=float)]
-        + [optics.herald_row(FIG2_R, sign, trunc)[:levels] for sign in (None, -1, +1)]
-    )
+    names = ("p1n_squeezed", "p1n_cat_minus", "p1n_cat_plus")
+
+    def rows_at(t):
+        return np.column_stack([optics.herald_row(FIG2_R, sign, t)[:levels]
+                                for sign in (None, -1, +1)])
+
+    values = rows_at(trunc)
+    # measured, not gated: the move of each entry at 1.5x the cutoff
+    move = np.abs(values - rows_at(trunc.scaled(1.5)))
+    n, col = np.unravel_index(int(np.argmax(move)), move.shape)
     metadata = {
         "dims": [trunc.dim],
         "convergence_tol": analysis.CONVERGENCE_TOL,
         "fixed": {"r": FIG2_R},
+        "max_move": float(move[n, col]),
+        "max_move_at": {"quantity": names[col], "n": float(n), "r": FIG2_R},
     }
-    return Table(("n", "p1n_squeezed", "p1n_cat_minus", "p1n_cat_plus"), rows, metadata)
+    rows = np.column_stack([np.arange(levels, dtype=float), values])
+    return Table(("n",) + names, rows, metadata)
 
 
 def _surface(var1, grid1, var2, grid2, names):
@@ -382,6 +402,7 @@ def _fig5a(dim=None, tail_tol=None, eta=None, alpha=None) -> Table:
         "dims": sorted({d for t in tables for d in t.metadata["dims"]}),
         "convergence_tol": analysis.CONVERGENCE_TOL,
         "fixed": {"r": 0.725, "alphas": list(alphas)},
+        **_worst_move(tables),
     }
     return Table(("sigma", "ratio_alpha9", "ratio_alpha10", "ratio_alpha11"),
                  rows, metadata)

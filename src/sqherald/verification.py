@@ -38,18 +38,18 @@ class VerifyConfig:
     def trunc(self, r: float) -> Truncation:
         return registry.truncation("matrix", r, self.dim, self.tail_tol)
 
-    def of_r(self, name: str):
+    def of_r(self, name: str) -> analysis.ArrayObjective:
         """The registered matrix quantity name as a function of r alone,
-        evaluated at trunc(r)."""
-        q = registry.resolve(name)
-        return lambda r: float(q.fn(self.trunc(float(r)), r=float(r)))
+        each r evaluated at trunc(r): an objective over 1-D arrays of r
+        that calls the quantity once per cutoff group."""
+        return analysis.objective(name, self.dim, self.tail_tol)
 
     def column(self, name: str, **params) -> np.ndarray:
         """The registered quantity at every point of params (floats, or 1-D
         arrays of one length) in one grouped analysis.evaluate at these
         overrides, its 1.5x-cutoff recheck included."""
         q = registry.resolve(name)
-        return analysis.evaluate(q, {**q.defaults, **params}, self.dim, self.tail_tol)[0]
+        return analysis.evaluate(q, {**q.defaults, **params}, self.dim, self.tail_tol).values
 
 
 class _Checks:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqherald import analysis, kerr, registry, sources
+from sqherald import analysis, kerr, registry, sources, verification
 from sqherald import fockspace as fs
 
 
@@ -251,6 +251,24 @@ def test_maximize_flags_hidden_narrow_mode():
     assert result.value == pytest.approx(2.0, abs=1e-4)
 
 
+def test_maximize_rejects_non_finite_objective():
+    # NaN in a band around the peak at 0.3125 that misses the scan grid:
+    # the golden-section polish used to land in it and return value = nan
+    # with unimodal = True
+    def peak(x):
+        return math.nan if abs(x - 0.3125) < 1e-3 else -((x - 0.3125) ** 2)
+
+    with pytest.raises(fs.NumericalFailureError) as err:
+        analysis.maximize_1d(peak, 0.0, 1.0)
+    assert str(err.value).startswith("objective is not finite (nan) at {'x': 0.31")
+    # an array objective names its own quantity, variable and first point
+    # in grid order: the scan reaches 0.525 before any golden-section point
+    ramp = analysis.ArrayObjective(lambda r: np.where(r > 0.5, np.inf, r), "ramp", "r")
+    with pytest.raises(fs.NumericalFailureError) as err:
+        analysis.maximize_1d(ramp, 0.0, 1.0)
+    assert str(err.value) == "ramp is not finite (inf) at {'r': 0.525}"
+
+
 def test_find_crossing_linear():
     root = analysis.find_crossing(lambda x: x, lambda x: 0.5, 0.0, 1.0, tol=1e-6)
     assert root == pytest.approx(0.5, abs=1e-6)
@@ -264,3 +282,61 @@ def test_find_crossing_endpoint_hits():
 def test_find_crossing_requires_sign_change():
     with pytest.raises(analysis.NoCrossingError):
         analysis.find_crossing(lambda x: x + 1.0, lambda x: 0.0, 0.0, 1.0)
+
+
+def test_find_crossing_rejects_non_finite_difference():
+    # a NaN difference compares False against 0, so bisection used to
+    # treat it as a sign and return 0.300018 as a root
+    with pytest.raises(fs.NumericalFailureError) as err:
+        analysis.find_crossing(lambda x: math.nan if x > 0.3 else 1.0, lambda x: 0.0, 0, 1)
+    assert str(err.value) == "f - g is not finite (nan) at {'x': 1.0}"
+    with pytest.raises(fs.NumericalFailureError) as err:
+        analysis.find_crossing(
+            lambda x: math.nan if 0.45 < x < 0.55 else 0.5 - x, lambda x: 0.0, 0.0, 1.0
+        )
+    assert str(err.value) == "f - g is not finite (nan) at {'x': 0.5}"
+
+
+SEARCH_CONFIGS = {
+    "defaults": verification.VerifyConfig(),
+    "dim200": verification.VerifyConfig(dim=200),
+    "tail_tol0": verification.VerifyConfig(tail_tol=0.0),
+}
+
+
+def _search_outcome(fn) -> str:
+    """repr of fn()'s result or of the exception it raises: a float's repr
+    round-trips, so equal reprs are equal to the bit."""
+    try:
+        return repr(fn())
+    except Exception as exc:  # compared by repr against the other path
+        return repr(exc)
+
+
+@pytest.mark.parametrize("cfg", SEARCH_CONFIGS.values(), ids=SEARCH_CONFIGS.keys())
+@pytest.mark.parametrize(
+    "criterion, name",
+    [(verification.criterion_4, "herald_yield_cat_minus"), (verification.criterion_5, "p11_tmss")],
+    ids=["criterion_4", "criterion_5"],
+)
+def test_verify_searches_evaluate_whole_grids(monkeypatch, criterion, name, cfg):
+    # the 41-point scan and the 201-point check are one call per cutoff
+    # group each (two groups on [0, 2] at the default cutoffs); one call
+    # per float took about 259 calls for criterion 4
+    q = registry.QUANTITIES[name]
+    calls = []
+
+    def spy(trunc, **params):
+        calls.append(trunc)
+        return q.fn(trunc, **params)
+
+    monkeypatch.setitem(registry.QUANTITIES, name, dataclasses.replace(q, fn=spy))
+    criterion(cfg)
+    assert 0 < len(calls) <= 30
+    # the same search one float at a time, each r at cfg.trunc(r), gives
+    # the same result or the same error
+    grouped = _search_outcome(lambda: analysis.maximize_1d(cfg.of_r(name), 0.0, 2.0))
+    per_point = _search_outcome(lambda: analysis.maximize_1d(
+        lambda x: float(q.fn(cfg.trunc(float(x)), r=float(x))), 0.0, 2.0))
+    assert grouped == per_point
+    assert grouped.startswith("MaximizeResult(") == (cfg.tail_tol is None)

@@ -1,16 +1,22 @@
 """Command-line behavior: exit codes, table formats, overrides, and
 byte-level determinism."""
+import contextlib
+import io
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import sqherald
-from sqherald import cli, detect, reference
+from sqherald import cli, detect, reference, registry
 from sqherald.detect import DetectorModel
 from sqherald.fockspace import default_truncation
 
@@ -141,6 +147,21 @@ def test_sweep_set_flag_fixes_parameters(capsys):
     for r, value in rows:
         direct = detect.g2_heralded_cat(r, det, default_truncation(r))
         assert abs(value - direct) <= 1e-14
+
+
+def test_sweep_writes_the_largest_move_between_cutoffs(capsys):
+    # the label series moves most at the largest r; the point carries the
+    # fixed parameters too
+    code, out, err = run_cli(
+        capsys, "sweep", "--quantity", "p0_cat_minus", "--var", "r",
+        "--lo", "0.5", "--hi", "1.0", "--points", "3",
+    )
+    assert code == cli.EXIT_OK, err
+    meta, _, _ = parse_csv(out)
+    assert 0.0 < float(meta["max_move"]) <= 1e-8
+    assert json.loads(meta["max_move_at"]) == {
+        "alpha": 10.0, "r": 1.0, "tau_tilde": 3.141592653589793,
+    }
 
 
 def test_sweep_list_shows_registered_quantities(capsys):
@@ -290,12 +311,18 @@ def test_subnormal_click_probability_exits_numerical(capsys):
 
 def test_non_finite_closed_form_exits_numerical(capsys):
     # 2/eta overflows at eta = 1e-320; analytic values are checked for
-    # finiteness like the cutoff-bearing ones
-    code, out, err = run_cli(capsys, "sweep", "--quantity", "g2_tmss", "--var", "r",
-                             "--lo", "0.1", "--hi", "0.5", "--points", "2", "--eta", "1e-320")
+    # finiteness like the cutoff-bearing ones, and the overflow itself
+    # prints no RuntimeWarning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "sweep", "--quantity", "g2_tmss", "--var", "r",
+                                 "--lo", "0.1", "--hi", "0.5", "--points", "2",
+                                 "--eta", "1e-320")
     assert code == cli.EXIT_NUMERICAL
     assert out == ""
     assert "g2_tmss is not finite (inf) at" in err
+    assert "RuntimeWarning" not in err
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 @pytest.mark.parametrize(
@@ -477,3 +504,55 @@ def test_console_script_is_installed():
     proc = subprocess.run([exe, "figure", "--list"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "fig9b" in proc.stdout
+
+
+FUZZ_VALUES = ("0", "-1", "1e-320", "nan", "inf", "-inf", "3.0000001", "1e300", "abc", "",
+               "0.5", "1")
+FUZZ_POINTS = ("-1", "0", "1", "2", "3", "abc")
+FUZZ_VARIABLES = sorted(
+    {v for q in registry.QUANTITIES.values() for v in (*q.variables, *q.defaults)}
+) + ["foo"]
+# fig5b takes seconds, far beyond the per-example deadline
+FUZZ_FIGURES = sorted(set(registry.FIGURES) - {"fig5b"}) + ["foo"]
+
+
+@st.composite
+def _cli_arguments(draw):
+    """A sweep or figure argument list: every quantity, variable and
+    figure plus an unknown one, with values at the edges of each domain."""
+    value = st.sampled_from(FUZZ_VALUES)
+    if draw(st.sampled_from(("figure", "sweep", "sweep"))) == "figure":
+        argv = ["figure", draw(st.sampled_from(FUZZ_FIGURES))]
+    else:
+        argv = ["sweep", "--quantity", draw(st.sampled_from(sorted(registry.QUANTITIES) + ["foo"])),
+                "--var", draw(st.sampled_from(FUZZ_VARIABLES)),
+                "--lo", draw(value), "--hi", draw(value),
+                "--points", draw(st.sampled_from(FUZZ_POINTS))]
+        for name in draw(st.lists(st.sampled_from(FUZZ_VARIABLES), max_size=2)):
+            argv += ["--set", f"{name}={draw(value)}"]
+    flags = st.sampled_from(("--eta", "--alpha", "--dim", "--tail-tol"))
+    for flag in draw(st.lists(flags, max_size=2, unique=True)):
+        argv += [flag, draw(st.sampled_from(FUZZ_VALUES + (("8",) if flag == "--dim" else ())))]
+    return argv
+
+
+@settings(max_examples=200, deadline=2000, derandomize=True, database=None)
+@given(argv=_cli_arguments())
+def test_cli_returns_a_table_or_its_exit_code(argv):
+    # every argument list gives a documented exit code and no traceback or
+    # RuntimeWarning, and exit 0 comes with a table of finite values
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    event(f"exit {code}")
+    assert code in (cli.EXIT_OK, cli.EXIT_VERIFY, cli.EXIT_NUMERICAL, cli.EXIT_USAGE), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code == cli.EXIT_OK:
+        _, header, rows = parse_csv(out.getvalue())
+        assert rows and all(len(row) == len(header) for row in rows)
+        assert all(math.isfinite(v) for row in rows for v in row)

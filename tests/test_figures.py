@@ -31,6 +31,13 @@ def test_figure_builds_with_advertised_shape(name):
     assert np.all(np.isfinite(table.rows))
     assert "convergence_tol" in table.metadata
     assert "dims" in table.metadata
+    # the largest move between the dim and 1.5 dim values, and where
+    move = table.metadata["max_move"]
+    assert type(move) is float and 0.0 <= move <= analysis.CONVERGENCE_TOL
+    at = table.metadata["max_move_at"]
+    assert type(at) is dict
+    assert at["quantity"] in set(table.columns) | set(registry.QUANTITIES)
+    assert all(type(v) is float for k, v in at.items() if k != "quantity")
 
 
 def test_every_selector_is_registered():
