@@ -20,21 +20,15 @@ from .sources import cat_norm, herald_probability, squeezing_db
 from .optics import ZeroHeraldError
 from .kerr import (
     FitDegenerateError,
-    KerrSchedule,
     QuadratureConvergenceError,
     fit_lambda,
     fitted_decay_rate,
     gaussian_averaged_ratio,
-    p0_generation,
-    p1_heralded,
-    phase_error_ratio,
 )
 from .detect import (
     DetectorModel,
     ZeroClickError,
     ZeroMeanError,
-    g2_heralded_cat,
-    g2_tmss,
     quality_crossover,
 )
 from .analysis import (

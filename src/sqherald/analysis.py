@@ -1,9 +1,9 @@
 """Sweeps, 1-D maximization and crossing detection for the figure data.
 
-Quantities are addressed either by a registered name (see registry.py) or
-by passing an object with the Quantity attributes.  A sweep is one grouped
-evaluation: its points are grouped by cutoff, and the quantity runs once
-per group on arrays of the group's parameter values, then once more at
+Quantities are addressed by a registered name (see registry.py) or by
+the registry.Quantity itself.  A sweep is one grouped evaluation: its
+points are grouped by cutoff, and the quantity runs once per group on
+arrays of the group's parameter values, then once more at
 1.5x the cutoff; every row must agree between the two within
 CONVERGENCE_TOL, so published tables are convergence-checked row by row.
 The scan and check grids of maximize_1d are grouped the same way, one call
@@ -82,7 +82,7 @@ class SweepResult:
 
 
 def _resolve(quantity):
-    """Accept a registered name or anything quacking like a Quantity."""
+    """The registry.Quantity of a registered name, or the Quantity given."""
     if isinstance(quantity, str):
         from . import registry
 
@@ -93,15 +93,11 @@ def _resolve(quantity):
 def _check_parameters(q, given: set[str], swept: tuple[str, ...]) -> None:
     """Reject, before anything is evaluated, a name that is both fixed by
     the caller and swept, a swept or fixed name the quantity does not take,
-    and a variable left without a value.  Plain callables declare no
-    parameters, so only the first check applies to them."""
+    and a variable left without a value."""
     both = sorted(given & set(swept))
     if both:
         raise ValueError(f"cannot both sweep and fix {', '.join(both)}")
-    variables = getattr(q, "variables", None)
-    if variables is None:
-        return
-    known = set(variables) | set(q.defaults)
+    known = set(q.variables) | set(q.defaults)
     listing = ", ".join(sorted(known))
     for var in swept:
         if var not in known:
@@ -112,7 +108,7 @@ def _check_parameters(q, given: set[str], swept: tuple[str, ...]) -> None:
             f"{q.name} takes no parameter {', '.join(unknown)}; parameters: {listing}"
         )
     have = given | set(q.defaults) | set(swept)
-    missing = [var for var in variables if var not in have]
+    missing = [var for var in q.variables if var not in have]
     if missing:
         raise ValueError(f"{q.name} needs a value for {', '.join(missing)}")
 
@@ -155,11 +151,13 @@ class _Groups:
 
     def __iter__(self):
         """(cutoff, the group's point indices, params restricted to them)
-        for each group in order."""
+        for each group in order; every parameter is a 1-D array of the
+        group's length, a fixed one repeated."""
         for g, cutoff in enumerate(self.cutoffs):
             idx = np.flatnonzero(self.group == g)
             yield cutoff, idx, {
-                k: self.arrays[k][idx] if k in self.arrays else v for k, v in self.params.items()
+                k: self.arrays[k][idx] if k in self.arrays else np.full(len(idx), float(v))
+                for k, v in self.params.items()
             }
 
     def point(self, i: int) -> dict:
@@ -171,8 +169,7 @@ class _Groups:
 def _by_cutoff(q, params: Mapping, dim, tail_tol) -> _Groups:
     """The points of params (see evaluate) grouped by
     registry.truncation(q.cutoff, r, dim, tail_tol), one lookup per
-    distinct r; a quantity without a cutoff counts as matrix.  An r outside
-    [0, SQUEEZE_LIMIT] is a ValueError."""
+    distinct r.  An r outside [0, SQUEEZE_LIMIT] is a ValueError."""
     from . import registry
 
     arrays = {k: np.asarray(v, dtype=float) for k, v in params.items() if np.ndim(v)}
@@ -182,8 +179,7 @@ def _by_cutoff(q, params: Mapping, dim, tail_tol) -> _Groups:
     if np.any(outside):
         raise ValueError(f"r must lie in [0, {SQUEEZE_LIMIT}], got {r[outside][0]}")
     (rs,), r_at = distinct(r)
-    kind = getattr(q, "cutoff", "matrix")
-    cutoffs, group_of_r = _first_seen(registry.truncation(kind, x, dim, tail_tol) for x in rs)
+    cutoffs, group_of_r = _first_seen(registry.truncation(q.cutoff, x, dim, tail_tol) for x in rs)
     return _Groups(params, arrays, cutoffs, group_of_r[r_at])
 
 
@@ -208,14 +204,14 @@ def evaluate(
     with one entry per point; the arrays share one length.  An r outside
     [0, SQUEEZE_LIMIT] is a ValueError before anything is evaluated.  The
     points are grouped by registry.truncation(cutoff, r, dim, tail_tol),
-    and q.fn runs once per group with the arrays restricted to the group,
-    then once more at 1.5x that cutoff; analytic quantities (cutoff None)
-    run once.  Each point must be finite, at both cutoffs, and move by at
-    most CONVERGENCE_TOL between them; the first point in order that does
-    not is named in the NumericalFailureError or ConvergenceError.
+    and q.fn runs once per group with every parameter as an array over the
+    group's points, then once more at 1.5x that cutoff; analytic
+    quantities (cutoff None) run once.  Each point must be finite, at both
+    cutoffs, and move by at most CONVERGENCE_TOL between them; the first
+    point in order that does not is named in the NumericalFailureError or
+    ConvergenceError.
     """
     q = _resolve(quantity)
-    name = getattr(q, "name", q)
     groups = _by_cutoff(q, params, dim, tail_tol)
     v1 = np.empty(len(groups.group))
     v2 = np.empty(len(groups.group))
@@ -230,7 +226,7 @@ def evaluate(
             f" at dim {base.dim} ({float(v1[i])!r}) or dim {base.scaled(1.5).dim}"
         )
         raise NumericalFailureError(
-            f"{name} is not finite{where} ({float(v2[i])!r}) at {groups.point(i)}"
+            f"{q.name} is not finite{where} ({float(v2[i])!r}) at {groups.point(i)}"
         )
     move = np.abs(v1 - v2)
     moved = move > CONVERGENCE_TOL
@@ -238,7 +234,7 @@ def evaluate(
         i = int(np.flatnonzero(moved)[0])
         base = groups.cutoffs[groups.group[i]]
         raise ConvergenceError(
-            f"{name} moved by {move[i]:.3e} between "
+            f"{q.name} moved by {move[i]:.3e} between "
             f"dim {base.dim} and dim {base.scaled(1.5).dim} at {groups.point(i)}"
         )
     worst = int(np.argmax(move))
@@ -264,11 +260,10 @@ def sweep(
     with the offending parameters in the message.
     """
     q = _resolve(quantity)
-    name = getattr(q, "name", "value")
     given = {**spec.fixed, **(second.fixed if second is not None else {})}
     swept = (spec.variable,) if second is None else (spec.variable, second.variable)
     _check_parameters(q, set(given), swept)
-    fixed = {**getattr(q, "defaults", {}), **given}
+    fixed = {**q.defaults, **given}
     xs = spec.grid()
     if second is None:
         grid = {spec.variable: xs}
@@ -277,7 +272,7 @@ def sweep(
         grid = {spec.variable: np.repeat(xs, len(ys)), second.variable: np.tile(ys, len(xs))}
     result = evaluate(q, {**fixed, **grid}, dim, tail_tol)
     metadata = {
-        "quantity": name,
+        "quantity": q.name,
         "convergence_tol": CONVERGENCE_TOL,
         "dims": result.dims if result.dims else "analytic",
         "fixed": fixed,
@@ -285,7 +280,7 @@ def sweep(
         "max_move_at": result.max_move_at,
     }
     return SweepResult(
-        swept + (name,), np.column_stack([*grid.values(), result.values]), metadata
+        swept + (q.name,), np.column_stack([*grid.values(), result.values]), metadata
     )
 
 

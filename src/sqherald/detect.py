@@ -137,15 +137,6 @@ def benchmark_clicks(r, eta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return p_click, eta * x / c2, eta + (1.0 - eta) / c2
 
 
-def g2_heralded_cat(
-    r: float, det: DetectorModel, trunc: Truncation | None = None
-) -> float:
-    """Heralded g2 of the split odd superposition at one point."""
-    if trunc is None:
-        trunc = default_truncation(r)
-    return float(heralded_g2(np.array([r]), np.array([det.eta]), trunc)[0])
-
-
 def benchmark_g2(r, eta):
     """Closed-form heralded g2 of the two-mode squeezed benchmark,
     elementwise:
@@ -160,11 +151,6 @@ def benchmark_g2(r, eta):
         return -3.0 + 2.0 / eta + eta + (1.0 - eta) * np.cosh(2.0 * r)
 
 
-def g2_tmss(r: float, det: DetectorModel) -> float:
-    """benchmark_g2 at one point."""
-    return float(benchmark_g2(r, det.eta))
-
-
 def quality_crossover(
     det: DetectorModel,
     lo: float = 0.02,
@@ -175,13 +161,15 @@ def quality_crossover(
     """Squeezing at which the split superposition's heralded g2 stops
     beating the two-mode squeezed benchmark's.
 
-    Bisects g2_heralded_cat - g2_tmss on [lo, hi], with the source at
-    cutoff(r); raises NoCrossingError when the difference does not change
-    sign there (at eta = 1 the benchmark g2 is identically zero, so no
-    interior crossing exists).
+    Bisects heralded_g2 - benchmark_g2 on [lo, hi], one point per call,
+    with the source at cutoff(r); raises NoCrossingError when the
+    difference does not change sign there (at eta = 1 the benchmark g2 is
+    identically zero, so no interior crossing exists).
     """
+    eta = np.array([det.eta])
 
     def gap(r: float) -> float:
-        return g2_heralded_cat(r, det, cutoff(r)) - g2_tmss(r, det)
+        at = np.array([r])
+        return float(heralded_g2(at, eta, cutoff(r))[0] - benchmark_g2(at, eta)[0])
 
     return analysis.find_crossing(gap, lambda _: 0.0, lo, hi, tol=tol)

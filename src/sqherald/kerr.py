@@ -56,26 +56,22 @@ class FitDegenerateError(ValueError):
     """The fit abscissas carry no information (all sigmas equal)."""
 
 
-@dataclasses.dataclass(frozen=True)
-class KerrSchedule:
-    """Interaction phase tau_tilde = 2*kappa*t (stored mod 2pi) and pump
-    amplitude alpha."""
-
-    tau_tilde: float
-    alpha: complex
-
-    def __post_init__(self):
-        _check_schedule(self.tau_tilde, self.alpha)
-        object.__setattr__(self, "tau_tilde", float(self.tau_tilde) % TWO_PI)
+def _check_pump_size(alpha: complex) -> None:
+    """The label overlaps take |alpha|^2, so it must be a finite float."""
+    size = abs(alpha)
+    # a float product overflows to inf, where ** raises OverflowError
+    if not math.isfinite(size * size):
+        raise ValueError(f"pump amplitude alpha = {alpha} is too large: |alpha|^2 overflows")
 
 
 def _check_schedule(tau_tilde, alpha: complex) -> None:
     """Interaction phases (a float or an array) and the pump amplitude
-    must be finite, and the pump nonzero."""
+    must be finite, the pump nonzero and |alpha|^2 finite."""
     if not (np.all(np.isfinite(tau_tilde)) and cmath.isfinite(alpha)):
         raise ValueError("interaction phase and pump amplitude must be finite")
     if abs(alpha) == 0.0:
         raise ValueError("pump amplitude must be nonzero")
+    _check_pump_size(alpha)
 
 
 @functools.lru_cache(maxsize=256)
@@ -114,18 +110,6 @@ def p0_over_tau(
     return _overlap_probability(np.mod(taus, TWO_PI), n, g, alpha, label)
 
 
-def p0_generation(
-    sched: KerrSchedule,
-    r: float,
-    trunc: Truncation | None = None,
-    sign: int = -1,
-    label: complex | None = None,
-) -> float:
-    """p0_over_tau at the schedule's one interaction phase."""
-    taus = np.array([sched.tau_tilde])
-    return float(p0_over_tau(taus, r, sched.alpha, trunc, sign, label)[0])
-
-
 def p1_over_tau(
     taus: np.ndarray, r: float, alpha: complex, trunc: Truncation | None = None
 ) -> np.ndarray:
@@ -141,11 +125,6 @@ def p1_over_tau(
         trunc = series_truncation(r)
     p11 = float(optics.photon_numbers(r, -1, trunc)[2]) / 2.0
     return p11 * p0_over_tau(taus, r, alpha, trunc)
-
-
-def p1_heralded(sched: KerrSchedule, r: float, trunc: Truncation | None = None) -> float:
-    """p1_over_tau at the schedule's one interaction phase."""
-    return float(p1_over_tau(np.array([sched.tau_tilde]), r, sched.alpha, trunc)[0])
 
 
 @functools.lru_cache(maxsize=256)
@@ -202,6 +181,7 @@ def _phase_series(
         raise ValueError("squeezing must be positive")
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise ValueError("pump amplitude must be real, finite and positive")
+    _check_pump_size(alpha)
     trunc = Truncation(series_truncation(r).dim if dim is None else dim, tail_tol)
     n, g = _pair_series(r, -1, trunc)
     ref = float(_overlap_probability(np.array([math.pi]), n, g, alpha, -alpha)[0])
@@ -212,15 +192,6 @@ def _phase_series(
             f"at r = {r}, alpha = {alpha}"
         )
     return n, g, ref
-
-
-def phase_error_ratio(r: float, alpha: float, dtheta: float, dim: int | None = None) -> float:
-    """R(r, alpha, dtheta): herald probability at interaction phase
-    pi + dtheta, normalized by its dtheta = 0 value (so R(., ., 0) = 1
-    exactly and residual finite-alpha effects cancel)."""
-    n, g, ref = _phase_series(r, alpha, dim)
-    val = _overlap_probability(np.array([math.pi + dtheta]), n, g, alpha, -alpha)[0]
-    return float(val / ref)
 
 
 def _trapezoid_rule(sigma: float, band: float) -> tuple[np.ndarray, np.ndarray]:
@@ -309,7 +280,9 @@ def gaussian_averaged_ratio(
     dim: int | None = None,
     tail_tol: float = SERIES_STATE_TOL,
 ) -> float:
-    """Average phase_error_ratio over dtheta ~ N(0, sigma^2).
+    """Average of the ratio R(r, alpha, dtheta) of the herald probability
+    at interaction phase pi + dtheta to its value at pi, over dtheta ~
+    N(0, sigma^2).
 
     The average is the periodic trapezoid rule of _trapezoid_rule, which
     must agree with itself at twice the step within 1e-12 or raises

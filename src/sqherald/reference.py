@@ -9,7 +9,8 @@ tests check the production kernels against.
   orthogonal per-total-N blocks of apply_beam_splitter(), and the squeezer
   decomposition through the per-diagonal two-mode squeezer.
 - Dense click statistics and the numeric heralded g2 of a joint table.
-- The explicit cross-Kerr state, and the Gauss-Hermite ladder and seeded
+- The Kerr schedule and the explicit cross-Kerr state, the phase-error
+  ratio at one phase offset, and the Gauss-Hermite ladder and seeded
   Monte Carlo averages of the phase-noise ratio.
 
 No figure, sweep or production kernel imports this module; production
@@ -513,6 +514,19 @@ def g2_numeric(dist: JointDistribution, det: DetectorModel) -> float:
 
 
 @dataclasses.dataclass(frozen=True)
+class KerrSchedule:
+    """Interaction phase tau_tilde = 2*kappa*t (stored mod 2pi) and pump
+    amplitude alpha."""
+
+    tau_tilde: float
+    alpha: complex
+
+    def __post_init__(self):
+        kerr._check_schedule(self.tau_tilde, self.alpha)
+        object.__setattr__(self, "tau_tilde", float(self.tau_tilde) % kerr.TWO_PI)
+
+
+@dataclasses.dataclass(frozen=True)
 class HybridKerrState:
     """Sum over pair index n of c_n |2n>_1 |beta_n>_2.
 
@@ -555,7 +569,7 @@ class HybridKerrState:
         ]
 
 
-def kerr_evolve(r: float, sched: kerr.KerrSchedule, trunc: Truncation) -> HybridKerrState:
+def kerr_evolve(r: float, sched: KerrSchedule, trunc: Truncation) -> HybridKerrState:
     """Evolve S(r)|0>_1 |alpha>_2 under the cross-Kerr coupling for phase
     tau_tilde: each pair component |2n> imprints e^{-i n tau_tilde} on the
     pump label."""
@@ -575,6 +589,16 @@ def coherent_overlap(beta: complex, gamma: complex) -> complex:
             + np.conj(beta) * gamma
         )
     )
+
+
+def phase_error_ratio(r: float, alpha: float, dtheta: float, dim: int | None = None) -> float:
+    """R(r, alpha, dtheta): herald probability at interaction phase
+    pi + dtheta, normalized by its dtheta = 0 value (so R(., ., 0) = 1
+    exactly and residual finite-alpha effects cancel); the integrand that
+    kerr.gaussian_averaged_ratio averages."""
+    n, g, ref = kerr._phase_series(r, alpha, dim)
+    val = kerr._overlap_probability(np.array([math.pi + dtheta]), n, g, alpha, -alpha)[0]
+    return float(val / ref)
 
 
 @functools.lru_cache(maxsize=len(QUADRATURE_ORDERS))
@@ -634,7 +658,7 @@ def _hermite_ladder_ratio(r: float, alpha: float, sigma: float) -> float:
 def _monte_carlo_ratio(
     r: float, alpha: float, sigma: float, samples: int, seed: int | None
 ) -> float:
-    """Mean of kerr.phase_error_ratio over `samples` seeded draws dtheta ~
+    """Mean of phase_error_ratio over `samples` seeded draws dtheta ~
     N(0, sigma^2) at the series cutoff (a second oracle for
     kerr.gaussian_averaged_ratio)."""
     if seed is None:

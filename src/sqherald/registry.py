@@ -48,36 +48,19 @@ def truncation(
 @dataclasses.dataclass(frozen=True)
 class Quantity:
     """A named computation fn(trunc, **params), with trunc =
-    truncation(cutoff, r, ...).  fn takes every parameter as a float or as
-    a 1-D array over points (arrays of one length): floats alone give a
-    float, any array gives an array of values, one per point."""
+    truncation(cutoff, r, ...).  fn takes every parameter as a 1-D float
+    array over points, all of one length, and returns one value per
+    point."""
 
     name: str
     doc: str
-    fn: Callable[..., float]
+    fn: Callable[..., np.ndarray]
     variables: tuple[str, ...]
     defaults: Mapping[str, float]
     cutoff: str = "matrix"
 
     def __post_init__(self):
         object.__setattr__(self, "defaults", dict(self.defaults))
-
-
-def _pointwise(kernel):
-    """Quantity fn from a kernel over equal-length 1-D parameter arrays:
-    the parameters are broadcast to one length, and a call with floats
-    only gets a float back, so analysis.evaluate and scalar callers such
-    as verify's dim-versus-1.5-dim check share one code path."""
-
-    @functools.wraps(kernel)
-    def fn(trunc, **params):
-        if all(np.ndim(v) == 0 for v in params.values()):
-            return float(kernel(trunc, **{k: np.array([v], dtype=float)
-                                          for k, v in params.items()})[0])
-        arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in params.values()))
-        return kernel(trunc, **dict(zip(params, arrays)))
-
-    return fn
 
 
 def _p11(trunc, r, sign):
@@ -233,7 +216,7 @@ def _quantities() -> dict[str, Quantity]:
         Quantity("g2_tmss", "heralded zero-delay g2, benchmark (closed form)",
                  _q_g2_tmss, ("r", "eta"), {"eta": 0.9}, cutoff="analytic"),
     ]
-    return {q.name: dataclasses.replace(q, fn=_pointwise(q.fn)) for q in items}
+    return {q.name: q for q in items}
 
 
 QUANTITIES: dict[str, Quantity] = _quantities()
@@ -357,15 +340,21 @@ def _fig2(dim=None, tail_tol=None, eta=None, alpha=None) -> Table:
                                 for sign in (None, -1, +1)])
 
     values = rows_at(trunc)
-    # measured, not gated: the move of each entry at 1.5x the cutoff
+    # gated like every sweep: the move of each entry at 1.5x the cutoff
     move = np.abs(values - rows_at(trunc.scaled(1.5)))
     n, col = np.unravel_index(int(np.argmax(move)), move.shape)
+    at = {"n": float(n), "r": FIG2_R}
+    if move[n, col] > analysis.CONVERGENCE_TOL:
+        raise analysis.ConvergenceError(
+            f"{names[col]} moved by {move[n, col]:.3e} between "
+            f"dim {trunc.dim} and dim {trunc.scaled(1.5).dim} at {at}"
+        )
     metadata = {
         "dims": [trunc.dim],
         "convergence_tol": analysis.CONVERGENCE_TOL,
         "fixed": {"r": FIG2_R},
         "max_move": float(move[n, col]),
-        "max_move_at": {"quantity": names[col], "n": float(n), "r": FIG2_R},
+        "max_move_at": {"quantity": names[col], **at},
     }
     rows = np.column_stack([np.arange(levels, dtype=float), values])
     return Table(("n",) + names, rows, metadata)

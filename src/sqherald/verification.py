@@ -38,12 +38,6 @@ class VerifyConfig:
     def trunc(self, r: float) -> Truncation:
         return registry.truncation("matrix", r, self.dim, self.tail_tol)
 
-    def of_r(self, name: str) -> analysis.ArrayObjective:
-        """The registered matrix quantity name as a function of r alone,
-        each r evaluated at trunc(r): an objective over 1-D arrays of r
-        that calls the quantity once per cutoff group."""
-        return analysis.objective(name, self.dim, self.tail_tol)
-
     def column(self, name: str, **params) -> np.ndarray:
         """The registered quantity at every point of params (floats, or 1-D
         arrays of one length) in one grouped analysis.evaluate at these
@@ -130,7 +124,9 @@ def criterion_3(cfg: VerifyConfig) -> CriterionResult:
 def criterion_4(cfg: VerifyConfig) -> CriterionResult:
     def run():
         c = _Checks()
-        res = analysis.maximize_1d(cfg.of_r("herald_yield_cat_minus"), 0.0, 2.0)
+        res = analysis.maximize_1d(
+            analysis.objective("herald_yield_cat_minus", cfg.dim, cfg.tail_tol), 0.0, 2.0
+        )
         c.close("argmax_r of the pair yield", res.argmax, 1.146, 1e-3)
         c.close("max pair yield", res.value, 0.09623, 1e-4)
         c.holds("unimodal", res.unimodal, str(res.unimodal))
@@ -142,7 +138,7 @@ def criterion_4(cfg: VerifyConfig) -> CriterionResult:
 def criterion_5(cfg: VerifyConfig) -> CriterionResult:
     def run():
         c = _Checks()
-        res = analysis.maximize_1d(cfg.of_r("p11_tmss"), 0.0, 2.0)
+        res = analysis.maximize_1d(analysis.objective("p11_tmss", cfg.dim, cfg.tail_tol), 0.0, 2.0)
         c.close("argmax_r of benchmark P(1,1)", res.argmax, 0.881, 1e-3)
         c.close("max benchmark P(1,1)", res.value, 0.2500, 1e-6)
         dist = reference.tmss_joint_probability(0.881, cfg.trunc(0.881))
@@ -203,7 +199,7 @@ def criterion_9(cfg: VerifyConfig) -> CriterionResult:
         c.holds("numeric vs closed form on 50x5 grid", worst <= 1e-8, f"max gap {worst:.3e}")
         worst_perfect = float(np.max(np.abs(detect.benchmark_g2(rs, 1.0))))
         c.holds("g2 = 0 at eta = 1", worst_perfect <= 1e-10, f"max |g2| {worst_perfect:.3e}")
-        c.close("g2 at r -> 0, eta = 0.9", detect.g2_tmss(0.0, DetectorModel(0.9)), 0.2222, 1e-4)
+        c.close("g2 at r -> 0, eta = 0.9", float(detect.benchmark_g2(0.0, 0.9)), 0.2222, 1e-4)
         return c
 
     return _result(9, "benchmark g2 oracles", run)
@@ -263,9 +259,9 @@ def criterion_11(cfg: VerifyConfig) -> CriterionResult:
         for name in ("p11_cat_minus", "pc_cat_minus", "herald_yield_cat_minus", "g2_cat_minus"):
             q = registry.resolve(name)
             for r in (0.3, 0.725, 1.146, 2.0):
-                params = {**q.defaults, "r": r}
+                params = {k: np.array([v]) for k, v in {**q.defaults, "r": r}.items()}
                 base = cfg.trunc(r)
-                move = abs(q.fn(base, **params) - q.fn(base.scaled(1.5), **params))
+                move = float(abs(q.fn(base, **params) - q.fn(base.scaled(1.5), **params))[0])
                 if move > 1e-8:
                     conv_ok = False
                     worst_moves.append(f"{name}@r={r}: {move:.3e}")

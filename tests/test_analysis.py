@@ -2,14 +2,13 @@
 
 import dataclasses
 import math
-import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, reject, settings
 from hypothesis import strategies as st
 
-from sqherald import analysis, kerr, registry, sources, verification
+from sqherald import analysis, detect, kerr, registry, sources, verification
 from sqherald import fockspace as fs
 
 
@@ -50,7 +49,7 @@ def test_single_point_sweep_matches_direct_call():
     spec = analysis.SweepSpec("r", 0.725, 0.725, 1)
     result = analysis.sweep(spec, "p11_cat_minus")
     q = registry.resolve("p11_cat_minus")
-    direct = q.fn(registry.truncation(q.cutoff, 0.725), r=0.725)
+    direct = q.fn(registry.truncation(q.cutoff, 0.725), r=np.array([0.725]))[0]
     assert result.rows[0, 1] == direct
 
 
@@ -89,7 +88,9 @@ def test_convergence_check_flags_unstable_cutoff():
 
 def test_convergence_check_rejects_nan():
     # NaN compares False against the tolerance, so the gate must test it
-    quantity = types.SimpleNamespace(name="nan_quantity", fn=lambda trunc, r: math.nan)
+    quantity = registry.Quantity(
+        "nan_quantity", "NaN everywhere", lambda trunc, r: np.full(len(r), math.nan), ("r",), {}
+    )
     spec = analysis.SweepSpec("r", 0.5, 0.5, 1)
     with pytest.raises(fs.NumericalFailureError) as err:
         analysis.sweep(spec, quantity, dim=8)
@@ -172,7 +173,7 @@ def _columns(draw, name):
 @given(data=st.data())
 def test_grouped_evaluation_matches_scalar_calls(name, data):
     # one grouped call per cutoff against one evaluation per point with
-    # floats, which takes the scalar path of the same quantity function
+    # floats, which calls the same quantity function on one-point arrays
     q = registry.QUANTITIES[name]
     columns = data.draw(_columns(name))
     grouped = _outcome(lambda: analysis.evaluate(q, {**q.defaults, **columns})[0])
@@ -189,12 +190,103 @@ def test_grouped_evaluation_matches_scalar_calls(name, data):
         assert abs(value - scalar) <= 1e-13 * abs(scalar)
 
 
+def test_every_quantity_takes_equal_length_float_columns(monkeypatch):
+    # the one calling convention of Quantity.fn: every parameter other
+    # than the cutoff is a 1-D float array, all of one length; verify
+    # reports a criterion's exception as a failure, so the spy records
+    # what it saw instead of raising
+    seen, bad = set(), []
+    for name, q in list(registry.QUANTITIES.items()):
+        def spy(trunc, _fn=q.fn, _name=name, **params):
+            seen.add(_name)
+            columns = list(params.values())
+            if not all(isinstance(v, np.ndarray) and v.ndim == 1 and v.dtype == float
+                       for v in columns) or len({len(v) for v in columns}) != 1:
+                bad.append((_name, params))
+            return _fn(trunc, **params)
+
+        monkeypatch.setitem(registry.QUANTITIES, name, dataclasses.replace(q, fn=spy))
+    for name in registry.FIGURES:
+        if name != "fig5b":
+            registry.figure(name).build()
+    analysis.sweep(analysis.SweepSpec("sigma", 0.0, 0.004, 3), "phase_ratio")
+    verification.run_all()
+    # every quantity but the two that no figure or criterion uses was seen
+    assert seen == set(registry.QUANTITIES) - {"herald_prob_cat_minus", "pclick1_yield_cat_minus"}
+    assert bad == []
+
+
+PROBABILITIES = (
+    "p11_cat_minus", "p11_cat_plus", "p11_squeezed", "p11_tmss",
+    "herald_prob_cat_minus", "herald_yield_cat_minus",
+    "pclick_cat_minus", "pclick1_cat_minus", "pclickc_cat_minus", "pclick1_yield_cat_minus",
+    "pclick_tmss", "pclick1_tmss", "pclickc_tmss",
+)
+# a cutoff at which every click statistic passes the convergence gate for
+# r <= 2 at any efficiency
+WIDE_DIM = 480
+
+
+def _probabilities(columns, dim=None):
+    values = {}
+    for name in PROBABILITIES:
+        q = registry.QUANTITIES[name]
+        values[name] = analysis.evaluate(q, {k: columns[k] for k in q.variables}, dim).values
+    return values
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_probabilities_keep_their_invariants_across_the_domain(data):
+    # r and eta columns over the default cutoff's domain r in [0, 2] and
+    # eta in (0, 1], through analysis.evaluate; the Kerr probabilities over
+    # their own domain r in (0, 3] and tau_tilde in [0, 2pi]
+    size = data.draw(st.integers(1, 4))
+
+    def column(values):
+        return np.array(data.draw(st.lists(values, min_size=size, max_size=size)))
+
+    columns = {"r": column(st.floats(0.0, 2.0)), "eta": column(st.floats(0.0, 1.0, exclude_min=True))}
+    try:
+        try:
+            values = _probabilities(columns)
+        except analysis.ConvergenceError:
+            # the default cutoff follows r alone, so at small eta the
+            # click statistics near r = 2 miss the gate; check the same
+            # draw at a cutoff that passes it
+            event("default cutoff refused")
+            values = _probabilities(columns, WIDE_DIM)
+    except detect.ZeroClickError:
+        reject()
+    for name, value in values.items():
+        assert np.all((value >= 0.0) & (value <= 1.0)), (name, columns, value)
+    for source in ("cat_minus", "tmss"):
+        p_click, p_click_1, p_click_c = (
+            values[f"{stat}_{source}"] for stat in ("pclick", "pclick1", "pclickc")
+        )
+        # the benchmark's closed forms keep p_click_c where p_click has
+        # underflowed; the ratio has lost its digits there
+        normal = p_click >= fs.TINY
+        ratio = p_click_1[normal] / p_click[normal]
+        assert np.all(np.abs(p_click_c[normal] - ratio) <= 1e-13 * ratio), (source, columns)
+
+    kerr_columns = {
+        "r": column(st.floats(0.0, fs.SQUEEZE_LIMIT, exclude_min=True)),
+        "tau_tilde": column(st.floats(0.0, 2.0 * math.pi)),
+    }
+    for name in ("p0_cat_minus", "p1_cat_minus"):
+        q = registry.QUANTITIES[name]
+        value = analysis.evaluate(q, {**q.defaults, **kerr_columns}).values
+        assert np.all((value >= 0.0) & (value <= 1.0)), (name, kerr_columns, value)
+
+
 def test_evaluate_names_the_first_unconverged_point():
     # the groups run in order of first appearance, dim 64 (r = 0.2, 0.7)
     # before dim 160 (r = 1.5), but the error names the first point in
     # order that moves with the cutoff
-    quantity = types.SimpleNamespace(
-        name="drifting", fn=lambda trunc, r: np.where(r > 0.5, float(trunc.dim), 0.0)
+    quantity = registry.Quantity(
+        "drifting", "the cutoff's dim above r = 0.5",
+        lambda trunc, r: np.where(r > 0.5, float(trunc.dim), 0.0), ("r",), {},
     )
     with pytest.raises(analysis.ConvergenceError) as err:
         analysis.evaluate(quantity, {"r": np.array([0.2, 1.5, 0.7])})
@@ -203,8 +295,9 @@ def test_evaluate_names_the_first_unconverged_point():
 
 def test_evaluate_rejects_r_outside_the_squeezing_domain():
     calls = []
-    quantity = types.SimpleNamespace(
-        name="spy", cutoff="analytic", fn=lambda trunc, r: calls.append(r) or r
+    quantity = registry.Quantity(
+        "spy", "records its calls", lambda trunc, r: calls.append(r) or r, ("r",), {},
+        cutoff="analytic",
     )
     for bad in (-1e-3, 3.0 + 1e-9, math.nan):
         with pytest.raises(ValueError) as err:
@@ -335,8 +428,9 @@ def test_verify_searches_evaluate_whole_grids(monkeypatch, criterion, name, cfg)
     assert 0 < len(calls) <= 30
     # the same search one float at a time, each r at cfg.trunc(r), gives
     # the same result or the same error
-    grouped = _search_outcome(lambda: analysis.maximize_1d(cfg.of_r(name), 0.0, 2.0))
+    grouped = _search_outcome(lambda: analysis.maximize_1d(
+        analysis.objective(name, cfg.dim, cfg.tail_tol), 0.0, 2.0))
     per_point = _search_outcome(lambda: analysis.maximize_1d(
-        lambda x: float(q.fn(cfg.trunc(float(x)), r=float(x))), 0.0, 2.0))
+        lambda x: float(q.fn(cfg.trunc(float(x)), r=np.array([float(x)]))[0]), 0.0, 2.0))
     assert grouped == per_point
     assert grouped.startswith("MaximizeResult(") == (cfg.tail_tol is None)

@@ -11,13 +11,13 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import sqherald
 from sqherald import cli, detect, reference, registry
-from sqherald.detect import DetectorModel
 from sqherald.fockspace import default_truncation
 
 ALL_FIGURES = (
@@ -143,9 +143,9 @@ def test_sweep_set_flag_fixes_parameters(capsys):
     assert code == cli.EXIT_OK, err
     meta, header, rows = parse_csv(out)
     assert '"eta": 0.8' in meta["fixed"]
-    det = DetectorModel(0.8)
     for r, value in rows:
-        direct = detect.g2_heralded_cat(r, det, default_truncation(r))
+        at, eta = np.array([r]), np.array([0.8])
+        direct = float(detect.heralded_g2(at, eta, default_truncation(r))[0])
         assert abs(value - direct) <= 1e-14
 
 
@@ -267,6 +267,21 @@ def test_sweep_non_finite_kerr_input_exits_usage(capsys, quantity, fixed):
     assert code == cli.EXIT_USAGE
     assert out == ""
     assert "invalid parameter" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("figure", "fig4a", "--alpha", "1e300"),
+        ("sweep", "--quantity", "phase_ratio", "--var", "r", "--lo", "0.5", "--hi", "0.6",
+         "--points", "2", "--set", "sigma=0.001", "--alpha", "1e200"),
+    ],
+)
+def test_pump_amplitude_whose_square_overflows_exits_usage(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert "invalid parameter: pump amplitude alpha = " in err and "overflows" in err
 
 
 def test_phase_ratio_honours_the_tail_tolerance(capsys):
@@ -461,6 +476,14 @@ def test_fig2_honours_a_zero_tail_tolerance(capsys):
     assert code == cli.EXIT_NUMERICAL
     assert out == ""
     assert "does not fit in dim = 64" in err
+
+
+def test_fig2_gates_its_move_between_cutoffs(capsys):
+    # at dim 8 the even superposition's P(1, 7) moves by 1.76e-4 at dim 12
+    code, out, err = run_cli(capsys, "figure", "fig2", "--dim", "8", "--tail-tol", "0.9")
+    assert code == cli.EXIT_NUMERICAL
+    assert out == ""
+    assert "p1n_cat_plus moved by 1.756e-04 between dim 8 and dim 12 at {'n': 7.0" in err
 
 
 @pytest.mark.parametrize(

@@ -26,6 +26,17 @@ def tmss_clicks(r, eta):
     return tuple(float(v) for v in detect.benchmark_clicks(r, eta))
 
 
+def cat_g2(r, eta):
+    """Heralded g2 of the split odd superposition at one point, from the
+    production kernel at the default cutoff."""
+    return float(detect.heralded_g2(np.array([r]), np.array([eta]), fs.default_truncation(r))[0])
+
+
+def tmss_g2(r, eta):
+    """The benchmark's closed-form heralded g2 at one point."""
+    return float(detect.benchmark_g2(np.array([r]), np.array([eta]))[0])
+
+
 def test_detector_model_validation():
     with pytest.raises(ValueError):
         detect.DetectorModel(0.0)
@@ -145,38 +156,36 @@ def test_subnormal_click_mass_counts_as_zero():
     with pytest.raises(detect.ZeroMeanError):
         reference._g2_subnormalized(row)
     with pytest.raises(detect.ZeroMeanError):
-        detect.g2_heralded_cat(0.5, detect.DetectorModel(1e-320))
+        cat_g2(0.5, 1e-320)
 
 
 def test_g2_heralded_cat_limits_and_fixture():
-    assert detect.g2_heralded_cat(0.005, detect.DetectorModel(1.0)) < 1e-8
-    assert detect.g2_heralded_cat(0.005, DET9) < 1e-3
-    assert detect.g2_heralded_cat(0.725, DET9) == pytest.approx(
+    assert cat_g2(0.005, 1.0) < 1e-8
+    assert cat_g2(0.005, 0.9) < 1e-3
+    assert cat_g2(0.725, 0.9) == pytest.approx(
         0.8469990351668981, abs=1e-12
     )
 
 
 def test_g2_tmss_closed_form():
     for r in (0.0, 0.5, 1.3):
-        assert detect.g2_tmss(r, detect.DetectorModel(1.0)) == pytest.approx(
-            0.0, abs=1e-14
-        )
-    assert detect.g2_tmss(1e-9, DET9) == pytest.approx(0.2222, abs=1e-4)
+        assert tmss_g2(r, 1.0) == pytest.approx(0.0, abs=1e-14)
+    assert tmss_g2(1e-9, 0.9) == pytest.approx(0.2222, abs=1e-4)
     expected = -3.0 + 2.0 / 0.9 + 0.9 + 0.1 * math.cosh(4.0)
-    assert detect.g2_tmss(2.0, DET9) == pytest.approx(expected, abs=1e-12)
+    assert tmss_g2(2.0, 0.9) == pytest.approx(expected, abs=1e-12)
 
 
 def test_g2_tmss_numeric_agreement():
     for r, eta in ((0.3, 0.8), (0.7, 0.85), (1.6, 0.95)):
         det = detect.DetectorModel(eta)
         dist = reference.tmss_joint_probability(r, fs.default_truncation(r))
-        assert abs(reference.g2_numeric(dist, det) - detect.g2_tmss(r, det)) < 1e-8
+        assert abs(reference.g2_numeric(dist, det) - tmss_g2(r, eta)) < 1e-8
 
 
 def test_g2_comparison_straddles_crossover():
     # better quality below the crossover squeezing, worse above it
-    assert detect.g2_heralded_cat(0.3, DET9) < detect.g2_tmss(0.3, DET9)
-    assert detect.g2_heralded_cat(0.725, DET9) > detect.g2_tmss(0.725, DET9)
+    assert cat_g2(0.3, 0.9) < tmss_g2(0.3, 0.9)
+    assert cat_g2(0.725, 0.9) > tmss_g2(0.725, 0.9)
 
 
 def test_conditional_quality_monotone_in_squeezing():
@@ -214,9 +223,7 @@ def test_quality_crossover_agrees_with_grid_scan():
     crossing = detect.quality_crossover(det)
     assert crossing == pytest.approx(0.6895370483398438, abs=1e-9)
     rs = np.linspace(0.02, 2.0, 1000)
-    gaps = np.array(
-        [detect.g2_heralded_cat(float(r), det) - detect.g2_tmss(float(r), det) for r in rs]
-    )
+    gaps = np.array([cat_g2(float(r), 0.7) - tmss_g2(float(r), 0.7) for r in rs])
     signs = np.sign(gaps)
     flips = np.nonzero(np.diff(signs) != 0.0)[0]
     assert len(flips) == 1

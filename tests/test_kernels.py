@@ -146,8 +146,7 @@ def test_no_production_quantity_builds_a_dense_table(monkeypatch):
     for name in NON_KERR_FIGURES:
         table = registry.figure(name).build()
         assert np.all(np.isfinite(table.rows))
-    sched = kerr.KerrSchedule(math.pi, 10.0)
-    assert kerr.p1_heralded(sched, 1.146) > 0.0
+    assert kerr.p1_over_tau(np.array([math.pi]), 1.146, 10.0)[0] > 0.0
 
 
 REFERENCE_FREE_RUN = """
@@ -162,7 +161,7 @@ for name in registry.FIGURES:
 spec = analysis.SweepSpec("r", *registry.R_GRID_SURFACE, {"alpha": 10.0, "sigma": 0.004})
 column = analysis.sweep(spec, "phase_ratio").rows[:, 1]
 assert np.all((column > 0.0) & (column < 1.0))
-assert kerr.p1_heralded(kerr.KerrSchedule(math.pi, 10.0), 1.146) > 0.0
+assert kerr.p1_over_tau(np.array([math.pi]), 1.146, 10.0)[0] > 0.0
 """
 
 

@@ -11,7 +11,8 @@ import scipy.special
 from sqherald import analysis, kerr, reference, registry, sources
 from sqherald import fockspace as fs
 
-IDEAL = kerr.KerrSchedule(math.pi, 10.0)
+# the ideal interaction phase tau_tilde = pi, as a one-point column
+IDEAL = np.array([math.pi])
 
 
 def fock_grid_p0(tau_tilde, r, sign, alpha, label, sys_dim, pump_dim):
@@ -37,13 +38,13 @@ def fock_grid_p0(tau_tilde, r, sign, alpha, label, sys_dim, pump_dim):
 
 def test_schedule_validation():
     with pytest.raises(ValueError):
-        kerr.KerrSchedule(math.pi, 0.0)
-    wrapped = kerr.KerrSchedule(2.0 * math.pi + 0.5, 4.0)
+        reference.KerrSchedule(math.pi, 0.0)
+    wrapped = reference.KerrSchedule(2.0 * math.pi + 0.5, 4.0)
     assert wrapped.tau_tilde == pytest.approx(0.5, abs=1e-12)
     for tau, alpha in ((math.inf, 4.0), (math.nan, 4.0), (math.pi, math.inf),
                        (math.pi, math.nan), (math.pi, complex(1.0, math.nan))):
         with pytest.raises(ValueError):
-            kerr.KerrSchedule(tau, alpha)
+            reference.KerrSchedule(tau, alpha)
 
 
 def test_hybrid_state_requires_converged_coefficients():
@@ -53,14 +54,14 @@ def test_hybrid_state_requires_converged_coefficients():
 
 
 def test_kerr_evolve_imprints_pair_phases():
-    sched = kerr.KerrSchedule(0.7, 2.5)
+    sched = reference.KerrSchedule(0.7, 2.5)
     state = reference.kerr_evolve(0.725, sched, kerr.series_truncation(0.725))
     n = state.pair_indices
     expected = 2.5 * np.exp(-1j * n * 0.7)
     assert np.max(np.abs(state.labels - expected)) < 1e-14
     assert np.array_equal(state.photon_numbers, 2 * n)
     full_turn = reference.kerr_evolve(
-        0.725, kerr.KerrSchedule(2.0 * math.pi, 2.5), kerr.series_truncation(0.725)
+        0.725, reference.KerrSchedule(2.0 * math.pi, 2.5), kerr.series_truncation(0.725)
     )
     assert np.max(np.abs(full_turn.labels - 2.5)) < 1e-12
 
@@ -93,9 +94,10 @@ def test_p0_matches_state_path_oracle():
         (+1, 1.2j, 0.3 - 1.1j),
     ):
         for tau in (0.0, 0.7, math.pi, 4.0):
-            sched = kerr.KerrSchedule(tau, alpha)
+            sched = reference.KerrSchedule(tau, alpha)
             for r in (0.725, 1.5):
-                kernel = kerr.p0_generation(sched, r, sign=sign, label=label)
+                taus = np.array([sched.tau_tilde])
+                kernel = kerr.p0_over_tau(taus, r, alpha, sign=sign, label=label)[0]
                 assert abs(kernel - state_path_p0(sched, r, sign, label)) < 1e-12
 
 
@@ -239,7 +241,7 @@ def test_ratio_whose_reference_has_lost_its_digits_fails_numerically():
         with pytest.raises(fs.NumericalFailureError, match="lost its digits"):
             kerr.gaussian_averaged_ratio(r, 10.0, 0.1)
         with pytest.raises(fs.NumericalFailureError, match="lost its digits"):
-            kerr.phase_error_ratio(r, 10.0, 0.1)
+            reference.phase_error_ratio(r, 10.0, 0.1)
     assert 0.0 < kerr.gaussian_averaged_ratio(1e-150, 10.0, 0.1) < 1.0
 
 
@@ -257,32 +259,30 @@ def test_series_truncation_floor():
 
 
 def test_p0_at_ideal_phase_equals_branch_weight():
-    p0 = kerr.p0_generation(IDEAL, 0.725)
+    p0 = kerr.p0_over_tau(IDEAL, 0.725, 10.0)[0]
     assert abs(p0 - sources.cat_norm(0.725, -1) / 4.0) < 1e-12
 
 
 def test_p0_vanishes_without_interaction():
-    sched = kerr.KerrSchedule(0.0, 10.0)
-    assert kerr.p0_generation(sched, 0.725) < 1e-100
+    assert kerr.p0_over_tau(np.array([0.0]), 0.725, 10.0)[0] < 1e-100
 
 
 def test_p0_rejects_nonpositive_squeezing():
     with pytest.raises(ValueError):
-        kerr.p0_generation(IDEAL, 0.0)
+        kerr.p0_over_tau(IDEAL, 0.0, 10.0)
 
 
 def test_p0_rejects_an_unknown_branch_sign():
     with pytest.raises(ValueError, match="sign"):
-        kerr.p0_generation(IDEAL, 0.725, sign=0)
+        kerr.p0_over_tau(IDEAL, 0.725, 10.0, sign=0)
 
 
 def test_branch_probabilities_sum_to_one():
     # residual |<alpha|-alpha>| cross terms bound the deficit by 10 e^{-2 alpha^2}
     for alpha, slack in ((1.5, 10.0 * math.exp(-4.5)), (3.0, 10.0 * math.exp(-18.0))):
-        sched = kerr.KerrSchedule(math.pi, alpha)
-        total = kerr.p0_generation(sched, 0.725, sign=-1) + kerr.p0_generation(
-            sched, 0.725, sign=+1, label=alpha
-        )
+        total = kerr.p0_over_tau(IDEAL, 0.725, alpha, sign=-1)[0] + kerr.p0_over_tau(
+            IDEAL, 0.725, alpha, sign=+1, label=alpha
+        )[0]
         assert total <= 1.0 + 1e-12
         assert total >= 1.0 - slack - 1e-12
 
@@ -293,8 +293,7 @@ def test_p0_matches_fock_grid_oracle():
         (math.pi, +1, 3.0),
         (math.pi + 0.05, -1, -3.0),
     ):
-        sched = kerr.KerrSchedule(tau, 3.0)
-        series = kerr.p0_generation(sched, 0.725, sign=sign, label=label)
+        series = kerr.p0_over_tau(np.array([tau]), 0.725, 3.0, sign=sign, label=label)[0]
         grid = fock_grid_p0(tau, 0.725, sign, 3.0, label, 64, 200)
         assert abs(series - grid) < 1e-10
 
@@ -304,41 +303,41 @@ def test_phase_error_ratio_matches_fock_grid_oracle():
     # cancel in the ratio, so agreement is much better than either p0
     num = fock_grid_p0(math.pi + 0.004, 0.725, -1, 10.0, -10.0, 64, 400)
     den = fock_grid_p0(math.pi, 0.725, -1, 10.0, -10.0, 64, 400)
-    value = kerr.phase_error_ratio(0.725, 10.0, 0.004)
+    value = reference.phase_error_ratio(0.725, 10.0, 0.004)
     assert abs(value - num / den) < 1e-12
 
 
 def test_p1_heralded_closed_form_and_peak():
-    p1 = kerr.p1_heralded(IDEAL, 1.146)
+    p1 = kerr.p1_over_tau(IDEAL, 1.146, 10.0)[0]
     closed = math.tanh(1.146) ** 2 / (4.0 * math.cosh(1.146))
     # the default pair series is cut at tail mass 1e-11, which sets the gap
     # to the closed form; the pi-phase projection correction ~ e^{-200} and
     # float noise are both far smaller, as the tighter cutoff shows
     assert abs(p1 - closed) < 1e-11
-    tight = kerr.p1_heralded(IDEAL, 1.146, trunc=kerr.series_truncation(1.146, 1e-15))
+    tight = kerr.p1_over_tau(IDEAL, 1.146, 10.0, trunc=kerr.series_truncation(1.146, 1e-15))[0]
     assert abs(tight - closed) < 1e-14
     assert p1 == pytest.approx(0.0962250, abs=1e-6)
 
 
 def test_phase_error_ratio_reference_and_symmetry():
-    assert kerr.phase_error_ratio(0.725, 10.0, 0.0) == 1.0
+    assert reference.phase_error_ratio(0.725, 10.0, 0.0) == 1.0
     for dtheta in (1e-3, 5e-3, 2e-2):
-        left = kerr.phase_error_ratio(0.725, 10.0, -dtheta)
-        right = kerr.phase_error_ratio(0.725, 10.0, dtheta)
+        left = reference.phase_error_ratio(0.725, 10.0, -dtheta)
+        right = reference.phase_error_ratio(0.725, 10.0, dtheta)
         assert abs(left - right) < 1e-12
 
 
 def test_phase_error_ratio_equals_probability_ratio():
     dtheta = 0.004
-    sched = kerr.KerrSchedule(math.pi + dtheta, 10.0)
-    direct = kerr.p0_generation(sched, 0.725) / kerr.p0_generation(IDEAL, 0.725)
-    assert abs(kerr.phase_error_ratio(0.725, 10.0, dtheta) - direct) < 1e-12
+    shifted = kerr.p0_over_tau(np.array([math.pi + dtheta]), 0.725, 10.0)[0]
+    direct = shifted / kerr.p0_over_tau(IDEAL, 0.725, 10.0)[0]
+    assert abs(reference.phase_error_ratio(0.725, 10.0, dtheta) - direct) < 1e-12
 
 
 def test_phase_error_ratio_regression_fixture():
     # the averaged value at sigma = 0.004 sits above the deterministic one
     # at dtheta = 0.004 because small draws dominate the Gaussian weight
-    value = kerr.phase_error_ratio(0.725, 10.0, 0.004)
+    value = reference.phase_error_ratio(0.725, 10.0, 0.004)
     assert value == pytest.approx(0.9285167292647223, abs=1e-10)
     averaged = kerr.gaussian_averaged_ratio(0.725, 10.0, 0.004)
     assert averaged == pytest.approx(0.9412258901826744, abs=1e-9)
@@ -349,7 +348,7 @@ def test_phase_error_ratio_is_even_quadratic_near_zero():
     # lands ~2% lower once quartic corrections enter
     curvature = 5205.0
     for dtheta in (2e-4, 1e-3):
-        measured = 1.0 - kerr.phase_error_ratio(0.725, 10.0, dtheta)
+        measured = 1.0 - reference.phase_error_ratio(0.725, 10.0, dtheta)
         assert measured / dtheta**2 == pytest.approx(curvature, rel=0.02)
 
 
