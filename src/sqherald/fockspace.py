@@ -80,11 +80,15 @@ def default_truncation(r: float = 0.0, tail_tol: float = DEFAULT_TAIL_TOL) -> Tr
     """Cutoff adequate for squeezed-state work at squeezing |r|.
 
     64 levels hold tails below ~1e-9 up to r = 1.2; 160 levels hold them
-    below ~7e-4 up to r = 2.  Beyond r = 2 pick a cutoff explicitly.
+    below ~7e-4 up to r = 2.  Beyond r = 2 there is no default: a
+    ValueError asks for an explicit cutoff.
     """
     r = abs(r)
     if r <= 1.2:
         return Truncation(64, tail_tol)
     if r <= 2.0:
         return Truncation(160, tail_tol)
-    raise ValueError(f"no default cutoff for r = {r}; supply a Truncation")
+    raise ValueError(
+        f"no default cutoff for r = {r}: the defaults cover r <= 2, so give a cutoff "
+        "(--dim on the command line)"
+    )

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from . import optics, sources
+from . import sources
 from .fockspace import TINY, NumericalFailureError, Truncation
 
 TWO_PI = 2.0 * math.pi
@@ -108,23 +108,6 @@ def p0_over_tau(
         label = -alpha if sign < 0 else alpha
     n, g = _pair_series(r, sign, trunc)
     return _overlap_probability(np.mod(taus, TWO_PI), n, g, alpha, label)
-
-
-def p1_over_tau(
-    taus: np.ndarray, r: float, alpha: complex, trunc: Truncation | None = None
-) -> np.ndarray:
-    """Joint probability of heralding the odd branch and then finding one
-    photon in each splitter arm, P(1,1; r; odd) * p0, at each interaction
-    phase of taus.
-
-    Both factors run at trunc (default: the series cutoff).  The pair
-    factor P(1,1) = p_2 / 2 comes from the cached photon-number kernel;
-    only its tail check depends on the cutoff.
-    """
-    if trunc is None:
-        trunc = series_truncation(r)
-    p11 = float(optics.photon_numbers(r, -1, trunc)[2]) / 2.0
-    return p11 * p0_over_tau(taus, r, alpha, trunc)
 
 
 @functools.lru_cache(maxsize=256)

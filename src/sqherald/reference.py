@@ -35,6 +35,7 @@ from .fockspace import (
     TruncationError,
     log_factorials,
 )
+from .optics import ZeroHeraldError
 
 BALANCED_ANGLE = math.pi / 4.0
 
@@ -379,6 +380,14 @@ def joint_probability(state: TwoModeState) -> JointDistribution:
 def tmss_joint_probability(r: float, trunc: Truncation) -> JointDistribution:
     """Joint distribution of the two-mode squeezed vacuum benchmark."""
     return joint_probability(two_mode_squeezed_vacuum(r, trunc))
+
+
+def single_photon_fraction(row: np.ndarray) -> float:
+    """P(n_b = 1 | n_a = 1) from a dense herald row P(1, n_b)."""
+    total = float(np.sum(row))
+    if total == 0.0:
+        raise ZeroHeraldError("herald outcome n_a = 1 has zero probability")
+    return float(row[1]) / total
 
 
 def two_mode_squeeze_apply(s: float, state: TwoModeState) -> TwoModeState:

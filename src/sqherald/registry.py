@@ -69,8 +69,27 @@ def _p11(trunc, r, sign):
 
 
 def _pc(trunc, r, sign):
+    # P(n_b = 1 | n_a = 1) = P(1,1) / P(n_a = 1)
     p = optics.photon_number_rows(r, sign, trunc)
-    return optics.single_photon_fractions(p[:, 2] / 2.0, optics.herald_totals(p))
+    total = optics.herald_totals(p)
+    if np.any(total == 0.0):
+        raise optics.ZeroHeraldError("herald outcome n_a = 1 has zero probability")
+    return p[:, 2] / 2.0 / total
+
+
+def _p1n(trunc, n, r, sign):
+    """P(1, n) = (n+1) 2^-(n+1) p_(n+1), from one photon-number row per
+    distinct r; 0 where the total n + 1 lies beyond the cutoff."""
+    bad = ~(np.isfinite(n) & (n >= 0.0) & (n == np.floor(n)))
+    if np.any(bad):
+        raise ValueError(f"n must be a finite nonnegative integer, got {n[bad][0]}")
+    (rs,), at = analysis.distinct(r)
+    p = optics.photon_number_rows(rs, sign, trunc)
+    out = np.zeros(len(n))
+    inside = np.flatnonzero(n + 1.0 < trunc.dim)
+    total = (n[inside] + 1.0).astype(int)
+    out[inside] = np.ldexp(total * p[at[inside], total], -total)
+    return out
 
 
 def _q_p11_cat_minus(trunc, r):
@@ -87,6 +106,18 @@ def _q_p11_squeezed(trunc, r):
 
 def _q_p11_tmss(trunc, r):
     return sources.tmss_p11(r, trunc)
+
+
+def _q_p1n_squeezed(trunc, n, r):
+    return _p1n(trunc, n, r, None)
+
+
+def _q_p1n_cat_minus(trunc, n, r):
+    return _p1n(trunc, n, r, -1)
+
+
+def _q_p1n_cat_plus(trunc, n, r):
+    return _p1n(trunc, n, r, +1)
 
 
 def _q_pc_cat_minus(trunc, r):
@@ -106,23 +137,21 @@ def _q_herald_yield_cat_minus(trunc, r):
     return sources.herald_probability(r, -1) * _p11(trunc, r, -1)
 
 
-def _over_tau(kernel, trunc, tau_tilde, r, alpha):
-    """kernel(taus, r, alpha, trunc) once per distinct (r, alpha), over all
-    the interaction phases that share them."""
+def _q_p0_cat_minus(trunc, tau_tilde, r, alpha):
+    # one kerr.p0_over_tau call per distinct (r, alpha), over all the
+    # interaction phases that share them
     (rs, alphas), at = analysis.distinct(r, alpha)
     out = np.empty(len(tau_tilde))
     for j, (rj, aj) in enumerate(zip(rs.tolist(), alphas.tolist())):
         sel = at == j
-        out[sel] = kernel(tau_tilde[sel], rj, aj, trunc)
+        out[sel] = kerr.p0_over_tau(tau_tilde[sel], rj, aj, trunc)
     return out
 
 
-def _q_p0_cat_minus(trunc, tau_tilde, r, alpha):
-    return _over_tau(kerr.p0_over_tau, trunc, tau_tilde, r, alpha)
-
-
 def _q_p1_cat_minus(trunc, tau_tilde, r, alpha):
-    return _over_tau(kerr.p1_over_tau, trunc, tau_tilde, r, alpha)
+    # P(1,1) of the odd superposition, one row per distinct r, times p0
+    (rs,), at = analysis.distinct(r)
+    return _p11(trunc, rs, -1)[at] * _q_p0_cat_minus(trunc, tau_tilde, r, alpha)
 
 
 def _q_phase_ratio(trunc, sigma, r, alpha):
@@ -180,6 +209,12 @@ def _quantities() -> dict[str, Quantity]:
                  _q_p11_squeezed, ("r",), {}),
         Quantity("p11_tmss", "P(1,1) of the two-mode squeezed benchmark",
                  _q_p11_tmss, ("r",), {}),
+        Quantity("p1n_squeezed", "herald row P(1, n) of split squeezed vacuum",
+                 _q_p1n_squeezed, ("n", "r"), {}),
+        Quantity("p1n_cat_minus", "herald row P(1, n) of the split odd superposition",
+                 _q_p1n_cat_minus, ("n", "r"), {}),
+        Quantity("p1n_cat_plus", "herald row P(1, n) of the split even superposition",
+                 _q_p1n_cat_plus, ("n", "r"), {}),
         Quantity("pc_cat_minus", "P(n_b=1 | n_a=1) for the split odd superposition",
                  _q_pc_cat_minus, ("r",), {}),
         Quantity("pc_squeezed", "P(n_b=1 | n_a=1) for split squeezed vacuum",
@@ -242,28 +277,14 @@ def reject_idle_overrides(names, dim, tail_tol) -> None:
 
 
 @dataclasses.dataclass(frozen=True)
-class Table:
-    """Column-labelled numeric table plus provenance metadata."""
-
-    columns: tuple[str, ...]
-    rows: np.ndarray
-    metadata: dict
-
-    def __post_init__(self):
-        rows = np.array(self.rows, dtype=float)
-        rows.setflags(write=False)
-        object.__setattr__(self, "rows", rows)
-
-
-@dataclasses.dataclass(frozen=True)
 class Figure:
     """A named data set: grid columns plus one column per plotted quantity."""
 
     name: str
     description: str
-    builder: Callable[..., Table]
+    builder: Callable[..., analysis.SweepResult]
 
-    def build(self, dim=None, tail_tol=None, eta=None, alpha=None) -> Table:
+    def build(self, dim=None, tail_tol=None, eta=None, alpha=None) -> analysis.SweepResult:
         return self.builder(dim=dim, tail_tol=tail_tol, eta=eta, alpha=alpha)
 
 
@@ -273,7 +294,7 @@ def _joined_sweeps(
     second: analysis.SweepSpec | None,
     dim,
     tail_tol,
-) -> Table:
+) -> analysis.SweepResult:
     """Sweep several quantities over the same grid and join the value
     columns."""
     reject_idle_overrides(names, dim, tail_tol)
@@ -281,34 +302,28 @@ def _joined_sweeps(
         analysis.sweep(spec, name, second=second, dim=dim, tail_tol=tail_tol)
         for name in names
     ]
-    grid_cols = results[0].columns[:-1]
-    n_grid = len(grid_cols)
-    rows = results[0].rows[:, :n_grid]
-    values = [res.rows[:, n_grid:] for res in results]
-    table_rows = np.hstack([rows] + values)
-    dims: set[int] = set()
     fixed: dict = {}
     for res in results:
-        if res.metadata["dims"] != "analytic":
-            dims.update(res.metadata["dims"])
         fixed.update(res.metadata["fixed"])
+    return _join(results, results[0].columns[:-1] + tuple(names), fixed)
+
+
+def _join(results, columns, fixed) -> analysis.SweepResult:
+    """The grid columns of the first sweep and the value column of each,
+    with the union of their cutoff dims and their first largest move, at
+    its point and with its quantity's name."""
+    rows = np.hstack([results[0].rows[:, :-1]] + [res.rows[:, -1:] for res in results])
+    dims = sorted({d for res in results if res.metadata["dims"] != "analytic"
+                   for d in res.metadata["dims"]})
+    worst = max(results, key=lambda res: res.metadata["max_move"])
     metadata = {
-        "dims": sorted(dims) if dims else "analytic",
+        "dims": dims if dims else "analytic",
         "convergence_tol": analysis.CONVERGENCE_TOL,
         "fixed": fixed,
-        **_worst_move(results),
-    }
-    return Table(tuple(grid_cols) + tuple(names), table_rows, metadata)
-
-
-def _worst_move(results) -> dict:
-    """The max_move and max_move_at metadata of several sweeps: the first
-    largest move, at its point and with its quantity's name."""
-    worst = max(results, key=lambda res: res.metadata["max_move"])
-    return {
         "max_move": worst.metadata["max_move"],
         "max_move_at": {"quantity": worst.metadata["quantity"], **worst.metadata["max_move_at"]},
     }
+    return analysis.SweepResult(columns, rows, metadata)
 
 
 R_GRID = (0.01, 2.0, 201)
@@ -328,36 +343,14 @@ def _no_overrides(figure: str, eta, alpha) -> None:
         raise ValueError(f"{figure} takes no eta or alpha override")
 
 
-def _fig2(dim=None, tail_tol=None, eta=None, alpha=None) -> Table:
-    """Photon-number content of the herald row: P(1, n) for each source."""
+def _fig2(dim=None, tail_tol=None, eta=None, alpha=None) -> analysis.SweepResult:
+    """Photon-number content of the herald row: P(1, n) for each source,
+    n < min(FIG2_LEVELS, dim)."""
     _no_overrides("fig2", eta, alpha)
-    trunc = truncation("matrix", FIG2_R, dim, tail_tol)
-    levels = min(FIG2_LEVELS, trunc.dim)
-    names = ("p1n_squeezed", "p1n_cat_minus", "p1n_cat_plus")
-
-    def rows_at(t):
-        return np.column_stack([optics.herald_row(FIG2_R, sign, t)[:levels]
-                                for sign in (None, -1, +1)])
-
-    values = rows_at(trunc)
-    # gated like every sweep: the move of each entry at 1.5x the cutoff
-    move = np.abs(values - rows_at(trunc.scaled(1.5)))
-    n, col = np.unravel_index(int(np.argmax(move)), move.shape)
-    at = {"n": float(n), "r": FIG2_R}
-    if move[n, col] > analysis.CONVERGENCE_TOL:
-        raise analysis.ConvergenceError(
-            f"{names[col]} moved by {move[n, col]:.3e} between "
-            f"dim {trunc.dim} and dim {trunc.scaled(1.5).dim} at {at}"
-        )
-    metadata = {
-        "dims": [trunc.dim],
-        "convergence_tol": analysis.CONVERGENCE_TOL,
-        "fixed": {"r": FIG2_R},
-        "max_move": float(move[n, col]),
-        "max_move_at": {"quantity": names[col], **at},
-    }
-    rows = np.column_stack([np.arange(levels, dtype=float), values])
-    return Table(("n",) + names, rows, metadata)
+    levels = min(FIG2_LEVELS, truncation("matrix", FIG2_R, dim, tail_tol).dim)
+    spec = analysis.SweepSpec("n", 0.0, levels - 1.0, levels, {"r": FIG2_R})
+    names = ["p1n_squeezed", "p1n_cat_minus", "p1n_cat_plus"]
+    return _joined_sweeps(spec, names, None, dim, tail_tol)
 
 
 def _surface(var1, grid1, var2, grid2, names):
@@ -376,25 +369,17 @@ def _line(var, grid, names):
     return _surface(var, grid, None, None, names)
 
 
-def _fig5a(dim=None, tail_tol=None, eta=None, alpha=None) -> Table:
+def _fig5a(dim=None, tail_tol=None, eta=None, alpha=None) -> analysis.SweepResult:
     """Averaged ratio against sigma at r = 0.725 for three pump strengths."""
     _no_overrides("fig5a", eta, alpha)
-    tables = []
     alphas = (9.0, 10.0, 11.0)
-    for a in alphas:
-        spec = analysis.SweepSpec("sigma", *SIGMA_GRID, {"r": 0.725, "alpha": a})
-        tables.append(analysis.sweep(spec, "phase_ratio", dim=dim, tail_tol=tail_tol))
-    rows = np.hstack(
-        [tables[0].rows[:, :1]] + [t.rows[:, 1:] for t in tables]
-    )
-    metadata = {
-        "dims": sorted({d for t in tables for d in t.metadata["dims"]}),
-        "convergence_tol": analysis.CONVERGENCE_TOL,
-        "fixed": {"r": 0.725, "alphas": list(alphas)},
-        **_worst_move(tables),
-    }
-    return Table(("sigma", "ratio_alpha9", "ratio_alpha10", "ratio_alpha11"),
-                 rows, metadata)
+    results = [
+        analysis.sweep(analysis.SweepSpec("sigma", *SIGMA_GRID, {"r": 0.725, "alpha": a}),
+                       "phase_ratio", dim=dim, tail_tol=tail_tol)
+        for a in alphas
+    ]
+    return _join(results, ("sigma", "ratio_alpha9", "ratio_alpha10", "ratio_alpha11"),
+                 {"r": 0.725, "alphas": list(alphas)})
 
 
 FIGURES: dict[str, Figure] = {

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from . import analysis, detect, kerr, optics, reference, registry, sources
+from . import analysis, detect, kerr, reference, registry, sources
 from .detect import DetectorModel
 from .fockspace import Truncation
 
@@ -89,8 +89,7 @@ def criterion_1(cfg: VerifyConfig) -> CriterionResult:
 def criterion_2(cfg: VerifyConfig) -> CriterionResult:
     def run():
         c = _Checks()
-        trunc = cfg.trunc(0.725)
-        minus = optics.herald_row(0.725, -1, trunc)
+        minus = cfg.column("p1n_cat_minus", n=np.arange(6.0), r=0.725)
         c.close("P(1,1;-)", float(minus[1]), 0.453, 5e-4)
         c.close("P(1,5;-)", float(minus[5]), 7.85e-3, 5e-5)
         for n in (0, 2, 3, 4):
@@ -99,8 +98,8 @@ def criterion_2(cfg: VerifyConfig) -> CriterionResult:
                 float(minus[n]) <= 1e-12,
                 f"{float(minus[n]):.3e}",
             )
-        sq = optics.herald_row(0.725, None, trunc)
-        c.close("P(1,1)", float(sq[1]), 7.54e-2, 5e-5)
+        sq = float(cfg.column("p1n_squeezed", n=1.0, r=0.725)[0])
+        c.close("P(1,1)", sq, 7.54e-2, 5e-5)
         return c
 
     return _result(2, "herald-row probabilities at r = 0.725", run)
@@ -109,13 +108,12 @@ def criterion_2(cfg: VerifyConfig) -> CriterionResult:
 def criterion_3(cfg: VerifyConfig) -> CriterionResult:
     def run():
         c = _Checks()
-        for label, r, sign, expected in (
-            ("P_c(0.725;-)", 0.725, -1, 0.983),
-            ("P_c(0.725)", 0.725, None, 0.859),
-            ("P_c(1.146;-)", 1.146, -1, 0.9488),
+        for label, name, r, expected in (
+            ("P_c(0.725;-)", "pc_cat_minus", 0.725, 0.983),
+            ("P_c(0.725)", "pc_squeezed", 0.725, 0.859),
+            ("P_c(1.146;-)", "pc_cat_minus", 1.146, 0.9488),
         ):
-            row = optics.herald_row(r, sign, cfg.trunc(r))
-            c.close(label, optics.single_photon_fraction(row), expected, 5e-4)
+            c.close(label, float(cfg.column(name, r=r)[0]), expected, 5e-4)
         return c
 
     return _result(3, "single-photon conditionals", run)
@@ -253,22 +251,18 @@ def criterion_11(cfg: VerifyConfig) -> CriterionResult:
         gap = float(np.max(np.abs(direct.joint_distribution() - decomposed.joint_distribution())))
         c.holds("squeezer-decomposition path", gap <= 1e-8, f"max table gap {gap:.3e}")
 
-        # truncation convergence for the headline quantities
-        worst_moves: list[str] = []
-        conv_ok = True
+        # truncation convergence for the headline quantities: each column
+        # is gated by evaluate's dim versus 1.5 dim recheck
+        moves: list[str] = []
         for name in ("p11_cat_minus", "pc_cat_minus", "herald_yield_cat_minus", "g2_cat_minus"):
-            q = registry.resolve(name)
-            for r in (0.3, 0.725, 1.146, 2.0):
-                params = {k: np.array([v]) for k, v in {**q.defaults, "r": r}.items()}
-                base = cfg.trunc(r)
-                move = float(abs(q.fn(base, **params) - q.fn(base.scaled(1.5), **params))[0])
-                if move > 1e-8:
-                    conv_ok = False
-                    worst_moves.append(f"{name}@r={r}: {move:.3e}")
+            try:
+                cfg.column(name, r=np.array([0.3, 0.725, 1.146, 2.0]))
+            except analysis.ConvergenceError as exc:
+                moves.append(str(exc))
         c.holds(
             "dim vs 1.5 dim stability",
-            conv_ok,
-            "all moves <= 1e-8" if conv_ok else ", ".join(worst_moves),
+            not moves,
+            ", ".join(moves) if moves else "all moves <= 1e-8",
         )
 
         # dominance of the odd superposition over the benchmark

@@ -121,7 +121,7 @@ def test_every_quantity_runs_at_the_one_cutoff_policy(monkeypatch, name, dim, ta
         return q.fn(trunc, **params)
 
     monkeypatch.setitem(registry.QUANTITIES, name, dataclasses.replace(q, fn=spy))
-    fixed = {"sigma": 1e-3} if "sigma" in q.variables else {}
+    fixed = {var: value for var, value in (("sigma", 1e-3), ("n", 1.0)) if var in q.variables}
     spec = analysis.SweepSpec("r", POLICY_R, POLICY_R, 1, fixed)
     analysis.sweep(spec, name, dim=dim, tail_tol=tail_tol)
     expected = registry.truncation(q.cutoff, POLICY_R, dim, tail_tol)
@@ -148,7 +148,7 @@ def _outcome(fn):
 def _columns(draw, name):
     """Parameter columns for a quantity: r on both sides of the r = 1.2
     boundary between the matrix cutoffs 64 and 160, in drawn order, and
-    eta, tau_tilde and sigma where the quantity takes them."""
+    eta, tau_tilde, sigma and n where the quantity takes them."""
     slow = name == "phase_ratio"
     low = draw(st.lists(st.floats(0.0, 1.2), min_size=1, max_size=2 if slow else 3))
     high = draw(st.lists(st.floats(1.2, 2.0, exclude_min=True), min_size=1,
@@ -161,6 +161,7 @@ def _columns(draw, name):
         "eta": st.floats(0.0, 1.0, exclude_min=True),
         "tau_tilde": st.floats(0.0, 2.0 * math.pi),
         "sigma": st.floats(0.0, 1e-3),
+        "n": st.integers(0, 70).map(float),
     }
     for var, values in others.items():
         if var in q.variables:

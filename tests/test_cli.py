@@ -479,11 +479,57 @@ def test_fig2_honours_a_zero_tail_tolerance(capsys):
 
 
 def test_fig2_gates_its_move_between_cutoffs(capsys):
-    # at dim 8 the even superposition's P(1, 7) moves by 1.76e-4 at dim 12
+    # at dim 8 squeezed vacuum's P(1, 7) is 0 and moves by 1.46e-4 at dim
+    # 12; evaluate names the first point in grid order that moves
     code, out, err = run_cli(capsys, "figure", "fig2", "--dim", "8", "--tail-tol", "0.9")
     assert code == cli.EXIT_NUMERICAL
     assert out == ""
-    assert "p1n_cat_plus moved by 1.756e-04 between dim 8 and dim 12 at {'n': 7.0" in err
+    assert err == (
+        "numerical failure: p1n_squeezed moved by 1.464e-04 between dim 8 and dim 12 "
+        "at {'r': 0.725, 'n': 7.0}\n"
+    )
+
+
+@pytest.mark.parametrize("quantity", ["p11_cat_minus", "pc_cat_minus"])
+def test_matrix_quantities_above_r_2_ask_for_a_cutoff(capsys, quantity):
+    # the default matrix cutoffs stop at r = 2; up to SQUEEZE_LIMIT = 3 the
+    # message names that limit and the --dim flag
+    argv = ("sweep", "--quantity", quantity, "--var", "r", "--lo", "2.5", "--hi", "3",
+            "--points", "2")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert "no default cutoff for r = 2.5" in err
+    assert "r <= 2" in err and "--dim" in err
+    code, out, err = run_cli(capsys, *argv, "--dim", "2000")
+    assert code == cli.EXIT_OK, err
+    meta, header, rows = parse_csv(out)
+    assert meta["dims"] == "[2000]"
+    assert [row[0] for row in rows] == [2.5, 3.0]
+    assert all(0.0 < row[1] < 1.0 for row in rows)
+
+
+P1N_ARGV = ("sweep", "--quantity", "p1n_cat_minus", "--var", "n", "--set", "r=0.725",
+            "--points", "1")
+
+
+@pytest.mark.parametrize("n", ["0.5", "-1", "inf", "nan"])
+def test_p1n_rejects_an_n_that_is_not_a_nonnegative_integer(capsys, n):
+    code, out, err = run_cli(capsys, *P1N_ARGV, f"--lo={n}", f"--hi={n}")
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert "invalid parameter: n must be a finite nonnegative integer" in err
+
+
+@pytest.mark.parametrize("n", ["64", "1e300"])
+def test_p1n_beyond_the_cutoff_is_zero(capsys, n):
+    # the total n + 1 lies beyond dim 64, so no integer cast is made; a
+    # cast warning would be an error under the suite's warning filter
+    code, out, err = run_cli(capsys, *P1N_ARGV, f"--lo={n}", f"--hi={n}")
+    assert code == cli.EXIT_OK, err
+    _, header, rows = parse_csv(out)
+    assert header == ["n", "p1n_cat_minus"]
+    assert rows == [[float(n), 0.0]]
 
 
 @pytest.mark.parametrize(
@@ -506,6 +552,16 @@ def test_verify_overrides_reach_every_criterion(capsys, flags, failing):
     assert len(verdicts) == 12
     for index in failing:
         assert not verdicts[index], out
+
+
+def test_verify_stability_check_reports_evaluates_message(capsys):
+    # at dim 40 every check of criterion 11 runs, and the dim versus 1.5 dim
+    # check fails at r = 2 with the message of evaluate's own gate
+    code, out, err = run_cli(capsys, "verify", "--dim", "40", "--tail-tol", "0.9")
+    assert code == cli.EXIT_VERIFY
+    line = next(line for line in out.splitlines() if line.startswith("FAIL [11]"))
+    assert ("dim vs 1.5 dim stability: g2_cat_minus moved by 4.730e-08 between dim 40 "
+            "and dim 60 at {'eta': 0.9, 'r': 2.0};") in line
 
 
 def test_verify_reports_the_known_small_r_floor_failure(capsys):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sqherald import analysis, detect, optics, reference
+from sqherald import analysis, detect, reference
 from sqherald import fockspace as fs
 
 DET9 = detect.DetectorModel(0.9)
@@ -87,7 +87,7 @@ def test_perfect_detector_reduces_to_ideal_herald():
         reference.split(reference.squeezed_cat(0.725, -1, trunc))
     )
     st = reference.click_statistics(dist, detect.DetectorModel(1.0))
-    assert abs(st.p_click_c - optics.single_photon_fraction(dist.p[1])) < 1e-12
+    assert abs(st.p_click_c - reference.single_photon_fraction(dist.p[1])) < 1e-12
 
 
 def test_heralded_cat_regression_fixture():

@@ -1,5 +1,7 @@
 """Figure tables: every selector builds with the advertised grid shape
 and finite values."""
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,23 @@ def test_figure_builds_with_advertised_shape(name):
     assert type(at) is dict
     assert at["quantity"] in set(table.columns) | set(registry.QUANTITIES)
     assert all(type(v) is float for k, v in at.items() if k != "quantity")
+
+
+BENCH_REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference"
+# the bench's gate on a table's largest gap to its stored reference
+BENCH_TOLERANCE = 1e-8
+
+
+@pytest.mark.parametrize("name", sorted(CHEAP))
+def test_figure_matches_the_bench_reference(name):
+    lines = [line for line in (BENCH_REFERENCE / f"{name}.csv").read_text().splitlines()
+             if not line.startswith("#")]
+    reference_rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+    table = registry.figure(name).build()
+    assert list(table.columns) == lines[0].split(",")
+    assert table.rows.shape == reference_rows.shape
+    gap = float(np.max(np.abs(table.rows - reference_rows)))
+    assert gap <= BENCH_TOLERANCE, gap
 
 
 def test_every_selector_is_registered():

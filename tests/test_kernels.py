@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sqherald
-from sqherald import detect, kerr, optics, reference, registry, sources
+from sqherald import analysis, detect, optics, reference, registry, sources
 from sqherald import fockspace as fs
 from sqherald.detect import DetectorModel
 
@@ -25,6 +25,16 @@ def _dense(r, sign, trunc):
     else:
         state = reference.squeezed_cat(r, sign, trunc)
     return reference.joint_probability(reference.split(state))
+
+
+P1N = {None: "p1n_squeezed", -1: "p1n_cat_minus", +1: "p1n_cat_plus"}
+
+
+def _herald_row(r, sign, trunc):
+    """P(1, n_b) for every n_b < dim from the registered p1n column at
+    trunc; its last entry, total dim, lies beyond the cutoff."""
+    n = np.arange(trunc.dim, dtype=float)
+    return registry.QUANTITIES[P1N[sign]].fn(trunc, n=n, r=np.full(trunc.dim, float(r)))
 
 
 def _outcome(fn):
@@ -52,7 +62,7 @@ def test_kernels_match_the_dense_split(r, eta, sign):
     det = DetectorModel(eta)
     dist = _dense(r, sign, trunc)
 
-    row = optics.herald_row(r, sign, trunc)
+    row = _herald_row(r, sign, trunc)
     assert np.max(np.abs(row - dist.p[1])) <= 1e-13
     assert np.all((row >= 0.0) & (row <= 1.0))
 
@@ -90,33 +100,44 @@ def test_kernels_match_the_dense_split(r, eta, sign):
         assert abs(g2 - g2_oracle) <= 1e-13 * max(1.0, g2_oracle)
 
 
-def test_photon_numbers_are_cached_and_read_only():
-    trunc = fs.Truncation(64)
-    p = optics.photon_numbers(0.725, -1, trunc)
-    assert optics.photon_numbers(0.725, -1, trunc) is p
-    assert not p.flags.writeable
+def test_photon_numbers_keep_the_tail_checks_and_the_odd_limit():
+    p = optics.photon_number_rows(np.array([0.725]), -1, fs.Truncation(64))[0]
     assert abs(float(np.sum(p)) - 1.0) <= 1e-12
     assert np.all(p[np.arange(64) % 4 != 2] == 0.0)
-    assert optics.photon_numbers.cache_info().maxsize is not None
-
-
-def test_photon_numbers_keep_the_tail_checks_and_the_odd_limit():
     for sign in (-1, +1, None):
         with pytest.raises(fs.TruncationError):
-            optics.photon_numbers(1.5, sign, fs.Truncation(16))
-    two = optics.photon_numbers(0.0, -1, fs.Truncation(8))
+            optics.photon_number_rows(np.array([1.5]), sign, fs.Truncation(16))
+    two = optics.photon_number_rows(np.array([0.0]), -1, fs.Truncation(8))[0]
     assert np.array_equal(two, np.eye(8)[2])
-    assert optics.herald_row(0.0, -1, fs.Truncation(8))[1] == 0.5
+    assert analysis.evaluate("p1n_cat_minus", {"n": 1.0, "r": 0.0}, dim=8).values[0] == 0.5
 
 
 def test_pair_factor_is_half_of_p2():
     for r in (0.05, 0.725, 1.146, 2.0):
         trunc = fs.default_truncation(r)
-        p2 = optics.photon_numbers(r, -1, trunc)[2]
-        assert optics.herald_row(r, -1, trunc)[1] == p2 / 2.0
+        p2 = optics.photon_number_rows(np.array([r]), -1, trunc)[0, 2]
+        assert analysis.evaluate("p1n_cat_minus", {"n": 1.0, "r": r}).values[0] == p2 / 2.0
         # closed form: P(1,1; odd) = tanh^2 r / (cosh r N_-(r))
         exact = math.tanh(r) ** 2 / (math.cosh(r) * sources.cat_norm(r, -1))
         assert abs(p2 / 2.0 - exact) <= 1e-14
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    r=st.floats(min_value=0.0, max_value=2.0, exclude_min=True),
+    n=st.lists(st.integers(min_value=0, max_value=62), min_size=1, max_size=8),
+)
+def test_parity_selection_holds_on_the_herald_rows(r, n):
+    # the odd superposition populates the totals 2, 6, 10, ..., the even
+    # one 0, 4, 8, ... and squeezed vacuum every even total, so P(1, n)
+    # with total n + 1 is exactly 0 off n = 1 (mod 4), n = 3 (mod 4) and
+    # odd n respectively
+    n = np.array(n, dtype=float)
+    for name, allowed in (("p1n_cat_minus", n % 4 == 1), ("p1n_cat_plus", n % 4 == 3),
+                          ("p1n_squeezed", n % 2 == 1)):
+        values = analysis.evaluate(name, {"n": n, "r": r}).values
+        assert np.all(values[~allowed] == 0.0), name
+        assert np.all((values >= 0.0) & (values <= 1.0)), name
 
 
 def test_tmss_p11_matches_the_dense_benchmark():
@@ -142,11 +163,11 @@ def test_no_production_quantity_builds_a_dense_table(monkeypatch):
     monkeypatch.setattr(reference, "split", refuse)
     monkeypatch.setattr(reference, "joint_probability", refuse)
     monkeypatch.setattr(reference, "two_mode_squeezed_vacuum", refuse)
-    optics.photon_numbers.cache_clear()
     for name in NON_KERR_FIGURES:
         table = registry.figure(name).build()
         assert np.all(np.isfinite(table.rows))
-    assert kerr.p1_over_tau(np.array([math.pi]), 1.146, 10.0)[0] > 0.0
+    point = {"tau_tilde": math.pi, "r": 1.146, "alpha": 10.0}
+    assert analysis.evaluate("p1_cat_minus", point).values[0] > 0.0
 
 
 REFERENCE_FREE_RUN = """
@@ -154,14 +175,15 @@ import math, sys
 import numpy as np
 sys.modules["sqherald.reference"] = None
 import sqherald
-from sqherald import analysis, kerr, registry
+from sqherald import analysis, registry
 for name in registry.FIGURES:
     if name != "fig5b":
         assert np.all(np.isfinite(registry.figure(name).build().rows)), name
 spec = analysis.SweepSpec("r", *registry.R_GRID_SURFACE, {"alpha": 10.0, "sigma": 0.004})
 column = analysis.sweep(spec, "phase_ratio").rows[:, 1]
 assert np.all((column > 0.0) & (column < 1.0))
-assert kerr.p1_over_tau(np.array([math.pi]), 1.146, 10.0)[0] > 0.0
+point = {"tau_tilde": math.pi, "r": 1.146, "alpha": 10.0}
+assert analysis.evaluate("p1_cat_minus", point).values[0] > 0.0
 """
 
 

@@ -307,14 +307,20 @@ def test_phase_error_ratio_matches_fock_grid_oracle():
     assert abs(value - num / den) < 1e-12
 
 
+def _p1_cat_minus(trunc):
+    """p1_cat_minus at tau_tilde = pi, r = 1.146 and alpha = 10, at trunc."""
+    q = registry.QUANTITIES["p1_cat_minus"]
+    return q.fn(trunc, tau_tilde=IDEAL, r=np.array([1.146]), alpha=np.array([10.0]))[0]
+
+
 def test_p1_heralded_closed_form_and_peak():
-    p1 = kerr.p1_over_tau(IDEAL, 1.146, 10.0)[0]
+    p1 = _p1_cat_minus(kerr.series_truncation(1.146))
     closed = math.tanh(1.146) ** 2 / (4.0 * math.cosh(1.146))
     # the default pair series is cut at tail mass 1e-11, which sets the gap
     # to the closed form; the pi-phase projection correction ~ e^{-200} and
     # float noise are both far smaller, as the tighter cutoff shows
     assert abs(p1 - closed) < 1e-11
-    tight = kerr.p1_over_tau(IDEAL, 1.146, 10.0, trunc=kerr.series_truncation(1.146, 1e-15))[0]
+    tight = _p1_cat_minus(kerr.series_truncation(1.146, 1e-15))
     assert abs(tight - closed) < 1e-14
     assert p1 == pytest.approx(0.0962250, abs=1e-6)
 

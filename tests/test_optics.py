@@ -123,7 +123,7 @@ def test_conditional_single_photon_benchmark_values():
     trunc = fs.Truncation(64)
 
     def conditional(state):
-        return optics.single_photon_fraction(
+        return reference.single_photon_fraction(
             reference.joint_probability(reference.split(state)).p[1]
         )
 
@@ -151,7 +151,7 @@ def test_conditional_raises_on_empty_herald_row():
         reference.split(reference.vacuum_state(fs.Truncation(16)))
     )
     with pytest.raises(optics.ZeroHeraldError):
-        optics.single_photon_fraction(dist.p[1])
+        reference.single_photon_fraction(dist.p[1])
 
 
 def test_joint_distribution_deficit_accounting():
@@ -173,7 +173,7 @@ def test_tmss_joint_probability_form():
     row1 = dist.p[1, :]
     assert row1[1] > 0.0
     assert np.max(np.abs(np.delete(row1, 1))) == 0.0
-    assert optics.single_photon_fraction(dist.p[1]) == 1.0
+    assert reference.single_photon_fraction(dist.p[1]) == 1.0
     trivial = reference.tmss_joint_probability(0.0, fs.Truncation(8))
     assert trivial.p[0, 0] == 1.0
 
@@ -189,7 +189,7 @@ def test_pair_dominance_over_benchmark_on_spot_grid():
         squeezed = reference.joint_probability(
             reference.split(reference.squeezed_vacuum(float(r), trunc))
         )
-        assert optics.single_photon_fraction(minus.p[1]) >= optics.single_photon_fraction(
+        assert reference.single_photon_fraction(minus.p[1]) >= reference.single_photon_fraction(
             squeezed.p[1]
         )
 
