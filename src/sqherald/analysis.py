@@ -333,16 +333,6 @@ def objective(quantity, dim: int | None = None, tail_tol: float | None = None) -
     return ArrayObjective(values, q.name, var)
 
 
-def _objective(quantity) -> ArrayObjective:
-    """maximize_1d's objective: an ArrayObjective as it is, a float-only
-    callable once per point, and a registered quantity through objective."""
-    if isinstance(quantity, ArrayObjective):
-        return quantity
-    if callable(quantity):
-        return ArrayObjective(lambda xs: [quantity(x) for x in xs])
-    return objective(quantity)
-
-
 def _golden_section(f, a: float, b: float, tol: float) -> tuple[float, float]:
     c = b - INV_PHI * (b - a)
     d = a + INV_PHI * (b - a)
@@ -366,14 +356,13 @@ def maximize_1d(quantity, lo: float, hi: float, tol: float = GOLDEN_TOL) -> Maxi
 
     A 201-point grid check afterwards guards against missed modes: if any
     grid value beats the polished maximum, the search is repeated around
-    the grid winner and the result is flagged non-unimodal.  quantity is a
-    registered name or Quantity (see objective), an ArrayObjective, or a
-    callable taking one float.  The scan and the check grid are one
-    objective call each, and golden section calls it on one-point arrays;
-    a value that is not finite is a NumericalFailureError naming the first
-    such point.
+    the grid winner and the result is flagged non-unimodal.  quantity is
+    an ArrayObjective, or a registered name or Quantity (see objective).
+    The scan and the check grid are one objective call each, and golden
+    section calls it on one-point arrays; a value that is not finite is a
+    NumericalFailureError naming the first such point.
     """
-    on_grid = _objective(quantity)
+    on_grid = quantity if isinstance(quantity, ArrayObjective) else objective(quantity)
 
     def f(x: float) -> float:
         return float(on_grid(np.array([x]))[0])

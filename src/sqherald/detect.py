@@ -67,17 +67,25 @@ def _binomial_kernels(dim: int, eta: np.ndarray) -> tuple[np.ndarray, ...]:
     n = np.arange(dim)[:, None]
     x = 1.0 - eta
 
-    def phi(m):
-        # ((1 + x)^m - 1)/x, which is m at x = 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(x == 0.0, 1.0 * m, np.expm1(m * np.log1p(x)) / x)
+    def scaled(coef, m):
+        # 2^-N coef phi_m, with phi_m = ((1 + x)^m - 1)/x (m at x = 0).
+        # Wherever coef phi_m is finite, 2^-N scales last: exact, and eta
+        # 2^-N would lose digits as a subnormal where eta is tiny and
+        # phi ~ 2^N restores the size.  Where it overflows (past about
+        # 1,000 levels at small eta), (1 + x)^m > e^700 makes the -1
+        # negligible and 2^-N goes into the exponent, which is then <= 0.
+        growth = m * np.log1p(x)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            out = np.ldexp(coef * np.where(x == 0.0, 1.0 * m, np.expm1(growth) / x), -n)
+            overflowed = ~np.isfinite(out)
+            if overflowed.any():
+                out = np.where(overflowed, coef * np.exp(growth - n * np.log(2.0)) / x, out)
+        return out
 
-    # 2^-N scales last: exact, and eta 2^-N would lose digits as a
-    # subnormal where eta is tiny and phi_N ~ 2^N restores the size
-    click = np.ldexp(eta * phi(n), -n)
+    click = scaled(eta, n)
     single = np.where(n >= 2, np.ldexp(eta * n * x ** np.maximum(n - 2, 0), -n), 0.0)
-    m1 = np.ldexp(eta * n * phi(n - 1), -n)
-    m2 = np.ldexp(eta * (n * (n - 1.0)) * phi(n - 2), -n)
+    m1 = scaled(eta * n, n - 1)
+    m2 = scaled(eta * (n * (n - 1.0)), n - 2)
     return click, single, m1, m2
 
 

@@ -325,7 +325,7 @@ def test_maximize_is_stable_under_interval_shift():
 
 
 def test_maximize_accepts_plain_callables():
-    result = analysis.maximize_1d(lambda x: -((x - 0.3) ** 2), 0.0, 1.0)
+    result = analysis.maximize_1d(analysis.ArrayObjective(lambda x: -((x - 0.3) ** 2)), 0.0, 1.0)
     assert result.argmax == pytest.approx(0.3, abs=1e-4)
     assert result.value == pytest.approx(0.0, abs=1e-8)
     assert result.unimodal
@@ -339,7 +339,7 @@ def test_maximize_flags_hidden_narrow_mode():
             -((x - 0.63) ** 2) / 1e-5
         )
 
-    result = analysis.maximize_1d(two_bumps, 0.0, 2.0)
+    result = analysis.maximize_1d(analysis.ArrayObjective(two_bumps), 0.0, 2.0)
     assert not result.unimodal
     assert result.argmax == pytest.approx(0.63, abs=1e-3)
     assert result.value == pytest.approx(2.0, abs=1e-4)
@@ -350,10 +350,10 @@ def test_maximize_rejects_non_finite_objective():
     # the golden-section polish used to land in it and return value = nan
     # with unimodal = True
     def peak(x):
-        return math.nan if abs(x - 0.3125) < 1e-3 else -((x - 0.3125) ** 2)
+        return np.where(np.abs(x - 0.3125) < 1e-3, math.nan, -((x - 0.3125) ** 2))
 
     with pytest.raises(fs.NumericalFailureError) as err:
-        analysis.maximize_1d(peak, 0.0, 1.0)
+        analysis.maximize_1d(analysis.ArrayObjective(peak), 0.0, 1.0)
     assert str(err.value).startswith("objective is not finite (nan) at {'x': 0.31")
     # an array objective names its own quantity, variable and first point
     # in grid order: the scan reaches 0.525 before any golden-section point
@@ -431,7 +431,8 @@ def test_verify_searches_evaluate_whole_grids(monkeypatch, criterion, name, cfg)
     # the same result or the same error
     grouped = _search_outcome(lambda: analysis.maximize_1d(
         analysis.objective(name, cfg.dim, cfg.tail_tol), 0.0, 2.0))
-    per_point = _search_outcome(lambda: analysis.maximize_1d(
-        lambda x: float(q.fn(cfg.trunc(float(x)), r=np.array([float(x)]))[0]), 0.0, 2.0))
+    per_point = _search_outcome(lambda: analysis.maximize_1d(analysis.ArrayObjective(
+        lambda xs: [float(q.fn(cfg.trunc(float(x)), r=np.array([float(x)]))[0]) for x in xs]
+    ), 0.0, 2.0))
     assert grouped == per_point
     assert grouped.startswith("MaximizeResult(") == (cfg.tail_tol is None)

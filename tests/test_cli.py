@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import sqherald
@@ -617,6 +617,10 @@ def _cli_arguments(draw):
 
 @settings(max_examples=200, deadline=2000, derandomize=True, database=None)
 @given(argv=_cli_arguments())
+# past about 1,000 levels at small eta, (1 + x)^N in the click kernels
+# overflows unless the 2^-N scaling moves into the exponent
+@example(argv=["sweep", "--quantity", "pclick_cat_minus", "--var", "r", "--lo", "2", "--hi", "2",
+               "--points", "1", "--dim", "1100", "--eta", "0.0625"])
 def test_cli_returns_a_table_or_its_exit_code(argv):
     # every argument list gives a documented exit code and no traceback or
     # RuntimeWarning, and exit 0 comes with a table of finite values

@@ -275,5 +275,5 @@ def test_criterion_11_flags_a_corrupted_splitter_block(monkeypatch):
     monkeypatch.setattr(reference, "_blocks", corrupted)
     result = verification.criterion_11(verification.VerifyConfig())
     assert not result.passed
-    moved = float(result.detail.split("per-block mass conserved: ")[1].split(";")[0])
+    moved = float(result.detail.split("per-block mass conserved: ")[1].split(" (margin")[0])
     assert moved > 1e-12
