@@ -6,10 +6,15 @@ Mode 1 (the photon-pair mode) lives on the truncated Fock grid; mode 2
 exact overlap of two coherent states has a closed form and pump amplitudes
 around alpha = 10 would otherwise need hundreds of Fock levels.
 
-Every label-series probability runs through one kernel,
-`_overlap_probability`, on the cached nonzero pair terms of
-`_pair_series`.  The phase-noise average is a periodic trapezoid rule
-checked against itself at half the step.
+Production projects only onto the odd superposition with the label
+-alpha, whose pair indices n are all odd.  There each label overlap is
+exactly exp(-2|alpha|^2 sin^2(n delta/2) + i |alpha|^2 sin(n delta)) in
+the deviation delta = tau_tilde - pi, so every label-series probability
+runs through one kernel, `_odd_branch_probability`, on the cached
+nonzero pair terms of `_pair_series`, in blocks of at most KERNEL_BLOCK
+entries of the terms x nodes table.  The phase-noise average is a
+periodic trapezoid rule checked against itself at half the step.  The
+overlap of any branch and label is the oracle in `reference`.
 """
 from __future__ import annotations
 
@@ -36,13 +41,14 @@ SERIES_STATE_TOL = 1e-9
 # TRAPEZOID_AGREEMENT.  The pair term n carries the harmonics k*n of
 # delta with k Poisson-distributed around alpha^2, so the integrand's
 # weight lies below the band (alpha + TRAPEZOID_BAND_PAD)^2 * n[-1].
-# The kernel sees at most TRAPEZOID_CHUNK nodes per call, and a rule
-# that needs more than TRAPEZOID_MAX_NODES nodes is refused.
+# A rule that needs more than TRAPEZOID_MAX_NODES nodes is refused.
 TRAPEZOID_WINDOW = 9.0
 TRAPEZOID_AGREEMENT = 1e-12
 TRAPEZOID_BAND_PAD = 3.0
-TRAPEZOID_CHUNK = 4096
 TRAPEZOID_MAX_NODES = 2**20
+# Entries of the terms x nodes table that the kernel holds at once, in
+# each of its three work buffers (256 kB each).
+KERNEL_BLOCK = 2**15
 
 FIT_SIGMA_MAX = 1e-3
 FIT_SAMPLES = 21
@@ -83,31 +89,24 @@ def series_truncation(r: float, tail_tol: float = SERIES_TAIL_TOL) -> Truncation
 
 
 def p0_over_tau(
-    taus: np.ndarray,
-    r: float,
-    alpha: complex,
-    trunc: Truncation | None = None,
-    sign: int = -1,
-    label: complex | None = None,
+    taus: np.ndarray, r: float, alpha: complex, trunc: Truncation | None = None
 ) -> np.ndarray:
-    """Probability of projecting the Kerr output onto the superposition
-    branch |r; sign>_1 |label>_2, at each interaction phase of the 1-D
-    array taus (taken mod 2pi), in one pass over the label series.
+    """Probability of projecting the Kerr output onto the odd superposition
+    branch |r; ->_1 |-alpha>_2, the herald that announces photon-pair
+    generation, at each interaction phase of the 1-D array taus (taken
+    mod 2pi), in one pass over the label series.
 
-    Defaults target the odd branch paired with |-alpha>, the herald that
-    announces photon-pair generation.  At tau_tilde = pi this approaches
-    the branch weight N_sign(r)/4, up to the residual overlap of the
-    |+alpha> and |-alpha> labels.
+    At tau_tilde = pi every label overlap is exactly 1, so the value is
+    (sum_n g_n)^2, the branch weight N_-(r)/4 up to the series tail, for
+    every finite alpha.
     """
     _check_schedule(taus, alpha)
     if not r > 0.0:
         raise ValueError("squeezing must be positive")
     if trunc is None:
         trunc = series_truncation(r)
-    if label is None:
-        label = -alpha if sign < 0 else alpha
-    n, g = _pair_series(r, sign, trunc)
-    return _overlap_probability(np.mod(taus, TWO_PI), n, g, alpha, label)
+    n, g = _pair_series(r, -1, trunc)
+    return _odd_branch_probability(np.mod(taus, TWO_PI) - math.pi, n, g, alpha)
 
 
 @functools.lru_cache(maxsize=256)
@@ -130,25 +129,48 @@ def _pair_series(r: float, sign: int, trunc: Truncation) -> tuple[np.ndarray, np
     return n, g
 
 
-def _overlap_probability(
-    taus: np.ndarray, n: np.ndarray, g: np.ndarray, alpha: complex, label: complex
+def _odd_branch_probability(
+    deltas: np.ndarray, n: np.ndarray, g: np.ndarray, alpha: complex
 ) -> np.ndarray:
-    """|sum_n g_n <alpha e^{-i n tau} | label>|^2 for each tau, g real.
+    """|sum_n g_n <alpha e^{-i n (pi + delta)} | -alpha>|^2 for each
+    deviation delta, with g real and every pair index n odd.
 
-    Each overlap is exp(c0 + w e^{i n tau}) with c0 = -(|alpha|^2 +
-    |label|^2)/2 and w = conj(alpha) label; its modulus and phase come
-    from cos(n tau) and sin(n tau) in real arithmetic.
+    Then e^{-i n pi} = -1, so each overlap is exp(-2 a sin^2(n delta/2) +
+    i a sin(n delta)) with a = |alpha|^2, and nothing cancels at delta = 0.
+    The terms x nodes table is evaluated in place, KERNEL_BLOCK // len(n)
+    nodes at a time, in three buffers reused across blocks; the modulus
+    is exp(-a sin^2)^2, so no product overflows where 2a does.
     """
-    c0 = -0.5 * (abs(alpha) ** 2 + abs(label) ** 2)
-    w = complex(np.conj(alpha) * label)
-    nt = np.outer(n, taus)
-    cos_nt = np.cos(nt)
-    sin_nt = np.sin(nt)
-    mag = np.exp(c0 + w.real * cos_nt - w.imag * sin_nt)
-    phase = w.real * sin_nt + w.imag * cos_nt
-    re = g @ (mag * np.cos(phase))
-    im = g @ (mag * np.sin(phase))
-    return re * re + im * im
+    a = abs(alpha) ** 2
+    per_block = max(1, KERNEL_BLOCK // len(n))
+    width = min(per_block, len(deltas))
+    buffers = [np.empty(len(n) * width) for _ in range(3)]
+    re, im = np.empty(width), np.empty(width)
+    out = np.empty(len(deltas))
+    for lo in range(0, len(deltas), per_block):
+        d = deltas[lo:lo + per_block]
+        # contiguous leading views of the buffers, sized to the block
+        m, p, c = (buf[:len(n) * len(d)].reshape(len(n), len(d)) for buf in buffers)
+        np.multiply.outer(n, d, out=m)
+        np.sin(m, out=p)
+        p *= a  # the phase a sin(n delta)
+        m *= 0.5
+        np.sin(m, out=m)
+        np.square(m, out=m)
+        m *= -a
+        np.exp(m, out=m)
+        np.square(m, out=m)  # the modulus exp(-2a sin^2(n delta/2))
+        x, y = re[:len(d)], im[:len(d)]
+        np.cos(p, out=c)
+        c *= m
+        np.matmul(g, c, out=x)
+        np.sin(p, out=c)
+        c *= m
+        np.matmul(g, c, out=y)
+        np.square(x, out=x)
+        np.square(y, out=y)
+        np.add(x, y, out=out[lo:lo + len(d)])
+    return out
 
 
 @functools.lru_cache(maxsize=128)
@@ -156,10 +178,10 @@ def _phase_series(
     r: float, alpha: float, dim: int | None, tail_tol: float = SERIES_STATE_TOL
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Odd-branch pair terms and the tau_tilde = pi reference probability
-    for the ratio kernel, at cutoff dim (default: the series cutoff) with
-    tail tolerance tail_tol.  A reference probability below the smallest
-    normal float has lost its digits, and every ratio against it with
-    them, so it raises NumericalFailureError."""
+    (sum_n g_n)^2 for the ratio kernel, at cutoff dim (default: the series
+    cutoff) with tail tolerance tail_tol.  A reference probability below
+    the smallest normal float has lost its digits, and every ratio against
+    it with them, so it raises NumericalFailureError."""
     if not r > 0.0:
         raise ValueError("squeezing must be positive")
     if not (math.isfinite(alpha) and alpha > 0.0):
@@ -167,7 +189,7 @@ def _phase_series(
     _check_pump_size(alpha)
     trunc = Truncation(series_truncation(r).dim if dim is None else dim, tail_tol)
     n, g = _pair_series(r, -1, trunc)
-    ref = float(_overlap_probability(np.array([math.pi]), n, g, alpha, -alpha)[0])
+    ref = float(_odd_branch_probability(np.zeros(1), n, g, alpha)[0])
     # written so that a NaN reference fails too
     if not ref >= TINY:
         raise NumericalFailureError(
@@ -241,11 +263,8 @@ def _averaged_ratio_trapezoid(
     n, g, ref = _phase_series(r, alpha, dim, tail_tol)
     band = (alpha + TRAPEZOID_BAND_PAD) ** 2 * float(n[-1])
     deltas, weights = _trapezoid_rule(sigma, band)
-    taus = math.pi + deltas
-    vals = np.concatenate([
-        _overlap_probability(taus[i:i + TRAPEZOID_CHUNK], n, g, alpha, -alpha)
-        for i in range(0, len(taus), TRAPEZOID_CHUNK)
-    ]) / ref
+    vals = _odd_branch_probability(deltas, n, g, alpha)
+    vals /= ref
     fine = float(np.dot(weights, vals))
     coarse = 2.0 * float(np.dot(weights[::2], vals[::2]))
     if abs(coarse - fine) > TRAPEZOID_AGREEMENT:

@@ -9,9 +9,10 @@ tests check the production kernels against.
   orthogonal per-total-N blocks of apply_beam_splitter(), and the squeezer
   decomposition through the per-diagonal two-mode squeezer.
 - Dense click statistics and the numeric heralded g2 of a joint table.
-- The Kerr schedule and the explicit cross-Kerr state, the phase-error
+- The Kerr schedule and the explicit cross-Kerr state, the label-series
+  overlap of any branch sign, label and complex pump, the phase-error
   ratio at one phase offset, and the Gauss-Hermite ladder and seeded
-  Monte Carlo averages of the phase-noise ratio.
+  Monte Carlo averages of the phase-noise ratio, all on that overlap.
 
 No figure, sweep or production kernel imports this module; production
 numbers come from the photon-number rows of optics, the binomial kernels
@@ -600,14 +601,74 @@ def coherent_overlap(beta: complex, gamma: complex) -> complex:
     )
 
 
+def p0_over_tau(
+    taus: np.ndarray,
+    r: float,
+    alpha: complex,
+    trunc: Truncation | None = None,
+    sign: int = -1,
+    label: complex | None = None,
+) -> np.ndarray:
+    """Probability of projecting the Kerr output onto the superposition
+    branch |r; sign>_1 |label>_2 at each interaction phase of taus (taken
+    mod 2pi): the general-branch oracle for kerr.p0_over_tau, which
+    serves only sign = -1 with label = -alpha.
+
+    The default label is -alpha on the odd branch and alpha on the even
+    one.  At tau_tilde = pi the value approaches the branch weight
+    N_sign(r)/4, up to the residual overlap of the |+alpha> and |-alpha>
+    labels.
+    """
+    kerr._check_schedule(taus, alpha)
+    if not r > 0.0:
+        raise ValueError("squeezing must be positive")
+    if trunc is None:
+        trunc = kerr.series_truncation(r)
+    if label is None:
+        label = -alpha if sign < 0 else alpha
+    n, g = kerr._pair_series(r, sign, trunc)
+    return _overlap_probability(np.mod(taus, kerr.TWO_PI), n, g, alpha, label)
+
+
+def _overlap_probability(
+    taus: np.ndarray, n: np.ndarray, g: np.ndarray, alpha: complex, label: complex
+) -> np.ndarray:
+    """|sum_n g_n <alpha e^{-i n tau} | label>|^2 for each tau, g real.
+
+    Each overlap is exp(c0 + w e^{i n tau}) with c0 = -(|alpha|^2 +
+    |label|^2)/2 and w = conj(alpha) label; its modulus and phase come
+    from cos(n tau) and sin(n tau) in real arithmetic.
+    """
+    c0 = -0.5 * (abs(alpha) ** 2 + abs(label) ** 2)
+    w = complex(np.conj(alpha) * label)
+    nt = np.outer(n, taus)
+    cos_nt = np.cos(nt)
+    sin_nt = np.sin(nt)
+    mag = np.exp(c0 + w.real * cos_nt - w.imag * sin_nt)
+    phase = w.real * sin_nt + w.imag * cos_nt
+    re = g @ (mag * np.cos(phase))
+    im = g @ (mag * np.sin(phase))
+    return re * re + im * im
+
+
+def _odd_ratio(
+    r: float, alpha: float, dthetas: np.ndarray, dim: int | None,
+    tail_tol: float = kerr.SERIES_STATE_TOL,
+) -> np.ndarray:
+    """The general overlap at interaction phases pi + dthetas, over its
+    own value at pi, on the odd-branch series of kerr._phase_series (which
+    checks the inputs and refuses a reference that has lost its digits)."""
+    n, g, _ = kerr._phase_series(r, alpha, dim, tail_tol)
+    ref = _overlap_probability(np.array([math.pi]), n, g, alpha, -alpha)[0]
+    return _overlap_probability(math.pi + dthetas, n, g, alpha, -alpha) / ref
+
+
 def phase_error_ratio(r: float, alpha: float, dtheta: float, dim: int | None = None) -> float:
     """R(r, alpha, dtheta): herald probability at interaction phase
     pi + dtheta, normalized by its dtheta = 0 value (so R(., ., 0) = 1
     exactly and residual finite-alpha effects cancel); the integrand that
     kerr.gaussian_averaged_ratio averages."""
-    n, g, ref = kerr._phase_series(r, alpha, dim)
-    val = kerr._overlap_probability(np.array([math.pi + dtheta]), n, g, alpha, -alpha)[0]
-    return float(val / ref)
+    return float(_odd_ratio(r, alpha, np.array([dtheta]), dim)[0])
 
 
 @functools.lru_cache(maxsize=len(QUADRATURE_ORDERS))
@@ -641,10 +702,8 @@ def _averaged_ratio_quadrature(
     dim: int | None,
     tail_tol: float = kerr.SERIES_STATE_TOL,
 ) -> float:
-    n, g, ref = kerr._phase_series(r, alpha, dim, tail_tol)
     nodes, weights = _hermite_rule(order)
-    taus = math.pi + math.sqrt(2.0) * sigma * nodes
-    vals = kerr._overlap_probability(taus, n, g, alpha, -alpha) / ref
+    vals = _odd_ratio(r, alpha, math.sqrt(2.0) * sigma * nodes, dim, tail_tol)
     return float(np.dot(weights, vals) / math.sqrt(math.pi))
 
 
@@ -673,7 +732,5 @@ def _monte_carlo_ratio(
     if seed is None:
         raise ValueError("monte-carlo averaging requires a seed")
     rng = np.random.default_rng(seed)
-    n, g, ref = kerr._phase_series(r, alpha, None)
-    taus = math.pi + rng.normal(0.0, sigma, size=samples)
-    vals = kerr._overlap_probability(taus, n, g, alpha, -alpha) / ref
+    vals = _odd_ratio(r, alpha, rng.normal(0.0, sigma, size=samples), None)
     return float(np.mean(vals))

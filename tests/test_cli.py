@@ -284,6 +284,19 @@ def test_pump_amplitude_whose_square_overflows_exits_usage(capsys, argv):
     assert "invalid parameter: pump amplitude alpha = " in err and "overflows" in err
 
 
+@pytest.mark.parametrize("alpha", ("10", "1e3", "1e7", "1e8", "1e100", "1e150"))
+def test_p0_at_ideal_phase_survives_large_pump_amplitudes(capsys, alpha):
+    # (sum_n g_n)^2 at r = 0.725: every label overlap is 1 at tau_tilde = pi
+    exact = 0.1665808855379014
+    code, out, err = run_cli(capsys, "sweep", "--quantity", "p0_cat_minus", "--var",
+                             "tau_tilde", "--lo", "3.141592653589793", "--hi",
+                             "3.141592653589793", "--points", "1", "--set", "r=0.725",
+                             "--alpha", alpha)
+    assert code == cli.EXIT_OK, err
+    _, header, rows = parse_csv(out)
+    assert abs(rows[0][header.index("p0_cat_minus")] - exact) <= 1e-15 * exact
+
+
 def test_phase_ratio_honours_the_tail_tolerance(capsys):
     argv = ["sweep", "--quantity", "phase_ratio", "--var", "r", "--lo", "1.9", "--hi", "2.0",
             "--points", "2", "--set", "sigma=0.001"]

@@ -1,6 +1,7 @@
 """Unit tests for the cross-Kerr heralding stage and phase-noise fits."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,6 +14,8 @@ from sqherald import fockspace as fs
 
 # the ideal interaction phase tau_tilde = pi, as a one-point column
 IDEAL = np.array([math.pi])
+# (sum_n g_n)^2 of the odd-branch series at r = 0.725: p0 at tau_tilde = pi
+P0_IDEAL = 0.1665808855379014
 
 
 def fock_grid_p0(tau_tilde, r, sign, alpha, label, sys_dim, pump_dim):
@@ -97,7 +100,7 @@ def test_p0_matches_state_path_oracle():
             sched = reference.KerrSchedule(tau, alpha)
             for r in (0.725, 1.5):
                 taus = np.array([sched.tau_tilde])
-                kernel = kerr.p0_over_tau(taus, r, alpha, sign=sign, label=label)[0]
+                kernel = reference.p0_over_tau(taus, r, alpha, sign=sign, label=label)[0]
                 assert abs(kernel - state_path_p0(sched, r, sign, label)) < 1e-12
 
 
@@ -142,7 +145,7 @@ def test_half_hermite_rule_equals_full_symmetric_rule():
             n, g, ref = kerr._phase_series(r, alpha, None)
             for sigma in (1e-3, 4e-3):
                 taus = math.pi + math.sqrt(2.0) * sigma * nodes
-                vals = kerr._overlap_probability(taus, n, g, alpha, -alpha) / ref
+                vals = reference._overlap_probability(taus, n, g, alpha, -alpha) / ref
                 full = float(np.dot(weights, vals) / math.sqrt(math.pi))
                 half = reference._averaged_ratio_quadrature(r, alpha, sigma, order, None)
                 assert abs(half - full) < 1e-13
@@ -263,6 +266,68 @@ def test_p0_at_ideal_phase_equals_branch_weight():
     assert abs(p0 - sources.cat_norm(0.725, -1) / 4.0) < 1e-12
 
 
+@pytest.mark.parametrize("alpha", (10.0, 1e3, 1e7, 1e8, 1e100, 1e150))
+def test_p0_at_ideal_phase_is_exact_for_any_pump(alpha):
+    # every label overlap is exactly 1 at tau_tilde = pi; a kernel in tau
+    # itself multiplies the rounding of n tau by |alpha|^2
+    n, g = kerr._pair_series(0.725, -1, kerr.series_truncation(0.725))
+    assert abs(float(np.sum(g)) ** 2 - P0_IDEAL) <= 1e-15 * P0_IDEAL
+    assert abs(kerr.p0_over_tau(IDEAL, 0.725, alpha)[0] - P0_IDEAL) <= 1e-15 * P0_IDEAL
+
+
+def _fig5b_window(r, trunc, alpha):
+    """The fine trapezoid nodes of the widest fig5b sigma at r and trunc."""
+    n, g = kerr._pair_series(r, -1, trunc)
+    band = (abs(alpha) + kerr.TRAPEZOID_BAND_PAD) ** 2 * float(n[-1])
+    return kerr._trapezoid_rule(registry.SIGMA_GRID[1], band)[0], n, g
+
+
+def test_odd_branch_kernel_matches_the_general_overlap():
+    taus = np.linspace(*registry.TAU_GRID)
+    for alpha in (10.0, 3.0 + 1.0j):
+        for r in (0.05, 0.725, 2.0):
+            trunc = kerr.series_truncation(r)
+            n, g = kerr._pair_series(r, -1, trunc)
+            kernel = kerr._odd_branch_probability(taus - math.pi, n, g, alpha)
+            oracle = reference._overlap_probability(taus, n, g, alpha, -alpha)
+            # far from pi the value falls to 1e-97 and is ill-conditioned in
+            # tau (about |alpha|^2 n tau eps relative), so the fig4a grid is
+            # compared against its largest value, the one at pi
+            assert np.max(np.abs(kernel - oracle)) <= 1e-12 * oracle.max()
+            for cut in (trunc, trunc.scaled(1.5)):
+                deltas, n, g = _fig5b_window(r, cut, alpha)
+                kernel = kerr._odd_branch_probability(deltas, n, g, alpha)
+                oracle = reference._overlap_probability(math.pi + deltas, n, g, alpha, -alpha)
+                assert np.all(np.abs(kernel - oracle) <= 1e-12 * oracle)
+
+
+def test_kernel_blocks_do_not_change_the_values(monkeypatch):
+    # one node per block, and three per block with a shorter last block,
+    # give the numbers of the whole fig5b window in one block
+    deltas, n, g = _fig5b_window(2.0, kerr.series_truncation(2.0), 10.0)
+    assert len(deltas) % 3
+    monkeypatch.setattr(kerr, "KERNEL_BLOCK", len(n) * len(deltas))
+    whole = kerr._odd_branch_probability(deltas, n, g, 10.0)
+    for block in (1, 3 * len(n)):
+        monkeypatch.setattr(kerr, "KERNEL_BLOCK", block)
+        blocked = kerr._odd_branch_probability(deltas, n, g, 10.0)
+        # the row sums of a block may round in another order
+        assert np.all(np.abs(blocked - whole) <= 1e-14 * whole)
+
+
+def test_averaged_ratio_working_set_is_bounded():
+    # 10,663 nodes at r = 1.2, sigma = 1: the kernel holds three blocks of
+    # KERNEL_BLOCK entries, not whole terms x nodes tables
+    kerr.gaussian_averaged_ratio(1.2, 10.0, 1.0)  # fill the series caches
+    tracemalloc.start()
+    try:
+        kerr.gaussian_averaged_ratio(1.2, 10.0, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
 def test_p0_vanishes_without_interaction():
     assert kerr.p0_over_tau(np.array([0.0]), 0.725, 10.0)[0] < 1e-100
 
@@ -274,13 +339,13 @@ def test_p0_rejects_nonpositive_squeezing():
 
 def test_p0_rejects_an_unknown_branch_sign():
     with pytest.raises(ValueError, match="sign"):
-        kerr.p0_over_tau(IDEAL, 0.725, 10.0, sign=0)
+        reference.p0_over_tau(IDEAL, 0.725, 10.0, sign=0)
 
 
 def test_branch_probabilities_sum_to_one():
     # residual |<alpha|-alpha>| cross terms bound the deficit by 10 e^{-2 alpha^2}
     for alpha, slack in ((1.5, 10.0 * math.exp(-4.5)), (3.0, 10.0 * math.exp(-18.0))):
-        total = kerr.p0_over_tau(IDEAL, 0.725, alpha, sign=-1)[0] + kerr.p0_over_tau(
+        total = reference.p0_over_tau(IDEAL, 0.725, alpha, sign=-1)[0] + reference.p0_over_tau(
             IDEAL, 0.725, alpha, sign=+1, label=alpha
         )[0]
         assert total <= 1.0 + 1e-12
@@ -293,9 +358,12 @@ def test_p0_matches_fock_grid_oracle():
         (math.pi, +1, 3.0),
         (math.pi + 0.05, -1, -3.0),
     ):
-        series = kerr.p0_over_tau(np.array([tau]), 0.725, 3.0, sign=sign, label=label)[0]
+        series = reference.p0_over_tau(np.array([tau]), 0.725, 3.0, sign=sign, label=label)[0]
         grid = fock_grid_p0(tau, 0.725, sign, 3.0, label, 64, 200)
         assert abs(series - grid) < 1e-10
+        if sign < 0:
+            # the production branch, through the kernel in delta
+            assert abs(kerr.p0_over_tau(np.array([tau]), 0.725, 3.0)[0] - grid) < 1e-10
 
 
 def test_phase_error_ratio_matches_fock_grid_oracle():
