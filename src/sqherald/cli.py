@@ -95,8 +95,8 @@ def _metadata_lines(metadata: dict) -> list[str]:
 def _render_csv(columns, rows, metadata) -> str:
     lines = _metadata_lines(metadata)
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_format_float(v) for v in row))
+    # tolist() gives Python floats, whose repr is _format_float's
+    lines.extend(",".join(map(repr, row)) for row in rows.tolist())
     return "\n".join(lines) + "\n"
 
 

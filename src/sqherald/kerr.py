@@ -11,10 +11,15 @@ Production projects only onto the odd superposition with the label
 exactly exp(-2|alpha|^2 sin^2(n delta/2) + i |alpha|^2 sin(n delta)) in
 the deviation delta = tau_tilde - pi, so every label-series probability
 runs through one kernel, `_odd_branch_probability`, on the cached
-nonzero pair terms of `_pair_series`, in blocks of at most KERNEL_BLOCK
-entries of the terms x nodes table.  The phase-noise average is a
-periodic trapezoid rule checked against itself at half the step.  The
-overlap of any branch and label is the oracle in `reference`.
+nonzero pair terms of `_pair_series` (one weight row per r), in blocks
+of at most KERNEL_BLOCK entries of the terms x nodes table.  Its cosines
+and sines come from `_cis`, a table-driven rotation (Cody & Waite 1980;
+Tang, ACM TOMS 15, 144 (1989)) that replaces the two libm calls of each
+of its two rotations with 28 vectorised multiply, add and gather
+passes; libm serves small tables and arguments beyond CIS_LIMIT.  The
+phase-noise average is a periodic trapezoid rule checked against itself
+at half the step.  The overlap of any branch and label is the oracle in
+`reference`, on libm.
 """
 from __future__ import annotations
 
@@ -47,8 +52,20 @@ TRAPEZOID_AGREEMENT = 1e-12
 TRAPEZOID_BAND_PAD = 3.0
 TRAPEZOID_MAX_NODES = 2**20
 # Entries of the terms x nodes table that the kernel holds at once, in
-# each of its three work buffers (256 kB each).
-KERNEL_BLOCK = 2**15
+# each of its eight work buffers (96 kB each, 768 kB in all).
+KERNEL_BLOCK = 3 * 2**12
+
+# Table-driven rotation: x = k 2pi/CIS_TABLE + rho with k = rint(x
+# CIS_TABLE/2pi) and |rho| <= pi/CIS_TABLE.  2pi/CIS_TABLE is split into
+# three parts; the first two have at most 30 significant bits, so k times
+# each is exact for |k| < 2^23, which CIS_LIMIT keeps with room to spare.
+# Above it the kernel calls libm, as it does for tables of fewer than
+# CIS_MIN_ENTRIES entries, where the fixed cost of _cis's 28 ufunc calls
+# outweighs what they save per entry over libm.
+CIS_TABLE = 1024
+CIS_SPLIT = (0.006135923147667199, 3.875365543607508e-12, 2.0196027272633223e-21)
+CIS_LIMIT = 2**22 * TWO_PI / CIS_TABLE
+CIS_MIN_ENTRIES = 4096
 
 FIT_SIGMA_MAX = 1e-3
 FIT_SAMPLES = 21
@@ -89,24 +106,38 @@ def series_truncation(r: float, tail_tol: float = SERIES_TAIL_TOL) -> Truncation
 
 
 def p0_over_tau(
-    taus: np.ndarray, r: float, alpha: complex, trunc: Truncation | None = None
+    taus: np.ndarray, r, alpha: complex, trunc: Truncation | None = None
 ) -> np.ndarray:
     """Probability of projecting the Kerr output onto the odd superposition
     branch |r; ->_1 |-alpha>_2, the herald that announces photon-pair
-    generation, at each interaction phase of the 1-D array taus (taken
-    mod 2pi), in one pass over the label series.
+    generation, at each point (taus[i], r[i]) of the 1-D array taus
+    (taken mod 2pi) and of r, a float or an array of the same length.
 
-    At tau_tilde = pi every label overlap is exactly 1, so the value is
-    (sum_n g_n)^2, the branch weight N_-(r)/4 up to the series tail, for
-    every finite alpha.
+    trunc defaults to the series cutoff of the largest r.  The points
+    share one kernel call per distinct pair set, with one weight row per
+    distinct r, over the distinct |delta|: the kernel is exactly even in
+    delta.  At tau_tilde = pi every label overlap is exactly 1, so the
+    value is (sum_n g_n)^2, the branch weight N_-(r)/4 up to the series
+    tail, for every finite alpha.
     """
     _check_schedule(taus, alpha)
-    if not r > 0.0:
+    r = np.broadcast_to(np.asarray(r, dtype=float), np.shape(taus))
+    if not np.all(r > 0.0):
         raise ValueError("squeezing must be positive")
     if trunc is None:
-        trunc = series_truncation(r)
-    n, g = _pair_series(r, -1, trunc)
-    return _odd_branch_probability(np.mod(taus, TWO_PI) - math.pi, n, g, alpha)
+        trunc = series_truncation(float(np.max(r)))
+    deltas, col = np.unique(np.abs(np.mod(taus, TWO_PI) - math.pi), return_inverse=True)
+    rs, row = np.unique(r, return_inverse=True)
+    series = [_pair_series(rj, -1, trunc) for rj in rs.tolist()]
+    rows_of: dict[bytes, list[int]] = {}
+    for j, (n, _) in enumerate(series):
+        rows_of.setdefault(n.tobytes(), []).append(j)
+    table = np.empty((len(rs), len(deltas)))
+    for rows in rows_of.values():
+        n = series[rows[0]][0]
+        weights = np.stack([series[j][1] for j in rows])
+        table[rows] = _odd_branch_probability(deltas, n, weights, alpha)
+    return table[row, col]
 
 
 @functools.lru_cache(maxsize=256)
@@ -129,47 +160,144 @@ def _pair_series(r: float, sign: int, trunc: Truncation) -> tuple[np.ndarray, np
     return n, g
 
 
+def _cis_table() -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of k 2pi/CIS_TABLE for k = 0 .. CIS_TABLE - 1.
+
+    Built for k <= CIS_TABLE/2 and mirrored, so that entry -k mod
+    CIS_TABLE is the exact conjugate of entry k, with the quarter turns
+    exact.  Each libm value is corrected to first order for the rounding
+    of its argument k 2pi/CIS_TABLE, recovered from the split."""
+    c1, c2, c3 = CIS_SPLIT
+    k = np.arange(CIS_TABLE // 2 + 1, dtype=float)
+    x = k * (TWO_PI / CIS_TABLE)
+    err = ((k * c1 - x) + k * c2) + k * c3
+    cos, sin = np.cos(x) - np.sin(x) * err, np.sin(x) + np.cos(x) * err
+    quarters = [0, CIS_TABLE // 4, CIS_TABLE // 2]
+    cos[quarters] = (1.0, 0.0, -1.0)
+    sin[quarters] = (0.0, 1.0, 0.0)
+    cos = np.concatenate([cos, cos[-2:0:-1]])
+    sin = np.concatenate([sin, -sin[-2:0:-1]])
+    cos.setflags(write=False)
+    sin.setflags(write=False)
+    return cos, sin
+
+
+_CIS_COS, _CIS_SIN = _cis_table()
+
+
+def _cis(x: np.ndarray, cos_out: np.ndarray, sin_out: np.ndarray, work) -> None:
+    """cos x and sin x into cos_out and sin_out, for a 1-D x with |x| <=
+    CIS_LIMIT, within a few ulp of libm; work holds three float buffers
+    and one np.intp buffer of at least len(x) entries, and no output may
+    alias x.
+
+    x = k 2pi/CIS_TABLE + rho, with rho reduced by the three parts of
+    CIS_SPLIT; sin rho and cos rho are Taylor series to rho^5 and rho^4
+    (the first terms left out, rho^7/5040 and rho^6/720, stay below 0.01
+    ulp at |rho| <= pi/CIS_TABLE); then one complex multiply by table
+    entry k mod CIS_TABLE.  rint is odd and every later step is odd or
+    even in rho, so cis(-x) is exactly conj(cis(x)), and cis(0) is
+    exactly (1, 0).
+    """
+    k, rho, ts, idx = (w[:len(x)] for w in work)
+    c1, c2, c3 = CIS_SPLIT
+    np.multiply(x, CIS_TABLE / TWO_PI, out=k)
+    np.rint(k, out=k)
+    np.multiply(k, c1, out=rho)
+    np.subtract(x, rho, out=rho)
+    np.multiply(k, c2, out=cos_out)
+    rho -= cos_out
+    np.multiply(k, c3, out=cos_out)
+    rho -= cos_out
+    np.copyto(idx, k, casting="unsafe")
+    idx &= CIS_TABLE - 1
+    # the index is in range, and mode="raise" would buffer the output
+    tc = _CIS_COS.take(idx, out=k, mode="clip")
+    _CIS_SIN.take(idx, out=ts, mode="clip")
+    z = cos_out
+    np.square(rho, out=z)
+    # sin rho = rho + rho z (z/120 - 1/6)
+    np.multiply(z, 1.0 / 120.0, out=sin_out)
+    sin_out -= 1.0 / 6.0
+    sin_out *= z
+    sin_out *= rho
+    sin_out += rho
+    # cos rho = 1 + z (z/24 - 1/2), in rho
+    np.multiply(z, 1.0 / 24.0, out=rho)
+    rho -= 0.5
+    rho *= z
+    rho += 1.0
+    # cos x = tc cos rho - ts sin rho and sin x = ts cos rho + tc sin rho
+    np.multiply(tc, rho, out=cos_out)
+    rho *= ts
+    ts *= sin_out
+    cos_out -= ts
+    sin_out *= tc
+    sin_out += rho
+
+
+def _libm_cis(x: np.ndarray, cos_out: np.ndarray, sin_out: np.ndarray, work) -> None:
+    """cos x and sin x by libm, with _cis's signature."""
+    np.cos(x, out=cos_out)
+    np.sin(x, out=sin_out)
+
+
 def _odd_branch_probability(
     deltas: np.ndarray, n: np.ndarray, g: np.ndarray, alpha: complex
 ) -> np.ndarray:
     """|sum_n g_n <alpha e^{-i n (pi + delta)} | -alpha>|^2 for each
-    deviation delta, with g real and every pair index n odd.
+    deviation delta, with every pair index n odd and g one real weight
+    row (T,) or a matrix (R, T) of rows over the same n; the result has
+    shape (nodes,) or (R, nodes).
 
     Then e^{-i n pi} = -1, so each overlap is exp(-2 a sin^2(n delta/2) +
     i a sin(n delta)) with a = |alpha|^2, and nothing cancels at delta = 0.
     The terms x nodes table is evaluated in place, KERNEL_BLOCK // len(n)
-    nodes at a time, in three buffers reused across blocks; the modulus
-    is exp(-a sin^2)^2, so no product overflows where 2a does.
+    nodes at a time, in buffers reused across blocks: one rotation by n
+    delta/2 gives sin(n delta) = 2 s c and sin^2(n delta/2) = s^2, and a
+    second one rotates by the phase.  The modulus is exp(-a s^2)^2, so no
+    product overflows where 2a does.  Every step is odd or even in delta,
+    so the result is exactly even in delta.  Tables of fewer than
+    CIS_MIN_ENTRIES entries, and arguments beyond CIS_LIMIT, rotate by
+    libm instead of _cis.
     """
     a = abs(alpha) ** 2
-    per_block = max(1, KERNEL_BLOCK // len(n))
-    width = min(per_block, len(deltas))
-    buffers = [np.empty(len(n) * width) for _ in range(3)]
-    re, im = np.empty(width), np.empty(width)
-    out = np.empty(len(deltas))
+    terms = len(n)
+    per_block = max(1, KERNEL_BLOCK // terms)
+    size = terms * min(per_block, len(deltas))
+    half_turn = phase_turn = _libm_cis
+    work = None
+    if terms * len(deltas) >= CIS_MIN_ENTRIES:
+        work = [np.empty(size) for _ in range(3)] + [np.empty(size, dtype=np.intp)]
+        if n[-1] * np.max(np.abs(deltas)) <= 2.0 * CIS_LIMIT:
+            half_turn = _cis
+        if a <= CIS_LIMIT:
+            phase_turn = _cis
+    buffers = [np.empty(size) for _ in range(4)]
+    halves = 0.5 * deltas
+    out = np.empty(g.shape[:-1] + (len(deltas),))
     for lo in range(0, len(deltas), per_block):
-        d = deltas[lo:lo + per_block]
+        d = halves[lo:lo + per_block]
         # contiguous leading views of the buffers, sized to the block
-        m, p, c = (buf[:len(n) * len(d)].reshape(len(n), len(d)) for buf in buffers)
-        np.multiply.outer(n, d, out=m)
-        np.sin(m, out=p)
-        p *= a  # the phase a sin(n delta)
-        m *= 0.5
-        np.sin(m, out=m)
-        np.square(m, out=m)
-        m *= -a
-        np.exp(m, out=m)
-        np.square(m, out=m)  # the modulus exp(-2a sin^2(n delta/2))
-        x, y = re[:len(d)], im[:len(d)]
-        np.cos(p, out=c)
-        c *= m
-        np.matmul(g, c, out=x)
-        np.sin(p, out=c)
-        c *= m
-        np.matmul(g, c, out=y)
+        m, c, s, t = (buf[:terms * len(d)] for buf in buffers)
+        np.multiply.outer(n, d, out=m.reshape(terms, len(d)))
+        half_turn(m, c, s, work)
+        # the phase p = a sin(n delta) = 2a s c goes in as -p, which
+        # |.|^2 cannot tell apart, and 2 (-a s) c cannot overflow
+        np.multiply(s, -a, out=t)
+        np.multiply(t, c, out=m)
+        m += m
+        s *= t
+        np.exp(s, out=s)
+        np.square(s, out=s)  # the modulus exp(-2a sin^2(n delta/2))
+        phase_turn(m, c, t, work)
+        c *= s
+        t *= s
+        x = g @ c.reshape(terms, len(d))
+        y = g @ t.reshape(terms, len(d))
         np.square(x, out=x)
         np.square(y, out=y)
-        np.add(x, y, out=out[lo:lo + len(d)])
+        np.add(x, y, out=out[..., lo:lo + len(d)])
     return out
 
 

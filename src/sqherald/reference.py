@@ -51,6 +51,9 @@ COEFF_NORM_TOL = 1e-10
 # each rule splits into two mirrored halves (see _hermite_rule)
 QUADRATURE_ORDERS = (64, 128, 256, 512, 1024, 2048, 4096, 8192)
 QUADRATURE_AGREEMENT = 1e-9
+# Draws per block of the Monte Carlo average, whose overlap tables hold
+# terms x MONTE_CARLO_BLOCK entries at a time.
+MONTE_CARLO_BLOCK = 4096
 
 
 # ------------------------------------------------------------ Fock space
@@ -732,5 +735,9 @@ def _monte_carlo_ratio(
     if seed is None:
         raise ValueError("monte-carlo averaging requires a seed")
     rng = np.random.default_rng(seed)
-    vals = _odd_ratio(r, alpha, rng.normal(0.0, sigma, size=samples), None)
+    dthetas = rng.normal(0.0, sigma, size=samples)
+    vals = np.empty(samples)
+    for lo in range(0, samples, MONTE_CARLO_BLOCK):
+        block = slice(lo, lo + MONTE_CARLO_BLOCK)
+        vals[block] = _odd_ratio(r, alpha, dthetas[block], None)
     return float(np.mean(vals))

@@ -138,13 +138,13 @@ def _q_herald_yield_cat_minus(trunc, r):
 
 
 def _q_p0_cat_minus(trunc, tau_tilde, r, alpha):
-    # one kerr.p0_over_tau call per distinct (r, alpha), over all the
-    # interaction phases that share them
-    (rs, alphas), at = analysis.distinct(r, alpha)
+    # one kerr.p0_over_tau call per distinct alpha, over all the
+    # (tau_tilde, r) points that share it
+    (alphas,), at = analysis.distinct(alpha)
     out = np.empty(len(tau_tilde))
-    for j, (rj, aj) in enumerate(zip(rs.tolist(), alphas.tolist())):
+    for j, aj in enumerate(alphas.tolist()):
         sel = at == j
-        out[sel] = kerr.p0_over_tau(tau_tilde[sel], rj, aj, trunc)
+        out[sel] = kerr.p0_over_tau(tau_tilde[sel], r[sel], aj, trunc)
     return out
 
 

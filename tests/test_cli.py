@@ -404,6 +404,22 @@ def test_repeat_runs_are_byte_identical(capsys):
     assert first == second
 
 
+def test_csv_rows_match_per_value_formatting():
+    # the rows are formatted in one pass over rows.tolist(); each value
+    # must read as repr(float(v)) did, signed zeros and subnormals included
+    tiny = np.nextafter(0.0, 1.0)
+    values = np.array([
+        [0.0, -0.0, tiny, -tiny, 2.2250738585072014e-308, 1e-300],
+        [1e-300 / 3.0, 0.1, 1.0 / 3.0, 12345678.9, 1e22, -2.5e-17],
+    ])
+    text = cli._render_csv(("a", "b", "c", "d", "e", "f"), values, {})
+    per_value = "".join(
+        ",".join(repr(float(v)) for v in row) + "\n" for row in values
+    )
+    assert text == "a,b,c,d,e,f\n" + per_value
+    assert "-0.0,5e-324,-5e-324" in text
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["--version"])

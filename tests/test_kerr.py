@@ -315,8 +315,129 @@ def test_kernel_blocks_do_not_change_the_values(monkeypatch):
         assert np.all(np.abs(blocked - whole) <= 1e-14 * whole)
 
 
+def _cis(x):
+    work = [np.empty(len(x)) for _ in range(3)] + [np.empty(len(x), dtype=np.intp)]
+    cos, sin = np.empty(len(x)), np.empty(len(x))
+    kerr._cis(x, cos, sin, work)
+    return cos, sin
+
+
+def test_cis_agrees_with_libm_within_four_ulp():
+    # a dense sweep of the whole range, the table's midpoints (where |rho|
+    # is largest) and small arguments
+    k = np.arange(-2**14, 2**14)
+    x = np.concatenate([
+        np.linspace(-kerr.CIS_LIMIT, kerr.CIS_LIMIT, 200_001),
+        np.linspace(-4.0 * math.pi, 4.0 * math.pi, 100_001),
+        (k + 0.5) * (kerr.TWO_PI / kerr.CIS_TABLE),
+        np.geomspace(1e-300, 1.0, 1001),
+    ])
+    cos, sin = _cis(x)
+    for got, want in ((cos, np.cos(x)), (sin, np.sin(x))):
+        assert np.all(np.abs(got - want) <= 4.0 * np.spacing(np.abs(want)))
+    # at the zeros of cos and sin the value is rho itself, about ulp(x);
+    # the rounding of k * CIS_SPLIT[2] (up to 8e-31 at the limit) caps its
+    # relative precision there, so the bound is absolute
+    x = np.arange(-2**14, 2**14 + 1) * (0.5 * math.pi)
+    assert np.max(np.abs(x)) <= kerr.CIS_LIMIT
+    cos, sin = _cis(x)
+    for got, want in ((cos, np.cos(x)), (sin, np.sin(x))):
+        assert np.all(np.abs(got - want) <= 4.0 * np.spacing(np.abs(want)) + 2e-30)
+
+
+def test_cis_is_exact_at_zero_and_odd_under_negation():
+    cos, sin = _cis(np.zeros(3))
+    assert np.all(cos == 1.0) and np.all(sin == 0.0)
+    x = np.linspace(0.0, kerr.CIS_LIMIT, 200_001)
+    cos, sin = _cis(x)
+    cos_neg, sin_neg = _cis(-x)
+    assert np.array_equal(cos_neg, cos) and np.array_equal(sin_neg, -sin)
+
+
+def test_kernel_hands_large_or_small_work_to_libm(monkeypatch):
+    # _cis sees only |x| <= CIS_LIMIT: at |alpha|^2 above it the phase,
+    # and in tables below CIS_MIN_ENTRIES both rotations, go to libm
+    seen = []
+    cis = kerr._cis
+
+    def spy(x, cos_out, sin_out, work):
+        seen.append(float(np.max(np.abs(x))))
+        cis(x, cos_out, sin_out, work)
+
+    monkeypatch.setattr(kerr, "_cis", spy)
+    deltas, n, g = _fig5b_window(2.0, kerr.series_truncation(2.0), 10.0)
+    blocks = -(-len(deltas) // (kerr.KERNEL_BLOCK // len(n)))
+    at_limit = math.sqrt(kerr.CIS_LIMIT)
+    for alpha, rotations in ((0.999 * at_limit, 2), (1.001 * at_limit, 1)):
+        seen.clear()
+        kerr._odd_branch_probability(deltas, n, g, alpha)
+        assert len(seen) == rotations * blocks
+        assert max(seen) <= kerr.CIS_LIMIT
+    small = deltas[:(kerr.CIS_MIN_ENTRIES - 1) // len(n)]
+    seen.clear()
+    kerr._odd_branch_probability(small, n, g, 10.0)
+    assert not seen
+    # half angles n delta/2 past the limit, from pair indices up to 32,769
+    wide = np.arange(1, 32770, 2)
+    seen.clear()
+    kerr._odd_branch_probability(np.array([3.0]), wide, np.full(len(wide), 1e-3), 10.0)
+    assert len(seen) == 1 and max(seen) <= 100.0
+
+
+def test_kernel_agrees_across_the_rotation_switch(monkeypatch):
+    # the same tables through _cis and through libm
+    taus = np.linspace(*registry.TAU_GRID)
+    for r in (0.725, 2.0):
+        deltas, n, g = _fig5b_window(r, kerr.series_truncation(r), 10.0)
+        values = {}
+        for floor in (0, 10**18):
+            monkeypatch.setattr(kerr, "CIS_MIN_ENTRIES", floor)
+            values[floor] = (kerr._odd_branch_probability(deltas, n, g, 10.0),
+                             kerr._odd_branch_probability(taus - math.pi, n, g, 10.0))
+        (window, grid), (libm_window, libm_grid) = values.values()
+        assert np.all(np.abs(window - libm_window) <= 1e-13 * libm_window)
+        assert np.max(np.abs(grid - libm_grid)) <= 1e-15 * libm_grid.max()
+
+
+def test_kernel_is_exactly_even_in_delta(monkeypatch):
+    # the evenness that lets p0_over_tau evaluate each |delta| once
+    taus = np.linspace(*registry.TAU_GRID)
+    n, g = kerr._pair_series(2.0, -1, kerr.series_truncation(2.0))
+    for floor in (0, 10**18):
+        monkeypatch.setattr(kerr, "CIS_MIN_ENTRIES", floor)
+        deltas = taus - math.pi
+        assert np.array_equal(kerr._odd_branch_probability(-deltas, n, g, 10.0),
+                              kerr._odd_branch_probability(deltas, n, g, 10.0))
+    monkeypatch.undo()
+    # fig4a's grid: nodes i and 80 - i lie at tau and 2pi - tau; where
+    # their |delta| round alike (25 of 40 pairs) the values are identical
+    p0 = kerr.p0_over_tau(taus, 2.0, 10.0)
+    deltas = np.abs(np.mod(taus, kerr.TWO_PI) - math.pi)
+    same = deltas == deltas[::-1]
+    assert np.count_nonzero(same[:40]) == 25
+    assert np.array_equal(p0[same], p0[::-1][same])
+
+
+def test_grouped_p0_matches_one_call_per_r():
+    # one weight row per r: r = 1e-100 keeps a single pair term and 1e-7
+    # twelve, so each goes in its own kernel call; 0.725 and 2 share one
+    taus = np.linspace(*registry.TAU_GRID)
+    rs = np.array([1e-100, 1e-7, 0.05, 0.725, 2.0])
+    trunc = kerr.series_truncation(2.0)
+    tau_col, r_col = (c.ravel() for c in np.meshgrid(taus, rs))
+    for alpha in (3.0, 10.0):
+        grouped = kerr.p0_over_tau(tau_col, r_col, alpha, trunc).reshape(len(rs), len(taus))
+        via_registry = registry.QUANTITIES["p0_cat_minus"].fn(
+            trunc, tau_tilde=tau_col, r=r_col, alpha=np.full(len(tau_col), alpha))
+        assert np.array_equal(via_registry, grouped.ravel())
+        for r, row in zip(rs, grouped):
+            single = kerr.p0_over_tau(taus, r, alpha, trunc)
+            assert np.all(np.abs(row - single) <= 1e-13 * single)
+    assert len(kerr._pair_series(1e-100, -1, trunc)[0]) == 1
+
+
 def test_averaged_ratio_working_set_is_bounded():
-    # 10,663 nodes at r = 1.2, sigma = 1: the kernel holds three blocks of
+    # 10,663 nodes at r = 1.2, sigma = 1: the kernel holds eight buffers of
     # KERNEL_BLOCK entries, not whole terms x nodes tables
     kerr.gaussian_averaged_ratio(1.2, 10.0, 1.0)  # fill the series caches
     tracemalloc.start()
@@ -449,6 +570,19 @@ def test_averaged_ratio_monte_carlo_agrees_with_quadrature():
     assert abs(mc - quad) < 5e-5
     again = reference._monte_carlo_ratio(0.725, 10.0, sigma, 200_000, 7)
     assert again == mc
+
+
+def test_monte_carlo_working_set_is_bounded():
+    # 200,000 draws at 16 pair terms: the overlap tables hold
+    # MONTE_CARLO_BLOCK draws at a time, not all of them (160 MB)
+    reference._monte_carlo_ratio(0.725, 10.0, 1e-3, 1000, 7)  # fill the series caches
+    tracemalloc.start()
+    try:
+        reference._monte_carlo_ratio(0.725, 10.0, 1e-3, 200_000, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000_000
 
 
 def test_averaged_ratio_input_validation():
