@@ -3,8 +3,8 @@
 Quantities are addressed by a registered name (see registry.py) or by
 the registry.Quantity itself.  A sweep is one grouped evaluation: its
 points are grouped by cutoff, and the quantity runs once per group on
-arrays of the group's parameter values, then once more at
-1.5x the cutoff; every row must agree between the two within
+arrays of the group's parameter values, at the cutoff and at 1.5x it in
+the same call; every row must agree between the two within
 CONVERGENCE_TOL, so published tables are convergence-checked row by row.
 The scan and check grids of maximize_1d are grouped the same way, one call
 per cutoff and no recheck.
@@ -205,19 +205,19 @@ def evaluate(
     [0, SQUEEZE_LIMIT] is a ValueError before anything is evaluated.  The
     points are grouped by registry.truncation(cutoff, r, dim, tail_tol),
     and q.fn runs once per group with every parameter as an array over the
-    group's points, then once more at 1.5x that cutoff; analytic
-    quantities (cutoff None) run once.  Each point must be finite, at both
-    cutoffs, and move by at most CONVERGENCE_TOL between them; the first
-    point in order that does not is named in the NumericalFailureError or
-    ConvergenceError.
+    group's points and with two cutoffs, that cutoff and 1.5x it, and
+    returns one row for each; analytic quantities (cutoff None) take the
+    one cutoff None.  Each point must be finite, at both cutoffs, and move
+    by at most CONVERGENCE_TOL between them; the first point in order that
+    does not is named in the NumericalFailureError or ConvergenceError.
     """
     q = _resolve(quantity)
     groups = _by_cutoff(q, params, dim, tail_tol)
     v1 = np.empty(len(groups.group))
     v2 = np.empty(len(groups.group))
     for cutoff, idx, sub in groups:
-        v1[idx] = q.fn(cutoff, **sub)
-        v2[idx] = v1[idx] if cutoff is None else q.fn(cutoff.scaled(1.5), **sub)
+        rows = q.fn(*([cutoff] if cutoff is None else [cutoff, cutoff.scaled(1.5)]), **sub)
+        v1[idx], v2[idx] = rows[0], rows[-1]
     bad = ~(np.isfinite(v1) & np.isfinite(v2))
     if np.any(bad):
         i = int(np.flatnonzero(bad)[0])
@@ -320,14 +320,14 @@ def objective(quantity, dim: int | None = None, tail_tol: float | None = None) -
     """A registered quantity (a name or a Quantity) as a function of its
     first variable, the others at their defaults: each array of points is
     one q.fn call per cutoff group registry.truncation(q.cutoff, r, dim,
-    tail_tol), with no 1.5x recheck."""
+    tail_tol), at that one cutoff, with no 1.5x recheck."""
     q = _resolve(quantity)
     var = q.variables[0]
 
     def values(xs: np.ndarray) -> np.ndarray:
         out = np.empty(len(xs))
         for cutoff, idx, sub in _by_cutoff(q, {**q.defaults, var: xs}, dim, tail_tol):
-            out[idx] = q.fn(cutoff, **sub)
+            out[idx] = q.fn(cutoff, **sub)[0]
         return out
 
     return ArrayObjective(values, q.name, var)

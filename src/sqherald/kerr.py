@@ -11,8 +11,8 @@ Production projects only onto the odd superposition with the label
 exactly exp(-2|alpha|^2 sin^2(n delta/2) + i |alpha|^2 sin(n delta)) in
 the deviation delta = tau_tilde - pi, so every label-series probability
 runs through one kernel, `_odd_branch_probability`, on the cached
-nonzero pair terms of `_pair_series` (one weight row per r), in blocks
-of at most KERNEL_BLOCK entries of the terms x nodes table.  Its cosines
+nonzero pair terms of `_pair_series` (one weight row per r and cutoff),
+in blocks of at most KERNEL_BLOCK entries of the terms x nodes table.  Its cosines
 and sines come from `_cis`, a table-driven rotation (Cody & Waite 1980;
 Tang, ACM TOMS 15, 144 (1989)) that replaces the two libm calls of each
 of its two rotations with 28 vectorised multiply, add and gather
@@ -105,39 +105,51 @@ def series_truncation(r: float, tail_tol: float = SERIES_TAIL_TOL) -> Truncation
     return Truncation(dim, tail_tol=SERIES_STATE_TOL)
 
 
-def p0_over_tau(
-    taus: np.ndarray, r, alpha: complex, trunc: Truncation | None = None
-) -> np.ndarray:
+def p0_over_tau(taus: np.ndarray, r, alpha: complex, *truncs: Truncation) -> np.ndarray:
     """Probability of projecting the Kerr output onto the odd superposition
     branch |r; ->_1 |-alpha>_2, the herald that announces photon-pair
     generation, at each point (taus[i], r[i]) of the 1-D array taus
-    (taken mod 2pi) and of r, a float or an array of the same length.
+    (taken mod 2pi) and of r, a float or an array of the same length, with
+    one row per cutoff of truncs (default: the series cutoff of the
+    largest r).
 
-    trunc defaults to the series cutoff of the largest r.  The points
-    share one kernel call per distinct pair set, with one weight row per
-    distinct r, over the distinct |delta|: the kernel is exactly even in
-    delta.  At tau_tilde = pi every label overlap is exactly 1, so the
-    value is (sum_n g_n)^2, the branch weight N_-(r)/4 up to the series
-    tail, for every finite alpha.
+    The points share one kernel call per distinct longest pair set, with
+    one weight row per distinct r and cutoff (_padded), over the distinct
+    |delta|: the kernel is exactly even in delta.  Every r is checked at
+    the first cutoff before any at the next.  At tau_tilde = pi every
+    label overlap is exactly 1, so the value is (sum_n g_n)^2, the branch
+    weight N_-(r)/4 up to the series tail, for every finite alpha; at r = 0
+    no pair term survives and the value is 0.
     """
     _check_schedule(taus, alpha)
     r = np.broadcast_to(np.asarray(r, dtype=float), np.shape(taus))
-    if not np.all(r > 0.0):
-        raise ValueError("squeezing must be positive")
-    if trunc is None:
-        trunc = series_truncation(float(np.max(r)))
+    if not np.all(r >= 0.0):
+        raise ValueError("squeezing must be nonnegative")
+    truncs = truncs or (series_truncation(float(np.max(r))),)
     deltas, col = np.unique(np.abs(np.mod(taus, TWO_PI) - math.pi), return_inverse=True)
     rs, row = np.unique(r, return_inverse=True)
-    series = [_pair_series(rj, -1, trunc) for rj in rs.tolist()]
+    series = [[_pair_series(rj, -1, trunc) for rj in rs.tolist()] for trunc in truncs]
+    longest = [max((s[j][0] for s in series), key=len) for j in range(len(rs))]
     rows_of: dict[bytes, list[int]] = {}
-    for j, (n, _) in enumerate(series):
+    for j, n in enumerate(longest):
         rows_of.setdefault(n.tobytes(), []).append(j)
-    table = np.empty((len(rs), len(deltas)))
+    table = np.empty((len(truncs), len(rs), len(deltas)))
     for rows in rows_of.values():
-        n = series[rows[0]][0]
-        weights = np.stack([series[j][1] for j in rows])
-        table[rows] = _odd_branch_probability(deltas, n, weights, alpha)
-    return table[row, col]
+        n = longest[rows[0]]
+        weights = _padded([s[j][1] for s in series for j in rows], len(n))
+        values = _odd_branch_probability(deltas, n, weights, alpha)
+        table[:, rows] = values.reshape(len(truncs), len(rows), len(deltas))
+    return table[:, row, col]
+
+
+def _padded(rows, terms: int) -> np.ndarray:
+    """Weight rows as one matrix over a pair set of `terms` terms, zeros
+    filling the rest of each row.  g_n does not depend on the cutoff, so
+    an r's series at a smaller cutoff is a prefix of its longer ones."""
+    out = np.zeros((len(rows), terms))
+    for w, g in zip(out, rows):
+        w[:len(g)] = g
+    return out
 
 
 @functools.lru_cache(maxsize=256)
@@ -263,6 +275,8 @@ def _odd_branch_probability(
     """
     a = abs(alpha) ** 2
     terms = len(n)
+    if not terms:  # at r = 0 no pair term survives
+        return np.zeros(g.shape[:-1] + (len(deltas),))
     per_block = max(1, KERNEL_BLOCK // terms)
     size = terms * min(per_block, len(deltas))
     half_turn = phase_turn = _libm_cis
@@ -310,8 +324,8 @@ def _phase_series(
     cutoff) with tail tolerance tail_tol.  A reference probability below
     the smallest normal float has lost its digits, and every ratio against
     it with them, so it raises NumericalFailureError."""
-    if not r > 0.0:
-        raise ValueError("squeezing must be positive")
+    if not r >= 0.0:
+        raise ValueError("squeezing must be nonnegative")
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise ValueError("pump amplitude must be real, finite and positive")
     _check_pump_size(alpha)
@@ -385,24 +399,6 @@ def _trapezoid_rule(sigma: float, band: float) -> tuple[np.ndarray, np.ndarray]:
     return deltas, weights
 
 
-def _averaged_ratio_trapezoid(
-    r: float, alpha: float, sigma: float, dim: int | None, tail_tol: float
-) -> float:
-    n, g, ref = _phase_series(r, alpha, dim, tail_tol)
-    band = (alpha + TRAPEZOID_BAND_PAD) ** 2 * float(n[-1])
-    deltas, weights = _trapezoid_rule(sigma, band)
-    vals = _odd_branch_probability(deltas, n, g, alpha)
-    vals /= ref
-    fine = float(np.dot(weights, vals))
-    coarse = 2.0 * float(np.dot(weights[::2], vals[::2]))
-    if abs(coarse - fine) > TRAPEZOID_AGREEMENT:
-        raise QuadratureConvergenceError(
-            f"trapezoid steps h and h/2 disagree by {abs(coarse - fine):.3g} > "
-            f"{TRAPEZOID_AGREEMENT} at r = {r}, alpha = {alpha}, sigma = {sigma}"
-        )
-    return fine
-
-
 def gaussian_averaged_ratio(
     r: float,
     alpha: float,
@@ -420,13 +416,39 @@ def gaussian_averaged_ratio(
     series_truncation(r)) and raises TruncationError when more than
     tail_tol of the state lies beyond it, and NumericalFailureError where
     the reference probability, about r^2/2, is below the smallest normal
-    float (r below about 2e-154).
+    float (r below about 2e-154, and r = 0).
     """
+    return gaussian_averaged_ratios(r, alpha, sigma, (dim,), tail_tol)[0]
+
+
+def gaussian_averaged_ratios(
+    r: float, alpha: float, sigma: float, dims, tail_tol: float
+) -> list[float]:
+    """gaussian_averaged_ratio at each cutoff of dims, from one kernel call
+    (_padded) on one trapezoid grid, whose band comes from the longest
+    series.  Every series is checked, in order, before the kernel runs;
+    each value has its own reference and h/2 gate."""
     if not (math.isfinite(sigma) and sigma >= 0.0):
         raise ValueError("sigma must be finite and nonnegative")
     if sigma == 0.0:
-        return 1.0
-    return _averaged_ratio_trapezoid(r, alpha, sigma, dim, tail_tol)
+        return [1.0] * len(dims)
+    series = [_phase_series(r, alpha, dim, tail_tol) for dim in dims]
+    n = max((s[0] for s in series), key=len)
+    band = (alpha + TRAPEZOID_BAND_PAD) ** 2 * float(n[-1])
+    deltas, weights = _trapezoid_rule(sigma, band)
+    g = _padded([s[1] for s in series], len(n))
+    values = []
+    for vals, (_, _, ref) in zip(_odd_branch_probability(deltas, n, g, alpha), series):
+        vals /= ref
+        fine = float(np.dot(weights, vals))
+        coarse = 2.0 * float(np.dot(weights[::2], vals[::2]))
+        if abs(coarse - fine) > TRAPEZOID_AGREEMENT:
+            raise QuadratureConvergenceError(
+                f"trapezoid steps h and h/2 disagree by {abs(coarse - fine):.3g} > "
+                f"{TRAPEZOID_AGREEMENT} at r = {r}, alpha = {alpha}, sigma = {sigma}"
+            )
+        values.append(fine)
+    return values
 
 
 def fit_lambda(samples) -> tuple[float, float]:

@@ -47,9 +47,10 @@ def truncation(
 
 @dataclasses.dataclass(frozen=True)
 class Quantity:
-    """A named computation fn(trunc, **params), with trunc =
-    truncation(cutoff, r, ...).  fn takes every parameter as a 1-D float
-    array over points, all of one length, and returns one value per
+    """A named computation fn(*cutoffs, **params): the first cutoff is
+    truncation(cutoff, r, ...), and analysis.evaluate adds its 1.5x
+    recheck.  fn takes every parameter as a 1-D float array over points,
+    all of one length, and returns one row per cutoff with one value per
     point."""
 
     name: str
@@ -61,6 +62,12 @@ class Quantity:
 
     def __post_init__(self):
         object.__setattr__(self, "defaults", dict(self.defaults))
+
+
+def _each(body, **fixed):
+    """fn(*cutoffs, **params) of a body(cutoff, **params, **fixed) that
+    takes one cutoff: the body runs at each cutoff in turn."""
+    return lambda *cutoffs, **params: np.array([body(c, **params, **fixed) for c in cutoffs])
 
 
 def _p11(trunc, r, sign):
@@ -92,40 +99,8 @@ def _p1n(trunc, n, r, sign):
     return out
 
 
-def _q_p11_cat_minus(trunc, r):
-    return _p11(trunc, r, -1)
-
-
-def _q_p11_cat_plus(trunc, r):
-    return _p11(trunc, r, +1)
-
-
-def _q_p11_squeezed(trunc, r):
-    return _p11(trunc, r, None)
-
-
 def _q_p11_tmss(trunc, r):
     return sources.tmss_p11(r, trunc)
-
-
-def _q_p1n_squeezed(trunc, n, r):
-    return _p1n(trunc, n, r, None)
-
-
-def _q_p1n_cat_minus(trunc, n, r):
-    return _p1n(trunc, n, r, -1)
-
-
-def _q_p1n_cat_plus(trunc, n, r):
-    return _p1n(trunc, n, r, +1)
-
-
-def _q_pc_cat_minus(trunc, r):
-    return _pc(trunc, r, -1)
-
-
-def _q_pc_squeezed(trunc, r):
-    return _pc(trunc, r, None)
 
 
 def _q_herald_prob_cat_minus(trunc, r):
@@ -137,29 +112,32 @@ def _q_herald_yield_cat_minus(trunc, r):
     return sources.herald_probability(r, -1) * _p11(trunc, r, -1)
 
 
-def _q_p0_cat_minus(trunc, tau_tilde, r, alpha):
+def _q_p0_cat_minus(*cutoffs, tau_tilde, r, alpha):
     # one kerr.p0_over_tau call per distinct alpha, over all the
-    # (tau_tilde, r) points that share it
+    # (tau_tilde, r) points that share it and every cutoff
     (alphas,), at = analysis.distinct(alpha)
-    out = np.empty(len(tau_tilde))
+    out = np.empty((len(cutoffs), len(tau_tilde)))
     for j, aj in enumerate(alphas.tolist()):
         sel = at == j
-        out[sel] = kerr.p0_over_tau(tau_tilde[sel], r[sel], aj, trunc)
+        out[:, sel] = kerr.p0_over_tau(tau_tilde[sel], r[sel], aj, *cutoffs)
     return out
 
 
-def _q_p1_cat_minus(trunc, tau_tilde, r, alpha):
-    # P(1,1) of the odd superposition, one row per distinct r, times p0
+def _q_p1_cat_minus(*cutoffs, tau_tilde, r, alpha):
+    # p0 times P(1,1) of the odd superposition, one row per distinct r
+    p0 = _q_p0_cat_minus(*cutoffs, tau_tilde=tau_tilde, r=r, alpha=alpha)
     (rs,), at = analysis.distinct(r)
-    return _p11(trunc, rs, -1)[at] * _q_p0_cat_minus(trunc, tau_tilde, r, alpha)
+    return np.array([_p11(c, rs, -1)[at] for c in cutoffs]) * p0
 
 
-def _q_phase_ratio(trunc, sigma, r, alpha):
-    # one trapezoid rule per point; the points of a group do not share a grid
+def _q_phase_ratio(*cutoffs, sigma, r, alpha):
+    # one trapezoid rule per point serves every cutoff; the points of a
+    # group do not share a grid
+    dims = [c.dim for c in cutoffs]
     return np.array([
-        kerr.gaussian_averaged_ratio(ri, ai, si, dim=trunc.dim, tail_tol=trunc.tail_tol)
+        kerr.gaussian_averaged_ratios(ri, ai, si, dims, cutoffs[0].tail_tol)
         for si, ri, ai in zip(sigma.tolist(), r.tolist(), alpha.tolist())
-    ])
+    ]).T
 
 
 def _q_pclick_cat_minus(trunc, r, eta):
@@ -202,27 +180,27 @@ def _q_g2_tmss(trunc, r, eta):
 def _quantities() -> dict[str, Quantity]:
     items = [
         Quantity("p11_cat_minus", "P(1,1) after splitting the odd superposition",
-                 _q_p11_cat_minus, ("r",), {}),
+                 _each(_p11, sign=-1), ("r",), {}),
         Quantity("p11_cat_plus", "P(1,1) after splitting the even superposition",
-                 _q_p11_cat_plus, ("r",), {}),
+                 _each(_p11, sign=+1), ("r",), {}),
         Quantity("p11_squeezed", "P(1,1) after splitting plain squeezed vacuum",
-                 _q_p11_squeezed, ("r",), {}),
+                 _each(_p11, sign=None), ("r",), {}),
         Quantity("p11_tmss", "P(1,1) of the two-mode squeezed benchmark",
-                 _q_p11_tmss, ("r",), {}),
+                 _each(_q_p11_tmss), ("r",), {}),
         Quantity("p1n_squeezed", "herald row P(1, n) of split squeezed vacuum",
-                 _q_p1n_squeezed, ("n", "r"), {}),
+                 _each(_p1n, sign=None), ("n", "r"), {}),
         Quantity("p1n_cat_minus", "herald row P(1, n) of the split odd superposition",
-                 _q_p1n_cat_minus, ("n", "r"), {}),
+                 _each(_p1n, sign=-1), ("n", "r"), {}),
         Quantity("p1n_cat_plus", "herald row P(1, n) of the split even superposition",
-                 _q_p1n_cat_plus, ("n", "r"), {}),
+                 _each(_p1n, sign=+1), ("n", "r"), {}),
         Quantity("pc_cat_minus", "P(n_b=1 | n_a=1) for the split odd superposition",
-                 _q_pc_cat_minus, ("r",), {}),
+                 _each(_pc, sign=-1), ("r",), {}),
         Quantity("pc_squeezed", "P(n_b=1 | n_a=1) for split squeezed vacuum",
-                 _q_pc_squeezed, ("r",), {}),
+                 _each(_pc, sign=None), ("r",), {}),
         Quantity("herald_prob_cat_minus", "odd-branch weight N_-(r)/4",
-                 _q_herald_prob_cat_minus, ("r",), {}, cutoff="analytic"),
+                 _each(_q_herald_prob_cat_minus), ("r",), {}, cutoff="analytic"),
         Quantity("herald_yield_cat_minus", "pair yield N_-(r)/4 * P(1,1)",
-                 _q_herald_yield_cat_minus, ("r",), {}),
+                 _each(_q_herald_yield_cat_minus), ("r",), {}),
         Quantity("p0_cat_minus", "odd-branch projection probability after the Kerr step",
                  _q_p0_cat_minus, ("tau_tilde", "r"), {"tau_tilde": math.pi, "alpha": 10.0},
                  cutoff="series"),
@@ -233,23 +211,23 @@ def _quantities() -> dict[str, Quantity]:
                  _q_phase_ratio, ("sigma", "r"), {"r": 0.725, "alpha": 10.0},
                  cutoff="series"),
         Quantity("pclick_cat_minus", "herald click probability, odd superposition",
-                 _q_pclick_cat_minus, ("r", "eta"), {"eta": 0.9}),
+                 _each(_q_pclick_cat_minus), ("r", "eta"), {"eta": 0.9}),
         Quantity("pclick1_cat_minus", "single-photon click probability, odd superposition",
-                 _q_pclick1_cat_minus, ("r", "eta"), {"eta": 0.9}),
+                 _each(_q_pclick1_cat_minus), ("r", "eta"), {"eta": 0.9}),
         Quantity("pclickc_cat_minus", "single-photon fraction of clicks, odd superposition",
-                 _q_pclickc_cat_minus, ("r", "eta"), {"eta": 0.9}),
+                 _each(_q_pclickc_cat_minus), ("r", "eta"), {"eta": 0.9}),
         Quantity("pclick1_yield_cat_minus", "branch weight times single-photon click probability",
-                 _q_pclick1_yield_cat_minus, ("r", "eta"), {"eta": 0.9}),
+                 _each(_q_pclick1_yield_cat_minus), ("r", "eta"), {"eta": 0.9}),
         Quantity("pclick_tmss", "herald click probability, two-mode squeezed benchmark",
-                 _q_pclick_tmss, ("r", "eta"), {"eta": 0.9}, cutoff="analytic"),
+                 _each(_q_pclick_tmss), ("r", "eta"), {"eta": 0.9}, cutoff="analytic"),
         Quantity("pclick1_tmss", "single-photon click probability, benchmark",
-                 _q_pclick1_tmss, ("r", "eta"), {"eta": 0.9}, cutoff="analytic"),
+                 _each(_q_pclick1_tmss), ("r", "eta"), {"eta": 0.9}, cutoff="analytic"),
         Quantity("pclickc_tmss", "single-photon fraction of clicks, benchmark",
-                 _q_pclickc_tmss, ("r", "eta"), {"eta": 0.9}, cutoff="analytic"),
+                 _each(_q_pclickc_tmss), ("r", "eta"), {"eta": 0.9}, cutoff="analytic"),
         Quantity("g2_cat_minus", "heralded zero-delay g2, odd superposition",
-                 _q_g2_cat_minus, ("r", "eta"), {"eta": 0.9}),
+                 _each(_q_g2_cat_minus), ("r", "eta"), {"eta": 0.9}),
         Quantity("g2_tmss", "heralded zero-delay g2, benchmark (closed form)",
-                 _q_g2_tmss, ("r", "eta"), {"eta": 0.9}, cutoff="analytic"),
+                 _each(_q_g2_tmss), ("r", "eta"), {"eta": 0.9}, cutoff="analytic"),
     ]
     return {q.name: q for q in items}
 

@@ -49,7 +49,7 @@ def test_single_point_sweep_matches_direct_call():
     spec = analysis.SweepSpec("r", 0.725, 0.725, 1)
     result = analysis.sweep(spec, "p11_cat_minus")
     q = registry.resolve("p11_cat_minus")
-    direct = q.fn(registry.truncation(q.cutoff, 0.725), r=np.array([0.725]))[0]
+    direct = q.fn(registry.truncation(q.cutoff, 0.725), r=np.array([0.725]))[0, 0]
     assert result.rows[0, 1] == direct
 
 
@@ -89,7 +89,8 @@ def test_convergence_check_flags_unstable_cutoff():
 def test_convergence_check_rejects_nan():
     # NaN compares False against the tolerance, so the gate must test it
     quantity = registry.Quantity(
-        "nan_quantity", "NaN everywhere", lambda trunc, r: np.full(len(r), math.nan), ("r",), {}
+        "nan_quantity", "NaN everywhere",
+        lambda *cutoffs, r: np.full((len(cutoffs), len(r)), math.nan), ("r",), {}
     )
     spec = analysis.SweepSpec("r", 0.5, 0.5, 1)
     with pytest.raises(fs.NumericalFailureError) as err:
@@ -116,9 +117,9 @@ def test_every_quantity_runs_at_the_one_cutoff_policy(monkeypatch, name, dim, ta
     q = registry.QUANTITIES[name]
     seen = []
 
-    def spy(trunc, **params):
-        seen.append(trunc)
-        return q.fn(trunc, **params)
+    def spy(*cutoffs, **params):
+        seen.append(cutoffs)
+        return q.fn(*cutoffs, **params)
 
     monkeypatch.setitem(registry.QUANTITIES, name, dataclasses.replace(q, fn=spy))
     fixed = {var: value for var, value in (("sigma", 1e-3), ("n", 1.0)) if var in q.variables}
@@ -127,9 +128,9 @@ def test_every_quantity_runs_at_the_one_cutoff_policy(monkeypatch, name, dim, ta
     expected = registry.truncation(q.cutoff, POLICY_R, dim, tail_tol)
     if q.cutoff == "analytic":
         assert expected is None
-        assert seen == [None]
+        assert seen == [(None,)]
         return
-    assert seen == [expected, expected.scaled(1.5)]
+    assert seen == [(expected, expected.scaled(1.5))]
     # an override replaces only its own half of the documented default
     tier = kerr.series_truncation if q.cutoff == "series" else fs.default_truncation
     assert expected.dim == (tier(POLICY_R).dim if dim is None else dim)
@@ -198,13 +199,13 @@ def test_every_quantity_takes_equal_length_float_columns(monkeypatch):
     # what it saw instead of raising
     seen, bad = set(), []
     for name, q in list(registry.QUANTITIES.items()):
-        def spy(trunc, _fn=q.fn, _name=name, **params):
+        def spy(*cutoffs, _fn=q.fn, _name=name, **params):
             seen.add(_name)
             columns = list(params.values())
             if not all(isinstance(v, np.ndarray) and v.ndim == 1 and v.dtype == float
                        for v in columns) or len({len(v) for v in columns}) != 1:
                 bad.append((_name, params))
-            return _fn(trunc, **params)
+            return _fn(*cutoffs, **params)
 
         monkeypatch.setitem(registry.QUANTITIES, name, dataclasses.replace(q, fn=spy))
     for name in registry.FIGURES:
@@ -287,7 +288,8 @@ def test_evaluate_names_the_first_unconverged_point():
     # order that moves with the cutoff
     quantity = registry.Quantity(
         "drifting", "the cutoff's dim above r = 0.5",
-        lambda trunc, r: np.where(r > 0.5, float(trunc.dim), 0.0), ("r",), {},
+        lambda *cutoffs, r: np.array([np.where(r > 0.5, float(c.dim), 0.0) for c in cutoffs]),
+        ("r",), {},
     )
     with pytest.raises(analysis.ConvergenceError) as err:
         analysis.evaluate(quantity, {"r": np.array([0.2, 1.5, 0.7])})
@@ -297,7 +299,7 @@ def test_evaluate_names_the_first_unconverged_point():
 def test_evaluate_rejects_r_outside_the_squeezing_domain():
     calls = []
     quantity = registry.Quantity(
-        "spy", "records its calls", lambda trunc, r: calls.append(r) or r, ("r",), {},
+        "spy", "records its calls", lambda *cutoffs, r: calls.append(r) or [r], ("r",), {},
         cutoff="analytic",
     )
     for bad in (-1e-3, 3.0 + 1e-9, math.nan):
@@ -420,9 +422,9 @@ def test_verify_searches_evaluate_whole_grids(monkeypatch, criterion, name, cfg)
     q = registry.QUANTITIES[name]
     calls = []
 
-    def spy(trunc, **params):
-        calls.append(trunc)
-        return q.fn(trunc, **params)
+    def spy(*cutoffs, **params):
+        calls.append(cutoffs)
+        return q.fn(*cutoffs, **params)
 
     monkeypatch.setitem(registry.QUANTITIES, name, dataclasses.replace(q, fn=spy))
     criterion(cfg)
@@ -432,7 +434,7 @@ def test_verify_searches_evaluate_whole_grids(monkeypatch, criterion, name, cfg)
     grouped = _search_outcome(lambda: analysis.maximize_1d(
         analysis.objective(name, cfg.dim, cfg.tail_tol), 0.0, 2.0))
     per_point = _search_outcome(lambda: analysis.maximize_1d(analysis.ArrayObjective(
-        lambda xs: [float(q.fn(cfg.trunc(float(x)), r=np.array([float(x)]))[0]) for x in xs]
+        lambda xs: [float(q.fn(cfg.trunc(float(x)), r=np.array([float(x)]))[0, 0]) for x in xs]
     ), 0.0, 2.0))
     assert grouped == per_point
     assert grouped.startswith("MaximizeResult(") == (cfg.tail_tol is None)

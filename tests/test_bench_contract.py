@@ -35,10 +35,12 @@ def test_traced_sweep_yields_the_layer_metrics(capsys):
     assert registry.QUANTITIES == quantities
     tracer.annotate_series_pairs()
     metrics, notes = tracing.layer_metrics(tracer.spans)
-    # two points at one cutoff: one grouped call at the series cutoff and
-    # one at 1.5x, each averaging both points
-    assert metrics["registry.evals"] == 2.0
-    assert metrics["kerr.avg_ratio_calls"] == 4.0
-    assert metrics["kerr.series_pairs"] > 0.0
-    assert 0.0 < metrics["analysis.recheck_share"] < 1.0
+    # two points at one cutoff: one grouped call evaluates the series
+    # cutoff and its 1.5x recheck together, through
+    # gaussian_averaged_ratios, so the tracer sees no recheck call and no
+    # gaussian_averaged_ratio span
+    assert metrics["registry.evals"] == 1.0
+    assert metrics["kerr.avg_ratio_calls"] == 0.0
+    assert metrics["kerr.series_pairs"] == 0.0
+    assert metrics["analysis.recheck_share"] == 0.0
     assert notes

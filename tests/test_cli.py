@@ -327,6 +327,23 @@ def test_phase_ratio_whose_reference_has_lost_its_digits_exits_numerical(capsys)
     assert "lost its digits" in err
 
 
+@pytest.mark.parametrize("quantity", ("p0_cat_minus", "p1_cat_minus"))
+def test_kerr_probabilities_vanish_at_zero_squeezing(capsys, quantity):
+    # every pair weight g_n vanishes at r = 0, so no pair term survives
+    code, out, err = run_cli(capsys, "sweep", "--quantity", quantity, "--var", "r",
+                             "--lo", "0", "--hi", "1", "--points", "3")
+    assert code == cli.EXIT_OK, err
+    _, _, rows = parse_csv(out)
+    assert rows[0] == [0.0, 0.0]
+    assert all(row[1] > 0.0 for row in rows[1:])
+    # phase_ratio has no reference probability there
+    code, out, err = run_cli(capsys, "sweep", "--quantity", "phase_ratio", "--var", "r",
+                             "--lo", "0", "--hi", "1", "--points", "3", "--set", "sigma=0.001")
+    assert code == cli.EXIT_NUMERICAL
+    assert out == ""
+    assert "lost its digits at r = 0.0" in err
+
+
 def test_subnormal_click_probability_exits_numerical(capsys):
     # at eta = 1e-320 both click probabilities are subnormal, and their
     # ratio would keep about three digits

@@ -34,7 +34,7 @@ def _herald_row(r, sign, trunc):
     """P(1, n_b) for every n_b < dim from the registered p1n column at
     trunc; its last entry, total dim, lies beyond the cutoff."""
     n = np.arange(trunc.dim, dtype=float)
-    return registry.QUANTITIES[P1N[sign]].fn(trunc, n=n, r=np.full(trunc.dim, float(r)))
+    return registry.QUANTITIES[P1N[sign]].fn(trunc, n=n, r=np.full(trunc.dim, float(r)))[0]
 
 
 def _outcome(fn):
@@ -203,16 +203,16 @@ def test_production_never_imports_the_reference_module():
 def test_fig7a_groups_its_evaluations_by_cutoff(monkeypatch):
     calls = collections.Counter()
     for name, q in list(registry.QUANTITIES.items()):
-        def counted(trunc, _fn=q.fn, _name=name, **params):
+        def counted(*cutoffs, _fn=q.fn, _name=name, **params):
             calls[_name] += 1
-            return _fn(trunc, **params)
+            return _fn(*cutoffs, **params)
 
         monkeypatch.setitem(registry.QUANTITIES, name, dataclasses.replace(q, fn=counted))
 
-    # one call per cutoff of its r grid, and one more at 1.5x
+    # one call per cutoff of its r grid, which also runs its 1.5x recheck
     table = registry.figure("fig7a").build()
     rs = np.linspace(*registry.R_GRID_SURFACE)
     for name in table.columns[2:]:
         cutoffs = {registry.truncation(registry.QUANTITIES[name].cutoff, float(r)) for r in rs}
-        assert 1 <= calls[name] <= 2 * len(cutoffs)
-    assert calls["pclick1_cat_minus"] == 4
+        assert 1 <= calls[name] <= len(cutoffs)
+    assert calls["pclick1_cat_minus"] == 2

@@ -262,7 +262,7 @@ def test_series_truncation_floor():
 
 
 def test_p0_at_ideal_phase_equals_branch_weight():
-    p0 = kerr.p0_over_tau(IDEAL, 0.725, 10.0)[0]
+    p0 = kerr.p0_over_tau(IDEAL, 0.725, 10.0)[0, 0]
     assert abs(p0 - sources.cat_norm(0.725, -1) / 4.0) < 1e-12
 
 
@@ -272,7 +272,7 @@ def test_p0_at_ideal_phase_is_exact_for_any_pump(alpha):
     # itself multiplies the rounding of n tau by |alpha|^2
     n, g = kerr._pair_series(0.725, -1, kerr.series_truncation(0.725))
     assert abs(float(np.sum(g)) ** 2 - P0_IDEAL) <= 1e-15 * P0_IDEAL
-    assert abs(kerr.p0_over_tau(IDEAL, 0.725, alpha)[0] - P0_IDEAL) <= 1e-15 * P0_IDEAL
+    assert abs(kerr.p0_over_tau(IDEAL, 0.725, alpha)[0, 0] - P0_IDEAL) <= 1e-15 * P0_IDEAL
 
 
 def _fig5b_window(r, trunc, alpha):
@@ -411,7 +411,7 @@ def test_kernel_is_exactly_even_in_delta(monkeypatch):
     monkeypatch.undo()
     # fig4a's grid: nodes i and 80 - i lie at tau and 2pi - tau; where
     # their |delta| round alike (25 of 40 pairs) the values are identical
-    p0 = kerr.p0_over_tau(taus, 2.0, 10.0)
+    p0 = kerr.p0_over_tau(taus, 2.0, 10.0)[0]
     deltas = np.abs(np.mod(taus, kerr.TWO_PI) - math.pi)
     same = deltas == deltas[::-1]
     assert np.count_nonzero(same[:40]) == 25
@@ -429,11 +429,94 @@ def test_grouped_p0_matches_one_call_per_r():
         grouped = kerr.p0_over_tau(tau_col, r_col, alpha, trunc).reshape(len(rs), len(taus))
         via_registry = registry.QUANTITIES["p0_cat_minus"].fn(
             trunc, tau_tilde=tau_col, r=r_col, alpha=np.full(len(tau_col), alpha))
-        assert np.array_equal(via_registry, grouped.ravel())
+        assert np.array_equal(via_registry, grouped.reshape(1, -1))
         for r, row in zip(rs, grouped):
-            single = kerr.p0_over_tau(taus, r, alpha, trunc)
+            single = kerr.p0_over_tau(taus, r, alpha, trunc)[0]
             assert np.all(np.abs(row - single) <= 1e-13 * single)
     assert len(kerr._pair_series(1e-100, -1, trunc)[0]) == 1
+
+
+def test_shared_pass_matches_one_pass_per_cutoff():
+    # the registry evaluates a cutoff and its 1.5x recheck in one kernel
+    # pass; each row must match a pass at that cutoff alone.  The p0
+    # column holds every r at the cutoff of the largest, as one evaluate
+    # group would; away from pi the tau grid is ill-conditioned, so there
+    # the gap is measured against the largest value of each r
+    taus = np.linspace(*registry.TAU_GRID)
+    rs = (0.05, 0.725, 2.0)
+    tau_col, r_col = (c.ravel() for c in np.meshgrid(taus, rs))
+    base = kerr.series_truncation(max(rs))
+    sigmas = np.linspace(*registry.SIGMA_GRID)[4::4]
+    for alpha in (3.0, 10.0):
+        p0 = registry.QUANTITIES["p0_cat_minus"].fn(
+            base, base.scaled(1.5), tau_tilde=tau_col, r=r_col,
+            alpha=np.full(len(tau_col), alpha))
+        for trunc, row in zip((base, base.scaled(1.5)), p0):
+            single = kerr.p0_over_tau(tau_col, r_col, alpha, trunc)[0].reshape(len(rs), -1)
+            gap = np.abs(row.reshape(len(rs), -1) - single)
+            assert np.all(gap <= 1e-15 * np.max(single, axis=1, keepdims=True))
+        for r in rs:
+            cutoffs = (kerr.series_truncation(r), kerr.series_truncation(r).scaled(1.5))
+            ratios = registry.QUANTITIES["phase_ratio"].fn(
+                *cutoffs, sigma=sigmas, r=np.full(len(sigmas), r),
+                alpha=np.full(len(sigmas), alpha))
+            for trunc, row in zip(cutoffs, ratios):
+                single = np.array([kerr.gaussian_averaged_ratio(r, alpha, sigma, trunc.dim)
+                                   for sigma in sigmas])
+                assert np.all(np.abs(row - single) <= 1e-13 * single)
+
+
+def test_one_kernel_pass_serves_both_cutoffs(monkeypatch):
+    calls = []
+    kernel = kerr._odd_branch_probability
+
+    def spy(deltas, n, g, alpha):
+        calls.append((len(deltas), g.shape))
+        return kernel(deltas, n, g, alpha)
+
+    monkeypatch.setattr(kerr, "_odd_branch_probability", spy)
+    # one cutoff group (dim 64): r = 1e-100 keeps one pair term at both
+    # cutoffs, 0.05 and 0.725 share 24 at 1.5x, so one call per pair set
+    # and alpha, with a row per r and cutoff, over the 56 distinct |delta|
+    taus = np.linspace(*registry.TAU_GRID)
+    tau_col, r_col = (c.ravel() for c in np.meshgrid(taus, [1e-100, 0.05, 0.725]))
+    for name in ("p0_cat_minus", "p1_cat_minus"):
+        calls.clear()
+        analysis.evaluate(name, {"tau_tilde": np.tile(tau_col, 2), "r": np.tile(r_col, 2),
+                                 "alpha": np.repeat([3.0, 10.0], len(tau_col))})
+        assert sorted(calls) == [(56, (2, 1)), (56, (2, 1)), (56, (4, 24)), (56, (4, 24))]
+    # phase_ratio: one call per point over its trapezoid grid, two rows;
+    # the one-node calls are the cached references at tau_tilde = pi
+    calls.clear()
+    analysis.sweep(analysis.SweepSpec("sigma", 1e-3, 3e-3, 3, {"r": 0.7}), "phase_ratio")
+    grids = [shape for nodes, shape in calls if nodes > 1]
+    assert grids == [(2, 24)] * 3
+    assert all(shape == (24,) or shape == (16,) for nodes, shape in calls if nodes == 1)
+
+
+def test_base_cutoff_fails_its_tail_check_before_the_recheck(monkeypatch):
+    dims = []
+    pair_series = kerr._pair_series
+
+    def spy(r, sign, trunc):
+        dims.append(trunc.dim)
+        return pair_series(r, sign, trunc)
+
+    monkeypatch.setattr(kerr, "_pair_series", spy)
+    cases = [("p0_cat_minus", {"r": np.array([0.5, 2.0])}),
+             ("p1_cat_minus", {"r": np.array([0.5, 2.0])}),
+             ("phase_ratio", {"r": np.array([2.0]), "sigma": np.array([1e-3])})]
+    for name, params in cases:
+        dims.clear()
+        q = registry.QUANTITIES[name]
+        with pytest.raises(fs.TruncationError, match="does not fit in dim = 64"):
+            analysis.evaluate(q, {**q.defaults, **params}, dim=64)
+        assert 96 not in dims, name
+    # a series that fits but moves names both cutoffs
+    for name, params in (("p0_cat_minus", {}), ("phase_ratio", {"sigma": 0.5})):
+        q = registry.QUANTITIES[name]
+        with pytest.raises(analysis.ConvergenceError, match="between dim 16 and dim 24"):
+            analysis.evaluate(q, {**q.defaults, "r": 1.2, **params}, dim=16, tail_tol=0.9)
 
 
 def test_averaged_ratio_working_set_is_bounded():
@@ -450,12 +533,15 @@ def test_averaged_ratio_working_set_is_bounded():
 
 
 def test_p0_vanishes_without_interaction():
-    assert kerr.p0_over_tau(np.array([0.0]), 0.725, 10.0)[0] < 1e-100
+    assert kerr.p0_over_tau(np.array([0.0]), 0.725, 10.0)[0, 0] < 1e-100
 
 
 def test_p0_rejects_nonpositive_squeezing():
-    with pytest.raises(ValueError):
-        kerr.p0_over_tau(IDEAL, 0.0, 10.0)
+    # r = 0 leaves no pair term, and p0 is its exact limit 0
+    assert np.array_equal(kerr.p0_over_tau(IDEAL, 0.0, 10.0), [[0.0]])
+    for r in (-1e-3, math.nan):
+        with pytest.raises(ValueError):
+            kerr.p0_over_tau(IDEAL, r, 10.0)
 
 
 def test_p0_rejects_an_unknown_branch_sign():
@@ -484,7 +570,7 @@ def test_p0_matches_fock_grid_oracle():
         assert abs(series - grid) < 1e-10
         if sign < 0:
             # the production branch, through the kernel in delta
-            assert abs(kerr.p0_over_tau(np.array([tau]), 0.725, 3.0)[0] - grid) < 1e-10
+            assert abs(kerr.p0_over_tau(np.array([tau]), 0.725, 3.0)[0, 0] - grid) < 1e-10
 
 
 def test_phase_error_ratio_matches_fock_grid_oracle():
@@ -499,7 +585,7 @@ def test_phase_error_ratio_matches_fock_grid_oracle():
 def _p1_cat_minus(trunc):
     """p1_cat_minus at tau_tilde = pi, r = 1.146 and alpha = 10, at trunc."""
     q = registry.QUANTITIES["p1_cat_minus"]
-    return q.fn(trunc, tau_tilde=IDEAL, r=np.array([1.146]), alpha=np.array([10.0]))[0]
+    return q.fn(trunc, tau_tilde=IDEAL, r=np.array([1.146]), alpha=np.array([10.0]))[0, 0]
 
 
 def test_p1_heralded_closed_form_and_peak():
@@ -524,8 +610,8 @@ def test_phase_error_ratio_reference_and_symmetry():
 
 def test_phase_error_ratio_equals_probability_ratio():
     dtheta = 0.004
-    shifted = kerr.p0_over_tau(np.array([math.pi + dtheta]), 0.725, 10.0)[0]
-    direct = shifted / kerr.p0_over_tau(IDEAL, 0.725, 10.0)[0]
+    shifted = kerr.p0_over_tau(np.array([math.pi + dtheta]), 0.725, 10.0)[0, 0]
+    direct = shifted / kerr.p0_over_tau(IDEAL, 0.725, 10.0)[0, 0]
     assert abs(reference.phase_error_ratio(0.725, 10.0, dtheta) - direct) < 1e-12
 
 
