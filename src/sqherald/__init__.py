@@ -22,14 +22,12 @@ from .kerr import (
     FitDegenerateError,
     QuadratureConvergenceError,
     fit_lambda,
-    fitted_decay_rate,
     gaussian_averaged_ratio,
 )
 from .detect import (
     DetectorModel,
     ZeroClickError,
     ZeroMeanError,
-    quality_crossover,
 )
 from .analysis import (
     ConvergenceError,

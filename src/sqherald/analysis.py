@@ -303,30 +303,39 @@ class MaximizeResult:
 class ArrayObjective:
     """A function of one variable that takes a 1-D array of points and
     returns one value per point, so that maximize_1d evaluates each of its
-    grids in one call.  A value that is not finite is a
-    NumericalFailureError naming the first such point as {var: x}."""
+    grids in one call; called on a float, it returns a float.  A value that
+    is not finite is a NumericalFailureError naming the first such point
+    as {var: x}."""
 
     fn: Callable[[np.ndarray], np.ndarray]
     name: str = "objective"
     var: str = "x"
 
-    def __call__(self, xs) -> np.ndarray:
+    def __call__(self, xs):
+        if np.ndim(xs) == 0:
+            return float(self(np.array([xs]))[0])
         xs = np.asarray(xs, dtype=float)
         values = np.asarray(self.fn(xs), dtype=float)
         return _require_finite(values, self.name, lambda i: {self.var: float(xs[i])})
 
 
-def objective(quantity, dim: int | None = None, tail_tol: float | None = None) -> ArrayObjective:
+def objective(
+    quantity, dim: int | None = None, tail_tol: float | None = None, **fixed: float
+) -> ArrayObjective:
     """A registered quantity (a name or a Quantity) as a function of its
-    first variable, the others at their defaults: each array of points is
-    one q.fn call per cutoff group registry.truncation(q.cutoff, r, dim,
-    tail_tol), at that one cutoff, with no 1.5x recheck."""
+    first variable, the others at fixed, which overrides q.defaults: each
+    array of points is one q.fn call per cutoff group
+    registry.truncation(q.cutoff, r, dim, tail_tol), at that one cutoff,
+    with no 1.5x recheck.  A fixed name the quantity does not take, or a
+    variable left without a value, is a ValueError here."""
     q = _resolve(quantity)
     var = q.variables[0]
+    _check_parameters(q, set(fixed), (var,))
+    params = {**q.defaults, **fixed}
 
     def values(xs: np.ndarray) -> np.ndarray:
         out = np.empty(len(xs))
-        for cutoff, idx, sub in _by_cutoff(q, {**q.defaults, var: xs}, dim, tail_tol):
+        for cutoff, idx, sub in _by_cutoff(q, {**params, var: xs}, dim, tail_tol):
             out[idx] = q.fn(cutoff, **sub)[0]
         return out
 
@@ -362,13 +371,9 @@ def maximize_1d(quantity, lo: float, hi: float, tol: float = GOLDEN_TOL) -> Maxi
     section calls it on one-point arrays; a value that is not finite is a
     NumericalFailureError naming the first such point.
     """
-    on_grid = quantity if isinstance(quantity, ArrayObjective) else objective(quantity)
-
-    def f(x: float) -> float:
-        return float(on_grid(np.array([x]))[0])
-
+    f = quantity if isinstance(quantity, ArrayObjective) else objective(quantity)
     xs = np.linspace(lo, hi, SCAN_POINTS)
-    vals = on_grid(xs)
+    vals = f(xs)
     best = int(np.argmax(vals))
     a = xs[max(best - 1, 0)]
     b = xs[min(best + 1, SCAN_POINTS - 1)]
@@ -377,7 +382,7 @@ def maximize_1d(quantity, lo: float, hi: float, tol: float = GOLDEN_TOL) -> Maxi
         x_star, v_star = float(xs[best]), float(vals[best])
     unimodal = True
     check = np.linspace(lo, hi, CHECK_POINTS)
-    cvals = on_grid(check)
+    cvals = f(check)
     cbest = int(np.argmax(cvals))
     if cvals[cbest] > v_star + 1e-9:
         unimodal = False

@@ -29,12 +29,11 @@ two-mode squeezed benchmark has elementwise closed forms
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable
 
 import numpy as np
 
 from . import analysis, optics
-from .fockspace import TINY, Truncation, default_truncation
+from .fockspace import TINY, Truncation
 
 
 class ZeroClickError(ZeroDivisionError):
@@ -157,27 +156,3 @@ def benchmark_g2(r, eta):
     _check_eta(eta)
     with np.errstate(over="ignore", divide="ignore"):
         return -3.0 + 2.0 / eta + eta + (1.0 - eta) * np.cosh(2.0 * r)
-
-
-def quality_crossover(
-    det: DetectorModel,
-    lo: float = 0.02,
-    hi: float = 2.0,
-    tol: float = 1e-4,
-    cutoff: Callable[[float], Truncation] = default_truncation,
-) -> float:
-    """Squeezing at which the split superposition's heralded g2 stops
-    beating the two-mode squeezed benchmark's.
-
-    Bisects heralded_g2 - benchmark_g2 on [lo, hi], one point per call,
-    with the source at cutoff(r); raises NoCrossingError when the
-    difference does not change sign there (at eta = 1 the benchmark g2 is
-    identically zero, so no interior crossing exists).
-    """
-    eta = np.array([det.eta])
-
-    def gap(r: float) -> float:
-        at = np.array([r])
-        return float(heralded_g2(at, eta, cutoff(r))[0] - benchmark_g2(at, eta)[0])
-
-    return analysis.find_crossing(gap, lambda _: 0.0, lo, hi, tol=tol)

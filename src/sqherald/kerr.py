@@ -24,7 +24,6 @@ at half the step.  The overlap of any branch and label is the oracle in
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import functools
 import math
 
@@ -67,6 +66,8 @@ CIS_SPLIT = (0.006135923147667199, 3.875365543607508e-12, 2.0196027272633223e-21
 CIS_LIMIT = 2**22 * TWO_PI / CIS_TABLE
 CIS_MIN_ENTRIES = 4096
 
+# The decay-rate fit (fit_lambda) reads FIT_SAMPLES uniform sigmas on
+# [0, FIT_SIGMA_MAX].
 FIT_SIGMA_MAX = 1e-3
 FIT_SAMPLES = 21
 
@@ -476,31 +477,3 @@ def fit_lambda(samples) -> tuple[float, float]:
     dof = len(pts) - 1
     stderr = math.sqrt(float(np.dot(resid, resid)) / dof / sxx)
     return lam, stderr
-
-
-@dataclasses.dataclass(frozen=True)
-class FitResult:
-    decay_rate: float
-    stderr: float
-    residuals: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.residuals, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "residuals", arr)
-
-
-def fitted_decay_rate(
-    r: float, alpha: float, dim: int | None = None, tail_tol: float = SERIES_STATE_TOL
-) -> FitResult:
-    """Canonical decay-rate fit: 21 uniform sigmas on [0, 0.001], each
-    averaged at cutoff dim with tail tolerance tail_tol.
-
-    Residuals of ln R against the fitted line are recorded on the result
-    rather than asserted against any threshold.
-    """
-    sigmas = np.linspace(0.0, FIT_SIGMA_MAX, FIT_SAMPLES)
-    ratios = [gaussian_averaged_ratio(r, alpha, s, dim, tail_tol) for s in sigmas]
-    lam, stderr = fit_lambda(zip(sigmas, ratios))
-    resid = np.log(ratios) + lam * sigmas * sigmas
-    return FitResult(lam, stderr, resid)

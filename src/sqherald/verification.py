@@ -176,10 +176,11 @@ def criterion_6(cfg: VerifyConfig) -> Iterator[Check]:
 
 @_criterion(7, "phase-noise decay-rate fits")
 def criterion_7(cfg: VerifyConfig) -> Iterator[Check]:
-    trunc = registry.truncation("series", 0.725, cfg.dim, cfg.tail_tol)
+    sigmas = np.linspace(0.0, kerr.FIT_SIGMA_MAX, kerr.FIT_SAMPLES)
     for alpha, rate in ((9.0, 3401.0), (10.0, 5102.0), (11.0, 7360.0)):
-        fit = kerr.fitted_decay_rate(0.725, alpha, trunc.dim, trunc.tail_tol)
-        yield Check.close(f"decay rate, alpha = {alpha:g}", fit.decay_rate, rate, 0.01 * rate)
+        ratios = cfg.column("phase_ratio", sigma=sigmas, r=0.725, alpha=alpha)
+        decay_rate, _ = kerr.fit_lambda(zip(sigmas, ratios))
+        yield Check.close(f"decay rate, alpha = {alpha:g}", decay_rate, rate, 0.01 * rate)
 
 
 @_criterion(8, "small-r click limits at eta = 0.9")
@@ -211,7 +212,11 @@ def criterion_9(cfg: VerifyConfig) -> Iterator[Check]:
 
 @_criterion(10, "quality crossover")
 def criterion_10(cfg: VerifyConfig) -> Iterator[Check]:
-    r_cross = detect.quality_crossover(DetectorModel(cfg.eta), cutoff=cfg.trunc)
+    # at eta = 1 the benchmark g2 is identically 0, so there is no crossing
+    # and find_crossing raises NoCrossingError
+    cat, benchmark = (analysis.objective(name, cfg.dim, cfg.tail_tol, eta=cfg.eta)
+                      for name in ("g2_cat_minus", "g2_tmss"))
+    r_cross = analysis.find_crossing(cat, benchmark, 0.02, 2.0, tol=1e-4)
     yield Check.close(f"g2 crossover at eta = {cfg.eta:g}", r_cross, 0.504, 5e-3)
 
 

@@ -365,6 +365,24 @@ def test_maximize_rejects_non_finite_objective():
     assert str(err.value) == "ramp is not finite (inf) at {'r': 0.525}"
 
 
+def test_objective_checks_its_parameters_when_built():
+    # a variable left without a value used to reach the quantity's
+    # function and fail there with a TypeError
+    for name in ("p0_cat_minus", "p1n_squeezed"):
+        with pytest.raises(ValueError, match=f"^{name} needs a value for r$"):
+            analysis.maximize_1d(name, 0.0, 2.0)
+    with pytest.raises(ValueError, match="^g2_cat_minus takes no parameter bogus;"):
+        analysis.objective("g2_cat_minus", bogus=1.0)
+    with pytest.raises(ValueError, match="^cannot both sweep and fix r$"):
+        analysis.objective("g2_cat_minus", r=1.0)
+    # a fixed value replaces the default; a float point gives a float
+    at_07 = analysis.objective("g2_tmss", eta=0.7)
+    rs = np.array([0.5, 1.0])
+    assert at_07(rs).tolist() == detect.benchmark_g2(rs, 0.7).tolist()
+    assert at_07(0.5) == float(detect.benchmark_g2(0.5, 0.7))
+    assert type(at_07(0.5)) is float
+
+
 def test_find_crossing_linear():
     root = analysis.find_crossing(lambda x: x, lambda x: 0.5, 0.0, 1.0, tol=1e-6)
     assert root == pytest.approx(0.5, abs=1e-6)

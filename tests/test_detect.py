@@ -207,20 +207,27 @@ def test_click_limits_at_small_squeezing():
     assert cat_clicks(1e-3, 0.9)[1] > 0.4
 
 
+def g2_crossing(eta):
+    """Criterion 10's search at efficiency eta: where the heralded g2 of the
+    split odd superposition crosses the benchmark's on [0.02, 2], both read
+    through their registered objectives at the default cutoffs."""
+    cat, benchmark = (analysis.objective(name, eta=eta) for name in ("g2_cat_minus", "g2_tmss"))
+    return analysis.find_crossing(cat, benchmark, 0.02, 2.0, tol=1e-4)
+
+
 def test_quality_crossover_at_stated_efficiency():
-    crossing = detect.quality_crossover(DET9)
+    crossing = g2_crossing(0.9)
     assert crossing == pytest.approx(0.504, abs=5e-3)
     assert crossing == pytest.approx(0.5038516235351562, abs=1e-9)
 
 
 def test_quality_crossover_perfect_detector():
     with pytest.raises(analysis.NoCrossingError):
-        detect.quality_crossover(detect.DetectorModel(1.0))
+        g2_crossing(1.0)
 
 
 def test_quality_crossover_agrees_with_grid_scan():
-    det = detect.DetectorModel(0.7)
-    crossing = detect.quality_crossover(det)
+    crossing = g2_crossing(0.7)
     assert crossing == pytest.approx(0.6895370483398438, abs=1e-9)
     rs = np.linspace(0.02, 2.0, 1000)
     gaps = np.array([cat_g2(float(r), 0.7) - tmss_g2(float(r), 0.7) for r in rs])

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 import scipy.optimize
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqherald import analysis, kerr, reference, registry, sources
 from sqherald import fockspace as fs
@@ -649,6 +651,26 @@ def test_averaged_ratio_degenerate_and_monotone():
     assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    r=st.floats(0.0, 2.0, exclude_min=True),
+    alpha=st.floats(1.0, 12.0),
+    sigmas=st.lists(st.floats(0.0, 0.05), min_size=1, max_size=5),
+)
+def test_phase_ratio_column_stays_a_decaying_ratio(r, alpha, sigmas):
+    # criterion 7 feeds the column to fit_lambda, which takes values in
+    # (0, 1 + 1e-12] only; the reference probability of an r below about
+    # 2e-154 is subnormal, which is a NumericalFailureError by design
+    sigmas = np.sort(sigmas)
+    try:
+        values = analysis.evaluate("phase_ratio", {"sigma": sigmas, "r": r, "alpha": alpha}).values
+    except fs.NumericalFailureError:
+        assert r < 1e-150
+        return
+    assert np.all(values > 0.0) and np.all(values <= 1.0 + 1e-12)
+    assert np.all(np.diff(values) <= 1e-12)
+
+
 def test_averaged_ratio_monte_carlo_agrees_with_quadrature():
     sigma = 1e-3
     quad = kerr.gaussian_averaged_ratio(0.725, 10.0, sigma)
@@ -715,19 +737,25 @@ def test_fit_lambda_validation():
         kerr.fit_lambda([(5e-4, 0.99)] * 8)
 
 
+def decay_fit(alpha):
+    """Criterion 7's fit at r = 0.725: fit_lambda over the phase_ratio
+    column on the fit's sigmas, one analysis.evaluate with its 1.5x
+    recheck."""
+    sigmas = np.linspace(0.0, kerr.FIT_SIGMA_MAX, kerr.FIT_SAMPLES)
+    ratios = analysis.evaluate("phase_ratio", {"sigma": sigmas, "r": 0.725, "alpha": alpha}).values
+    return kerr.fit_lambda(zip(sigmas, ratios))
+
+
 def test_fitted_decay_rate_quadrature():
-    fit = kerr.fitted_decay_rate(0.725, 10.0)
-    assert fit.decay_rate == pytest.approx(5102.0, rel=0.01)
-    assert fit.stderr < 0.01 * fit.decay_rate
-    assert len(fit.residuals) == 21
+    rate, stderr = decay_fit(10.0)
+    assert rate == pytest.approx(5102.0, rel=0.01)
+    assert stderr < 0.01 * rate
 
 
 def test_fitted_decay_rate_monte_carlo_within_noise():
-    quad = kerr.fitted_decay_rate(0.725, 10.0)
+    quad_rate, _ = decay_fit(10.0)
     # the ratio is exactly 1 at sigma = 0
     sigmas = np.linspace(0.0, kerr.FIT_SIGMA_MAX, kerr.FIT_SAMPLES)
     ratios = [reference._monte_carlo_ratio(0.725, 10.0, s, 100_000, 11) if s else 1.0 for s in sigmas]
     noisy_rate, noisy_stderr = kerr.fit_lambda(zip(sigmas, ratios))
-    assert abs(noisy_rate - quad.decay_rate) < 3.0 * max(
-        noisy_stderr, 1e-12
-    ) + 0.01 * quad.decay_rate
+    assert abs(noisy_rate - quad_rate) < 3.0 * max(noisy_stderr, 1e-12) + 0.01 * quad_rate

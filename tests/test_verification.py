@@ -1,12 +1,14 @@
 """The verify report as a table of checks: every numeric check prints its
 margin, which reads above 100% exactly when the check fails, and the
 default report keeps the numbers of the bench reference."""
+import dataclasses
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from sqherald import verification
+from sqherald import detect, kerr, optics, registry, verification
 
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference" / "verify.txt"
 MARGIN = re.compile(r" \(margin ([^)]*)%\)")
@@ -74,3 +76,69 @@ def test_default_report_matches_the_bench_reference():
     got, want = _numbers(MARGIN.sub("", report)), _numbers(reference)
     assert len(got) == len(want)
     assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12
+
+
+# the production kernels behind the registered quantities
+KERNELS = (
+    (detect, "heralded_g2"),
+    (detect, "heralded_clicks"),
+    (kerr, "gaussian_averaged_ratios"),
+    (kerr, "p0_over_tau"),
+    (optics, "photon_number_rows"),
+)
+
+
+def test_verify_reaches_the_production_kernels_only_through_the_registry(monkeypatch):
+    # every registered quantity's function keeps a depth count; a kernel
+    # called at depth 0 was reached around the registry and its 1.5x gate
+    depth, seen, stray = [0], set(), []
+    for name, q in list(registry.QUANTITIES.items()):
+        def counted(*cutoffs, _fn=q.fn, **params):
+            depth[0] += 1
+            try:
+                return _fn(*cutoffs, **params)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setitem(registry.QUANTITIES, name, dataclasses.replace(q, fn=counted))
+    for module, attr in KERNELS:
+        def watched(*args, _fn=getattr(module, attr), _name=f"{module.__name__}.{attr}", **kwargs):
+            seen.add(_name)
+            if depth[0] == 0:
+                stray.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, watched)
+    verification.run_all()
+    assert {"sqherald.detect.heralded_g2", "sqherald.kerr.gaussian_averaged_ratios"} <= seen
+    assert stray == []
+
+
+def test_criterion_7_fits_the_gated_phase_ratio_column(monkeypatch):
+    # one grouped phase_ratio call per alpha, at the series cutoff and
+    # 1.5x it, and the fit of its values agrees with the fit of one
+    # gaussian_averaged_ratio per sigma at that one cutoff
+    q = registry.QUANTITIES["phase_ratio"]
+    fit_lambda = kerr.fit_lambda
+    calls, rates = [], []
+
+    def spy(*cutoffs, **params):
+        calls.append(cutoffs)
+        return q.fn(*cutoffs, **params)
+
+    def fit(samples):
+        rate, stderr = fit_lambda(samples)
+        rates.append(rate)
+        return rate, stderr
+
+    monkeypatch.setitem(registry.QUANTITIES, "phase_ratio", dataclasses.replace(q, fn=spy))
+    monkeypatch.setattr(kerr, "fit_lambda", fit)
+    cfg = verification.VerifyConfig()
+    assert verification.criterion_7(cfg).passed
+    base = registry.truncation("series", 0.725, cfg.dim, cfg.tail_tol)
+    assert calls == [(base, base.scaled(1.5))] * 3
+    sigmas = np.linspace(0.0, kerr.FIT_SIGMA_MAX, kerr.FIT_SAMPLES)
+    for alpha, rate in zip((9.0, 10.0, 11.0), rates, strict=True):
+        one_cutoff = [kerr.gaussian_averaged_ratio(0.725, alpha, s, base.dim, base.tail_tol)
+                      for s in sigmas]
+        assert rate == pytest.approx(fit_lambda(zip(sigmas, one_cutoff))[0], rel=1e-9)
