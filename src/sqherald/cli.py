@@ -270,8 +270,9 @@ def main(argv=None) -> int:
     except NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:
-        print(f"invalid parameter: {exc}", file=sys.stderr)
+    except (ValueError, MemoryError) as exc:
+        # a grid or cutoff too large to allocate is a usage error too
+        print(f"invalid parameter: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -9,17 +9,19 @@ around alpha = 10 would otherwise need hundreds of Fock levels.
 Production projects only onto the odd superposition with the label
 -alpha, whose pair indices n are all odd.  There each label overlap is
 exactly exp(-2|alpha|^2 sin^2(n delta/2) + i |alpha|^2 sin(n delta)) in
-the deviation delta = tau_tilde - pi, so every label-series probability
-runs through one kernel, `_odd_branch_probability`, on the cached
-nonzero pair terms of `_pair_series` (one weight row per r and cutoff),
-in blocks of at most KERNEL_BLOCK entries of the terms x nodes table.  Its cosines
+the deviation delta = tau_tilde - pi.  p0_over_tau and the phase-noise
+average phase_ratio both run through one driver, `_branch_table`, which
+calls one kernel, `_odd_branch_probability`, on the cached nonzero pair
+terms of `_pair_series` (one weight row per r and cutoff), in blocks of
+at most KERNEL_BLOCK entries of the terms x nodes table.  Its cosines
 and sines come from `_cis`, a table-driven rotation (Cody & Waite 1980;
 Tang, ACM TOMS 15, 144 (1989)) that replaces the two libm calls of each
 of its two rotations with 28 vectorised multiply, add and gather
 passes; libm serves small tables and arguments beyond CIS_LIMIT.  The
 phase-noise average is a periodic trapezoid rule checked against itself
-at half the step.  The overlap of any branch and label is the oracle in
-`reference`, on libm.
+at half the step, whose node at delta = 0 is also the reference
+probability of the ratio.  The overlap of any branch and label is the
+oracle in `reference`, on libm.
 """
 from __future__ import annotations
 
@@ -44,7 +46,7 @@ SERIES_STATE_TOL = 1e-9
 # TRAPEZOID_WINDOW sigmas; the rules at h and h/2 must agree within
 # TRAPEZOID_AGREEMENT.  The pair term n carries the harmonics k*n of
 # delta with k Poisson-distributed around alpha^2, so the integrand's
-# weight lies below the band (alpha + TRAPEZOID_BAND_PAD)^2 * n[-1].
+# weight lies below the band (|alpha| + TRAPEZOID_BAND_PAD)^2 * n[-1].
 # A rule that needs more than TRAPEZOID_MAX_NODES nodes is refused.
 TRAPEZOID_WINDOW = 9.0
 TRAPEZOID_AGREEMENT = 1e-12
@@ -80,22 +82,18 @@ class FitDegenerateError(ValueError):
     """The fit abscissas carry no information (all sigmas equal)."""
 
 
-def _check_pump_size(alpha: complex) -> None:
-    """The label overlaps take |alpha|^2, so it must be a finite float."""
+def _check_schedule(tau_tilde, alpha: complex) -> None:
+    """Interaction phases (a float or an array) and the pump amplitude
+    must be finite, the pump nonzero and |alpha|^2 finite: the label
+    overlaps take only |alpha|^2, so the sign and phase of alpha are free."""
+    if not (np.all(np.isfinite(tau_tilde)) and cmath.isfinite(alpha)):
+        raise ValueError("interaction phase and pump amplitude must be finite")
     size = abs(alpha)
+    if size == 0.0:
+        raise ValueError("pump amplitude must be nonzero")
     # a float product overflows to inf, where ** raises OverflowError
     if not math.isfinite(size * size):
         raise ValueError(f"pump amplitude alpha = {alpha} is too large: |alpha|^2 overflows")
-
-
-def _check_schedule(tau_tilde, alpha: complex) -> None:
-    """Interaction phases (a float or an array) and the pump amplitude
-    must be finite, the pump nonzero and |alpha|^2 finite."""
-    if not (np.all(np.isfinite(tau_tilde)) and cmath.isfinite(alpha)):
-        raise ValueError("interaction phase and pump amplitude must be finite")
-    if abs(alpha) == 0.0:
-        raise ValueError("pump amplitude must be nonzero")
-    _check_pump_size(alpha)
 
 
 @functools.lru_cache(maxsize=256)
@@ -114,10 +112,8 @@ def p0_over_tau(taus: np.ndarray, r, alpha: complex, *truncs: Truncation) -> np.
     one row per cutoff of truncs (default: the series cutoff of the
     largest r).
 
-    The points share one kernel call per distinct longest pair set, with
-    one weight row per distinct r and cutoff (_padded), over the distinct
-    |delta|: the kernel is exactly even in delta.  Every r is checked at
-    the first cutoff before any at the next.  At tau_tilde = pi every
+    The points share one _branch_table over the distinct |delta|: the
+    kernel is exactly even in delta.  At tau_tilde = pi every
     label overlap is exactly 1, so the value is (sum_n g_n)^2, the branch
     weight N_-(r)/4 up to the series tail, for every finite alpha; at r = 0
     no pair term survives and the value is 0.
@@ -129,6 +125,15 @@ def p0_over_tau(taus: np.ndarray, r, alpha: complex, *truncs: Truncation) -> np.
     truncs = truncs or (series_truncation(float(np.max(r))),)
     deltas, col = np.unique(np.abs(np.mod(taus, TWO_PI) - math.pi), return_inverse=True)
     rs, row = np.unique(r, return_inverse=True)
+    return _branch_table(deltas, rs, alpha, truncs)[:, row, col]
+
+
+def _branch_table(deltas: np.ndarray, rs: np.ndarray, alpha: complex, truncs) -> np.ndarray:
+    """Odd-branch probabilities at each deviation of deltas for each
+    distinct r of rs at each cutoff of truncs, shape (cutoffs, rs,
+    deltas): one kernel call per distinct longest pair set, with one
+    weight row per r and cutoff (_padded).  Every r's series is built,
+    and tail-checked, at the first cutoff before any at the next."""
     series = [[_pair_series(rj, -1, trunc) for rj in rs.tolist()] for trunc in truncs]
     longest = [max((s[j][0] for s in series), key=len) for j in range(len(rs))]
     rows_of: dict[bytes, list[int]] = {}
@@ -140,7 +145,7 @@ def p0_over_tau(taus: np.ndarray, r, alpha: complex, *truncs: Truncation) -> np.
         weights = _padded([s[j][1] for s in series for j in rows], len(n))
         values = _odd_branch_probability(deltas, n, weights, alpha)
         table[:, rows] = values.reshape(len(truncs), len(rows), len(deltas))
-    return table[:, row, col]
+    return table
 
 
 def _padded(rows, terms: int) -> np.ndarray:
@@ -316,32 +321,6 @@ def _odd_branch_probability(
     return out
 
 
-@functools.lru_cache(maxsize=128)
-def _phase_series(
-    r: float, alpha: float, dim: int | None, tail_tol: float = SERIES_STATE_TOL
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Odd-branch pair terms and the tau_tilde = pi reference probability
-    (sum_n g_n)^2 for the ratio kernel, at cutoff dim (default: the series
-    cutoff) with tail tolerance tail_tol.  A reference probability below
-    the smallest normal float has lost its digits, and every ratio against
-    it with them, so it raises NumericalFailureError."""
-    if not r >= 0.0:
-        raise ValueError("squeezing must be nonnegative")
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise ValueError("pump amplitude must be real, finite and positive")
-    _check_pump_size(alpha)
-    trunc = Truncation(series_truncation(r).dim if dim is None else dim, tail_tol)
-    n, g = _pair_series(r, -1, trunc)
-    ref = float(_odd_branch_probability(np.zeros(1), n, g, alpha)[0])
-    # written so that a NaN reference fails too
-    if not ref >= TINY:
-        raise NumericalFailureError(
-            f"herald probability {ref:.3g} at tau_tilde = pi has lost its digits "
-            f"at r = {r}, alpha = {alpha}"
-        )
-    return n, g, ref
-
-
 def _trapezoid_rule(sigma: float, band: float) -> tuple[np.ndarray, np.ndarray]:
     """Fine nodes delta_j = j h/2 in [0, pi] and the weights of the
     trapezoid rule at step h/2 for the wrapped normal of width sigma > 0,
@@ -400,56 +379,60 @@ def _trapezoid_rule(sigma: float, band: float) -> tuple[np.ndarray, np.ndarray]:
     return deltas, weights
 
 
-def gaussian_averaged_ratio(
-    r: float,
-    alpha: float,
-    sigma: float,
-    dim: int | None = None,
-    tail_tol: float = SERIES_STATE_TOL,
-) -> float:
+def phase_ratio(sigmas: np.ndarray, r, alpha: complex, *truncs: Truncation) -> np.ndarray:
     """Average of the ratio R(r, alpha, dtheta) of the herald probability
     at interaction phase pi + dtheta to its value at pi, over dtheta ~
-    N(0, sigma^2).
+    N(0, sigmas[i]^2), at each point (sigmas[i], r[i]) of the 1-D array
+    sigmas and of r, a float or an array of the same length, with one row
+    per cutoff of truncs (default: the series cutoff of the largest r).
 
-    The average is the periodic trapezoid rule of _trapezoid_rule, which
-    must agree with itself at twice the step within 1e-12 or raises
-    QuadratureConvergenceError.  The series runs at cutoff dim (default:
-    series_truncation(r)) and raises TruncationError when more than
-    tail_tol of the state lies beyond it, and NumericalFailureError where
-    the reference probability, about r^2/2, is below the smallest normal
-    float (r below about 2e-154, and r = 0).
+    Each point with sigma > 0 runs its trapezoid rule (banded by the
+    longest series) through one _branch_table, whose first node, delta =
+    0, is each cutoff's reference probability.  A reference below the
+    smallest normal float (r below about 2e-154, and r = 0) has lost its
+    digits, and the ratio with them: NumericalFailureError.  A rule that
+    disagrees with itself at twice the step by more than
+    TRAPEZOID_AGREEMENT raises QuadratureConvergenceError.  sigma = 0
+    reads exactly 1 and builds no series.
     """
-    return gaussian_averaged_ratios(r, alpha, sigma, (dim,), tail_tol)[0]
-
-
-def gaussian_averaged_ratios(
-    r: float, alpha: float, sigma: float, dims, tail_tol: float
-) -> list[float]:
-    """gaussian_averaged_ratio at each cutoff of dims, from one kernel call
-    (_padded) on one trapezoid grid, whose band comes from the longest
-    series.  Every series is checked, in order, before the kernel runs;
-    each value has its own reference and h/2 gate."""
-    if not (math.isfinite(sigma) and sigma >= 0.0):
+    if not np.all(np.isfinite(sigmas) & (sigmas >= 0.0)):
         raise ValueError("sigma must be finite and nonnegative")
-    if sigma == 0.0:
-        return [1.0] * len(dims)
-    series = [_phase_series(r, alpha, dim, tail_tol) for dim in dims]
-    n = max((s[0] for s in series), key=len)
-    band = (alpha + TRAPEZOID_BAND_PAD) ** 2 * float(n[-1])
-    deltas, weights = _trapezoid_rule(sigma, band)
-    g = _padded([s[1] for s in series], len(n))
-    values = []
-    for vals, (_, _, ref) in zip(_odd_branch_probability(deltas, n, g, alpha), series):
-        vals /= ref
-        fine = float(np.dot(weights, vals))
-        coarse = 2.0 * float(np.dot(weights[::2], vals[::2]))
-        if abs(coarse - fine) > TRAPEZOID_AGREEMENT:
-            raise QuadratureConvergenceError(
-                f"trapezoid steps h and h/2 disagree by {abs(coarse - fine):.3g} > "
-                f"{TRAPEZOID_AGREEMENT} at r = {r}, alpha = {alpha}, sigma = {sigma}"
-            )
-        values.append(fine)
-    return values
+    _check_schedule(math.pi, alpha)  # the noise is centred on tau_tilde = pi
+    r = np.broadcast_to(np.asarray(r, dtype=float), np.shape(sigmas))
+    if not np.all(r >= 0.0):
+        raise ValueError("squeezing must be nonnegative")
+    truncs = truncs or (series_truncation(float(np.max(r))),)
+    pad = (abs(alpha) + TRAPEZOID_BAND_PAD) ** 2
+    out = np.ones((len(truncs), len(sigmas)))
+    live = np.flatnonzero(sigmas)
+    for i, ri, sigma in zip(live.tolist(), r[live].tolist(), sigmas[live].tolist()):
+        n = max((_pair_series(ri, -1, trunc)[0] for trunc in truncs), key=len)
+        deltas, weights = _trapezoid_rule(sigma, pad * float(n[-1] if len(n) else 0))
+        vals = _branch_table(deltas, r[i:i + 1], alpha, truncs)[:, 0]
+        ref = vals[:, 0]
+        if not np.all(ref >= TINY):  # a NaN reference fails too
+            raise NumericalFailureError(f"herald probability {ref.min():.3g} at tau_tilde = pi "
+                                        f"has lost its digits at r = {ri}, alpha = {alpha}")
+        vals = vals / ref[:, None]
+        out[:, i] = vals @ weights
+        gap = abs(2.0 * (vals[:, ::2] @ weights[::2]) - out[:, i]).max()
+        if gap > TRAPEZOID_AGREEMENT:
+            raise QuadratureConvergenceError(f"trapezoid steps h and h/2 disagree by {gap:.3g} > "
+                                             f"{TRAPEZOID_AGREEMENT} at r = {ri}, alpha = "
+                                             f"{alpha}, sigma = {sigma}")
+    return out
+
+
+def gaussian_averaged_ratio(r: float, alpha: float, sigma: float, dim: int | None = None,
+                            tail_tol: float = SERIES_STATE_TOL) -> float:
+    """phase_ratio at one point, with the series cut at dim (default:
+    series_truncation(r)) and tail tolerance tail_tol; it raises
+    TruncationError when more than tail_tol of the state lies beyond the
+    cutoff."""
+    if not r >= 0.0:
+        raise ValueError("squeezing must be nonnegative")
+    trunc = Truncation(series_truncation(r).dim if dim is None else dim, tail_tol)
+    return float(phase_ratio(np.array([float(sigma)]), r, alpha, trunc)[0, 0])
 
 
 def fit_lambda(samples) -> tuple[float, float]:

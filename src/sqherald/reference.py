@@ -659,10 +659,18 @@ def _odd_ratio(
     tail_tol: float = kerr.SERIES_STATE_TOL,
 ) -> np.ndarray:
     """The general overlap at interaction phases pi + dthetas, over its
-    own value at pi, on the odd-branch series of kerr._phase_series (which
-    checks the inputs and refuses a reference that has lost its digits)."""
-    n, g, _ = kerr._phase_series(r, alpha, dim, tail_tol)
+    own value at pi, on the odd-branch series of kerr._pair_series at
+    cutoff dim (default: the series cutoff), with its own refusal of a
+    reference that has lost its digits."""
+    kerr._check_schedule(dthetas, alpha)
+    if not r >= 0.0:
+        raise ValueError("squeezing must be nonnegative")
+    trunc = Truncation(kerr.series_truncation(r).dim if dim is None else dim, tail_tol)
+    n, g = kerr._pair_series(r, -1, trunc)
     ref = _overlap_probability(np.array([math.pi]), n, g, alpha, -alpha)[0]
+    if not ref >= TINY:  # a NaN reference fails too
+        raise NumericalFailureError(f"herald probability {ref:.3g} at tau_tilde = pi has lost "
+                                    f"its digits at r = {r}, alpha = {alpha}")
     return _overlap_probability(math.pi + dthetas, n, g, alpha, -alpha) / ref
 
 

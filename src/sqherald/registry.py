@@ -112,15 +112,18 @@ def _q_herald_yield_cat_minus(trunc, r):
     return sources.herald_probability(r, -1) * _p11(trunc, r, -1)
 
 
-def _q_p0_cat_minus(*cutoffs, tau_tilde, r, alpha):
-    # one kerr.p0_over_tau call per distinct alpha, over all the
-    # (tau_tilde, r) points that share it and every cutoff
-    (alphas,), at = analysis.distinct(alpha)
-    out = np.empty((len(cutoffs), len(tau_tilde)))
-    for j, aj in enumerate(alphas.tolist()):
-        sel = at == j
-        out[:, sel] = kerr.p0_over_tau(tau_tilde[sel], r[sel], aj, *cutoffs)
+def _per_alpha(kernel, cutoffs, x, r, alpha):
+    # one kernel(x, r, alpha, *cutoffs) call per distinct alpha, over all
+    # the (x, r) points that share it and every cutoff
+    out = np.empty((len(cutoffs), len(x)))
+    for a in dict.fromkeys(alpha.tolist()):
+        sel = alpha == a
+        out[:, sel] = kernel(x[sel], r[sel], a, *cutoffs)
     return out
+
+
+def _q_p0_cat_minus(*cutoffs, tau_tilde, r, alpha):
+    return _per_alpha(kerr.p0_over_tau, cutoffs, tau_tilde, r, alpha)
 
 
 def _q_p1_cat_minus(*cutoffs, tau_tilde, r, alpha):
@@ -131,13 +134,7 @@ def _q_p1_cat_minus(*cutoffs, tau_tilde, r, alpha):
 
 
 def _q_phase_ratio(*cutoffs, sigma, r, alpha):
-    # one trapezoid rule per point serves every cutoff; the points of a
-    # group do not share a grid
-    dims = [c.dim for c in cutoffs]
-    return np.array([
-        kerr.gaussian_averaged_ratios(ri, ai, si, dims, cutoffs[0].tail_tol)
-        for si, ri, ai in zip(sigma.tolist(), r.tolist(), alpha.tolist())
-    ]).T
+    return _per_alpha(kerr.phase_ratio, cutoffs, sigma, r, alpha)
 
 
 def _q_pclick_cat_minus(trunc, r, eta):

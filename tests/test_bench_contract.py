@@ -36,9 +36,8 @@ def test_traced_sweep_yields_the_layer_metrics(capsys):
     tracer.annotate_series_pairs()
     metrics, notes = tracing.layer_metrics(tracer.spans)
     # two points at one cutoff: one grouped call evaluates the series
-    # cutoff and its 1.5x recheck together, through
-    # gaussian_averaged_ratios, so the tracer sees no recheck call and no
-    # gaussian_averaged_ratio span
+    # cutoff and its 1.5x recheck together, through kerr.phase_ratio, so
+    # the tracer sees no recheck call and no gaussian_averaged_ratio span
     assert metrics["registry.evals"] == 1.0
     assert metrics["kerr.avg_ratio_calls"] == 0.0
     assert metrics["kerr.series_pairs"] == 0.0

@@ -327,6 +327,43 @@ def test_phase_ratio_whose_reference_has_lost_its_digits_exits_numerical(capsys)
     assert "lost its digits" in err
 
 
+# argument lists whose arrays cannot be allocated under OVERSIZED_AS
+OVERSIZED = (
+    ["sweep", "--quantity", "p11_cat_minus", "--var", "r", "--lo", "0", "--hi", "1",
+     "--points", "100000000000"],
+    ["sweep", "--quantity", "p11_cat_minus", "--var", "r", "--lo", "0.5", "--hi", "0.5",
+     "--points", "1", "--dim", "100000000000"],
+    ["figure", "fig3b", "--dim", "100000000000"],
+)
+OVERSIZED_AS = 2 * 10**9
+OVERSIZED_SCRIPT = """
+import contextlib, io, json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))
+from sqherald import cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        results.append((cli.main(argv), err.getvalue()))
+print(json.dumps(results))
+"""
+
+
+def test_request_too_large_to_allocate_is_a_usage_error():
+    # with the address space capped, every machine fails these allocations
+    # alike; exit 1 belongs to a failed verify, so they exit 3 on one line
+    src = str(Path(sqherald.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    script = OVERSIZED_SCRIPT.format(limit=OVERSIZED_AS)
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(OVERSIZED)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    for argv, (code, err) in zip(OVERSIZED, json.loads(proc.stdout), strict=True):
+        assert code == cli.EXIT_USAGE, argv
+        assert err.startswith("invalid parameter: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("quantity", ("p0_cat_minus", "p1_cat_minus"))
 def test_kerr_probabilities_vanish_at_zero_squeezing(capsys, quantity):
     # every pair weight g_n vanishes at r = 0, so no pair term survives
@@ -641,10 +678,49 @@ FUZZ_VARIABLES = sorted(
 FUZZ_FIGURES = sorted(set(registry.FIGURES) - {"fig5b"}) + ["foo"]
 
 
+# the domain of every parameter, but sigma stays within half of fig5b's
+# range: three phase_ratio points at r = 3, alpha = 12 and sigma = 0.004
+# take about 1.8 s, near the deadline
+FUZZ_DOMAINS = {
+    "alpha": st.floats(1.0, 12.0),
+    "eta": st.floats(0.0, 1.0, exclude_min=True),
+    "n": st.integers(0, 11),
+    "r": st.floats(0.0, 3.0),
+    "sigma": st.floats(0.0, 0.002),
+    "tau_tilde": st.floats(0.0, 2.0 * math.pi),
+}
+
+
+@st.composite
+def _in_domain_sweep(draw):
+    """A sweep argument list for a registered quantity that draws each of
+    its variables, and some of its defaulted parameters, from their
+    domains."""
+    q = registry.QUANTITIES[draw(st.sampled_from(sorted(registry.QUANTITIES)))]
+    names = list(q.variables) + [v for v in q.defaults
+                                 if v not in q.variables and draw(st.booleans())]
+    var = draw(st.sampled_from(names))
+    points = draw(st.integers(1, 3))
+    lo, hi = sorted((draw(FUZZ_DOMAINS[var]), draw(FUZZ_DOMAINS[var])))
+    if var == "n":  # an integer grid
+        hi = lo + points - 1
+    elif lo == hi:
+        points = 1
+    argv = ["sweep", "--quantity", q.name, "--var", var, "--lo", repr(lo), "--hi", repr(hi),
+            "--points", str(points)]
+    for name in names:
+        if name != var:
+            argv += ["--set", f"{name}={draw(FUZZ_DOMAINS[name])!r}"]
+    return argv
+
+
 @st.composite
 def _cli_arguments(draw):
     """A sweep or figure argument list: every quantity, variable and
-    figure plus an unknown one, with values at the edges of each domain."""
+    figure plus an unknown one, with values at the edges of each domain;
+    or, about half the time, an in-domain sweep."""
+    if draw(st.sampled_from(("edges", "in-domain", "in-domain"))) == "in-domain":
+        return draw(_in_domain_sweep())
     value = st.sampled_from(FUZZ_VALUES)
     if draw(st.sampled_from(("figure", "sweep", "sweep"))) == "figure":
         argv = ["figure", draw(st.sampled_from(FUZZ_FIGURES))]

@@ -144,7 +144,8 @@ def test_half_hermite_rule_equals_full_symmetric_rule():
     for order in (64, 128, 256, 512, 1024):
         nodes, weights = scipy.special.roots_hermite(order)
         for r in (0.725, 2.0):
-            n, g, ref = kerr._phase_series(r, alpha, None)
+            n, g = kerr._pair_series(r, -1, kerr.series_truncation(r))
+            ref = reference._overlap_probability(IDEAL, n, g, alpha, -alpha)[0]
             for sigma in (1e-3, 4e-3):
                 taus = math.pi + math.sqrt(2.0) * sigma * nodes
                 vals = reference._overlap_probability(taus, n, g, alpha, -alpha) / ref
@@ -488,12 +489,12 @@ def test_one_kernel_pass_serves_both_cutoffs(monkeypatch):
                                  "alpha": np.repeat([3.0, 10.0], len(tau_col))})
         assert sorted(calls) == [(56, (2, 1)), (56, (2, 1)), (56, (4, 24)), (56, (4, 24))]
     # phase_ratio: one call per point over its trapezoid grid, two rows;
-    # the one-node calls are the cached references at tau_tilde = pi
+    # each reference is the grid's node at tau_tilde = pi, with no
+    # one-node call of its own
     calls.clear()
     analysis.sweep(analysis.SweepSpec("sigma", 1e-3, 3e-3, 3, {"r": 0.7}), "phase_ratio")
-    grids = [shape for nodes, shape in calls if nodes > 1]
-    assert grids == [(2, 24)] * 3
-    assert all(shape == (24,) or shape == (16,) for nodes, shape in calls if nodes == 1)
+    assert [shape for _, shape in calls] == [(2, 24)] * 3
+    assert all(nodes > 1 for nodes, _ in calls)
 
 
 def test_base_cutoff_fails_its_tail_check_before_the_recheck(monkeypatch):
@@ -701,9 +702,22 @@ def test_averaged_ratio_input_validation():
     for sigma in (math.inf, math.nan):
         with pytest.raises(ValueError):
             kerr.gaussian_averaged_ratio(0.725, 10.0, sigma)
-    for alpha in (math.inf, math.nan):
+    for alpha in (math.inf, math.nan, 0.0, 1e200):
         with pytest.raises(ValueError):
             kerr.gaussian_averaged_ratio(0.725, alpha, 1e-3)
+
+
+def test_phase_ratio_reads_a_negative_pump_as_its_mirror():
+    # the label overlaps take only |alpha|^2 and the trapezoid band
+    # |alpha|, so alpha = -10 is alpha = 10 bit for bit, as for p0
+    sigmas = np.array([0.0, 1e-4, 1e-3, 4e-3, 0.3])
+    taus = np.linspace(*registry.TAU_GRID)
+    for name, params in (("phase_ratio", {"sigma": sigmas, "r": 0.725}),
+                         ("phase_ratio", {"sigma": 2e-3, "r": np.array([0.05, 1.3, 2.0])}),
+                         ("p0_cat_minus", {"tau_tilde": taus, "r": 0.725})):
+        plus, minus = (analysis.evaluate(name, {**params, "alpha": a}).values
+                       for a in (10.0, -10.0))
+        assert np.array_equal(plus, minus), name
 
 
 def test_tolerable_jitter_scale():

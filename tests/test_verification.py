@@ -82,8 +82,8 @@ def test_default_report_matches_the_bench_reference():
 KERNELS = (
     (detect, "heralded_g2"),
     (detect, "heralded_clicks"),
-    (kerr, "gaussian_averaged_ratios"),
     (kerr, "p0_over_tau"),
+    (kerr, "phase_ratio"),
     (optics, "photon_number_rows"),
 )
 
@@ -110,7 +110,7 @@ def test_verify_reaches_the_production_kernels_only_through_the_registry(monkeyp
 
         monkeypatch.setattr(module, attr, watched)
     verification.run_all()
-    assert {"sqherald.detect.heralded_g2", "sqherald.kerr.gaussian_averaged_ratios"} <= seen
+    assert {"sqherald.detect.heralded_g2", "sqherald.kerr.phase_ratio"} <= seen
     assert stray == []
 
 
