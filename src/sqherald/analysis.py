@@ -1,13 +1,13 @@
 """Sweeps, 1-D maximization and crossing detection for the figure data.
 
 Quantities are addressed by a registered name (see registry.py) or by
-the registry.Quantity itself.  A sweep is one grouped evaluation: its
-points are grouped by cutoff, and the quantity runs once per group on
-arrays of the group's parameter values, at the cutoff and at 1.5x it in
-the same call; every row must agree between the two within
-CONVERGENCE_TOL, so published tables are convergence-checked row by row.
-The scan and check grids of maximize_1d are grouped the same way, one call
-per cutoff and no recheck.
+the registry.Quantity itself.  A sweep is one evaluation: every point
+gets its own cutoff, registry.truncation of its r, and the quantity runs
+once on arrays of all the points' parameter values, with the points'
+cutoffs and 1.5x them in the same call; every row must agree between the
+two within CONVERGENCE_TOL, so published tables are convergence-checked
+row by row.  The scan and check grids of maximize_1d are one call each,
+at the points' cutoffs and with no recheck.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .fockspace import SQUEEZE_LIMIT, NumericalFailureError
+from .fockspace import SQUEEZE_LIMIT, CutoffColumn, NumericalFailureError
 
 CONVERGENCE_TOL = 1e-8
 GOLDEN_TOL = 1e-4
@@ -139,26 +139,15 @@ def _require_finite(values: np.ndarray, name: str, point: Callable[[int], dict])
 
 
 @dataclasses.dataclass(frozen=True)
-class _Groups:
-    """The points of a parameter mapping grouped by cutoff: cutoffs holds
-    the distinct registry.truncation values in order of first appearance,
-    and group each point's index among them."""
+class _Points:
+    """The points of a parameter mapping: columns holds every parameter as
+    a 1-D array over the points, a fixed one repeated, and cutoff the
+    points' CutoffColumn (None for analytic quantities)."""
 
     params: Mapping
     arrays: dict
-    cutoffs: list
-    group: np.ndarray
-
-    def __iter__(self):
-        """(cutoff, the group's point indices, params restricted to them)
-        for each group in order; every parameter is a 1-D array of the
-        group's length, a fixed one repeated."""
-        for g, cutoff in enumerate(self.cutoffs):
-            idx = np.flatnonzero(self.group == g)
-            yield cutoff, idx, {
-                k: self.arrays[k][idx] if k in self.arrays else np.full(len(idx), float(v))
-                for k, v in self.params.items()
-            }
+    columns: dict
+    cutoff: CutoffColumn | None
 
     def point(self, i: int) -> dict:
         return {
@@ -166,21 +155,26 @@ class _Groups:
         }
 
 
-def _by_cutoff(q, params: Mapping, dim, tail_tol) -> _Groups:
-    """The points of params (see evaluate) grouped by
+def _points(q, params: Mapping, dim, tail_tol) -> _Points:
+    """The points of params (see evaluate), each at
     registry.truncation(q.cutoff, r, dim, tail_tol), one lookup per
     distinct r.  An r outside [0, SQUEEZE_LIMIT] is a ValueError."""
     from . import registry
 
     arrays = {k: np.asarray(v, dtype=float) for k, v in params.items() if np.ndim(v)}
     size = len(next(iter(arrays.values()))) if arrays else 1
+    columns = {k: arrays[k] if k in arrays else np.full(size, float(v)) for k, v in params.items()}
     r = np.broadcast_to(np.asarray(params.get("r", 0.0), dtype=float), (size,))
     outside = ~((r >= 0.0) & (r <= SQUEEZE_LIMIT))
     if np.any(outside):
         raise ValueError(f"r must lie in [0, {SQUEEZE_LIMIT}], got {r[outside][0]}")
-    (rs,), r_at = distinct(r)
-    cutoffs, group_of_r = _first_seen(registry.truncation(q.cutoff, x, dim, tail_tol) for x in rs)
-    return _Groups(params, arrays, cutoffs, group_of_r[r_at])
+    cutoff = None
+    if q.cutoff != "analytic":
+        (rs,), r_at = distinct(r)
+        truncs = [registry.truncation(q.cutoff, x, dim, tail_tol) for x in rs.tolist()]
+        dims = [t.dim for t in truncs]
+        cutoff = CutoffColumn(tuple(map(dims.__getitem__, r_at.tolist())), truncs[0].tail_tol)
+    return _Points(params, arrays, columns, cutoff)
 
 
 class Evaluation(NamedTuple):
@@ -202,44 +196,42 @@ def evaluate(
 
     params maps each parameter to a float, held fixed, or to a 1-D array
     with one entry per point; the arrays share one length.  An r outside
-    [0, SQUEEZE_LIMIT] is a ValueError before anything is evaluated.  The
-    points are grouped by registry.truncation(cutoff, r, dim, tail_tol),
-    and q.fn runs once per group with every parameter as an array over the
-    group's points and with two cutoffs, that cutoff and 1.5x it, and
-    returns one row for each; analytic quantities (cutoff None) take the
-    one cutoff None.  Each point must be finite, at both cutoffs, and move
-    by at most CONVERGENCE_TOL between them; the first point in order that
-    does not is named in the NumericalFailureError or ConvergenceError.
+    [0, SQUEEZE_LIMIT] is a ValueError before anything is evaluated.  Each
+    point's cutoff is registry.truncation(cutoff, r, dim, tail_tol), and
+    q.fn runs once, with every parameter as an array over the points and
+    with two CutoffColumns, the points' cutoffs and 1.5x them, and returns
+    one row for each; analytic quantities (cutoff None) take the one
+    cutoff None.  Each point must be finite, at both cutoffs, and move by
+    at most CONVERGENCE_TOL between them; the first point in order that
+    does not is named, with its own dims, in the NumericalFailureError or
+    ConvergenceError.
     """
     q = _resolve(quantity)
-    groups = _by_cutoff(q, params, dim, tail_tol)
-    v1 = np.empty(len(groups.group))
-    v2 = np.empty(len(groups.group))
-    for cutoff, idx, sub in groups:
-        rows = q.fn(*([cutoff] if cutoff is None else [cutoff, cutoff.scaled(1.5)]), **sub)
-        v1[idx], v2[idx] = rows[0], rows[-1]
+    points = _points(q, params, dim, tail_tol)
+    base = points.cutoff
+    cutoffs = [None] if base is None else [base, base.scaled(1.5)]
+    rows = np.array(q.fn(*cutoffs, **points.columns), dtype=float)
+    v1, v2 = rows[0], rows[-1]
     bad = ~(np.isfinite(v1) & np.isfinite(v2))
     if np.any(bad):
         i = int(np.flatnonzero(bad)[0])
-        base = groups.cutoffs[groups.group[i]]
         where = "" if base is None else (
-            f" at dim {base.dim} ({float(v1[i])!r}) or dim {base.scaled(1.5).dim}"
+            f" at dim {base.dims[i]} ({float(v1[i])!r}) or dim {cutoffs[1].dims[i]}"
         )
         raise NumericalFailureError(
-            f"{q.name} is not finite{where} ({float(v2[i])!r}) at {groups.point(i)}"
+            f"{q.name} is not finite{where} ({float(v2[i])!r}) at {points.point(i)}"
         )
     move = np.abs(v1 - v2)
     moved = move > CONVERGENCE_TOL
     if np.any(moved):
         i = int(np.flatnonzero(moved)[0])
-        base = groups.cutoffs[groups.group[i]]
         raise ConvergenceError(
             f"{q.name} moved by {move[i]:.3e} between "
-            f"dim {base.dim} and dim {base.scaled(1.5).dim} at {groups.point(i)}"
+            f"dim {base.dims[i]} and dim {cutoffs[1].dims[i]} at {points.point(i)}"
         )
     worst = int(np.argmax(move))
-    dims = sorted({b.dim for b in groups.cutoffs if b is not None})
-    return Evaluation(v1, dims, float(move[worst]), groups.point(worst))
+    dims = [] if base is None else sorted(set(base.dims))
+    return Evaluation(v1, dims, float(move[worst]), points.point(worst))
 
 
 def sweep(
@@ -257,7 +249,8 @@ def sweep(
     where dim and tail_tol are the user's overrides and None keeps the
     default.  Unknown or missing parameters are a ValueError before any
     evaluation.  Any row failing the convergence check aborts the sweep
-    with the offending parameters in the message.
+    with the offending parameters in the message.  The metadata's
+    "fixed" holds the parameters that are not swept.
     """
     q = _resolve(quantity)
     given = {**spec.fixed, **(second.fixed if second is not None else {})}
@@ -275,7 +268,7 @@ def sweep(
         "quantity": q.name,
         "convergence_tol": CONVERGENCE_TOL,
         "dims": result.dims if result.dims else "analytic",
-        "fixed": fixed,
+        "fixed": {k: v for k, v in fixed.items() if k not in swept},
         "max_move": result.max_move,
         "max_move_at": result.max_move_at,
     }
@@ -324,9 +317,9 @@ def objective(
 ) -> ArrayObjective:
     """A registered quantity (a name or a Quantity) as a function of its
     first variable, the others at fixed, which overrides q.defaults: each
-    array of points is one q.fn call per cutoff group
-    registry.truncation(q.cutoff, r, dim, tail_tol), at that one cutoff,
-    with no 1.5x recheck.  A fixed name the quantity does not take, or a
+    array of points is one q.fn call, each point at its own cutoff
+    registry.truncation(q.cutoff, r, dim, tail_tol), with no 1.5x
+    recheck.  A fixed name the quantity does not take, or a
     variable left without a value, is a ValueError here."""
     q = _resolve(quantity)
     var = q.variables[0]
@@ -334,10 +327,8 @@ def objective(
     params = {**q.defaults, **fixed}
 
     def values(xs: np.ndarray) -> np.ndarray:
-        out = np.empty(len(xs))
-        for cutoff, idx, sub in _by_cutoff(q, {**params, var: xs}, dim, tail_tol):
-            out[idx] = q.fn(cutoff, **sub)[0]
-        return out
+        points = _points(q, {**params, var: xs}, dim, tail_tol)
+        return np.array(q.fn(points.cutoff, **points.columns)[0], dtype=float)
 
     return ArrayObjective(values, q.name, var)
 

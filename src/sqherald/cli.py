@@ -10,6 +10,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from . import __version__, analysis, registry, verification
 from .analysis import ConvergenceError, NoCrossingError
 from .fockspace import NumericalFailureError, TruncationError
@@ -95,8 +97,15 @@ def _metadata_lines(metadata: dict) -> list[str]:
 def _render_csv(columns, rows, metadata) -> str:
     lines = _metadata_lines(metadata)
     lines.append(",".join(columns))
-    # tolist() gives Python floats, whose repr is _format_float's
-    lines.extend(",".join(map(repr, row)) for row in rows.tolist())
+    # each value of a column that is distinct to the bit (so -0.0 keeps its
+    # sign) is formatted once; tolist() gives Python floats, whose repr is
+    # _format_float's
+    rows = np.asarray(rows, dtype=float)
+    cells = np.empty(rows.shape, dtype=object)
+    for j, column in enumerate(rows.T):
+        bits, at = np.unique(column.view(np.int64), return_inverse=True)
+        cells[:, j] = np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)[at]
+    lines.extend(map(",".join, cells.tolist()))
     return "\n".join(lines) + "\n"
 
 

@@ -1,11 +1,13 @@
 """Fock cutoffs and the numerical rules shared by every layer.
 
 A :class:`Truncation` keeps photon-number levels ``0 .. dim-1`` and bounds
-the probability mass a state may leave above them; `default_truncation`
-picks the matrix cutoff for a squeezing r.  The module also holds the
-squeezing domain, the errors for lost mass and lost digits, the smallest
-normal float below which a probability counts as vanished, and the cached
-log-factorial table.  Everything in it is immutable and side-effect free.
+the probability mass a state may leave above them; a :class:`CutoffColumn`
+gives each point of a parameter column its own cutoff; and
+`default_truncation` picks the matrix cutoff for a squeezing r.  The
+module also holds the squeezing domain, the errors for lost mass and lost
+digits, the smallest normal float below which a probability counts as
+vanished, and the cached log-factorial table.  Everything in it is
+immutable and side-effect free.
 """
 from __future__ import annotations
 
@@ -65,6 +67,42 @@ class Truncation:
         when recomputed at 1.5x the cutoff.
         """
         return Truncation(dim=math.ceil(self.dim * factor), tail_tol=self.tail_tol)
+
+
+@dataclasses.dataclass(frozen=True)
+class CutoffColumn:
+    """One Fock cutoff per point of a parameter column: ``dims[i]`` levels
+    at point i, every point with the same ``tail_tol``.
+
+    ``dim`` is the largest dim, and ``scaled`` enlarges every dim as
+    ``Truncation.scaled`` does.
+    """
+
+    dims: tuple[int, ...]
+    tail_tol: float
+
+    @property
+    def dim(self) -> int:
+        return max(self.dims)
+
+    def scaled(self, factor: float) -> "CutoffColumn":
+        up = {d: math.ceil(d * factor) for d in set(self.dims)}
+        return CutoffColumn(tuple(up[d] for d in self.dims), self.tail_tol)
+
+    def take(self, points) -> "CutoffColumn":
+        """The cutoffs of the points at the integer indices `points`."""
+        return CutoffColumn(tuple(map(self.dims.__getitem__, np.asarray(points).tolist())),
+                            self.tail_tol)
+
+
+def cutoff_column(cutoff: "Truncation | CutoffColumn", size: int) -> CutoffColumn:
+    """cutoff as a CutoffColumn over size points; a Truncation holds at
+    every point."""
+    if isinstance(cutoff, Truncation):
+        return CutoffColumn((cutoff.dim,) * size, cutoff.tail_tol)
+    if len(cutoff.dims) != size:
+        raise ValueError(f"{len(cutoff.dims)} cutoffs for {size} points")
+    return cutoff
 
 
 @functools.lru_cache(maxsize=64)

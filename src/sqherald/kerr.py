@@ -9,30 +9,35 @@ around alpha = 10 would otherwise need hundreds of Fock levels.
 Production projects only onto the odd superposition with the label
 -alpha, whose pair indices n are all odd.  There each label overlap is
 exactly exp(-2|alpha|^2 sin^2(n delta/2) + i |alpha|^2 sin(n delta)) in
-the deviation delta = tau_tilde - pi.  p0_over_tau and the phase-noise
-average phase_ratio both run through one driver, `_branch_table`, which
-calls one kernel, `_odd_branch_probability`, on the cached nonzero pair
-terms of `_pair_series` (one weight row per r and cutoff), in blocks of
-at most KERNEL_BLOCK entries of the terms x nodes table.  Its cosines
-and sines come from `_cis`, a table-driven rotation (Cody & Waite 1980;
-Tang, ACM TOMS 15, 144 (1989)) that replaces the two libm calls of each
-of its two rotations with 28 vectorised multiply, add and gather
-passes; libm serves small tables and arguments beyond CIS_LIMIT.  The
-phase-noise average is a periodic trapezoid rule checked against itself
-at half the step, whose node at delta = 0 is also the reference
-probability of the ratio.  The overlap of any branch and label is the
-oracle in `reference`, on libm.
+the deviation delta = tau_tilde - pi.  Every point of p0_over_tau and
+of the phase-noise average phase_ratio carries its own cutoff, and so
+its own weight row: the cached nonzero pair terms of `_pair_series` at
+its r and cutoff.  One merged pass, `_row_blocks`, zero-pads the rows
+to the longest pair set and hands them to one kernel,
+`_odd_branch_probability`, as one weight matrix: p0 makes one call for
+all its points, phase_ratio one per sigma, and only sweeps whose weight
+matrix or value table would pass MERGE_BLOCK entries take more.  The
+kernel fills at most KERNEL_BLOCK entries of the terms x nodes table at
+a time.  Its cosines and sines come from `_cis`, a table-driven rotation
+(Cody & Waite 1980; Tang, ACM TOMS 15, 144 (1989)) that replaces the two
+libm calls of each of its two rotations with 28 vectorised multiply,
+add and gather passes; libm serves small tables and arguments beyond
+CIS_LIMIT.  The phase-noise average is a periodic trapezoid rule checked
+against itself at half the step, row by row, whose node at delta = 0 is
+also each row's reference probability.  The overlap of any branch and
+label is the oracle in `reference`, on libm.
 """
 from __future__ import annotations
 
 import cmath
 import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from . import sources
-from .fockspace import TINY, NumericalFailureError, Truncation
+from .fockspace import TINY, NumericalFailureError, Truncation, cutoff_column
 
 TWO_PI = 2.0 * math.pi
 
@@ -55,6 +60,12 @@ TRAPEZOID_MAX_NODES = 2**20
 # Entries of the terms x nodes table that the kernel holds at once, in
 # each of its eight work buffers (96 kB each, 768 kB in all).
 KERNEL_BLOCK = 3 * 2**12
+# Entries of the weight matrix, and of the rows x deviations value table,
+# that one kernel call of a merged pass holds (2 MB each), and the pair
+# terms of the series it keeps between its tail checks and its kernel
+# calls: longer sweeps take more calls and rebuild series, but need no
+# more memory.
+MERGE_BLOCK = 2**18
 
 # Table-driven rotation: x = k 2pi/CIS_TABLE + rho with k = rint(x
 # CIS_TABLE/2pi) and |rho| <= pi/CIS_TABLE.  2pi/CIS_TABLE is split into
@@ -104,54 +115,106 @@ def series_truncation(r: float, tail_tol: float = SERIES_TAIL_TOL) -> Truncation
     return Truncation(dim, tail_tol=SERIES_STATE_TOL)
 
 
-def p0_over_tau(taus: np.ndarray, r, alpha: complex, *truncs: Truncation) -> np.ndarray:
+def p0_over_tau(taus: np.ndarray, r, alpha: complex, *cutoffs) -> np.ndarray:
     """Probability of projecting the Kerr output onto the odd superposition
     branch |r; ->_1 |-alpha>_2, the herald that announces photon-pair
     generation, at each point (taus[i], r[i]) of the 1-D array taus
     (taken mod 2pi) and of r, a float or an array of the same length, with
-    one row per cutoff of truncs (default: the series cutoff of the
-    largest r).
+    one row per cutoff of cutoffs: each a Truncation, or a CutoffColumn
+    with one cutoff per point (default: the series cutoff of the largest
+    r).
 
-    The points share one _branch_table over the distinct |delta|: the
-    kernel is exactly even in delta.  At tau_tilde = pi every
-    label overlap is exactly 1, so the value is (sum_n g_n)^2, the branch
-    weight N_-(r)/4 up to the series tail, for every finite alpha; at r = 0
-    no pair term survives and the value is 0.
+    Every point reads its own (r, cutoff) weight row at its |delta| in
+    one _branch_values pass: the kernel is exactly even in delta.  At
+    tau_tilde = pi every label overlap is exactly 1, so the value is
+    (sum_n g_n)^2, the branch weight N_-(r)/4 up to the series tail, for
+    every finite alpha; at r = 0 no pair term survives and the value is 0.
     """
     _check_schedule(taus, alpha)
     r = np.broadcast_to(np.asarray(r, dtype=float), np.shape(taus))
     if not np.all(r >= 0.0):
         raise ValueError("squeezing must be nonnegative")
-    truncs = truncs or (series_truncation(float(np.max(r))),)
+    cutoffs = cutoffs or (series_truncation(float(np.max(r))),)
     deltas, col = np.unique(np.abs(np.mod(taus, TWO_PI) - math.pi), return_inverse=True)
-    rs, row = np.unique(r, return_inverse=True)
-    return _branch_table(deltas, rs, alpha, truncs)[:, row, col]
+    rows = _weight_rows(r, [cutoff_column(c, len(r)) for c in cutoffs])
+    return _branch_values(deltas, rows, alpha, np.broadcast_to(col, rows.row.shape))
 
 
-def _branch_table(deltas: np.ndarray, rs: np.ndarray, alpha: complex, truncs) -> np.ndarray:
-    """Odd-branch probabilities at each deviation of deltas for each
-    distinct r of rs at each cutoff of truncs, shape (cutoffs, rs,
-    deltas): one kernel call per distinct longest pair set, with one
-    weight row per r and cutoff (_padded).  Every r's series is built,
-    and tail-checked, at the first cutoff before any at the next."""
-    series = [[_pair_series(rj, -1, trunc) for rj in rs.tolist()] for trunc in truncs]
-    longest = [max((s[j][0] for s in series), key=len) for j in range(len(rs))]
-    rows_of: dict[bytes, list[int]] = {}
-    for j, n in enumerate(longest):
-        rows_of.setdefault(n.tobytes(), []).append(j)
-    table = np.empty((len(truncs), len(rs), len(deltas)))
-    for rows in rows_of.values():
-        n = longest[rows[0]]
-        weights = _padded([s[j][1] for s in series for j in rows], len(n))
-        values = _odd_branch_probability(deltas, n, weights, alpha)
-        table[:, rows] = values.reshape(len(truncs), len(rows), len(deltas))
-    return table
+class _WeightRows(NamedTuple):
+    """The distinct (r, Truncation) weight rows of a set of points.
+
+    keys holds each row's (r, Truncation); last its series' last pair
+    index (0 where no pair term survives); held its (n, g) series while
+    the rows so far fit in MERGE_BLOCK terms, None after; and row each
+    point's row at each cutoff, shape (cutoffs, points)."""
+
+    keys: list
+    last: np.ndarray
+    held: list
+    row: np.ndarray
+
+    def series(self, j: int) -> tuple[np.ndarray, np.ndarray]:
+        held = self.held[j]
+        return _pair_series(self.keys[j][0], -1, self.keys[j][1]) if held is None else held
+
+
+def _weight_rows(r: np.ndarray, columns) -> _WeightRows:
+    """The weight rows of the points r at every CutoffColumn of columns,
+    all of the first column's before any of the next, with every series
+    built and tail-checked in that order."""
+    index: dict = {}
+    row = np.empty((len(columns), len(r)), dtype=np.intp)
+    for k, column in enumerate(columns):
+        truncs = {d: Truncation(d, column.tail_tol) for d in set(column.dims)}
+        row[k] = [index.setdefault((x, truncs[d]), len(index))
+                  for x, d in zip(r.tolist(), column.dims)]
+    keys = list(index)
+    last = np.zeros(len(keys), dtype=np.intp)
+    held, terms = [], 0
+    for j, (x, trunc) in enumerate(keys):
+        n, g = _pair_series(x, -1, trunc)
+        last[j] = n[-1] if len(n) else 0
+        terms += len(n)
+        held.append((n, g) if terms <= MERGE_BLOCK else None)
+    return _WeightRows(keys, last, held, row)
+
+
+def _branch_values(deltas: np.ndarray, rows: _WeightRows, alpha: complex,
+                   col: np.ndarray) -> np.ndarray:
+    """Odd-branch probability of weight row rows.row[...] at deviation
+    deltas[col[...]], entry by entry: one kernel call per _row_blocks
+    block of rows, over the deviations its entries use."""
+    row = rows.row
+    out = np.empty(row.shape)
+    for block, n, weights in _row_blocks(rows, np.arange(len(rows.keys)), len(deltas)):
+        sel = (row >= block[0]) & (row <= block[-1])
+        cols, at = np.unique(col[sel], return_inverse=True)
+        table = _odd_branch_probability(deltas[cols], n, weights, alpha)
+        out[sel] = table[row[sel] - block[0], at]
+    return out
+
+
+def _row_blocks(rows: _WeightRows, which: np.ndarray, width: int):
+    """(block, pair indices, weight matrix) for consecutive blocks of the
+    weight rows `which`: per block as many rows as keep both the weight
+    matrix and a value table `width` wide within MERGE_BLOCK entries, and
+    at least one (every pair index is odd, so a row has at most (last +
+    1) // 2 terms).  Each block's series are padded with zeros to its
+    longest pair set (_padded)."""
+    terms = (int(rows.last[which].max()) + 1) // 2
+    per = max(1, MERGE_BLOCK // max(terms, width, 1))
+    for lo in range(0, len(which), per):
+        block = which[lo:lo + per]
+        series = [rows.series(j) for j in block.tolist()]
+        n = max((s[0] for s in series), key=len)
+        yield block, n, _padded([g for _, g in series], len(n))
 
 
 def _padded(rows, terms: int) -> np.ndarray:
     """Weight rows as one matrix over a pair set of `terms` terms, zeros
-    filling the rest of each row.  g_n does not depend on the cutoff, so
-    an r's series at a smaller cutoff is a prefix of its longer ones."""
+    filling the rest of each row.  Every pair set is the odd indices 1, 3,
+    5, ... up to where the weights underflow, so a shorter one is a prefix
+    of a longer one."""
     out = np.zeros((len(rows), terms))
     for w, g in zip(out, rows):
         w[:len(g)] = g
@@ -266,7 +329,19 @@ def _odd_branch_probability(
     """|sum_n g_n <alpha e^{-i n (pi + delta)} | -alpha>|^2 for each
     deviation delta, with every pair index n odd and g one real weight
     row (T,) or a matrix (R, T) of rows over the same n; the result has
-    shape (nodes,) or (R, nodes).
+    shape (nodes,) or (R, nodes).  The values come from
+    _odd_branch_blocks."""
+    out = np.empty(g.shape[:-1] + (len(deltas),))
+    for lo, values in _odd_branch_blocks(deltas, n, g, alpha):
+        out[..., lo:lo + values.shape[-1]] = values
+    return out
+
+
+def _odd_branch_blocks(deltas: np.ndarray, n: np.ndarray, g: np.ndarray, alpha: complex):
+    """_odd_branch_probability block by block of nodes: (index of the
+    block's first node, its values, shape (nodes,) or (R, nodes)), the
+    values a fresh array the caller may reuse, so no table of all nodes is
+    held.
 
     Then e^{-i n pi} = -1, so each overlap is exp(-2 a sin^2(n delta/2) +
     i a sin(n delta)) with a = |alpha|^2, and nothing cancels at delta = 0.
@@ -282,7 +357,8 @@ def _odd_branch_probability(
     a = abs(alpha) ** 2
     terms = len(n)
     if not terms:  # at r = 0 no pair term survives
-        return np.zeros(g.shape[:-1] + (len(deltas),))
+        yield 0, np.zeros(g.shape[:-1] + (len(deltas),))
+        return
     per_block = max(1, KERNEL_BLOCK // terms)
     size = terms * min(per_block, len(deltas))
     half_turn = phase_turn = _libm_cis
@@ -295,7 +371,6 @@ def _odd_branch_probability(
             phase_turn = _cis
     buffers = [np.empty(size) for _ in range(4)]
     halves = 0.5 * deltas
-    out = np.empty(g.shape[:-1] + (len(deltas),))
     for lo in range(0, len(deltas), per_block):
         d = halves[lo:lo + per_block]
         # contiguous leading views of the buffers, sized to the block
@@ -317,8 +392,8 @@ def _odd_branch_probability(
         y = g @ t.reshape(terms, len(d))
         np.square(x, out=x)
         np.square(y, out=y)
-        np.add(x, y, out=out[..., lo:lo + len(d)])
-    return out
+        x += y
+        yield lo, x
 
 
 def _trapezoid_rule(sigma: float, band: float) -> tuple[np.ndarray, np.ndarray]:
@@ -379,21 +454,25 @@ def _trapezoid_rule(sigma: float, band: float) -> tuple[np.ndarray, np.ndarray]:
     return deltas, weights
 
 
-def phase_ratio(sigmas: np.ndarray, r, alpha: complex, *truncs: Truncation) -> np.ndarray:
+def phase_ratio(sigmas: np.ndarray, r, alpha: complex, *cutoffs) -> np.ndarray:
     """Average of the ratio R(r, alpha, dtheta) of the herald probability
     at interaction phase pi + dtheta to its value at pi, over dtheta ~
     N(0, sigmas[i]^2), at each point (sigmas[i], r[i]) of the 1-D array
     sigmas and of r, a float or an array of the same length, with one row
-    per cutoff of truncs (default: the series cutoff of the largest r).
+    per cutoff of cutoffs: each a Truncation, or a CutoffColumn with one
+    cutoff per point (default: the series cutoff of the largest r).
 
-    Each point with sigma > 0 runs its trapezoid rule (banded by the
-    longest series) through one _branch_table, whose first node, delta =
-    0, is each cutoff's reference probability.  A reference below the
-    smallest normal float (r below about 2e-154, and r = 0) has lost its
-    digits, and the ratio with them: NumericalFailureError.  A rule that
-    disagrees with itself at twice the step by more than
-    TRAPEZOID_AGREEMENT raises QuadratureConvergenceError.  sigma = 0
-    reads exactly 1 and builds no series.
+    The points with sigma > 0 build and tail-check the series of their
+    (r, cutoff) weight rows, every first-cutoff row before any recheck
+    row.  Each distinct sigma, in ascending order, then runs one trapezoid
+    rule, banded by the longest series among its rows, through _row_blocks; the rule's first
+    node, delta = 0, is each row's reference probability.  A reference
+    below the smallest normal float (r below about 2e-154, and r = 0) has
+    lost its digits, and the ratio with them: NumericalFailureError.  A
+    row whose rule disagrees with itself at twice the step by more than
+    TRAPEZOID_AGREEMENT raises QuadratureConvergenceError.  Either error
+    names the row's own r, the first such row in order.  sigma = 0 reads
+    exactly 1 and builds no series.
     """
     if not np.all(np.isfinite(sigmas) & (sigmas >= 0.0)):
         raise ValueError("sigma must be finite and nonnegative")
@@ -401,25 +480,64 @@ def phase_ratio(sigmas: np.ndarray, r, alpha: complex, *truncs: Truncation) -> n
     r = np.broadcast_to(np.asarray(r, dtype=float), np.shape(sigmas))
     if not np.all(r >= 0.0):
         raise ValueError("squeezing must be nonnegative")
-    truncs = truncs or (series_truncation(float(np.max(r))),)
-    pad = (abs(alpha) + TRAPEZOID_BAND_PAD) ** 2
-    out = np.ones((len(truncs), len(sigmas)))
+    cutoffs = cutoffs or (series_truncation(float(np.max(r))),)
+    out = np.ones((len(cutoffs), len(sigmas)))
     live = np.flatnonzero(sigmas)
-    for i, ri, sigma in zip(live.tolist(), r[live].tolist(), sigmas[live].tolist()):
-        n = max((_pair_series(ri, -1, trunc)[0] for trunc in truncs), key=len)
-        deltas, weights = _trapezoid_rule(sigma, pad * float(n[-1] if len(n) else 0))
-        vals = _branch_table(deltas, r[i:i + 1], alpha, truncs)[:, 0]
-        ref = vals[:, 0]
-        if not np.all(ref >= TINY):  # a NaN reference fails too
-            raise NumericalFailureError(f"herald probability {ref.min():.3g} at tau_tilde = pi "
-                                        f"has lost its digits at r = {ri}, alpha = {alpha}")
-        vals = vals / ref[:, None]
-        out[:, i] = vals @ weights
-        gap = abs(2.0 * (vals[:, ::2] @ weights[::2]) - out[:, i]).max()
-        if gap > TRAPEZOID_AGREEMENT:
-            raise QuadratureConvergenceError(f"trapezoid steps h and h/2 disagree by {gap:.3g} > "
-                                             f"{TRAPEZOID_AGREEMENT} at r = {ri}, alpha = "
-                                             f"{alpha}, sigma = {sigma}")
+    if not len(live):
+        return out
+    columns = [cutoff_column(c, len(sigmas)).take(live) for c in cutoffs]
+    rows = _weight_rows(r[live], columns)
+    pad = (abs(alpha) + TRAPEZOID_BAND_PAD) ** 2
+    distinct, group = np.unique(sigmas[live], return_inverse=True)
+    for g, sigma in enumerate(distinct.tolist()):
+        points = np.flatnonzero(group == g)
+        # the rows these points read, in row order; a plain np.unique
+        # would import numpy.ma
+        mine = np.array(sorted(set(rows.row[:, points].ravel().tolist())))
+        deltas, weights = _trapezoid_rule(sigma, pad * float(rows.last[mine].max()))
+        ratios = _averaged_ratios(deltas, weights, rows, mine, alpha, sigma)
+        out[:, live[points]] = ratios[np.searchsorted(mine, rows.row[:, points])]
+    return out
+
+
+def _averaged_ratios(deltas, weights, rows: _WeightRows, which, alpha, sigma) -> np.ndarray:
+    """The trapezoid average (nodes deltas, weights) of the probability of
+    each weight row of `which` over its own value at delta = 0, one kernel
+    call per _row_blocks block, summed node block by node block as the
+    kernel yields them; the first row in order whose reference has lost
+    its digits, or whose rule disagrees with itself at twice the step,
+    raises."""
+    out = np.empty(len(which))
+    even = np.zeros(len(weights))
+    even[::2] = weights[::2]
+    done = 0
+    for block, n, g in _row_blocks(rows, which, len(deltas)):
+        for lo, vals in _odd_branch_blocks(deltas, n, g, alpha):
+            if not lo:
+                ref = vals[:, 0].copy()
+                lost = np.flatnonzero(~(ref >= TINY))  # a NaN reference fails too
+                good = int(lost[0]) if len(lost) else len(ref)
+                ratio = np.zeros(good)
+                coarse = np.zeros(good)  # half the rule at step h
+            vals = vals[:good]
+            vals /= ref[:good, None]
+            hi = lo + vals.shape[1]
+            ratio += vals @ weights[lo:hi]
+            coarse += vals @ even[lo:hi]
+        out[done:done + good] = ratio
+        gap = np.abs(2.0 * coarse - ratio)
+        failed = np.flatnonzero(gap > TRAPEZOID_AGREEMENT)
+        if len(failed):
+            j = int(failed[0])
+            raise QuadratureConvergenceError(f"trapezoid steps h and h/2 disagree by "
+                                             f"{gap[j]:.3g} > {TRAPEZOID_AGREEMENT} at r = "
+                                             f"{rows.keys[block[j]][0]}, alpha = {alpha}, "
+                                             f"sigma = {sigma}")
+        if len(lost):
+            raise NumericalFailureError(f"herald probability {ref[good]:.3g} at tau_tilde = pi "
+                                        f"has lost its digits at r = {rows.keys[block[good]][0]}, "
+                                        f"alpha = {alpha}")
+        done += len(block)
     return out
 
 

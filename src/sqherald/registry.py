@@ -16,7 +16,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import analysis, detect, kerr, optics, sources
-from .fockspace import DEFAULT_TAIL_TOL, Truncation, default_truncation
+from .fockspace import DEFAULT_TAIL_TOL, Truncation, cutoff_column, default_truncation
 
 
 @functools.lru_cache(maxsize=4096)
@@ -47,11 +47,12 @@ def truncation(
 
 @dataclasses.dataclass(frozen=True)
 class Quantity:
-    """A named computation fn(*cutoffs, **params): the first cutoff is
-    truncation(cutoff, r, ...), and analysis.evaluate adds its 1.5x
-    recheck.  fn takes every parameter as a 1-D float array over points,
-    all of one length, and returns one row per cutoff with one value per
-    point."""
+    """A named computation fn(*cutoffs, **params): fn takes every
+    parameter as a 1-D float array over points, all of one length, and
+    returns one row per cutoff with one value per point.  Each cutoff is a
+    CutoffColumn, one cutoff per point (a Truncation holds at every
+    point), or None for analytic quantities; analysis.evaluate passes
+    each point's truncation(cutoff, r, ...) and its 1.5x recheck."""
 
     name: str
     doc: str
@@ -65,9 +66,25 @@ class Quantity:
 
 
 def _each(body, **fixed):
-    """fn(*cutoffs, **params) of a body(cutoff, **params, **fixed) that
-    takes one cutoff: the body runs at each cutoff in turn."""
-    return lambda *cutoffs, **params: np.array([body(c, **params, **fixed) for c in cutoffs])
+    """fn(*cutoffs, **params) of a body(trunc, **params, **fixed) that
+    takes one Truncation (None for analytic bodies): the points are
+    grouped by their dims at every cutoff, in order of first appearance,
+    and the body runs on each group's points at each cutoff in turn."""
+    def fn(*cutoffs, **params):
+        if cutoffs == (None,):
+            return np.array([body(None, **params, **fixed)])
+        size = len(next(iter(params.values())))
+        columns = [cutoff_column(c, size) for c in cutoffs]
+        dims, group = analysis.distinct(*(c.dims for c in columns))
+        out = np.empty((len(columns), size))
+        for g, key in enumerate(zip(*(d.astype(int).tolist() for d in dims))):
+            idx = np.flatnonzero(group == g)
+            sub = {k: v[idx] for k, v in params.items()}
+            for row, c, dim in zip(out, columns, key):
+                row[idx] = body(Truncation(dim, c.tail_tol), **sub, **fixed)
+        return out
+
+    return fn
 
 
 def _p11(trunc, r, sign):
@@ -114,11 +131,12 @@ def _q_herald_yield_cat_minus(trunc, r):
 
 def _per_alpha(kernel, cutoffs, x, r, alpha):
     # one kernel(x, r, alpha, *cutoffs) call per distinct alpha, over all
-    # the (x, r) points that share it and every cutoff
+    # the (x, r) points that share it, each at its own cutoffs
+    columns = [cutoff_column(c, len(x)) for c in cutoffs]
     out = np.empty((len(cutoffs), len(x)))
     for a in dict.fromkeys(alpha.tolist()):
-        sel = alpha == a
-        out[:, sel] = kernel(x[sel], r[sel], a, *cutoffs)
+        sel = np.flatnonzero(alpha == a)
+        out[:, sel] = kernel(x[sel], r[sel], a, *(c.take(sel) for c in columns))
     return out
 
 
@@ -127,10 +145,13 @@ def _q_p0_cat_minus(*cutoffs, tau_tilde, r, alpha):
 
 
 def _q_p1_cat_minus(*cutoffs, tau_tilde, r, alpha):
-    # p0 times P(1,1) of the odd superposition, one row per distinct r
+    # p0 times P(1,1) of the odd superposition, one photon-number row per
+    # distinct r and cutoffs
     p0 = _q_p0_cat_minus(*cutoffs, tau_tilde=tau_tilde, r=r, alpha=alpha)
-    (rs,), at = analysis.distinct(r)
-    return np.array([_p11(c, rs, -1)[at] for c in cutoffs]) * p0
+    columns = [cutoff_column(c, len(r)) for c in cutoffs]
+    _, at = analysis.distinct(r, *(c.dims for c in columns))
+    first = np.unique(at, return_index=True)[1]
+    return _each(_p11, sign=-1)(*(c.take(first) for c in columns), r=r[first])[:, at] * p0
 
 
 def _q_phase_ratio(*cutoffs, sigma, r, alpha):

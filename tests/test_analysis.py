@@ -106,8 +106,9 @@ def test_convergence_check_passes_cutoff_independent_quantity():
     assert result.rows.shape == (1, 2)
 
 
-# r = 1.5 sits where the matrix default (160) and the series cutoff differ
-POLICY_R = 1.5
+# r = 1.5 sits where the matrix default (160) and the series cutoff
+# differ; r = 0.5 takes other defaults of both kinds
+POLICY_RS = (0.5, 1.5)
 DOCUMENTED_TAIL_TOLS = {"matrix": 1e-3, "series": 1e-9}
 
 
@@ -123,18 +124,25 @@ def test_every_quantity_runs_at_the_one_cutoff_policy(monkeypatch, name, dim, ta
 
     monkeypatch.setitem(registry.QUANTITIES, name, dataclasses.replace(q, fn=spy))
     fixed = {var: value for var, value in (("sigma", 1e-3), ("n", 1.0)) if var in q.variables}
-    spec = analysis.SweepSpec("r", POLICY_R, POLICY_R, 1, fixed)
+    spec = analysis.SweepSpec("r", *POLICY_RS, 2, fixed)
     analysis.sweep(spec, name, dim=dim, tail_tol=tail_tol)
-    expected = registry.truncation(q.cutoff, POLICY_R, dim, tail_tol)
+    expected = [registry.truncation(q.cutoff, r, dim, tail_tol) for r in POLICY_RS]
     if q.cutoff == "analytic":
-        assert expected is None
+        assert expected == [None, None]
         assert seen == [(None,)]
         return
-    assert seen == [(expected, expected.scaled(1.5))]
+    # one call, each point at its own cutoff and at its own 1.5x recheck
+    column = fs.CutoffColumn(tuple(t.dim for t in expected), expected[0].tail_tol)
+    assert seen == [(column, column.scaled(1.5))]
+    assert column.scaled(1.5).dims == tuple(t.scaled(1.5).dim for t in expected)
     # an override replaces only its own half of the documented default
     tier = kerr.series_truncation if q.cutoff == "series" else fs.default_truncation
-    assert expected.dim == (tier(POLICY_R).dim if dim is None else dim)
-    assert expected.tail_tol == (DOCUMENTED_TAIL_TOLS[q.cutoff] if tail_tol is None else tail_tol)
+    for r, trunc in zip(POLICY_RS, expected):
+        assert trunc.dim == (tier(r).dim if dim is None else dim)
+        assert trunc.tail_tol == (DOCUMENTED_TAIL_TOLS[q.cutoff] if tail_tol is None
+                                  else tail_tol)
+    if dim is None:
+        assert column.dims[0] < column.dims[1]
 
 
 def _outcome(fn):
@@ -194,9 +202,10 @@ def test_grouped_evaluation_matches_scalar_calls(name, data):
 
 def test_every_quantity_takes_equal_length_float_columns(monkeypatch):
     # the one calling convention of Quantity.fn: every parameter other
-    # than the cutoff is a 1-D float array, all of one length; verify
-    # reports a criterion's exception as a failure, so the spy records
-    # what it saw instead of raising
+    # than the cutoffs is a 1-D float array, all of one length, and every
+    # cutoff is None (analytic quantities, alone) or a CutoffColumn with
+    # one dim per point; verify reports a criterion's exception as a
+    # failure, so the spy records what it saw instead of raising
     seen, bad = set(), []
     for name, q in list(registry.QUANTITIES.items()):
         def spy(*cutoffs, _fn=q.fn, _name=name, **params):
@@ -205,6 +214,11 @@ def test_every_quantity_takes_equal_length_float_columns(monkeypatch):
             if not all(isinstance(v, np.ndarray) and v.ndim == 1 and v.dtype == float
                        for v in columns) or len({len(v) for v in columns}) != 1:
                 bad.append((_name, params))
+            elif cutoffs != (None,) and not all(
+                isinstance(c, fs.CutoffColumn) and len(c.dims) == len(columns[0])
+                for c in cutoffs
+            ):
+                bad.append((_name, cutoffs))
             return _fn(*cutoffs, **params)
 
         monkeypatch.setitem(registry.QUANTITIES, name, dataclasses.replace(q, fn=spy))
@@ -283,12 +297,13 @@ def test_probabilities_keep_their_invariants_across_the_domain(data):
 
 
 def test_evaluate_names_the_first_unconverged_point():
-    # the groups run in order of first appearance, dim 64 (r = 0.2, 0.7)
-    # before dim 160 (r = 1.5), but the error names the first point in
-    # order that moves with the cutoff
+    # above r = 0.5 each point reads its own dim, so r = 1.5 (dim 160) and
+    # r = 0.7 (dim 64) both move with the cutoff; the error names the first
+    # point in order that moves, with its own two dims
     quantity = registry.Quantity(
-        "drifting", "the cutoff's dim above r = 0.5",
-        lambda *cutoffs, r: np.array([np.where(r > 0.5, float(c.dim), 0.0) for c in cutoffs]),
+        "drifting", "each point's dim above r = 0.5",
+        lambda *cutoffs, r: np.array([np.where(r > 0.5, np.array(c.dims, dtype=float), 0.0)
+                                      for c in cutoffs]),
         ("r",), {},
     )
     with pytest.raises(analysis.ConvergenceError) as err:

@@ -364,6 +364,61 @@ def test_request_too_large_to_allocate_is_a_usage_error():
         assert "Traceback" not in err
 
 
+# a 10,000-point phase_ratio column: one sigma, 20,000 weight rows
+LONG_COLUMN = ["sweep", "--quantity", "phase_ratio", "--var", "r", "--lo", "0.05", "--hi", "2",
+               "--points", "10000", "--set", "sigma=0.004"]
+# with one BLAS thread the column runs in about 165 MB of address space;
+# a pass holding all its rows at once needs about 510 MB
+LONG_COLUMN_AS = 4 * 10**8
+
+
+def test_long_sweep_runs_in_bounded_memory():
+    # the merged kernel pass holds a bounded block of weight rows and
+    # values at a time, so the column's length does not set its memory; it
+    # exits 0, or 3 on one line, never with a traceback
+    src = str(Path(sqherald.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    script = OVERSIZED_SCRIPT.format(limit=LONG_COLUMN_AS)
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps([LONG_COLUMN])],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    [(code, err)] = json.loads(proc.stdout)
+    assert "Traceback" not in err
+    if code == cli.EXIT_USAGE:
+        assert err.startswith("invalid parameter: ") and err.count("\n") == 1, err
+    else:
+        assert code == cli.EXIT_OK, err
+
+
+def test_fixed_metadata_lists_only_what_is_not_swept(capsys):
+    # a swept variable with a registered default used to be listed at that
+    # default: tau_tilde in fig4a, r in fig5b, eta in fig9b
+    for name, fixed in (("fig4a", {"alpha": 10.0}), ("fig5b", {"alpha": 10.0}), ("fig9b", {})):
+        code, out, err = run_cli(capsys, "figure", name)
+        assert code == cli.EXIT_OK, err
+        meta, header, _ = parse_csv(out)
+        assert json.loads(meta["fixed"]) == fixed, name
+        assert not set(fixed) & set(header)
+    code, out, err = run_cli(capsys, "sweep", "--quantity", "phase_ratio", "--var", "r",
+                             "--lo", "0.5", "--hi", "1", "--points", "2", "--set", "sigma=0.3")
+    assert code == cli.EXIT_OK, err
+    assert json.loads(parse_csv(out)[0]["fixed"]) == {"alpha": 10.0, "sigma": 0.3}
+
+
+@pytest.mark.parametrize("name", [name for name in registry.FIGURES if name != "fig5b"])
+def test_csv_formats_each_value_as_its_repr(name):
+    # the renderer formats each distinct value of a column once; the text
+    # must be that of formatting every value
+    table = registry.figure(name).build()
+    metadata = {"figure": name, **table.metadata}
+    plain = cli._metadata_lines(metadata) + [",".join(table.columns)]
+    plain += [",".join(map(repr, row)) for row in table.rows.tolist()]
+    assert cli._render_csv(table.columns, table.rows, metadata) == "\n".join(plain) + "\n"
+    signed = np.array([[0.0, -0.0], [-0.0, 0.0], [1e-300, -1e-300]])
+    assert cli._render_csv(("a", "b"), signed, {}) == "a,b\n0.0,-0.0\n-0.0,0.0\n1e-300,-1e-300\n"
+
+
 @pytest.mark.parametrize("quantity", ("p0_cat_minus", "p1_cat_minus"))
 def test_kerr_probabilities_vanish_at_zero_squeezing(capsys, quantity):
     # every pair weight g_n vanishes at r = 0, so no pair term survives

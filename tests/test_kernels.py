@@ -209,10 +209,21 @@ def test_fig7a_groups_its_evaluations_by_cutoff(monkeypatch):
 
         monkeypatch.setitem(registry.QUANTITIES, name, dataclasses.replace(q, fn=counted))
 
-    # one call per cutoff of its r grid, which also runs its 1.5x recheck
+    kernel_cutoffs = []
+    clicks = detect.heralded_clicks
+
+    def counted_clicks(r, eta, trunc):
+        kernel_cutoffs.append(trunc)
+        return clicks(r, eta, trunc)
+
+    monkeypatch.setattr(detect, "heralded_clicks", counted_clicks)
+    # one call per quantity; the click kernel runs once per cutoff of its r
+    # grid and once per 1.5x recheck of it
     table = registry.figure("fig7a").build()
     rs = np.linspace(*registry.R_GRID_SURFACE)
     for name in table.columns[2:]:
-        cutoffs = {registry.truncation(registry.QUANTITIES[name].cutoff, float(r)) for r in rs}
-        assert 1 <= calls[name] <= len(cutoffs)
-    assert calls["pclick1_cat_minus"] == 2
+        assert calls[name] == 1
+    cutoffs = [registry.truncation("matrix", float(r)) for r in rs]
+    assert len(set(cutoffs)) == 2
+    expected = [c for base in dict.fromkeys(cutoffs) for c in (base, base.scaled(1.5))]
+    assert kernel_cutoffs == expected

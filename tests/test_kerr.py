@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from sqherald import analysis, kerr, reference, registry, sources
@@ -421,9 +421,13 @@ def test_kernel_is_exactly_even_in_delta(monkeypatch):
     assert np.array_equal(p0[same], p0[::-1][same])
 
 
-def test_grouped_p0_matches_one_call_per_r():
-    # one weight row per r: r = 1e-100 keeps a single pair term and 1e-7
-    # twelve, so each goes in its own kernel call; 0.725 and 2 share one
+def test_grouped_p0_matches_one_call_per_r(monkeypatch):
+    # one weight row per r, zero-padded to the longest pair set: r = 1e-100
+    # keeps a single pair term and 1e-7 twelve.  Padded, their rows fill a
+    # table large enough for _cis, while one r alone rotates by libm, which
+    # test_kernel_agrees_across_the_rotation_switch compares; the rotation
+    # is pinned here so the two paths differ only in how they sum
+    monkeypatch.setattr(kerr, "CIS_MIN_ENTRIES", 0)
     taus = np.linspace(*registry.TAU_GRID)
     rs = np.array([1e-100, 1e-7, 0.05, 0.725, 2.0])
     trunc = kerr.series_truncation(2.0)
@@ -471,30 +475,109 @@ def test_shared_pass_matches_one_pass_per_cutoff():
 
 def test_one_kernel_pass_serves_both_cutoffs(monkeypatch):
     calls = []
-    kernel = kerr._odd_branch_probability
+    kernel = kerr._odd_branch_blocks
 
     def spy(deltas, n, g, alpha):
         calls.append((len(deltas), g.shape))
         return kernel(deltas, n, g, alpha)
 
-    monkeypatch.setattr(kerr, "_odd_branch_probability", spy)
-    # one cutoff group (dim 64): r = 1e-100 keeps one pair term at both
-    # cutoffs, 0.05 and 0.725 share 24 at 1.5x, so one call per pair set
-    # and alpha, with a row per r and cutoff, over the 56 distinct |delta|
+    monkeypatch.setattr(kerr, "_odd_branch_blocks", spy)
+    # r = 1e-100 keeps one pair term at both cutoffs (dim 64 and 96), 0.05
+    # and 0.725 keep 24 at 1.5x: one call per alpha, a row per r and
+    # cutoff padded to the longest pair set, over the 56 distinct |delta|
     taus = np.linspace(*registry.TAU_GRID)
     tau_col, r_col = (c.ravel() for c in np.meshgrid(taus, [1e-100, 0.05, 0.725]))
     for name in ("p0_cat_minus", "p1_cat_minus"):
         calls.clear()
         analysis.evaluate(name, {"tau_tilde": np.tile(tau_col, 2), "r": np.tile(r_col, 2),
                                  "alpha": np.repeat([3.0, 10.0], len(tau_col))})
-        assert sorted(calls) == [(56, (2, 1)), (56, (2, 1)), (56, (4, 24)), (56, (4, 24))]
-    # phase_ratio: one call per point over its trapezoid grid, two rows;
-    # each reference is the grid's node at tau_tilde = pi, with no
-    # one-node call of its own
+        assert calls == [(56, (6, 24))] * 2
+    # the r column of fig5b, at its 24 distinct series cutoffs: the same
+    # one call per alpha, 80 rows
+    rs = np.linspace(*registry.R_GRID_SURFACE)
     calls.clear()
-    analysis.sweep(analysis.SweepSpec("sigma", 1e-3, 3e-3, 3, {"r": 0.7}), "phase_ratio")
-    assert [shape for _, shape in calls] == [(2, 24)] * 3
+    analysis.evaluate("p0_cat_minus", {"tau_tilde": math.pi, "r": rs, "alpha": 10.0})
+    assert len({kerr.series_truncation(r) for r in rs.tolist()}) == 24
+    assert [shape for _, shape in calls] == [(80, calls[0][1][1])]
+    # phase_ratio: one call per distinct (sigma, alpha) over one trapezoid
+    # grid, a row per r and cutoff; each reference is the grid's node at
+    # tau_tilde = pi, with no one-node call of its own
+    calls.clear()
+    sigmas = np.array([1e-3, 3e-3, 1e-3, 3e-3])
+    analysis.evaluate("phase_ratio", {"sigma": np.tile(sigmas, 2),
+                                      "r": np.tile([0.7, 0.7, 1.5, 1.5], 2),
+                                      "alpha": np.repeat([9.0, 10.0], 4)})
+    assert [shape[0] for _, shape in calls] == [4] * 4
     assert all(nodes > 1 for nodes, _ in calls)
+    calls.clear()
+    analysis.evaluate("phase_ratio", {"sigma": 4e-3, "r": rs, "alpha": 10.0})
+    assert [shape for _, shape in calls] == [(80, calls[0][1][1])]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    # most draws away from the tiny r whose reference has lost its digits
+    rs=st.lists(st.floats(0.05, 2.0) | st.floats(0.0, 2.0, exclude_min=True),
+                min_size=2, max_size=4),
+    sigma=st.floats(1e-4, 1e-2),
+    alpha=st.floats(1.0, 12.0),
+)
+def test_merged_phase_ratio_column_matches_one_point_calls(rs, sigma, alpha):
+    # one merged pass over an r column, each point at its own series cutoff
+    # and its own 1.5x recheck, on the trapezoid grid of the widest band,
+    # against one gaussian_averaged_ratio per point and cutoff on its own
+    rs = np.array(rs)
+    base = fs.CutoffColumn(tuple(kerr.series_truncation(r).dim for r in rs.tolist()),
+                           kerr.SERIES_STATE_TOL)
+    cutoffs = (base, base.scaled(1.5))
+    event(f"{len(set(base.dims))} distinct cutoffs")
+    try:
+        merged = kerr.phase_ratio(np.full(len(rs), sigma), rs, alpha, *cutoffs)
+    except fs.NumericalFailureError as exc:
+        # the reference of an r below about 2e-154 has lost its digits
+        event("lost digits")
+        lost = float(str(exc).split("at r = ")[1].split(",")[0])
+        assert lost in rs.tolist() and lost < 1e-150
+        with pytest.raises(fs.NumericalFailureError, match="lost its digits"):
+            kerr.gaussian_averaged_ratio(lost, alpha, sigma)
+        return
+    for column, row in zip(cutoffs, merged):
+        for r, dim, value in zip(rs.tolist(), column.dims, row.tolist()):
+            single = kerr.gaussian_averaged_ratio(r, alpha, sigma, dim, column.tail_tol)
+            assert abs(value - single) <= 1e-14, (r, dim)
+
+
+def test_column_names_the_point_whose_reference_lost_its_digits():
+    # r = 1e-160 inside a column: its tau_tilde = pi reference is subnormal
+    # while its neighbours are fine, and the refusal names its own r
+    for params in ({"r": np.array([0.5, 1e-160, 1.0]), "sigma": 0.1},
+                   {"r": np.array([0.5, 1e-160, 1.0]), "sigma": np.array([0.1, 0.2, 0.1])}):
+        with pytest.raises(fs.NumericalFailureError,
+                           match=r"lost its digits at r = 1e-160, alpha = 10.0$"):
+            analysis.evaluate("phase_ratio", {"alpha": 10.0, **params})
+    values = analysis.evaluate("phase_ratio", {"r": np.array([0.5, 1.0]), "sigma": 0.1,
+                                               "alpha": 10.0}).values
+    assert np.all((values > 0.0) & (values < 1.0))
+
+
+def test_merged_pass_working_set_is_bounded(monkeypatch):
+    # the weight rows and the value table of a merged pass are held
+    # MERGE_BLOCK entries at a time, so a longer column adds only its
+    # per-point bookkeeping, a few hundred bytes a point; a pass holding
+    # every row's weights and values at once adds about 8 kB a point here
+    monkeypatch.setattr(kerr, "MERGE_BLOCK", 2**12)
+    rs = np.linspace(0.05, 0.725, 480)
+    trunc = kerr.series_truncation(0.725)
+    kerr.phase_ratio(np.full(len(rs), 4e-3), rs, 10.0, trunc, trunc.scaled(1.5))
+    peaks = []
+    for size in (120, 480):
+        tracemalloc.start()
+        try:
+            kerr.phase_ratio(np.full(size, 4e-3), rs[:size], 10.0, trunc, trunc.scaled(1.5))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / 360 < 2_000
 
 
 def test_base_cutoff_fails_its_tail_check_before_the_recheck(monkeypatch):

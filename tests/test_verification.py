@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from sqherald import detect, kerr, optics, registry, verification
+from sqherald import fockspace as fs
 
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference" / "verify.txt"
 MARGIN = re.compile(r" \(margin ([^)]*)%\)")
@@ -136,7 +137,9 @@ def test_criterion_7_fits_the_gated_phase_ratio_column(monkeypatch):
     cfg = verification.VerifyConfig()
     assert verification.criterion_7(cfg).passed
     base = registry.truncation("series", 0.725, cfg.dim, cfg.tail_tol)
-    assert calls == [(base, base.scaled(1.5))] * 3
+    column = fs.CutoffColumn((base.dim,) * kerr.FIT_SAMPLES, base.tail_tol)
+    assert calls == [(column, column.scaled(1.5))] * 3
+    assert column.scaled(1.5).dims[0] == base.scaled(1.5).dim
     sigmas = np.linspace(0.0, kerr.FIT_SIGMA_MAX, kerr.FIT_SAMPLES)
     for alpha, rate in zip((9.0, 10.0, 11.0), rates, strict=True):
         one_cutoff = [kerr.gaussian_averaged_ratio(0.725, alpha, s, base.dim, base.tail_tol)
