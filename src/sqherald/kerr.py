@@ -15,17 +15,19 @@ its own weight row: the cached nonzero pair terms of `_pair_series` at
 its r and cutoff.  One merged pass, `_row_blocks`, zero-pads the rows
 to the longest pair set and hands them to one kernel,
 `_odd_branch_probability`, as one weight matrix: p0 makes one call for
-all its points, phase_ratio one per sigma, and only sweeps whose weight
-matrix or value table would pass MERGE_BLOCK entries take more.  The
-kernel fills at most KERNEL_BLOCK entries of the terms x nodes table at
-a time.  Its cosines and sines come from `_cis`, a table-driven rotation
+all its points, phase_ratio one per sigma.  Only a sweep whose weight
+matrix or value table would pass MERGE_BLOCK entries, or whose rows lie
+on both sides of the rotation switch below, takes more.  The kernel
+fills at most KERNEL_BLOCK entries of the terms x nodes table at a
+time.  Its cosines and sines come from `_cis`, a table-driven rotation
 (Cody & Waite 1980; Tang, ACM TOMS 15, 144 (1989)) that replaces the two
 libm calls of each of its two rotations with 28 vectorised multiply,
-add and gather passes; libm serves small tables and arguments beyond
-CIS_LIMIT.  The phase-noise average is a periodic trapezoid rule checked
-against itself at half the step, row by row, whose node at delta = 0 is
-also each row's reference probability.  The overlap of any branch and
-label is the oracle in `reference`, on libm.
+add and gather passes; libm serves rows whose own table is small, and
+arguments beyond CIS_LIMIT.  The phase-noise average is a periodic
+trapezoid rule checked against itself at half the step, row by row,
+whose node at delta = 0 is also each row's reference probability.
+The overlap of any branch and label is the oracle in `reference`, on
+libm.
 """
 from __future__ import annotations
 
@@ -61,19 +63,18 @@ TRAPEZOID_MAX_NODES = 2**20
 # each of its eight work buffers (96 kB each, 768 kB in all).
 KERNEL_BLOCK = 3 * 2**12
 # Entries of the weight matrix, and of the rows x deviations value table,
-# that one kernel call of a merged pass holds (2 MB each), and the pair
-# terms of the series it keeps between its tail checks and its kernel
-# calls: longer sweeps take more calls and rebuild series, but need no
-# more memory.
+# that one kernel call of a merged pass holds (2 MB each): longer sweeps
+# take more calls, but need no more memory.
 MERGE_BLOCK = 2**18
 
 # Table-driven rotation: x = k 2pi/CIS_TABLE + rho with k = rint(x
 # CIS_TABLE/2pi) and |rho| <= pi/CIS_TABLE.  2pi/CIS_TABLE is split into
 # three parts; the first two have at most 30 significant bits, so k times
 # each is exact for |k| < 2^23, which CIS_LIMIT keeps with room to spare.
-# Above it the kernel calls libm, as it does for tables of fewer than
-# CIS_MIN_ENTRIES entries, where the fixed cost of _cis's 28 ufunc calls
-# outweighs what they save per entry over libm.
+# Above it the kernel calls libm, as it does for weight rows whose own
+# table (pair terms times deviations) holds fewer than CIS_MIN_ENTRIES
+# entries, where the fixed cost of _cis's 28 ufunc calls outweighs what
+# they save per entry over libm.
 CIS_TABLE = 1024
 CIS_SPLIT = (0.006135923147667199, 3.875365543607508e-12, 2.0196027272633223e-21)
 CIS_LIMIT = 2**22 * TWO_PI / CIS_TABLE
@@ -144,18 +145,12 @@ class _WeightRows(NamedTuple):
     """The distinct (r, Truncation) weight rows of a set of points.
 
     keys holds each row's (r, Truncation); last its series' last pair
-    index (0 where no pair term survives); held its (n, g) series while
-    the rows so far fit in MERGE_BLOCK terms, None after; and row each
-    point's row at each cutoff, shape (cutoffs, points)."""
+    index (0 where no pair term survives); and row each point's row at
+    each cutoff, shape (cutoffs, points)."""
 
     keys: list
     last: np.ndarray
-    held: list
     row: np.ndarray
-
-    def series(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        held = self.held[j]
-        return _pair_series(self.keys[j][0], -1, self.keys[j][1]) if held is None else held
 
 
 def _weight_rows(r: np.ndarray, columns) -> _WeightRows:
@@ -170,44 +165,64 @@ def _weight_rows(r: np.ndarray, columns) -> _WeightRows:
                   for x, d in zip(r.tolist(), column.dims)]
     keys = list(index)
     last = np.zeros(len(keys), dtype=np.intp)
-    held, terms = [], 0
     for j, (x, trunc) in enumerate(keys):
-        n, g = _pair_series(x, -1, trunc)
+        n, _ = _pair_series(x, -1, trunc)
         last[j] = n[-1] if len(n) else 0
-        terms += len(n)
-        held.append((n, g) if terms <= MERGE_BLOCK else None)
-    return _WeightRows(keys, last, held, row)
+    return _WeightRows(keys, last, row)
 
 
 def _branch_values(deltas: np.ndarray, rows: _WeightRows, alpha: complex,
                    col: np.ndarray) -> np.ndarray:
     """Odd-branch probability of weight row rows.row[...] at deviation
     deltas[col[...]], entry by entry: one kernel call per _row_blocks
-    block of rows, over the deviations its entries use."""
+    block of rows, over the deviations its entries use.  Each row's
+    rotation is set by the deviations it reads itself."""
     row = rows.row
+    # each row's distinct deviations; a plain np.unique of integers would
+    # import numpy.ma
+    pairs = np.unique(row * len(deltas) + col, return_index=True)[0]
+    reads = np.bincount(pairs // len(deltas), minlength=len(rows.keys))
     out = np.empty(row.shape)
-    for block, n, weights in _row_blocks(rows, np.arange(len(rows.keys)), len(deltas)):
-        sel = (row >= block[0]) & (row <= block[-1])
-        cols, at = np.unique(col[sel], return_inverse=True)
-        table = _odd_branch_probability(deltas[cols], n, weights, alpha)
-        out[sel] = table[row[sel] - block[0], at]
+    slot = np.full(len(rows.keys), -1)
+    for at, n, weights, cis in _row_blocks(rows, np.arange(len(rows.keys)), len(deltas),
+                                             reads):
+        slot[:] = -1
+        slot[at] = np.arange(len(at))
+        sel = slot[row] >= 0
+        cols, node = np.unique(col[sel], return_inverse=True)
+        table = _odd_branch_probability(deltas[cols], n, weights, alpha, cis)
+        out[sel] = table[slot[row[sel]], node]
     return out
 
 
-def _row_blocks(rows: _WeightRows, which: np.ndarray, width: int):
-    """(block, pair indices, weight matrix) for consecutive blocks of the
-    weight rows `which`: per block as many rows as keep both the weight
-    matrix and a value table `width` wide within MERGE_BLOCK entries, and
-    at least one (every pair index is odd, so a row has at most (last +
-    1) // 2 terms).  Each block's series are padded with zeros to its
-    longest pair set (_padded)."""
-    terms = (int(rows.last[which].max()) + 1) // 2
-    per = max(1, MERGE_BLOCK // max(terms, width, 1))
-    for lo in range(0, len(which), per):
-        block = which[lo:lo + per]
-        series = [rows.series(j) for j in block.tolist()]
-        n = max((s[0] for s in series), key=len)
-        yield block, n, _padded([g for _, g in series], len(n))
+def _row_blocks(rows: _WeightRows, which: np.ndarray, width: int, reads=None):
+    """(positions in which, pair indices, weight matrix, cis) for blocks
+    of the weight rows `which`, with value tables `width` wide and each
+    row reading reads[row] of those deviations (default: all of them).
+
+    A row rotates by _cis (cis True) when its own table, its pair terms
+    times the deviations it reads, holds at least CIS_MIN_ENTRIES
+    entries, as a pass over that row alone would; the rows on either side
+    of that switch go in blocks of their own, so merging never changes a
+    row's rotation.  Each block holds, in order, as many rows of one side
+    as keep both the weight matrix and its value table within
+    MERGE_BLOCK entries, and at least one (every pair index is odd, so a
+    row has (last + 1) // 2 terms); its series are padded with zeros to
+    its longest pair set (_padded)."""
+    terms = (rows.last[which] + 1) // 2
+    reads = np.broadcast_to(width if reads is None else reads, len(rows.keys))[which]
+    fast = terms * reads >= CIS_MIN_ENTRIES
+    for cis in (False, True):
+        side = np.flatnonzero(fast == cis)
+        if not len(side):
+            continue
+        per = max(1, MERGE_BLOCK // max(int(terms[side].max()), width, 1))
+        for lo in range(0, len(side), per):
+            at = side[lo:lo + per]
+            keys = [rows.keys[j] for j in which[at].tolist()]
+            series = [_pair_series(x, -1, trunc) for x, trunc in keys]
+            n = max((s[0] for s in series), key=len)
+            yield at, n, _padded([g for _, g in series], len(n)), cis
 
 
 def _padded(rows, terms: int) -> np.ndarray:
@@ -324,7 +339,7 @@ def _libm_cis(x: np.ndarray, cos_out: np.ndarray, sin_out: np.ndarray, work) -> 
 
 
 def _odd_branch_probability(
-    deltas: np.ndarray, n: np.ndarray, g: np.ndarray, alpha: complex
+    deltas: np.ndarray, n: np.ndarray, g: np.ndarray, alpha: complex, cis: bool | None = None
 ) -> np.ndarray:
     """|sum_n g_n <alpha e^{-i n (pi + delta)} | -alpha>|^2 for each
     deviation delta, with every pair index n odd and g one real weight
@@ -332,12 +347,13 @@ def _odd_branch_probability(
     shape (nodes,) or (R, nodes).  The values come from
     _odd_branch_blocks."""
     out = np.empty(g.shape[:-1] + (len(deltas),))
-    for lo, values in _odd_branch_blocks(deltas, n, g, alpha):
+    for lo, values in _odd_branch_blocks(deltas, n, g, alpha, cis):
         out[..., lo:lo + values.shape[-1]] = values
     return out
 
 
-def _odd_branch_blocks(deltas: np.ndarray, n: np.ndarray, g: np.ndarray, alpha: complex):
+def _odd_branch_blocks(deltas: np.ndarray, n: np.ndarray, g: np.ndarray, alpha: complex,
+                       cis: bool | None = None):
     """_odd_branch_probability block by block of nodes: (index of the
     block's first node, its values, shape (nodes,) or (R, nodes)), the
     values a fresh array the caller may reuse, so no table of all nodes is
@@ -350,9 +366,9 @@ def _odd_branch_blocks(deltas: np.ndarray, n: np.ndarray, g: np.ndarray, alpha: 
     delta/2 gives sin(n delta) = 2 s c and sin^2(n delta/2) = s^2, and a
     second one rotates by the phase.  The modulus is exp(-a s^2)^2, so no
     product overflows where 2a does.  Every step is odd or even in delta,
-    so the result is exactly even in delta.  Tables of fewer than
-    CIS_MIN_ENTRIES entries, and arguments beyond CIS_LIMIT, rotate by
-    libm instead of _cis.
+    so the result is exactly even in delta.  cis False, and arguments
+    beyond CIS_LIMIT, rotate by libm instead of _cis; cis None takes
+    _cis for a table of at least CIS_MIN_ENTRIES entries.
     """
     a = abs(alpha) ** 2
     terms = len(n)
@@ -363,7 +379,9 @@ def _odd_branch_blocks(deltas: np.ndarray, n: np.ndarray, g: np.ndarray, alpha: 
     size = terms * min(per_block, len(deltas))
     half_turn = phase_turn = _libm_cis
     work = None
-    if terms * len(deltas) >= CIS_MIN_ENTRIES:
+    if cis is None:
+        cis = terms * len(deltas) >= CIS_MIN_ENTRIES
+    if cis:
         work = [np.empty(size) for _ in range(3)] + [np.empty(size, dtype=np.intp)]
         if n[-1] * np.max(np.abs(deltas)) <= 2.0 * CIS_LIMIT:
             half_turn = _cis
@@ -464,15 +482,18 @@ def phase_ratio(sigmas: np.ndarray, r, alpha: complex, *cutoffs) -> np.ndarray:
 
     The points with sigma > 0 build and tail-check the series of their
     (r, cutoff) weight rows, every first-cutoff row before any recheck
-    row.  Each distinct sigma, in ascending order, then runs one trapezoid
-    rule, banded by the longest series among its rows, through _row_blocks; the rule's first
-    node, delta = 0, is each row's reference probability.  A reference
-    below the smallest normal float (r below about 2e-154, and r = 0) has
-    lost its digits, and the ratio with them: NumericalFailureError.  A
-    row whose rule disagrees with itself at twice the step by more than
-    TRAPEZOID_AGREEMENT raises QuadratureConvergenceError.  Either error
-    names the row's own r, the first such row in order.  sigma = 0 reads
-    exactly 1 and builds no series.
+    row.  Each distinct sigma, in order of first appearance, then runs
+    one trapezoid rule, banded by the longest series among its rows,
+    through _row_blocks; the rule's first node, delta = 0, is each row's
+    reference probability.  A reference below the smallest normal float
+    (r below about 2e-154, and r = 0) has lost its digits, and the ratio
+    with them: NumericalFailureError.  A row whose rule disagrees with
+    itself at twice the step by more than TRAPEZOID_AGREEMENT raises
+    QuadratureConvergenceError.  So a failing series raises first; then,
+    sigma by sigma, a rule too large to run, or the first of its rows
+    (first-cutoff rows before recheck rows, each in point order) that
+    fails either check, named by its own r.  sigma = 0 reads exactly 1
+    and builds no series.
     """
     if not np.all(np.isfinite(sigmas) & (sigmas >= 0.0)):
         raise ValueError("sigma must be finite and nonnegative")
@@ -488,12 +509,13 @@ def phase_ratio(sigmas: np.ndarray, r, alpha: complex, *cutoffs) -> np.ndarray:
     columns = [cutoff_column(c, len(sigmas)).take(live) for c in cutoffs]
     rows = _weight_rows(r[live], columns)
     pad = (abs(alpha) + TRAPEZOID_BAND_PAD) ** 2
-    distinct, group = np.unique(sigmas[live], return_inverse=True)
-    for g, sigma in enumerate(distinct.tolist()):
+    distinct, first, group = np.unique(sigmas[live], return_index=True, return_inverse=True)
+    for g in np.argsort(first).tolist():
         points = np.flatnonzero(group == g)
         # the rows these points read, in row order; a plain np.unique
         # would import numpy.ma
         mine = np.array(sorted(set(rows.row[:, points].ravel().tolist())))
+        sigma = float(distinct[g])
         deltas, weights = _trapezoid_rule(sigma, pad * float(rows.last[mine].max()))
         ratios = _averaged_ratios(deltas, weights, rows, mine, alpha, sigma)
         out[:, live[points]] = ratios[np.searchsorted(mine, rows.row[:, points])]
@@ -504,40 +526,40 @@ def _averaged_ratios(deltas, weights, rows: _WeightRows, which, alpha, sigma) ->
     """The trapezoid average (nodes deltas, weights) of the probability of
     each weight row of `which` over its own value at delta = 0, one kernel
     call per _row_blocks block, summed node block by node block as the
-    kernel yields them; the first row in order whose reference has lost
+    kernel yields them; the first row of `which` whose reference has lost
     its digits, or whose rule disagrees with itself at twice the step,
     raises."""
     out = np.empty(len(which))
+    gap = np.empty(len(which))
+    ref = np.empty(len(which))
     even = np.zeros(len(weights))
     even[::2] = weights[::2]
-    done = 0
-    for block, n, g in _row_blocks(rows, which, len(deltas)):
-        for lo, vals in _odd_branch_blocks(deltas, n, g, alpha):
+    for at, n, g, cis in _row_blocks(rows, which, len(deltas)):
+        for lo, vals in _odd_branch_blocks(deltas, n, g, alpha, cis):
             if not lo:
-                ref = vals[:, 0].copy()
-                lost = np.flatnonzero(~(ref >= TINY))  # a NaN reference fails too
-                good = int(lost[0]) if len(lost) else len(ref)
-                ratio = np.zeros(good)
-                coarse = np.zeros(good)  # half the rule at step h
-            vals = vals[:good]
-            vals /= ref[:good, None]
+                ref[at] = vals[:, 0]
+                # a row that lost its reference (a NaN one too) is divided
+                # by 1 and refused below
+                scale = np.where(vals[:, 0] >= TINY, vals[:, 0], 1.0)[:, None]
+                ratio = np.zeros(len(at))
+                coarse = np.zeros(len(at))  # half the rule at step h
+            vals /= scale
             hi = lo + vals.shape[1]
             ratio += vals @ weights[lo:hi]
             coarse += vals @ even[lo:hi]
-        out[done:done + good] = ratio
-        gap = np.abs(2.0 * coarse - ratio)
-        failed = np.flatnonzero(gap > TRAPEZOID_AGREEMENT)
-        if len(failed):
-            j = int(failed[0])
-            raise QuadratureConvergenceError(f"trapezoid steps h and h/2 disagree by "
-                                             f"{gap[j]:.3g} > {TRAPEZOID_AGREEMENT} at r = "
-                                             f"{rows.keys[block[j]][0]}, alpha = {alpha}, "
-                                             f"sigma = {sigma}")
-        if len(lost):
-            raise NumericalFailureError(f"herald probability {ref[good]:.3g} at tau_tilde = pi "
-                                        f"has lost its digits at r = {rows.keys[block[good]][0]}, "
-                                        f"alpha = {alpha}")
-        done += len(block)
+        out[at] = ratio
+        gap[at] = np.abs(2.0 * coarse - ratio)
+    lost = ~(ref >= TINY)
+    failed = np.flatnonzero(lost | (gap > TRAPEZOID_AGREEMENT))
+    if len(failed):
+        j = int(failed[0])
+        r = rows.keys[which[j]][0]
+        if lost[j]:
+            raise NumericalFailureError(f"herald probability {ref[j]:.3g} at tau_tilde = pi "
+                                        f"has lost its digits at r = {r}, alpha = {alpha}")
+        raise QuadratureConvergenceError(f"trapezoid steps h and h/2 disagree by "
+                                         f"{gap[j]:.3g} > {TRAPEZOID_AGREEMENT} at r = {r}, "
+                                         f"alpha = {alpha}, sigma = {sigma}")
     return out
 
 

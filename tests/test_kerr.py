@@ -132,10 +132,11 @@ def test_p0_sweep_builds_the_series_once():
     analysis.sweep(spec, "p0_cat_minus")
     series_after = kerr._pair_series.cache_info()
     cutoff_after = kerr.series_truncation.cache_info()
-    # one build at the working cutoff and one at 1.5x, each read once by
-    # a grouped call over all 9 taus
+    # one build at the working cutoff and one at 1.5x, each tail-checked
+    # when the weight rows are collected and read once more, from the
+    # cache, by the one kernel call over all 9 taus
     assert series_after.misses - series.misses == 2
-    assert series_after.hits - series.hits == 0
+    assert series_after.hits - series.hits == 2
     assert cutoff_after.misses - cutoff.misses == 1
 
 
@@ -423,23 +424,24 @@ def test_kernel_is_exactly_even_in_delta(monkeypatch):
 
 def test_grouped_p0_matches_one_call_per_r(monkeypatch):
     # one weight row per r, zero-padded to the longest pair set: r = 1e-100
-    # keeps a single pair term and 1e-7 twelve.  Padded, their rows fill a
-    # table large enough for _cis, while one r alone rotates by libm, which
-    # test_kernel_agrees_across_the_rotation_switch compares; the rotation
-    # is pinned here so the two paths differ only in how they sum
-    monkeypatch.setattr(kerr, "CIS_MIN_ENTRIES", 0)
+    # keeps a single pair term and 1e-7 twelve.  Each row rotates as it
+    # would alone, by libm for 1e-100 to 0.05 and by _cis for 0.725 and 2,
+    # however large the padded table, so the two paths differ only in how
+    # they sum; with the rotation pinned to _cis the same holds
     taus = np.linspace(*registry.TAU_GRID)
     rs = np.array([1e-100, 1e-7, 0.05, 0.725, 2.0])
     trunc = kerr.series_truncation(2.0)
     tau_col, r_col = (c.ravel() for c in np.meshgrid(taus, rs))
-    for alpha in (3.0, 10.0):
-        grouped = kerr.p0_over_tau(tau_col, r_col, alpha, trunc).reshape(len(rs), len(taus))
-        via_registry = registry.QUANTITIES["p0_cat_minus"].fn(
-            trunc, tau_tilde=tau_col, r=r_col, alpha=np.full(len(tau_col), alpha))
-        assert np.array_equal(via_registry, grouped.reshape(1, -1))
-        for r, row in zip(rs, grouped):
-            single = kerr.p0_over_tau(taus, r, alpha, trunc)[0]
-            assert np.all(np.abs(row - single) <= 1e-13 * single)
+    for floor in (kerr.CIS_MIN_ENTRIES, 0):
+        monkeypatch.setattr(kerr, "CIS_MIN_ENTRIES", floor)
+        for alpha in (3.0, 10.0):
+            grouped = kerr.p0_over_tau(tau_col, r_col, alpha, trunc).reshape(len(rs), len(taus))
+            via_registry = registry.QUANTITIES["p0_cat_minus"].fn(
+                trunc, tau_tilde=tau_col, r=r_col, alpha=np.full(len(tau_col), alpha))
+            assert np.array_equal(via_registry, grouped.reshape(1, -1))
+            for r, row in zip(rs, grouped):
+                single = kerr.p0_over_tau(taus, r, alpha, trunc)[0]
+                assert np.all(np.abs(row - single) <= 1e-13 * single), (floor, r)
     assert len(kerr._pair_series(1e-100, -1, trunc)[0]) == 1
 
 
@@ -477,41 +479,48 @@ def test_one_kernel_pass_serves_both_cutoffs(monkeypatch):
     calls = []
     kernel = kerr._odd_branch_blocks
 
-    def spy(deltas, n, g, alpha):
-        calls.append((len(deltas), g.shape))
-        return kernel(deltas, n, g, alpha)
+    def spy(deltas, n, g, alpha, cis=None):
+        calls.append((len(deltas), g.shape, cis))
+        return kernel(deltas, n, g, alpha, cis)
 
     monkeypatch.setattr(kerr, "_odd_branch_blocks", spy)
     # r = 1e-100 keeps one pair term at both cutoffs (dim 64 and 96), 0.05
     # and 0.725 keep 24 at 1.5x: one call per alpha, a row per r and
-    # cutoff padded to the longest pair set, over the 56 distinct |delta|
+    # cutoff padded to the longest pair set, over the 56 distinct |delta|,
+    # every row's own table below CIS_MIN_ENTRIES
     taus = np.linspace(*registry.TAU_GRID)
     tau_col, r_col = (c.ravel() for c in np.meshgrid(taus, [1e-100, 0.05, 0.725]))
     for name in ("p0_cat_minus", "p1_cat_minus"):
         calls.clear()
         analysis.evaluate(name, {"tau_tilde": np.tile(tau_col, 2), "r": np.tile(r_col, 2),
                                  "alpha": np.repeat([3.0, 10.0], len(tau_col))})
-        assert calls == [(56, (6, 24))] * 2
+        assert calls == [(56, (6, 24), False)] * 2
     # the r column of fig5b, at its 24 distinct series cutoffs: the same
     # one call per alpha, 80 rows
     rs = np.linspace(*registry.R_GRID_SURFACE)
     calls.clear()
     analysis.evaluate("p0_cat_minus", {"tau_tilde": math.pi, "r": rs, "alpha": 10.0})
     assert len({kerr.series_truncation(r) for r in rs.tolist()}) == 24
-    assert [shape for _, shape in calls] == [(80, calls[0][1][1])]
+    assert [(shape, cis) for _, shape, cis in calls] == [((80, calls[0][1][1]), False)]
     # phase_ratio: one call per distinct (sigma, alpha) over one trapezoid
-    # grid, a row per r and cutoff; each reference is the grid's node at
-    # tau_tilde = pi, with no one-node call of its own
+    # grid, a row per r and cutoff, and a second only where its rows lie
+    # on both sides of the rotation switch; each reference is the grid's
+    # node at tau_tilde = pi, with no one-node call of its own
     calls.clear()
     sigmas = np.array([1e-3, 3e-3, 1e-3, 3e-3])
     analysis.evaluate("phase_ratio", {"sigma": np.tile(sigmas, 2),
                                       "r": np.tile([0.7, 0.7, 1.5, 1.5], 2),
                                       "alpha": np.repeat([9.0, 10.0], 4)})
-    assert [shape[0] for _, shape in calls] == [4] * 4
-    assert all(nodes > 1 for nodes, _ in calls)
+    passes: dict = {}
+    for nodes, shape, cis in calls:
+        passes.setdefault(nodes, []).append((shape[0], cis))
+    # r = 0.7 keeps 16 and 24 pair terms, 1.5 keeps 58 and 88; a row rotates
+    # by _cis where its own terms times the grid's nodes reach 4,096
+    assert passes == {111: [(2, False), (2, True)], 255: [(1, False), (3, True)],
+                      123: [(2, False), (2, True)], 293: [(4, True)]}
     calls.clear()
     analysis.evaluate("phase_ratio", {"sigma": 4e-3, "r": rs, "alpha": 10.0})
-    assert [shape for _, shape in calls] == [(80, calls[0][1][1])]
+    assert [(shape, cis) for _, shape, cis in calls] == [((80, calls[0][1][1]), True)]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -558,6 +567,22 @@ def test_column_names_the_point_whose_reference_lost_its_digits():
     values = analysis.evaluate("phase_ratio", {"r": np.array([0.5, 1.0]), "sigma": 0.1,
                                                "alpha": 10.0}).values
     assert np.all((values > 0.0) & (values < 1.0))
+
+
+def test_column_with_two_failing_points_names_the_first_in_order():
+    # the sigmas run in order of first appearance: at alpha = 60 the rule
+    # of sigma = 1 at r = 2 is too large to run, while r = 1e-160 at sigma
+    # = 0.5 loses its reference; whichever point comes first is refused
+    oversized = (kerr.QuadratureConvergenceError, r"more than 1048576 .*sigma = 1\.0\)$")
+    lost = (fs.NumericalFailureError, r"lost its digits at r = 1e-160, alpha = 60.0$")
+    for order, (error, match) in (([0, 1], oversized), ([1, 0], lost)):
+        params = {"sigma": np.array([1.0, 0.5])[order], "r": np.array([2.0, 1e-160])[order]}
+        with pytest.raises(error, match=match):
+            analysis.evaluate("phase_ratio", {"alpha": 60.0, **params})
+    # two rows of one sigma that lose their reference: the first is named
+    with pytest.raises(fs.NumericalFailureError, match=r"at r = 1e-200, alpha = 10.0$"):
+        analysis.evaluate("phase_ratio", {"alpha": 10.0, "sigma": 0.1,
+                                          "r": np.array([0.5, 1e-200, 1e-160])})
 
 
 def test_merged_pass_working_set_is_bounded(monkeypatch):
