@@ -11,13 +11,14 @@ Production projects only onto the odd superposition with the label
 exactly exp(-2|alpha|^2 sin^2(n delta/2) + i |alpha|^2 sin(n delta)) in
 the deviation delta = tau_tilde - pi.  Every point of p0_over_tau and
 of the phase-noise average phase_ratio carries its own cutoff, and so
-its own weight row: the cached nonzero pair terms of `_pair_series` at
-its r and cutoff.  One merged pass, `_row_blocks`, zero-pads the rows
-to the longest pair set and hands them to one kernel,
-`_odd_branch_probability`, as one weight matrix: p0 makes one call for
-all its points, phase_ratio one per sigma.  Only a sweep whose weight
-matrix or value table would pass MERGE_BLOCK entries, or whose rows lie
-on both sides of the rotation switch below, takes more.  The kernel
+its own weight row: the odd-branch weights g_1, g_3, ... of
+`_odd_series` at its r and cutoff, which `_weight_rows` builds once
+and holds.  A shorter row is a prefix of a longer one, so one merged
+pass, `_row_blocks`, zero-pads the rows to the longest and hands them to
+one kernel, `_odd_branch_probability`, as one weight matrix: p0 makes
+one call for all its points, phase_ratio one per sigma.  Only a sweep
+whose weight matrix or value table would pass MERGE_BLOCK entries, or
+whose rows lie on both sides of the rotation switch below, takes more.  The kernel
 fills at most KERNEL_BLOCK entries of the terms x nodes table at a
 time.  Its cosines and sines come from `_cis`, a table-driven rotation
 (Cody & Waite 1980; Tang, ACM TOMS 15, 144 (1989)) that replaces the two
@@ -131,44 +132,47 @@ def p0_over_tau(taus: np.ndarray, r, alpha: complex, *cutoffs) -> np.ndarray:
     (sum_n g_n)^2, the branch weight N_-(r)/4 up to the series tail, for
     every finite alpha; at r = 0 no pair term survives and the value is 0.
     """
+    r, columns = _points(taus, r, alpha, cutoffs)
+    deltas, col = np.unique(np.abs(np.mod(taus, TWO_PI) - math.pi), return_inverse=True)
+    rows = _weight_rows(r, columns)
+    return _branch_values(deltas, rows, alpha, np.broadcast_to(col, rows.row.shape))
+
+
+def _points(taus: np.ndarray, r, alpha: complex, cutoffs):
+    """(r, columns) of points at the interaction phases taus: the phases
+    and the pump checked, r broadcast to one value per point and refused
+    below 0, and one CutoffColumn over the points per cutoff of cutoffs
+    (default: the series cutoff of the largest r)."""
     _check_schedule(taus, alpha)
     r = np.broadcast_to(np.asarray(r, dtype=float), np.shape(taus))
     if not np.all(r >= 0.0):
         raise ValueError("squeezing must be nonnegative")
     cutoffs = cutoffs or (series_truncation(float(np.max(r))),)
-    deltas, col = np.unique(np.abs(np.mod(taus, TWO_PI) - math.pi), return_inverse=True)
-    rows = _weight_rows(r, [cutoff_column(c, len(r)) for c in cutoffs])
-    return _branch_values(deltas, rows, alpha, np.broadcast_to(col, rows.row.shape))
+    return r, [cutoff_column(c, len(r)) for c in cutoffs]
 
 
 class _WeightRows(NamedTuple):
-    """The distinct (r, Truncation) weight rows of a set of points.
+    """The distinct weight rows of a set of points.
 
-    keys holds each row's (r, Truncation); last its series' last pair
-    index (0 where no pair term survives); and row each point's row at
-    each cutoff, shape (cutoffs, points)."""
+    keys holds each row's (r, dim, tail_tol); weights its series,
+    _odd_series(*key); and row each point's row at each cutoff, shape
+    (cutoffs, points)."""
 
     keys: list
-    last: np.ndarray
+    weights: list
     row: np.ndarray
 
 
 def _weight_rows(r: np.ndarray, columns) -> _WeightRows:
     """The weight rows of the points r at every CutoffColumn of columns,
     all of the first column's before any of the next, with every series
-    built and tail-checked in that order."""
+    built and tail-checked once, in that order."""
     index: dict = {}
     row = np.empty((len(columns), len(r)), dtype=np.intp)
     for k, column in enumerate(columns):
-        truncs = {d: Truncation(d, column.tail_tol) for d in set(column.dims)}
-        row[k] = [index.setdefault((x, truncs[d]), len(index))
+        row[k] = [index.setdefault((x, d, column.tail_tol), len(index))
                   for x, d in zip(r.tolist(), column.dims)]
-    keys = list(index)
-    last = np.zeros(len(keys), dtype=np.intp)
-    for j, (x, trunc) in enumerate(keys):
-        n, _ = _pair_series(x, -1, trunc)
-        last[j] = n[-1] if len(n) else 0
-    return _WeightRows(keys, last, row)
+    return _WeightRows(list(index), [_odd_series(*key) for key in index], row)
 
 
 def _branch_values(deltas: np.ndarray, rows: _WeightRows, alpha: complex,
@@ -184,34 +188,31 @@ def _branch_values(deltas: np.ndarray, rows: _WeightRows, alpha: complex,
     reads = np.bincount(pairs // len(deltas), minlength=len(rows.keys))
     out = np.empty(row.shape)
     slot = np.full(len(rows.keys), -1)
-    for at, n, weights, cis in _row_blocks(rows, np.arange(len(rows.keys)), len(deltas),
-                                             reads):
+    for at, weights, cis in _row_blocks(rows.weights, len(deltas), reads):
         slot[:] = -1
         slot[at] = np.arange(len(at))
         sel = slot[row] >= 0
         cols, node = np.unique(col[sel], return_inverse=True)
-        table = _odd_branch_probability(deltas[cols], n, weights, alpha, cis)
+        table = _odd_branch_probability(deltas[cols], weights, alpha, cis)
         out[sel] = table[slot[row[sel]], node]
     return out
 
 
-def _row_blocks(rows: _WeightRows, which: np.ndarray, width: int, reads=None):
-    """(positions in which, pair indices, weight matrix, cis) for blocks
-    of the weight rows `which`, with value tables `width` wide and each
-    row reading reads[row] of those deviations (default: all of them).
+def _row_blocks(weights: list, width: int, reads=None):
+    """(positions in weights, weight matrix, cis) for blocks of the held
+    weight rows `weights`, with value tables `width` wide and each row
+    reading reads[row] of those deviations (default: all of them).
 
-    A row rotates by _cis (cis True) when its own table, its pair terms
-    times the deviations it reads, holds at least CIS_MIN_ENTRIES
-    entries, as a pass over that row alone would; the rows on either side
-    of that switch go in blocks of their own, so merging never changes a
-    row's rotation.  Each block holds, in order, as many rows of one side
-    as keep both the weight matrix and its value table within
-    MERGE_BLOCK entries, and at least one (every pair index is odd, so a
-    row has (last + 1) // 2 terms); its series are padded with zeros to
-    its longest pair set (_padded)."""
-    terms = (rows.last[which] + 1) // 2
-    reads = np.broadcast_to(width if reads is None else reads, len(rows.keys))[which]
-    fast = terms * reads >= CIS_MIN_ENTRIES
+    A row rotates by _cis (cis True) when its own table, its terms times
+    the deviations it reads, holds at least CIS_MIN_ENTRIES entries, as a
+    pass over that row alone would; the rows on either side of that
+    switch go in blocks of their own, so merging never changes a row's
+    rotation.  Each block holds, in order, as many rows of one side as
+    keep both the weight matrix and its value table within MERGE_BLOCK
+    entries, and at least one; its rows are padded with zeros to the
+    longest, of which each is a prefix."""
+    terms = np.array([len(g) for g in weights], dtype=np.intp)
+    fast = terms * (width if reads is None else reads) >= CIS_MIN_ENTRIES
     for cis in (False, True):
         side = np.flatnonzero(fast == cis)
         if not len(side):
@@ -219,41 +220,30 @@ def _row_blocks(rows: _WeightRows, which: np.ndarray, width: int, reads=None):
         per = max(1, MERGE_BLOCK // max(int(terms[side].max()), width, 1))
         for lo in range(0, len(side), per):
             at = side[lo:lo + per]
-            keys = [rows.keys[j] for j in which[at].tolist()]
-            series = [_pair_series(x, -1, trunc) for x, trunc in keys]
-            n = max((s[0] for s in series), key=len)
-            yield at, n, _padded([g for _, g in series], len(n)), cis
-
-
-def _padded(rows, terms: int) -> np.ndarray:
-    """Weight rows as one matrix over a pair set of `terms` terms, zeros
-    filling the rest of each row.  Every pair set is the odd indices 1, 3,
-    5, ... up to where the weights underflow, so a shorter one is a prefix
-    of a longer one."""
-    out = np.zeros((len(rows), terms))
-    for w, g in zip(out, rows):
-        w[:len(g)] = g
-    return out
+            block = np.zeros((len(at), int(terms[at].max())))
+            for w, j in zip(block, at.tolist()):
+                w[:terms[j]] = weights[j]
+            yield at, block, cis
 
 
 @functools.lru_cache(maxsize=256)
-def _pair_series(r: float, sign: int, trunc: Truncation) -> tuple[np.ndarray, np.ndarray]:
-    """Nonzero terms of the label series: pair indices n and real weights
-    g_n = conj(c_n) d_{2n} of squeezed vacuum c against the sign
-    superposition d.
+def _odd_series(r: float, dim: int, tail_tol: float) -> np.ndarray:
+    """Read-only weights g_n, n = 1, 3, 5, ..., of the label series at r,
+    cut at dim with tail tolerance tail_tol: g_n = conj(c_n) d_{2n} of
+    squeezed vacuum c against the odd superposition d.
 
     Both amplitudes are real and carry the same sign (-1)^n, so g_n is
-    the product of their magnitudes.  The superposition keeps every other
-    pair level, so half the weights are exact zeros; only exact zeros are
-    dropped.  Small tail terms stay, so the 1.5x-cutoff recheck still
+    the product of their magnitudes.  d keeps only odd n; the odd weights
+    fall with n, and the trailing ones that underflow to exact zeros are
+    trimmed (all of them at r = 0), so a shorter series is a prefix of a
+    longer one.  Small tail terms stay, so the 1.5x-cutoff recheck still
     compares two different series.
     """
-    g = sources.pair_amplitudes(r, None, trunc) * sources.pair_amplitudes(r, sign, trunc)
-    n = np.flatnonzero(g)
-    g = g[n]
-    n.setflags(write=False)
+    trunc = Truncation(dim, tail_tol)
+    g = sources.pair_amplitudes(r, None, trunc) * sources.pair_amplitudes(r, -1, trunc)
+    g = np.trim_zeros(g[1::2], "b").copy()
     g.setflags(write=False)
-    return n, g
+    return g
 
 
 def _cis_table() -> tuple[np.ndarray, np.ndarray]:
@@ -339,20 +329,20 @@ def _libm_cis(x: np.ndarray, cos_out: np.ndarray, sin_out: np.ndarray, work) -> 
 
 
 def _odd_branch_probability(
-    deltas: np.ndarray, n: np.ndarray, g: np.ndarray, alpha: complex, cis: bool | None = None
+    deltas: np.ndarray, g: np.ndarray, alpha: complex, cis: bool | None = None
 ) -> np.ndarray:
     """|sum_n g_n <alpha e^{-i n (pi + delta)} | -alpha>|^2 for each
-    deviation delta, with every pair index n odd and g one real weight
-    row (T,) or a matrix (R, T) of rows over the same n; the result has
-    shape (nodes,) or (R, nodes).  The values come from
+    deviation delta, with g one real weight row (T,) or a matrix (R, T)
+    of rows over the odd pair indices n = 1, 3, ..., 2T - 1; the result
+    has shape (nodes,) or (R, nodes).  The values come from
     _odd_branch_blocks."""
     out = np.empty(g.shape[:-1] + (len(deltas),))
-    for lo, values in _odd_branch_blocks(deltas, n, g, alpha, cis):
+    for lo, values in _odd_branch_blocks(deltas, g, alpha, cis):
         out[..., lo:lo + values.shape[-1]] = values
     return out
 
 
-def _odd_branch_blocks(deltas: np.ndarray, n: np.ndarray, g: np.ndarray, alpha: complex,
+def _odd_branch_blocks(deltas: np.ndarray, g: np.ndarray, alpha: complex,
                        cis: bool | None = None):
     """_odd_branch_probability block by block of nodes: (index of the
     block's first node, its values, shape (nodes,) or (R, nodes)), the
@@ -361,7 +351,7 @@ def _odd_branch_blocks(deltas: np.ndarray, n: np.ndarray, g: np.ndarray, alpha: 
 
     Then e^{-i n pi} = -1, so each overlap is exp(-2 a sin^2(n delta/2) +
     i a sin(n delta)) with a = |alpha|^2, and nothing cancels at delta = 0.
-    The terms x nodes table is evaluated in place, KERNEL_BLOCK // len(n)
+    The terms x nodes table is evaluated in place, KERNEL_BLOCK // T
     nodes at a time, in buffers reused across blocks: one rotation by n
     delta/2 gives sin(n delta) = 2 s c and sin^2(n delta/2) = s^2, and a
     second one rotates by the phase.  The modulus is exp(-a s^2)^2, so no
@@ -371,10 +361,11 @@ def _odd_branch_blocks(deltas: np.ndarray, n: np.ndarray, g: np.ndarray, alpha: 
     _cis for a table of at least CIS_MIN_ENTRIES entries.
     """
     a = abs(alpha) ** 2
-    terms = len(n)
+    terms = g.shape[-1]
     if not terms:  # at r = 0 no pair term survives
         yield 0, np.zeros(g.shape[:-1] + (len(deltas),))
         return
+    n = np.arange(1, 2 * terms, 2)
     per_block = max(1, KERNEL_BLOCK // terms)
     size = terms * min(per_block, len(deltas))
     half_turn = phase_turn = _libm_cis
@@ -497,17 +488,13 @@ def phase_ratio(sigmas: np.ndarray, r, alpha: complex, *cutoffs) -> np.ndarray:
     """
     if not np.all(np.isfinite(sigmas) & (sigmas >= 0.0)):
         raise ValueError("sigma must be finite and nonnegative")
-    _check_schedule(math.pi, alpha)  # the noise is centred on tau_tilde = pi
-    r = np.broadcast_to(np.asarray(r, dtype=float), np.shape(sigmas))
-    if not np.all(r >= 0.0):
-        raise ValueError("squeezing must be nonnegative")
-    cutoffs = cutoffs or (series_truncation(float(np.max(r))),)
-    out = np.ones((len(cutoffs), len(sigmas)))
+    # the noise is centred on tau_tilde = pi
+    r, columns = _points(np.full(np.shape(sigmas), math.pi), r, alpha, cutoffs)
+    out = np.ones((len(columns), len(sigmas)))
     live = np.flatnonzero(sigmas)
     if not len(live):
         return out
-    columns = [cutoff_column(c, len(sigmas)).take(live) for c in cutoffs]
-    rows = _weight_rows(r[live], columns)
+    rows = _weight_rows(r[live], [c.take(live) for c in columns])
     pad = (abs(alpha) + TRAPEZOID_BAND_PAD) ** 2
     distinct, first, group = np.unique(sigmas[live], return_index=True, return_inverse=True)
     for g in np.argsort(first).tolist():
@@ -516,7 +503,8 @@ def phase_ratio(sigmas: np.ndarray, r, alpha: complex, *cutoffs) -> np.ndarray:
         # would import numpy.ma
         mine = np.array(sorted(set(rows.row[:, points].ravel().tolist())))
         sigma = float(distinct[g])
-        deltas, weights = _trapezoid_rule(sigma, pad * float(rows.last[mine].max()))
+        last = 2 * max(len(rows.weights[j]) for j in mine.tolist()) - 1
+        deltas, weights = _trapezoid_rule(sigma, pad * float(max(last, 0)))
         ratios = _averaged_ratios(deltas, weights, rows, mine, alpha, sigma)
         out[:, live[points]] = ratios[np.searchsorted(mine, rows.row[:, points])]
     return out
@@ -534,8 +522,8 @@ def _averaged_ratios(deltas, weights, rows: _WeightRows, which, alpha, sigma) ->
     ref = np.empty(len(which))
     even = np.zeros(len(weights))
     even[::2] = weights[::2]
-    for at, n, g, cis in _row_blocks(rows, which, len(deltas)):
-        for lo, vals in _odd_branch_blocks(deltas, n, g, alpha, cis):
+    for at, g, cis in _row_blocks([rows.weights[j] for j in which.tolist()], len(deltas)):
+        for lo, vals in _odd_branch_blocks(deltas, g, alpha, cis):
             if not lo:
                 ref[at] = vals[:, 0]
                 # a row that lost its reference (a NaN one too) is divided

@@ -629,8 +629,16 @@ def p0_over_tau(
         trunc = kerr.series_truncation(r)
     if label is None:
         label = -alpha if sign < 0 else alpha
-    n, g = kerr._pair_series(r, sign, trunc)
+    n, g = _pair_series(r, sign, trunc)
     return _overlap_probability(np.mod(taus, kerr.TWO_PI), n, g, alpha, label)
+
+
+def _pair_series(r: float, sign: int, trunc: Truncation) -> tuple[np.ndarray, np.ndarray]:
+    """Pair indices n and weights g_n = conj(c_n) d_{2n}, the product of
+    their magnitudes, of the nonzero label-series terms on the sign branch."""
+    g = sources.pair_amplitudes(r, None, trunc) * sources.pair_amplitudes(r, sign, trunc)
+    n = np.flatnonzero(g)
+    return n, g[n]
 
 
 def _overlap_probability(
@@ -659,14 +667,14 @@ def _odd_ratio(
     tail_tol: float = kerr.SERIES_STATE_TOL,
 ) -> np.ndarray:
     """The general overlap at interaction phases pi + dthetas, over its
-    own value at pi, on the odd-branch series of kerr._pair_series at
+    own value at pi, on the odd-branch series of _pair_series at
     cutoff dim (default: the series cutoff), with its own refusal of a
     reference that has lost its digits."""
     kerr._check_schedule(dthetas, alpha)
     if not r >= 0.0:
         raise ValueError("squeezing must be nonnegative")
     trunc = Truncation(kerr.series_truncation(r).dim if dim is None else dim, tail_tol)
-    n, g = kerr._pair_series(r, -1, trunc)
+    n, g = _pair_series(r, -1, trunc)
     ref = _overlap_probability(np.array([math.pi]), n, g, alpha, -alpha)[0]
     if not ref >= TINY:  # a NaN reference fails too
         raise NumericalFailureError(f"herald probability {ref:.3g} at tau_tilde = pi has lost "

@@ -106,38 +106,83 @@ def test_p0_matches_state_path_oracle():
                 assert abs(kernel - state_path_p0(sched, r, sign, label)) < 1e-12
 
 
+def _odd_series(r, trunc):
+    """The production odd-branch weights at r and trunc, with their pair
+    indices 1, 3, 5, ..."""
+    g = kerr._odd_series(r, trunc.dim, trunc.tail_tol)
+    return np.arange(1, 2 * len(g), 2), g
+
+
 def test_pair_series_drops_exactly_the_zero_terms():
     for r in (0.725, 2.0):
         trunc = kerr.series_truncation(r)
         levels = 2 * np.arange((trunc.dim + 1) // 2)
         base = reference.squeezed_vacuum(r, trunc).amps[levels]
+        dense = {}
         for sign in (-1, +1):
             full = (np.conj(base) * reference.squeezed_cat(r, sign, trunc).amps[levels]).real
-            n, g = kerr._pair_series(r, sign, trunc)
+            n, g = reference._pair_series(r, sign, trunc)
             assert np.array_equal(n, np.flatnonzero(full))
             assert np.array_equal(g, full[n])
             assert np.all(n % 2 == (1 if sign < 0 else 0))
-            assert not (n.flags.writeable or g.flags.writeable)
+            dense[sign] = full
+        # production keeps the odd entries of the odd branch, whose even
+        # entries are exact zeros, trimmed after the last nonzero one
+        odd = dense[-1][1::2]
+        g = kerr._odd_series(r, trunc.dim, trunc.tail_tol)
+        assert not np.any(dense[-1][::2])
+        assert np.array_equal(g, odd[:len(g)])
+        assert g[-1] != 0.0 and not np.any(odd[len(g):])
+        assert not g.flags.writeable
         # negligible tail terms are kept, so the 1.5x recheck compares two
         # different series
-        wider, _ = kerr._pair_series(r, -1, trunc.scaled(1.5))
-        assert len(wider) > len(kerr._pair_series(r, -1, trunc)[0])
+        wider = trunc.scaled(1.5)
+        assert len(kerr._odd_series(r, wider.dim, wider.tail_tol)) > len(g)
 
 
 def test_p0_sweep_builds_the_series_once():
     r = 0.8125
-    series = kerr._pair_series.cache_info()
+    series = kerr._odd_series.cache_info()
     cutoff = kerr.series_truncation.cache_info()
     spec = analysis.SweepSpec("tau_tilde", 0.0, 2.0 * math.pi, 9, {"r": r})
     analysis.sweep(spec, "p0_cat_minus")
-    series_after = kerr._pair_series.cache_info()
+    series_after = kerr._odd_series.cache_info()
     cutoff_after = kerr.series_truncation.cache_info()
     # one build at the working cutoff and one at 1.5x, each tail-checked
-    # when the weight rows are collected and read once more, from the
-    # cache, by the one kernel call over all 9 taus
+    # when the weight rows are collected and held for the one kernel call
+    # over all 9 taus
     assert series_after.misses - series.misses == 2
-    assert series_after.hits - series.hits == 2
+    assert series_after.hits - series.hits == 0
     assert cutoff_after.misses - cutoff.misses == 1
+
+
+def test_column_past_the_series_cache_builds_each_series_once(monkeypatch):
+    # 200 r at their series cutoffs and 1.5x: 400 distinct weight rows,
+    # more than the 256 the series cache holds, each built once
+    kerr._odd_series.cache_clear()
+    builds = []
+    pair_amplitudes = sources.pair_amplitudes
+
+    def spy(r, sign, trunc):
+        if sign is None:
+            builds.append((r, trunc.dim))
+        return pair_amplitudes(r, sign, trunc)
+
+    monkeypatch.setattr(sources, "pair_amplitudes", spy)
+    rs = 0.3 + np.arange(200) / 331.0
+    analysis.evaluate("phase_ratio", {"sigma": 4e-3, "r": rs, "alpha": 10.0})
+    assert len(builds) == len(set(builds)) == 400
+
+
+def test_oracles_build_their_own_series(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the oracle read the production series")
+
+    monkeypatch.setattr(kerr, "_odd_series", refuse)
+    p0 = reference.p0_over_tau(IDEAL, 0.725, 10.0)[0]
+    assert abs(p0 - P0_IDEAL) <= 1e-15 * P0_IDEAL
+    assert reference.phase_error_ratio(0.725, 10.0, 0.004) == pytest.approx(
+        0.9285167292647223, abs=1e-10)
 
 
 def test_half_hermite_rule_equals_full_symmetric_rule():
@@ -145,7 +190,7 @@ def test_half_hermite_rule_equals_full_symmetric_rule():
     for order in (64, 128, 256, 512, 1024):
         nodes, weights = scipy.special.roots_hermite(order)
         for r in (0.725, 2.0):
-            n, g = kerr._pair_series(r, -1, kerr.series_truncation(r))
+            n, g = reference._pair_series(r, -1, kerr.series_truncation(r))
             ref = reference._overlap_probability(IDEAL, n, g, alpha, -alpha)[0]
             for sigma in (1e-3, 4e-3):
                 taus = math.pi + math.sqrt(2.0) * sigma * nodes
@@ -274,14 +319,14 @@ def test_p0_at_ideal_phase_equals_branch_weight():
 def test_p0_at_ideal_phase_is_exact_for_any_pump(alpha):
     # every label overlap is exactly 1 at tau_tilde = pi; a kernel in tau
     # itself multiplies the rounding of n tau by |alpha|^2
-    n, g = kerr._pair_series(0.725, -1, kerr.series_truncation(0.725))
+    _, g = _odd_series(0.725, kerr.series_truncation(0.725))
     assert abs(float(np.sum(g)) ** 2 - P0_IDEAL) <= 1e-15 * P0_IDEAL
     assert abs(kerr.p0_over_tau(IDEAL, 0.725, alpha)[0, 0] - P0_IDEAL) <= 1e-15 * P0_IDEAL
 
 
 def _fig5b_window(r, trunc, alpha):
     """The fine trapezoid nodes of the widest fig5b sigma at r and trunc."""
-    n, g = kerr._pair_series(r, -1, trunc)
+    n, g = _odd_series(r, trunc)
     band = (abs(alpha) + kerr.TRAPEZOID_BAND_PAD) ** 2 * float(n[-1])
     return kerr._trapezoid_rule(registry.SIGMA_GRID[1], band)[0], n, g
 
@@ -291,8 +336,8 @@ def test_odd_branch_kernel_matches_the_general_overlap():
     for alpha in (10.0, 3.0 + 1.0j):
         for r in (0.05, 0.725, 2.0):
             trunc = kerr.series_truncation(r)
-            n, g = kerr._pair_series(r, -1, trunc)
-            kernel = kerr._odd_branch_probability(taus - math.pi, n, g, alpha)
+            n, g = _odd_series(r, trunc)
+            kernel = kerr._odd_branch_probability(taus - math.pi, g, alpha)
             oracle = reference._overlap_probability(taus, n, g, alpha, -alpha)
             # far from pi the value falls to 1e-97 and is ill-conditioned in
             # tau (about |alpha|^2 n tau eps relative), so the fig4a grid is
@@ -300,7 +345,7 @@ def test_odd_branch_kernel_matches_the_general_overlap():
             assert np.max(np.abs(kernel - oracle)) <= 1e-12 * oracle.max()
             for cut in (trunc, trunc.scaled(1.5)):
                 deltas, n, g = _fig5b_window(r, cut, alpha)
-                kernel = kerr._odd_branch_probability(deltas, n, g, alpha)
+                kernel = kerr._odd_branch_probability(deltas, g, alpha)
                 oracle = reference._overlap_probability(math.pi + deltas, n, g, alpha, -alpha)
                 assert np.all(np.abs(kernel - oracle) <= 1e-12 * oracle)
 
@@ -311,10 +356,10 @@ def test_kernel_blocks_do_not_change_the_values(monkeypatch):
     deltas, n, g = _fig5b_window(2.0, kerr.series_truncation(2.0), 10.0)
     assert len(deltas) % 3
     monkeypatch.setattr(kerr, "KERNEL_BLOCK", len(n) * len(deltas))
-    whole = kerr._odd_branch_probability(deltas, n, g, 10.0)
+    whole = kerr._odd_branch_probability(deltas, g, 10.0)
     for block in (1, 3 * len(n)):
         monkeypatch.setattr(kerr, "KERNEL_BLOCK", block)
-        blocked = kerr._odd_branch_probability(deltas, n, g, 10.0)
+        blocked = kerr._odd_branch_probability(deltas, g, 10.0)
         # the row sums of a block may round in another order
         assert np.all(np.abs(blocked - whole) <= 1e-14 * whole)
 
@@ -374,17 +419,16 @@ def test_kernel_hands_large_or_small_work_to_libm(monkeypatch):
     at_limit = math.sqrt(kerr.CIS_LIMIT)
     for alpha, rotations in ((0.999 * at_limit, 2), (1.001 * at_limit, 1)):
         seen.clear()
-        kerr._odd_branch_probability(deltas, n, g, alpha)
+        kerr._odd_branch_probability(deltas, g, alpha)
         assert len(seen) == rotations * blocks
         assert max(seen) <= kerr.CIS_LIMIT
     small = deltas[:(kerr.CIS_MIN_ENTRIES - 1) // len(n)]
     seen.clear()
-    kerr._odd_branch_probability(small, n, g, 10.0)
+    kerr._odd_branch_probability(small, g, 10.0)
     assert not seen
     # half angles n delta/2 past the limit, from pair indices up to 32,769
-    wide = np.arange(1, 32770, 2)
     seen.clear()
-    kerr._odd_branch_probability(np.array([3.0]), wide, np.full(len(wide), 1e-3), 10.0)
+    kerr._odd_branch_probability(np.array([3.0]), np.full(16385, 1e-3), 10.0)
     assert len(seen) == 1 and max(seen) <= 100.0
 
 
@@ -396,8 +440,8 @@ def test_kernel_agrees_across_the_rotation_switch(monkeypatch):
         values = {}
         for floor in (0, 10**18):
             monkeypatch.setattr(kerr, "CIS_MIN_ENTRIES", floor)
-            values[floor] = (kerr._odd_branch_probability(deltas, n, g, 10.0),
-                             kerr._odd_branch_probability(taus - math.pi, n, g, 10.0))
+            values[floor] = (kerr._odd_branch_probability(deltas, g, 10.0),
+                             kerr._odd_branch_probability(taus - math.pi, g, 10.0))
         (window, grid), (libm_window, libm_grid) = values.values()
         assert np.all(np.abs(window - libm_window) <= 1e-13 * libm_window)
         assert np.max(np.abs(grid - libm_grid)) <= 1e-15 * libm_grid.max()
@@ -406,12 +450,12 @@ def test_kernel_agrees_across_the_rotation_switch(monkeypatch):
 def test_kernel_is_exactly_even_in_delta(monkeypatch):
     # the evenness that lets p0_over_tau evaluate each |delta| once
     taus = np.linspace(*registry.TAU_GRID)
-    n, g = kerr._pair_series(2.0, -1, kerr.series_truncation(2.0))
+    _, g = _odd_series(2.0, kerr.series_truncation(2.0))
     for floor in (0, 10**18):
         monkeypatch.setattr(kerr, "CIS_MIN_ENTRIES", floor)
         deltas = taus - math.pi
-        assert np.array_equal(kerr._odd_branch_probability(-deltas, n, g, 10.0),
-                              kerr._odd_branch_probability(deltas, n, g, 10.0))
+        assert np.array_equal(kerr._odd_branch_probability(-deltas, g, 10.0),
+                              kerr._odd_branch_probability(deltas, g, 10.0))
     monkeypatch.undo()
     # fig4a's grid: nodes i and 80 - i lie at tau and 2pi - tau; where
     # their |delta| round alike (25 of 40 pairs) the values are identical
@@ -442,7 +486,7 @@ def test_grouped_p0_matches_one_call_per_r(monkeypatch):
             for r, row in zip(rs, grouped):
                 single = kerr.p0_over_tau(taus, r, alpha, trunc)[0]
                 assert np.all(np.abs(row - single) <= 1e-13 * single), (floor, r)
-    assert len(kerr._pair_series(1e-100, -1, trunc)[0]) == 1
+    assert len(kerr._odd_series(1e-100, trunc.dim, trunc.tail_tol)) == 1
 
 
 def test_shared_pass_matches_one_pass_per_cutoff():
@@ -479,9 +523,9 @@ def test_one_kernel_pass_serves_both_cutoffs(monkeypatch):
     calls = []
     kernel = kerr._odd_branch_blocks
 
-    def spy(deltas, n, g, alpha, cis=None):
+    def spy(deltas, g, alpha, cis=None):
         calls.append((len(deltas), g.shape, cis))
-        return kernel(deltas, n, g, alpha, cis)
+        return kernel(deltas, g, alpha, cis)
 
     monkeypatch.setattr(kerr, "_odd_branch_blocks", spy)
     # r = 1e-100 keeps one pair term at both cutoffs (dim 64 and 96), 0.05
@@ -607,13 +651,13 @@ def test_merged_pass_working_set_is_bounded(monkeypatch):
 
 def test_base_cutoff_fails_its_tail_check_before_the_recheck(monkeypatch):
     dims = []
-    pair_series = kerr._pair_series
+    odd_series = kerr._odd_series
 
-    def spy(r, sign, trunc):
-        dims.append(trunc.dim)
-        return pair_series(r, sign, trunc)
+    def spy(r, dim, tail_tol):
+        dims.append(dim)
+        return odd_series(r, dim, tail_tol)
 
-    monkeypatch.setattr(kerr, "_pair_series", spy)
+    monkeypatch.setattr(kerr, "_odd_series", spy)
     cases = [("p0_cat_minus", {"r": np.array([0.5, 2.0])}),
              ("p1_cat_minus", {"r": np.array([0.5, 2.0])}),
              ("phase_ratio", {"r": np.array([2.0]), "sigma": np.array([1e-3])})]
