@@ -283,6 +283,10 @@ def main(argv=None) -> int:
         # a grid or cutoff too large to allocate is a usage error too
         print(f"invalid parameter: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
+    except OSError as exc:
+        # an --out path that cannot be written; the message names it
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

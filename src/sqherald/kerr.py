@@ -17,16 +17,15 @@ and holds.  A shorter row is a prefix of a longer one, so one merged
 pass, `_row_blocks`, zero-pads the rows to the longest and hands them to
 one kernel, `_odd_branch_probability`, as one weight matrix: p0 makes
 one call for all its points, phase_ratio one per sigma.  Only a sweep
-whose weight matrix or value table would pass MERGE_BLOCK entries, or
-whose rows lie on both sides of the rotation switch below, takes more.  The kernel
-fills at most KERNEL_BLOCK entries of the terms x nodes table at a
-time.  Its cosines and sines come from `_cis`, a table-driven rotation
-(Cody & Waite 1980; Tang, ACM TOMS 15, 144 (1989)) that replaces the two
-libm calls of each of its two rotations with 28 vectorised multiply,
-add and gather passes; libm serves rows whose own table is small, and
-arguments beyond CIS_LIMIT.  The phase-noise average is a periodic
-trapezoid rule checked against itself at half the step, row by row,
-whose node at delta = 0 is also each row's reference probability.
+whose weight matrix or value table would pass MERGE_BLOCK entries takes
+more.  The kernel fills at most KERNEL_BLOCK entries of the terms x
+nodes table at a time.  Its cosines and sines come from `_cis`, a
+table-driven rotation (Cody & Waite 1980; Tang, ACM TOMS 15, 144 (1989))
+that replaces the two libm calls of each of its two rotations with 28
+vectorised multiply, add and gather passes, for every table; libm
+serves only arguments beyond CIS_LIMIT.  The phase-noise average is a
+periodic trapezoid rule checked against itself at half the step, row by
+row, whose node at delta = 0 is also each row's reference probability.
 The overlap of any branch and label is the oracle in `reference`, on
 libm.
 """
@@ -72,14 +71,10 @@ MERGE_BLOCK = 2**18
 # CIS_TABLE/2pi) and |rho| <= pi/CIS_TABLE.  2pi/CIS_TABLE is split into
 # three parts; the first two have at most 30 significant bits, so k times
 # each is exact for |k| < 2^23, which CIS_LIMIT keeps with room to spare.
-# Above it the kernel calls libm, as it does for weight rows whose own
-# table (pair terms times deviations) holds fewer than CIS_MIN_ENTRIES
-# entries, where the fixed cost of _cis's 28 ufunc calls outweighs what
-# they save per entry over libm.
+# Above it the kernel calls libm.
 CIS_TABLE = 1024
 CIS_SPLIT = (0.006135923147667199, 3.875365543607508e-12, 2.0196027272633223e-21)
 CIS_LIMIT = 2**22 * TWO_PI / CIS_TABLE
-CIS_MIN_ENTRIES = 4096
 
 # The decay-rate fit (fit_lambda) reads FIT_SAMPLES uniform sigmas on
 # [0, FIT_SIGMA_MAX].
@@ -179,51 +174,34 @@ def _branch_values(deltas: np.ndarray, rows: _WeightRows, alpha: complex,
                    col: np.ndarray) -> np.ndarray:
     """Odd-branch probability of weight row rows.row[...] at deviation
     deltas[col[...]], entry by entry: one kernel call per _row_blocks
-    block of rows, over the deviations its entries use.  Each row's
-    rotation is set by the deviations it reads itself."""
+    block of rows, over the deviations its entries use."""
     row = rows.row
-    # each row's distinct deviations; a plain np.unique of integers would
-    # import numpy.ma
-    pairs = np.unique(row * len(deltas) + col, return_index=True)[0]
-    reads = np.bincount(pairs // len(deltas), minlength=len(rows.keys))
     out = np.empty(row.shape)
     slot = np.full(len(rows.keys), -1)
-    for at, weights, cis in _row_blocks(rows.weights, len(deltas), reads):
+    for at, weights in _row_blocks(rows.weights, len(deltas)):
         slot[:] = -1
         slot[at] = np.arange(len(at))
         sel = slot[row] >= 0
         cols, node = np.unique(col[sel], return_inverse=True)
-        table = _odd_branch_probability(deltas[cols], weights, alpha, cis)
+        table = _odd_branch_probability(deltas[cols], weights, alpha)
         out[sel] = table[slot[row[sel]], node]
     return out
 
 
-def _row_blocks(weights: list, width: int, reads=None):
-    """(positions in weights, weight matrix, cis) for blocks of the held
-    weight rows `weights`, with value tables `width` wide and each row
-    reading reads[row] of those deviations (default: all of them).
-
-    A row rotates by _cis (cis True) when its own table, its terms times
-    the deviations it reads, holds at least CIS_MIN_ENTRIES entries, as a
-    pass over that row alone would; the rows on either side of that
-    switch go in blocks of their own, so merging never changes a row's
-    rotation.  Each block holds, in order, as many rows of one side as
-    keep both the weight matrix and its value table within MERGE_BLOCK
-    entries, and at least one; its rows are padded with zeros to the
-    longest, of which each is a prefix."""
+def _row_blocks(weights: list, width: int):
+    """(positions in weights, weight matrix) for blocks of the held weight
+    rows `weights`, with value tables `width` wide.  Each block holds, in
+    order, as many rows as keep both the weight matrix and its value
+    table within MERGE_BLOCK entries, and at least one; its rows are
+    padded with zeros to the longest, of which each is a prefix."""
     terms = np.array([len(g) for g in weights], dtype=np.intp)
-    fast = terms * (width if reads is None else reads) >= CIS_MIN_ENTRIES
-    for cis in (False, True):
-        side = np.flatnonzero(fast == cis)
-        if not len(side):
-            continue
-        per = max(1, MERGE_BLOCK // max(int(terms[side].max()), width, 1))
-        for lo in range(0, len(side), per):
-            at = side[lo:lo + per]
-            block = np.zeros((len(at), int(terms[at].max())))
-            for w, j in zip(block, at.tolist()):
-                w[:terms[j]] = weights[j]
-            yield at, block, cis
+    per = max(1, MERGE_BLOCK // max(int(terms.max(initial=0)), width, 1))
+    for lo in range(0, len(weights), per):
+        at = np.arange(lo, min(lo + per, len(weights)))
+        block = np.zeros((len(at), int(terms[at].max())))
+        for w, j in zip(block, at.tolist()):
+            w[:terms[j]] = weights[j]
+        yield at, block
 
 
 @functools.lru_cache(maxsize=256)
@@ -328,22 +306,19 @@ def _libm_cis(x: np.ndarray, cos_out: np.ndarray, sin_out: np.ndarray, work) -> 
     np.sin(x, out=sin_out)
 
 
-def _odd_branch_probability(
-    deltas: np.ndarray, g: np.ndarray, alpha: complex, cis: bool | None = None
-) -> np.ndarray:
+def _odd_branch_probability(deltas: np.ndarray, g: np.ndarray, alpha: complex) -> np.ndarray:
     """|sum_n g_n <alpha e^{-i n (pi + delta)} | -alpha>|^2 for each
     deviation delta, with g one real weight row (T,) or a matrix (R, T)
     of rows over the odd pair indices n = 1, 3, ..., 2T - 1; the result
     has shape (nodes,) or (R, nodes).  The values come from
     _odd_branch_blocks."""
     out = np.empty(g.shape[:-1] + (len(deltas),))
-    for lo, values in _odd_branch_blocks(deltas, g, alpha, cis):
+    for lo, values in _odd_branch_blocks(deltas, g, alpha):
         out[..., lo:lo + values.shape[-1]] = values
     return out
 
 
-def _odd_branch_blocks(deltas: np.ndarray, g: np.ndarray, alpha: complex,
-                       cis: bool | None = None):
+def _odd_branch_blocks(deltas: np.ndarray, g: np.ndarray, alpha: complex):
     """_odd_branch_probability block by block of nodes: (index of the
     block's first node, its values, shape (nodes,) or (R, nodes)), the
     values a fresh array the caller may reuse, so no table of all nodes is
@@ -356,9 +331,8 @@ def _odd_branch_blocks(deltas: np.ndarray, g: np.ndarray, alpha: complex,
     delta/2 gives sin(n delta) = 2 s c and sin^2(n delta/2) = s^2, and a
     second one rotates by the phase.  The modulus is exp(-a s^2)^2, so no
     product overflows where 2a does.  Every step is odd or even in delta,
-    so the result is exactly even in delta.  cis False, and arguments
-    beyond CIS_LIMIT, rotate by libm instead of _cis; cis None takes
-    _cis for a table of at least CIS_MIN_ENTRIES entries.
+    so the result is exactly even in delta.  Both rotations are _cis's,
+    but for arguments beyond CIS_LIMIT, which rotate by libm.
     """
     a = abs(alpha) ** 2
     terms = g.shape[-1]
@@ -368,16 +342,9 @@ def _odd_branch_blocks(deltas: np.ndarray, g: np.ndarray, alpha: complex,
     n = np.arange(1, 2 * terms, 2)
     per_block = max(1, KERNEL_BLOCK // terms)
     size = terms * min(per_block, len(deltas))
-    half_turn = phase_turn = _libm_cis
-    work = None
-    if cis is None:
-        cis = terms * len(deltas) >= CIS_MIN_ENTRIES
-    if cis:
-        work = [np.empty(size) for _ in range(3)] + [np.empty(size, dtype=np.intp)]
-        if n[-1] * np.max(np.abs(deltas)) <= 2.0 * CIS_LIMIT:
-            half_turn = _cis
-        if a <= CIS_LIMIT:
-            phase_turn = _cis
+    work = [np.empty(size) for _ in range(3)] + [np.empty(size, dtype=np.intp)]
+    half_turn = _cis if n[-1] * np.max(np.abs(deltas)) <= 2.0 * CIS_LIMIT else _libm_cis
+    phase_turn = _cis if a <= CIS_LIMIT else _libm_cis
     buffers = [np.empty(size) for _ in range(4)]
     halves = 0.5 * deltas
     for lo in range(0, len(deltas), per_block):
@@ -474,8 +441,9 @@ def phase_ratio(sigmas: np.ndarray, r, alpha: complex, *cutoffs) -> np.ndarray:
     The points with sigma > 0 build and tail-check the series of their
     (r, cutoff) weight rows, every first-cutoff row before any recheck
     row.  Each distinct sigma, in order of first appearance, then runs
-    one trapezoid rule, banded by the longest series among its rows,
-    through _row_blocks; the rule's first node, delta = 0, is each row's
+    one trapezoid rule, banded by the longest series among its rows, in
+    one kernel call over all its rows (more only where _row_blocks splits
+    them at MERGE_BLOCK); the rule's first node, delta = 0, is each row's
     reference probability.  A reference below the smallest normal float
     (r below about 2e-154, and r = 0) has lost its digits, and the ratio
     with them: NumericalFailureError.  A row whose rule disagrees with
@@ -522,8 +490,8 @@ def _averaged_ratios(deltas, weights, rows: _WeightRows, which, alpha, sigma) ->
     ref = np.empty(len(which))
     even = np.zeros(len(weights))
     even[::2] = weights[::2]
-    for at, g, cis in _row_blocks([rows.weights[j] for j in which.tolist()], len(deltas)):
-        for lo, vals in _odd_branch_blocks(deltas, g, alpha, cis):
+    for at, g in _row_blocks([rows.weights[j] for j in which.tolist()], len(deltas)):
+        for lo, vals in _odd_branch_blocks(deltas, g, alpha):
             if not lo:
                 ref[at] = vals[:, 0]
                 # a row that lost its reference (a NaN one too) is divided

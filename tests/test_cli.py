@@ -109,6 +109,15 @@ def test_out_flag_writes_the_stdout_bytes(tmp_path, capsys):
     assert target.read_text(encoding="utf-8") == streamed
 
 
+def test_unwritable_out_path_exits_usage(tmp_path, capsys):
+    # a missing directory and a directory itself: one line naming the path
+    for target in (tmp_path / "missing" / "fig3a.csv", tmp_path):
+        code, out, err = run_cli(capsys, "figure", "fig3a", "--out", str(target))
+        assert code == cli.EXIT_USAGE
+        assert out == "" and "Traceback" not in err
+        assert len(err.splitlines()) == 1 and str(target) in err
+
+
 def test_dim_override_reaches_the_builder(capsys):
     code, out, _ = run_cli(capsys, "figure", "fig2", "--dim", "48",
                            "--format", "json")

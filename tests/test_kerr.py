@@ -403,9 +403,10 @@ def test_cis_is_exact_at_zero_and_odd_under_negation():
     assert np.array_equal(cos_neg, cos) and np.array_equal(sin_neg, -sin)
 
 
-def test_kernel_hands_large_or_small_work_to_libm(monkeypatch):
+def test_kernel_hands_only_large_work_to_libm(monkeypatch):
     # _cis sees only |x| <= CIS_LIMIT: at |alpha|^2 above it the phase,
-    # and in tables below CIS_MIN_ENTRIES both rotations, go to libm
+    # and half angles past it, go to libm; every other table, however
+    # small, rotates by _cis
     seen = []
     cis = kerr._cis
 
@@ -422,27 +423,29 @@ def test_kernel_hands_large_or_small_work_to_libm(monkeypatch):
         kerr._odd_branch_probability(deltas, g, alpha)
         assert len(seen) == rotations * blocks
         assert max(seen) <= kerr.CIS_LIMIT
-    small = deltas[:(kerr.CIS_MIN_ENTRIES - 1) // len(n)]
+    # a table of fewer than 4,096 entries: both rotations, in its one block
+    small = deltas[:4095 // len(n)]
     seen.clear()
     kerr._odd_branch_probability(small, g, 10.0)
-    assert not seen
+    assert len(small) * len(n) < 4096 and len(seen) == 2
     # half angles n delta/2 past the limit, from pair indices up to 32,769
     seen.clear()
     kerr._odd_branch_probability(np.array([3.0]), np.full(16385, 1e-3), 10.0)
     assert len(seen) == 1 and max(seen) <= 100.0
 
 
-def test_kernel_agrees_across_the_rotation_switch(monkeypatch):
+def test_kernel_agrees_with_a_libm_rotation(monkeypatch):
     # the same tables through _cis and through libm
     taus = np.linspace(*registry.TAU_GRID)
+    turns = (kerr._cis, kerr._libm_cis)
     for r in (0.725, 2.0):
         deltas, n, g = _fig5b_window(r, kerr.series_truncation(r), 10.0)
-        values = {}
-        for floor in (0, 10**18):
-            monkeypatch.setattr(kerr, "CIS_MIN_ENTRIES", floor)
-            values[floor] = (kerr._odd_branch_probability(deltas, g, 10.0),
-                             kerr._odd_branch_probability(taus - math.pi, g, 10.0))
-        (window, grid), (libm_window, libm_grid) = values.values()
+        values = []
+        for turn in turns:
+            monkeypatch.setattr(kerr, "_cis", turn)
+            values.append((kerr._odd_branch_probability(deltas, g, 10.0),
+                           kerr._odd_branch_probability(taus - math.pi, g, 10.0)))
+        (window, grid), (libm_window, libm_grid) = values
         assert np.all(np.abs(window - libm_window) <= 1e-13 * libm_window)
         assert np.max(np.abs(grid - libm_grid)) <= 1e-15 * libm_grid.max()
 
@@ -451,8 +454,8 @@ def test_kernel_is_exactly_even_in_delta(monkeypatch):
     # the evenness that lets p0_over_tau evaluate each |delta| once
     taus = np.linspace(*registry.TAU_GRID)
     _, g = _odd_series(2.0, kerr.series_truncation(2.0))
-    for floor in (0, 10**18):
-        monkeypatch.setattr(kerr, "CIS_MIN_ENTRIES", floor)
+    for turn in (kerr._cis, kerr._libm_cis):
+        monkeypatch.setattr(kerr, "_cis", turn)
         deltas = taus - math.pi
         assert np.array_equal(kerr._odd_branch_probability(-deltas, g, 10.0),
                               kerr._odd_branch_probability(deltas, g, 10.0))
@@ -466,26 +469,24 @@ def test_kernel_is_exactly_even_in_delta(monkeypatch):
     assert np.array_equal(p0[same], p0[::-1][same])
 
 
-def test_grouped_p0_matches_one_call_per_r(monkeypatch):
+def test_grouped_p0_matches_one_call_per_r():
     # one weight row per r, zero-padded to the longest pair set: r = 1e-100
-    # keeps a single pair term and 1e-7 twelve.  Each row rotates as it
-    # would alone, by libm for 1e-100 to 0.05 and by _cis for 0.725 and 2,
-    # however large the padded table, so the two paths differ only in how
-    # they sum; with the rotation pinned to _cis the same holds
+    # keeps a single pair term and 1e-7 twelve.  Every row rotates by _cis,
+    # alone or padded, so the two paths differ only in how they sum
     taus = np.linspace(*registry.TAU_GRID)
     rs = np.array([1e-100, 1e-7, 0.05, 0.725, 2.0])
     trunc = kerr.series_truncation(2.0)
     tau_col, r_col = (c.ravel() for c in np.meshgrid(taus, rs))
-    for floor in (kerr.CIS_MIN_ENTRIES, 0):
-        monkeypatch.setattr(kerr, "CIS_MIN_ENTRIES", floor)
-        for alpha in (3.0, 10.0):
-            grouped = kerr.p0_over_tau(tau_col, r_col, alpha, trunc).reshape(len(rs), len(taus))
-            via_registry = registry.QUANTITIES["p0_cat_minus"].fn(
-                trunc, tau_tilde=tau_col, r=r_col, alpha=np.full(len(tau_col), alpha))
-            assert np.array_equal(via_registry, grouped.reshape(1, -1))
-            for r, row in zip(rs, grouped):
-                single = kerr.p0_over_tau(taus, r, alpha, trunc)[0]
-                assert np.all(np.abs(row - single) <= 1e-13 * single), (floor, r)
+    for alpha in (3.0, 10.0):
+        grouped = kerr.p0_over_tau(tau_col, r_col, alpha, trunc).reshape(len(rs), len(taus))
+        via_registry = registry.QUANTITIES["p0_cat_minus"].fn(
+            trunc, tau_tilde=tau_col, r=r_col, alpha=np.full(len(tau_col), alpha))
+        assert np.array_equal(via_registry, grouped.reshape(1, -1))
+        for r, row in zip(rs, grouped):
+            single = kerr.p0_over_tau(taus, r, alpha, trunc)[0]
+            assert np.all(np.abs(row - single) <= 1e-13 * single), r
+    # a column of no points gives one empty row
+    assert kerr.p0_over_tau(taus[:0], rs[:0], 10.0, trunc).shape == (1, 0)
     assert len(kerr._odd_series(1e-100, trunc.dim, trunc.tail_tol)) == 1
 
 
@@ -523,48 +524,42 @@ def test_one_kernel_pass_serves_both_cutoffs(monkeypatch):
     calls = []
     kernel = kerr._odd_branch_blocks
 
-    def spy(deltas, g, alpha, cis=None):
-        calls.append((len(deltas), g.shape, cis))
-        return kernel(deltas, g, alpha, cis)
+    def spy(deltas, g, alpha):
+        calls.append((len(deltas), g.shape))
+        return kernel(deltas, g, alpha)
 
     monkeypatch.setattr(kerr, "_odd_branch_blocks", spy)
     # r = 1e-100 keeps one pair term at both cutoffs (dim 64 and 96), 0.05
     # and 0.725 keep 24 at 1.5x: one call per alpha, a row per r and
-    # cutoff padded to the longest pair set, over the 56 distinct |delta|,
-    # every row's own table below CIS_MIN_ENTRIES
+    # cutoff padded to the longest pair set, over the 56 distinct |delta|
     taus = np.linspace(*registry.TAU_GRID)
     tau_col, r_col = (c.ravel() for c in np.meshgrid(taus, [1e-100, 0.05, 0.725]))
     for name in ("p0_cat_minus", "p1_cat_minus"):
         calls.clear()
         analysis.evaluate(name, {"tau_tilde": np.tile(tau_col, 2), "r": np.tile(r_col, 2),
                                  "alpha": np.repeat([3.0, 10.0], len(tau_col))})
-        assert calls == [(56, (6, 24), False)] * 2
+        assert calls == [(56, (6, 24))] * 2
     # the r column of fig5b, at its 24 distinct series cutoffs: the same
     # one call per alpha, 80 rows
     rs = np.linspace(*registry.R_GRID_SURFACE)
     calls.clear()
     analysis.evaluate("p0_cat_minus", {"tau_tilde": math.pi, "r": rs, "alpha": 10.0})
     assert len({kerr.series_truncation(r) for r in rs.tolist()}) == 24
-    assert [(shape, cis) for _, shape, cis in calls] == [((80, calls[0][1][1]), False)]
+    assert [shape for _, shape in calls] == [(80, calls[0][1][1])]
     # phase_ratio: one call per distinct (sigma, alpha) over one trapezoid
-    # grid, a row per r and cutoff, and a second only where its rows lie
-    # on both sides of the rotation switch; each reference is the grid's
-    # node at tau_tilde = pi, with no one-node call of its own
+    # grid, a row per r and cutoff; each reference is the grid's node at
+    # tau_tilde = pi, with no one-node call of its own
     calls.clear()
     sigmas = np.array([1e-3, 3e-3, 1e-3, 3e-3])
     analysis.evaluate("phase_ratio", {"sigma": np.tile(sigmas, 2),
                                       "r": np.tile([0.7, 0.7, 1.5, 1.5], 2),
                                       "alpha": np.repeat([9.0, 10.0], 4)})
-    passes: dict = {}
-    for nodes, shape, cis in calls:
-        passes.setdefault(nodes, []).append((shape[0], cis))
-    # r = 0.7 keeps 16 and 24 pair terms, 1.5 keeps 58 and 88; a row rotates
-    # by _cis where its own terms times the grid's nodes reach 4,096
-    assert passes == {111: [(2, False), (2, True)], 255: [(1, False), (3, True)],
-                      123: [(2, False), (2, True)], 293: [(4, True)]}
+    # r = 0.7 keeps 16 and 24 pair terms, 1.5 keeps 58 and 88
+    assert [(nodes, shape[0]) for nodes, shape in calls] == [(111, 4), (255, 4), (123, 4),
+                                                             (293, 4)]
     calls.clear()
     analysis.evaluate("phase_ratio", {"sigma": 4e-3, "r": rs, "alpha": 10.0})
-    assert [(shape, cis) for _, shape, cis in calls] == [((80, calls[0][1][1]), True)]
+    assert [shape for _, shape in calls] == [(80, calls[0][1][1])]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
