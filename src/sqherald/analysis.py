@@ -2,11 +2,12 @@
 
 Quantities are addressed by a registered name (see registry.py) or by
 the registry.Quantity itself.  A sweep is one evaluation: every point
-gets its own cutoff, registry.truncation of its r, and the quantity runs
-once on arrays of all the points' parameter values, with the points'
-cutoffs and 1.5x them in the same call; every row must agree between the
-two within CONVERGENCE_TOL, so published tables are convergence-checked
-row by row.  The scan and check grids of maximize_1d are one call each,
+gets its own cutoff, from one registry.truncations lookup for the
+column's distinct r, and the quantity runs once on arrays of all the
+points' parameter values, with the points' cutoffs and 1.5x them in the
+same call; every row must agree between the two within
+CONVERGENCE_TOL, so published tables are convergence-checked row by
+row.  The scan and check grids of maximize_1d are one call each,
 at the points' cutoffs and with no recheck.
 """
 from __future__ import annotations
@@ -113,19 +114,28 @@ def _check_parameters(q, given: set[str], swept: tuple[str, ...]) -> None:
         raise ValueError(f"{q.name} needs a value for {', '.join(missing)}")
 
 
-def _first_seen(keys) -> tuple[list, np.ndarray]:
-    """The distinct keys in order of first appearance, and each key's
-    index among them."""
-    index: dict = {}
-    at = np.array([index.setdefault(key, len(index)) for key in keys], dtype=np.intp)
-    return list(index), at
-
-
 def distinct(*columns) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """The distinct rows of equal-length 1-D columns, in order of first
-    appearance, as one array per column, and each row's index among them."""
-    rows, at = _first_seen(zip(*(np.asarray(c).tolist() for c in columns)))
-    return tuple(np.array(rows, dtype=float).reshape(len(rows), len(columns)).T), at
+    appearance, as one array per column, and each row's index among them.
+    Rows are equal when every column compares equal, so -0.0 equals 0.0
+    (the first one seen is kept) and each NaN is distinct."""
+    columns = [np.asarray(c) for c in columns]
+    size = len(columns[0])
+    # a stable sort keeps equal rows in point order, the first one first
+    order = np.lexsort(columns[::-1])
+    new = np.zeros(size, dtype=bool)
+    new[:1] = True
+    for c in columns:
+        c = c[order]
+        new[1:] |= c[1:] != c[:-1]
+    group = np.cumsum(new) - 1
+    first = order[new]
+    rank = np.empty(len(first), dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(len(first))
+    at = np.empty(size, dtype=np.intp)
+    at[order] = rank[group]
+    first.sort()
+    return tuple(c[first] for c in columns), at
 
 
 def _require_finite(values: np.ndarray, name: str, point: Callable[[int], dict]) -> np.ndarray:
@@ -156,8 +166,8 @@ class _Points:
 
 
 def _points(q, params: Mapping, dim, tail_tol) -> _Points:
-    """The points of params (see evaluate), each at
-    registry.truncation(q.cutoff, r, dim, tail_tol), one lookup per
+    """The points of params (see evaluate), each at its cutoff of
+    registry.truncations(q.cutoff, r, dim, tail_tol), one lookup for the
     distinct r.  An r outside [0, SQUEEZE_LIMIT] is a ValueError."""
     from . import registry
 
@@ -171,9 +181,7 @@ def _points(q, params: Mapping, dim, tail_tol) -> _Points:
     cutoff = None
     if q.cutoff != "analytic":
         (rs,), r_at = distinct(r)
-        truncs = [registry.truncation(q.cutoff, x, dim, tail_tol) for x in rs.tolist()]
-        dims = [t.dim for t in truncs]
-        cutoff = CutoffColumn(tuple(map(dims.__getitem__, r_at.tolist())), truncs[0].tail_tol)
+        cutoff = registry.truncations(q.cutoff, rs, dim, tail_tol).take(r_at)
     return _Points(params, arrays, columns, cutoff)
 
 

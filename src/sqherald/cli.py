@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification failure, 2 numerical failure
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -268,8 +269,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> _Parser:
+    """The parser, built on the first call and reused after it: parsing
+    leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if not hasattr(args, "handler"):
         parser.print_help()

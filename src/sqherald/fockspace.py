@@ -3,7 +3,7 @@
 A :class:`Truncation` keeps photon-number levels ``0 .. dim-1`` and bounds
 the probability mass a state may leave above them; a :class:`CutoffColumn`
 gives each point of a parameter column its own cutoff; and
-`default_truncation` picks the matrix cutoff for a squeezing r.  The
+`default_dims` picks the matrix cutoff for each squeezing r.  The
 module also holds the squeezing domain, the errors for lost mass and lost
 digits, the smallest normal float below which a probability counts as
 vanished, and the cached log-factorial table.  Everything in it is
@@ -72,7 +72,8 @@ class Truncation:
 @dataclasses.dataclass(frozen=True)
 class CutoffColumn:
     """One Fock cutoff per point of a parameter column: ``dims[i]`` levels
-    at point i, every point with the same ``tail_tol``.
+    at point i, every point with the same ``tail_tol``, each checked as a
+    ``Truncation`` is.
 
     ``dim`` is the largest dim, and ``scaled`` enlarges every dim as
     ``Truncation.scaled`` does.
@@ -80,6 +81,10 @@ class CutoffColumn:
 
     dims: tuple[int, ...]
     tail_tol: float
+
+    def __post_init__(self):
+        # every cutoff passes the checks of a Truncation
+        Truncation(min(self.dims, default=2), self.tail_tol)
 
     @property
     def dim(self) -> int:
@@ -114,19 +119,24 @@ def log_factorials(count: int) -> np.ndarray:
     return table
 
 
-def default_truncation(r: float = 0.0, tail_tol: float = DEFAULT_TAIL_TOL) -> Truncation:
-    """Cutoff adequate for squeezed-state work at squeezing |r|.
+def default_dims(r) -> np.ndarray:
+    """Matrix cutoff dim at each |r| of an array r.
 
     64 levels hold tails below ~1e-9 up to r = 1.2; 160 levels hold them
     below ~7e-4 up to r = 2.  Beyond r = 2 there is no default: a
-    ValueError asks for an explicit cutoff.
+    ValueError, naming the first such r, asks for an explicit cutoff.
     """
-    r = abs(r)
-    if r <= 1.2:
-        return Truncation(64, tail_tol)
-    if r <= 2.0:
-        return Truncation(160, tail_tol)
-    raise ValueError(
-        f"no default cutoff for r = {r}: the defaults cover r <= 2, so give a cutoff "
-        "(--dim on the command line)"
-    )
+    r = np.abs(np.asarray(r, dtype=float))
+    over = ~(r <= 2.0)
+    if np.any(over):
+        raise ValueError(
+            f"no default cutoff for r = {float(r[over][0])}: the defaults cover r <= 2, so "
+            "give a cutoff (--dim on the command line)"
+        )
+    return np.where(r <= 1.2, 64, 160)
+
+
+def default_truncation(r: float = 0.0, tail_tol: float = DEFAULT_TAIL_TOL) -> Truncation:
+    """Cutoff adequate for squeezed-state work at squeezing |r|: the
+    default_dims of one r."""
+    return Truncation(int(default_dims(r)), tail_tol)

@@ -11,15 +11,18 @@ Production projects only onto the odd superposition with the label
 exactly exp(-2|alpha|^2 sin^2(n delta/2) + i |alpha|^2 sin(n delta)) in
 the deviation delta = tau_tilde - pi.  Every point of p0_over_tau and
 of the phase-noise average phase_ratio carries its own cutoff, and so
-its own weight row: the odd-branch weights g_1, g_3, ... of
-`_odd_series` at its r and cutoff, which `_weight_rows` builds once
-and holds.  A shorter row is a prefix of a longer one, so one merged
-pass, `_row_blocks`, zero-pads the rows to the longest and hands them to
-one kernel, `_odd_branch_probability`, as one weight matrix: p0 makes
-one call for all its points, phase_ratio one per sigma.  Only a sweep
-whose weight matrix or value table would pass MERGE_BLOCK entries takes
-more.  The kernel fills at most KERNEL_BLOCK entries of the terms x
-nodes table at a time.  Its cosines and sines come from `_cis`, a
+its own weight row: the odd-branch weights g_1, g_3, ... at its r and
+cutoff.  `_weight_rows` finds a call's distinct rows and builds those
+it does not keep from an earlier call, a cutoff column's in blocks of
+one source build each (`_odd_rows`), and holds them.  A shorter row is
+a prefix of a longer one, so one merged pass, `_row_blocks`, zero-pads
+the rows to the longest and hands them to one kernel,
+`_odd_branch_probability`, as one weight matrix: p0 makes one call for
+all its points, and phase_ratio one for all the sigmas that read the
+same rows, over their trapezoid grids laid end to end.  Only a sweep
+whose weight matrix, value table or grids would pass MERGE_BLOCK
+entries takes more.  The kernel fills at most KERNEL_BLOCK entries of
+the terms x nodes table at a time.  Its cosines and sines come from `_cis`, a
 table-driven rotation (Cody & Waite 1980; Tang, ACM TOMS 15, 144 (1989))
 that replaces the two libm calls of each of its two rotations with 28
 vectorised multiply, add and gather passes, for every table; libm
@@ -31,15 +34,15 @@ libm.
 """
 from __future__ import annotations
 
+import bisect
 import cmath
-import functools
 import math
 from typing import NamedTuple
 
 import numpy as np
 
-from . import sources
-from .fockspace import TINY, NumericalFailureError, Truncation, cutoff_column
+from . import analysis, sources
+from .fockspace import TINY, CutoffColumn, NumericalFailureError, Truncation, cutoff_column
 
 TWO_PI = 2.0 * math.pi
 
@@ -104,12 +107,18 @@ def _check_schedule(tau_tilde, alpha: complex) -> None:
         raise ValueError(f"pump amplitude alpha = {alpha} is too large: |alpha|^2 overflows")
 
 
-@functools.lru_cache(maxsize=256)
+def series_dims(r, tail_tol: float = SERIES_TAIL_TOL) -> np.ndarray:
+    """Cutoff for label-based sums at each r of a 1-D array: the smallest
+    even dim whose squeezed-vacuum tail mass is below tail_tol, and at
+    least 64.  Label sums never build matrices and can afford tails far
+    below the matrix default."""
+    return np.maximum(64, sources.converged_dim(np.asarray(r, dtype=float), tail_tol))
+
+
 def series_truncation(r: float, tail_tol: float = SERIES_TAIL_TOL) -> Truncation:
-    """Cutoff for label-based sums, which never build matrices and can
-    afford tails far below the matrix default."""
-    dim = max(64, sources.converged_dim(r, tail_tol))
-    return Truncation(dim, tail_tol=SERIES_STATE_TOL)
+    """The series_dims cutoff at one r, with the tail tolerance
+    SERIES_STATE_TOL of the label-series states."""
+    return Truncation(int(series_dims([r], tail_tol)[0]), tail_tol=SERIES_STATE_TOL)
 
 
 def p0_over_tau(taus: np.ndarray, r, alpha: complex, *cutoffs) -> np.ndarray:
@@ -149,25 +158,79 @@ def _points(taus: np.ndarray, r, alpha: complex, cutoffs):
 class _WeightRows(NamedTuple):
     """The distinct weight rows of a set of points.
 
-    keys holds each row's (r, dim, tail_tol); weights its series,
-    _odd_series(*key); and row each point's row at each cutoff, shape
-    (cutoffs, points)."""
+    r holds each row's r; weights its series, as _odd_rows builds it; and
+    row each point's row at each cutoff, shape (cutoffs, points)."""
 
-    keys: list
+    r: np.ndarray
     weights: list
     row: np.ndarray
 
 
+# Weight rows built by earlier calls, keyed by (r, dim, tail_tol): the
+# figures of one process share their r columns.  At most 256 are kept,
+# the oldest dropped first.
+_ROWS: dict = {}
+
+
 def _weight_rows(r: np.ndarray, columns) -> _WeightRows:
     """The weight rows of the points r at every CutoffColumn of columns,
-    all of the first column's before any of the next, with every series
-    built and tail-checked once, in that order."""
-    index: dict = {}
-    row = np.empty((len(columns), len(r)), dtype=np.intp)
+    all of the first column's before any of the next.  Rows kept from an
+    earlier call are reused; the others are built and tail-checked in
+    that order, a column's in _odd_rows blocks of at most MERGE_BLOCK
+    source entries, so the first of them that fails raises and no later
+    column's row is built before it."""
+    size = len(r)
+    (rs, dims, tols), at = analysis.distinct(
+        np.tile(r, len(columns)), np.concatenate([c.dims for c in columns]),
+        np.repeat([c.tail_tol for c in columns], size))
+    keys = list(zip(rs.tolist(), dims.tolist(), tols.tolist()))
+    weights = [_ROWS.get(key) for key in keys]
+    lo = 0
     for k, column in enumerate(columns):
-        row[k] = [index.setdefault((x, d, column.tail_tol), len(index))
-                  for x, d in zip(r.tolist(), column.dims)]
-    return _WeightRows(list(index), [_odd_series(*key) for key in index], row)
+        # the rows first seen at this cutoff follow those of the earlier ones
+        hi = int(at[:(k + 1) * size].max(initial=-1)) + 1
+        todo = np.array([j for j in range(lo, hi) if weights[j] is None], dtype=np.intp)
+        lo = hi
+        if not len(todo):
+            continue
+        per = max(1, MERGE_BLOCK // ((int(dims[todo].max()) + 1) // 2))
+        for b in range(0, len(todo), per):
+            block = todo[b:b + per]
+            built = _odd_rows(rs[block], CutoffColumn(tuple(dims[block].tolist()),
+                                                      column.tail_tol))
+            for j, g in zip(block.tolist(), built):
+                weights[j] = _ROWS[keys[j]] = g
+                if len(_ROWS) > 256:
+                    del _ROWS[next(iter(_ROWS))]
+    return _WeightRows(rs, weights, at.reshape(len(columns), size))
+
+
+def _odd_rows(r: np.ndarray, column: CutoffColumn) -> list:
+    """Read-only weights g_n, n = 1, 3, 5, ..., of the label series at
+    each r[i], cut at column.dims[i] with tail tolerance column.tail_tol:
+    g_n = conj(c_n) d_{2n} of squeezed vacuum c against the odd
+    superposition d, from one sources.pair_amplitudes build of each at the
+    widest dim.
+
+    Both amplitudes are real and carry the same sign (-1)^n, so g_n is
+    the product of their magnitudes.  d keeps only odd n; the odd weights
+    fall with n, and the trailing ones that underflow to exact zeros are
+    trimmed (all of them at r = 0), so a shorter series is a prefix of a
+    longer one.  Small tail terms stay, so the 1.5x-cutoff recheck still
+    compares two different series.  d is built first: its tail checks
+    cover c's too, so the first row that fails either raises, naming c's
+    check if both fail.
+    """
+    odd = sources.pair_amplitudes(r, -1, column)
+    g = (sources.pair_amplitudes(r, None, column) * odd)[:, 1::2]
+    nonzero = g != 0.0
+    ends = np.where(nonzero.any(axis=1), g.shape[1] - np.argmax(nonzero[:, ::-1], axis=1), 0)
+    rows = []
+    for w, end in zip(g, ends.tolist()):
+        w = w[:end].copy()
+        w.setflags(write=False)
+        rows.append(w)
+    return rows
 
 
 def _branch_values(deltas: np.ndarray, rows: _WeightRows, alpha: complex,
@@ -177,7 +240,7 @@ def _branch_values(deltas: np.ndarray, rows: _WeightRows, alpha: complex,
     block of rows, over the deviations its entries use."""
     row = rows.row
     out = np.empty(row.shape)
-    slot = np.full(len(rows.keys), -1)
+    slot = np.full(len(rows.r), -1)
     for at, weights in _row_blocks(rows.weights, len(deltas)):
         slot[:] = -1
         slot[at] = np.arange(len(at))
@@ -190,10 +253,11 @@ def _branch_values(deltas: np.ndarray, rows: _WeightRows, alpha: complex,
 
 def _row_blocks(weights: list, width: int):
     """(positions in weights, weight matrix) for blocks of the held weight
-    rows `weights`, with value tables `width` wide.  Each block holds, in
-    order, as many rows as keep both the weight matrix and its value
-    table within MERGE_BLOCK entries, and at least one; its rows are
-    padded with zeros to the longest, of which each is a prefix."""
+    rows `weights`, with value tables `width` wide (0 where the caller
+    holds no table).  Each block holds, in order, as many rows as keep
+    both the weight matrix and its value table within MERGE_BLOCK
+    entries, and at least one; its rows are padded with zeros to the
+    longest, of which each is a prefix."""
     terms = np.array([len(g) for g in weights], dtype=np.intp)
     per = max(1, MERGE_BLOCK // max(int(terms.max(initial=0)), width, 1))
     for lo in range(0, len(weights), per):
@@ -202,26 +266,6 @@ def _row_blocks(weights: list, width: int):
         for w, j in zip(block, at.tolist()):
             w[:terms[j]] = weights[j]
         yield at, block
-
-
-@functools.lru_cache(maxsize=256)
-def _odd_series(r: float, dim: int, tail_tol: float) -> np.ndarray:
-    """Read-only weights g_n, n = 1, 3, 5, ..., of the label series at r,
-    cut at dim with tail tolerance tail_tol: g_n = conj(c_n) d_{2n} of
-    squeezed vacuum c against the odd superposition d.
-
-    Both amplitudes are real and carry the same sign (-1)^n, so g_n is
-    the product of their magnitudes.  d keeps only odd n; the odd weights
-    fall with n, and the trailing ones that underflow to exact zeros are
-    trimmed (all of them at r = 0), so a shorter series is a prefix of a
-    longer one.  Small tail terms stay, so the 1.5x-cutoff recheck still
-    compares two different series.
-    """
-    trunc = Truncation(dim, tail_tol)
-    g = sources.pair_amplitudes(r, None, trunc) * sources.pair_amplitudes(r, -1, trunc)
-    g = np.trim_zeros(g[1::2], "b").copy()
-    g.setflags(write=False)
-    return g
 
 
 def _cis_table() -> tuple[np.ndarray, np.ndarray]:
@@ -327,7 +371,8 @@ def _odd_branch_blocks(deltas: np.ndarray, g: np.ndarray, alpha: complex):
     Then e^{-i n pi} = -1, so each overlap is exp(-2 a sin^2(n delta/2) +
     i a sin(n delta)) with a = |alpha|^2, and nothing cancels at delta = 0.
     The terms x nodes table is evaluated in place, KERNEL_BLOCK // T
-    nodes at a time, in buffers reused across blocks: one rotation by n
+    nodes at a time (fewer where R of them would pass MERGE_BLOCK
+    values), in buffers reused across blocks: one rotation by n
     delta/2 gives sin(n delta) = 2 s c and sin^2(n delta/2) = s^2, and a
     second one rotates by the phase.  The modulus is exp(-a s^2)^2, so no
     product overflows where 2a does.  Every step is odd or even in delta,
@@ -340,7 +385,8 @@ def _odd_branch_blocks(deltas: np.ndarray, g: np.ndarray, alpha: complex):
         yield 0, np.zeros(g.shape[:-1] + (len(deltas),))
         return
     n = np.arange(1, 2 * terms, 2)
-    per_block = max(1, KERNEL_BLOCK // terms)
+    # the values of a block of nodes stay within MERGE_BLOCK entries too
+    per_block = max(1, min(KERNEL_BLOCK // terms, MERGE_BLOCK // (g.size // terms)))
     size = terms * min(per_block, len(deltas))
     work = [np.empty(size) for _ in range(3)] + [np.empty(size, dtype=np.intp)]
     half_turn = _cis if n[-1] * np.max(np.abs(deltas)) <= 2.0 * CIS_LIMIT else _libm_cis
@@ -440,19 +486,19 @@ def phase_ratio(sigmas: np.ndarray, r, alpha: complex, *cutoffs) -> np.ndarray:
 
     The points with sigma > 0 build and tail-check the series of their
     (r, cutoff) weight rows, every first-cutoff row before any recheck
-    row.  Each distinct sigma, in order of first appearance, then runs
-    one trapezoid rule, banded by the longest series among its rows, in
-    one kernel call over all its rows (more only where _row_blocks splits
-    them at MERGE_BLOCK); the rule's first node, delta = 0, is each row's
-    reference probability.  A reference below the smallest normal float
-    (r below about 2e-154, and r = 0) has lost its digits, and the ratio
-    with them: NumericalFailureError.  A row whose rule disagrees with
-    itself at twice the step by more than TRAPEZOID_AGREEMENT raises
-    QuadratureConvergenceError.  So a failing series raises first; then,
-    sigma by sigma, a rule too large to run, or the first of its rows
-    (first-cutoff rows before recheck rows, each in point order) that
-    fails either check, named by its own r.  sigma = 0 reads exactly 1
-    and builds no series.
+    row.  Each distinct sigma, in order of first appearance, has its own
+    trapezoid rule, banded by the longest series among its rows; the
+    sigmas that read the same rows share one kernel pass over their rules
+    laid end to end (_averaged_ratios).  Each rule's first node, delta =
+    0, is each row's reference probability.  A reference below the
+    smallest normal float (r below about 2e-154, and r = 0) has lost its
+    digits, and the ratio with them: NumericalFailureError.  A row whose
+    rule disagrees with itself at twice the step by more than
+    TRAPEZOID_AGREEMENT raises QuadratureConvergenceError.  So a failing
+    series raises first; then, sigma by sigma, a rule too large to run,
+    or the first of its rows (first-cutoff rows before recheck rows, each
+    in point order) that fails either check, named by its own r.  sigma =
+    0 reads exactly 1 and builds no series.
     """
     if not np.all(np.isfinite(sigmas) & (sigmas >= 0.0)):
         raise ValueError("sigma must be finite and nonnegative")
@@ -463,60 +509,118 @@ def phase_ratio(sigmas: np.ndarray, r, alpha: complex, *cutoffs) -> np.ndarray:
     if not len(live):
         return out
     rows = _weight_rows(r[live], [c.take(live) for c in columns])
+    (distinct,), at = analysis.distinct(sigmas[live])
+    # the (sigma, row) pairs read, sorted: each sigma's rows are one run
+    pairs, pair_at = np.unique(np.tile(at, len(columns)) * len(rows.r) + rows.row.ravel(),
+                               return_inverse=True)
+    runs = [0] + (np.flatnonzero(np.diff(pairs // len(rows.r))) + 1).tolist()
+    groups: dict = {}  # the sigmas of each set of rows, in order
+    for s, mine in enumerate(np.split(pairs % len(rows.r), runs[1:])):
+        groups.setdefault(tuple(mine.tolist()), []).append(s)
     pad = (abs(alpha) + TRAPEZOID_BAND_PAD) ** 2
-    distinct, first, group = np.unique(sigmas[live], return_index=True, return_inverse=True)
-    for g in np.argsort(first).tolist():
-        points = np.flatnonzero(group == g)
-        # the rows these points read, in row order; a plain np.unique
-        # would import numpy.ma
-        mine = np.array(sorted(set(rows.row[:, points].ravel().tolist())))
-        sigma = float(distinct[g])
-        last = 2 * max(len(rows.weights[j]) for j in mine.tolist()) - 1
-        deltas, weights = _trapezoid_rule(sigma, pad * float(max(last, 0)))
-        ratios = _averaged_ratios(deltas, weights, rows, mine, alpha, sigma)
-        out[:, live[points]] = ratios[np.searchsorted(mine, rows.row[:, points])]
+    values = np.empty(len(pairs))
+    failures: list = []  # (sigma, error), sorted
+    for mine, members in groups.items():
+        weights = [rows.weights[j] for j in mine]
+        band = pad * float(max(2 * max(len(g) for g in weights) - 1, 0))
+        # a sigma after a failing one cannot raise first
+        members = [s for s in members if not failures or s < failures[0][0]]
+        for chunk, *rules in _rule_chunks(distinct, members, band, failures):
+            ratio, gap, ref = _averaged_ratios(*rules, weights, alpha)
+            failed = ~(ref >= TINY) | (gap > TRAPEZOID_AGREEMENT)
+            for i, s in enumerate(chunk):
+                if failed[i].any():
+                    j = int(np.argmax(failed[i]))
+                    failures.append((s, _ratio_failure(ref[i, j], gap[i, j], rows.r[mine[j]],
+                                                       alpha, distinct[s])))
+                values[runs[s]:runs[s] + len(mine)] = ratio[i]
+        failures.sort(key=lambda f: f[0])
+    if failures:
+        raise failures[0][1]
+    out[:, live] = values[pair_at].reshape(len(columns), len(live))
     return out
 
 
-def _averaged_ratios(deltas, weights, rows: _WeightRows, which, alpha, sigma) -> np.ndarray:
-    """The trapezoid average (nodes deltas, weights) of the probability of
-    each weight row of `which` over its own value at delta = 0, one kernel
-    call per _row_blocks block, summed node block by node block as the
-    kernel yields them; the first row of `which` whose reference has lost
-    its digits, or whose rule disagrees with itself at twice the step,
-    raises."""
-    out = np.empty(len(which))
-    gap = np.empty(len(which))
-    ref = np.empty(len(which))
-    even = np.zeros(len(weights))
-    even[::2] = weights[::2]
-    for at, g in _row_blocks([rows.weights[j] for j in which.tolist()], len(deltas)):
+def _rule_chunks(sigmas: np.ndarray, members: list, band: float, failures: list):
+    """(members, nodes, weights, starts) for runs of the sigmas of
+    `members`, in order, whose trapezoid rules at band hold at most
+    MERGE_BLOCK nodes together, or for one larger rule alone: the run's
+    rules laid end to end, the rule of the run's i-th member at nodes
+    starts[i] .. starts[i + 1] - 1.  A rule too large to run goes to
+    failures as (member, error), and no later member is run."""
+    chunk, rules, nodes = [], [], 0
+    for s in members:
+        try:
+            rule = _trapezoid_rule(float(sigmas[s]), band)
+        except QuadratureConvergenceError as exc:
+            failures.append((s, exc))
+            break
+        if chunk and nodes + len(rule[0]) > MERGE_BLOCK:
+            yield (chunk, *_joined(rules))
+            chunk, rules, nodes = [], [], 0
+        chunk.append(s)
+        rules.append(rule)
+        nodes += len(rule[0])
+    if chunk:
+        yield (chunk, *_joined(rules))
+
+
+def _joined(rules: list) -> tuple:
+    """The nodes and the weights of rules laid end to end, and where each
+    rule starts.  rules is emptied, so that only the joined arrays stay
+    held, and a rule alone, as a wide sigma's is, is not copied."""
+    deltas, weights = (x[0] if len(x) == 1 else np.concatenate(x) for x in zip(*rules))
+    starts = np.cumsum([0] + [len(d) for d, _ in rules]).tolist()
+    rules.clear()
+    return deltas, weights, starts
+
+
+def _ratio_failure(ref, gap, r, alpha, sigma) -> Exception:
+    """The error of the row at r whose reference ref has lost its digits,
+    or whose rule for sigma is gap away from itself at twice the step."""
+    ref, gap, r, sigma = float(ref), float(gap), float(r), float(sigma)
+    if not ref >= TINY:
+        return NumericalFailureError(f"herald probability {ref:.3g} at tau_tilde = pi "
+                                     f"has lost its digits at r = {r}, alpha = {alpha}")
+    return QuadratureConvergenceError(f"trapezoid steps h and h/2 disagree by "
+                                      f"{gap:.3g} > {TRAPEZOID_AGREEMENT} at r = {r}, "
+                                      f"alpha = {alpha}, sigma = {sigma}")
+
+
+def _averaged_ratios(deltas: np.ndarray, fine: np.ndarray, starts: list, weights: list,
+                     alpha) -> tuple[np.ndarray, ...]:
+    """The trapezoid average, by each rule of a run laid end to end (see
+    _rule_chunks), of the probability of each weight row of `weights`
+    over its own value at the rule's first node, delta = 0: (ratio, its
+    gap to the rule at twice the step, reference), each of shape (rules,
+    rows).
+
+    The run takes one kernel pass per _row_blocks block of rows, which is
+    bounded by the weight matrix alone; each node block the kernel yields
+    is summed into the rules it covers and dropped, so no rows x nodes
+    table is held.  A row that lost its reference (a NaN one too) is
+    divided by 1, for the caller to refuse."""
+    shape = (len(starts) - 1, len(weights))
+    ratio, coarse, ref = np.zeros(shape), np.zeros(shape), np.empty(shape)
+    # half the rule at step h: each rule's own even nodes
+    even = np.zeros(len(fine))
+    for lo, hi in zip(starts, starts[1:]):
+        even[lo:hi:2] = fine[lo:hi:2]
+    for at, g in _row_blocks(weights, 0):
+        part = slice(int(at[0]), int(at[-1]) + 1)
+        scale = np.empty((shape[0], len(at)))
         for lo, vals in _odd_branch_blocks(deltas, g, alpha):
-            if not lo:
-                ref[at] = vals[:, 0]
-                # a row that lost its reference (a NaN one too) is divided
-                # by 1 and refused below
-                scale = np.where(vals[:, 0] >= TINY, vals[:, 0], 1.0)[:, None]
-                ratio = np.zeros(len(at))
-                coarse = np.zeros(len(at))  # half the rule at step h
-            vals /= scale
             hi = lo + vals.shape[1]
-            ratio += vals @ weights[lo:hi]
-            coarse += vals @ even[lo:hi]
-        out[at] = ratio
-        gap[at] = np.abs(2.0 * coarse - ratio)
-    lost = ~(ref >= TINY)
-    failed = np.flatnonzero(lost | (gap > TRAPEZOID_AGREEMENT))
-    if len(failed):
-        j = int(failed[0])
-        r = rows.keys[which[j]][0]
-        if lost[j]:
-            raise NumericalFailureError(f"herald probability {ref[j]:.3g} at tau_tilde = pi "
-                                        f"has lost its digits at r = {r}, alpha = {alpha}")
-        raise QuadratureConvergenceError(f"trapezoid steps h and h/2 disagree by "
-                                         f"{gap[j]:.3g} > {TRAPEZOID_AGREEMENT} at r = {r}, "
-                                         f"alpha = {alpha}, sigma = {sigma}")
-    return out
+            # the rules with nodes in lo .. hi - 1
+            for i in range(bisect.bisect_right(starts, lo) - 1, bisect.bisect_left(starts, hi)):
+                a, b = max(starts[i], lo), min(starts[i + 1], hi)
+                if a == starts[i]:
+                    ref[i, part] = vals[:, a - lo]
+                    scale[i] = np.where(vals[:, a - lo] >= TINY, vals[:, a - lo], 1.0)
+                v = vals[:, a - lo:b - lo] / scale[i][:, None]
+                ratio[i, part] += v @ fine[a:b]
+                coarse[i, part] += v @ even[a:b]
+    return ratio, np.abs(2.0 * coarse - ratio), ref
 
 
 def gaussian_averaged_ratio(r: float, alpha: float, sigma: float, dim: int | None = None,

@@ -15,17 +15,20 @@ from __future__ import annotations
 import numpy as np
 
 from . import sources
-from .fockspace import Truncation
+from .fockspace import CutoffColumn, Truncation
 
 
 class ZeroHeraldError(ZeroDivisionError):
     """Conditioning on a herald outcome that has zero probability."""
 
 
-def photon_number_rows(r: np.ndarray, sign: int | None, trunc: Truncation) -> np.ndarray:
+def photon_number_rows(r: np.ndarray, sign: int | None,
+                       trunc: Truncation | CutoffColumn) -> np.ndarray:
     """Photon-number distributions p_N, N < dim, one row per entry of the
     1-D array r, of a source: the superposition |r; sign> for sign = +1 or
-    -1, plain squeezed vacuum |r> for sign = None.
+    -1, plain squeezed vacuum |r> for sign = None.  With a CutoffColumn,
+    one cutoff per entry of r, the rows are trunc.dim wide and each is 0
+    from its own dim on.
 
     With vacuum in port b the balanced splitter gives
     P(n_a, n_b) = C(N, n_a) 2^-N p_N with N = n_a + n_b, so every split

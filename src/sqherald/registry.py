@@ -9,40 +9,46 @@ benchmark.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from typing import Callable, Mapping
 
 import numpy as np
 
 from . import analysis, detect, kerr, optics, sources
-from .fockspace import DEFAULT_TAIL_TOL, Truncation, cutoff_column, default_truncation
+from .fockspace import DEFAULT_TAIL_TOL, CutoffColumn, Truncation, cutoff_column, default_dims
 
 
-@functools.lru_cache(maxsize=4096)
-def truncation(
-    kind: str, r: float, dim: int | None = None, tail_tol: float | None = None
-) -> Truncation | None:
-    """The cutoff policy of every quantity, figure and verify criterion.
+def truncations(
+    kind: str, r, dim: int | None = None, tail_tol: float | None = None
+) -> CutoffColumn | None:
+    """The cutoff policy of every quantity, figure and verify criterion,
+    at each r of a 1-D array, as one CutoffColumn.
 
     kind is a Quantity's cutoff: "analytic" quantities take none (None);
-    "matrix" ones default to default_truncation(r) and DEFAULT_TAIL_TOL,
-    "series" (label-series) ones to kerr.series_truncation(r) and
+    "matrix" ones default to default_dims(r) and DEFAULT_TAIL_TOL,
+    "series" (label-series) ones to kerr.series_dims(r) and
     kerr.SERIES_STATE_TOL.  A dim or tail_tol override replaces only its
-    own half of the default.  Cached, so every evaluation at the same
-    cutoff shares one Truncation.
+    own half of the default.
     """
     if kind == "analytic":
         return None
     if kind == "series":
-        tier, default_tol = kerr.series_truncation, kerr.SERIES_STATE_TOL
+        tier, default_tol = kerr.series_dims, kerr.SERIES_STATE_TOL
     elif kind == "matrix":
-        tier, default_tol = default_truncation, DEFAULT_TAIL_TOL
+        tier, default_tol = default_dims, DEFAULT_TAIL_TOL
     else:
         raise ValueError(f"unknown cutoff kind {kind!r}")
-    if dim is None:
-        dim = tier(abs(r)).dim
-    return Truncation(dim, default_tol if tail_tol is None else tail_tol)
+    r = np.abs(np.asarray(r, dtype=float))
+    dims = tier(r).tolist() if dim is None else [dim] * len(r)
+    return CutoffColumn(tuple(dims), default_tol if tail_tol is None else tail_tol)
+
+
+def truncation(
+    kind: str, r: float, dim: int | None = None, tail_tol: float | None = None
+) -> Truncation | None:
+    """truncations at one r, as a Truncation (None for "analytic")."""
+    column = truncations(kind, [r], dim, tail_tol)
+    return None if column is None else Truncation(column.dims[0], column.tail_tol)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -52,7 +58,7 @@ class Quantity:
     returns one row per cutoff with one value per point.  Each cutoff is a
     CutoffColumn, one cutoff per point (a Truncation holds at every
     point), or None for analytic quantities; analysis.evaluate passes
-    each point's truncation(cutoff, r, ...) and its 1.5x recheck."""
+    the points' truncations(cutoff, r, ...) and their 1.5x recheck."""
 
     name: str
     doc: str
@@ -145,13 +151,15 @@ def _q_p0_cat_minus(*cutoffs, tau_tilde, r, alpha):
 
 
 def _q_p1_cat_minus(*cutoffs, tau_tilde, r, alpha):
-    # p0 times P(1,1) of the odd superposition, one photon-number row per
-    # distinct r and cutoffs
+    # p0 times P(1,1) = p_2/2 of the odd superposition: one photon-number
+    # row per distinct r and cutoffs, one call per cutoff.  p0 has run the
+    # tail checks of these rows first
     p0 = _q_p0_cat_minus(*cutoffs, tau_tilde=tau_tilde, r=r, alpha=alpha)
     columns = [cutoff_column(c, len(r)) for c in cutoffs]
-    _, at = analysis.distinct(r, *(c.dims for c in columns))
-    first = np.unique(at, return_index=True)[1]
-    return _each(_p11, sign=-1)(*(c.take(first) for c in columns), r=r[first])[:, at] * p0
+    (rs, *dims), at = analysis.distinct(r, *(c.dims for c in columns))
+    p11 = [optics.photon_number_rows(rs, -1, CutoffColumn(tuple(d.tolist()), c.tail_tol))[:, 2]
+           for d, c in zip(dims, columns)]
+    return np.array(p11)[:, at] / 2.0 * p0
 
 
 def _q_phase_ratio(*cutoffs, sigma, r, alpha):

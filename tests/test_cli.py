@@ -546,6 +546,34 @@ def test_version_flag(capsys):
     assert out.startswith("sqherald 0.1.0")
 
 
+def test_one_parser_serves_every_call_of_a_process(capsys, monkeypatch, tmp_path):
+    # cli.main builds its parser once; a usage error between two figure
+    # runs leaves it as it was, and both tables match a fresh process's
+    first, second, fresh = (tmp_path / f"{name}.csv" for name in ("first", "second", "fresh"))
+    assert cli.main(["figure", "fig3a", "--out", str(first)]) == cli.EXIT_OK
+
+    def refuse():
+        raise AssertionError("the parser was built again")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as info:
+        cli.main(["figure", "fig3a", "--points", "3"])
+    assert info.value.code == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["usage: sqherald [-h] [--version] {figure,sweep,verify,list} ...",
+                                "sqherald: error: unrecognized arguments: --points 3"]
+    assert cli.main(["figure", "fig3a", "--out", str(second)]) == cli.EXIT_OK
+    src = str(Path(sqherald.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "sqherald.cli", "figure", "fig3a",
+                           "--out", str(fresh)], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    assert first.read_bytes() == second.read_bytes() == fresh.read_bytes()
+
+
 def test_unknown_subcommand_exits_usage(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["frobnicate"])

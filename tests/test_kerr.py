@@ -106,10 +106,15 @@ def test_p0_matches_state_path_oracle():
                 assert abs(kernel - state_path_p0(sched, r, sign, label)) < 1e-12
 
 
+def _odd_row(r, trunc):
+    """The production odd-branch weights at r and trunc, built alone."""
+    return kerr._odd_rows(np.array([float(r)]), fs.CutoffColumn((trunc.dim,), trunc.tail_tol))[0]
+
+
 def _odd_series(r, trunc):
     """The production odd-branch weights at r and trunc, with their pair
     indices 1, 3, 5, ..."""
-    g = kerr._odd_series(r, trunc.dim, trunc.tail_tol)
+    g = _odd_row(r, trunc)
     return np.arange(1, 2 * len(g), 2), g
 
 
@@ -129,7 +134,7 @@ def test_pair_series_drops_exactly_the_zero_terms():
         # production keeps the odd entries of the odd branch, whose even
         # entries are exact zeros, trimmed after the last nonzero one
         odd = dense[-1][1::2]
-        g = kerr._odd_series(r, trunc.dim, trunc.tail_tol)
+        g = _odd_row(r, trunc)
         assert not np.any(dense[-1][::2])
         assert np.array_equal(g, odd[:len(g)])
         assert g[-1] != 0.0 and not np.any(odd[len(g):])
@@ -137,48 +142,71 @@ def test_pair_series_drops_exactly_the_zero_terms():
         # negligible tail terms are kept, so the 1.5x recheck compares two
         # different series
         wider = trunc.scaled(1.5)
-        assert len(kerr._odd_series(r, wider.dim, wider.tail_tol)) > len(g)
+        assert len(_odd_row(r, wider)) > len(g)
 
 
-def test_p0_sweep_builds_the_series_once():
+def _count_builds(monkeypatch):
+    """The (r, dim) of every weight row built from here on, with the rows
+    kept by earlier calls dropped."""
+    monkeypatch.setattr(kerr, "_ROWS", {})
+    built = []
+    odd_rows = kerr._odd_rows
+
+    def spy(r, column):
+        built.extend(zip(r.tolist(), column.dims))
+        return odd_rows(r, column)
+
+    monkeypatch.setattr(kerr, "_odd_rows", spy)
+    return built
+
+
+def test_p0_sweep_builds_the_series_once(monkeypatch):
     r = 0.8125
-    series = kerr._odd_series.cache_info()
-    cutoff = kerr.series_truncation.cache_info()
+    built = _count_builds(monkeypatch)
+    lookups = []
+    series_dims = kerr.series_dims
+
+    def spy(rs, *args):
+        lookups.append(len(rs))
+        return series_dims(rs, *args)
+
+    monkeypatch.setattr(kerr, "series_dims", spy)
     spec = analysis.SweepSpec("tau_tilde", 0.0, 2.0 * math.pi, 9, {"r": r})
     analysis.sweep(spec, "p0_cat_minus")
-    series_after = kerr._odd_series.cache_info()
-    cutoff_after = kerr.series_truncation.cache_info()
     # one build at the working cutoff and one at 1.5x, each tail-checked
     # when the weight rows are collected and held for the one kernel call
-    # over all 9 taus
-    assert series_after.misses - series.misses == 2
-    assert series_after.hits - series.hits == 0
-    assert cutoff_after.misses - cutoff.misses == 1
+    # over all 9 taus, after one cutoff lookup for the column's one r
+    dim = series_dims([r])[0]
+    assert built == [(r, dim), (r, math.ceil(1.5 * dim))]
+    assert lookups == [1]
 
 
 def test_column_past_the_series_cache_builds_each_series_once(monkeypatch):
     # 200 r at their series cutoffs and 1.5x: 400 distinct weight rows,
-    # more than the 256 the series cache holds, each built once
-    kerr._odd_series.cache_clear()
-    builds = []
+    # more than the 256 the row cache keeps, each built once, and built
+    # in blocks: one source build per block of a cutoff column
+    built = _count_builds(monkeypatch)
+    sources_built = []
     pair_amplitudes = sources.pair_amplitudes
 
     def spy(r, sign, trunc):
         if sign is None:
-            builds.append((r, trunc.dim))
+            sources_built.extend(zip(r.tolist(), trunc.dims))
         return pair_amplitudes(r, sign, trunc)
 
     monkeypatch.setattr(sources, "pair_amplitudes", spy)
     rs = 0.3 + np.arange(200) / 331.0
     analysis.evaluate("phase_ratio", {"sigma": 4e-3, "r": rs, "alpha": 10.0})
-    assert len(builds) == len(set(builds)) == 400
+    assert len(built) == len(set(built)) == 400
+    assert sources_built == built
 
 
 def test_oracles_build_their_own_series(monkeypatch):
     def refuse(*args):
         raise AssertionError("the oracle read the production series")
 
-    monkeypatch.setattr(kerr, "_odd_series", refuse)
+    monkeypatch.setattr(kerr, "_odd_rows", refuse)
+    monkeypatch.setattr(kerr, "_ROWS", {})
     p0 = reference.p0_over_tau(IDEAL, 0.725, 10.0)[0]
     assert abs(p0 - P0_IDEAL) <= 1e-15 * P0_IDEAL
     assert reference.phase_error_ratio(0.725, 10.0, 0.004) == pytest.approx(
@@ -487,7 +515,7 @@ def test_grouped_p0_matches_one_call_per_r():
             assert np.all(np.abs(row - single) <= 1e-13 * single), r
     # a column of no points gives one empty row
     assert kerr.p0_over_tau(taus[:0], rs[:0], 10.0, trunc).shape == (1, 0)
-    assert len(kerr._odd_series(1e-100, trunc.dim, trunc.tail_tol)) == 1
+    assert len(_odd_row(1e-100, trunc)) == 1
 
 
 def test_shared_pass_matches_one_pass_per_cutoff():
@@ -546,8 +574,9 @@ def test_one_kernel_pass_serves_both_cutoffs(monkeypatch):
     analysis.evaluate("p0_cat_minus", {"tau_tilde": math.pi, "r": rs, "alpha": 10.0})
     assert len({kerr.series_truncation(r) for r in rs.tolist()}) == 24
     assert [shape for _, shape in calls] == [(80, calls[0][1][1])]
-    # phase_ratio: one call per distinct (sigma, alpha) over one trapezoid
-    # grid, a row per r and cutoff; each reference is the grid's node at
+    # phase_ratio: one call per alpha, over the trapezoid grids of both
+    # sigmas laid end to end (111 + 255 nodes at alpha = 9, 123 + 293 at
+    # 10), a row per r and cutoff; each reference is its grid's node at
     # tau_tilde = pi, with no one-node call of its own
     calls.clear()
     sigmas = np.array([1e-3, 3e-3, 1e-3, 3e-3])
@@ -555,8 +584,7 @@ def test_one_kernel_pass_serves_both_cutoffs(monkeypatch):
                                       "r": np.tile([0.7, 0.7, 1.5, 1.5], 2),
                                       "alpha": np.repeat([9.0, 10.0], 4)})
     # r = 0.7 keeps 16 and 24 pair terms, 1.5 keeps 58 and 88
-    assert [(nodes, shape[0]) for nodes, shape in calls] == [(111, 4), (255, 4), (123, 4),
-                                                             (293, 4)]
+    assert [(nodes, shape[0]) for nodes, shape in calls] == [(366, 4), (416, 4)]
     calls.clear()
     analysis.evaluate("phase_ratio", {"sigma": 4e-3, "r": rs, "alpha": 10.0})
     assert [shape for _, shape in calls] == [(80, calls[0][1][1])]
@@ -593,6 +621,44 @@ def test_merged_phase_ratio_column_matches_one_point_calls(rs, sigma, alpha):
         for r, dim, value in zip(rs.tolist(), column.dims, row.tolist()):
             single = kerr.gaussian_averaged_ratio(r, alpha, sigma, dim, column.tail_tol)
             assert abs(value - single) <= 1e-14, (r, dim)
+
+
+def _outcome(fn):
+    """The value of fn(), or the type and message of the error it raises."""
+    try:
+        return fn()
+    except (fs.NumericalFailureError, kerr.QuadratureConvergenceError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(
+    # a few distinct sigmas, drawn from with repeats; log-uniform, as a
+    # rule's cost grows with sigma
+    pool=st.lists(st.just(0.0) | st.floats(-5.0, 0.0).map(lambda e: 10.0 ** e),
+                  min_size=1, max_size=4, unique=True),
+    picks=st.lists(st.integers(0, 3), min_size=2, max_size=6),
+    r=st.sampled_from([0.725, 2.0]),
+    alpha=st.floats(1.0, 12.0),
+)
+def test_fused_sigma_pass_matches_one_call_per_sigma(pool, picks, r, alpha):
+    # the sigmas of one call that read the same rows share one kernel pass
+    # over their trapezoid grids laid end to end; each keeps its own rule,
+    # reference and checks, as a call of its own would
+    sigmas = np.array([pool[i % len(pool)] for i in picks])
+    trunc = kerr.series_truncation(r)
+    cutoffs = (trunc, trunc.scaled(1.5))
+    event(f"{len(set(sigmas.tolist()))} distinct sigmas at r = {r}")
+    fused = _outcome(lambda: kerr.phase_ratio(sigmas, r, alpha, *cutoffs))
+    alone = {s: _outcome(lambda s=s: kerr.phase_ratio(np.array([s]), r, alpha, *cutoffs))
+             for s in dict.fromkeys(sigmas.tolist())}
+    singles = [alone[s] for s in sigmas.tolist()]
+    failed = [one for one in singles if isinstance(one, tuple)]
+    if failed:
+        assert fused == failed[0]
+        return
+    assert fused.shape == (2, len(sigmas))
+    assert np.all(np.abs(fused - np.column_stack(singles)) <= 1e-14)
 
 
 def test_column_names_the_point_whose_reference_lost_its_digits():
@@ -645,23 +711,16 @@ def test_merged_pass_working_set_is_bounded(monkeypatch):
 
 
 def test_base_cutoff_fails_its_tail_check_before_the_recheck(monkeypatch):
-    dims = []
-    odd_series = kerr._odd_series
-
-    def spy(r, dim, tail_tol):
-        dims.append(dim)
-        return odd_series(r, dim, tail_tol)
-
-    monkeypatch.setattr(kerr, "_odd_series", spy)
+    built = _count_builds(monkeypatch)
     cases = [("p0_cat_minus", {"r": np.array([0.5, 2.0])}),
              ("p1_cat_minus", {"r": np.array([0.5, 2.0])}),
              ("phase_ratio", {"r": np.array([2.0]), "sigma": np.array([1e-3])})]
     for name, params in cases:
-        dims.clear()
+        built.clear()
         q = registry.QUANTITIES[name]
         with pytest.raises(fs.TruncationError, match="does not fit in dim = 64"):
             analysis.evaluate(q, {**q.defaults, **params}, dim=64)
-        assert 96 not in dims, name
+        assert built and 96 not in [dim for _, dim in built], name
     # a series that fits but moves names both cutoffs
     for name, params in (("p0_cat_minus", {}), ("phase_ratio", {"sigma": 0.5})):
         q = registry.QUANTITIES[name]

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from sqherald import fockspace as fs
-from sqherald import reference, sources
+from sqherald import optics, reference, sources
 
 
 def test_squeezing_db():
@@ -62,6 +64,67 @@ def test_converged_dim_meets_requested_tail():
         st = reference.squeezed_vacuum(r, fs.Truncation(dim, tail_tol=tol))
         assert abs(st.norm_sq() - 1.0) <= tol
         assert sources.converged_dim(r, tol * 100.0) <= dim
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(rs=hst.lists(hst.floats(0.0, 3.0), min_size=1, max_size=6),
+       tail_tol=hst.floats(1e-13, 1e-3))
+def test_converged_dim_of_an_array_is_one_call_per_r(rs, tail_tol):
+    dims = sources.converged_dim(np.array(rs), tail_tol)
+    assert dims.tolist() == [sources.converged_dim(r, tail_tol) for r in rs]
+
+
+# r = 0, where the odd branch is its limit |2>, and squeezings whose tails
+# fit some of the drawn cutoffs and not others
+COLUMN_RS = hst.sampled_from([0.0, 1e-100, 1e-7, 0.05, 0.725, 1.2, 2.0]) | hst.floats(0.0, 2.0)
+
+
+def _one_row(fn, r, sign, dim, tail_tol):
+    """fn at one r and cutoff: its row, or the TruncationError it raises."""
+    try:
+        return fn(np.array([r]), sign, fs.Truncation(dim, tail_tol))[0]
+    except fs.TruncationError as exc:
+        return exc
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(points=hst.lists(hst.tuples(COLUMN_RS, hst.integers(2, 300)), min_size=1, max_size=6),
+       sign=hst.sampled_from([None, -1, +1]),
+       tail_tol=hst.sampled_from([0.9, 1e-3, 1e-9]))
+def test_cutoff_column_builds_equal_one_call_per_row(points, sign, tail_tol):
+    # one build at the widest dim, each row tail-checked at its own: the
+    # same rows, 0 past each row's own cutoff, and the same first error
+    rs = np.array([r for r, _ in points])
+    column = fs.CutoffColumn(tuple(dim for _, dim in points), tail_tol)
+    for fn, width in ((sources.pair_amplitudes, lambda dim: (dim + 1) // 2),
+                      (optics.photon_number_rows, lambda dim: dim)):
+        rows = [_one_row(fn, r, sign, dim, tail_tol) for r, dim in points]
+        failed = [row for row in rows if isinstance(row, fs.TruncationError)]
+        if failed:
+            with pytest.raises(fs.TruncationError) as info:
+                fn(rs, sign, column)
+            assert str(info.value) == str(failed[0])
+            assert info.value.tail_mass == failed[0].tail_mass
+            continue
+        built = fn(rs, sign, column)
+        assert built.shape == (len(points), width(column.dim))
+        for row, one, (_, dim) in zip(built, rows, points):
+            assert np.array_equal(row[:width(dim)], one)
+            assert not np.any(row[width(dim):])
+
+
+def test_cutoff_column_names_its_first_failing_row():
+    # rows 1 and 2 both leave too much of the state past their cutoffs;
+    # the column raises row 1's error, as its own call does
+    rs = np.array([0.3, 2.0, 1.5])
+    column = fs.CutoffColumn((64, 16, 8), 1e-6)
+    for sign in (None, -1):
+        with pytest.raises(fs.TruncationError) as info:
+            sources.pair_amplitudes(rs, sign, column)
+        alone = _one_row(sources.pair_amplitudes, 2.0, sign, 16, 1e-6)
+        assert "at r = 2.0" in str(info.value) and "dim = 16" in str(info.value)
+        assert str(info.value) == str(alone)
+        assert info.value.tail_mass == alone.tail_mass
 
 
 def test_cat_norm_closed_form():
