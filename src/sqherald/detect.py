@@ -21,10 +21,16 @@ With x = 1 - eta and phi_M = ((1 + x)^M - 1)/x (phi_M = M at eta = 1):
     m2        = sum_N p_N eta 2^-N N (N-1) phi_(N-2)
 
 and the heralded g2 is m2 / m1^2.  heralded_clicks and heralded_g2 take
-a column of points (r_i, eta_i) at one cutoff as one product of the
-distinct sources' p_N rows with the distinct efficiencies' kernels.  The
-two-mode squeezed benchmark has elementwise closed forms
-(benchmark_clicks, benchmark_g2).
+a column of points (r_i, eta_i) and its cutoffs, a base cutoff and its
+1.5x recheck, together: one product per cutoff of the distinct sources'
+p_N rows, all cut from one source build at the widest cutoff, with the
+distinct efficiencies' kernels, built once at that cutoff and cut to
+each.  The four moments of a column are held, per point and not as p_N
+rows, for later calls on the same column and cutoffs, so the click
+quantities of one figure, and the figures sharing its grid, make one
+build (_MOMENTS, at most HELD_POINTS points).  The two-mode squeezed
+benchmark has elementwise closed forms (benchmark_clicks,
+benchmark_g2).
 """
 from __future__ import annotations
 
@@ -88,37 +94,72 @@ def _binomial_kernels(dim: int, eta: np.ndarray) -> tuple[np.ndarray, ...]:
     return click, single, m1, m2
 
 
-def _moments(r, eta, trunc: Truncation, sign: int) -> tuple[np.ndarray, ...]:
-    """p_click, p_click_1, m1 and m2 of the split sign superposition at
-    every point (r_i, eta_i): the p_N rows of the distinct r values times
-    the kernels of the distinct efficiencies."""
+# Click moments built by earlier calls, keyed by the exact bytes of the r
+# and eta columns, the sign and the cutoffs: the figures of one process
+# share their columns.  Only per-point values are held, never p_N rows:
+# at most HELD_POINTS points, the oldest entry dropped first, and none of
+# a longer column.
+_MOMENTS: dict = {}
+HELD_POINTS = 2**14
+
+
+def _moments(r, eta, sign: int, cutoffs: tuple) -> tuple[np.ndarray, ...]:
+    """Read-only p_click, p_click_1, m1 and m2 of the split sign
+    superposition at every point (r_i, eta_i), each with one row per
+    cutoff, held for later calls with the same points and cutoffs."""
+    r = np.asarray(r, dtype=float)
+    eta = np.asarray(eta, dtype=float)
+    key = (r.tobytes(), eta.tobytes(), sign, cutoffs)
+    held = _MOMENTS.get(key)
+    if held is None:
+        held = _build_moments(r, eta, sign, cutoffs)
+        if len(r) <= HELD_POINTS:
+            _MOMENTS[key] = held
+            while sum(m[0].shape[1] for m in _MOMENTS.values()) > HELD_POINTS:
+                del _MOMENTS[next(iter(_MOMENTS))]
+    return held
+
+
+def _build_moments(r, eta, sign: int, cutoffs: tuple) -> tuple[np.ndarray, ...]:
+    """The moments of _moments: the p_N rows of the distinct r values at
+    every cutoff, from one source build, times the kernels of the
+    distinct efficiencies, built once at the widest dim and cut to each
+    cutoff's."""
     (rs,), r_at = analysis.distinct(r)
     (etas,), eta_at = analysis.distinct(eta)
     _check_eta(etas)
-    p = optics.photon_number_rows(rs, sign, trunc)
-    return tuple((p @ kernel)[r_at, eta_at] for kernel in _binomial_kernels(trunc.dim, etas))
+    rows = optics.photon_number_rows(rs, sign, *cutoffs)
+    kernels = _binomial_kernels(max(c.dim for c in cutoffs), etas)
+    moments = []
+    for kernel in kernels:
+        m = np.array([(p @ kernel[:c.dim])[r_at, eta_at] for p, c in zip(rows, cutoffs)])
+        m.setflags(write=False)
+        moments.append(m)
+    return tuple(moments)
 
 
 def heralded_clicks(
-    r: np.ndarray, eta: np.ndarray, trunc: Truncation, sign: int = -1
+    r: np.ndarray, eta: np.ndarray, *cutoffs: Truncation, sign: int = -1
 ) -> tuple[np.ndarray, np.ndarray]:
     """p_click and p_click_1 of the split sign superposition at each point
-    (r_i, eta_i) of two equal-length 1-D arrays.  A subnormal click
-    probability has lost its digits, so it counts as vanished."""
-    p_click, p_click_1, _, _ = _moments(r, eta, trunc, sign)
+    (r_i, eta_i) of two equal-length 1-D arrays, each with one row per
+    Truncation of cutoffs.  A subnormal click probability has lost its
+    digits, so it counts as vanished."""
+    p_click, p_click_1, _, _ = _moments(r, eta, sign, cutoffs)
     if np.any(p_click < TINY):
         raise ZeroClickError("click probability vanished")
     return p_click, p_click_1
 
 
 def heralded_g2(
-    r: np.ndarray, eta: np.ndarray, trunc: Truncation, sign: int = -1
+    r: np.ndarray, eta: np.ndarray, *cutoffs: Truncation, sign: int = -1
 ) -> np.ndarray:
     """Heralded g2 = m2 / m1^2 of the split sign superposition at each
-    point (r_i, eta_i).  The moments keep the click probability inside, as
-    the closed-form benchmark does; a subnormal squared mean has lost its
-    digits, so it counts as zero."""
-    _, _, m1, m2 = _moments(r, eta, trunc, sign)
+    point (r_i, eta_i), with one row per Truncation of cutoffs.  The
+    moments keep the click probability inside, as the closed-form
+    benchmark does; a subnormal squared mean has lost its digits, so it
+    counts as zero."""
+    _, _, m1, m2 = _moments(r, eta, sign, cutoffs)
     if np.any(m1 * m1 < TINY):
         raise ZeroMeanError("mean photon number is zero")
     return m2 / (m1 * m1)

@@ -6,8 +6,8 @@ gives each point of a parameter column its own cutoff; and
 `default_dims` picks the matrix cutoff for each squeezing r.  The
 module also holds the squeezing domain, the errors for lost mass and lost
 digits, the smallest normal float below which a probability counts as
-vanished, and the cached log-factorial table.  Everything in it is
-immutable and side-effect free.
+vanished, and the log-factorial table.  Everything in it is immutable
+and side-effect free, but for that table, which only grows.
 """
 from __future__ import annotations
 
@@ -75,8 +75,10 @@ class CutoffColumn:
     at point i, every point with the same ``tail_tol``, each checked as a
     ``Truncation`` is.
 
-    ``dim`` is the largest dim, and ``scaled`` enlarges every dim as
-    ``Truncation.scaled`` does.
+    ``dims`` is a tuple, so columns compare and hash by value;
+    ``dims_array`` is the same dims as one read-only integer array, built
+    once, on which ``take`` and ``scaled`` work.  ``dim`` is the largest
+    dim, and ``scaled`` enlarges every dim as ``Truncation.scaled`` does.
     """
 
     dims: tuple[int, ...]
@@ -86,37 +88,59 @@ class CutoffColumn:
         # every cutoff passes the checks of a Truncation
         Truncation(min(self.dims, default=2), self.tail_tol)
 
+    @classmethod
+    def from_array(cls, dims: np.ndarray, tail_tol: float) -> "CutoffColumn":
+        """The column of the integer array dims, which it keeps as its
+        dims_array."""
+        dims = np.asarray(dims).astype(np.intp)
+        dims.setflags(write=False)
+        column = cls(tuple(dims.tolist()), tail_tol)
+        column.__dict__["dims_array"] = dims
+        return column
+
+    @functools.cached_property
+    def dims_array(self) -> np.ndarray:
+        dims = np.array(self.dims, dtype=np.intp)
+        dims.setflags(write=False)
+        return dims
+
     @property
     def dim(self) -> int:
         return max(self.dims)
 
     def scaled(self, factor: float) -> "CutoffColumn":
-        up = {d: math.ceil(d * factor) for d in set(self.dims)}
-        return CutoffColumn(tuple(up[d] for d in self.dims), self.tail_tol)
+        return CutoffColumn.from_array(np.ceil(self.dims_array * factor), self.tail_tol)
 
     def take(self, points) -> "CutoffColumn":
         """The cutoffs of the points at the integer indices `points`."""
-        return CutoffColumn(tuple(map(self.dims.__getitem__, np.asarray(points).tolist())),
-                            self.tail_tol)
+        return CutoffColumn.from_array(self.dims_array[np.asarray(points)], self.tail_tol)
 
 
 def cutoff_column(cutoff: "Truncation | CutoffColumn", size: int) -> CutoffColumn:
     """cutoff as a CutoffColumn over size points; a Truncation holds at
     every point."""
     if isinstance(cutoff, Truncation):
-        return CutoffColumn((cutoff.dim,) * size, cutoff.tail_tol)
+        return CutoffColumn.from_array(np.full(size, cutoff.dim), cutoff.tail_tol)
     if len(cutoff.dims) != size:
         raise ValueError(f"{len(cutoff.dims)} cutoffs for {size} points")
     return cutoff
 
 
-@functools.lru_cache(maxsize=64)
+# log k! for k < len(_LOG_FACTORIALS): read-only, grown on demand.
+_LOG_FACTORIALS = np.zeros(0)
+
+
 def log_factorials(count: int) -> np.ndarray:
-    """Read-only table of log k! = lgamma(k + 1) for k < count, cached per
-    count."""
-    table = np.array([math.lgamma(k + 1.0) for k in range(count)])
-    table.setflags(write=False)
-    return table
+    """Read-only table of log k! = lgamma(k + 1) for k < count: a prefix of
+    one table grown to the largest count asked for, so each entry is the
+    same float at every count (the table itself at that count)."""
+    global _LOG_FACTORIALS
+    table = _LOG_FACTORIALS
+    if count > len(table):
+        table = np.concatenate([table, [math.lgamma(k + 1.0) for k in range(len(table), count)]])
+        table.setflags(write=False)
+        _LOG_FACTORIALS = table
+    return table if count == len(table) else table[:count]
 
 
 def default_dims(r) -> np.ndarray:

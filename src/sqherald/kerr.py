@@ -181,7 +181,7 @@ def _weight_rows(r: np.ndarray, columns) -> _WeightRows:
     column's row is built before it."""
     size = len(r)
     (rs, dims, tols), at = analysis.distinct(
-        np.tile(r, len(columns)), np.concatenate([c.dims for c in columns]),
+        np.tile(r, len(columns)), np.concatenate([c.dims_array for c in columns]),
         np.repeat([c.tail_tol for c in columns], size))
     keys = list(zip(rs.tolist(), dims.tolist(), tols.tolist()))
     weights = [_ROWS.get(key) for key in keys]
@@ -196,8 +196,7 @@ def _weight_rows(r: np.ndarray, columns) -> _WeightRows:
         per = max(1, MERGE_BLOCK // ((int(dims[todo].max()) + 1) // 2))
         for b in range(0, len(todo), per):
             block = todo[b:b + per]
-            built = _odd_rows(rs[block], CutoffColumn(tuple(dims[block].tolist()),
-                                                      column.tail_tol))
+            built = _odd_rows(rs[block], CutoffColumn.from_array(dims[block], column.tail_tol))
             for j, g in zip(block.tolist(), built):
                 weights[j] = _ROWS[keys[j]] = g
                 if len(_ROWS) > 256:
@@ -209,7 +208,7 @@ def _odd_rows(r: np.ndarray, column: CutoffColumn) -> list:
     """Read-only weights g_n, n = 1, 3, 5, ..., of the label series at
     each r[i], cut at column.dims[i] with tail tolerance column.tail_tol:
     g_n = conj(c_n) d_{2n} of squeezed vacuum c against the odd
-    superposition d, from one sources.pair_amplitudes build of each at the
+    superposition d, both from one sources.pair_amplitudes build at the
     widest dim.
 
     Both amplitudes are real and carry the same sign (-1)^n, so g_n is
@@ -217,12 +216,11 @@ def _odd_rows(r: np.ndarray, column: CutoffColumn) -> list:
     fall with n, and the trailing ones that underflow to exact zeros are
     trimmed (all of them at r = 0), so a shorter series is a prefix of a
     longer one.  Small tail terms stay, so the 1.5x-cutoff recheck still
-    compares two different series.  d is built first: its tail checks
-    cover c's too, so the first row that fails either raises, naming c's
-    check if both fail.
+    compares two different series.  d's tail checks cover c's too, so the
+    first row that fails either raises, naming c's check if both fail.
     """
-    odd = sources.pair_amplitudes(r, -1, column)
-    g = (sources.pair_amplitudes(r, None, column) * odd)[:, 1::2]
+    ((vac, odd),) = sources.pair_amplitudes(r, -1, column, vacuum=True)
+    g = (vac * odd)[:, 1::2]
     nonzero = g != 0.0
     ends = np.where(nonzero.any(axis=1), g.shape[1] - np.argmax(nonzero[:, ::-1], axis=1), 0)
     rows = []

@@ -232,7 +232,7 @@ def squeezed_vacuum(r: float, trunc: Truncation) -> SingleModeState:
     The sign convention matches squeeze_matrix: positive r gives a real
     state with alternating signs on levels 0, 2, 4, ...
     """
-    mag = sources.pair_amplitudes(r, None, trunc)
+    (mag,) = sources.pair_amplitudes(r, None, trunc)
     amps = np.zeros(trunc.dim, dtype=complex)
     amps[0::2] = _pair_signs(r, len(mag)) * mag
     return SingleModeState(amps, trunc)
@@ -248,7 +248,7 @@ def squeezed_cat(r: float, sign: int, trunc: Truncation) -> SingleModeState:
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     if sign < 0 and r == 0.0:
         raise DegenerateStateError("the odd superposition vanishes at r = 0")
-    mag = sources.pair_amplitudes(r, sign, trunc)
+    (mag,) = sources.pair_amplitudes(r, sign, trunc)
     amps = np.zeros(trunc.dim, dtype=complex)
     amps[0::2] = _pair_signs(r, len(mag)) * mag
     return SingleModeState(amps, trunc)
@@ -636,7 +636,9 @@ def p0_over_tau(
 def _pair_series(r: float, sign: int, trunc: Truncation) -> tuple[np.ndarray, np.ndarray]:
     """Pair indices n and weights g_n = conj(c_n) d_{2n}, the product of
     their magnitudes, of the nonzero label-series terms on the sign branch."""
-    g = sources.pair_amplitudes(r, None, trunc) * sources.pair_amplitudes(r, sign, trunc)
+    (vac,) = sources.pair_amplitudes(r, None, trunc)
+    (mag,) = sources.pair_amplitudes(r, sign, trunc)
+    g = vac * mag
     n = np.flatnonzero(g)
     return n, g[n]
 

@@ -39,8 +39,8 @@ def truncations(
     else:
         raise ValueError(f"unknown cutoff kind {kind!r}")
     r = np.abs(np.asarray(r, dtype=float))
-    dims = tier(r).tolist() if dim is None else [dim] * len(r)
-    return CutoffColumn(tuple(dims), default_tol if tail_tol is None else tail_tol)
+    dims = tier(r) if dim is None else np.full(len(r), dim)
+    return CutoffColumn.from_array(dims, default_tol if tail_tol is None else tail_tol)
 
 
 def truncation(
@@ -72,67 +72,71 @@ class Quantity:
 
 
 def _each(body, **fixed):
-    """fn(*cutoffs, **params) of a body(trunc, **params, **fixed) that
-    takes one Truncation (None for analytic bodies): the points are
-    grouped by their dims at every cutoff, in order of first appearance,
-    and the body runs on each group's points at each cutoff in turn."""
+    """fn(*cutoffs, **params) of a body(*truncs, **params, **fixed) that
+    takes one Truncation per cutoff and returns one row per Truncation:
+    the points are grouped by their dims at every cutoff, in order of
+    first appearance, and the body runs once on each group's points, with
+    the group's dims at every cutoff.  An analytic body runs once, on
+    every point, with the one cutoff None, and returns its one row."""
     def fn(*cutoffs, **params):
         if cutoffs == (None,):
             return np.array([body(None, **params, **fixed)])
         size = len(next(iter(params.values())))
         columns = [cutoff_column(c, size) for c in cutoffs]
-        dims, group = analysis.distinct(*(c.dims for c in columns))
+        dims, group = analysis.distinct(*(c.dims_array for c in columns))
         out = np.empty((len(columns), size))
-        for g, key in enumerate(zip(*(d.astype(int).tolist() for d in dims))):
+        for g, key in enumerate(zip(*(d.tolist() for d in dims))):
             idx = np.flatnonzero(group == g)
             sub = {k: v[idx] for k, v in params.items()}
-            for row, c, dim in zip(out, columns, key):
-                row[idx] = body(Truncation(dim, c.tail_tol), **sub, **fixed)
+            truncs = (Truncation(dim, c.tail_tol) for c, dim in zip(columns, key))
+            out[:, idx] = body(*truncs, **sub, **fixed)
         return out
 
     return fn
 
 
-def _p11(trunc, r, sign):
+def _p11(*truncs, r, sign):
     # P(1,1) = p_2 / 2
-    return optics.photon_number_rows(r, sign, trunc)[:, 2] / 2.0
+    return [p[:, 2] / 2.0 for p in optics.photon_number_rows(r, sign, *truncs)]
 
 
-def _pc(trunc, r, sign):
+def _pc(*truncs, r, sign):
     # P(n_b = 1 | n_a = 1) = P(1,1) / P(n_a = 1)
-    p = optics.photon_number_rows(r, sign, trunc)
-    total = optics.herald_totals(p)
-    if np.any(total == 0.0):
-        raise optics.ZeroHeraldError("herald outcome n_a = 1 has zero probability")
-    return p[:, 2] / 2.0 / total
+    out = []
+    for p in optics.photon_number_rows(r, sign, *truncs):
+        total = optics.herald_totals(p)
+        if np.any(total == 0.0):
+            raise optics.ZeroHeraldError("herald outcome n_a = 1 has zero probability")
+        out.append(p[:, 2] / 2.0 / total)
+    return out
 
 
-def _p1n(trunc, n, r, sign):
+def _p1n(*truncs, n, r, sign):
     """P(1, n) = (n+1) 2^-(n+1) p_(n+1), from one photon-number row per
     distinct r; 0 where the total n + 1 lies beyond the cutoff."""
     bad = ~(np.isfinite(n) & (n >= 0.0) & (n == np.floor(n)))
     if np.any(bad):
         raise ValueError(f"n must be a finite nonnegative integer, got {n[bad][0]}")
     (rs,), at = analysis.distinct(r)
-    p = optics.photon_number_rows(rs, sign, trunc)
-    out = np.zeros(len(n))
-    inside = np.flatnonzero(n + 1.0 < trunc.dim)
-    total = (n[inside] + 1.0).astype(int)
-    out[inside] = np.ldexp(total * p[at[inside], total], -total)
+    out = np.zeros((len(truncs), len(n)))
+    for row, p, trunc in zip(out, optics.photon_number_rows(rs, sign, *truncs), truncs):
+        inside = np.flatnonzero(n + 1.0 < trunc.dim)
+        total = (n[inside] + 1.0).astype(int)
+        row[inside] = np.ldexp(total * p[at[inside], total], -total)
     return out
 
 
-def _q_p11_tmss(trunc, r):
-    return sources.tmss_p11(r, trunc)
+def _q_p11_tmss(*truncs, r):
+    return [sources.tmss_p11(r, trunc) for trunc in truncs]
 
 
 def _q_herald_prob_cat_minus(trunc, r):
     return sources.herald_probability(r, -1)
 
 
-def _q_herald_yield_cat_minus(trunc, r):
+def _q_herald_yield_cat_minus(*truncs, r):
     # the odd branch weight is exactly 0 at r = 0, where P(1,1) is its limit 1/2
-    return sources.herald_probability(r, -1) * _p11(trunc, r, -1)
+    return sources.herald_probability(r, -1) * np.array(_p11(*truncs, r=r, sign=-1))
 
 
 def _per_alpha(kernel, cutoffs, x, r, alpha):
@@ -152,35 +156,35 @@ def _q_p0_cat_minus(*cutoffs, tau_tilde, r, alpha):
 
 def _q_p1_cat_minus(*cutoffs, tau_tilde, r, alpha):
     # p0 times P(1,1) = p_2/2 of the odd superposition: one photon-number
-    # row per distinct r and cutoffs, one call per cutoff.  p0 has run the
-    # tail checks of these rows first
+    # row per distinct r and cutoffs, from one build for every cutoff.  p0
+    # has run the tail checks of these rows first
     p0 = _q_p0_cat_minus(*cutoffs, tau_tilde=tau_tilde, r=r, alpha=alpha)
     columns = [cutoff_column(c, len(r)) for c in cutoffs]
-    (rs, *dims), at = analysis.distinct(r, *(c.dims for c in columns))
-    p11 = [optics.photon_number_rows(rs, -1, CutoffColumn(tuple(d.tolist()), c.tail_tol))[:, 2]
-           for d, c in zip(dims, columns)]
-    return np.array(p11)[:, at] / 2.0 * p0
+    (rs, *dims), at = analysis.distinct(r, *(c.dims_array for c in columns))
+    rows = optics.photon_number_rows(
+        rs, -1, *(CutoffColumn.from_array(d, c.tail_tol) for d, c in zip(dims, columns)))
+    return np.array([p[:, 2] for p in rows])[:, at] / 2.0 * p0
 
 
 def _q_phase_ratio(*cutoffs, sigma, r, alpha):
     return _per_alpha(kerr.phase_ratio, cutoffs, sigma, r, alpha)
 
 
-def _q_pclick_cat_minus(trunc, r, eta):
-    return detect.heralded_clicks(r, eta, trunc)[0]
+def _q_pclick_cat_minus(*truncs, r, eta):
+    return detect.heralded_clicks(r, eta, *truncs)[0]
 
 
-def _q_pclick1_cat_minus(trunc, r, eta):
-    return detect.heralded_clicks(r, eta, trunc)[1]
+def _q_pclick1_cat_minus(*truncs, r, eta):
+    return detect.heralded_clicks(r, eta, *truncs)[1]
 
 
-def _q_pclickc_cat_minus(trunc, r, eta):
-    p_click, p_click_1 = detect.heralded_clicks(r, eta, trunc)
+def _q_pclickc_cat_minus(*truncs, r, eta):
+    p_click, p_click_1 = detect.heralded_clicks(r, eta, *truncs)
     return p_click_1 / p_click
 
 
-def _q_pclick1_yield_cat_minus(trunc, r, eta):
-    return sources.herald_probability(r, -1) * detect.heralded_clicks(r, eta, trunc)[1]
+def _q_pclick1_yield_cat_minus(*truncs, r, eta):
+    return sources.herald_probability(r, -1) * detect.heralded_clicks(r, eta, *truncs)[1]
 
 
 def _q_pclick_tmss(trunc, r, eta):
@@ -195,8 +199,8 @@ def _q_pclickc_tmss(trunc, r, eta):
     return detect.benchmark_clicks(r, eta)[2]
 
 
-def _q_g2_cat_minus(trunc, r, eta):
-    return detect.heralded_g2(r, eta, trunc)
+def _q_g2_cat_minus(*truncs, r, eta):
+    return detect.heralded_g2(r, eta, *truncs)
 
 
 def _q_g2_tmss(trunc, r, eta):

@@ -52,7 +52,7 @@ def _own_pairs(r, trunc) -> np.ndarray | None:
         return None
     if np.ndim(r) != 1 or len(r) != len(trunc.dims):
         raise ValueError(f"{len(trunc.dims)} cutoffs for r of shape {np.shape(r)}")
-    return (np.array(trunc.dims) + 1) // 2
+    return (trunc.dims_array + 1) // 2
 
 
 def _masses(sq: np.ndarray, pairs: np.ndarray | None) -> np.ndarray:
@@ -96,31 +96,34 @@ def _log_cat_norm(r, sign: int):
         return 2.0 * np.log(2.0 * np.sinh(np.abs(r))) - np.log(c * (c + 1.0))
 
 
-def pair_amplitudes(r, sign: int | None, trunc: Truncation | CutoffColumn) -> np.ndarray:
+def pair_amplitudes(r, sign: int | None, *cutoffs: Truncation | CutoffColumn,
+                    vacuum: bool = False) -> list:
     """|c_2k| of the pair levels |2k>, 2k < dim, of squeezed vacuum (sign
     None) or of the sign superposition, one row per entry of an array r,
-    after checking both tail masses against the cutoff.
+    as one array per cutoff of cutoffs, after checking both tail masses
+    against each cutoff in turn.
 
-    trunc is a Truncation, or a CutoffColumn with one cutoff per entry of
-    a 1-D r: then every row is built at the widest dim and tail-checked at
-    its own, and its entries past its own cutoff are 0.  The first row
-    that fails a check is named, with its own dim.  The superposition
-    keeps pair levels with k even/odd and doubles them (S(-r) flips the
-    sign of every odd-k level); its amplitudes 2 c_2k / sqrt(N_pm) are
-    formed in log space, where N_- underflows as r -> 0.  At r = 0 the
-    odd branch is its r -> 0 limit, |2>.
+    Every cutoff's rows come from one build at the widest dim: a cutoff's
+    rows are a prefix of a wider one's, entry for entry.  A cutoff is a
+    Truncation, or a CutoffColumn with one cutoff per entry of a 1-D r,
+    whose rows are its widest dim wide and 0 past their own cutoffs.  All
+    the checks of a cutoff come before any of the next; the first row
+    that fails one is named, with its own dim.  The superposition keeps
+    pair levels with k even/odd and doubles them (S(-r) flips the sign of
+    every odd-k level); its amplitudes 2 c_2k / sqrt(N_pm) are formed in
+    log space, where N_- underflows as r -> 0.  At r = 0 the odd branch
+    is its r -> 0 limit, |2>.  With vacuum, each cutoff's entry is the
+    pair (squeezed vacuum's |c_2k|, the sign's), from the same build and
+    the same checks.  A Truncation's arrays are read-only views of the
+    build.
     """
     if sign not in (None, +1, -1):
         raise ValueError(f"sign must be +1, -1 or None, got {sign}")
     _check_squeeze(r)
-    pairs = _own_pairs(r, trunc)
-    logmag = _even_log_weights(r, (trunc.dim + 1) // 2)
-    beyond = None if pairs is None else np.arange(logmag.shape[-1]) >= pairs[:, None]
-    vacuum = (1.0 - _masses(np.exp(2.0 * logmag), pairs), "squeezed vacuum at r = {r}")
-    if sign is None:
-        _check_tails(r, trunc, vacuum)
-        mag = np.exp(logmag)
-    else:
+    logmag = _even_log_weights(r, (max(c.dim for c in cutoffs) + 1) // 2)
+    vac_sq = np.exp(2.0 * logmag)
+    mags = [np.exp(logmag)] if sign is None or vacuum else []
+    if sign is not None:
         r_col = np.asarray(r, dtype=float)[..., None]
         kept = slice(0 if sign > 0 else 1, None, 2)
         logamp = np.full(logmag.shape, -np.inf)
@@ -129,12 +132,25 @@ def pair_amplitudes(r, sign: int | None, trunc: Truncation | CutoffColumn) -> np
         if sign < 0 and np.any(r_col == 0.0):
             limit = np.where(np.arange(logmag.shape[-1]) == 1, 0.0, -np.inf)
             logamp = np.where(r_col == 0.0, limit, logamp)
-        mag = np.exp(logamp)
-        _check_tails(r, trunc, vacuum, (1.0 - _masses(mag * mag, pairs),
-                                        "superposition at r = {r}, sign = %+d" % sign))
-    if beyond is not None:
-        mag[beyond] = 0.0
-    return mag
+        mags.append(np.exp(logamp))
+        sign_sq = mags[-1] * mags[-1]
+    for mag in mags:
+        mag.setflags(write=False)
+    out = []
+    for trunc in cutoffs:
+        pairs = _own_pairs(r, trunc)
+        width = (trunc.dim + 1) // 2
+        checks = [(1.0 - _masses(vac_sq[..., :width], pairs), "squeezed vacuum at r = {r}")]
+        if sign is not None:
+            checks.append((1.0 - _masses(sign_sq[..., :width], pairs),
+                           "superposition at r = {r}, sign = %+d" % sign))
+        _check_tails(r, trunc, *checks)
+        rows = [mag[..., :width] for mag in mags]
+        if pairs is not None:
+            beyond = np.arange(width) >= pairs[:, None]
+            rows = [np.where(beyond, 0.0, row) for row in rows]
+        out.append((rows[0], rows[-1]) if vacuum else rows[-1])
+    return out
 
 
 def converged_dim(r, tail_tol: float, max_dim: int = 8192):

@@ -154,7 +154,7 @@ def test_sweep_set_flag_fixes_parameters(capsys):
     assert '"eta": 0.8' in meta["fixed"]
     for r, value in rows:
         at, eta = np.array([r]), np.array([0.8])
-        direct = float(detect.heralded_g2(at, eta, default_truncation(r))[0])
+        direct = float(detect.heralded_g2(at, eta, default_truncation(r))[0, 0])
         assert abs(value - direct) <= 1e-14
 
 

@@ -109,6 +109,37 @@ def test_log_factorials_match_scipy_gammaln():
     assert fs.log_factorials(count) is table
 
 
+def test_log_factorials_are_prefixes_of_one_table():
+    # every count reads the same entries, bit for bit, however the table
+    # has grown
+    long = fs.log_factorials(3000)
+    for count in (0, 1, 7, 64, 2999):
+        short = fs.log_factorials(count)
+        assert short.tobytes() == long[:count].tobytes()
+        assert not short.flags.writeable
+    grown = fs.log_factorials(5000)
+    assert grown[:3000].tobytes() == long.tobytes()
+    assert grown[4999] == math.lgamma(5000.0)
+
+
+def test_cutoff_column_keeps_one_array_of_its_dims():
+    column = fs.CutoffColumn((64, 160, 64, 96), 1e-3)
+    dims = column.dims_array
+    assert dims.tolist() == [64, 160, 64, 96] and not dims.flags.writeable
+    assert column.dims_array is dims
+    # built from an array, a column equals and hashes as the tuple's does
+    same = fs.CutoffColumn.from_array(np.array([64, 160, 64, 96]), 1e-3)
+    assert same == column and hash(same) == hash(column)
+    assert all(type(d) is int for d in same.dims)
+    scaled = column.scaled(1.5)
+    assert scaled == fs.CutoffColumn((96, 240, 96, 144), 1e-3)
+    assert all(type(d) is int for d in scaled.dims)
+    assert fs.CutoffColumn((11,), 0.0).scaled(1.5).dims == (fs.Truncation(11).scaled(1.5).dim,)
+    assert column.take([3, 1]) == fs.CutoffColumn((96, 160), 1e-3)
+    assert column.take(np.array([], dtype=np.intp)).dims == ()
+    assert fs.cutoff_column(fs.Truncation(48, 1e-6), 3) == fs.CutoffColumn((48,) * 3, 1e-6)
+
+
 def test_expm_antisymmetric_matches_scipy_expm():
     rng = np.random.default_rng(20261018)
     for dim in range(2, 65):

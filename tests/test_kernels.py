@@ -72,10 +72,10 @@ def test_kernels_match_the_dense_split(r, eta, sign):
     # detect.heralded_clicks and detect.heralded_g2 face the dense table.
     stats = ("p_click", "p_click_1", "p_click_c")
     weighted = reference.click_weights(eta, trunc.dim) @ dist.p
-    point = (np.array([r]), np.array([eta]), trunc, sign)
+    point = (np.array([r]), np.array([eta]), trunc)
 
     def binomial():
-        p_click, p_click_1 = (float(v[0]) for v in detect.heralded_clicks(*point))
+        p_click, p_click_1 = (float(v[0, 0]) for v in detect.heralded_clicks(*point, sign=sign))
         return dict(zip(stats, (p_click, p_click_1, p_click_1 / p_click)))
 
     kernel = _outcome(binomial)
@@ -91,7 +91,7 @@ def test_kernels_match_the_dense_split(r, eta, sign):
             assert 0.0 <= value <= 1.0
 
     m1 = float(np.arange(trunc.dim) @ weighted)
-    g2 = _outcome(lambda: float(detect.heralded_g2(*point)[0]))
+    g2 = _outcome(lambda: float(detect.heralded_g2(*point, sign=sign)[0, 0]))
     if m1 * m1 < sys.float_info.min:
         assert isinstance(g2, type) or g2 >= 0.0
     else:
@@ -101,13 +101,13 @@ def test_kernels_match_the_dense_split(r, eta, sign):
 
 
 def test_photon_numbers_keep_the_tail_checks_and_the_odd_limit():
-    p = optics.photon_number_rows(np.array([0.725]), -1, fs.Truncation(64))[0]
+    p = optics.photon_number_rows(np.array([0.725]), -1, fs.Truncation(64))[0][0]
     assert abs(float(np.sum(p)) - 1.0) <= 1e-12
     assert np.all(p[np.arange(64) % 4 != 2] == 0.0)
     for sign in (-1, +1, None):
         with pytest.raises(fs.TruncationError):
             optics.photon_number_rows(np.array([1.5]), sign, fs.Truncation(16))
-    two = optics.photon_number_rows(np.array([0.0]), -1, fs.Truncation(8))[0]
+    two = optics.photon_number_rows(np.array([0.0]), -1, fs.Truncation(8))[0][0]
     assert np.array_equal(two, np.eye(8)[2])
     assert analysis.evaluate("p1n_cat_minus", {"n": 1.0, "r": 0.0}, dim=8).values[0] == 0.5
 
@@ -115,7 +115,7 @@ def test_photon_numbers_keep_the_tail_checks_and_the_odd_limit():
 def test_pair_factor_is_half_of_p2():
     for r in (0.05, 0.725, 1.146, 2.0):
         trunc = fs.default_truncation(r)
-        p2 = optics.photon_number_rows(np.array([r]), -1, trunc)[0, 2]
+        p2 = optics.photon_number_rows(np.array([r]), -1, trunc)[0][0, 2]
         assert analysis.evaluate("p1n_cat_minus", {"n": 1.0, "r": r}).values[0] == p2 / 2.0
         # closed form: P(1,1; odd) = tanh^2 r / (cosh r N_-(r))
         exact = math.tanh(r) ** 2 / (math.cosh(r) * sources.cat_norm(r, -1))
@@ -212,18 +212,18 @@ def test_fig7a_groups_its_evaluations_by_cutoff(monkeypatch):
     kernel_cutoffs = []
     clicks = detect.heralded_clicks
 
-    def counted_clicks(r, eta, trunc):
-        kernel_cutoffs.append(trunc)
-        return clicks(r, eta, trunc)
+    def counted_clicks(r, eta, *cutoffs):
+        kernel_cutoffs.append(cutoffs)
+        return clicks(r, eta, *cutoffs)
 
     monkeypatch.setattr(detect, "heralded_clicks", counted_clicks)
     # one call per quantity; the click kernel runs once per cutoff of its r
-    # grid and once per 1.5x recheck of it
+    # grid, with that cutoff and its 1.5x recheck together
     table = registry.figure("fig7a").build()
     rs = np.linspace(*registry.R_GRID_SURFACE)
     for name in table.columns[2:]:
         assert calls[name] == 1
     cutoffs = [registry.truncation("matrix", float(r)) for r in rs]
     assert len(set(cutoffs)) == 2
-    expected = [c for base in dict.fromkeys(cutoffs) for c in (base, base.scaled(1.5))]
+    expected = [(base, base.scaled(1.5)) for base in dict.fromkeys(cutoffs)]
     assert kernel_cutoffs == expected

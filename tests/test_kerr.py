@@ -189,10 +189,10 @@ def test_column_past_the_series_cache_builds_each_series_once(monkeypatch):
     sources_built = []
     pair_amplitudes = sources.pair_amplitudes
 
-    def spy(r, sign, trunc):
-        if sign is None:
+    def spy(r, sign, trunc, vacuum=False):
+        if vacuum:
             sources_built.extend(zip(r.tolist(), trunc.dims))
-        return pair_amplitudes(r, sign, trunc)
+        return pair_amplitudes(r, sign, trunc, vacuum=vacuum)
 
     monkeypatch.setattr(sources, "pair_amplitudes", spy)
     rs = 0.3 + np.arange(200) / 331.0

@@ -82,7 +82,7 @@ COLUMN_RS = hst.sampled_from([0.0, 1e-100, 1e-7, 0.05, 0.725, 1.2, 2.0]) | hst.f
 def _one_row(fn, r, sign, dim, tail_tol):
     """fn at one r and cutoff: its row, or the TruncationError it raises."""
     try:
-        return fn(np.array([r]), sign, fs.Truncation(dim, tail_tol))[0]
+        return fn(np.array([r]), sign, fs.Truncation(dim, tail_tol))[0][0]
     except fs.TruncationError as exc:
         return exc
 
@@ -106,7 +106,7 @@ def test_cutoff_column_builds_equal_one_call_per_row(points, sign, tail_tol):
             assert str(info.value) == str(failed[0])
             assert info.value.tail_mass == failed[0].tail_mass
             continue
-        built = fn(rs, sign, column)
+        (built,) = fn(rs, sign, column)
         assert built.shape == (len(points), width(column.dim))
         for row, one, (_, dim) in zip(built, rows, points):
             assert np.array_equal(row[:width(dim)], one)
@@ -125,6 +125,61 @@ def test_cutoff_column_names_its_first_failing_row():
         assert "at r = 2.0" in str(info.value) and "dim = 16" in str(info.value)
         assert str(info.value) == str(alone)
         assert info.value.tail_mass == alone.tail_mass
+
+
+# one cutoff of a pair: a Truncation, or a CutoffColumn over the points
+CUTOFFS = hst.one_of(hst.integers(2, 300).map(fs.Truncation),
+                     hst.lists(hst.integers(2, 300), min_size=3, max_size=3).map(tuple))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(rs=hst.lists(COLUMN_RS, min_size=3, max_size=3),
+       cutoffs=hst.lists(CUTOFFS, min_size=1, max_size=3),
+       sign=hst.sampled_from([None, -1, +1]),
+       tail_tol=hst.sampled_from([0.9, 1e-3, 1e-9]))
+def test_cutoffs_built_together_equal_one_call_each(rs, cutoffs, sign, tail_tol):
+    # one build at the widest dim: each cutoff's rows are those of its own
+    # call, and the first cutoff that fails raises its own call's error
+    rs = np.array(rs)
+    cutoffs = [fs.Truncation(c.dim, tail_tol) if isinstance(c, fs.Truncation)
+               else fs.CutoffColumn(c, tail_tol) for c in cutoffs]
+    for fn in (sources.pair_amplitudes, optics.photon_number_rows):
+        alone = []
+        for c in cutoffs:
+            try:
+                alone.append(fn(rs, sign, c)[0])
+            except fs.TruncationError as exc:
+                with pytest.raises(fs.TruncationError) as info:
+                    fn(rs, sign, *cutoffs)
+                assert str(info.value) == str(exc)
+                assert info.value.tail_mass == exc.tail_mass
+                break
+        else:
+            together = fn(rs, sign, *cutoffs)
+            assert len(together) == len(cutoffs)
+            for rows, one in zip(together, alone):
+                assert rows.shape == one.shape
+                assert np.array_equal(rows, one)
+            if fn is sources.pair_amplitudes:
+                assert not any(rows.flags.writeable for rows, c in zip(together, cutoffs)
+                               if isinstance(c, fs.Truncation))
+
+
+def test_one_build_gives_vacuum_and_superposition():
+    # the vacuum magnitudes of the odd build are those of a vacuum build,
+    # bit for bit, and its checks are the odd build's
+    rs = np.array([0.0, 1e-7, 0.725, 2.0])
+    for cutoff in (fs.Truncation(200), fs.CutoffColumn((40, 64, 96, 200), 1e-3)):
+        for sign in (-1, +1):
+            ((vacuum, mag),) = sources.pair_amplitudes(rs, sign, cutoff, vacuum=True)
+            assert np.array_equal(vacuum, sources.pair_amplitudes(rs, None, cutoff)[0])
+            assert np.array_equal(mag, sources.pair_amplitudes(rs, sign, cutoff)[0])
+    column = fs.CutoffColumn((64, 64, 16, 64), 1e-6)
+    with pytest.raises(fs.TruncationError) as info:
+        sources.pair_amplitudes(rs, -1, column, vacuum=True)
+    with pytest.raises(fs.TruncationError) as alone:
+        sources.pair_amplitudes(rs, -1, column)
+    assert str(info.value) == str(alone.value)
 
 
 def test_cat_norm_closed_form():
