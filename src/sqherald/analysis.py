@@ -8,7 +8,10 @@ points' parameter values, with the points' cutoffs and 1.5x them in the
 same call; every row must agree between the two within
 CONVERGENCE_TOL, so published tables are convergence-checked row by
 row.  The scan and check grids of maximize_1d are one call each,
-at the points' cutoffs and with no recheck.
+at the points' cutoffs and with no recheck.  Its golden section, and the
+bisection of find_crossing, evaluate in one call every point that their
+next SEARCH_DEPTH steps could visit, then replay those steps on the
+values: the iterates are those of one evaluation per step, to the bit.
 """
 from __future__ import annotations
 
@@ -26,6 +29,9 @@ SCAN_POINTS = 41
 CHECK_POINTS = 201
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# each objective call of a search evaluates every point that its next
+# SEARCH_DEPTH evaluations could visit: at most 2**SEARCH_DEPTH - 1 points
+SEARCH_DEPTH = 4
 
 
 class ConvergenceError(RuntimeError):
@@ -319,6 +325,11 @@ class ArrayObjective:
         values = np.asarray(self.fn(xs), dtype=float)
         return _require_finite(values, self.name, lambda i: {self.var: float(xs[i])})
 
+    def at(self, x: float, raw) -> float:
+        """raw, a value of fn at the point x, as a call on x returns it: a
+        float, or the NumericalFailureError naming x if it is not finite."""
+        return float(_require_finite(np.array([raw]), self.name, lambda i: {self.var: float(x)})[0])
+
 
 def objective(
     quantity, dim: int | None = None, tail_tol: float | None = None, **fixed: float
@@ -341,22 +352,81 @@ def objective(
     return ArrayObjective(values, q.name, var)
 
 
-def _golden_section(f, a: float, b: float, tol: float) -> tuple[float, float]:
+def _searcher(evaluate, check, batched: bool = True):
+    """A search's view of its objective: value(x, tree) is the value at x
+    as check(x, raw) returns it, so only the points a search visits are
+    checked.  The first time x is asked for, evaluate(points) runs once on
+    tree(), the points that the next steps could visit with x first (on
+    [x] alone unless batched), and every raw value is kept for the steps
+    that follow.  An evaluation that raises is repeated on x alone, so a
+    point the search never visits cannot fail it."""
+    known = {}
+
+    def value(x, tree):
+        if x not in known:
+            points = tree() if batched else [x]
+            try:
+                raw = evaluate(points)
+            except Exception:
+                if len(points) == 1:
+                    raise
+                points, raw = [x], evaluate([x])
+            known.update(zip(points, raw))
+        return check(x, known[x])
+
+    return value
+
+
+def _golden_step(a: float, b: float, c: float, d: float, c_wins: bool):
+    """One golden-section step on [a, b] with interior points c < d: keep
+    [a, d] if c wins, else [c, b].  Returns the new a, b, c, d and the one
+    new point."""
+    if c_wins:
+        b, d = d, c
+        c = b - INV_PHI * (b - a)
+        return a, b, c, d, c
+    a, c = c, d
+    d = a + INV_PHI * (b - a)
+    return a, b, c, d, d
+
+
+def _golden_tree(state: tuple, new: tuple, tol: float, depth: int) -> list[float]:
+    """The points that the golden section at state (a, b, c, d), whose
+    points new are not evaluated yet, could visit in its next depth
+    evaluations: new, then below each outcome of the comparison the next
+    step's point or, once b - a <= tol, the midpoint."""
+    a, b = state[:2]
+    points = list(new[:depth])
+    depth -= len(new)
+    if depth > 0:
+        if not (b - a) > tol:
+            points.append(0.5 * (a + b))
+        else:
+            for c_wins in (True, False):
+                *after, p = _golden_step(*state, c_wins)
+                points += _golden_tree(tuple(after), (p,), tol, depth)
+    return points
+
+
+def _golden_section(f: ArrayObjective, a: float, b: float, tol: float) -> tuple[float, float]:
+    """Golden-section maximum of f on [a, b] to tol: the midpoint of the
+    final bracket and f there.  Each call of f.fn evaluates the decision
+    tree of the next SEARCH_DEPTH evaluations, and the search replays its
+    steps on those values, so its iterates, result and first non-finite
+    point are those of one evaluation per step."""
+    value = _searcher(lambda xs: np.asarray(f.fn(np.array(xs, dtype=float)), dtype=float), f.at)
     c = b - INV_PHI * (b - a)
     d = a + INV_PHI * (b - a)
-    fc = f(c)
-    fd = f(d)
+    state = (a, b, c, d)
+    fc = value(c, lambda: _golden_tree(state, (c, d), tol, SEARCH_DEPTH))
+    fd = value(d, lambda: _golden_tree(state, (d,), tol, SEARCH_DEPTH))
     while (b - a) > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + INV_PHI * (b - a)
-            fd = f(d)
+        c_wins = fc > fd
+        a, b, c, d, p = _golden_step(a, b, c, d, c_wins)
+        fp = value(p, lambda: _golden_tree((a, b, c, d), (p,), tol, SEARCH_DEPTH))
+        fc, fd = (fp, fc) if c_wins else (fd, fp)
     x = 0.5 * (a + b)
-    return x, f(x)
+    return x, value(x, lambda: [x])
 
 
 def maximize_1d(quantity, lo: float, hi: float, tol: float = GOLDEN_TOL) -> MaximizeResult:
@@ -366,9 +436,10 @@ def maximize_1d(quantity, lo: float, hi: float, tol: float = GOLDEN_TOL) -> Maxi
     grid value beats the polished maximum, the search is repeated around
     the grid winner and the result is flagged non-unimodal.  quantity is
     an ArrayObjective, or a registered name or Quantity (see objective).
-    The scan and the check grid are one objective call each, and golden
-    section calls it on one-point arrays; a value that is not finite is a
-    NumericalFailureError naming the first such point.
+    The scan and the check grid are one objective call each, and each
+    golden-section call evaluates the points its next SEARCH_DEPTH steps
+    could visit (see _golden_section); a value that is not finite is a
+    NumericalFailureError naming the first such point the search visits.
     """
     f = quantity if isinstance(quantity, ArrayObjective) else objective(quantity)
     xs = np.linspace(lo, hi, SCAN_POINTS)
@@ -393,17 +464,44 @@ def maximize_1d(quantity, lo: float, hi: float, tol: float = GOLDEN_TOL) -> Maxi
     return MaximizeResult(float(x_star), float(v_star), unimodal)
 
 
+def _bisection_tree(a: float, b: float, tol: float, depth: int) -> list[float]:
+    """The midpoints that the bisection of [a, b] could visit in its next
+    depth steps: its own, then those of either half."""
+    if depth <= 0 or not (b - a) > tol:
+        return []
+    mid = 0.5 * (a + b)
+    return [mid, *_bisection_tree(a, mid, tol, depth - 1), *_bisection_tree(mid, b, tol, depth - 1)]
+
+
 def find_crossing(f, g, lo: float, hi: float, tol: float = GOLDEN_TOL) -> float:
     """Bisection root of f - g on [lo, hi]; the difference must change
     sign, and a difference that is not finite is a NumericalFailureError
-    naming its point."""
+    naming its point.
 
-    def h(x: float) -> float:
-        value = np.array([f(x) - g(x)], dtype=float)
+    When f and g are both ArrayObjectives, each call of their fn
+    evaluates the endpoints or midpoints of the next SEARCH_DEPTH steps at
+    once and the bisection replays its steps on those values, checking
+    f, g and f - g at the points it visits as one evaluation per step
+    would.  Other callables are called on one float per step."""
+    batched = isinstance(f, ArrayObjective) and isinstance(g, ArrayObjective)
+
+    def evaluate(xs):
+        if not batched:
+            return [(f(x), g(x)) for x in xs]
+        xs = np.array(xs, dtype=float)
+        return list(zip(np.asarray(f.fn(xs), dtype=float), np.asarray(g.fn(xs), dtype=float)))
+
+    def check(x, raw):
+        fx, gx = raw
+        if batched:
+            fx, gx = f.at(x, fx), g.at(x, gx)
+        value = np.array([fx - gx], dtype=float)
         return float(_require_finite(value, "f - g", lambda i: {"x": float(x)})[0])
 
-    ha = h(lo)
-    hb = h(hi)
+    value = _searcher(evaluate, check, batched)
+    a, b = float(lo), float(hi)
+    ha = value(lo, lambda: [lo, hi, *_bisection_tree(a, b, tol, SEARCH_DEPTH - 2)])
+    hb = value(hi, lambda: [hi, *_bisection_tree(a, b, tol, SEARCH_DEPTH - 1)])
     if ha == 0.0:
         return lo
     if hb == 0.0:
@@ -413,10 +511,9 @@ def find_crossing(f, g, lo: float, hi: float, tol: float = GOLDEN_TOL) -> float:
             f"difference does not change sign on [{lo}, {hi}] "
             f"(endpoints {ha:.3e}, {hb:.3e})"
         )
-    a, b = float(lo), float(hi)
     while (b - a) > tol:
         mid = 0.5 * (a + b)
-        hm = h(mid)
+        hm = value(mid, lambda: _bisection_tree(a, b, tol, SEARCH_DEPTH))
         if hm == 0.0:
             return mid
         if (hm > 0.0) == (ha > 0.0):

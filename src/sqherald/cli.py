@@ -47,6 +47,8 @@ def _positive_dim(text: str) -> int:
     value = int(text)
     if value < 2:
         raise argparse.ArgumentTypeError("dim must be at least 2")
+    if value > np.iinfo(np.intp).max:
+        raise argparse.ArgumentTypeError(f"dim must be at most {np.iinfo(np.intp).max}")
     return value
 
 
@@ -208,6 +210,15 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.dim is not None:
+        # the oracles' dense dim x dim tables are the largest arrays verify
+        # builds; a cutoff they cannot have is a usage error, not a FAIL
+        try:
+            np.empty((args.dim, args.dim), dtype=complex)
+        except (ValueError, MemoryError):
+            print(f"invalid parameter: a {args.dim} x {args.dim} table at --dim {args.dim} "
+                  f"cannot be allocated", file=sys.stderr)
+            return EXIT_USAGE
     cfg = verification.VerifyConfig(
         dim=args.dim,
         tail_tol=args.tail_tol,

@@ -3,12 +3,18 @@ tests check the production kernels against.
 
 - Explicit state vectors over the truncated Fock space, the matrix
   squeezer and coherent amplitudes.
+- One matrix exponential for every oracle generator, all of which are
+  real antisymmetric and tridiagonal (the squeezer's on its even and on
+  its odd levels): a diagonal phase similarity makes each a real
+  symmetric tridiagonal matrix times i, so one real eigh gives it, and
+  no oracle calls complex LAPACK.
 - The source states as vectors: squeezed vacuum, the sign superpositions
   and the two-mode squeezed vacuum.
 - Three balanced-splitter paths: the dense closed-form table split(), the
   orthogonal per-total-N blocks of apply_beam_splitter(), and the squeezer
   decomposition through the per-diagonal two-mode squeezer.
-- Dense click statistics and the numeric heralded g2 of a joint table.
+- Dense click statistics and the numeric heralded g2 of a joint table,
+  the g2 for an array of efficiencies in one product.
 - The Kerr schedule and the explicit cross-Kerr state, the label-series
   overlap of any branch sign, label and complex pump, the phase-error
   ratio at one phase offset, and the Gauss-Hermite ladder and seeded
@@ -175,33 +181,55 @@ def annihilation(trunc: Truncation) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, trunc.dim, dtype=float)), k=1)
 
 
-def expm_antisymmetric(gen: np.ndarray) -> np.ndarray:
-    """exp(gen) of a real antisymmetric matrix, an orthogonal matrix.
+# (-i)^k by k mod 4, exactly
+_PHASES = np.array([1.0, -1.0j, -1.0, 1.0j])
 
-    i gen is Hermitian with eigendecomposition V diag(w) V^H, so
-    exp(gen) = V diag(e^{-i w}) V^H, whose imaginary part is round-off.
+
+def _tridiagonal_modes(lower: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(w, u) with exp(G) = u diag(e^{i w}) u^H for the real antisymmetric
+    tridiagonal G with subdiagonal lower (G[k+1, k] = lower[k] =
+    -G[k, k+1]).
+
+    With D = diag((-i)^k), D^-1 G D = i T for the real symmetric
+    tridiagonal T with lower on both off-diagonals, so one real eigh,
+    T = V diag(w) V^T, gives u = D V, no complex LAPACK call.
     """
-    if not np.all(np.isfinite(gen)):
+    if not np.all(np.isfinite(lower)):
         raise NumericalFailureError("matrix exponential of a non-finite generator")
-    w, v = np.linalg.eigh(1j * gen)
-    return ((v * np.exp(-1j * w)) @ v.conj().T).real
+    w, v = np.linalg.eigh(np.diag(lower, k=-1) + np.diag(lower, k=1))
+    return w, _PHASES[np.arange(len(v)) % 4, None] * v
+
+
+def expm_antisymmetric(lower: np.ndarray) -> np.ndarray:
+    """exp(G) of the real antisymmetric tridiagonal G with subdiagonal
+    lower (G[k+1, k] = lower[k] = -G[k, k+1]), an orthogonal matrix,
+    from _tridiagonal_modes; its imaginary part is round-off.
+    """
+    w, u = _tridiagonal_modes(np.asarray(lower, dtype=float))
+    return ((u * np.exp(1j * w)) @ u.conj().T).real
 
 
 def squeeze_matrix(r: float, trunc: Truncation) -> np.ndarray:
     """Single-mode squeezer S(r) = exp[(r/2)(a^2 - a^dag^2)] on the cutoff space.
 
-    The generator is real antisymmetric, so expm_antisymmetric gives an
-    orthogonal matrix: inverse pairs compose to the identity and
-    unitarity holds on the whole space to machine precision.  The price is a boundary
-    reflection: amplitude that the untruncated operator would push past
-    the cutoff folds back, perturbing the vacuum column at the
+    The generator is real antisymmetric, so the result is orthogonal:
+    inverse pairs compose to the identity and unitarity holds on the
+    whole space to machine precision.  It couples level k only to k + 2,
+    so it is tridiagonal on the even and on the odd levels, and each of
+    the two is exponentiated by expm_antisymmetric.  The price is a
+    boundary reflection: amplitude that the untruncated operator would
+    push past the cutoff folds back, perturbing the vacuum column at the
     ~0.3 * tanh(r)**(dim/2) scale.  Size dim so that this is below the
     accuracy you need (dim >= 80 gives < 1e-8 for r <= 0.725).
     """
     if abs(r) > SQUEEZE_LIMIT:
         raise ValueError(f"|r| must not exceed {SQUEEZE_LIMIT}, got {r}")
-    a = annihilation(trunc)
-    return expm_antisymmetric(0.5 * r * (a @ a - a.T @ a.T))
+    out = np.zeros((trunc.dim, trunc.dim))
+    for parity in (0, 1):
+        k = np.arange(parity, trunc.dim, 2)
+        # G[k + 2, k] = -(r/2) sqrt((k + 1)(k + 2))
+        out[np.ix_(k, k)] = expm_antisymmetric(-0.5 * r * np.sqrt((k[:-1] + 1.0) * (k[:-1] + 2.0)))
+    return out
 
 
 def inner_product(u: SingleModeState | TwoModeState, v: SingleModeState | TwoModeState) -> complex:
@@ -281,13 +309,13 @@ def _blocks(dim: int, theta: float) -> tuple[np.ndarray, ...]:
 
     Block N acts on the basis |k, N-k>, k = 0..N, with generator
     G[k+1, k] = theta sqrt((k+1)(N-k)) and G[k-1, k] = -theta sqrt(k(N-k+1)).
-    The generator is real antisymmetric, so each block is orthogonal.
+    The generator is real antisymmetric and tridiagonal, so each block is
+    orthogonal and comes from expm_antisymmetric.
     """
     out = []
     for total in range(dim):
         k = np.arange(total)
-        lower = theta * np.sqrt((k + 1.0) * (total - k))
-        block = expm_antisymmetric(np.diag(lower, k=-1) - np.diag(lower, k=1))
+        block = expm_antisymmetric(theta * np.sqrt((k + 1.0) * (total - k)))
         block.setflags(write=False)
         out.append(block)
     return tuple(out)
@@ -399,7 +427,9 @@ def two_mode_squeeze_apply(s: float, state: TwoModeState) -> TwoModeState:
 
     The generator keeps n_a - n_b fixed, so on the diagonal
     |m + p, m + q> (p - q = n_a - n_b) it is tridiagonal with
-    G[m-1, m] = sqrt((m + p)(m + q)) = -G[m, m-1].  A diagonal with no
+    G[m-1, m] = s sqrt((m + p)(m + q)) = -G[m, m-1].  Each diagonal's
+    exponential is applied to its amplitudes as u e^{i w} u^H from
+    _tridiagonal_modes, matrix-vector products only.  A diagonal with no
     amplitude stays zero.
     """
     d = state.dim
@@ -410,9 +440,8 @@ def two_mode_squeeze_apply(s: float, state: TwoModeState) -> TwoModeState:
         vec = state.amps[rows, cols]
         if not vec.any():
             continue
-        upper = s * np.sqrt(rows[1:] * cols[1:])
-        block = expm_antisymmetric(np.diag(upper, k=1) - np.diag(upper, k=-1))
-        out[rows, cols] = block @ vec
+        w, u = _tridiagonal_modes(-s * np.sqrt(rows[1:] * cols[1:]))
+        out[rows, cols] = u @ (np.exp(1j * w) * (u.conj().T @ vec))
     return TwoModeState(out, state.truncation)
 
 
@@ -443,15 +472,21 @@ def tmss_schmidt_check(r: float, trunc: Truncation) -> TwoModeState:
 # ------------------------------------------------------------- detection
 
 
-def click_weights(eta: float, count: int) -> np.ndarray:
-    """w[k] = eta (1-eta)^{k-1} for k >= 1, w[0] = 0.
+def click_weights(eta, count: int) -> np.ndarray:
+    """w[k] = eta (1-eta)^{k-1} for k >= 1, w[0] = 0, for one efficiency
+    eta, or one row per efficiency for a 1-D array of them; every eta
+    must lie in (0, 1].
 
     These weight the herald-arm photon number when exactly one counted
     photon is required; their tail sum is the plain click probability.
     """
+    eta = np.asarray(eta, dtype=float)[..., None]
+    bad = ~((eta > 0.0) & (eta <= 1.0))
+    if np.any(bad):
+        raise ValueError(f"eta must lie in (0, 1], got {eta[bad][0]}")
     k = np.arange(count)
-    w = np.zeros(count)
-    w[1:] = eta * (1.0 - eta) ** (k[1:] - 1.0)
+    w = np.zeros(eta.shape[:-1] + (count,))
+    w[..., 1:] = eta * (1.0 - eta) ** (k[1:] - 1.0)
     return w
 
 
@@ -500,27 +535,31 @@ def click_statistics(dist: JointDistribution, det: DetectorModel) -> HeraldedSta
     return _statistics(click_weights(det.eta, dist.truncation.dim) @ dist.p)
 
 
-def _g2_subnormalized(weighted_b: np.ndarray) -> float:
-    """g2 over the click-weighted (unnormalized) signal ensemble.
+def _g2_subnormalized(weighted_b: np.ndarray):
+    """g2 over the click-weighted (unnormalized) signal ensemble, for each
+    row of weighted_b.
 
     Keeping the click probability inside the moments reproduces the
     closed-form benchmark; normalizing first would divide it out of the
     numerator and denominator asymmetrically.  A subnormal squared mean
     has lost its digits, so it counts as zero.
     """
-    n = np.arange(len(weighted_b))
-    m1 = float(n @ weighted_b)
-    if m1 * m1 < TINY:
+    n = np.arange(weighted_b.shape[-1])
+    m1 = weighted_b @ n
+    if np.any(m1 * m1 < TINY):
         raise ZeroMeanError("mean photon number is zero")
-    m2 = float((n * (n - 1.0)) @ weighted_b)
+    m2 = weighted_b @ (n * (n - 1.0))
     return m2 / (m1 * m1)
 
 
-def g2_numeric(dist: JointDistribution, det: DetectorModel) -> float:
-    """Heralded g2 of a joint distribution with mode a click-detected (the
-    dense oracle for detect.heralded_g2 and, on tmss_joint_probability,
-    for detect.benchmark_g2)."""
-    return _g2_subnormalized(click_weights(det.eta, dist.truncation.dim) @ dist.p)
+def g2_numeric(dist: JointDistribution, eta):
+    """Heralded g2 of a joint distribution with mode a click-detected at
+    efficiency eta, or one g2 per efficiency for a 1-D array of them, all
+    from one product of the table with their click weights (the dense
+    oracle for detect.heralded_g2 and, on tmss_joint_probability, for
+    detect.benchmark_g2)."""
+    g2 = _g2_subnormalized(click_weights(eta, dist.truncation.dim) @ dist.p)
+    return float(g2) if np.ndim(eta) == 0 else g2
 
 
 # ------------------------------------------------------------------ Kerr

@@ -471,3 +471,201 @@ def test_verify_searches_evaluate_whole_grids(monkeypatch, criterion, name, cfg)
     ), 0.0, 2.0))
     assert grouped == per_point
     assert grouped.startswith("MaximizeResult(") == (cfg.tail_tol is None)
+
+
+def _sequential_golden(f, a, b, tol):
+    """Golden section with one objective call per step, as the search was
+    before its steps were batched: the oracle for analysis._golden_section."""
+    inv_phi = analysis.INV_PHI
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc = f(c)
+    fd = f(d)
+    while (b - a) > tol:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = f(d)
+    x = 0.5 * (a + b)
+    return x, f(x)
+
+
+def _sequential_crossing(f, g, lo, hi, tol=analysis.GOLDEN_TOL):
+    """Bisection with one call of f and g per step, as find_crossing was
+    before its steps were batched: its oracle."""
+
+    def h(x):
+        value = np.array([f(x) - g(x)], dtype=float)
+        return float(analysis._require_finite(value, "f - g", lambda i: {"x": float(x)})[0])
+
+    ha = h(lo)
+    hb = h(hi)
+    if ha == 0.0:
+        return lo
+    if hb == 0.0:
+        return hi
+    if (ha > 0.0) == (hb > 0.0):
+        raise analysis.NoCrossingError(
+            f"difference does not change sign on [{lo}, {hi}] "
+            f"(endpoints {ha:.3e}, {hb:.3e})"
+        )
+    a, b = float(lo), float(hi)
+    while (b - a) > tol:
+        mid = 0.5 * (a + b)
+        hm = h(mid)
+        if hm == 0.0:
+            return mid
+        if (hm > 0.0) == (ha > 0.0):
+            a = mid
+            ha = hm
+        else:
+            b = mid
+    return 0.5 * (a + b)
+
+
+def _result(fn):
+    """fn()'s result, or the type and message of what it raised."""
+    try:
+        return fn()
+    except Exception as exc:  # compared against the other path
+        return type(exc), str(exc)
+
+
+def _sequential_maximize(f, lo, hi):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "_golden_section", _sequential_golden)
+        return _result(lambda: analysis.maximize_1d(f, lo, hi))
+
+
+def _smooth(params):
+    """A smooth objective: a Gaussian bump on a slope with a ripple."""
+    centre, width, slope, freq, phase = params
+
+    def fn(x):
+        return (np.exp(-(((x - centre) / width) ** 2)) + slope * x
+                + 0.05 * np.sin(freq * x + phase))
+
+    return fn
+
+
+def _with_nan(fn, lo, hi, band):
+    """fn with NaN on the part band = (start, width), as shares of
+    [lo, hi], of the bracket."""
+    if band is None:
+        return fn
+    start = lo + band[0] * (hi - lo)
+    stop = start + band[1] * (hi - lo)
+    return lambda x: np.where((x >= start) & (x <= stop), math.nan, fn(x))
+
+
+SMOOTH = st.tuples(st.floats(-2.0, 2.0), st.floats(0.05, 3.0), st.floats(-0.5, 0.5),
+                   st.floats(0.1, 20.0), st.floats(-3.0, 3.0))
+NAN_BAND = st.none() | st.tuples(st.floats(0.0, 1.0), st.floats(1e-7, 0.05))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(params=SMOOTH, lo=st.floats(-3.0, 2.0), span=st.floats(0.01, 4.0), band=NAN_BAND)
+def test_batched_golden_section_replays_the_sequential_search(params, lo, span, band):
+    hi = lo + span
+    f = analysis.ArrayObjective(_with_nan(_smooth(params), lo, hi, band))
+    batched = _result(lambda: analysis.maximize_1d(f, lo, hi))
+    event("raised" if isinstance(batched, tuple) else "returned")
+    assert batched == _sequential_maximize(f, lo, hi)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(params=SMOOTH, level=st.floats(-1.0, 1.0), lo=st.floats(-3.0, 2.0),
+       span=st.floats(0.01, 4.0), band=NAN_BAND)
+def test_batched_bisection_replays_the_sequential_search(params, level, lo, span, band):
+    hi = lo + span
+    f = analysis.ArrayObjective(_with_nan(_smooth(params), lo, hi, band), "bump", "r")
+    g = analysis.ArrayObjective(lambda x: np.full(len(x), level), "level", "r")
+    batched = _result(lambda: analysis.find_crossing(f, g, lo, hi))
+    event("raised" if isinstance(batched, tuple) else "returned")
+    assert batched == _result(lambda: _sequential_crossing(f, g, lo, hi))
+
+
+def _recorded(fn):
+    """fn, and the list of every point it is called on."""
+    seen = []
+
+    def recording(x):
+        seen.extend(np.atleast_1d(x).tolist())
+        return fn(x)
+
+    return recording, seen
+
+
+def test_searches_ignore_nan_and_errors_at_points_they_never_visit():
+    # NaN, or an exception, exactly at a point that a batched call
+    # evaluates but the sequential search never visits
+    def peak(x):
+        return -((x - 0.3125) ** 2)
+
+    lo, hi = 0.0, 1.0
+    want = _sequential_maximize(analysis.ArrayObjective(peak), lo, hi)
+    visiting, visited = _recorded(peak)
+    _sequential_maximize(analysis.ArrayObjective(visiting), lo, hi)
+    evaluating, evaluated = _recorded(peak)
+    assert analysis.maximize_1d(analysis.ArrayObjective(evaluating), lo, hi) == want
+    unvisited = sorted(set(evaluated) - set(visited))
+    assert unvisited
+    for spot in (unvisited[0], unvisited[-1]):
+        nan_there = analysis.ArrayObjective(lambda x: np.where(x == spot, math.nan, peak(x)))
+        assert analysis.maximize_1d(nan_there, lo, hi) == want
+
+        def refuse(x):
+            if np.any(x == spot):
+                raise ValueError("refused")
+            return peak(x)
+
+        assert analysis.maximize_1d(analysis.ArrayObjective(refuse), lo, hi) == want
+
+    def ramp(x):
+        return x - 0.4
+
+    flat = analysis.ArrayObjective(lambda x: np.zeros(len(x)))
+    want = _sequential_crossing(analysis.ArrayObjective(ramp), flat, lo, hi)
+    visiting, visited = _recorded(ramp)
+    _sequential_crossing(analysis.ArrayObjective(visiting), flat, lo, hi)
+    evaluating, evaluated = _recorded(ramp)
+    assert analysis.find_crossing(analysis.ArrayObjective(evaluating), flat, lo, hi) == want
+    unvisited = sorted(set(evaluated) - set(visited))
+    assert unvisited
+    for spot in (unvisited[0], unvisited[-1]):
+        nan_there = analysis.ArrayObjective(lambda x: np.where(x == spot, math.nan, ramp(x)))
+        assert analysis.find_crossing(nan_there, flat, lo, hi) == want
+
+
+def test_find_crossing_calls_plain_callables_on_each_visited_point():
+    f, seen = _recorded(lambda x: x)
+    root = analysis.find_crossing(f, lambda x: 0.5, 0.0, 1.0, tol=1e-6)
+    visiting, visited = _recorded(lambda x: x)
+    assert root == _sequential_crossing(visiting, lambda x: 0.5, 0.0, 1.0, tol=1e-6)
+    assert seen == visited
+
+
+@pytest.mark.parametrize("criterion, names, calls", [
+    (verification.criterion_4, ("herald_yield_cat_minus",), 7),
+    (verification.criterion_5, ("p11_tmss",), 7),
+    (verification.criterion_10, ("g2_cat_minus", "g2_tmss"), 5),
+], ids=["criterion_4", "criterion_5", "criterion_10"])
+def test_verify_search_call_counts(monkeypatch, criterion, names, calls):
+    # one call per step took 20 calls for criteria 4 and 5 (the scan, 18
+    # golden-section points, the check grid) and 17 to each objective of
+    # criterion 10; each call now evaluates the next four steps' tree
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        q = registry.QUANTITIES[name]
+
+        def spy(*cutoffs, _fn=q.fn, _name=name, **params):
+            counts[_name] += 1
+            return _fn(*cutoffs, **params)
+
+        monkeypatch.setitem(registry.QUANTITIES, name, dataclasses.replace(q, fn=spy))
+    assert criterion(verification.VerifyConfig()).passed
+    assert counts == dict.fromkeys(names, calls)

@@ -343,6 +343,7 @@ OVERSIZED = (
     ["sweep", "--quantity", "p11_cat_minus", "--var", "r", "--lo", "0.5", "--hi", "0.5",
      "--points", "1", "--dim", "100000000000"],
     ["figure", "fig3b", "--dim", "100000000000"],
+    ["verify", "--dim", "20000"],
 )
 OVERSIZED_AS = 2 * 10**9
 OVERSIZED_SCRIPT = """
@@ -371,6 +372,30 @@ def test_request_too_large_to_allocate_is_a_usage_error():
         assert code == cli.EXIT_USAGE, argv
         assert err.startswith("invalid parameter: ") and err.count("\n") == 1, err
         assert "Traceback" not in err
+
+
+def test_dim_beyond_the_index_range_is_a_usage_error(capsys):
+    # it used to reach the kernels and exit 2 with "Python int too large
+    # to convert to C long" (figure), or fail ten criteria (verify)
+    for command in (["figure", "fig3b"], ["verify"]):
+        with pytest.raises(SystemExit) as info:
+            cli.main([*command, "--dim", "100000000000000000000"])
+        assert info.value.code == cli.EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1].endswith(
+            f"argument --dim: dim must be at most {np.iinfo(np.intp).max}")
+
+
+def test_verify_cutoff_too_large_to_allocate_is_a_usage_error(capsys):
+    # a dim that fits an index but whose dense dim x dim table cannot be
+    # allocated: one line on stderr and no report, where it used to print
+    # ten FAILs and exit 1
+    code, out, err = run_cli(capsys, "verify", "--dim", "100000000000")
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err == ("invalid parameter: a 100000000000 x 100000000000 table at "
+                   "--dim 100000000000 cannot be allocated\n")
 
 
 # a 10,000-point phase_ratio column: one sigma, 20,000 weight rows

@@ -183,9 +183,8 @@ def test_g2_tmss_closed_form():
 @given(r=st.floats(0.04, 2.0), eta=st.floats(0.7, 1.0))
 def test_g2_tmss_numeric_agreement(r, eta):
     # criterion 9's bound, across its domain rather than at its points
-    det = detect.DetectorModel(eta)
     dist = reference.tmss_joint_probability(r, fs.default_truncation(r))
-    assert abs(reference.g2_numeric(dist, det) - tmss_g2(r, eta)) < 1e-8
+    assert abs(reference.g2_numeric(dist, eta) - tmss_g2(r, eta)) < 1e-8
 
 
 def test_g2_comparison_straddles_crossover():

@@ -145,3 +145,25 @@ def test_criterion_7_fits_the_gated_phase_ratio_column(monkeypatch):
         one_cutoff = [kerr.gaussian_averaged_ratio(0.725, alpha, s, base.dim, base.tail_tol)
                       for s in sigmas]
         assert rate == pytest.approx(fit_lambda(zip(sigmas, one_cutoff))[0], rel=1e-9)
+
+
+def test_verify_runs_no_complex_eigendecomposition(monkeypatch):
+    # the oracle exponentials diagonalize a real symmetric tridiagonal
+    # matrix; a complex eigh stalled some fresh processes for 0.2-0.5 s
+    # with two OpenBLAS threads
+    from sqherald import reference
+
+    real_eigh = np.linalg.eigh
+    sizes = []
+
+    def real_only(a, *args, **kwargs):
+        if np.iscomplexobj(a):
+            raise AssertionError("complex eigh")
+        sizes.append(len(a))
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", real_only)
+    reference._blocks.cache_clear()
+    results = verification.run_all()
+    assert [r.index for r in results if not r.passed] == [12]
+    assert max(sizes) == 48
