@@ -352,29 +352,37 @@ def objective(
     return ArrayObjective(values, q.name, var)
 
 
-def _searcher(evaluate, check, batched: bool = True):
+def _searcher(evaluate, check, one):
     """A search's view of its objective: value(x, tree) is the value at x
     as check(x, raw) returns it, so only the points a search visits are
     checked.  The first time x is asked for, evaluate(points) runs once on
-    tree(), the points that the next steps could visit with x first (on
-    [x] alone unless batched), and every raw value is kept for the steps
-    that follow.  An evaluation that raises is repeated on x alone, so a
-    point the search never visits cannot fail it."""
+    tree(), the points that the next steps could visit with x first, and
+    every raw value is kept for the steps that follow.  If that evaluation
+    raises, value is one(x), the checked value at x alone, evaluated as a
+    search that takes one point per step would; so a point the search
+    never visits cannot fail it."""
     known = {}
 
     def value(x, tree):
         if x not in known:
-            points = tree() if batched else [x]
+            points = tree()
             try:
                 raw = evaluate(points)
             except Exception:
-                if len(points) == 1:
-                    raise
-                points, raw = [x], evaluate([x])
+                return one(x)
             known.update(zip(points, raw))
         return check(x, known[x])
 
     return value
+
+
+def _curve(f):
+    """f's raw values at a list of points, and its check of one of them
+    at x: one f.fn call and f.at for an ArrayObjective, else one call of f
+    per point and the value as it is."""
+    if isinstance(f, ArrayObjective):
+        return (lambda xs: np.asarray(f.fn(np.array(xs, dtype=float)), dtype=float)), f.at
+    return (lambda xs: [f(x) for x in xs]), (lambda x, raw: raw)
 
 
 def _golden_step(a: float, b: float, c: float, d: float, c_wins: bool):
@@ -414,7 +422,7 @@ def _golden_section(f: ArrayObjective, a: float, b: float, tol: float) -> tuple[
     tree of the next SEARCH_DEPTH evaluations, and the search replays its
     steps on those values, so its iterates, result and first non-finite
     point are those of one evaluation per step."""
-    value = _searcher(lambda xs: np.asarray(f.fn(np.array(xs, dtype=float)), dtype=float), f.at)
+    value = _searcher(*_curve(f), f)
     c = b - INV_PHI * (b - a)
     d = a + INV_PHI * (b - a)
     state = (a, b, c, d)
@@ -478,27 +486,23 @@ def find_crossing(f, g, lo: float, hi: float, tol: float = GOLDEN_TOL) -> float:
     sign, and a difference that is not finite is a NumericalFailureError
     naming its point.
 
-    When f and g are both ArrayObjectives, each call of their fn
-    evaluates the endpoints or midpoints of the next SEARCH_DEPTH steps at
-    once and the bisection replays its steps on those values, checking
-    f, g and f - g at the points it visits as one evaluation per step
-    would.  Other callables are called on one float per step."""
-    batched = isinstance(f, ArrayObjective) and isinstance(g, ArrayObjective)
+    f and g are ArrayObjectives or callables on one float.  Each
+    evaluation covers the endpoints or midpoints of the next SEARCH_DEPTH
+    steps, in one fn call per ArrayObjective and one call per point of a
+    plain callable, and the bisection replays its steps on those values.
+    It checks f, g and f - g at the points it visits, in that order, as
+    one evaluation of f(x) - g(x) per step would."""
+    (f_values, f_at), (g_values, g_at) = _curve(f), _curve(g)
 
-    def evaluate(xs):
-        if not batched:
-            return [(f(x), g(x)) for x in xs]
-        xs = np.array(xs, dtype=float)
-        return list(zip(np.asarray(f.fn(xs), dtype=float), np.asarray(g.fn(xs), dtype=float)))
+    def difference(x, value):
+        return float(_require_finite(np.array([value], dtype=float), "f - g",
+                                     lambda i: {"x": float(x)})[0])
 
-    def check(x, raw):
-        fx, gx = raw
-        if batched:
-            fx, gx = f.at(x, fx), g.at(x, gx)
-        value = np.array([fx - gx], dtype=float)
-        return float(_require_finite(value, "f - g", lambda i: {"x": float(x)})[0])
-
-    value = _searcher(evaluate, check, batched)
+    value = _searcher(
+        lambda xs: list(zip(f_values(xs), g_values(xs))),
+        lambda x, raw: difference(x, f_at(x, raw[0]) - g_at(x, raw[1])),
+        lambda x: difference(x, f(x) - g(x)),
+    )
     a, b = float(lo), float(hi)
     ha = value(lo, lambda: [lo, hi, *_bisection_tree(a, b, tol, SEARCH_DEPTH - 2)])
     hb = value(hi, lambda: [hi, *_bisection_tree(a, b, tol, SEARCH_DEPTH - 1)])

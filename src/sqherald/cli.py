@@ -210,15 +210,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.dim is not None:
-        # the oracles' dense dim x dim tables are the largest arrays verify
-        # builds; a cutoff they cannot have is a usage error, not a FAIL
-        try:
-            np.empty((args.dim, args.dim), dtype=complex)
-        except (ValueError, MemoryError):
-            print(f"invalid parameter: a {args.dim} x {args.dim} table at --dim {args.dim} "
-                  f"cannot be allocated", file=sys.stderr)
-            return EXIT_USAGE
     cfg = verification.VerifyConfig(
         dim=args.dim,
         tail_tol=args.tail_tol,

@@ -26,13 +26,33 @@ class CriterionResult:
     detail: str
 
 
+# criterion 11's oracle comparisons peak at four complex dim x dim tables
+# (traced at dims 300 and 600), the most any criterion holds at once
+TABLES_AT_ONCE = 4
+
+
 @dataclasses.dataclass(frozen=True)
 class VerifyConfig:
-    """Optional overrides applied to every truncated computation."""
+    """Optional overrides applied to every truncated computation.
+
+    A forced dim is refused (ValueError) when the dense tables the oracles
+    hold at once at that dim, TABLES_AT_ONCE complex dim x dim arrays,
+    cannot be reserved, so that a cutoff too large to allocate is not
+    reported as failed criteria.  This is a reservation probe, not a
+    guarantee: a system that overcommits memory may grant the reservation
+    and still be unable to back the run."""
 
     dim: int | None = None
     tail_tol: float | None = None
     eta: float = 0.9
+
+    def __post_init__(self):
+        if self.dim is not None:
+            try:
+                np.empty((TABLES_AT_ONCE, self.dim, self.dim), dtype=complex)
+            except (ValueError, OverflowError, MemoryError):
+                raise ValueError(f"a forced dim of {self.dim} needs dense {self.dim} x "
+                                 f"{self.dim} tables that cannot be allocated") from None
 
     def trunc(self, r: float) -> Truncation:
         return registry.truncation("matrix", r, self.dim, self.tail_tol)

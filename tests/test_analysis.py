@@ -587,6 +587,10 @@ def test_batched_bisection_replays_the_sequential_search(params, level, lo, span
     batched = _result(lambda: analysis.find_crossing(f, g, lo, hi))
     event("raised" if isinstance(batched, tuple) else "returned")
     assert batched == _result(lambda: _sequential_crossing(f, g, lo, hi))
+    # plain callables on one float go through the same replay
+    plain_f, plain_g = (lambda x: float(f.fn(x))), (lambda x: level)
+    assert _result(lambda: analysis.find_crossing(plain_f, plain_g, lo, hi)) == _result(
+        lambda: _sequential_crossing(plain_f, plain_g, lo, hi))
 
 
 def _recorded(fn):
@@ -640,13 +644,21 @@ def test_searches_ignore_nan_and_errors_at_points_they_never_visit():
         nan_there = analysis.ArrayObjective(lambda x: np.where(x == spot, math.nan, ramp(x)))
         assert analysis.find_crossing(nan_there, flat, lo, hi) == want
 
+    # at a visited point where f is NaN and g raises, f's failure is the
+    # one reported, as one evaluation of f(x) - g(x) per step reports it
+    spot = visited[2]
+    nan_there = analysis.ArrayObjective(lambda x: np.where(x == spot, math.nan, ramp(x)),
+                                        "ramp", "r")
 
-def test_find_crossing_calls_plain_callables_on_each_visited_point():
-    f, seen = _recorded(lambda x: x)
-    root = analysis.find_crossing(f, lambda x: 0.5, 0.0, 1.0, tol=1e-6)
-    visiting, visited = _recorded(lambda x: x)
-    assert root == _sequential_crossing(visiting, lambda x: 0.5, 0.0, 1.0, tol=1e-6)
-    assert seen == visited
+    def refuse(x):
+        if np.any(x == spot):
+            raise ValueError("refused")
+        return np.zeros(len(x))
+
+    want = _result(lambda: _sequential_crossing(nan_there, analysis.ArrayObjective(refuse), lo, hi))
+    assert want[0] is analysis.NumericalFailureError and "ramp" in want[1]
+    assert _result(lambda: analysis.find_crossing(
+        nan_there, analysis.ArrayObjective(refuse), lo, hi)) == want
 
 
 @pytest.mark.parametrize("criterion, names, calls", [

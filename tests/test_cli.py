@@ -394,8 +394,8 @@ def test_verify_cutoff_too_large_to_allocate_is_a_usage_error(capsys):
     code, out, err = run_cli(capsys, "verify", "--dim", "100000000000")
     assert code == cli.EXIT_USAGE
     assert out == ""
-    assert err == ("invalid parameter: a 100000000000 x 100000000000 table at "
-                   "--dim 100000000000 cannot be allocated\n")
+    assert err == ("invalid parameter: a forced dim of 100000000000 needs dense "
+                   "100000000000 x 100000000000 tables that cannot be allocated\n")
 
 
 # a 10,000-point phase_ratio column: one sigma, 20,000 weight rows
