@@ -7,7 +7,8 @@ gives each point of a parameter column its own cutoff; and
 module also holds the squeezing domain, the errors for lost mass and lost
 digits, the smallest normal float below which a probability counts as
 vanished, and the log-factorial table.  Everything in it is immutable
-and side-effect free, but for that table, which only grows.
+and side-effect free, but for that table, which only grows, up to a
+fixed limit.
 """
 from __future__ import annotations
 
@@ -128,18 +129,30 @@ def cutoff_column(cutoff: "Truncation | CutoffColumn", size: int) -> CutoffColum
 
 # log k! for k < len(_LOG_FACTORIALS): read-only, grown on demand.
 _LOG_FACTORIALS = np.zeros(0)
+# The longest table log_factorials builds (128 MB); the cutoffs in use
+# need a few tens of thousands of entries.
+LOG_FACTORIALS_LIMIT = 2**24
 
 
 def log_factorials(count: int) -> np.ndarray:
     """Read-only table of log k! = lgamma(k + 1) for k < count: a prefix of
     one table grown to the largest count asked for, so each entry is the
-    same float at every count (the table itself at that count)."""
+    same float at every count (the table itself at that count).  A count
+    above LOG_FACTORIALS_LIMIT is refused (ValueError), and the grown
+    table is allocated before any entry is computed, so a table that
+    cannot fit fails at once."""
     global _LOG_FACTORIALS
     table = _LOG_FACTORIALS
+    if count > LOG_FACTORIALS_LIMIT:
+        raise ValueError(f"a table of {count} log-factorials exceeds the limit of "
+                         f"{LOG_FACTORIALS_LIMIT} (is the cutoff too large?)")
     if count > len(table):
-        table = np.concatenate([table, [math.lgamma(k + 1.0) for k in range(len(table), count)]])
-        table.setflags(write=False)
-        _LOG_FACTORIALS = table
+        grown = np.empty(count)
+        grown[:len(table)] = table
+        for k in range(len(table), count):
+            grown[k] = math.lgamma(k + 1.0)
+        grown.setflags(write=False)
+        _LOG_FACTORIALS = table = grown
     return table if count == len(table) else table[:count]
 
 

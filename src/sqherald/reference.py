@@ -21,8 +21,8 @@ tests check the production kernels against.
   Monte Carlo averages of the phase-noise ratio, all on that overlap.
 
 No figure, sweep or production kernel imports this module; production
-numbers come from the photon-number rows of optics, the binomial kernels
-of detect and the label series of kerr.  scipy (the test extra) is
+numbers come from the generating-function closed forms of optics and
+detect and the label series of kerr.  scipy (the test extra) is
 imported only inside coherent_amplitudes and _hermite_rule.
 """
 from __future__ import annotations

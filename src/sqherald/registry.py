@@ -24,11 +24,13 @@ def truncations(
     """The cutoff policy of every quantity, figure and verify criterion,
     at each r of a 1-D array, as one CutoffColumn.
 
-    kind is a Quantity's cutoff: "analytic" quantities take none (None);
-    "matrix" ones default to default_dims(r) and DEFAULT_TAIL_TOL,
-    "series" (label-series) ones to kerr.series_dims(r) and
-    kerr.SERIES_STATE_TOL.  A dim or tail_tol override replaces only its
-    own half of the default.
+    kind is a Quantity's cutoff or "matrix": "analytic" quantities (every
+    split, click and g2 statistic, in closed form) take none (None);
+    "series" (label-series) ones default to kerr.series_dims(r) and
+    kerr.SERIES_STATE_TOL; "matrix", which no quantity takes, is the
+    cutoff of verify's dense oracles, default_dims(r) and
+    DEFAULT_TAIL_TOL.  A dim or tail_tol override replaces only its own
+    half of the default.
     """
     if kind == "analytic":
         return None
@@ -72,71 +74,17 @@ class Quantity:
 
 
 def _each(body, **fixed):
-    """fn(*cutoffs, **params) of a body(*truncs, **params, **fixed) that
-    takes one Truncation per cutoff and returns one row per Truncation:
-    the points are grouped by their dims at every cutoff, in order of
-    first appearance, and the body runs once on each group's points, with
-    the group's dims at every cutoff.  An analytic body runs once, on
-    every point, with the one cutoff None, and returns its one row."""
-    def fn(*cutoffs, **params):
-        if cutoffs == (None,):
-            return np.array([body(None, **params, **fixed)])
-        size = len(next(iter(params.values())))
-        columns = [cutoff_column(c, size) for c in cutoffs]
-        dims, group = analysis.distinct(*(c.dims_array for c in columns))
-        out = np.empty((len(columns), size))
-        for g, key in enumerate(zip(*(d.tolist() for d in dims))):
-            idx = np.flatnonzero(group == g)
-            sub = {k: v[idx] for k, v in params.items()}
-            truncs = (Truncation(dim, c.tail_tol) for c, dim in zip(columns, key))
-            out[:, idx] = body(*truncs, **sub, **fixed)
-        return out
+    """fn(None, **params) of an elementwise closed-form body(**params,
+    **fixed): one call on every point, returned as its one row."""
+    def fn(cutoff, **params):
+        return np.array([body(**params, **fixed)])
 
     return fn
 
 
-def _p11(*truncs, r, sign):
-    # P(1,1) = p_2 / 2
-    return [p[:, 2] / 2.0 for p in optics.photon_number_rows(r, sign, *truncs)]
-
-
-def _pc(*truncs, r, sign):
-    # P(n_b = 1 | n_a = 1) = P(1,1) / P(n_a = 1)
-    out = []
-    for p in optics.photon_number_rows(r, sign, *truncs):
-        total = optics.herald_totals(p)
-        if np.any(total == 0.0):
-            raise optics.ZeroHeraldError("herald outcome n_a = 1 has zero probability")
-        out.append(p[:, 2] / 2.0 / total)
-    return out
-
-
-def _p1n(*truncs, n, r, sign):
-    """P(1, n) = (n+1) 2^-(n+1) p_(n+1), from one photon-number row per
-    distinct r; 0 where the total n + 1 lies beyond the cutoff."""
-    bad = ~(np.isfinite(n) & (n >= 0.0) & (n == np.floor(n)))
-    if np.any(bad):
-        raise ValueError(f"n must be a finite nonnegative integer, got {n[bad][0]}")
-    (rs,), at = analysis.distinct(r)
-    out = np.zeros((len(truncs), len(n)))
-    for row, p, trunc in zip(out, optics.photon_number_rows(rs, sign, *truncs), truncs):
-        inside = np.flatnonzero(n + 1.0 < trunc.dim)
-        total = (n[inside] + 1.0).astype(int)
-        row[inside] = np.ldexp(total * p[at[inside], total], -total)
-    return out
-
-
-def _q_p11_tmss(*truncs, r):
-    return [sources.tmss_p11(r, trunc) for trunc in truncs]
-
-
-def _q_herald_prob_cat_minus(trunc, r):
-    return sources.herald_probability(r, -1)
-
-
-def _q_herald_yield_cat_minus(*truncs, r):
+def _q_herald_yield_cat_minus(r):
     # the odd branch weight is exactly 0 at r = 0, where P(1,1) is its limit 1/2
-    return sources.herald_probability(r, -1) * np.array(_p11(*truncs, r=r, sign=-1))
+    return sources.herald_probability(r, -1) * optics.pair_probability(r, -1)
 
 
 def _per_alpha(kernel, cutoffs, x, r, alpha):
@@ -155,82 +103,77 @@ def _q_p0_cat_minus(*cutoffs, tau_tilde, r, alpha):
 
 
 def _q_p1_cat_minus(*cutoffs, tau_tilde, r, alpha):
-    # p0 times P(1,1) = p_2/2 of the odd superposition: one photon-number
-    # row per distinct r and cutoffs, from one build for every cutoff.  p0
-    # has run the tail checks of these rows first
+    # p0 times the closed-form pair factor P(1,1) = p_2/2 of the odd
+    # superposition, the same at every cutoff
     p0 = _q_p0_cat_minus(*cutoffs, tau_tilde=tau_tilde, r=r, alpha=alpha)
-    columns = [cutoff_column(c, len(r)) for c in cutoffs]
-    (rs, *dims), at = analysis.distinct(r, *(c.dims_array for c in columns))
-    rows = optics.photon_number_rows(
-        rs, -1, *(CutoffColumn.from_array(d, c.tail_tol) for d, c in zip(dims, columns)))
-    return np.array([p[:, 2] for p in rows])[:, at] / 2.0 * p0
+    return optics.pair_probability(r, -1) * p0
 
 
 def _q_phase_ratio(*cutoffs, sigma, r, alpha):
     return _per_alpha(kerr.phase_ratio, cutoffs, sigma, r, alpha)
 
 
-def _q_pclick_cat_minus(*truncs, r, eta):
-    return detect.heralded_clicks(r, eta, *truncs)[0]
+def _q_pclick_cat_minus(r, eta):
+    return detect.heralded_clicks(r, eta)[0]
 
 
-def _q_pclick1_cat_minus(*truncs, r, eta):
-    return detect.heralded_clicks(r, eta, *truncs)[1]
+def _q_pclick1_cat_minus(r, eta):
+    return detect.heralded_clicks(r, eta)[1]
 
 
-def _q_pclickc_cat_minus(*truncs, r, eta):
-    p_click, p_click_1 = detect.heralded_clicks(r, eta, *truncs)
+def _q_pclickc_cat_minus(r, eta):
+    p_click, p_click_1 = detect.heralded_clicks(r, eta)
     return p_click_1 / p_click
 
 
-def _q_pclick1_yield_cat_minus(*truncs, r, eta):
-    return sources.herald_probability(r, -1) * detect.heralded_clicks(r, eta, *truncs)[1]
+def _q_pclick1_yield_cat_minus(r, eta):
+    return sources.herald_probability(r, -1) * detect.heralded_clicks(r, eta)[1]
 
 
-def _q_pclick_tmss(trunc, r, eta):
+def _q_pclick_tmss(r, eta):
     return detect.benchmark_clicks(r, eta)[0]
 
 
-def _q_pclick1_tmss(trunc, r, eta):
+def _q_pclick1_tmss(r, eta):
     return detect.benchmark_clicks(r, eta)[1]
 
 
-def _q_pclickc_tmss(trunc, r, eta):
+def _q_pclickc_tmss(r, eta):
     return detect.benchmark_clicks(r, eta)[2]
 
 
-def _q_g2_cat_minus(*truncs, r, eta):
-    return detect.heralded_g2(r, eta, *truncs)
+def _q_g2_cat_minus(r, eta):
+    return detect.heralded_g2(r, eta)
 
 
-def _q_g2_tmss(trunc, r, eta):
+def _q_g2_tmss(r, eta):
     return detect.benchmark_g2(r, eta)
 
 
 def _quantities() -> dict[str, Quantity]:
     items = [
         Quantity("p11_cat_minus", "P(1,1) after splitting the odd superposition",
-                 _each(_p11, sign=-1), ("r",), {}),
+                 _each(optics.pair_probability, sign=-1), ("r",), {}, cutoff="analytic"),
         Quantity("p11_cat_plus", "P(1,1) after splitting the even superposition",
-                 _each(_p11, sign=+1), ("r",), {}),
+                 _each(optics.pair_probability, sign=+1), ("r",), {}, cutoff="analytic"),
         Quantity("p11_squeezed", "P(1,1) after splitting plain squeezed vacuum",
-                 _each(_p11, sign=None), ("r",), {}),
+                 _each(optics.pair_probability, sign=None), ("r",), {}, cutoff="analytic"),
         Quantity("p11_tmss", "P(1,1) of the two-mode squeezed benchmark",
-                 _each(_q_p11_tmss), ("r",), {}),
+                 _each(sources.tmss_p11), ("r",), {}, cutoff="analytic"),
         Quantity("p1n_squeezed", "herald row P(1, n) of split squeezed vacuum",
-                 _each(_p1n, sign=None), ("n", "r"), {}),
+                 _each(optics.herald_row, sign=None), ("n", "r"), {}, cutoff="analytic"),
         Quantity("p1n_cat_minus", "herald row P(1, n) of the split odd superposition",
-                 _each(_p1n, sign=-1), ("n", "r"), {}),
+                 _each(optics.herald_row, sign=-1), ("n", "r"), {}, cutoff="analytic"),
         Quantity("p1n_cat_plus", "herald row P(1, n) of the split even superposition",
-                 _each(_p1n, sign=+1), ("n", "r"), {}),
+                 _each(optics.herald_row, sign=+1), ("n", "r"), {}, cutoff="analytic"),
         Quantity("pc_cat_minus", "P(n_b=1 | n_a=1) for the split odd superposition",
-                 _each(_pc, sign=-1), ("r",), {}),
+                 _each(optics.conditional_single, sign=-1), ("r",), {}, cutoff="analytic"),
         Quantity("pc_squeezed", "P(n_b=1 | n_a=1) for split squeezed vacuum",
-                 _each(_pc, sign=None), ("r",), {}),
+                 _each(optics.conditional_single, sign=None), ("r",), {}, cutoff="analytic"),
         Quantity("herald_prob_cat_minus", "odd-branch weight N_-(r)/4",
-                 _each(_q_herald_prob_cat_minus), ("r",), {}, cutoff="analytic"),
+                 _each(sources.herald_probability, sign=-1), ("r",), {}, cutoff="analytic"),
         Quantity("herald_yield_cat_minus", "pair yield N_-(r)/4 * P(1,1)",
-                 _each(_q_herald_yield_cat_minus), ("r",), {}),
+                 _each(_q_herald_yield_cat_minus), ("r",), {}, cutoff="analytic"),
         Quantity("p0_cat_minus", "odd-branch projection probability after the Kerr step",
                  _q_p0_cat_minus, ("tau_tilde", "r"), {"tau_tilde": math.pi, "alpha": 10.0},
                  cutoff="series"),
@@ -241,13 +184,13 @@ def _quantities() -> dict[str, Quantity]:
                  _q_phase_ratio, ("sigma", "r"), {"r": 0.725, "alpha": 10.0},
                  cutoff="series"),
         Quantity("pclick_cat_minus", "herald click probability, odd superposition",
-                 _each(_q_pclick_cat_minus), ("r", "eta"), {"eta": 0.9}),
+                 _each(_q_pclick_cat_minus), ("r", "eta"), {"eta": 0.9}, cutoff="analytic"),
         Quantity("pclick1_cat_minus", "single-photon click probability, odd superposition",
-                 _each(_q_pclick1_cat_minus), ("r", "eta"), {"eta": 0.9}),
+                 _each(_q_pclick1_cat_minus), ("r", "eta"), {"eta": 0.9}, cutoff="analytic"),
         Quantity("pclickc_cat_minus", "single-photon fraction of clicks, odd superposition",
-                 _each(_q_pclickc_cat_minus), ("r", "eta"), {"eta": 0.9}),
+                 _each(_q_pclickc_cat_minus), ("r", "eta"), {"eta": 0.9}, cutoff="analytic"),
         Quantity("pclick1_yield_cat_minus", "branch weight times single-photon click probability",
-                 _each(_q_pclick1_yield_cat_minus), ("r", "eta"), {"eta": 0.9}),
+                 _each(_q_pclick1_yield_cat_minus), ("r", "eta"), {"eta": 0.9}, cutoff="analytic"),
         Quantity("pclick_tmss", "herald click probability, two-mode squeezed benchmark",
                  _each(_q_pclick_tmss), ("r", "eta"), {"eta": 0.9}, cutoff="analytic"),
         Quantity("pclick1_tmss", "single-photon click probability, benchmark",
@@ -255,7 +198,7 @@ def _quantities() -> dict[str, Quantity]:
         Quantity("pclickc_tmss", "single-photon fraction of clicks, benchmark",
                  _each(_q_pclickc_tmss), ("r", "eta"), {"eta": 0.9}, cutoff="analytic"),
         Quantity("g2_cat_minus", "heralded zero-delay g2, odd superposition",
-                 _each(_q_g2_cat_minus), ("r", "eta"), {"eta": 0.9}),
+                 _each(_q_g2_cat_minus), ("r", "eta"), {"eta": 0.9}, cutoff="analytic"),
         Quantity("g2_tmss", "heralded zero-delay g2, benchmark (closed form)",
                  _each(_q_g2_tmss), ("r", "eta"), {"eta": 0.9}, cutoff="analytic"),
     ]
@@ -353,10 +296,9 @@ def _no_overrides(figure: str, eta, alpha) -> None:
 
 def _fig2(dim=None, tail_tol=None, eta=None, alpha=None) -> analysis.SweepResult:
     """Photon-number content of the herald row: P(1, n) for each source,
-    n < min(FIG2_LEVELS, dim)."""
+    n < FIG2_LEVELS."""
     _no_overrides("fig2", eta, alpha)
-    levels = min(FIG2_LEVELS, truncation("matrix", FIG2_R, dim, tail_tol).dim)
-    spec = analysis.SweepSpec("n", 0.0, levels - 1.0, levels, {"r": FIG2_R})
+    spec = analysis.SweepSpec("n", 0.0, FIG2_LEVELS - 1.0, FIG2_LEVELS, {"r": FIG2_R})
     names = ["p1n_squeezed", "p1n_cat_minus", "p1n_cat_plus"]
     return _joined_sweeps(spec, names, None, dim, tail_tol)
 

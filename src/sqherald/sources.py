@@ -1,14 +1,21 @@
-"""Closed-form Fock coefficients of the source states.
+"""Closed-form Fock coefficients and photocount generating functions of the
+source states.
 
 Covers single-mode squeezed vacuum, its normalized sum and difference with
 the oppositely squeezed state (the even/odd "cat" superpositions used for
 heralding), and the two-mode squeezed vacuum benchmark: pair amplitudes
-with their tail checks, superposition norms and herald probabilities, and
-the benchmark's P(1,1).
+with their tail checks (the Kerr label series and the oracles), single
+photon-number probabilities p_N, superposition norms and herald
+probabilities, the benchmark's P(1,1), and the generating function
+G(z) = sum_N p_N z^N of each single-mode source (Kelley & Kleiner, Phys.
+Rev. 136, A316 (1964)), from which every split and click statistic is a
+value or a divided difference (see generating_function).
 """
 from __future__ import annotations
 
+import dataclasses
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,9 +83,9 @@ def _even_log_weights(r, pairs: int) -> np.ndarray:
     c_{2k} = (cosh r)^{-1/2} sqrt((2k)!) / (2^k k!) (-tanh r)^k, evaluated
     in log space so large cutoffs stay finite.
     """
+    log_fact = log_factorials(2 * pairs - 1)
     r = np.asarray(r, dtype=float)[..., None]
     k = np.arange(pairs)
-    log_fact = log_factorials(2 * pairs - 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         k_log_t = k * np.log(np.tanh(np.abs(r)))
     # r = 0: log tanh r = -inf, and only k = 0 survives
@@ -207,8 +214,158 @@ def _tmss_tanh(r, trunc: Truncation):
     return t
 
 
-def tmss_p11(r, trunc: Truncation):
+def tmss_p11(r):
     """P(1,1) = tanh^2 r / cosh^2 r of the two-mode squeezed vacuum,
     elementwise for an array r."""
-    t = _tmss_tanh(r, trunc)
+    _check_squeeze(r)
+    t = np.tanh(np.abs(r))
     return t * t / np.cosh(r) ** 2
+
+
+# ------------------------------------------ photocount generating functions
+
+
+class Level(NamedTuple):
+    """A point w = t^2 z^2 of the generating functions with its radicals
+    alpha = sqrt(1 - w) and beta = sqrt(1 + w), and delta = beta - alpha,
+    formed as 2w / (alpha + beta) so that it keeps its digits at small w."""
+
+    w: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    delta: np.ndarray
+
+
+def _powers(x, y, m: int):
+    """sum_{i < m} x^i y^(m-1-i)."""
+    return sum(x**i * y ** (m - 1 - i) for i in range(m))
+
+
+def _gap(x, y, d, m: int):
+    """x^-m - y^-m for 0 < x <= y, given d = y - x: a sum of nonnegative
+    terms, with no cancellation where x and y are close."""
+    return d * _powers(x, y, m) / (x * y) ** m
+
+
+def _value(at: Level, q: int, s: int):
+    """alpha^-q + s beta^-q at one level, for s in (-1, 0, +1)."""
+    if s == 0:
+        return at.alpha**-q
+    if s > 0:
+        return at.alpha**-q + at.beta**-q
+    return _gap(at.alpha, at.beta, at.delta, q)
+
+
+def _span(x1, x2, q: int):
+    """sum_{j < q} x1^-(q-j) x2^-(j+1) / (x1 + x2): the divided difference
+    of x^-q between x1 and x2, taken over x^2 and negated."""
+    return sum(x1 ** -(q - j) * x2 ** -(j + 1) for j in range(q)) / (x1 + x2)
+
+
+def _divided(lo: Level, hi: Level, q: int, s: int):
+    """The divided difference of alpha^-q + s beta^-q over w between two
+    levels.  Over w, alpha^-q rises by _span of the alphas and beta^-q falls
+    by _span of the betas; their difference (s = +1) is written term by
+    term through delta, so that it keeps its digits at small w."""
+    rise = _span(lo.alpha, hi.alpha, q)
+    if s == 0:
+        return rise
+    if s < 0:
+        return rise + _span(lo.beta, hi.beta, q)
+    a1, a2, b1, b2 = lo.alpha, hi.alpha, lo.beta, hi.beta
+    d1, d2 = lo.delta, hi.delta
+    out = 0.0
+    for j in range(q):
+        m, n = q - j, j + 1
+        out = out + (a1**-m * a2**-n * (d1 + d2) / ((a1 + a2) * (b1 + b2))
+                     + (_gap(a1, b1, d1, m) * a2**-n + b1**-m * _gap(a2, b2, d2, n)) / (b1 + b2))
+    return out
+
+
+@dataclasses.dataclass(frozen=True)
+class GeneratingFunction:
+    """The photocount generating function G(z) = sum_N p_N z^N of a source,
+    elementwise over an array r, as G(z) = K F(t^2 z^2) with t = tanh r.
+
+    Squeezed vacuum has G = S(z) = 1/(cosh r sqrt(1 - t^2 z^2)).  Since
+    c_2k(-r) = (-1)^k c_2k(r), the sign superpositions have
+    G = 2 [S(z) + s S(iz)] / N_s, so with alpha = sqrt(1 - w) and
+    beta = sqrt(1 + w)
+
+        F(w) = alpha^-1 + s beta^-1,  K = 1/cosh r (parity s = 0),
+                                          2/(N_s cosh r) (s = sign).
+
+    Only derivatives and divided differences of G enter the statistics,
+    so F is never formed; its k-th w-derivative is
+    c_k (alpha^-(2k+1) + (-1)^k s beta^-(2k+1)) with c = (1, 1/2, 3/4).
+    scale is K t^2, which stays finite where N_- -> 0: for the odd branch
+    it is c (c + 1) / (2 cosh^3 r) with c = sqrt(cosh 2r), 1 at r = 0,
+    where G = z^2 is the branch's r -> 0 limit |2>.  sech2 is 1/cosh^2 r,
+    so that 1 - w near w = t^2 can be formed without cancellation.
+    """
+
+    t2: np.ndarray
+    sech2: np.ndarray
+    scale: np.ndarray
+    parity: int
+
+    def level(self, z, one_minus_w=None) -> Level:
+        """The level w = t^2 z^2, with 1 - w as given or formed from w."""
+        w = self.t2 * z * z
+        alpha = np.sqrt(1.0 - w if one_minus_w is None else one_minus_w)
+        beta = np.sqrt(1.0 + w)
+        return Level(w, alpha, beta, 2.0 * w / (alpha + beta))
+
+    @property
+    def slope_at_zero(self) -> float:
+        """F'(0) = (1 - s)/2."""
+        return 0.5 * (1 - self.parity)
+
+    def slope(self, at: Level):
+        """F'(w) = (alpha^-3 - s beta^-3)/2."""
+        return 0.5 * _value(at, 3, -self.parity)
+
+    def curvature(self, at: Level):
+        """F''(w) = 3 (alpha^-5 + s beta^-5)/4."""
+        return 0.75 * _value(at, 5, self.parity)
+
+    def divided(self, lo: Level, hi: Level, order: int):
+        """The divided difference over w of F's order-th derivative
+        (order 0, 1 or 2) between two levels."""
+        s = self.parity if order % 2 == 0 else -self.parity
+        return (1.0, 0.5, 0.75)[order] * _divided(lo, hi, 2 * order + 1, s)
+
+
+def generating_function(r, sign: int | None) -> GeneratingFunction:
+    """The GeneratingFunction of squeezed vacuum (sign None) or of the sign
+    superposition, elementwise over an array r."""
+    if sign not in (None, +1, -1):
+        raise ValueError(f"sign must be +1, -1 or None, got {sign}")
+    _check_squeeze(r)
+    r = np.asarray(r, dtype=float)
+    t2 = np.tanh(r) ** 2
+    ch = np.cosh(r)
+    if sign is None:
+        scale = t2 / ch
+    elif sign > 0:
+        scale = 2.0 * t2 / (cat_norm(r, +1) * ch)
+    else:
+        c = np.sqrt(np.cosh(2.0 * r))
+        scale = c * (c + 1.0) / (2.0 * ch**3)
+    return GeneratingFunction(t2, 1.0 / (ch * ch), scale, 0 if sign is None else sign)
+
+
+def pair_log_probability(k, r, sign: int | None) -> np.ndarray:
+    """log p_2k at each pair index k >= 1 (integer-valued floats) and r,
+    elementwise, and -inf where p_2k is 0: the coefficient of w^k in
+    K F(w) t^2k is p_2k = K t^2 c_k (1 + s (-1)^k) t^(2(k-1)), with
+    c_k = C(2k, k)/4^k from math.lgamma on the distinct k."""
+    k = np.asarray(k, dtype=float)
+    g = generating_function(r, sign)
+    distinct, at = np.unique(k, return_inverse=True)
+    log_binomial = np.array([math.lgamma(2.0 * v + 1.0) - 2.0 * math.lgamma(v + 1.0)
+                             for v in distinct.tolist()])[at.reshape(k.shape)]
+    parity = 1.0 + g.parity * np.where(k % 2.0 == 0.0, 1.0, -1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        powers = np.where(k == 1.0, 0.0, (k - 1.0) * np.log(g.t2))
+        return (np.log(g.scale) + log_binomial - 2.0 * k * LN2 + np.log(parity) + powers)

@@ -77,13 +77,13 @@ def test_registry_rejects_unknown_name_with_listing():
 
 
 def test_convergence_check_flags_unstable_cutoff():
-    # the herald-row conditional leaks tail mass at dim 8, so it moves
+    # the odd-branch projection leaks tail mass at dim 8, so it moves
     # between dim and 1.5 dim; a loose tail_tol lets the states build
     spec = analysis.SweepSpec("r", 1.2, 1.2, 1)
     with pytest.raises(analysis.ConvergenceError) as err:
-        analysis.sweep(spec, "pc_cat_minus", dim=8, tail_tol=0.9)
+        analysis.sweep(spec, "p0_cat_minus", dim=8, tail_tol=0.9)
     message = str(err.value)
-    assert "pc_cat_minus" in message and "dim 8" in message and "r" in message
+    assert "p0_cat_minus" in message and "dim 8" in message and "r" in message
 
 
 def test_convergence_check_rejects_nan():
@@ -470,7 +470,8 @@ def test_verify_searches_evaluate_whole_grids(monkeypatch, criterion, name, cfg)
         lambda xs: [float(q.fn(cfg.trunc(float(x)), r=np.array([float(x)]))[0, 0]) for x in xs]
     ), 0.0, 2.0))
     assert grouped == per_point
-    assert grouped.startswith("MaximizeResult(") == (cfg.tail_tol is None)
+    # both quantities are closed forms, which no cutoff override reaches
+    assert grouped.startswith("MaximizeResult(")
 
 
 def _sequential_golden(f, a, b, tol):

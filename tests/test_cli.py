@@ -119,13 +119,13 @@ def test_unwritable_out_path_exits_usage(tmp_path, capsys):
 
 
 def test_dim_override_reaches_the_builder(capsys):
-    code, out, _ = run_cli(capsys, "figure", "fig2", "--dim", "48",
+    # fig5a's phase-noise ratios run on the label series, which takes a cutoff
+    code, out, _ = run_cli(capsys, "figure", "fig5a", "--dim", "48",
                            "--format", "json")
     assert code == cli.EXIT_OK
     payload = json.loads(out)
     assert payload["metadata"]["dims"] == [48]
-    row1 = next(row for row in payload["rows"] if row[0] == 1.0)
-    assert abs(row1[2] - 0.453) <= 5e-4
+    assert payload["rows"][0] == [0.0, 1.0, 1.0, 1.0]
 
 
 def test_sweep_values_match_library_calls(capsys):
@@ -154,7 +154,7 @@ def test_sweep_set_flag_fixes_parameters(capsys):
     assert '"eta": 0.8' in meta["fixed"]
     for r, value in rows:
         at, eta = np.array([r]), np.array([0.8])
-        direct = float(detect.heralded_g2(at, eta, default_truncation(r))[0, 0])
+        direct = float(detect.heralded_g2(at, eta)[0])
         assert abs(value - direct) <= 1e-14
 
 
@@ -226,10 +226,10 @@ def test_sweep_bad_set_syntax_exits_usage(capsys):
 def test_sweep_outside_supported_squeezing_exits_usage(capsys):
     code, out, err = run_cli(
         capsys, "sweep", "--quantity", "p11_cat_minus", "--var", "r",
-        "--lo", "0.1", "--hi", "2.5", "--points", "3",
+        "--lo", "0.1", "--hi", "3.5", "--points", "3",
     )
     assert code == cli.EXIT_USAGE
-    assert "invalid parameter" in err
+    assert "invalid parameter: r must lie in [0, 3.0], got 3.5" in err
 
 
 @pytest.mark.parametrize(
@@ -372,6 +372,32 @@ def test_request_too_large_to_allocate_is_a_usage_error():
         assert code == cli.EXIT_USAGE, argv
         assert err.startswith("invalid parameter: ") and err.count("\n") == 1, err
         assert "Traceback" not in err
+
+
+def test_huge_counts_never_grow_the_log_factorial_table(tmp_path):
+    # under the same cap: P(1, 1e9) is a closed-form 0 that builds no
+    # table of 1e9 log-factorials, and a forced series dim of 1e9 is
+    # refused before its log-factorial table grows
+    out = tmp_path / "p1n.csv"
+    argvs = [
+        ["sweep", "--quantity", "p1n_cat_minus", "--var", "n", "--lo", "1e9", "--hi", "1e9",
+         "--points", "1", "--set", "r=0.725", "--out", str(out)],
+        ["sweep", "--quantity", "p0_cat_minus", "--var", "r", "--lo", "0.5", "--hi", "0.5",
+         "--points", "1", "--dim", "1000000000"],
+    ]
+    src = str(Path(sqherald.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    script = OVERSIZED_SCRIPT.format(limit=OVERSIZED_AS)
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    (row_code, row_err), (dim_code, dim_err) = json.loads(proc.stdout)
+    assert row_code == cli.EXIT_OK and row_err == ""
+    _, header, rows = parse_csv(out.read_text(encoding="utf-8"))
+    assert header == ["n", "p1n_cat_minus"] and rows == [[1e9, 0.0]]
+    assert dim_code == cli.EXIT_USAGE
+    assert dim_err == ("invalid parameter: a table of 999999999 log-factorials exceeds the "
+                       "limit of 16777216 (is the cutoff too large?)\n")
 
 
 def test_dim_beyond_the_index_range_is_a_usage_error(capsys):
@@ -629,10 +655,13 @@ def test_cutoff_overrides_on_cutoff_free_work_exit_usage(capsys, argv):
 
 @pytest.mark.parametrize("name", ["fig7a", "fig7b", "fig9a", "fig9b"])
 def test_mixed_figures_take_cutoff_overrides(capsys, name):
+    # these figures mix the split odd superposition with the benchmark;
+    # both sides are closed forms now, so like every cutoff-free figure
+    # they refuse a cutoff override instead of ignoring it
     code, out, err = run_cli(capsys, "figure", name, "--dim", "240", "--tail-tol", "1e-3")
-    assert code == cli.EXIT_OK, err
-    meta, _, _ = parse_csv(out)
-    assert json.loads(meta["dims"]) == [240]
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert "no cutoff" in err
 
 
 SCIPY_FREE_RUN = """
@@ -671,42 +700,43 @@ def test_verify_with_inadequate_cutoff_reports_failures(capsys):
 
 
 def test_fig2_honours_a_zero_tail_tolerance(capsys):
-    # the r = 0.725 herald row leaves 6.3e-15 of its mass above dim 64
+    # the herald rows are single closed-form coefficients with no cutoff,
+    # so a tail tolerance is refused rather than ignored
     code, out, err = run_cli(capsys, "figure", "fig2", "--tail-tol", "0")
-    assert code == cli.EXIT_NUMERICAL
+    assert code == cli.EXIT_USAGE
     assert out == ""
-    assert "does not fit in dim = 64" in err
+    assert "no cutoff" in err
 
 
 def test_fig2_gates_its_move_between_cutoffs(capsys):
-    # at dim 8 squeezed vacuum's P(1, 7) is 0 and moves by 1.46e-4 at dim
-    # 12; evaluate names the first point in grid order that moves
+    # with no cutoff there is nothing to move: every one of the 12 levels
+    # is its closed form, recorded as such, and a forced dim is refused
+    code, out, err = run_cli(capsys, "figure", "fig2")
+    assert code == cli.EXIT_OK, err
+    meta, header, rows = parse_csv(out)
+    assert meta["dims"] == '"analytic"' and meta["max_move"] == "0.0"
+    assert [row[0] for row in rows] == list(range(12))
     code, out, err = run_cli(capsys, "figure", "fig2", "--dim", "8", "--tail-tol", "0.9")
-    assert code == cli.EXIT_NUMERICAL
-    assert out == ""
-    assert err == (
-        "numerical failure: p1n_squeezed moved by 1.464e-04 between dim 8 and dim 12 "
-        "at {'r': 0.725, 'n': 7.0}\n"
-    )
+    assert code == cli.EXIT_USAGE
+    assert out == "" and "no cutoff" in err
 
 
 @pytest.mark.parametrize("quantity", ["p11_cat_minus", "pc_cat_minus"])
 def test_matrix_quantities_above_r_2_ask_for_a_cutoff(capsys, quantity):
-    # the default matrix cutoffs stop at r = 2; up to SQUEEZE_LIMIT = 3 the
-    # message names that limit and the --dim flag
+    # these quantities once ran on matrix cutoffs, whose defaults stop at
+    # r = 2 and asked for --dim beyond; in closed form they run up to
+    # SQUEEZE_LIMIT = 3 and ask for no cutoff, so --dim is refused
     argv = ("sweep", "--quantity", quantity, "--var", "r", "--lo", "2.5", "--hi", "3",
             "--points", "2")
     code, out, err = run_cli(capsys, *argv)
-    assert code == cli.EXIT_USAGE
-    assert out == ""
-    assert "no default cutoff for r = 2.5" in err
-    assert "r <= 2" in err and "--dim" in err
-    code, out, err = run_cli(capsys, *argv, "--dim", "2000")
     assert code == cli.EXIT_OK, err
     meta, header, rows = parse_csv(out)
-    assert meta["dims"] == "[2000]"
+    assert meta["dims"] == '"analytic"'
     assert [row[0] for row in rows] == [2.5, 3.0]
     assert all(0.0 < row[1] < 1.0 for row in rows)
+    code, out, err = run_cli(capsys, *argv, "--dim", "2000")
+    assert code == cli.EXIT_USAGE
+    assert out == "" and "no cutoff" in err
 
 
 P1N_ARGV = ("sweep", "--quantity", "p1n_cat_minus", "--var", "n", "--set", "r=0.725",
@@ -723,8 +753,10 @@ def test_p1n_rejects_an_n_that_is_not_a_nonnegative_integer(capsys, n):
 
 @pytest.mark.parametrize("n", ["64", "1e300"])
 def test_p1n_beyond_the_cutoff_is_zero(capsys, n):
-    # the total n + 1 lies beyond dim 64, so no integer cast is made; a
-    # cast warning would be an error under the suite's warning filter
+    # the total 65 is odd, and the total 1e300 lies beyond
+    # optics.HERALD_ROW_TOTALS, so no coefficient is formed and no integer
+    # cast is made; a cast warning would be an error under the suite's
+    # warning filter
     code, out, err = run_cli(capsys, *P1N_ARGV, f"--lo={n}", f"--hi={n}")
     assert code == cli.EXIT_OK, err
     _, header, rows = parse_csv(out)
@@ -735,13 +767,15 @@ def test_p1n_beyond_the_cutoff_is_zero(capsys, n):
 @pytest.mark.parametrize(
     "flags, failing",
     [
-        (("--dim", "8"), (4, 10)),
-        (("--tail-tol", "0"), (4, 7, 10)),
+        (("--dim", "8"), (5, 7, 9, 11)),
+        (("--tail-tol", "0"), (5, 7, 9, 11)),
     ],
 )
 def test_verify_overrides_reach_every_criterion(capsys, flags, failing):
-    # the maximization, decay-rate fit and crossover criteria run at the
-    # overridden cutoff like the others, so an inadequate one fails them
+    # every criterion that takes a cutoff runs at the overridden one, so an
+    # inadequate one fails it: the dense oracles of criteria 5, 9 and 11
+    # and the decay-rate fit of criterion 7; the maximization and crossover
+    # criteria run on closed forms, which take none
     code, out, err = run_cli(capsys, "verify", *flags)
     assert code == cli.EXIT_VERIFY
     verdicts = {
@@ -755,13 +789,13 @@ def test_verify_overrides_reach_every_criterion(capsys, flags, failing):
 
 
 def test_verify_stability_check_reports_evaluates_message(capsys):
-    # at dim 40 every check of criterion 11 runs, and the dim versus 1.5 dim
-    # check fails at r = 2 with the message of evaluate's own gate
+    # at dim 40 every check of criterion 11 runs, and the closed forms
+    # against the dense split fail at r = 2, where the oracle's truncated
+    # g2 is off by the move the old dim versus 1.5 dim gate reported
     code, out, err = run_cli(capsys, "verify", "--dim", "40", "--tail-tol", "0.9")
     assert code == cli.EXIT_VERIFY
     line = next(line for line in out.splitlines() if line.startswith("FAIL [11]"))
-    assert ("dim vs 1.5 dim stability: g2_cat_minus moved by 4.730e-08 between dim 40 "
-            "and dim 60 at {'eta': 0.9, 'r': 2.0};") in line
+    assert "closed form vs dense split: max gap 4.730e-08 (margin 473%);" in line
 
 
 def test_verify_reports_the_known_small_r_floor_failure(capsys):

@@ -1,6 +1,5 @@
 """Unit tests for the threshold-detector model and heralded statistics."""
 
-import collections
 import math
 
 import numpy as np
@@ -8,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqherald import analysis, detect, reference, registry, sources
+from sqherald import analysis, detect, reference, registry
 from sqherald import fockspace as fs
 
 DET9 = detect.DetectorModel(0.9)
@@ -16,10 +15,9 @@ DET9 = detect.DetectorModel(0.9)
 
 def cat_clicks(r, eta):
     """p_click, p_click_1 and p_click_c of the split odd superposition at
-    one point, from the production kernel at the default cutoff."""
+    one point, from the production closed forms."""
     p_click, p_click_1 = (
-        float(v[0, 0])
-        for v in detect.heralded_clicks(np.array([r]), np.array([eta]), fs.default_truncation(r))
+        float(v[0]) for v in detect.heralded_clicks(np.array([r]), np.array([eta]))
     )
     return p_click, p_click_1, p_click_1 / p_click
 
@@ -31,9 +29,8 @@ def tmss_clicks(r, eta):
 
 def cat_g2(r, eta):
     """Heralded g2 of the split odd superposition at one point, from the
-    production kernel at the default cutoff."""
-    g2 = detect.heralded_g2(np.array([r]), np.array([eta]), fs.default_truncation(r))
-    return float(g2[0, 0])
+    production closed forms."""
+    return float(detect.heralded_g2(np.array([r]), np.array([eta]))[0])
 
 
 def tmss_g2(r, eta):
@@ -222,7 +219,7 @@ def test_click_limits_at_small_squeezing():
 def g2_crossing(eta):
     """Criterion 10's search at efficiency eta: where the heralded g2 of the
     split odd superposition crosses the benchmark's on [0.02, 2], both read
-    through their registered objectives at the default cutoffs."""
+    through their registered closed-form objectives."""
     cat, benchmark = (analysis.objective(name, eta=eta) for name in ("g2_cat_minus", "g2_tmss"))
     return analysis.find_crossing(cat, benchmark, 0.02, 2.0, tol=1e-4)
 
@@ -253,105 +250,27 @@ def test_quality_crossover_agrees_with_grid_scan():
 TABLES = ("fig3a", "fig2", "fig3b", "fig6a", "fig6b", "fig7a", "fig7b", "fig8", "fig9a", "fig9b")
 
 
-def test_tables_in_one_process_match_fresh_builds(monkeypatch):
-    # the moments held across figures give every table byte for byte what
-    # the figure builds alone, with nothing held
-    monkeypatch.setattr(detect, "_MOMENTS", {})
+def test_tables_in_one_process_match_fresh_builds():
+    # the closed forms hold nothing between figures, so every table built
+    # after the others is byte for byte the table built again on its own
     together = [registry.figure(name).build() for name in TABLES]
-    assert detect._MOMENTS
     for name, shared in zip(TABLES, together):
-        detect._MOMENTS.clear()
         alone = registry.figure(name).build()
         assert alone.columns == shared.columns
         assert alone.rows.tobytes() == shared.rows.tobytes()
         assert alone.metadata == shared.metadata
 
 
-def test_fig6a_builds_each_cutoff_group_once(monkeypatch):
-    # three click quantities over two cutoff groups, each group's base and
-    # recheck cutoffs together: one source build, one kernel build and one
-    # moment build per group
-    monkeypatch.setattr(detect, "_MOMENTS", {})
-    counts = collections.Counter()
-    for owner, name in ((sources, "pair_amplitudes"), (detect, "_binomial_kernels"),
-                        (detect, "_build_moments")):
-        def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
-            counts[_name] += 1
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, counted)
-    registry.figure("fig6a").build()
-    assert counts == {"pair_amplitudes": 2, "_binomial_kernels": 2, "_build_moments": 2}
-    # fig9a reads the same columns: g2 takes m1 and m2 of the same builds
-    registry.figure("fig9a").build()
-    assert counts == {"pair_amplitudes": 2, "_binomial_kernels": 2, "_build_moments": 2}
-
-
-def test_failed_build_holds_nothing_and_raises_again(monkeypatch):
-    monkeypatch.setattr(detect, "_MOMENTS", {})
-    r, eta = np.array([1.0, 1.5, 2.0]), np.full(3, 0.9)
-    # the base cutoff fails first; then a base that fits and a recheck
-    # that does not
-    for cutoffs in ((fs.Truncation(24), fs.Truncation(36)),
-                    (fs.Truncation(160), fs.Truncation(24))):
-        for _ in range(2):
-            with pytest.raises(fs.TruncationError) as info:
-                detect.heralded_clicks(r, eta, *cutoffs)
-            assert str(info.value).startswith(
-                "squeezed vacuum at r = 1.5 does not fit in dim = 24 ")
-            assert detect._MOMENTS == {}
-
-
-def test_cutoff_overrides_never_read_moments_held_for_another_cutoff(monkeypatch):
-    monkeypatch.setattr(detect, "_MOMENTS", {})
-    built = []
-    build = detect._build_moments
-
-    def spy(r, eta, sign, cutoffs):
-        built.append(cutoffs)
-        return build(r, eta, sign, cutoffs)
-
-    monkeypatch.setattr(detect, "_build_moments", spy)
-    params = {"r": np.linspace(0.1, 0.8, 7), "eta": 0.8}
-    overrides = ({}, {"dim": 48}, {"tail_tol": 1e-6}, {"dim": 48, "tail_tol": 1e-6}, {})
-    held = [analysis.evaluate("pclick_cat_minus", params, **o).values for o in overrides]
-    assert built == [(fs.Truncation(d, tol), fs.Truncation(math.ceil(1.5 * d), tol))
-                     for d, tol in ((64, 1e-3), (48, 1e-3), (64, 1e-6), (48, 1e-6))]
-    for values, o in zip(held, overrides):
-        detect._MOMENTS.clear()
-        assert analysis.evaluate("pclick_cat_minus", params, **o).values.tobytes() == \
-            values.tobytes()
-
-
-def test_held_moments_are_read_only(monkeypatch):
-    monkeypatch.setattr(detect, "_MOMENTS", {})
-    r, eta = np.array([0.3, 0.7]), np.array([0.9, 0.5])
-    cutoffs = (fs.Truncation(64), fs.Truncation(96))
-    p_click, p_click_1 = detect.heralded_clicks(r, eta, *cutoffs)
-    assert p_click.shape == p_click_1.shape == (2, 2)
-    (moments,) = detect._MOMENTS.values()
-    for m in moments + (p_click, p_click_1):
-        assert not m.flags.writeable
-        with pytest.raises(ValueError):
-            m[0, 0] = 0.0
-    # a later call reads the held values, not copies of the kernel's
-    assert detect.heralded_clicks(r, eta, *cutoffs)[0] is p_click
-
-
-def test_held_moments_keep_within_their_bound(monkeypatch):
-    monkeypatch.setattr(detect, "_MOMENTS", {})
-    monkeypatch.setattr(detect, "HELD_POINTS", 5)
-    trunc = fs.Truncation(64)
-
-    def clicks(*rs):
-        return detect.heralded_clicks(np.array(rs), np.full(len(rs), 0.9), trunc)
-
-    clicks(0.1, 0.2)
-    clicks(0.3, 0.4, 0.5)
-    assert len(detect._MOMENTS) == 2
-    # a third column passes the bound: the oldest goes first
-    clicks(0.6)
-    assert [len(np.frombuffer(k[0])) for k in detect._MOMENTS] == [3, 1]
-    # a column longer than the bound is not held, and drops nothing
-    clicks(*np.linspace(0.1, 1.0, 6))
-    assert [len(np.frombuffer(k[0])) for k in detect._MOMENTS] == [3, 1]
+def test_failed_build_holds_nothing_and_raises_again():
+    # a failing evaluation raises the same error every time, and a later
+    # call on its good points reads nothing it computed
+    r, eta = np.array([1.0, 0.0, 2.0]), np.full(3, 0.9)
+    for _ in range(2):
+        with pytest.raises(detect.ZeroClickError):
+            detect.heralded_clicks(r, eta, sign=None)
+        with pytest.raises(ValueError, match="eta must lie in"):
+            detect.heralded_g2(r, np.array([0.9, 1.5, 0.9]))
+    good = detect.heralded_clicks(r[[0, 2]], eta[[0, 2]], sign=None)
+    one = [detect.heralded_clicks(r[[i]], eta[[i]], sign=None) for i in (0, 2)]
+    for got, alone in zip(np.transpose(good), one):
+        assert got.tobytes() == np.concatenate(alone).tobytes()

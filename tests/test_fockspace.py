@@ -122,6 +122,16 @@ def test_log_factorials_are_prefixes_of_one_table():
     assert grown[4999] == math.lgamma(5000.0)
 
 
+def test_log_factorials_refuse_a_table_past_their_limit():
+    # a count past the limit is refused before anything is allocated or
+    # computed, and the table already built is kept
+    before = fs.log_factorials(100)
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        fs.log_factorials(fs.LOG_FACTORIALS_LIMIT + 1)
+    assert fs.log_factorials(100).tobytes() == before.tobytes()
+    assert len(fs._LOG_FACTORIALS) <= fs.LOG_FACTORIALS_LIMIT
+
+
 def test_cutoff_column_keeps_one_array_of_its_dims():
     column = fs.CutoffColumn((64, 160, 64, 96), 1e-3)
     dims = column.dims_array

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from sqherald import fockspace as fs
-from sqherald import optics, reference, sources
+from sqherald import reference, sources
 
 
 def test_squeezing_db():
@@ -96,21 +96,20 @@ def test_cutoff_column_builds_equal_one_call_per_row(points, sign, tail_tol):
     # same rows, 0 past each row's own cutoff, and the same first error
     rs = np.array([r for r, _ in points])
     column = fs.CutoffColumn(tuple(dim for _, dim in points), tail_tol)
-    for fn, width in ((sources.pair_amplitudes, lambda dim: (dim + 1) // 2),
-                      (optics.photon_number_rows, lambda dim: dim)):
-        rows = [_one_row(fn, r, sign, dim, tail_tol) for r, dim in points]
-        failed = [row for row in rows if isinstance(row, fs.TruncationError)]
-        if failed:
-            with pytest.raises(fs.TruncationError) as info:
-                fn(rs, sign, column)
-            assert str(info.value) == str(failed[0])
-            assert info.value.tail_mass == failed[0].tail_mass
-            continue
-        (built,) = fn(rs, sign, column)
-        assert built.shape == (len(points), width(column.dim))
-        for row, one, (_, dim) in zip(built, rows, points):
-            assert np.array_equal(row[:width(dim)], one)
-            assert not np.any(row[width(dim):])
+    fn = sources.pair_amplitudes
+    rows = [_one_row(fn, r, sign, dim, tail_tol) for r, dim in points]
+    failed = [row for row in rows if isinstance(row, fs.TruncationError)]
+    if failed:
+        with pytest.raises(fs.TruncationError) as info:
+            fn(rs, sign, column)
+        assert str(info.value) == str(failed[0])
+        assert info.value.tail_mass == failed[0].tail_mass
+        return
+    (built,) = fn(rs, sign, column)
+    assert built.shape == (len(points), (column.dim + 1) // 2)
+    for row, one, (_, dim) in zip(built, rows, points):
+        assert np.array_equal(row[:(dim + 1) // 2], one)
+        assert not np.any(row[(dim + 1) // 2:])
 
 
 def test_cutoff_column_names_its_first_failing_row():
@@ -143,26 +142,24 @@ def test_cutoffs_built_together_equal_one_call_each(rs, cutoffs, sign, tail_tol)
     rs = np.array(rs)
     cutoffs = [fs.Truncation(c.dim, tail_tol) if isinstance(c, fs.Truncation)
                else fs.CutoffColumn(c, tail_tol) for c in cutoffs]
-    for fn in (sources.pair_amplitudes, optics.photon_number_rows):
-        alone = []
-        for c in cutoffs:
-            try:
-                alone.append(fn(rs, sign, c)[0])
-            except fs.TruncationError as exc:
-                with pytest.raises(fs.TruncationError) as info:
-                    fn(rs, sign, *cutoffs)
-                assert str(info.value) == str(exc)
-                assert info.value.tail_mass == exc.tail_mass
-                break
-        else:
-            together = fn(rs, sign, *cutoffs)
-            assert len(together) == len(cutoffs)
-            for rows, one in zip(together, alone):
-                assert rows.shape == one.shape
-                assert np.array_equal(rows, one)
-            if fn is sources.pair_amplitudes:
-                assert not any(rows.flags.writeable for rows, c in zip(together, cutoffs)
-                               if isinstance(c, fs.Truncation))
+    fn = sources.pair_amplitudes
+    alone = []
+    for c in cutoffs:
+        try:
+            alone.append(fn(rs, sign, c)[0])
+        except fs.TruncationError as exc:
+            with pytest.raises(fs.TruncationError) as info:
+                fn(rs, sign, *cutoffs)
+            assert str(info.value) == str(exc)
+            assert info.value.tail_mass == exc.tail_mass
+            return
+    together = fn(rs, sign, *cutoffs)
+    assert len(together) == len(cutoffs)
+    for rows, one in zip(together, alone):
+        assert rows.shape == one.shape
+        assert np.array_equal(rows, one)
+    assert not any(rows.flags.writeable for rows, c in zip(together, cutoffs)
+                   if isinstance(c, fs.Truncation))
 
 
 def test_one_build_gives_vacuum_and_superposition():

@@ -67,13 +67,22 @@ def _verdicts(text: str) -> dict[int, str]:
             if line.startswith(("PASS", "FAIL"))}
 
 
+# criterion 11's check of the closed forms against the dense split took
+# the place of the dim versus 1.5 dim check the reference prints
+REPLACED = (re.compile(r"; closed form vs dense split: [^;]*"),
+            re.compile(r"; dim vs 1\.5 dim stability: [^;]*"))
+
+
 def test_default_report_matches_the_bench_reference():
-    # the reference was written before margins were printed; without them
-    # every number and verdict agrees (the largest gap is about 2.5e-15,
-    # on the per-block mass)
+    # the reference was written before margins were printed; without them,
+    # and without the one check that replaced another, every number and
+    # verdict agrees (the largest gap is about 2.5e-15, on the per-block
+    # mass)
     report = verification.format_report(verification.run_all())
     reference = REFERENCE.read_text(encoding="utf-8")
     assert _verdicts(report) == _verdicts(reference)
+    assert len(REPLACED[0].findall(report)) == len(REPLACED[1].findall(reference)) == 1
+    report, reference = REPLACED[0].sub("", report), REPLACED[1].sub("", reference)
     got, want = _numbers(MARGIN.sub("", report)), _numbers(reference)
     assert len(got) == len(want)
     assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12
@@ -85,7 +94,9 @@ KERNELS = (
     (detect, "heralded_clicks"),
     (kerr, "p0_over_tau"),
     (kerr, "phase_ratio"),
-    (optics, "photon_number_rows"),
+    (optics, "conditional_single"),
+    (optics, "herald_row"),
+    (optics, "pair_probability"),
 )
 
 
