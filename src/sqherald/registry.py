@@ -67,7 +67,7 @@ class Quantity:
     fn: Callable[..., np.ndarray]
     variables: tuple[str, ...]
     defaults: Mapping[str, float]
-    cutoff: str = "matrix"
+    cutoff: str = "analytic"
 
     def __post_init__(self):
         object.__setattr__(self, "defaults", dict(self.defaults))
@@ -153,27 +153,27 @@ def _q_g2_tmss(r, eta):
 def _quantities() -> dict[str, Quantity]:
     items = [
         Quantity("p11_cat_minus", "P(1,1) after splitting the odd superposition",
-                 _each(optics.pair_probability, sign=-1), ("r",), {}, cutoff="analytic"),
+                 _each(optics.pair_probability, sign=-1), ("r",), {}),
         Quantity("p11_cat_plus", "P(1,1) after splitting the even superposition",
-                 _each(optics.pair_probability, sign=+1), ("r",), {}, cutoff="analytic"),
+                 _each(optics.pair_probability, sign=+1), ("r",), {}),
         Quantity("p11_squeezed", "P(1,1) after splitting plain squeezed vacuum",
-                 _each(optics.pair_probability, sign=None), ("r",), {}, cutoff="analytic"),
+                 _each(optics.pair_probability, sign=None), ("r",), {}),
         Quantity("p11_tmss", "P(1,1) of the two-mode squeezed benchmark",
-                 _each(sources.tmss_p11), ("r",), {}, cutoff="analytic"),
+                 _each(sources.tmss_p11), ("r",), {}),
         Quantity("p1n_squeezed", "herald row P(1, n) of split squeezed vacuum",
-                 _each(optics.herald_row, sign=None), ("n", "r"), {}, cutoff="analytic"),
+                 _each(optics.herald_row, sign=None), ("n", "r"), {}),
         Quantity("p1n_cat_minus", "herald row P(1, n) of the split odd superposition",
-                 _each(optics.herald_row, sign=-1), ("n", "r"), {}, cutoff="analytic"),
+                 _each(optics.herald_row, sign=-1), ("n", "r"), {}),
         Quantity("p1n_cat_plus", "herald row P(1, n) of the split even superposition",
-                 _each(optics.herald_row, sign=+1), ("n", "r"), {}, cutoff="analytic"),
+                 _each(optics.herald_row, sign=+1), ("n", "r"), {}),
         Quantity("pc_cat_minus", "P(n_b=1 | n_a=1) for the split odd superposition",
-                 _each(optics.conditional_single, sign=-1), ("r",), {}, cutoff="analytic"),
+                 _each(optics.conditional_single, sign=-1), ("r",), {}),
         Quantity("pc_squeezed", "P(n_b=1 | n_a=1) for split squeezed vacuum",
-                 _each(optics.conditional_single, sign=None), ("r",), {}, cutoff="analytic"),
+                 _each(optics.conditional_single, sign=None), ("r",), {}),
         Quantity("herald_prob_cat_minus", "odd-branch weight N_-(r)/4",
-                 _each(sources.herald_probability, sign=-1), ("r",), {}, cutoff="analytic"),
+                 _each(sources.herald_probability, sign=-1), ("r",), {}),
         Quantity("herald_yield_cat_minus", "pair yield N_-(r)/4 * P(1,1)",
-                 _each(_q_herald_yield_cat_minus), ("r",), {}, cutoff="analytic"),
+                 _each(_q_herald_yield_cat_minus), ("r",), {}),
         Quantity("p0_cat_minus", "odd-branch projection probability after the Kerr step",
                  _q_p0_cat_minus, ("tau_tilde", "r"), {"tau_tilde": math.pi, "alpha": 10.0},
                  cutoff="series"),
@@ -184,23 +184,23 @@ def _quantities() -> dict[str, Quantity]:
                  _q_phase_ratio, ("sigma", "r"), {"r": 0.725, "alpha": 10.0},
                  cutoff="series"),
         Quantity("pclick_cat_minus", "herald click probability, odd superposition",
-                 _each(_q_pclick_cat_minus), ("r", "eta"), {"eta": 0.9}, cutoff="analytic"),
+                 _each(_q_pclick_cat_minus), ("r", "eta"), {"eta": 0.9}),
         Quantity("pclick1_cat_minus", "single-photon click probability, odd superposition",
-                 _each(_q_pclick1_cat_minus), ("r", "eta"), {"eta": 0.9}, cutoff="analytic"),
+                 _each(_q_pclick1_cat_minus), ("r", "eta"), {"eta": 0.9}),
         Quantity("pclickc_cat_minus", "single-photon fraction of clicks, odd superposition",
-                 _each(_q_pclickc_cat_minus), ("r", "eta"), {"eta": 0.9}, cutoff="analytic"),
+                 _each(_q_pclickc_cat_minus), ("r", "eta"), {"eta": 0.9}),
         Quantity("pclick1_yield_cat_minus", "branch weight times single-photon click probability",
-                 _each(_q_pclick1_yield_cat_minus), ("r", "eta"), {"eta": 0.9}, cutoff="analytic"),
+                 _each(_q_pclick1_yield_cat_minus), ("r", "eta"), {"eta": 0.9}),
         Quantity("pclick_tmss", "herald click probability, two-mode squeezed benchmark",
-                 _each(_q_pclick_tmss), ("r", "eta"), {"eta": 0.9}, cutoff="analytic"),
+                 _each(_q_pclick_tmss), ("r", "eta"), {"eta": 0.9}),
         Quantity("pclick1_tmss", "single-photon click probability, benchmark",
-                 _each(_q_pclick1_tmss), ("r", "eta"), {"eta": 0.9}, cutoff="analytic"),
+                 _each(_q_pclick1_tmss), ("r", "eta"), {"eta": 0.9}),
         Quantity("pclickc_tmss", "single-photon fraction of clicks, benchmark",
-                 _each(_q_pclickc_tmss), ("r", "eta"), {"eta": 0.9}, cutoff="analytic"),
+                 _each(_q_pclickc_tmss), ("r", "eta"), {"eta": 0.9}),
         Quantity("g2_cat_minus", "heralded zero-delay g2, odd superposition",
-                 _each(_q_g2_cat_minus), ("r", "eta"), {"eta": 0.9}, cutoff="analytic"),
+                 _each(_q_g2_cat_minus), ("r", "eta"), {"eta": 0.9}),
         Quantity("g2_tmss", "heralded zero-delay g2, benchmark (closed form)",
-                 _each(_q_g2_tmss), ("r", "eta"), {"eta": 0.9}, cutoff="analytic"),
+                 _each(_q_g2_tmss), ("r", "eta"), {"eta": 0.9}),
     ]
     return {q.name: q for q in items}
 

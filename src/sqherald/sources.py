@@ -236,15 +236,11 @@ class Level(NamedTuple):
     delta: np.ndarray
 
 
-def _powers(x, y, m: int):
-    """sum_{i < m} x^i y^(m-1-i)."""
-    return sum(x**i * y ** (m - 1 - i) for i in range(m))
-
-
 def _gap(x, y, d, m: int):
-    """x^-m - y^-m for 0 < x <= y, given d = y - x: a sum of nonnegative
-    terms, with no cancellation where x and y are close."""
-    return d * _powers(x, y, m) / (x * y) ** m
+    """x^-m - y^-m for 0 < x <= y, given d = y - x, as
+    d sum_{i < m} x^i y^(m-1-i) / (xy)^m: a sum of nonnegative terms, with
+    no cancellation where x and y are close."""
+    return d * sum(x**i * y ** (m - 1 - i) for i in range(m)) / (x * y) ** m
 
 
 def _value(at: Level, q: int, s: int):

@@ -90,7 +90,8 @@ def test_convergence_check_rejects_nan():
     # NaN compares False against the tolerance, so the gate must test it
     quantity = registry.Quantity(
         "nan_quantity", "NaN everywhere",
-        lambda *cutoffs, r: np.full((len(cutoffs), len(r)), math.nan), ("r",), {}
+        lambda *cutoffs, r: np.full((len(cutoffs), len(r)), math.nan), ("r",), {},
+        cutoff="matrix",
     )
     spec = analysis.SweepSpec("r", 0.5, 0.5, 1)
     with pytest.raises(fs.NumericalFailureError) as err:
@@ -304,7 +305,7 @@ def test_evaluate_names_the_first_unconverged_point():
         "drifting", "each point's dim above r = 0.5",
         lambda *cutoffs, r: np.array([np.where(r > 0.5, np.array(c.dims, dtype=float), 0.0)
                                       for c in cutoffs]),
-        ("r",), {},
+        ("r",), {}, cutoff="matrix",
     )
     with pytest.raises(analysis.ConvergenceError) as err:
         analysis.evaluate(quantity, {"r": np.array([0.2, 1.5, 0.7])})
