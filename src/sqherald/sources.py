@@ -293,7 +293,7 @@ class GeneratingFunction:
 
     Only derivatives and divided differences of G enter the statistics,
     so F is never formed; its k-th w-derivative is
-    c_k (alpha^-(2k+1) + (-1)^k s beta^-(2k+1)) with c = (1, 1/2, 3/4).
+    a_k (alpha^-(2k+1) + (-1)^k s beta^-(2k+1)) with a = (1, 1/2, 3/4).
     scale is K t^2, which stays finite where N_- -> 0: for the odd branch
     it is c (c + 1) / (2 cosh^3 r) with c = sqrt(cosh 2r), 1 at r = 0,
     where G = z^2 is the branch's r -> 0 limit |2>.  sech2 is 1/cosh^2 r,
@@ -353,9 +353,9 @@ def generating_function(r, sign: int | None) -> GeneratingFunction:
 
 def pair_log_probability(k, r, sign: int | None) -> np.ndarray:
     """log p_2k at each pair index k >= 1 (integer-valued floats) and r,
-    elementwise, and -inf where p_2k is 0: the coefficient of w^k in
-    K F(w) t^2k is p_2k = K t^2 c_k (1 + s (-1)^k) t^(2(k-1)), with
-    c_k = C(2k, k)/4^k from math.lgamma on the distinct k."""
+    elementwise, and -inf where p_2k is 0.  p_2k is K t^2k times the
+    coefficient of w^k in F, so p_2k = K t^2 c_k (1 + s (-1)^k) t^(2(k-1))
+    with c_k = C(2k, k)/4^k, from math.lgamma on the distinct k."""
     k = np.asarray(k, dtype=float)
     g = generating_function(r, sign)
     distinct, at = np.unique(k, return_inverse=True)

@@ -243,18 +243,12 @@ def criterion_10(cfg: VerifyConfig) -> Iterator[Check]:
 
 @_criterion(11, "property suites")
 def criterion_11(cfg: VerifyConfig) -> Iterator[Check]:
-    # the odd branch split densely at each r's cutoff, for the parity check
-    # and the closed-form comparison below
-    rs = (0.3, 0.725, 1.146, 2.0)
-    odd = {r: reference.joint_probability(
-        reference.split(reference.squeezed_cat(r, -1, cfg.trunc(r)))) for r in rs}
-
     # parity selection: each source only populates its allowed totals
     trunc = cfg.trunc(0.725)
     totals = np.add.outer(np.arange(trunc.dim), np.arange(trunc.dim))
     for sign, residue in ((-1, 2), (+1, 0)):
-        dist = odd[0.725] if sign < 0 else reference.joint_probability(
-            reference.split(reference.squeezed_cat(0.725, sign, trunc)))
+        state = reference.squeezed_cat(0.725, sign, trunc)
+        dist = reference.joint_probability(reference.split(state))
         leak = np.max(dist.p[totals % 4 != residue])
         yield Check.below(f"parity leak, sign {sign:+d}", leak, 1e-14)
 
@@ -281,16 +275,21 @@ def criterion_11(cfg: VerifyConfig) -> Iterator[Check]:
     gap = float(np.max(np.abs(direct.joint_distribution() - decomposed.joint_distribution())))
     yield Check.below("squeezer-decomposition path", gap, 1e-8, f"max table gap {gap:.3e}")
 
-    # the closed forms against the dense split: P(1,1), P_c, the pair yield
-    # and g2 of the odd branch
-    dense = np.array([[dist.p[1, 1], reference.single_photon_fraction(dist.p[1]),
-                       sources.herald_probability(r, -1) * dist.p[1, 1],
-                       reference.g2_numeric(dist, cfg.eta)] for r, dist in odd.items()])
+    # the closed forms against the dense split at each r's cutoff: P(1,1),
+    # P_c, the pair yield and g2 of the odd branch
+    rs = (0.3, 0.725, 1.146, 2.0)
+    dense = []
+    for r in rs:
+        dist = reference.joint_probability(
+            reference.split(reference.squeezed_cat(r, -1, cfg.trunc(r))))
+        dense.append([dist.p[1, 1], reference.single_photon_fraction(dist.p[1]),
+                      sources.herald_probability(r, -1) * dist.p[1, 1],
+                      reference.g2_numeric(dist, cfg.eta)])
     closed = np.column_stack([
         cfg.column(name, r=np.array(rs), **params) for name, params in (
             ("p11_cat_minus", {}), ("pc_cat_minus", {}), ("herald_yield_cat_minus", {}),
             ("g2_cat_minus", {"eta": cfg.eta}))])
-    gap = float(np.max(np.abs(closed - dense)))
+    gap = float(np.max(np.abs(closed - np.array(dense))))
     yield Check.below("closed form vs dense split", gap, 1e-8, f"max gap {gap:.3e}")
 
     # dominance of the odd superposition over the benchmark
