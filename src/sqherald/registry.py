@@ -82,6 +82,30 @@ def _each(body, **fixed):
     return fn
 
 
+# The bodies look their kernels up on the module at call time, so that a
+# tracer or a test that replaces a module's function sees every call.
+
+
+def _p11(r, sign):
+    return optics.pair_probability(r, sign)
+
+
+def _pc(r, sign):
+    return optics.conditional_single(r, sign)
+
+
+def _p1n(n, r, sign):
+    return optics.herald_row(n, r, sign)
+
+
+def _q_p11_tmss(r):
+    return sources.tmss_p11(r)
+
+
+def _q_herald_prob_cat_minus(r):
+    return sources.herald_probability(r, -1)
+
+
 def _q_herald_yield_cat_minus(r):
     # the odd branch weight is exactly 0 at r = 0, where P(1,1) is its limit 1/2
     return sources.herald_probability(r, -1) * optics.pair_probability(r, -1)
@@ -153,25 +177,25 @@ def _q_g2_tmss(r, eta):
 def _quantities() -> dict[str, Quantity]:
     items = [
         Quantity("p11_cat_minus", "P(1,1) after splitting the odd superposition",
-                 _each(optics.pair_probability, sign=-1), ("r",), {}),
+                 _each(_p11, sign=-1), ("r",), {}),
         Quantity("p11_cat_plus", "P(1,1) after splitting the even superposition",
-                 _each(optics.pair_probability, sign=+1), ("r",), {}),
+                 _each(_p11, sign=+1), ("r",), {}),
         Quantity("p11_squeezed", "P(1,1) after splitting plain squeezed vacuum",
-                 _each(optics.pair_probability, sign=None), ("r",), {}),
+                 _each(_p11, sign=None), ("r",), {}),
         Quantity("p11_tmss", "P(1,1) of the two-mode squeezed benchmark",
-                 _each(sources.tmss_p11), ("r",), {}),
+                 _each(_q_p11_tmss), ("r",), {}),
         Quantity("p1n_squeezed", "herald row P(1, n) of split squeezed vacuum",
-                 _each(optics.herald_row, sign=None), ("n", "r"), {}),
+                 _each(_p1n, sign=None), ("n", "r"), {}),
         Quantity("p1n_cat_minus", "herald row P(1, n) of the split odd superposition",
-                 _each(optics.herald_row, sign=-1), ("n", "r"), {}),
+                 _each(_p1n, sign=-1), ("n", "r"), {}),
         Quantity("p1n_cat_plus", "herald row P(1, n) of the split even superposition",
-                 _each(optics.herald_row, sign=+1), ("n", "r"), {}),
+                 _each(_p1n, sign=+1), ("n", "r"), {}),
         Quantity("pc_cat_minus", "P(n_b=1 | n_a=1) for the split odd superposition",
-                 _each(optics.conditional_single, sign=-1), ("r",), {}),
+                 _each(_pc, sign=-1), ("r",), {}),
         Quantity("pc_squeezed", "P(n_b=1 | n_a=1) for split squeezed vacuum",
-                 _each(optics.conditional_single, sign=None), ("r",), {}),
+                 _each(_pc, sign=None), ("r",), {}),
         Quantity("herald_prob_cat_minus", "odd-branch weight N_-(r)/4",
-                 _each(sources.herald_probability, sign=-1), ("r",), {}),
+                 _each(_q_herald_prob_cat_minus), ("r",), {}),
         Quantity("herald_yield_cat_minus", "pair yield N_-(r)/4 * P(1,1)",
                  _each(_q_herald_yield_cat_minus), ("r",), {}),
         Quantity("p0_cat_minus", "odd-branch projection probability after the Kerr step",
