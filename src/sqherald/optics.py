@@ -17,8 +17,6 @@ No photon-number row is built, and no cutoff enters.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import sources
@@ -54,8 +52,9 @@ def conditional_single(r, sign: int | None):
 def herald_row(n, r, sign: int | None) -> np.ndarray:
     """P(1, n) = (n + 1) 2^-(n+1) p_(n+1) at each point (n_i, r_i) of two
     equal-length arrays: 0 for an odd total, and for an even total 2k <
-    HERALD_ROW_TOTALS from sources.pair_log_probability; beyond it the
-    value rounds to 0, and no coefficient is formed."""
+    HERALD_ROW_TOTALS, sources.pair_count_probability times n + 1, with
+    2^-(n+1) placed exactly by ldexp; beyond it the value rounds to 0, and
+    no coefficient is formed."""
     n = np.asarray(n, dtype=float)
     bad = ~(np.isfinite(n) & (n >= 0.0) & (n == np.floor(n)))
     if np.any(bad):
@@ -65,7 +64,7 @@ def herald_row(n, r, sign: int | None) -> np.ndarray:
     out = np.zeros(n.shape)
     inside = np.flatnonzero((total % 2.0 == 0.0) & (total < HERALD_ROW_TOTALS))
     if len(inside):
-        k = total[inside] / 2.0
-        log_p = sources.pair_log_probability(k, r[inside], sign)
-        out[inside] = np.exp(np.log(total[inside]) - total[inside] * math.log(2.0) + log_p)
+        total = total[inside]
+        p = sources.pair_count_probability(total / 2.0, r[inside], sign)
+        out[inside] = np.ldexp(total * p, -total.astype(int))
     return out

@@ -14,7 +14,9 @@ tests check the production kernels against.
   orthogonal per-total-N blocks of apply_beam_splitter(), and the squeezer
   decomposition through the per-diagonal two-mode squeezer.
 - Dense click statistics and the numeric heralded g2 of a joint table,
-  the g2 for an array of efficiencies in one product.
+  the g2 for an array of efficiencies in one product, and the same g2 of
+  the benchmark's diagonal tables for an array of r from one
+  photon-number array.
 - The Kerr schedule and the explicit cross-Kerr state, the label-series
   overlap of any branch sign, label and complex pump, the phase-error
   ratio at one phase offset, and the Gauss-Hermite ladder and seeded
@@ -414,6 +416,24 @@ def tmss_joint_probability(r: float, trunc: Truncation) -> JointDistribution:
     return joint_probability(two_mode_squeezed_vacuum(r, trunc))
 
 
+def tmss_photon_numbers(r: np.ndarray, trunc: Truncation) -> np.ndarray:
+    """The diagonal p[i, n] = tanh^2n r_i / cosh^2 r_i of
+    tmss_joint_probability(r_i, trunc) at each r_i of a 1-D array, one row
+    per r, after the same tail check and the same deficit check, each
+    naming the first r that fails it."""
+    t = sources._tmss_tanh(r, trunc)
+    n = np.arange(trunc.dim)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # n log t is 0 at n = 0 also where t = 0 (r = 0)
+        log_amps = np.where(n > 0, n * np.log(t)[:, None], 0.0) - np.log(np.cosh(r))[:, None]
+    p = np.exp(log_amps) ** 2
+    deficit = 1.0 - np.sum(p, axis=1)
+    lost = deficit > trunc.tail_tol
+    if np.any(lost):
+        raise TruncationError("joint distribution lost too much mass", float(deficit[lost][0]))
+    return p
+
+
 def single_photon_fraction(row: np.ndarray) -> float:
     """P(n_b = 1 | n_a = 1) from a dense herald row P(1, n_b)."""
     total = float(np.sum(row))
@@ -427,21 +447,25 @@ def two_mode_squeeze_apply(s: float, state: TwoModeState) -> TwoModeState:
 
     The generator keeps n_a - n_b fixed, so on the diagonal
     |m + p, m + q> (p - q = n_a - n_b) it is tridiagonal with
-    G[m-1, m] = s sqrt((m + p)(m + q)) = -G[m, m-1].  Each diagonal's
-    exponential is applied to its amplitudes as u e^{i w} u^H from
-    _tridiagonal_modes, matrix-vector products only.  A diagonal with no
-    amplitude stays zero.
+    G[m-1, m] = s sqrt((m + p)(m + q)) = -G[m, m-1].  That is symmetric
+    in p and q, so the diagonals +o and -o share one generator: each pair
+    is diagonalized once by _tridiagonal_modes, and its exponential is
+    applied to each of the two diagonals' amplitudes as u e^{i w} u^H,
+    matrix-vector products only.  A diagonal with no amplitude stays zero.
     """
     d = state.dim
     out = np.zeros((d, d), dtype=complex)
-    for offset in range(1 - d, d):
-        rows = np.arange(max(offset, 0), d + min(offset, 0))
+    for offset in range(d):
+        rows = np.arange(offset, d)
         cols = rows - offset
-        vec = state.amps[rows, cols]
-        if not vec.any():
+        diagonals = [(rows, cols), (cols, rows)] if offset else [(rows, cols)]
+        diagonals = [(i, j) for i, j in diagonals if state.amps[i, j].any()]
+        if not diagonals:
             continue
         w, u = _tridiagonal_modes(-s * np.sqrt(rows[1:] * cols[1:]))
-        out[rows, cols] = u @ (np.exp(1j * w) * (u.conj().T @ vec))
+        phases, u_h = np.exp(1j * w), u.conj().T
+        for i, j in diagonals:
+            out[i, j] = u @ (phases * (u_h @ state.amps[i, j]))
     return TwoModeState(out, state.truncation)
 
 
@@ -560,6 +584,16 @@ def g2_numeric(dist: JointDistribution, eta):
     detect.benchmark_g2)."""
     g2 = _g2_subnormalized(click_weights(eta, dist.truncation.dim) @ dist.p)
     return float(g2) if np.ndim(eta) == 0 else g2
+
+
+def tmss_g2_numeric(r: np.ndarray, trunc: Truncation, etas: np.ndarray) -> np.ndarray:
+    """g2_numeric(tmss_joint_probability(r_i, trunc), etas) at each r_i of
+    a 1-D array, one row per r, for a 1-D array of efficiencies: the table
+    is diagonal, so its product with the click weights is their
+    elementwise product with the row of tmss_photon_numbers, and every r
+    meets them in one product."""
+    p = tmss_photon_numbers(r, trunc)
+    return _g2_subnormalized(p[:, None, :] * click_weights(etas, trunc.dim))
 
 
 # ------------------------------------------------------------------ Kerr

@@ -351,17 +351,31 @@ def generating_function(r, sign: int | None) -> GeneratingFunction:
     return GeneratingFunction(t2, 1.0 / (ch * ch), scale, 0 if sign is None else sign)
 
 
-def pair_log_probability(k, r, sign: int | None) -> np.ndarray:
-    """log p_2k at each pair index k >= 1 (integer-valued floats) and r,
-    elementwise, and -inf where p_2k is 0.  p_2k is K t^2k times the
-    coefficient of w^k in F, so p_2k = K t^2 c_k (1 + s (-1)^k) t^(2(k-1))
-    with c_k = C(2k, k)/4^k, from math.lgamma on the distinct k."""
+def _half_binomials(count: int) -> np.ndarray:
+    """c_k = C(2k, k)/4^k = prod_(j <= k) (1 - 1/(2j)) for k < count, each
+    as exp of its sum of log1p(-1/(2j)), with the prefix sums compensated
+    (Neumaier), so no c_k is more than a few ulps off at any k."""
+    sums = [0.0]
+    total = carry = 0.0
+    for term in np.log1p(-0.5 / np.arange(1.0, count)).tolist():
+        step = total + term
+        carry += (total - step) + term if abs(total) >= abs(term) else (term - step) + total
+        total = step
+        sums.append(total + carry)
+    return np.exp(sums)
+
+
+def pair_count_probability(k, r, sign: int | None) -> np.ndarray:
+    """p_2k at each pair index k >= 1 (integer-valued floats) and r,
+    elementwise.  p_2k is K t^2 times the coefficient of w^k in F, so
+    p_2k = K t^2 c_k (1 + s (-1)^k) t^(2(k-1)) with c_k = C(2k, k)/4^k
+    (_half_binomials up to the largest k), formed as that product.  A
+    double t^2 is off by up to half an ulp, which its (k-1)-th power
+    multiplies by k - 1, so the power is taken in np.longdouble, where
+    the platform has a wider one than double."""
     k = np.asarray(k, dtype=float)
     g = generating_function(r, sign)
-    distinct, at = np.unique(k, return_inverse=True)
-    log_binomial = np.array([math.lgamma(2.0 * v + 1.0) - 2.0 * math.lgamma(v + 1.0)
-                             for v in distinct.tolist()])[at.reshape(k.shape)]
+    c = _half_binomials(int(k.max()) + 1)[k.astype(np.intp)]
     parity = 1.0 + g.parity * np.where(k % 2.0 == 0.0, 1.0, -1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        powers = np.where(k == 1.0, 0.0, (k - 1.0) * np.log(g.t2))
-        return (np.log(g.scale) + log_binomial - 2.0 * k * LN2 + np.log(parity) + powers)
+    t2 = np.tanh(np.asarray(r, dtype=np.longdouble)) ** 2
+    return g.scale * c * parity * np.power(t2, k - 1.0).astype(float)

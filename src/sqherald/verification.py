@@ -218,12 +218,15 @@ def criterion_8(cfg: VerifyConfig) -> Iterator[Check]:
 def criterion_9(cfg: VerifyConfig) -> Iterator[Check]:
     rs = np.linspace(0.04, 2.0, 50)
     etas = np.array([0.7, 0.775, 0.85, 0.925, 1.0])
-    # each r's dense table meets the click weights of all five efficiencies
-    # in one product
-    numeric = np.array([
-        reference.g2_numeric(reference.tmss_joint_probability(r, cfg.trunc(r)), etas)
-        for r in rs.tolist()
-    ])
+    # the benchmark tables are diagonal: the r of each cutoff share one
+    # photon-number array, which meets the click weights of all five
+    # efficiencies in one product; the default cutoffs grow with r, so
+    # taking the smallest first names the first r that fails a check
+    cutoffs = registry.truncations("matrix", rs, cfg.dim, cfg.tail_tol)
+    numeric = np.empty((len(rs), len(etas)))
+    for dim in np.unique(cutoffs.dims_array).tolist():
+        at = cutoffs.dims_array == dim
+        numeric[at] = reference.tmss_g2_numeric(rs[at], Truncation(dim, cutoffs.tail_tol), etas)
     worst = float(np.max(np.abs(numeric - detect.benchmark_g2(rs[:, None], etas))))
     yield Check.below("numeric vs closed form on 50x5 grid", worst, 1e-8, f"max gap {worst:.3e}")
     worst_perfect = float(np.max(np.abs(detect.benchmark_g2(rs, 1.0))))

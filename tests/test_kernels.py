@@ -189,6 +189,41 @@ def _mp_statistics(r, eta, sign):
                                    m2 / m1**2)]
 
 
+def _mp_herald_row(r, sign, count):
+    """P(1, n) = (n + 1) 2^-(n+1) p_(n+1) for n < count in 50-digit mpmath,
+    p_2k from the recurrence p_(2k+2)/p_2k = t^2 (2k+1)/(2k+2)."""
+    with mpmath.workdps(50):
+        r = mpmath.mpf(r)
+        t2 = mpmath.tanh(r) ** 2
+        norm = 1 if sign is None else (1 + sign / mpmath.sqrt(mpmath.cosh(2 * r))) / 2
+        out, coefficient = [], 1 / mpmath.cosh(r)  # C(2k, k) (t^2/4)^k / cosh r
+        for k in range(count // 2 + 1):
+            if k > 0:
+                p = coefficient * (1 if sign is None else (1 + sign * (-1) ** k) / 2) / norm
+                out += [float(2 * k * mpmath.mpf(2) ** (-2 * k) * p), 0.0]
+            coefficient *= t2 * (2 * k + 1) / (2 * k + 2)
+        return np.array(([0.0] + out)[:count])
+
+
+# a double t^2 is off by up to half an ulp, which p_2k's power t^(2(k-1))
+# multiplies by k - 1; where numpy's long double is wider, the power keeps
+# the herald row near round-off
+HERALD_ROW_REL = 2e-15 if np.finfo(np.longdouble).eps < np.finfo(float).eps else 2e-14
+
+
+@pytest.mark.parametrize("sign", [None, -1, +1])
+def test_herald_row_matches_50_digit_series_at_every_total(sign):
+    # every n with a nonzero coefficient, out to optics.HERALD_ROW_TOTALS,
+    # wherever the value is a normal float: its error does not grow with n
+    count = optics.HERALD_ROW_TOTALS - 1
+    for r in (0.01, 0.725, 2.0, 3.0):
+        got, want = _herald_row(r, sign, count), _mp_herald_row(r, sign, count)
+        normal = want >= sys.float_info.min
+        assert np.count_nonzero(normal) > 30
+        assert np.all(np.abs(got - want)[normal] <= HERALD_ROW_REL * want[normal]), r
+        assert np.all(got[~normal] < sys.float_info.min), r
+
+
 SPOT_POINTS = [
     (0.0, 0.9, -1), (1e-8, 0.9, -1), (1e-8, 0.9, None), (1e-3, 0.5, +1), (0.725, 0.9, -1),
     (0.725, 1.0, None), (1.146, 0.0625, +1), (2.0, 1e-300, -1), (2.0, 0.0625, -1),

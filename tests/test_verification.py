@@ -177,4 +177,60 @@ def test_verify_runs_no_complex_eigendecomposition(monkeypatch):
     reference._blocks.cache_clear()
     results = verification.run_all()
     assert [r.index for r in results if not r.passed] == [12]
+    # the two-mode squeezer diagonalizes the shared generator of the
+    # diagonals +o and -o once: 24 calls of 48 and fewer rows at dim 48
+    # where one per diagonal took 47, and 12 of them above 25 rows, the
+    # sizes that stalled fresh processes with two OpenBLAS threads
+    assert len(sizes) == 48
+    assert sum(size > 25 for size in sizes) == 12
     assert max(sizes) == 48
+
+
+def test_paired_diagonals_match_one_exponential_per_diagonal():
+    # a dense state with amplitude on every diagonal: the shared
+    # diagonalization of +o and -o gives what one exponential per diagonal
+    # gives, and each diagonal still skips when it carries no amplitude
+    from sqherald import reference
+
+    n_a, n_b = np.indices((12, 12))
+    amps = np.cos(n_a + 2.0 * n_b + 1.0) + 1j * np.sin(3.0 * n_a - n_b + 0.5)
+    amps[n_a - n_b == -3] = 0.0
+    state = reference.TwoModeState(amps / np.linalg.norm(amps), fs.Truncation(12))
+    out = reference.two_mode_squeeze_apply(0.3, state).amps
+    for offset in range(-11, 12):
+        rows = np.arange(max(offset, 0), 12 + min(offset, 0))
+        cols = rows - offset
+        lower = -0.3 * np.sqrt(rows[1:] * cols[1:])
+        # expm_antisymmetric keeps the real part: the exponential is real
+        want = reference.expm_antisymmetric(lower) @ state.amps[rows, cols]
+        np.testing.assert_allclose(out[rows, cols], want,
+                                   rtol=0.0, atol=1e-14)
+    assert not out[n_a - n_b == -3].any()
+
+
+def test_criterion_9_batched_oracle_matches_the_dense_tables():
+    # one photon-number array per cutoff against one dense table per r:
+    # numpy's vector log, where the dense table takes math.log, moves the
+    # g2 at round-off only
+    from sqherald import reference
+
+    cfg = verification.VerifyConfig()
+    rs = np.linspace(0.04, 2.0, 50)
+    etas = np.array([0.7, 0.775, 0.85, 0.925, 1.0])
+    cutoffs = registry.truncations("matrix", rs, cfg.dim, cfg.tail_tol)
+    assert sorted(set(cutoffs.dims)) == [64, 160]
+    for dim in (64, 160):
+        at = cutoffs.dims_array == dim
+        batched = reference.tmss_g2_numeric(rs[at], fs.Truncation(dim, cutoffs.tail_tol), etas)
+        dense = np.array([reference.g2_numeric(reference.tmss_joint_probability(r, cfg.trunc(r)),
+                                               etas) for r in rs[at].tolist()])
+        assert np.all(np.abs(batched - dense) <= 1e-13 * np.abs(dense))
+    # r = 0 keeps the vacuum row of the dense table
+    trunc = fs.Truncation(8)
+    p = reference.tmss_photon_numbers(np.array([0.0, 0.3]), trunc)
+    for row, r in zip(p, (0.0, 0.3)):
+        np.testing.assert_allclose(row, np.diag(reference.tmss_joint_probability(r, trunc).p),
+                                   rtol=1e-15, atol=0.0)
+    # a forced cutoff still names the first r that does not fit
+    detail = verification.criterion_9(verification.VerifyConfig(dim=8)).detail
+    assert "two-mode squeezed vacuum at r = 0.8 does not fit in dim = 8" in detail
