@@ -367,7 +367,7 @@ def _half_binomials(count: int) -> np.ndarray:
 
 def pair_count_probability(k, r, sign: int | None) -> np.ndarray:
     """p_2k at each pair index k >= 1 (integer-valued floats) and r,
-    elementwise.  p_2k is K t^2 times the coefficient of w^k in F, so
+    elementwise.  p_2k is K t^2k times the coefficient of w^k in F, so
     p_2k = K t^2 c_k (1 + s (-1)^k) t^(2(k-1)) with c_k = C(2k, k)/4^k
     (_half_binomials up to the largest k), formed as that product.  A
     double t^2 is off by up to half an ulp, which its (k-1)-th power
