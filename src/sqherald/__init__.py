@@ -14,7 +14,6 @@ from .fockspace import (
     NumericalFailureError,
     Truncation,
     TruncationError,
-    default_truncation,
 )
 from .sources import cat_norm, herald_probability, squeezing_db
 from .optics import ZeroHeraldError

@@ -211,7 +211,7 @@ def evaluate(
     params maps each parameter to a float, held fixed, or to a 1-D array
     with one entry per point; the arrays share one length.  An r outside
     [0, SQUEEZE_LIMIT] is a ValueError before anything is evaluated.  Each
-    point's cutoff is registry.truncation(cutoff, r, dim, tail_tol), and
+    point's cutoff is registry.truncations(cutoff, r, dim, tail_tol), and
     q.fn runs once, with every parameter as an array over the points and
     with two CutoffColumns, the points' cutoffs and 1.5x them, and returns
     one row for each; analytic quantities (cutoff None) take the one
@@ -259,7 +259,7 @@ def sweep(
 
     Row order is ascending in the first grid, then the second; identical
     specs give bit-identical results.  The grid is one evaluate() call:
-    each point runs at registry.truncation(cutoff, r, dim, tail_tol),
+    each point runs at registry.truncations(cutoff, r, dim, tail_tol),
     where dim and tail_tol are the user's overrides and None keeps the
     default.  Unknown or missing parameters are a ValueError before any
     evaluation.  Any row failing the convergence check aborts the sweep
@@ -337,7 +337,7 @@ def objective(
     """A registered quantity (a name or a Quantity) as a function of its
     first variable, the others at fixed, which overrides q.defaults: each
     array of points is one q.fn call, each point at its own cutoff
-    registry.truncation(q.cutoff, r, dim, tail_tol), with no 1.5x
+    registry.truncations(q.cutoff, r, dim, tail_tol), with no 1.5x
     recheck.  A fixed name the quantity does not take, or a
     variable left without a value, is a ValueError here."""
     q = _resolve(quantity)

@@ -2,13 +2,14 @@
 
 A :class:`Truncation` keeps photon-number levels ``0 .. dim-1`` and bounds
 the probability mass a state may leave above them; a :class:`CutoffColumn`
-gives each point of a parameter column its own cutoff; and
-`default_dims` picks the matrix cutoff for each squeezing r.  The
-module also holds the squeezing domain, the errors for lost mass and lost
+gives each point of a parameter column its own cutoff.  The module
+also holds the squeezing domain, the errors for lost mass and lost
 digits, the smallest normal float below which a probability counts as
-vanished, and the log-factorial table.  Everything in it is immutable
-and side-effect free, but for that table, which only grows, up to a
-fixed limit.
+vanished, and the log-factorial table of the series-cutoff search and
+the oracles (the Kerr weight rows are closed-form products, whose
+half-binomial table takes the same length limit).  Everything in it is
+immutable and side-effect free, but for that table, which only grows,
+up to a fixed limit.
 """
 from __future__ import annotations
 
@@ -154,26 +155,3 @@ def log_factorials(count: int) -> np.ndarray:
         grown.setflags(write=False)
         _LOG_FACTORIALS = table = grown
     return table if count == len(table) else table[:count]
-
-
-def default_dims(r) -> np.ndarray:
-    """Matrix cutoff dim at each |r| of an array r.
-
-    64 levels hold tails below ~1e-9 up to r = 1.2; 160 levels hold them
-    below ~7e-4 up to r = 2.  Beyond r = 2 there is no default: a
-    ValueError, naming the first such r, asks for an explicit cutoff.
-    """
-    r = np.abs(np.asarray(r, dtype=float))
-    over = ~(r <= 2.0)
-    if np.any(over):
-        raise ValueError(
-            f"no default cutoff for r = {float(r[over][0])}: the defaults cover r <= 2, so "
-            "give a cutoff (--dim on the command line)"
-        )
-    return np.where(r <= 1.2, 64, 160)
-
-
-def default_truncation(r: float = 0.0, tail_tol: float = DEFAULT_TAIL_TOL) -> Truncation:
-    """Cutoff adequate for squeezed-state work at squeezing |r|: the
-    default_dims of one r."""
-    return Truncation(int(default_dims(r)), tail_tol)

@@ -12,10 +12,12 @@ exactly exp(-2|alpha|^2 sin^2(n delta/2) + i |alpha|^2 sin(n delta)) in
 the deviation delta = tau_tilde - pi.  Every point of p0_over_tau and
 of the phase-noise average phase_ratio carries its own cutoff, and so
 its own weight row: the odd-branch weights g_1, g_3, ... at its r and
-cutoff.  `_weight_rows` finds a call's distinct rows and builds those
-it does not keep from an earlier call, a cutoff column's in blocks of
-one source build each (`_odd_rows`), and holds them.  A shorter row is
-a prefix of a longer one, so one merged pass, `_row_blocks`, zero-pads
+cutoff, in closed form: g_k = (sqrt(N_-)/2) p_2k, with p_2k the odd
+branch's pair probabilities (sources.odd_branch_weights).  `_weight_rows`
+finds a call's distinct rows and builds those it does not keep from an
+earlier call, a cutoff column's in blocks of one build each
+(`_odd_rows`), and holds them.  A shorter row is a prefix of a longer
+one, so one merged pass, `_row_blocks`, zero-pads
 the rows to the longest and hands them to one kernel,
 `_odd_branch_probability`, as one weight matrix: p0 makes one call for
 all its points, and phase_ratio one for all the sigmas that read the
@@ -206,21 +208,13 @@ def _weight_rows(r: np.ndarray, columns) -> _WeightRows:
 
 def _odd_rows(r: np.ndarray, column: CutoffColumn) -> list:
     """Read-only weights g_n, n = 1, 3, 5, ..., of the label series at
-    each r[i], cut at column.dims[i] with tail tolerance column.tail_tol:
-    g_n = conj(c_n) d_{2n} of squeezed vacuum c against the odd
-    superposition d, both from one sources.pair_amplitudes build at the
-    widest dim.
-
-    Both amplitudes are real and carry the same sign (-1)^n, so g_n is
-    the product of their magnitudes.  d keeps only odd n; the odd weights
-    fall with n, and the trailing ones that underflow to exact zeros are
-    trimmed (all of them at r = 0), so a shorter series is a prefix of a
-    longer one.  Small tail terms stay, so the 1.5x-cutoff recheck still
-    compares two different series.  d's tail checks cover c's too, so the
-    first row that fails either raises, naming c's check if both fail.
-    """
-    ((vac, odd),) = sources.pair_amplitudes(r, -1, column, vacuum=True)
-    g = (vac * odd)[:, 1::2]
+    each r[i], cut at column.dims[i] with tail tolerance column.tail_tol,
+    from one sources.odd_branch_weights build.  The weights fall with n,
+    and the trailing ones that underflow to exact zeros are trimmed (all
+    of them at r = 0), so a shorter series is a prefix of a longer one.
+    Small tail terms stay, so the 1.5x-cutoff recheck still compares two
+    different series."""
+    g = sources.odd_branch_weights(r, column)
     nonzero = g != 0.0
     ends = np.where(nonzero.any(axis=1), g.shape[1] - np.argmax(nonzero[:, ::-1], axis=1), 0)
     rows = []

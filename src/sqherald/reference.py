@@ -1,7 +1,8 @@
 """Reference paths: the independent computations that `verify` and the
 tests check the production kernels against.
 
-- Explicit state vectors over the truncated Fock space, the matrix
+- The oracles' default cutoffs (default_dims, default_truncation);
+  explicit state vectors over the truncated Fock space, the matrix
   squeezer and coherent amplitudes.
 - One matrix exponential for every oracle generator, all of which are
   real antisymmetric and tridiagonal (the squeezer's on its even and on
@@ -9,7 +10,8 @@ tests check the production kernels against.
   symmetric tridiagonal matrix times i, so one real eigh gives it, and
   no oracle calls complex LAPACK.
 - The source states as vectors: squeezed vacuum, the sign superpositions
-  and the two-mode squeezed vacuum.
+  (from the log-space pair magnitudes of pair_amplitudes, apart from
+  production's closed-form products) and the two-mode squeezed vacuum.
 - Three balanced-splitter paths: the dense closed-form table split(), the
   orthogonal per-total-N blocks of apply_beam_splitter(), and the squeezer
   decomposition through the per-diagonal two-mode squeezer.
@@ -38,6 +40,7 @@ import numpy as np
 from . import kerr, sources
 from .detect import TINY, DetectorModel, ZeroClickError, ZeroMeanError
 from .fockspace import (
+    DEFAULT_TAIL_TOL,
     SQUEEZE_LIMIT,
     NumericalFailureError,
     Truncation,
@@ -65,6 +68,28 @@ MONTE_CARLO_BLOCK = 4096
 
 
 # ------------------------------------------------------------ Fock space
+
+
+def default_dims(r) -> np.ndarray:
+    """The dense oracles' cutoff dim at each |r| of an array r.
+
+    64 levels hold tails below ~1e-9 up to r = 1.2; 160 levels hold them
+    below ~7e-4 up to r = 2.  Beyond r = 2 there is no default: a
+    ValueError, naming the first such r, asks for an explicit cutoff.
+    """
+    r = np.abs(np.asarray(r, dtype=float))
+    over = ~(r <= 2.0)
+    if np.any(over):
+        raise ValueError(
+            f"no default cutoff for r = {float(r[over][0])}: the defaults cover r <= 2, so "
+            "give a cutoff (--dim on the command line)"
+        )
+    return np.where(r <= 1.2, 64, 160)
+
+
+def default_truncation(r: float = 0.0, tail_tol: float = DEFAULT_TAIL_TOL) -> Truncation:
+    """The default_dims cutoff of one r, with tail tolerance tail_tol."""
+    return Truncation(int(default_dims(r)), tail_tol)
 
 
 class TruncationMismatchError(ValueError):
@@ -251,6 +276,62 @@ def tensor(a: SingleModeState, b: SingleModeState) -> TwoModeState:
 # --------------------------------------------------------------- sources
 
 
+def _log_cat_norm(r, sign: int):
+    """log N_pm(r), the odd branch logged factor by factor so that it
+    stays finite where sinh^2 r underflows."""
+    if sign > 0:
+        return np.log(sources.cat_norm(r, sign))
+    c = np.sqrt(np.cosh(2.0 * r))
+    with np.errstate(divide="ignore"):
+        return 2.0 * np.log(2.0 * np.sinh(np.abs(r))) - np.log(c * (c + 1.0))
+
+
+def pair_amplitudes(r, sign: int | None, trunc: Truncation) -> np.ndarray:
+    """|c_2k| of the pair levels |2k>, 2k < dim, of squeezed vacuum (sign
+    None) or of the sign superposition, one row per entry of an array r,
+    after checking both tail masses against trunc, the squeezed vacuum's
+    first; the first r that fails is named.
+
+    The magnitudes are formed in log space (sources._even_log_weights),
+    apart from the closed-form products of production.  The superposition
+    keeps pair levels with k even/odd and doubles them (S(-r) flips the
+    sign of every odd-k level); its amplitudes 2 c_2k / sqrt(N_pm) are
+    formed in log space, where N_- underflows as r -> 0.  At r = 0 the odd
+    branch is its r -> 0 limit, |2>.  The array is read-only.
+    """
+    if sign not in (None, +1, -1):
+        raise ValueError(f"sign must be +1, -1 or None, got {sign}")
+    sources._check_squeeze(r)
+    logmag = sources._even_log_weights(r, (trunc.dim + 1) // 2)
+    checks = [(1.0 - np.sum(np.exp(2.0 * logmag), axis=-1), "squeezed vacuum at r = {r}")]
+    if sign is not None:
+        r_col = np.asarray(r, dtype=float)[..., None]
+        kept = slice(0 if sign > 0 else 1, None, 2)
+        logamp = np.full(logmag.shape, -np.inf)
+        with np.errstate(invalid="ignore"):
+            logamp[..., kept] = logmag[..., kept] + sources.LN2 - 0.5 * _log_cat_norm(r_col, sign)
+        if sign < 0 and np.any(r_col == 0.0):
+            limit = np.where(np.arange(logmag.shape[-1]) == 1, 0.0, -np.inf)
+            logamp = np.where(r_col == 0.0, limit, logamp)
+        logmag = logamp
+    mag = np.exp(logmag)
+    if sign is not None:
+        checks.append((1.0 - np.sum(mag * mag, axis=-1),
+                       "superposition at r = {r}, sign = %+d" % sign))
+    sources._check_tails(r, trunc, *checks)
+    mag.setflags(write=False)
+    return mag
+
+
+def _tmss_tanh(r, trunc: Truncation):
+    """tanh |r| of the two-mode squeezed vacuum, after checking that its
+    tail mass tanh^(2 dim) r fits the cutoff."""
+    sources._check_squeeze(r)
+    t = np.tanh(np.abs(r))
+    sources._check_tails(r, trunc, ((t * t) ** trunc.dim, "two-mode squeezed vacuum at r = {r}"))
+    return t
+
+
 def _pair_signs(r: float, pairs: int) -> np.ndarray:
     """Signs of c_2k, k < pairs: those of (-tanh r)^k for r > 0."""
     return np.where((np.arange(pairs) % 2 == 1) & (r > 0), -1.0, 1.0)
@@ -262,7 +343,7 @@ def squeezed_vacuum(r: float, trunc: Truncation) -> SingleModeState:
     The sign convention matches squeeze_matrix: positive r gives a real
     state with alternating signs on levels 0, 2, 4, ...
     """
-    (mag,) = sources.pair_amplitudes(r, None, trunc)
+    mag = pair_amplitudes(r, None, trunc)
     amps = np.zeros(trunc.dim, dtype=complex)
     amps[0::2] = _pair_signs(r, len(mag)) * mag
     return SingleModeState(amps, trunc)
@@ -278,7 +359,7 @@ def squeezed_cat(r: float, sign: int, trunc: Truncation) -> SingleModeState:
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     if sign < 0 and r == 0.0:
         raise DegenerateStateError("the odd superposition vanishes at r = 0")
-    (mag,) = sources.pair_amplitudes(r, sign, trunc)
+    mag = pair_amplitudes(r, sign, trunc)
     amps = np.zeros(trunc.dim, dtype=complex)
     amps[0::2] = _pair_signs(r, len(mag)) * mag
     return SingleModeState(amps, trunc)
@@ -291,7 +372,7 @@ def two_mode_squeezed_vacuum(r: float, trunc: Truncation) -> TwoModeState:
     statistics downstream, so any relative phase convention on the
     Schmidt terms would give the same tables.
     """
-    t = sources._tmss_tanh(r, trunc)
+    t = _tmss_tanh(r, trunc)
     n = np.arange(trunc.dim)
     if t == 0.0:
         diag = np.where(n == 0, 1.0, 0.0)
@@ -421,7 +502,7 @@ def tmss_photon_numbers(r: np.ndarray, trunc: Truncation) -> np.ndarray:
     tmss_joint_probability(r_i, trunc) at each r_i of a 1-D array, one row
     per r, after the same tail check and the same deficit check, each
     naming the first r that fails it."""
-    t = sources._tmss_tanh(r, trunc)
+    t = _tmss_tanh(r, trunc)
     n = np.arange(trunc.dim)
     with np.errstate(divide="ignore", invalid="ignore"):
         # n log t is 0 at n = 0 also where t = 0 (r = 0)
@@ -709,9 +790,7 @@ def p0_over_tau(
 def _pair_series(r: float, sign: int, trunc: Truncation) -> tuple[np.ndarray, np.ndarray]:
     """Pair indices n and weights g_n = conj(c_n) d_{2n}, the product of
     their magnitudes, of the nonzero label-series terms on the sign branch."""
-    (vac,) = sources.pair_amplitudes(r, None, trunc)
-    (mag,) = sources.pair_amplitudes(r, sign, trunc)
-    g = vac * mag
+    g = pair_amplitudes(r, None, trunc) * pair_amplitudes(r, sign, trunc)
     n = np.flatnonzero(g)
     return n, g[n]
 

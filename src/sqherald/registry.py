@@ -15,42 +15,28 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import analysis, detect, kerr, optics, sources
-from .fockspace import DEFAULT_TAIL_TOL, CutoffColumn, Truncation, cutoff_column, default_dims
+from .fockspace import CutoffColumn
 
 
 def truncations(
     kind: str, r, dim: int | None = None, tail_tol: float | None = None
 ) -> CutoffColumn | None:
-    """The cutoff policy of every quantity, figure and verify criterion,
-    at each r of a 1-D array, as one CutoffColumn.
+    """The cutoff policy of every quantity and figure, at each r of a 1-D
+    array, as one CutoffColumn.
 
-    kind is a Quantity's cutoff or "matrix": "analytic" quantities (every
-    split, click and g2 statistic, in closed form) take none (None);
-    "series" (label-series) ones default to kerr.series_dims(r) and
-    kerr.SERIES_STATE_TOL; "matrix", which no quantity takes, is the
-    cutoff of verify's dense oracles, default_dims(r) and
-    DEFAULT_TAIL_TOL.  A dim or tail_tol override replaces only its own
-    half of the default.
+    kind is a Quantity's cutoff: "analytic" quantities (every split, click
+    and g2 statistic, in closed form) take none (None); "series"
+    (label-series) ones default to kerr.series_dims(|r|) and
+    kerr.SERIES_STATE_TOL.  A dim or tail_tol override replaces only its
+    own half of the default.
     """
     if kind == "analytic":
         return None
-    if kind == "series":
-        tier, default_tol = kerr.series_dims, kerr.SERIES_STATE_TOL
-    elif kind == "matrix":
-        tier, default_tol = default_dims, DEFAULT_TAIL_TOL
-    else:
+    if kind != "series":
         raise ValueError(f"unknown cutoff kind {kind!r}")
     r = np.abs(np.asarray(r, dtype=float))
-    dims = tier(r) if dim is None else np.full(len(r), dim)
-    return CutoffColumn.from_array(dims, default_tol if tail_tol is None else tail_tol)
-
-
-def truncation(
-    kind: str, r: float, dim: int | None = None, tail_tol: float | None = None
-) -> Truncation | None:
-    """truncations at one r, as a Truncation (None for "analytic")."""
-    column = truncations(kind, [r], dim, tail_tol)
-    return None if column is None else Truncation(column.dims[0], column.tail_tol)
+    dims = kerr.series_dims(r) if dim is None else np.full(len(r), dim)
+    return CutoffColumn.from_array(dims, kerr.SERIES_STATE_TOL if tail_tol is None else tail_tol)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -58,9 +44,9 @@ class Quantity:
     """A named computation fn(*cutoffs, **params): fn takes every
     parameter as a 1-D float array over points, all of one length, and
     returns one row per cutoff with one value per point.  Each cutoff is a
-    CutoffColumn, one cutoff per point (a Truncation holds at every
-    point), or None for analytic quantities; analysis.evaluate passes
-    the points' truncations(cutoff, r, ...) and their 1.5x recheck."""
+    CutoffColumn, one cutoff per point, or None for analytic quantities;
+    analysis.evaluate passes the points' truncations(cutoff, r, ...) and
+    their 1.5x recheck."""
 
     name: str
     doc: str
@@ -114,11 +100,10 @@ def _q_herald_yield_cat_minus(r):
 def _per_alpha(kernel, cutoffs, x, r, alpha):
     # one kernel(x, r, alpha, *cutoffs) call per distinct alpha, over all
     # the (x, r) points that share it, each at its own cutoffs
-    columns = [cutoff_column(c, len(x)) for c in cutoffs]
     out = np.empty((len(cutoffs), len(x)))
     for a in dict.fromkeys(alpha.tolist()):
         sel = np.flatnonzero(alpha == a)
-        out[:, sel] = kernel(x[sel], r[sel], a, *(c.take(sel) for c in columns))
+        out[:, sel] = kernel(x[sel], r[sel], a, *(c.take(sel) for c in cutoffs))
     return out
 
 

@@ -3,13 +3,16 @@ source states.
 
 Covers single-mode squeezed vacuum, its normalized sum and difference with
 the oppositely squeezed state (the even/odd "cat" superpositions used for
-heralding), and the two-mode squeezed vacuum benchmark: pair amplitudes
-with their tail checks (the Kerr label series and the oracles), single
-photon-number probabilities p_N, superposition norms and herald
-probabilities, the benchmark's P(1,1), and the generating function
-G(z) = sum_N p_N z^N of each single-mode source (Kelley & Kleiner, Phys.
-Rev. 136, A316 (1964)), from which every split and click statistic is a
-value or a divided difference (see generating_function).
+heralding), and the two-mode squeezed vacuum benchmark: single
+photon-number probabilities p_N, among them the pair probabilities p_2k
+as one closed-form product (pair_count_probability), the Kerr
+label-series weights of the odd superposition from the same product with
+their tail checks (odd_branch_weights), superposition norms and herald
+probabilities, the benchmark's P(1,1), the series cutoff
+(converged_dim), and the generating function G(z) = sum_N p_N z^N of
+each single-mode source (Kelley & Kleiner, Phys. Rev. 136, A316 (1964)),
+from which every split and click statistic is a value or a divided
+difference (see generating_function).
 """
 from __future__ import annotations
 
@@ -19,7 +22,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fockspace import SQUEEZE_LIMIT, CutoffColumn, Truncation, TruncationError, log_factorials
+from .fockspace import (
+    LOG_FACTORIALS_LIMIT,
+    SQUEEZE_LIMIT,
+    CutoffColumn,
+    Truncation,
+    TruncationError,
+    log_factorials,
+)
 
 LN2 = math.log(2.0)
 
@@ -52,30 +62,6 @@ def _check_tails(r, trunc, *checks: tuple[np.ndarray, str]) -> None:
     )
 
 
-def _own_pairs(r, trunc) -> np.ndarray | None:
-    """The pair levels (dim + 1)//2 of each row of a CutoffColumn over the
-    1-D array r; None for a Truncation, which holds for every row."""
-    if isinstance(trunc, Truncation):
-        return None
-    if np.ndim(r) != 1 or len(r) != len(trunc.dims):
-        raise ValueError(f"{len(trunc.dims)} cutoffs for r of shape {np.shape(r)}")
-    return (trunc.dims_array + 1) // 2
-
-
-def _masses(sq: np.ndarray, pairs: np.ndarray | None) -> np.ndarray:
-    """Sum of each row of sq over its own first pairs[i] entries (every
-    entry for pairs None), as np.sum over that slice alone gives it: rows
-    of one length are summed together, so no zero past a row's cutoff
-    enters its pairwise sum."""
-    if pairs is None:
-        return np.sum(sq, axis=-1)
-    out = np.empty(len(sq))
-    for p in dict.fromkeys(pairs.tolist()):
-        rows = pairs == p
-        out[rows] = np.sum(sq[rows, :p], axis=-1)
-    return out
-
-
 def _even_log_weights(r, pairs: int) -> np.ndarray:
     """log|c_2k| of squeezed vacuum for k < pairs, with one row per entry
     of an array r.
@@ -93,71 +79,54 @@ def _even_log_weights(r, pairs: int) -> np.ndarray:
     return -0.5 * np.log(np.cosh(r)) + 0.5 * log_fact[2 * k] - k * LN2 - log_fact[k] + k_log_t
 
 
-def _log_cat_norm(r, sign: int):
-    """log N_pm(r), the odd branch logged factor by factor so that it
-    stays finite where sinh^2 r underflows."""
-    if sign > 0:
-        return np.log(cat_norm(r, sign))
-    c = np.sqrt(np.cosh(2.0 * r))
-    with np.errstate(divide="ignore"):
-        return 2.0 * np.log(2.0 * np.sinh(np.abs(r))) - np.log(c * (c + 1.0))
+def odd_branch_weights(r: np.ndarray, column: CutoffColumn) -> np.ndarray:
+    """The label-series weights g_k = conj(c_2k) d_2k of squeezed vacuum c
+    against the odd superposition d, at the odd pair indices k < (dim +
+    1)//2 of each entry of the 1-D array r at its own dim of column, and 0
+    past it, after checking both tail masses of every row.
 
-
-def pair_amplitudes(r, sign: int | None, *cutoffs: Truncation | CutoffColumn,
-                    vacuum: bool = False) -> list:
-    """|c_2k| of the pair levels |2k>, 2k < dim, of squeezed vacuum (sign
-    None) or of the sign superposition, one row per entry of an array r,
-    as one array per cutoff of cutoffs, after checking both tail masses
-    against each cutoff in turn.
-
-    Every cutoff's rows come from one build at the widest dim: a cutoff's
-    rows are a prefix of a wider one's, entry for entry.  A cutoff is a
-    Truncation, or a CutoffColumn with one cutoff per entry of a 1-D r,
-    whose rows are its widest dim wide and 0 past their own cutoffs.  All
-    the checks of a cutoff come before any of the next; the first row
-    that fails one is named, with its own dim.  The superposition keeps
-    pair levels with k even/odd and doubles them (S(-r) flips the sign of
-    every odd-k level); its amplitudes 2 c_2k / sqrt(N_pm) are formed in
-    log space, where N_- underflows as r -> 0.  At r = 0 the odd branch
-    is its r -> 0 limit, |2>.  With vacuum, each cutoff's entry is the
-    pair (squeezed vacuum's |c_2k|, the sign's), from the same build and
-    the same checks.  A Truncation's arrays are read-only views of the
-    build.
+    Both amplitudes are real and share the sign (-1)^k, so g_k =
+    (sqrt(N_-)/2) p_2k, with p_2k = 2 K t^2 c_k t^(2(k-1)) the odd
+    branch's (pair_count_probability at odd k) and sqrt(N_-)/2 = sinh r /
+    sqrt(c (c + 1)), c = sqrt(cosh 2r).  So each row is one factor
+    sinh r sqrt(c (c + 1)) / cosh^3 r, which stays normal where N_-
+    underflows, formed in np.longdouble and rounded once, times the
+    products c_k t^(2(k-1)), the power formed as exp((k - 1) log t^2) in
+    np.longdouble.  The tail checks come from the same products: the odd
+    branch's p_2k, and the squeezed vacuum's c_k t^2k / cosh r at odd k
+    and, times t^2 (2k + 1)/(2k + 2), at the even k + 1 that follows.  A
+    row's masses are sequential sums over its own levels, so each row and
+    each check reads the same as in a build of that row alone; the first
+    row whose tail mass exceeds column.tail_tol raises, naming the
+    squeezed vacuum's check before the superposition's, and its own dim.
+    At r = 0 every weight is 0, and the superposition is its r -> 0 limit
+    |2>.
     """
-    if sign not in (None, +1, -1):
-        raise ValueError(f"sign must be +1, -1 or None, got {sign}")
     _check_squeeze(r)
-    logmag = _even_log_weights(r, (max(c.dim for c in cutoffs) + 1) // 2)
-    vac_sq = np.exp(2.0 * logmag)
-    mags = [np.exp(logmag)] if sign is None or vacuum else []
-    if sign is not None:
-        r_col = np.asarray(r, dtype=float)[..., None]
-        kept = slice(0 if sign > 0 else 1, None, 2)
-        logamp = np.full(logmag.shape, -np.inf)
-        with np.errstate(invalid="ignore"):
-            logamp[..., kept] = logmag[..., kept] + LN2 - 0.5 * _log_cat_norm(r_col, sign)
-        if sign < 0 and np.any(r_col == 0.0):
-            limit = np.where(np.arange(logmag.shape[-1]) == 1, 0.0, -np.inf)
-            logamp = np.where(r_col == 0.0, limit, logamp)
-        mags.append(np.exp(logamp))
-        sign_sq = mags[-1] * mags[-1]
-    for mag in mags:
-        mag.setflags(write=False)
-    out = []
-    for trunc in cutoffs:
-        pairs = _own_pairs(r, trunc)
-        width = (trunc.dim + 1) // 2
-        checks = [(1.0 - _masses(vac_sq[..., :width], pairs), "squeezed vacuum at r = {r}")]
-        if sign is not None:
-            checks.append((1.0 - _masses(sign_sq[..., :width], pairs),
-                           "superposition at r = {r}, sign = %+d" % sign))
-        _check_tails(r, trunc, *checks)
-        rows = [mag[..., :width] for mag in mags]
-        if pairs is not None:
-            beyond = np.arange(width) >= pairs[:, None]
-            rows = [np.where(beyond, 0.0, row) for row in rows]
-        out.append((rows[0], rows[-1]) if vacuum else rows[-1])
-    return out
+    a = np.abs(np.asarray(r, dtype=np.longdouble))
+    pairs = (column.dims_array + 1) // 2
+    half_binomials = _half_binomials(int(pairs.max(initial=1)))
+    k = np.arange(1, len(half_binomials), 2)
+    ch = np.cosh(a)
+    c = np.sqrt(np.cosh(2.0 * a))
+    t2 = np.tanh(a) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        powers = np.exp((k - 1) * np.log(t2)[:, None])
+    powers[:, :1] = 1.0  # t^0, also at r = 0
+    products = half_binomials[k] * powers.astype(float)
+    g = (np.sinh(a) * np.sqrt(c * (c + 1.0)) / ch**3).astype(float)[:, None] * products
+    g[k >= pairs[:, None]] = 0.0
+    odd = (c * (c + 1.0) / ch**3).astype(float)[:, None] * products
+    vac = np.empty((len(a), 2 * len(k) + 1))
+    vac[:, 0] = (1.0 / ch).astype(float)
+    vac[:, 1::2] = (t2 / ch).astype(float)[:, None] * products
+    vac[:, 2::2] = vac[:, 1::2] * t2.astype(float)[:, None] * ((2 * k + 1) / (2 * k + 2))
+    rows = np.arange(len(a))
+    odd_mass = np.cumsum(np.hstack([np.zeros((len(a), 1)), odd]), axis=1)[rows, pairs // 2]
+    vac_mass = np.cumsum(vac, axis=1)[rows, pairs - 1]
+    _check_tails(r, column, (1.0 - vac_mass, "squeezed vacuum at r = {r}"),
+                 (1.0 - odd_mass, "superposition at r = {r}, sign = -1"))
+    return g
 
 
 def converged_dim(r, tail_tol: float, max_dim: int = 8192):
@@ -203,15 +172,6 @@ def herald_probability(r, sign: int):
     """Probability N_pm(r)/4 of projecting S(r)|0> onto the pm
     superposition, elementwise for an array r."""
     return cat_norm(r, sign) / 4.0
-
-
-def _tmss_tanh(r, trunc: Truncation):
-    """tanh |r| of the two-mode squeezed vacuum, after checking that its
-    tail mass tanh^(2 dim) r fits the cutoff."""
-    _check_squeeze(r)
-    t = np.tanh(np.abs(r))
-    _check_tails(r, trunc, ((t * t) ** trunc.dim, "two-mode squeezed vacuum at r = {r}"))
-    return t
 
 
 def tmss_p11(r):
@@ -354,7 +314,12 @@ def generating_function(r, sign: int | None) -> GeneratingFunction:
 def _half_binomials(count: int) -> np.ndarray:
     """c_k = C(2k, k)/4^k = prod_(j <= k) (1 - 1/(2j)) for k < count, each
     as exp of its sum of log1p(-1/(2j)), with the prefix sums compensated
-    (Neumaier), so no c_k is more than a few ulps off at any k."""
+    (Neumaier), so no c_k is more than a few ulps off at any k.  A count
+    above LOG_FACTORIALS_LIMIT, the longest table the log-factorials
+    hold, is refused (ValueError) before anything is allocated."""
+    if count > LOG_FACTORIALS_LIMIT:
+        raise ValueError(f"a table of {count} half-binomials exceeds the limit of "
+                         f"{LOG_FACTORIALS_LIMIT} (is the cutoff too large?)")
     sums = [0.0]
     total = carry = 0.0
     for term in np.log1p(-0.5 / np.arange(1.0, count)).tolist():

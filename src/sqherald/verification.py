@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from . import analysis, detect, kerr, reference, registry, sources
-from .fockspace import Truncation
+from .fockspace import DEFAULT_TAIL_TOL, Truncation
 
 
 @dataclasses.dataclass(frozen=True)
@@ -55,7 +55,13 @@ class VerifyConfig:
                                  f"{self.dim} tables that cannot be allocated") from None
 
     def trunc(self, r: float) -> Truncation:
-        return registry.truncation("matrix", r, self.dim, self.tail_tol)
+        """The dense oracles' cutoff at one r: reference.default_truncation
+        of |r|, its dim replaced by a forced dim and its tolerance by a
+        forced tail_tol."""
+        tail_tol = DEFAULT_TAIL_TOL if self.tail_tol is None else self.tail_tol
+        if self.dim is None:
+            return reference.default_truncation(r, tail_tol)
+        return Truncation(self.dim, tail_tol)
 
     def column(self, name: str, **params) -> np.ndarray:
         """The registered quantity at every point of params (floats, or 1-D
@@ -223,11 +229,11 @@ def criterion_9(cfg: VerifyConfig) -> Iterator[Check]:
     # efficiencies in one product; the default cutoffs grow with r, so
     # taking the smallest first names the first r that fails a check
     # (a set, since numpy 2.4's plain np.unique imports numpy.ma, 13 ms)
-    cutoffs = registry.truncations("matrix", rs, cfg.dim, cfg.tail_tol)
+    dims = reference.default_dims(rs) if cfg.dim is None else np.full(len(rs), cfg.dim)
     numeric = np.empty((len(rs), len(etas)))
-    for dim in sorted(set(cutoffs.dims)):
-        at = cutoffs.dims_array == dim
-        numeric[at] = reference.tmss_g2_numeric(rs[at], Truncation(dim, cutoffs.tail_tol), etas)
+    for dim in sorted(set(dims.tolist())):
+        at = dims == dim
+        numeric[at] = reference.tmss_g2_numeric(rs[at], cfg.trunc(float(rs[at][0])), etas)
     worst = float(np.max(np.abs(numeric - detect.benchmark_g2(rs[:, None], etas))))
     yield Check.below("numeric vs closed form on 50x5 grid", worst, 1e-8, f"max gap {worst:.3e}")
     worst_perfect = float(np.max(np.abs(detect.benchmark_g2(rs, 1.0))))

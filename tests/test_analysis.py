@@ -49,7 +49,7 @@ def test_single_point_sweep_matches_direct_call():
     spec = analysis.SweepSpec("r", 0.725, 0.725, 1)
     result = analysis.sweep(spec, "p11_cat_minus")
     q = registry.resolve("p11_cat_minus")
-    direct = q.fn(registry.truncation(q.cutoff, 0.725), r=np.array([0.725]))[0, 0]
+    direct = q.fn(registry.truncations(q.cutoff, [0.725]), r=np.array([0.725]))[0, 0]
     assert result.rows[0, 1] == direct
 
 
@@ -91,7 +91,7 @@ def test_convergence_check_rejects_nan():
     quantity = registry.Quantity(
         "nan_quantity", "NaN everywhere",
         lambda *cutoffs, r: np.full((len(cutoffs), len(r)), math.nan), ("r",), {},
-        cutoff="matrix",
+        cutoff="series",
     )
     spec = analysis.SweepSpec("r", 0.5, 0.5, 1)
     with pytest.raises(fs.NumericalFailureError) as err:
@@ -107,10 +107,20 @@ def test_convergence_check_passes_cutoff_independent_quantity():
     assert result.rows.shape == (1, 2)
 
 
-# r = 1.5 sits where the matrix default (160) and the series cutoff
-# differ; r = 0.5 takes other defaults of both kinds
+# r = 0.5 and r = 1.5 take different series cutoffs
 POLICY_RS = (0.5, 1.5)
-DOCUMENTED_TAIL_TOLS = {"matrix": 1e-3, "series": 1e-9}
+DOCUMENTED_TAIL_TOLS = {"series": 1e-9}
+
+
+def test_cutoff_kinds_are_analytic_and_series():
+    # every quantity takes one of the two kinds; verify's dense oracles
+    # take their cutoffs from reference, not from the registry
+    assert {q.cutoff for q in registry.QUANTITIES.values()} == {"analytic", "series"}
+    assert registry.truncations("analytic", [0.5]) is None
+    assert registry.truncations("series", [0.5]).tail_tol == DOCUMENTED_TAIL_TOLS["series"]
+    for kind in ("matrix", "dense"):
+        with pytest.raises(ValueError, match=f"unknown cutoff kind '{kind}'"):
+            registry.truncations(kind, [0.5])
 
 
 @pytest.mark.parametrize("dim, tail_tol", [(None, None), (400, None), (None, 1e-6), (400, 1e-6)])
@@ -127,21 +137,20 @@ def test_every_quantity_runs_at_the_one_cutoff_policy(monkeypatch, name, dim, ta
     fixed = {var: value for var, value in (("sigma", 1e-3), ("n", 1.0)) if var in q.variables}
     spec = analysis.SweepSpec("r", *POLICY_RS, 2, fixed)
     analysis.sweep(spec, name, dim=dim, tail_tol=tail_tol)
-    expected = [registry.truncation(q.cutoff, r, dim, tail_tol) for r in POLICY_RS]
+    expected = [registry.truncations(q.cutoff, [r], dim, tail_tol) for r in POLICY_RS]
     if q.cutoff == "analytic":
         assert expected == [None, None]
         assert seen == [(None,)]
         return
     # one call, each point at its own cutoff and at its own 1.5x recheck
-    column = fs.CutoffColumn(tuple(t.dim for t in expected), expected[0].tail_tol)
+    column = fs.CutoffColumn(tuple(c.dims[0] for c in expected), expected[0].tail_tol)
     assert seen == [(column, column.scaled(1.5))]
-    assert column.scaled(1.5).dims == tuple(t.scaled(1.5).dim for t in expected)
+    assert column.scaled(1.5).dims == tuple(c.scaled(1.5).dims[0] for c in expected)
     # an override replaces only its own half of the documented default
-    tier = kerr.series_truncation if q.cutoff == "series" else fs.default_truncation
-    for r, trunc in zip(POLICY_RS, expected):
-        assert trunc.dim == (tier(r).dim if dim is None else dim)
-        assert trunc.tail_tol == (DOCUMENTED_TAIL_TOLS[q.cutoff] if tail_tol is None
-                                  else tail_tol)
+    for r, cutoff in zip(POLICY_RS, expected):
+        assert cutoff.dims[0] == (kerr.series_truncation(r).dim if dim is None else dim)
+        assert cutoff.tail_tol == (DOCUMENTED_TAIL_TOLS[q.cutoff] if tail_tol is None
+                                   else tail_tol)
     if dim is None:
         assert column.dims[0] < column.dims[1]
 
@@ -298,18 +307,20 @@ def test_probabilities_keep_their_invariants_across_the_domain(data):
 
 
 def test_evaluate_names_the_first_unconverged_point():
-    # above r = 0.5 each point reads its own dim, so r = 1.5 (dim 160) and
-    # r = 0.7 (dim 64) both move with the cutoff; the error names the first
-    # point in order that moves, with its own two dims
+    # above r = 0.5 each point reads its own series dim, so r = 1.5 and
+    # r = 0.7 both move with the cutoff; the error names the first point in
+    # order that moves, with its own two dims
     quantity = registry.Quantity(
         "drifting", "each point's dim above r = 0.5",
         lambda *cutoffs, r: np.array([np.where(r > 0.5, np.array(c.dims, dtype=float), 0.0)
                                       for c in cutoffs]),
-        ("r",), {}, cutoff="matrix",
+        ("r",), {}, cutoff="series",
     )
     with pytest.raises(analysis.ConvergenceError) as err:
         analysis.evaluate(quantity, {"r": np.array([0.2, 1.5, 0.7])})
-    assert "between dim 160 and dim 240 at {'r': 1.5}" in str(err.value)
+    dim = int(kerr.series_dims([1.5])[0])
+    assert dim > int(kerr.series_dims([0.7])[0])
+    assert f"between dim {dim} and dim {math.ceil(1.5 * dim)} at {{'r': 1.5}}" in str(err.value)
 
 
 def test_evaluate_rejects_r_outside_the_squeezing_domain():

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import sqherald
 from sqherald import cli, detect, reference, registry
-from sqherald.fockspace import default_truncation
+from sqherald.reference import default_truncation
 
 ALL_FIGURES = (
     "fig2", "fig3a", "fig3b", "fig4a", "fig4b", "fig5a", "fig5b",
@@ -377,7 +377,7 @@ def test_request_too_large_to_allocate_is_a_usage_error():
 def test_huge_counts_never_grow_the_log_factorial_table(tmp_path):
     # under the same cap: P(1, 1e9) is a closed-form 0 that builds no
     # table of 1e9 log-factorials, and a forced series dim of 1e9 is
-    # refused before its log-factorial table grows
+    # refused before its weight rows' table of half-binomials is built
     out = tmp_path / "p1n.csv"
     argvs = [
         ["sweep", "--quantity", "p1n_cat_minus", "--var", "n", "--lo", "1e9", "--hi", "1e9",
@@ -396,7 +396,7 @@ def test_huge_counts_never_grow_the_log_factorial_table(tmp_path):
     _, header, rows = parse_csv(out.read_text(encoding="utf-8"))
     assert header == ["n", "p1n_cat_minus"] and rows == [[1e9, 0.0]]
     assert dim_code == cli.EXIT_USAGE
-    assert dim_err == ("invalid parameter: a table of 999999999 log-factorials exceeds the "
+    assert dim_err == ("invalid parameter: a table of 500000000 half-binomials exceeds the "
                        "limit of 16777216 (is the cutoff too large?)\n")
 
 

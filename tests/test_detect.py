@@ -129,7 +129,7 @@ def test_tmss_click_trivial_limit():
 
 def test_tmss_click_numeric_equivalence():
     for r in (0.1, 0.5, 1.0, 1.7, 2.0):
-        trunc = fs.default_truncation(r)
+        trunc = reference.default_truncation(r)
         for eta in (0.7, 0.9, 1.0):
             analytic = tmss_clicks(r, eta)
             numeric = reference.click_statistics(
@@ -180,7 +180,7 @@ def test_g2_tmss_closed_form():
 @given(r=st.floats(0.04, 2.0), eta=st.floats(0.7, 1.0))
 def test_g2_tmss_numeric_agreement(r, eta):
     # criterion 9's bound, across its domain rather than at its points
-    dist = reference.tmss_joint_probability(r, fs.default_truncation(r))
+    dist = reference.tmss_joint_probability(r, reference.default_truncation(r))
     assert abs(reference.g2_numeric(dist, eta) - tmss_g2(r, eta)) < 1e-8
 
 

@@ -32,12 +32,12 @@ def test_truncation_scaled_rounds_up():
 
 
 def test_default_truncation_tiers():
-    assert fs.default_truncation(0.0).dim == 64
-    assert fs.default_truncation(1.2).dim == 64
-    assert fs.default_truncation(1.200001).dim == 160
-    assert fs.default_truncation(2.0).dim == 160
+    assert reference.default_truncation(0.0).dim == 64
+    assert reference.default_truncation(1.2).dim == 64
+    assert reference.default_truncation(1.200001).dim == 160
+    assert reference.default_truncation(2.0).dim == 160
     with pytest.raises(ValueError):
-        fs.default_truncation(2.1)
+        reference.default_truncation(2.1)
 
 
 def test_vacuum_and_fock_states():

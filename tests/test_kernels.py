@@ -273,11 +273,13 @@ def test_photon_numbers_keep_the_tail_checks_and_the_odd_limit():
     # the pair amplitudes behind the Kerr series and the oracles keep their
     # tail checks; the closed forms keep the odd branch's r -> 0 limit |2>,
     # whose split gives P(1,1) = P(n_a = 1) = 1/2
-    (mag,) = sources.pair_amplitudes(np.array([0.725]), -1, fs.Truncation(64))
+    mag = reference.pair_amplitudes(np.array([0.725]), -1, fs.Truncation(64))
     assert abs(float(np.sum(mag[0] ** 2)) - 1.0) <= 1e-12
     for sign in (-1, +1, None):
         with pytest.raises(fs.TruncationError):
-            sources.pair_amplitudes(np.array([1.5]), sign, fs.Truncation(16))
+            reference.pair_amplitudes(np.array([1.5]), sign, fs.Truncation(16))
+    with pytest.raises(fs.TruncationError):
+        sources.odd_branch_weights(np.array([1.5]), fs.CutoffColumn((16,), 1e-3))
     row = _herald_row(0.0, -1, 8)
     np.testing.assert_allclose(row, np.eye(8)[1] / 2.0, rtol=1e-15, atol=0.0)
     assert optics.pair_probability(0.0, -1) == 0.5
@@ -323,7 +325,7 @@ def test_parity_selection_holds_on_the_herald_rows(r, n):
 
 def test_tmss_p11_matches_the_dense_benchmark():
     for r in (0.0, 0.004, 0.881, 2.0):
-        trunc = fs.default_truncation(r)
+        trunc = reference.default_truncation(r)
         dense = float(reference.tmss_joint_probability(r, trunc).p[1, 1])
         assert abs(sources.tmss_p11(r) - dense) <= 1e-15
     with pytest.raises(fs.TruncationError):
@@ -382,13 +384,15 @@ def test_production_never_imports_the_reference_module():
 
 
 def test_tables_build_no_photon_number_rows(monkeypatch):
-    # the ten non-Kerr figures are closed forms end to end: none of them
-    # builds a source's pair amplitudes, and each records no cutoff
+    # no figure builds the oracles' pair amplitudes: the Kerr ones take
+    # their weight rows in closed form, and the ten non-Kerr figures are
+    # closed forms end to end, each recording no cutoff
     def refuse(*args, **kwargs):
         raise AssertionError("pair amplitudes built")
 
-    monkeypatch.setattr(sources, "pair_amplitudes", refuse)
-    for name in NON_KERR_FIGURES:
+    monkeypatch.setattr(reference, "pair_amplitudes", refuse)
+    for name in registry.FIGURES:
         table = registry.figure(name).build()
         assert np.all(np.isfinite(table.rows)), name
-        assert table.metadata["dims"] == "analytic" and table.metadata["max_move"] == 0.0
+        if name in NON_KERR_FIGURES:
+            assert table.metadata["dims"] == "analytic" and table.metadata["max_move"] == 0.0

@@ -4,6 +4,7 @@ import math
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.optimize
@@ -132,17 +133,57 @@ def test_pair_series_drops_exactly_the_zero_terms():
             assert np.all(n % 2 == (1 if sign < 0 else 0))
             dense[sign] = full
         # production keeps the odd entries of the odd branch, whose even
-        # entries are exact zeros, trimmed after the last nonzero one
+        # entries are exact zeros, trimmed after the last nonzero one.  Its
+        # closed-form products and the oracle's log-space amplitudes are
+        # independent builds; the oracle's terms are exp of sums of
+        # log-factorials, which reach a few thousand at r = 2, so they are
+        # up to 7.8e-13 off there, and the two agree within 1e-12 relative
         odd = dense[-1][1::2]
         g = _odd_row(r, trunc)
         assert not np.any(dense[-1][::2])
-        assert np.array_equal(g, odd[:len(g)])
+        assert len(g) == len(np.flatnonzero(odd))
+        assert np.all(np.abs(g - odd[:len(g)]) <= 1e-12 * odd[:len(g)])
         assert g[-1] != 0.0 and not np.any(odd[len(g):])
         assert not g.flags.writeable
         # negligible tail terms are kept, so the 1.5x recheck compares two
         # different series
         wider = trunc.scaled(1.5)
         assert len(_odd_row(r, wider)) > len(g)
+
+
+# the products' powers are formed in np.longdouble; where it is no wider
+# than double, the half-ulp error of t^2 grows with the power
+WEIGHT_ROW_REL = 2e-15 if np.finfo(np.longdouble).eps < np.finfo(float).eps else 2e-14
+
+
+def _mp_odd_weights(r, pairs):
+    """g_k = 2 c_k t^2k / (cosh r sqrt(N_-)) at the odd k < pairs, to 50
+    digits, with c_k t^2k by the recurrence of its ratios."""
+    with mpmath.workdps(50):
+        r = mpmath.mpf(r)
+        t2, c = mpmath.tanh(r) ** 2, mpmath.sqrt(mpmath.cosh(2 * r))
+        factor = 2 * mpmath.sqrt(c * (c + 1)) / (2 * mpmath.sinh(r) * mpmath.cosh(r))
+        term, out = mpmath.mpf(1), []
+        for k in range(1, pairs):
+            term *= t2 * (2 * k - 1) / (2 * k)
+            if k % 2:
+                out.append(float(factor * term))
+        return np.array(out)
+
+
+@pytest.mark.parametrize("r", [1e-300, 1e-8, 0.05, 0.725, 2.0, 3.0])
+def test_weight_rows_match_50_digit_series(r):
+    # every weight that is a normal float, at the series cutoff and at 1.5x
+    # it; the oracles' log-space amplitudes read up to 1.2e-11 off at r = 3
+    base = kerr.series_truncation(r)
+    for trunc in (base, base.scaled(1.5)):
+        g = _odd_row(r, trunc)
+        want = _mp_odd_weights(r, (trunc.dim + 1) // 2)
+        # the weights fall with k, so the normal ones lead the row
+        count = np.count_nonzero(want >= np.finfo(float).tiny)
+        assert 0 < count <= len(g) <= len(want)
+        gap = np.abs(g[:count] - want[:count]) / want[:count]
+        assert np.max(gap) <= WEIGHT_ROW_REL, (r, trunc.dim, float(np.max(gap)))
 
 
 def _count_builds(monkeypatch):
@@ -184,21 +225,22 @@ def test_p0_sweep_builds_the_series_once(monkeypatch):
 def test_column_past_the_series_cache_builds_each_series_once(monkeypatch):
     # 200 r at their series cutoffs and 1.5x: 400 distinct weight rows,
     # more than the 256 the row cache keeps, each built once, and built
-    # in blocks: one source build per block of a cutoff column
+    # in blocks: one row-builder call per block of a cutoff column, here
+    # one for each column
     built = _count_builds(monkeypatch)
-    sources_built = []
-    pair_amplitudes = sources.pair_amplitudes
+    blocks = []
+    odd_branch_weights = sources.odd_branch_weights
 
-    def spy(r, sign, trunc, vacuum=False):
-        if vacuum:
-            sources_built.extend(zip(r.tolist(), trunc.dims))
-        return pair_amplitudes(r, sign, trunc, vacuum=vacuum)
+    def spy(r, column):
+        blocks.append(list(zip(r.tolist(), column.dims)))
+        return odd_branch_weights(r, column)
 
-    monkeypatch.setattr(sources, "pair_amplitudes", spy)
+    monkeypatch.setattr(sources, "odd_branch_weights", spy)
     rs = 0.3 + np.arange(200) / 331.0
     analysis.evaluate("phase_ratio", {"sigma": 4e-3, "r": rs, "alpha": 10.0})
     assert len(built) == len(set(built)) == 400
-    assert sources_built == built
+    assert [len(block) for block in blocks] == [200, 200]
+    assert blocks[0] + blocks[1] == built
 
 
 def test_oracles_build_their_own_series(monkeypatch):
@@ -508,7 +550,8 @@ def test_grouped_p0_matches_one_call_per_r():
     for alpha in (3.0, 10.0):
         grouped = kerr.p0_over_tau(tau_col, r_col, alpha, trunc).reshape(len(rs), len(taus))
         via_registry = registry.QUANTITIES["p0_cat_minus"].fn(
-            trunc, tau_tilde=tau_col, r=r_col, alpha=np.full(len(tau_col), alpha))
+            fs.cutoff_column(trunc, len(tau_col)), tau_tilde=tau_col, r=r_col,
+            alpha=np.full(len(tau_col), alpha))
         assert np.array_equal(via_registry, grouped.reshape(1, -1))
         for r, row in zip(rs, grouped):
             single = kerr.p0_over_tau(taus, r, alpha, trunc)[0]
@@ -531,8 +574,8 @@ def test_shared_pass_matches_one_pass_per_cutoff():
     sigmas = np.linspace(*registry.SIGMA_GRID)[4::4]
     for alpha in (3.0, 10.0):
         p0 = registry.QUANTITIES["p0_cat_minus"].fn(
-            base, base.scaled(1.5), tau_tilde=tau_col, r=r_col,
-            alpha=np.full(len(tau_col), alpha))
+            *(fs.cutoff_column(c, len(tau_col)) for c in (base, base.scaled(1.5))),
+            tau_tilde=tau_col, r=r_col, alpha=np.full(len(tau_col), alpha))
         for trunc, row in zip((base, base.scaled(1.5)), p0):
             single = kerr.p0_over_tau(tau_col, r_col, alpha, trunc)[0].reshape(len(rs), -1)
             gap = np.abs(row.reshape(len(rs), -1) - single)
@@ -540,8 +583,8 @@ def test_shared_pass_matches_one_pass_per_cutoff():
         for r in rs:
             cutoffs = (kerr.series_truncation(r), kerr.series_truncation(r).scaled(1.5))
             ratios = registry.QUANTITIES["phase_ratio"].fn(
-                *cutoffs, sigma=sigmas, r=np.full(len(sigmas), r),
-                alpha=np.full(len(sigmas), alpha))
+                *(fs.cutoff_column(c, len(sigmas)) for c in cutoffs),
+                sigma=sigmas, r=np.full(len(sigmas), r), alpha=np.full(len(sigmas), alpha))
             for trunc, row in zip(cutoffs, ratios):
                 single = np.array([kerr.gaussian_averaged_ratio(r, alpha, sigma, trunc.dim)
                                    for sigma in sigmas])
@@ -794,7 +837,8 @@ def test_phase_error_ratio_matches_fock_grid_oracle():
 def _p1_cat_minus(trunc):
     """p1_cat_minus at tau_tilde = pi, r = 1.146 and alpha = 10, at trunc."""
     q = registry.QUANTITIES["p1_cat_minus"]
-    return q.fn(trunc, tau_tilde=IDEAL, r=np.array([1.146]), alpha=np.array([10.0]))[0, 0]
+    return q.fn(fs.cutoff_column(trunc, 1), tau_tilde=IDEAL, r=np.array([1.146]),
+                alpha=np.array([10.0]))[0, 0]
 
 
 def test_p1_heralded_closed_form_and_peak():

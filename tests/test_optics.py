@@ -180,7 +180,7 @@ def test_tmss_joint_probability_form():
 
 def test_pair_dominance_over_benchmark_on_spot_grid():
     for r in np.linspace(0.05, 2.0, 25):
-        trunc = fs.default_truncation(float(r))
+        trunc = reference.default_truncation(float(r))
         minus = reference.joint_probability(
             reference.split(reference.squeezed_cat(float(r), -1, trunc))
         )

@@ -37,7 +37,7 @@ def test_squeezed_vacuum_parity_and_norm():
     # the norm deficit is exactly the tail mass, so it is bounded by the
     # truncation tolerance; small r at dim 64 is tight to machine precision
     for r, bound in ((0.2, 1e-12), (-0.8, 1e-12), (1.9, 1e-3)):
-        trunc = fs.default_truncation(abs(r))
+        trunc = reference.default_truncation(abs(r))
         st = reference.squeezed_vacuum(r, trunc)
         assert np.all(st.amps[1::2] == 0.0)
         assert abs(st.norm_sq() - 1.0) < bound
@@ -79,104 +79,53 @@ def test_converged_dim_of_an_array_is_one_call_per_r(rs, tail_tol):
 COLUMN_RS = hst.sampled_from([0.0, 1e-100, 1e-7, 0.05, 0.725, 1.2, 2.0]) | hst.floats(0.0, 2.0)
 
 
-def _one_row(fn, r, sign, dim, tail_tol):
-    """fn at one r and cutoff: its row, or the TruncationError it raises."""
+def _one_row(r, dim, tail_tol):
+    """The weight row at one r and cutoff, or the TruncationError it raises."""
     try:
-        return fn(np.array([r]), sign, fs.Truncation(dim, tail_tol))[0][0]
+        return sources.odd_branch_weights(np.array([r]), fs.CutoffColumn((dim,), tail_tol))[0]
     except fs.TruncationError as exc:
         return exc
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(points=hst.lists(hst.tuples(COLUMN_RS, hst.integers(2, 300)), min_size=1, max_size=6),
-       sign=hst.sampled_from([None, -1, +1]),
        tail_tol=hst.sampled_from([0.9, 1e-3, 1e-9]))
-def test_cutoff_column_builds_equal_one_call_per_row(points, sign, tail_tol):
+def test_cutoff_column_builds_equal_one_call_per_row(points, tail_tol):
     # one build at the widest dim, each row tail-checked at its own: the
     # same rows, 0 past each row's own cutoff, and the same first error
     rs = np.array([r for r, _ in points])
     column = fs.CutoffColumn(tuple(dim for _, dim in points), tail_tol)
-    fn = sources.pair_amplitudes
-    rows = [_one_row(fn, r, sign, dim, tail_tol) for r, dim in points]
+    rows = [_one_row(r, dim, tail_tol) for r, dim in points]
     failed = [row for row in rows if isinstance(row, fs.TruncationError)]
     if failed:
         with pytest.raises(fs.TruncationError) as info:
-            fn(rs, sign, column)
+            sources.odd_branch_weights(rs, column)
         assert str(info.value) == str(failed[0])
         assert info.value.tail_mass == failed[0].tail_mass
         return
-    (built,) = fn(rs, sign, column)
-    assert built.shape == (len(points), (column.dim + 1) // 2)
+    built = sources.odd_branch_weights(rs, column)
+    assert built.shape == (len(points), (column.dim + 1) // 4)
     for row, one, (_, dim) in zip(built, rows, points):
-        assert np.array_equal(row[:(dim + 1) // 2], one)
-        assert not np.any(row[(dim + 1) // 2:])
+        assert len(one) == (dim + 1) // 4
+        assert np.array_equal(row[:len(one)], one)
+        assert not np.any(row[len(one):])
 
 
 def test_cutoff_column_names_its_first_failing_row():
     # rows 1 and 2 both leave too much of the state past their cutoffs;
-    # the column raises row 1's error, as its own call does
-    rs = np.array([0.3, 2.0, 1.5])
-    column = fs.CutoffColumn((64, 16, 8), 1e-6)
-    for sign in (None, -1):
+    # the column raises row 1's error, as its own call does, and a row
+    # that fails both checks is named by the squeezed vacuum's.  At dim 2
+    # the squeezed vacuum at r = 1e-7 fits, but the superposition, all
+    # beyond level 0, does not
+    for rs, dims, what in (([0.3, 2.0, 1e-7], (64, 16, 2), "squeezed vacuum at r = 2.0"),
+                           ([0.3, 1e-7, 2.0], (64, 2, 16), "superposition at r = 1e-07")):
         with pytest.raises(fs.TruncationError) as info:
-            sources.pair_amplitudes(rs, sign, column)
-        alone = _one_row(sources.pair_amplitudes, 2.0, sign, 16, 1e-6)
-        assert "at r = 2.0" in str(info.value) and "dim = 16" in str(info.value)
+            sources.odd_branch_weights(np.array(rs), fs.CutoffColumn(dims, 1e-6))
+        alone = _one_row(rs[1], dims[1], 1e-6)
+        assert str(info.value).startswith(f"{what}")
+        assert f"does not fit in dim = {dims[1]}" in str(info.value)
         assert str(info.value) == str(alone)
         assert info.value.tail_mass == alone.tail_mass
-
-
-# one cutoff of a pair: a Truncation, or a CutoffColumn over the points
-CUTOFFS = hst.one_of(hst.integers(2, 300).map(fs.Truncation),
-                     hst.lists(hst.integers(2, 300), min_size=3, max_size=3).map(tuple))
-
-
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(rs=hst.lists(COLUMN_RS, min_size=3, max_size=3),
-       cutoffs=hst.lists(CUTOFFS, min_size=1, max_size=3),
-       sign=hst.sampled_from([None, -1, +1]),
-       tail_tol=hst.sampled_from([0.9, 1e-3, 1e-9]))
-def test_cutoffs_built_together_equal_one_call_each(rs, cutoffs, sign, tail_tol):
-    # one build at the widest dim: each cutoff's rows are those of its own
-    # call, and the first cutoff that fails raises its own call's error
-    rs = np.array(rs)
-    cutoffs = [fs.Truncation(c.dim, tail_tol) if isinstance(c, fs.Truncation)
-               else fs.CutoffColumn(c, tail_tol) for c in cutoffs]
-    fn = sources.pair_amplitudes
-    alone = []
-    for c in cutoffs:
-        try:
-            alone.append(fn(rs, sign, c)[0])
-        except fs.TruncationError as exc:
-            with pytest.raises(fs.TruncationError) as info:
-                fn(rs, sign, *cutoffs)
-            assert str(info.value) == str(exc)
-            assert info.value.tail_mass == exc.tail_mass
-            return
-    together = fn(rs, sign, *cutoffs)
-    assert len(together) == len(cutoffs)
-    for rows, one in zip(together, alone):
-        assert rows.shape == one.shape
-        assert np.array_equal(rows, one)
-    assert not any(rows.flags.writeable for rows, c in zip(together, cutoffs)
-                   if isinstance(c, fs.Truncation))
-
-
-def test_one_build_gives_vacuum_and_superposition():
-    # the vacuum magnitudes of the odd build are those of a vacuum build,
-    # bit for bit, and its checks are the odd build's
-    rs = np.array([0.0, 1e-7, 0.725, 2.0])
-    for cutoff in (fs.Truncation(200), fs.CutoffColumn((40, 64, 96, 200), 1e-3)):
-        for sign in (-1, +1):
-            ((vacuum, mag),) = sources.pair_amplitudes(rs, sign, cutoff, vacuum=True)
-            assert np.array_equal(vacuum, sources.pair_amplitudes(rs, None, cutoff)[0])
-            assert np.array_equal(mag, sources.pair_amplitudes(rs, sign, cutoff)[0])
-    column = fs.CutoffColumn((64, 64, 16, 64), 1e-6)
-    with pytest.raises(fs.TruncationError) as info:
-        sources.pair_amplitudes(rs, -1, column, vacuum=True)
-    with pytest.raises(fs.TruncationError) as alone:
-        sources.pair_amplitudes(rs, -1, column)
-    assert str(info.value) == str(alone.value)
 
 
 def test_cat_norm_closed_form():

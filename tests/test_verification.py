@@ -147,8 +147,10 @@ def test_criterion_7_fits_the_gated_phase_ratio_column(monkeypatch):
     monkeypatch.setattr(kerr, "fit_lambda", fit)
     cfg = verification.VerifyConfig()
     assert verification.criterion_7(cfg).passed
-    base = registry.truncation("series", 0.725, cfg.dim, cfg.tail_tol)
+    base = kerr.series_truncation(0.725)
     column = fs.CutoffColumn((base.dim,) * kerr.FIT_SAMPLES, base.tail_tol)
+    assert column == registry.truncations("series", np.full(kerr.FIT_SAMPLES, 0.725),
+                                          cfg.dim, cfg.tail_tol)
     assert calls == [(column, column.scaled(1.5))] * 3
     assert column.scaled(1.5).dims[0] == base.scaled(1.5).dim
     sigmas = np.linspace(0.0, kerr.FIT_SIGMA_MAX, kerr.FIT_SAMPLES)
@@ -217,11 +219,11 @@ def test_criterion_9_batched_oracle_matches_the_dense_tables():
     cfg = verification.VerifyConfig()
     rs = np.linspace(0.04, 2.0, 50)
     etas = np.array([0.7, 0.775, 0.85, 0.925, 1.0])
-    cutoffs = registry.truncations("matrix", rs, cfg.dim, cfg.tail_tol)
-    assert sorted(set(cutoffs.dims)) == [64, 160]
+    dims = reference.default_dims(rs)
+    assert sorted(set(dims.tolist())) == [64, 160]
     for dim in (64, 160):
-        at = cutoffs.dims_array == dim
-        batched = reference.tmss_g2_numeric(rs[at], fs.Truncation(dim, cutoffs.tail_tol), etas)
+        at = dims == dim
+        batched = reference.tmss_g2_numeric(rs[at], fs.Truncation(dim, 1e-3), etas)
         dense = np.array([reference.g2_numeric(reference.tmss_joint_probability(r, cfg.trunc(r)),
                                                etas) for r in rs[at].tolist()])
         assert np.all(np.abs(batched - dense) <= 1e-13 * np.abs(dense))
