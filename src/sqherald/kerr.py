@@ -111,9 +111,8 @@ def _check_schedule(tau_tilde, alpha: complex) -> None:
 
 def series_dims(r, tail_tol: float = SERIES_TAIL_TOL) -> np.ndarray:
     """Cutoff for label-based sums at each r of a 1-D array: the smallest
-    even dim whose squeezed-vacuum tail mass is below tail_tol, and at
-    least 64.  Label sums never build matrices and can afford tails far
-    below the matrix default."""
+    even dim whose squeezed-vacuum tail mass is below tail_tol
+    (sources.converged_dim), and at least 64."""
     return np.maximum(64, sources.converged_dim(np.asarray(r, dtype=float), tail_tol))
 
 

@@ -10,8 +10,9 @@ tests check the production kernels against.
   symmetric tridiagonal matrix times i, so one real eigh gives it, and
   no oracle calls complex LAPACK.
 - The source states as vectors: squeezed vacuum, the sign superpositions
-  (from the log-space pair magnitudes of pair_amplitudes, apart from
-  production's closed-form products) and the two-mode squeezed vacuum.
+  (from the log-space pair magnitudes of pair_amplitudes over
+  log_factorials, apart from production's closed-form products) and the
+  two-mode squeezed vacuum.
 - Three balanced-splitter paths: the dense closed-form table split(), the
   orthogonal per-total-N blocks of apply_beam_splitter(), and the squeezer
   decomposition through the per-diagonal two-mode squeezer.
@@ -45,11 +46,11 @@ from .fockspace import (
     NumericalFailureError,
     Truncation,
     TruncationError,
-    log_factorials,
 )
 from .optics import ZeroHeraldError
 
 BALANCED_ANGLE = math.pi / 4.0
+LN2 = math.log(2.0)
 
 # Coefficient sums of the explicit Kerr state are accepted as converged
 # when they carry at least this much of the unit norm.
@@ -90,6 +91,35 @@ def default_dims(r) -> np.ndarray:
 def default_truncation(r: float = 0.0, tail_tol: float = DEFAULT_TAIL_TOL) -> Truncation:
     """The default_dims cutoff of one r, with tail tolerance tail_tol."""
     return Truncation(int(default_dims(r)), tail_tol)
+
+
+# log k! for k < len(_LOG_FACTORIALS): read-only, grown on demand.
+_LOG_FACTORIALS = np.zeros(0)
+# The longest table log_factorials builds (128 MB); the cutoffs in use
+# need a few tens of thousands of entries.
+LOG_FACTORIALS_LIMIT = 2**24
+
+
+def log_factorials(count: int) -> np.ndarray:
+    """Read-only table of log k! = lgamma(k + 1) for k < count: a prefix of
+    one table grown to the largest count asked for, so each entry is the
+    same float at every count (the table itself at that count).  A count
+    above LOG_FACTORIALS_LIMIT is refused (ValueError), and the grown
+    table is allocated before any entry is computed, so a table that
+    cannot fit fails at once."""
+    global _LOG_FACTORIALS
+    table = _LOG_FACTORIALS
+    if count > LOG_FACTORIALS_LIMIT:
+        raise ValueError(f"a table of {count} log-factorials exceeds the limit of "
+                         f"{LOG_FACTORIALS_LIMIT} (is the cutoff too large?)")
+    if count > len(table):
+        grown = np.empty(count)
+        grown[:len(table)] = table
+        for k in range(len(table), count):
+            grown[k] = math.lgamma(k + 1.0)
+        grown.setflags(write=False)
+        _LOG_FACTORIALS = table = grown
+    return table if count == len(table) else table[:count]
 
 
 class TruncationMismatchError(ValueError):
@@ -292,7 +322,7 @@ def pair_amplitudes(r, sign: int | None, trunc: Truncation) -> np.ndarray:
     after checking both tail masses against trunc, the squeezed vacuum's
     first; the first r that fails is named.
 
-    The magnitudes are formed in log space (sources._even_log_weights),
+    The magnitudes log|c_2k| are formed in log space over log_factorials,
     apart from the closed-form products of production.  The superposition
     keeps pair levels with k even/odd and doubles them (S(-r) flips the
     sign of every odd-k level); its amplitudes 2 c_2k / sqrt(N_pm) are
@@ -302,14 +332,21 @@ def pair_amplitudes(r, sign: int | None, trunc: Truncation) -> np.ndarray:
     if sign not in (None, +1, -1):
         raise ValueError(f"sign must be +1, -1 or None, got {sign}")
     sources._check_squeeze(r)
-    logmag = sources._even_log_weights(r, (trunc.dim + 1) // 2)
+    k = np.arange((trunc.dim + 1) // 2)
+    log_fact = log_factorials(2 * len(k) - 1)
+    r_col = np.asarray(r, dtype=float)[..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k_log_t = k * np.log(np.tanh(np.abs(r_col)))
+    k_log_t[..., 0] = 0.0  # r = 0: log tanh r = -inf, and only k = 0 survives
+    # log|c_2k| = log((2k)!)/2 - k log 2 - log k! + k log tanh|r| - log(cosh r)/2
+    logmag = (-0.5 * np.log(np.cosh(r_col)) + 0.5 * log_fact[2 * k] - k * LN2 - log_fact[k]
+              + k_log_t)
     checks = [(1.0 - np.sum(np.exp(2.0 * logmag), axis=-1), "squeezed vacuum at r = {r}")]
     if sign is not None:
-        r_col = np.asarray(r, dtype=float)[..., None]
         kept = slice(0 if sign > 0 else 1, None, 2)
         logamp = np.full(logmag.shape, -np.inf)
         with np.errstate(invalid="ignore"):
-            logamp[..., kept] = logmag[..., kept] + sources.LN2 - 0.5 * _log_cat_norm(r_col, sign)
+            logamp[..., kept] = logmag[..., kept] + LN2 - 0.5 * _log_cat_norm(r_col, sign)
         if sign < 0 and np.any(r_col == 0.0):
             limit = np.where(np.arange(logmag.shape[-1]) == 1, 0.0, -np.inf)
             logamp = np.where(r_col == 0.0, limit, logamp)

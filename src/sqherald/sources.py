@@ -3,13 +3,13 @@ source states.
 
 Covers single-mode squeezed vacuum, its normalized sum and difference with
 the oppositely squeezed state (the even/odd "cat" superpositions used for
-heralding), and the two-mode squeezed vacuum benchmark: single
-photon-number probabilities p_N, among them the pair probabilities p_2k
-as one closed-form product (pair_count_probability), the Kerr
-label-series weights of the odd superposition from the same product with
-their tail checks (odd_branch_weights), superposition norms and herald
-probabilities, the benchmark's P(1,1), the series cutoff
-(converged_dim), and the generating function G(z) = sum_N p_N z^N of
+heralding), and the two-mode squeezed vacuum benchmark.  Every pair
+probability p_2k comes from one closed-form product c_k t^(2(k-1))
+(_pair_products): the p_N (pair_count_probability), the Kerr label-series
+weights with their tail checks (odd_branch_weights), and the series cutoff
+(converged_dim), whose squeezed-vacuum sums are those of the weights'
+check.  Also here: superposition norms, herald probabilities, the
+benchmark's P(1,1), and the generating function G(z) = sum_N p_N z^N of
 each single-mode source (Kelley & Kleiner, Phys. Rev. 136, A316 (1964)),
 from which every split and click statistic is a value or a divided
 difference (see generating_function).
@@ -22,16 +22,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fockspace import (
-    LOG_FACTORIALS_LIMIT,
-    SQUEEZE_LIMIT,
-    CutoffColumn,
-    Truncation,
-    TruncationError,
-    log_factorials,
-)
+from .fockspace import SQUEEZE_LIMIT, CutoffColumn, Truncation, TruncationError
 
-LN2 = math.log(2.0)
+# The longest half-binomial table built (128 MB), and the last pair level
+# the series-cutoff search sums, far past the cutoff of any allowed r.
+HALF_BINOMIALS_LIMIT = 2**24
+SEARCH_PAIRS = 8192
 
 
 def squeezing_db(r: float) -> float:
@@ -62,21 +58,15 @@ def _check_tails(r, trunc, *checks: tuple[np.ndarray, str]) -> None:
     )
 
 
-def _even_log_weights(r, pairs: int) -> np.ndarray:
-    """log|c_2k| of squeezed vacuum for k < pairs, with one row per entry
-    of an array r.
-
-    c_{2k} = (cosh r)^{-1/2} sqrt((2k)!) / (2^k k!) (-tanh r)^k, evaluated
-    in log space so large cutoffs stay finite.
-    """
-    log_fact = log_factorials(2 * pairs - 1)
-    r = np.asarray(r, dtype=float)[..., None]
-    k = np.arange(pairs)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k_log_t = k * np.log(np.tanh(np.abs(r)))
-    # r = 0: log tanh r = -inf, and only k = 0 survives
-    k_log_t[..., 0] = 0.0
-    return -0.5 * np.log(np.cosh(r)) + 0.5 * log_fact[2 * k] - k * LN2 - log_fact[k] + k_log_t
+def _vacuum_sums(start, ch, t2, products: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """start, then start plus the sequential sums of squeezed vacuum's p_2k
+    = c_k t^2k / cosh r and p_2(k+1) = p_2k t^2 (2k + 1)/(2k + 2) at each
+    odd k, per row of start, ch and t2 (np.longdouble), from _pair_products."""
+    terms = np.empty((len(ch), 2 * len(k) + 1))
+    terms[:, 0] = start
+    terms[:, 1::2] = (t2 / ch).astype(float)[:, None] * products
+    terms[:, 2::2] = terms[:, 1::2] * t2.astype(float)[:, None] * ((2 * k + 1) / (2 * k + 2))
+    return np.cumsum(terms, axis=1)
 
 
 def odd_branch_weights(r: np.ndarray, column: CutoffColumn) -> np.ndarray:
@@ -86,68 +76,62 @@ def odd_branch_weights(r: np.ndarray, column: CutoffColumn) -> np.ndarray:
     past it, after checking both tail masses of every row.
 
     Both amplitudes are real and share the sign (-1)^k, so g_k =
-    (sqrt(N_-)/2) p_2k, with p_2k = 2 K t^2 c_k t^(2(k-1)) the odd
-    branch's (pair_count_probability at odd k) and sqrt(N_-)/2 = sinh r /
-    sqrt(c (c + 1)), c = sqrt(cosh 2r).  So each row is one factor
-    sinh r sqrt(c (c + 1)) / cosh^3 r, which stays normal where N_-
-    underflows, formed in np.longdouble and rounded once, times the
-    products c_k t^(2(k-1)), the power formed as exp((k - 1) log t^2) in
-    np.longdouble.  The tail checks come from the same products: the odd
-    branch's p_2k, and the squeezed vacuum's c_k t^2k / cosh r at odd k
-    and, times t^2 (2k + 1)/(2k + 2), at the even k + 1 that follows.  A
-    row's masses are sequential sums over its own levels, so each row and
-    each check reads the same as in a build of that row alone; the first
-    row whose tail mass exceeds column.tail_tol raises, naming the
-    squeezed vacuum's check before the superposition's, and its own dim.
-    At r = 0 every weight is 0, and the superposition is its r -> 0 limit
-    |2>.
+    (sqrt(N_-)/2) p_2k = f c_k t^(2(k-1)) (_pair_products), with one
+    factor f = sinh r sqrt(c (c + 1)) / cosh^3 r per row (c = sqrt(cosh
+    2r)), which stays normal where N_- underflows, formed in np.longdouble
+    and rounded once.  Both tail checks are sequential sums of the same
+    products over each row's own levels (_vacuum_sums for the squeezed
+    vacuum), so each reads as in a build of that row alone; the first row
+    over column.tail_tol raises, naming the squeezed vacuum's check
+    before the superposition's, and its own dim.  At r = 0 every weight
+    is 0, and the superposition is its r -> 0 limit |2>.
     """
     _check_squeeze(r)
     a = np.abs(np.asarray(r, dtype=np.longdouble))
     pairs = (column.dims_array + 1) // 2
-    half_binomials = _half_binomials(int(pairs.max(initial=1)))
-    k = np.arange(1, len(half_binomials), 2)
+    _check_half_binomials(int(pairs.max(initial=1)))  # before allocating k
+    k = np.arange(1, int(pairs.max(initial=1)), 2)
     ch = np.cosh(a)
     c = np.sqrt(np.cosh(2.0 * a))
     t2 = np.tanh(a) ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        powers = np.exp((k - 1) * np.log(t2)[:, None])
-    powers[:, :1] = 1.0  # t^0, also at r = 0
-    products = half_binomials[k] * powers.astype(float)
+    products = _pair_products(k, t2[:, None])
     g = (np.sinh(a) * np.sqrt(c * (c + 1.0)) / ch**3).astype(float)[:, None] * products
     g[k >= pairs[:, None]] = 0.0
     odd = (c * (c + 1.0) / ch**3).astype(float)[:, None] * products
-    vac = np.empty((len(a), 2 * len(k) + 1))
-    vac[:, 0] = (1.0 / ch).astype(float)
-    vac[:, 1::2] = (t2 / ch).astype(float)[:, None] * products
-    vac[:, 2::2] = vac[:, 1::2] * t2.astype(float)[:, None] * ((2 * k + 1) / (2 * k + 2))
     rows = np.arange(len(a))
     odd_mass = np.cumsum(np.hstack([np.zeros((len(a), 1)), odd]), axis=1)[rows, pairs // 2]
-    vac_mass = np.cumsum(vac, axis=1)[rows, pairs - 1]
+    vac_mass = _vacuum_sums((1.0 / ch).astype(float), ch, t2, products, k)[rows, pairs - 1]
     _check_tails(r, column, (1.0 - vac_mass, "squeezed vacuum at r = {r}"),
                  (1.0 - odd_mass, "superposition at r = {r}, sign = -1"))
     return g
 
 
-def converged_dim(r, tail_tol: float, max_dim: int = 8192):
+def converged_dim(r, tail_tol: float):
     """Smallest even cutoff whose squeezed-vacuum tail mass is below
     tail_tol: an int at a float r, and an integer array at each entry of
-    a 1-D array r."""
+    a 1-D array r.  The mass is summed by _vacuum_sums in rounds of
+    doubling length, each continuing from the mass the last one reached,
+    as one long sum would; past SEARCH_PAIRS pair levels it is refused."""
     _check_squeeze(r)
-    rs = np.atleast_1d(np.asarray(r, dtype=float))
-    dims = np.zeros(len(rs), dtype=np.intp)
-    todo = np.arange(len(rs))
-    pairs = 64
+    a = np.abs(np.atleast_1d(np.asarray(r, dtype=np.longdouble)))
+    ch = np.cosh(a)
+    t2 = np.tanh(a) ** 2
+    mass = (1.0 / ch).astype(float)
+    dims = np.zeros(len(a), dtype=np.intp)
+    todo = np.arange(len(a))
+    lo, hi = 0, 64
     while len(todo):
-        # a longer row repeats the shorter one's sequential partial sums
-        tails = 1.0 - np.cumsum(np.exp(2.0 * _even_log_weights(rs[todo], pairs)), axis=-1)
-        hit = tails <= tail_tol
-        found = hit.any(axis=-1)
-        dims[todo[found]] = 2 * (np.argmax(hit[found], axis=-1) + 1)
+        if lo >= SEARCH_PAIRS:
+            raise ValueError(f"no cutoff up to dim {2 * lo + 2} reaches tail {tail_tol}")
+        # pair levels lo .. hi; level lo is the mass carried over
+        k = np.arange(lo + 1, hi, 2)
+        sums = _vacuum_sums(mass[todo], ch[todo], t2[todo], _pair_products(k, t2[todo, None]), k)
+        hit = 1.0 - sums <= tail_tol
+        found = hit.any(axis=1)
+        dims[todo[found]] = 2 * (lo + np.argmax(hit[found], axis=1) + 1)
+        mass[todo] = sums[:, -1]
         todo = todo[~found]
-        pairs *= 2
-        if len(todo) and 2 * pairs > 2 * max_dim:
-            raise ValueError(f"no cutoff below {max_dim} reaches tail {tail_tol}")
+        lo, hi = hi, 2 * hi
     return int(dims[0]) if np.ndim(r) == 0 else dims
 
 
@@ -311,36 +295,49 @@ def generating_function(r, sign: int | None) -> GeneratingFunction:
     return GeneratingFunction(t2, 1.0 / (ch * ch), scale, 0 if sign is None else sign)
 
 
+def _check_half_binomials(count: int) -> None:
+    """ValueError for a table of count > HALF_BINOMIALS_LIMIT half-binomials."""
+    if count > HALF_BINOMIALS_LIMIT:
+        raise ValueError(f"a table of {count} half-binomials exceeds the limit of "
+                         f"{HALF_BINOMIALS_LIMIT} (is the cutoff too large?)")
+
+
 def _half_binomials(count: int) -> np.ndarray:
     """c_k = C(2k, k)/4^k = prod_(j <= k) (1 - 1/(2j)) for k < count, each
-    as exp of its sum of log1p(-1/(2j)), with the prefix sums compensated
-    (Neumaier), so no c_k is more than a few ulps off at any k.  A count
-    above LOG_FACTORIALS_LIMIT, the longest table the log-factorials
-    hold, is refused (ValueError) before anything is allocated."""
-    if count > LOG_FACTORIALS_LIMIT:
-        raise ValueError(f"a table of {count} half-binomials exceeds the limit of "
-                         f"{LOG_FACTORIALS_LIMIT} (is the cutoff too large?)")
+    as exp of its sum of log1p(-1/(2j)), the prefix sums compensated
+    (Neumaier): a few ulps off at most, and the same at every count.  A
+    count above HALF_BINOMIALS_LIMIT is refused before allocating."""
+    _check_half_binomials(count)
     sums = [0.0]
     total = carry = 0.0
+    # Neumaier: |total| >= |term| after the first term, where both branches add 0
     for term in np.log1p(-0.5 / np.arange(1.0, count)).tolist():
         step = total + term
-        carry += (total - step) + term if abs(total) >= abs(term) else (term - step) + total
+        carry += (total - step) + term
         total = step
         sums.append(total + carry)
     return np.exp(sums)
 
 
+def _pair_products(k: np.ndarray, t2, lead=1.0) -> np.ndarray:
+    """lead c_k t^(2(k-1)) at integer pair indices k >= 1 and t2 = t^2
+    (np.longdouble), broadcast, with c_k from _half_binomials.  A double
+    t^2 is off by up to half an ulp, which its (k-1)-th power multiplies
+    by k - 1, so the power is exp((k - 1) log t^2) in np.longdouble (where
+    wider than double), rounded once; t^0 = 1, also at r = 0."""
+    c = _half_binomials(int(np.max(k, initial=0)) + 1)[k]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        powers = np.exp((k - 1) * np.log(t2))
+    return lead * c * np.where(k == 1, 1.0, powers.astype(float))
+
+
 def pair_count_probability(k, r, sign: int | None) -> np.ndarray:
     """p_2k at each pair index k >= 1 (integer-valued floats) and r,
     elementwise.  p_2k is K t^2k times the coefficient of w^k in F, so
-    p_2k = K t^2 c_k (1 + s (-1)^k) t^(2(k-1)) with c_k = C(2k, k)/4^k
-    (_half_binomials up to the largest k), formed as that product.  A
-    double t^2 is off by up to half an ulp, which its (k-1)-th power
-    multiplies by k - 1, so the power is taken in np.longdouble, where
-    the platform has a wider one than double."""
+    p_2k = K t^2 (1 + s (-1)^k) c_k t^(2(k-1)), with the lead K t^2 (1 +
+    s (-1)^k) of _pair_products exact past K t^2: the parity is 0, 1 or 2."""
     k = np.asarray(k, dtype=float)
     g = generating_function(r, sign)
-    c = _half_binomials(int(k.max()) + 1)[k.astype(np.intp)]
     parity = 1.0 + g.parity * np.where(k % 2.0 == 0.0, 1.0, -1.0)
     t2 = np.tanh(np.asarray(r, dtype=np.longdouble)) ** 2
-    return g.scale * c * parity * np.power(t2, k - 1.0).astype(float)
+    return _pair_products(k.astype(np.intp), t2, g.scale * parity)

@@ -1,5 +1,5 @@
 """Unit tests for the truncated Fock-space core and the reference state
-vectors, squeezer and coherent amplitudes."""
+vectors, squeezer, coherent amplitudes and log-factorial table."""
 
 import math
 
@@ -9,7 +9,7 @@ import scipy.linalg
 from scipy.special import gammaln
 
 from sqherald import fockspace as fs
-from sqherald import reference
+from sqherald import reference, sources
 
 
 def test_truncation_validation():
@@ -103,21 +103,21 @@ def test_squeeze_matrix_rejects_a_non_finite_parameter():
 
 def test_log_factorials_match_scipy_gammaln():
     count = 16384
-    table = fs.log_factorials(count)
+    table = reference.log_factorials(count)
     np.testing.assert_allclose(table, gammaln(np.arange(count) + 1.0), rtol=1e-14, atol=0.0)
     assert not table.flags.writeable
-    assert fs.log_factorials(count) is table
+    assert reference.log_factorials(count) is table
 
 
 def test_log_factorials_are_prefixes_of_one_table():
     # every count reads the same entries, bit for bit, however the table
     # has grown
-    long = fs.log_factorials(3000)
+    long = reference.log_factorials(3000)
     for count in (0, 1, 7, 64, 2999):
-        short = fs.log_factorials(count)
+        short = reference.log_factorials(count)
         assert short.tobytes() == long[:count].tobytes()
         assert not short.flags.writeable
-    grown = fs.log_factorials(5000)
+    grown = reference.log_factorials(5000)
     assert grown[:3000].tobytes() == long.tobytes()
     assert grown[4999] == math.lgamma(5000.0)
 
@@ -125,11 +125,27 @@ def test_log_factorials_are_prefixes_of_one_table():
 def test_log_factorials_refuse_a_table_past_their_limit():
     # a count past the limit is refused before anything is allocated or
     # computed, and the table already built is kept
-    before = fs.log_factorials(100)
+    before = reference.log_factorials(100)
     with pytest.raises(ValueError, match="exceeds the limit"):
-        fs.log_factorials(fs.LOG_FACTORIALS_LIMIT + 1)
-    assert fs.log_factorials(100).tobytes() == before.tobytes()
-    assert len(fs._LOG_FACTORIALS) <= fs.LOG_FACTORIALS_LIMIT
+        reference.log_factorials(reference.LOG_FACTORIALS_LIMIT + 1)
+    assert reference.log_factorials(100).tobytes() == before.tobytes()
+    assert len(reference._LOG_FACTORIALS) <= reference.LOG_FACTORIALS_LIMIT
+
+
+def test_oracle_states_build_without_the_production_products(monkeypatch):
+    # the oracle forms its pair magnitudes in log space over its own
+    # log-factorial table, never from production's closed-form products
+    def refuse(*args):
+        raise AssertionError("the oracle called a production product helper")
+
+    monkeypatch.setattr(sources, "_half_binomials", refuse)
+    monkeypatch.setattr(sources, "_pair_products", refuse)
+    trunc = fs.Truncation(64)
+    for sign in (None, +1, -1):
+        assert reference.pair_amplitudes(np.array([0.0, 0.725]), sign, trunc).shape == (2, 32)
+    for state in (reference.squeezed_vacuum(0.725, trunc), reference.squeezed_cat(0.725, +1, trunc),
+                  reference.squeezed_cat(0.725, -1, trunc)):
+        assert abs(reference.split(state).norm_sq() - 1.0) < 1e-9
 
 
 def test_cutoff_column_keeps_one_array_of_its_dims():

@@ -380,6 +380,41 @@ def test_series_truncation_floor():
     assert kerr.series_truncation(2.0).dim > 64
 
 
+def _exact_series_dim(r: float, tail_tol: float) -> tuple[int, float]:
+    """The smallest even dim whose squeezed-vacuum tail mass is at most
+    tail_tol, from a 40-digit sum of the p_2k, at least 64 as in
+    series_dims, and the least relative distance from tail_tol of the
+    exact tails at that dim and at the dim before it."""
+    with mpmath.workdps(40):
+        r = mpmath.mpf(r)
+        t2 = mpmath.tanh(r) ** 2
+        term = 1 / mpmath.cosh(r)
+        tails = [1 - term]
+        while tails[-1] > tail_tol:
+            k = len(tails) - 1
+            term *= t2 * (2 * k + 1) / mpmath.mpf(2 * k + 2)
+            tails.append(tails[-1] - term)
+        margin = min(abs(tail / tail_tol - 1) for tail in tails[-2:])
+    return max(64, 2 * len(tails)), float(margin)
+
+
+def test_series_dims_match_a_40_digit_tail_search():
+    # where the exact tails at both candidate dims sit clear of the target,
+    # the dim is the exact one; nearer the target it may be one step off.
+    # The products take their powers in np.longdouble; where that is plain
+    # double, every dim is held only to within one step.  At r = 2.495512
+    # the log-space search gave 1704 against the exact 1706 (margin 7.1e-4)
+    rs = np.append(np.random.default_rng(0).uniform(0.01, 3.0, 40), 2.495512)
+    wide = np.finfo(np.longdouble).eps < np.finfo(float).eps
+    dims = kerr.series_dims(rs)
+    for r, dim in zip(rs.tolist(), dims.tolist()):
+        exact, margin = _exact_series_dim(r, kerr.SERIES_TAIL_TOL)
+        if wide and margin > 5e-4:
+            assert dim == exact, (r, dim, exact, margin)
+        else:
+            assert abs(dim - exact) <= 2, (r, dim, exact, margin)
+
+
 def test_p0_at_ideal_phase_equals_branch_weight():
     p0 = kerr.p0_over_tau(IDEAL, 0.725, 10.0)[0, 0]
     assert abs(p0 - sources.cat_norm(0.725, -1) / 4.0) < 1e-12
