@@ -46,7 +46,9 @@ class NoCrossingError(RuntimeError):
 class SweepSpec:
     """Uniform grid for one variable plus fixed values for the others.
 
-    A single-point grid (points = 1) evaluates the quantity once at lo.
+    A single-point grid (points = 1) evaluates the quantity once at lo,
+    which the quantity checks; a longer one needs lo < hi with a finite
+    span hi - lo.
     """
 
     variable: str
@@ -63,6 +65,8 @@ class SweepSpec:
                 raise ValueError("hi must not be below lo")
         elif not self.lo < self.hi:
             raise ValueError("lo must be below hi")
+        elif not math.isfinite(float(self.hi) - float(self.lo)):
+            raise ValueError(f"lo = {self.lo}, hi = {self.hi}: the grid needs a finite span")
         object.__setattr__(self, "fixed", dict(self.fixed))
 
     def grid(self) -> np.ndarray:
@@ -244,7 +248,7 @@ def evaluate(
             f"dim {base.dims[i]} and dim {cutoffs[1].dims[i]} at {points.point(i)}"
         )
     worst = int(np.argmax(move))
-    dims = [] if base is None else sorted(set(base.dims))
+    dims = [] if base is None else sorted(set(base.dims.tolist()))
     return Evaluation(v1, dims, float(move[worst]), points.point(worst))
 
 

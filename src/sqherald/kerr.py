@@ -1,19 +1,21 @@
 """Cross-Kerr entangling step, post-selection statistics, and robustness
 of the heralding probability against interaction-phase noise.
 
-Mode 1 (the photon-pair mode) lives on the truncated Fock grid; mode 2
-(the bright pump) is tracked symbolically as coherent labels, because the
-exact overlap of two coherent states has a closed form and pump amplitudes
-around alpha = 10 would otherwise need hundreds of Fock levels.
+Mode 1 (the photon-pair mode) is a pair series cut at a Fock cutoff;
+mode 2 (the bright pump) is tracked symbolically as coherent labels,
+because the exact overlap of two coherent states has a closed form and
+pump amplitudes around alpha = 10 would otherwise need hundreds of Fock
+levels.
 
 Production projects only onto the odd superposition with the label
 -alpha, whose pair indices n are all odd.  There each label overlap is
 exactly exp(-2|alpha|^2 sin^2(n delta/2) + i |alpha|^2 sin(n delta)) in
 the deviation delta = tau_tilde - pi.  Every point of p0_over_tau and
-of the phase-noise average phase_ratio carries its own cutoff, and so
-its own weight row: the odd-branch weights g_1, g_3, ... at its r and
-cutoff, in closed form: g_k = (sqrt(N_-)/2) p_2k, with p_2k the odd
-branch's pair probabilities (sources.odd_branch_weights).  `_weight_rows`
+of the phase-noise average phase_ratio carries its own cutoff, its
+entry in each CutoffColumn the caller gives, and so its own weight row:
+the odd-branch weights g_1, g_3, ... at its r and cutoff, in closed
+form: g_k = (sqrt(N_-)/2) p_2k, with p_2k the odd branch's pair
+probabilities (sources.odd_branch_weights).  `_weight_rows`
 finds a call's distinct rows and builds those it does not keep from an
 earlier call, a cutoff column's in blocks of one build each
 (`_odd_rows`), and holds them.  A shorter row is a prefix of a longer
@@ -44,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import analysis, sources
-from .fockspace import TINY, CutoffColumn, NumericalFailureError, Truncation, cutoff_column
+from .fockspace import TINY, CutoffColumn, NumericalFailureError
 
 TWO_PI = 2.0 * math.pi
 
@@ -116,20 +118,14 @@ def series_dims(r, tail_tol: float = SERIES_TAIL_TOL) -> np.ndarray:
     return np.maximum(64, sources.converged_dim(np.asarray(r, dtype=float), tail_tol))
 
 
-def series_truncation(r: float, tail_tol: float = SERIES_TAIL_TOL) -> Truncation:
-    """The series_dims cutoff at one r, with the tail tolerance
-    SERIES_STATE_TOL of the label-series states."""
-    return Truncation(int(series_dims([r], tail_tol)[0]), tail_tol=SERIES_STATE_TOL)
-
-
 def p0_over_tau(taus: np.ndarray, r, alpha: complex, *cutoffs) -> np.ndarray:
     """Probability of projecting the Kerr output onto the odd superposition
     branch |r; ->_1 |-alpha>_2, the herald that announces photon-pair
     generation, at each point (taus[i], r[i]) of the 1-D array taus
     (taken mod 2pi) and of r, a float or an array of the same length, with
-    one row per cutoff of cutoffs: each a Truncation, or a CutoffColumn
-    with one cutoff per point (default: the series cutoff of the largest
-    r).
+    one row per CutoffColumn of cutoffs, each with one cutoff per point
+    (registry.truncations("series", r) gives the series cutoffs); a call
+    with none is refused.
 
     Every point reads its own (r, cutoff) weight row at its |delta| in
     one _branch_values pass: the kernel is exactly even in delta.  At
@@ -144,16 +140,18 @@ def p0_over_tau(taus: np.ndarray, r, alpha: complex, *cutoffs) -> np.ndarray:
 
 
 def _points(taus: np.ndarray, r, alpha: complex, cutoffs):
-    """(r, columns) of points at the interaction phases taus: the phases
+    """(r, cutoffs) of points at the interaction phases taus: the phases
     and the pump checked, r broadcast to one value per point and refused
-    below 0, and one CutoffColumn over the points per cutoff of cutoffs
-    (default: the series cutoff of the largest r)."""
+    below 0, and cutoffs refused unless they are one or more
+    CutoffColumns with one cutoff per point."""
     _check_schedule(taus, alpha)
     r = np.broadcast_to(np.asarray(r, dtype=float), np.shape(taus))
     if not np.all(r >= 0.0):
         raise ValueError("squeezing must be nonnegative")
-    cutoffs = cutoffs or (series_truncation(float(np.max(r))),)
-    return r, [cutoff_column(c, len(r)) for c in cutoffs]
+    if not cutoffs or not all(isinstance(c, CutoffColumn) and len(c.dims) == len(r)
+                              for c in cutoffs):
+        raise ValueError(f"give one or more CutoffColumns of {len(r)} cutoffs, one per point")
+    return r, cutoffs
 
 
 class _WeightRows(NamedTuple):
@@ -182,7 +180,7 @@ def _weight_rows(r: np.ndarray, columns) -> _WeightRows:
     column's row is built before it."""
     size = len(r)
     (rs, dims, tols), at = analysis.distinct(
-        np.tile(r, len(columns)), np.concatenate([c.dims_array for c in columns]),
+        np.tile(r, len(columns)), np.concatenate([c.dims for c in columns]),
         np.repeat([c.tail_tol for c in columns], size))
     keys = list(zip(rs.tolist(), dims.tolist(), tols.tolist()))
     weights = [_ROWS.get(key) for key in keys]
@@ -197,7 +195,7 @@ def _weight_rows(r: np.ndarray, columns) -> _WeightRows:
         per = max(1, MERGE_BLOCK // ((int(dims[todo].max()) + 1) // 2))
         for b in range(0, len(todo), per):
             block = todo[b:b + per]
-            built = _odd_rows(rs[block], CutoffColumn.from_array(dims[block], column.tail_tol))
+            built = _odd_rows(rs[block], CutoffColumn(dims[block], column.tail_tol))
             for j, g in zip(block.tolist(), built):
                 weights[j] = _ROWS[keys[j]] = g
                 if len(_ROWS) > 256:
@@ -472,8 +470,8 @@ def phase_ratio(sigmas: np.ndarray, r, alpha: complex, *cutoffs) -> np.ndarray:
     at interaction phase pi + dtheta to its value at pi, over dtheta ~
     N(0, sigmas[i]^2), at each point (sigmas[i], r[i]) of the 1-D array
     sigmas and of r, a float or an array of the same length, with one row
-    per cutoff of cutoffs: each a Truncation, or a CutoffColumn with one
-    cutoff per point (default: the series cutoff of the largest r).
+    per CutoffColumn of cutoffs, each with one cutoff per point; a call
+    with none is refused.
 
     The points with sigma > 0 build and tail-check the series of their
     (r, cutoff) weight rows, every first-cutoff row before any recheck
@@ -612,18 +610,6 @@ def _averaged_ratios(deltas: np.ndarray, fine: np.ndarray, starts: list, weights
                 ratio[i, part] += v @ fine[a:b]
                 coarse[i, part] += v @ even[a:b]
     return ratio, np.abs(2.0 * coarse - ratio), ref
-
-
-def gaussian_averaged_ratio(r: float, alpha: float, sigma: float, dim: int | None = None,
-                            tail_tol: float = SERIES_STATE_TOL) -> float:
-    """phase_ratio at one point, with the series cut at dim (default:
-    series_truncation(r)) and tail tolerance tail_tol; it raises
-    TruncationError when more than tail_tol of the state lies beyond the
-    cutoff."""
-    if not r >= 0.0:
-        raise ValueError("squeezing must be nonnegative")
-    trunc = Truncation(series_truncation(r).dim if dim is None else dim, tail_tol)
-    return float(phase_ratio(np.array([float(sigma)]), r, alpha, trunc)[0, 0])
 
 
 def fit_lambda(samples) -> tuple[float, float]:

@@ -1,9 +1,10 @@
 """Reference paths: the independent computations that `verify` and the
 tests check the production kernels against.
 
-- The oracles' default cutoffs (default_dims, default_truncation);
-  explicit state vectors over the truncated Fock space, the matrix
-  squeezer and coherent amplitudes.
+- The oracles' cutoff, Truncation, which production does not take, and
+  their default cutoffs (default_dims, default_truncation, and
+  series_truncation for the label series); explicit state vectors over
+  the truncated Fock space, the matrix squeezer and coherent amplitudes.
 - One matrix exponential for every oracle generator, all of which are
   real antisymmetric and tridiagonal (the squeezer's on its even and on
   its odd levels): a diagonal phase similarity makes each a real
@@ -40,14 +41,11 @@ import numpy as np
 
 from . import kerr, sources
 from .detect import TINY, DetectorModel, ZeroClickError, ZeroMeanError
-from .fockspace import (
-    DEFAULT_TAIL_TOL,
-    SQUEEZE_LIMIT,
-    NumericalFailureError,
-    Truncation,
-    TruncationError,
-)
+from .fockspace import SQUEEZE_LIMIT, NumericalFailureError, TruncationError
 from .optics import ZeroHeraldError
+
+# Probability mass allowed above the cutoff when constructing states.
+DEFAULT_TAIL_TOL = 1e-3
 
 BALANCED_ANGLE = math.pi / 4.0
 LN2 = math.log(2.0)
@@ -71,6 +69,28 @@ MONTE_CARLO_BLOCK = 4096
 # ------------------------------------------------------------ Fock space
 
 
+@dataclasses.dataclass(frozen=True)
+class Truncation:
+    """Fock cutoff of one oracle state.
+
+    Levels ``0 .. dim-1`` are kept; constructors reject states whose
+    probability mass above the cutoff exceeds ``tail_tol``.
+    """
+
+    dim: int
+    tail_tol: float = DEFAULT_TAIL_TOL
+
+    def __post_init__(self):
+        if self.dim < 2:
+            raise ValueError(f"dim must be at least 2, got {self.dim}")
+        if not 0.0 <= self.tail_tol < 1.0:
+            raise ValueError(f"tail_tol must lie in [0, 1), got {self.tail_tol}")
+
+    def scaled(self, factor: float) -> "Truncation":
+        """Same tolerance with the cutoff enlarged by ``factor``, rounded up."""
+        return Truncation(dim=math.ceil(self.dim * factor), tail_tol=self.tail_tol)
+
+
 def default_dims(r) -> np.ndarray:
     """The dense oracles' cutoff dim at each |r| of an array r.
 
@@ -91,6 +111,12 @@ def default_dims(r) -> np.ndarray:
 def default_truncation(r: float = 0.0, tail_tol: float = DEFAULT_TAIL_TOL) -> Truncation:
     """The default_dims cutoff of one r, with tail tolerance tail_tol."""
     return Truncation(int(default_dims(r)), tail_tol)
+
+
+def series_truncation(r: float, tail_tol: float = kerr.SERIES_TAIL_TOL) -> Truncation:
+    """The label series' cutoff at one r, kerr.series_dims, with the tail
+    tolerance kerr.SERIES_STATE_TOL of its states."""
+    return Truncation(int(kerr.series_dims([r], tail_tol)[0]), kerr.SERIES_STATE_TOL)
 
 
 # log k! for k < len(_LOG_FACTORIALS): read-only, grown on demand.
@@ -355,7 +381,7 @@ def pair_amplitudes(r, sign: int | None, trunc: Truncation) -> np.ndarray:
     if sign is not None:
         checks.append((1.0 - np.sum(mag * mag, axis=-1),
                        "superposition at r = {r}, sign = %+d" % sign))
-    sources._check_tails(r, trunc, *checks)
+    sources._check_tails(r, trunc.dim, trunc.tail_tol, *checks)
     mag.setflags(write=False)
     return mag
 
@@ -365,7 +391,8 @@ def _tmss_tanh(r, trunc: Truncation):
     tail mass tanh^(2 dim) r fits the cutoff."""
     sources._check_squeeze(r)
     t = np.tanh(np.abs(r))
-    sources._check_tails(r, trunc, ((t * t) ** trunc.dim, "two-mode squeezed vacuum at r = {r}"))
+    sources._check_tails(r, trunc.dim, trunc.tail_tol,
+                         ((t * t) ** trunc.dim, "two-mode squeezed vacuum at r = {r}"))
     return t
 
 
@@ -817,7 +844,7 @@ def p0_over_tau(
     if not r > 0.0:
         raise ValueError("squeezing must be positive")
     if trunc is None:
-        trunc = kerr.series_truncation(r)
+        trunc = series_truncation(r)
     if label is None:
         label = -alpha if sign < 0 else alpha
     n, g = _pair_series(r, sign, trunc)
@@ -864,7 +891,7 @@ def _odd_ratio(
     kerr._check_schedule(dthetas, alpha)
     if not r >= 0.0:
         raise ValueError("squeezing must be nonnegative")
-    trunc = Truncation(kerr.series_truncation(r).dim if dim is None else dim, tail_tol)
+    trunc = Truncation(series_truncation(r).dim if dim is None else dim, tail_tol)
     n, g = _pair_series(r, -1, trunc)
     ref = _overlap_probability(np.array([math.pi]), n, g, alpha, -alpha)[0]
     if not ref >= TINY:  # a NaN reference fails too
@@ -877,7 +904,7 @@ def phase_error_ratio(r: float, alpha: float, dtheta: float, dim: int | None = N
     """R(r, alpha, dtheta): herald probability at interaction phase
     pi + dtheta, normalized by its dtheta = 0 value (so R(., ., 0) = 1
     exactly and residual finite-alpha effects cancel); the integrand that
-    kerr.gaussian_averaged_ratio averages."""
+    kerr.phase_ratio averages."""
     return float(_odd_ratio(r, alpha, np.array([dtheta]), dim)[0])
 
 
@@ -920,7 +947,7 @@ def _averaged_ratio_quadrature(
 def _hermite_ladder_ratio(r: float, alpha: float, sigma: float) -> float:
     """Gaussian-averaged ratio from the Gauss-Hermite ladder: the first
     adjacent pair of QUADRATURE_ORDERS that agrees within
-    QUADRATURE_AGREEMENT (the oracle for kerr.gaussian_averaged_ratio)."""
+    QUADRATURE_AGREEMENT (the oracle for kerr.phase_ratio)."""
     prev = _averaged_ratio_quadrature(r, alpha, sigma, QUADRATURE_ORDERS[0], None)
     for order in QUADRATURE_ORDERS[1:]:
         cur = _averaged_ratio_quadrature(r, alpha, sigma, order, None)
@@ -938,7 +965,7 @@ def _monte_carlo_ratio(
 ) -> float:
     """Mean of phase_error_ratio over `samples` seeded draws dtheta ~
     N(0, sigma^2) at the series cutoff (a second oracle for
-    kerr.gaussian_averaged_ratio)."""
+    kerr.phase_ratio)."""
     if seed is None:
         raise ValueError("monte-carlo averaging requires a seed")
     rng = np.random.default_rng(seed)

@@ -36,7 +36,7 @@ def truncations(
         raise ValueError(f"unknown cutoff kind {kind!r}")
     r = np.abs(np.asarray(r, dtype=float))
     dims = kerr.series_dims(r) if dim is None else np.full(len(r), dim)
-    return CutoffColumn.from_array(dims, kerr.SERIES_STATE_TOL if tail_tol is None else tail_tol)
+    return CutoffColumn(dims, kerr.SERIES_STATE_TOL if tail_tol is None else tail_tol)
 
 
 @dataclasses.dataclass(frozen=True)

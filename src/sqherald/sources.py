@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fockspace import SQUEEZE_LIMIT, CutoffColumn, Truncation, TruncationError
+from .fockspace import SQUEEZE_LIMIT, CutoffColumn, TruncationError
 
 # The longest half-binomial table built (128 MB), and the last pair level
 # the series-cutoff search sums, far past the cutoff of any allowed r.
@@ -41,17 +41,17 @@ def _check_squeeze(r) -> None:
         raise ValueError(f"|r| must not exceed {SQUEEZE_LIMIT}, got {np.asarray(r)[over][0]}")
 
 
-def _check_tails(r, trunc, *checks: tuple[np.ndarray, str]) -> None:
+def _check_tails(r, dims, tail_tol: float, *checks: tuple[np.ndarray, str]) -> None:
     """TruncationError for the first r whose tail mass beyond its cutoff
-    (trunc, a Truncation or a CutoffColumn over r) exceeds the tolerance
-    in any of the (tail, what) checks, naming the first check it fails and
-    its own dim; `what` is formatted with r."""
-    if not any(np.any(tail > trunc.tail_tol) for tail, _ in checks):
+    exceeds tail_tol in any of the (tail, what) checks, naming the first
+    check it fails and its own dim; dims is one int for every r or one
+    per r, and `what` is formatted with r."""
+    if not any(np.any(tail > tail_tol) for tail, _ in checks):
         return
-    over = np.array([np.atleast_1d(tail) > trunc.tail_tol for tail, _ in checks])
+    over = np.array([np.atleast_1d(tail) > tail_tol for tail, _ in checks])
     i = int(np.flatnonzero(over.any(axis=0))[0])
     tail, what = checks[int(np.flatnonzero(over[:, i])[0])]
-    dim = trunc.dim if isinstance(trunc, Truncation) else trunc.dims[i]
+    dim = int(np.broadcast_to(dims, over.shape[1:])[i])
     raise TruncationError(
         f"{what.format(r=float(np.atleast_1d(r)[i]))} does not fit in dim = {dim}",
         float(np.atleast_1d(tail)[i]),
@@ -88,7 +88,7 @@ def odd_branch_weights(r: np.ndarray, column: CutoffColumn) -> np.ndarray:
     """
     _check_squeeze(r)
     a = np.abs(np.asarray(r, dtype=np.longdouble))
-    pairs = (column.dims_array + 1) // 2
+    pairs = (column.dims + 1) // 2
     _check_half_binomials(int(pairs.max(initial=1)))  # before allocating k
     k = np.arange(1, int(pairs.max(initial=1)), 2)
     ch = np.cosh(a)
@@ -101,7 +101,7 @@ def odd_branch_weights(r: np.ndarray, column: CutoffColumn) -> np.ndarray:
     rows = np.arange(len(a))
     odd_mass = np.cumsum(np.hstack([np.zeros((len(a), 1)), odd]), axis=1)[rows, pairs // 2]
     vac_mass = _vacuum_sums((1.0 / ch).astype(float), ch, t2, products, k)[rows, pairs - 1]
-    _check_tails(r, column, (1.0 - vac_mass, "squeezed vacuum at r = {r}"),
+    _check_tails(r, column.dims, column.tail_tol, (1.0 - vac_mass, "squeezed vacuum at r = {r}"),
                  (1.0 - odd_mass, "superposition at r = {r}, sign = -1"))
     return g
 

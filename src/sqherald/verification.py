@@ -15,7 +15,6 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from . import analysis, detect, kerr, reference, registry, sources
-from .fockspace import DEFAULT_TAIL_TOL, Truncation
 
 
 @dataclasses.dataclass(frozen=True)
@@ -54,14 +53,14 @@ class VerifyConfig:
                 raise ValueError(f"a forced dim of {self.dim} needs dense {self.dim} x "
                                  f"{self.dim} tables that cannot be allocated") from None
 
-    def trunc(self, r: float) -> Truncation:
+    def trunc(self, r: float) -> reference.Truncation:
         """The dense oracles' cutoff at one r: reference.default_truncation
         of |r|, its dim replaced by a forced dim and its tolerance by a
         forced tail_tol."""
-        tail_tol = DEFAULT_TAIL_TOL if self.tail_tol is None else self.tail_tol
+        tail_tol = reference.DEFAULT_TAIL_TOL if self.tail_tol is None else self.tail_tol
         if self.dim is None:
             return reference.default_truncation(r, tail_tol)
-        return Truncation(self.dim, tail_tol)
+        return reference.Truncation(self.dim, tail_tol)
 
     def column(self, name: str, **params) -> np.ndarray:
         """The registered quantity at every point of params (floats, or 1-D
@@ -268,7 +267,7 @@ def criterion_11(cfg: VerifyConfig) -> Iterator[Check]:
     n_a, n_b = np.indices((24, 24))
     amps = np.cos(n_a + 2.0 * n_b + 1.0) + 1j * np.sin(3.0 * n_a - n_b + 0.5)
     amps /= math.sqrt(float(np.sum(np.abs(amps) ** 2)))
-    before = reference.TwoModeState(amps, Truncation(24))
+    before = reference.TwoModeState(amps, reference.Truncation(24))
     after = reference.apply_beam_splitter(before)
     worst_block = 0.0
     for total in range(24):
@@ -279,7 +278,7 @@ def criterion_11(cfg: VerifyConfig) -> Iterator[Check]:
     yield Check.below("per-block mass conserved", worst_block, 1e-12)
 
     # construction-path equivalence at dim 48
-    path_trunc = Truncation(48)
+    path_trunc = reference.Truncation(48)
     direct = reference.split(reference.squeezed_vacuum(0.725, path_trunc))
     decomposed = reference.split_via_squeezer_decomposition(0.725, path_trunc)
     gap = float(np.max(np.abs(direct.joint_distribution() - decomposed.joint_distribution())))

@@ -143,12 +143,13 @@ def test_every_quantity_runs_at_the_one_cutoff_policy(monkeypatch, name, dim, ta
         assert seen == [(None,)]
         return
     # one call, each point at its own cutoff and at its own 1.5x recheck
-    column = fs.CutoffColumn(tuple(c.dims[0] for c in expected), expected[0].tail_tol)
-    assert seen == [(column, column.scaled(1.5))]
-    assert column.scaled(1.5).dims == tuple(c.scaled(1.5).dims[0] for c in expected)
+    ((column, recheck),) = seen
+    assert column.dims.tolist() == [int(c.dims[0]) for c in expected]
+    assert recheck.dims.tolist() == [int(c.scaled(1.5).dims[0]) for c in expected]
+    assert column.tail_tol == recheck.tail_tol == expected[0].tail_tol
     # an override replaces only its own half of the documented default
     for r, cutoff in zip(POLICY_RS, expected):
-        assert cutoff.dims[0] == (kerr.series_truncation(r).dim if dim is None else dim)
+        assert cutoff.dims[0] == (kerr.series_dims([r])[0] if dim is None else dim)
         assert cutoff.tail_tol == (DOCUMENTED_TAIL_TOLS[q.cutoff] if tail_tol is None
                                    else tail_tol)
     if dim is None:

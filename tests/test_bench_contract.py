@@ -1,10 +1,11 @@
 """The traced benchmark's contract with the package.
 
 bench/tracing.py wraps the package's public functions, every registered
-quantity and `cli.main` at run time, and binds parameters such as
-`gaussian_averaged_ratio`'s r, sigma and dim by name.  A traced sweep
-through the CLI, followed by the metric pass, fails here when an API
-change breaks that contract.
+quantity and `cli.main` at run time, and describes the registry's calls
+by their cutoff's dim.  Its `kerr.gaussian_averaged_ratio` branches
+match a span name that the package no longer has, so they never run.
+A traced sweep through the CLI, followed by the metric pass, fails here
+when an API change breaks that contract.
 """
 import importlib.util
 import pathlib
@@ -37,7 +38,8 @@ def test_traced_sweep_yields_the_layer_metrics(capsys):
     metrics, notes = tracing.layer_metrics(tracer.spans)
     # two points at one cutoff: one grouped call evaluates the series
     # cutoff and its 1.5x recheck together, through kerr.phase_ratio, so
-    # the tracer sees no recheck call and no gaussian_averaged_ratio span
+    # the tracer sees no recheck call, and no one-point averaged-ratio
+    # span exists to count
     assert metrics["registry.evals"] == 1.0
     assert metrics["kerr.avg_ratio_calls"] == 0.0
     assert metrics["kerr.series_pairs"] == 0.0

@@ -196,6 +196,20 @@ def test_sweep_rejects_bad_ranges(capsys, argv):
     assert "invalid sweep range" in err
 
 
+@pytest.mark.parametrize("bounds", [("--lo=0", "--hi=inf"), ("--lo=-1e308", "--hi=1e308")])
+def test_sweep_refuses_a_grid_without_a_finite_span(capsys, bounds):
+    # an infinite bound, or a span hi - lo that overflows, would make
+    # linspace warn and hand NaN to the quantity, which blamed the grid's r
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "sweep", "--quantity", "p11_cat_minus", "--var", "r",
+                                 *bounds, "--points", "3")
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert "invalid sweep range" in err and "finite span" in err
+    assert "Warning" not in err and caught == []
+
+
 def test_sweep_unknown_quantity_exits_usage(capsys):
     code, out, err = run_cli(
         capsys, "sweep", "--quantity", "nope", "--var", "r",

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqherald import analysis, detect, reference, registry
-from sqherald import fockspace as fs
 
 DET9 = detect.DetectorModel(0.9)
 
@@ -60,7 +59,7 @@ def test_click_weights_geometric_completeness():
 
 def test_click_statistics_two_photon_hand_computation():
     # split |2>: outcomes (2,0), (1,1), (0,2) with weights 1/4, 1/2, 1/4
-    dist = reference.joint_probability(reference.split(reference.fock_state(2, fs.Truncation(16))))
+    dist = reference.joint_probability(reference.split(reference.fock_state(2, reference.Truncation(16))))
     st = reference.click_statistics(dist, DET9)
     assert st.p_click_1 == pytest.approx(0.45, abs=1e-15)
     assert st.p_click == pytest.approx(0.45 + 0.9 * 0.1 * 0.25, abs=1e-15)
@@ -83,7 +82,7 @@ def test_click_statistics_invariants():
 
 
 def test_perfect_detector_reduces_to_ideal_herald():
-    trunc = fs.Truncation(64)
+    trunc = reference.Truncation(64)
     dist = reference.joint_probability(
         reference.split(reference.squeezed_cat(0.725, -1, trunc))
     )
@@ -99,7 +98,7 @@ def test_heralded_cat_regression_fixture():
 
 
 def test_click_statistics_zero_click():
-    dist = reference.joint_probability(reference.split(reference.vacuum_state(fs.Truncation(8))))
+    dist = reference.joint_probability(reference.split(reference.vacuum_state(reference.Truncation(8))))
     with pytest.raises(detect.ZeroClickError):
         reference.click_statistics(dist, DET9)
 

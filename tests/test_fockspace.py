@@ -1,6 +1,7 @@
 """Unit tests for the truncated Fock-space core and the reference state
 vectors, squeezer, coherent amplitudes and log-factorial table."""
 
+import importlib
 import math
 
 import numpy as np
@@ -14,18 +15,18 @@ from sqherald import reference, sources
 
 def test_truncation_validation():
     with pytest.raises(ValueError):
-        fs.Truncation(1)
+        reference.Truncation(1)
     with pytest.raises(ValueError):
-        fs.Truncation(16, tail_tol=1.0)
+        reference.Truncation(16, tail_tol=1.0)
     with pytest.raises(ValueError):
-        fs.Truncation(16, tail_tol=-0.1)
-    tr = fs.Truncation(16, tail_tol=1e-6)
+        reference.Truncation(16, tail_tol=-0.1)
+    tr = reference.Truncation(16, tail_tol=1e-6)
     assert tr.dim == 16
     assert tr.tail_tol == 1e-6
 
 
 def test_truncation_scaled_rounds_up():
-    tr = fs.Truncation(11)
+    tr = reference.Truncation(11)
     assert tr.scaled(1.5).dim == 17
     assert tr.scaled(1.5).tail_tol == tr.tail_tol
     assert tr.scaled(2.0).dim == 22
@@ -41,7 +42,7 @@ def test_default_truncation_tiers():
 
 
 def test_vacuum_and_fock_states():
-    tr = fs.Truncation(8)
+    tr = reference.Truncation(8)
     vac = reference.vacuum_state(tr)
     assert vac.amps[0] == 1.0
     assert np.all(vac.amps[1:] == 0.0)
@@ -55,14 +56,14 @@ def test_vacuum_and_fock_states():
 
 
 def test_state_amplitudes_are_frozen():
-    st = reference.vacuum_state(fs.Truncation(4))
+    st = reference.vacuum_state(reference.Truncation(4))
     with pytest.raises(ValueError):
         st.amps[0] = 0.5
 
 
 def test_coherent_matches_poisson():
     alpha = 1.3
-    tr = fs.Truncation(40)
+    tr = reference.Truncation(40)
     st = reference.coherent_amplitudes(alpha, tr)
     n = np.arange(tr.dim)
     poisson = np.exp(-alpha**2) * alpha ** (2 * n) / np.array(
@@ -73,18 +74,18 @@ def test_coherent_matches_poisson():
 
 
 def test_coherent_norm_at_stated_cutoff():
-    st = reference.coherent_amplitudes(2.0, fs.Truncation(30))
+    st = reference.coherent_amplitudes(2.0, reference.Truncation(30))
     assert abs(st.norm_sq() - 1.0) < 1e-10
 
 
 def test_coherent_truncation_error_when_cutoff_too_small():
     with pytest.raises(fs.TruncationError) as err:
-        reference.coherent_amplitudes(4.0, fs.Truncation(12, tail_tol=1e-8))
+        reference.coherent_amplitudes(4.0, reference.Truncation(12, tail_tol=1e-8))
     assert err.value.tail_mass > 1e-8
 
 
 def test_ladder_operators():
-    tr = fs.Truncation(12)
+    tr = reference.Truncation(12)
     a = reference.annihilation(tr)
     # canonical commutator away from the cutoff corner
     comm = a @ a.T - a.T @ a
@@ -92,13 +93,13 @@ def test_ladder_operators():
 
 
 def test_squeeze_matrix_identity_at_zero():
-    tr = fs.Truncation(20)
+    tr = reference.Truncation(20)
     assert np.array_equal(reference.squeeze_matrix(0.0, tr), np.eye(20))
 
 
 def test_squeeze_matrix_rejects_a_non_finite_parameter():
     with pytest.raises(fs.NumericalFailureError):
-        reference.squeeze_matrix(float("nan"), fs.Truncation(8))
+        reference.squeeze_matrix(float("nan"), reference.Truncation(8))
 
 
 def test_log_factorials_match_scipy_gammaln():
@@ -140,7 +141,7 @@ def test_oracle_states_build_without_the_production_products(monkeypatch):
 
     monkeypatch.setattr(sources, "_half_binomials", refuse)
     monkeypatch.setattr(sources, "_pair_products", refuse)
-    trunc = fs.Truncation(64)
+    trunc = reference.Truncation(64)
     for sign in (None, +1, -1):
         assert reference.pair_amplitudes(np.array([0.0, 0.725]), sign, trunc).shape == (2, 32)
     for state in (reference.squeezed_vacuum(0.725, trunc), reference.squeezed_cat(0.725, +1, trunc),
@@ -149,21 +150,58 @@ def test_oracle_states_build_without_the_production_products(monkeypatch):
 
 
 def test_cutoff_column_keeps_one_array_of_its_dims():
-    column = fs.CutoffColumn((64, 160, 64, 96), 1e-3)
-    dims = column.dims_array
-    assert dims.tolist() == [64, 160, 64, 96] and not dims.flags.writeable
-    assert column.dims_array is dims
-    # built from an array, a column equals and hashes as the tuple's does
-    same = fs.CutoffColumn.from_array(np.array([64, 160, 64, 96]), 1e-3)
-    assert same == column and hash(same) == hash(column)
-    assert all(type(d) is int for d in same.dims)
+    given = np.array([64, 160, 64, 96])
+    column = fs.CutoffColumn(given, 1e-3)
+    # one read-only np.intp copy: the caller's array stays its own
+    assert column.dims.dtype == np.intp and not column.dims.flags.writeable
+    assert column.dims.tolist() == [64, 160, 64, 96] and given.flags.writeable
+    with pytest.raises(ValueError):
+        column.dims[0] = 1
+    assert fs.CutoffColumn((64, 160, 64, 96), 1e-3).dims.tolist() == column.dims.tolist()
+    assert column.dim == 160 and type(column.dim) is int
     scaled = column.scaled(1.5)
-    assert scaled == fs.CutoffColumn((96, 240, 96, 144), 1e-3)
-    assert all(type(d) is int for d in scaled.dims)
-    assert fs.CutoffColumn((11,), 0.0).scaled(1.5).dims == (fs.Truncation(11).scaled(1.5).dim,)
-    assert column.take([3, 1]) == fs.CutoffColumn((96, 160), 1e-3)
-    assert column.take(np.array([], dtype=np.intp)).dims == ()
-    assert fs.cutoff_column(fs.Truncation(48, 1e-6), 3) == fs.CutoffColumn((48,) * 3, 1e-6)
+    assert scaled.dims.tolist() == [96, 240, 96, 144] and scaled.tail_tol == 1e-3
+    assert not scaled.dims.flags.writeable
+    # 1.5x rounds up, as the oracles' Truncation.scaled does
+    assert fs.CutoffColumn((11,), 0.0).scaled(1.5).dims.tolist() == [17]
+    taken = column.take([3, 1])
+    assert taken.dims.tolist() == [96, 160] and not taken.dims.flags.writeable
+    assert column.take(np.array([], dtype=np.intp)).dims.tolist() == []
+
+
+def test_cutoff_column_refuses_what_no_cutoff_can_keep():
+    for dims in ((1,), (64, 1, 64), (0,)):
+        with pytest.raises(ValueError, match="dim must be at least 2"):
+            fs.CutoffColumn(dims, 1e-3)
+    for tail_tol in (1.0, -0.1, math.nan):
+        with pytest.raises(ValueError, match=r"tail_tol must lie in \[0, 1\)"):
+            fs.CutoffColumn((64,), tail_tol)
+    edge = fs.CutoffColumn((2, 64), 0.0)
+    assert edge.dims.tolist() == [2, 64] and edge.tail_tol == 0.0
+
+
+PRODUCTION_MODULES = ("fockspace", "sources", "optics", "detect", "kerr", "analysis",
+                      "registry", "cli")
+
+
+def test_production_has_one_cutoff_type():
+    # the oracles' Truncation and DEFAULT_TAIL_TOL live in reference alone;
+    # production names neither, nor the helpers that took a Truncation
+    import sqherald
+
+    for name in PRODUCTION_MODULES:
+        module = importlib.import_module(f"sqherald.{name}")
+        assert not hasattr(module, "Truncation"), name
+        assert not hasattr(module, "DEFAULT_TAIL_TOL"), name
+    for gone in ("Truncation", "DEFAULT_TAIL_TOL", "gaussian_averaged_ratio"):
+        assert not hasattr(sqherald, gone) and gone not in sqherald.__all__
+    kerr = importlib.import_module("sqherald.kerr")
+    assert not hasattr(kerr, "series_truncation")
+    assert not hasattr(kerr, "gaussian_averaged_ratio")
+    assert not hasattr(fs, "cutoff_column")
+    assert not hasattr(fs.CutoffColumn, "from_array")
+    assert not hasattr(fs.CutoffColumn, "dims_array")
+    assert reference.Truncation(8).tail_tol == reference.DEFAULT_TAIL_TOL
 
 
 def test_expm_antisymmetric_matches_scipy_expm():
@@ -183,21 +221,21 @@ def test_squeeze_matrix_matches_scipy_expm_of_its_generator():
     # 117) scipy's own result departs from orthogonality by 6e-13, so the
     # gap is bounded at 1e-12 and orthogonality checked on its own
     for dim in (2, 3, 17, 48):
-        a = reference.annihilation(fs.Truncation(dim))
+        a = reference.annihilation(reference.Truncation(dim))
         for r in (-1.3, 0.2, 0.725, 3.0):
             want = scipy.linalg.expm(0.5 * r * (a @ a - a.T @ a.T))
-            got = reference.squeeze_matrix(r, fs.Truncation(dim))
+            got = reference.squeeze_matrix(r, reference.Truncation(dim))
             assert np.max(np.abs(got - want)) <= 1e-12, (dim, r)
             assert np.max(np.abs(got.T @ got - np.eye(dim))) <= 1e-14, (dim, r)
 
 
 def test_squeeze_matrix_rejects_large_parameter():
     with pytest.raises(ValueError):
-        reference.squeeze_matrix(3.2, fs.Truncation(32))
+        reference.squeeze_matrix(3.2, reference.Truncation(32))
 
 
 def test_squeeze_inverse_pair_on_lower_half():
-    tr = fs.Truncation(60)
+    tr = reference.Truncation(60)
     prod = reference.squeeze_matrix(0.5, tr) @ reference.squeeze_matrix(-0.5, tr)
     half = tr.dim // 2
     gap = np.abs(prod[:half, :half] - np.eye(half))
@@ -205,7 +243,7 @@ def test_squeeze_inverse_pair_on_lower_half():
 
 
 def test_squeeze_unitary_on_protected_subspace():
-    tr = fs.Truncation(60)
+    tr = reference.Truncation(60)
     for r in (0.3, 0.725, 1.2):
         mat = reference.squeeze_matrix(r, tr)
         gram = mat.T @ mat - np.eye(tr.dim)
@@ -219,21 +257,21 @@ def test_squeeze_vacuum_column_matches_closed_form():
     # the top entries at dim 60 carry a ~1e-7 artifact, so the strict
     # entrywise match is asserted where the construction can deliver it.
     r = 0.725
-    sixty = fs.Truncation(60)
+    sixty = reference.Truncation(60)
     col = reference.squeeze_matrix(r, sixty)[:, 0]
     ref = reference.squeezed_vacuum(r, sixty)
     assert np.max(np.abs(col - ref.amps)) < 2e-7
     assert np.max(np.abs(col[:41] - ref.amps[:41])) < 1e-8
     assert np.max(np.abs(col**2 - ref.photon_distribution())) < 1e-8
-    eighty = fs.Truncation(80)
+    eighty = reference.Truncation(80)
     col80 = reference.squeeze_matrix(r, eighty)[:, 0]
     ref80 = reference.squeezed_vacuum(r, eighty)
     assert np.max(np.abs(col80 - ref80.amps)) < 1e-8
 
 
 def test_inner_product_requires_matching_spaces():
-    a = reference.vacuum_state(fs.Truncation(8))
-    b = reference.vacuum_state(fs.Truncation(10))
+    a = reference.vacuum_state(reference.Truncation(8))
+    b = reference.vacuum_state(reference.Truncation(10))
     with pytest.raises(reference.TruncationMismatchError):
         reference.inner_product(a, b)
     joint = reference.tensor(a, a)
@@ -242,7 +280,7 @@ def test_inner_product_requires_matching_spaces():
 
 
 def test_opposite_coherent_states_are_numerically_orthogonal():
-    tr = fs.Truncation(192)
+    tr = reference.Truncation(192)
     plus = reference.coherent_amplitudes(10.0, tr)
     minus = reference.coherent_amplitudes(-10.0, tr)
     overlap = reference.inner_product(plus, minus)
@@ -252,14 +290,14 @@ def test_opposite_coherent_states_are_numerically_orthogonal():
 
 
 def test_tensor_product_amplitudes():
-    tr = fs.Truncation(6)
+    tr = reference.Truncation(6)
     joint = reference.tensor(reference.fock_state(1, tr), reference.fock_state(4, tr))
     assert joint.amps[1, 4] == 1.0
     assert joint.norm_sq() == 1.0
 
 
 def test_two_mode_state_distribution():
-    tr = fs.Truncation(4)
+    tr = reference.Truncation(4)
     amps = np.zeros((4, 4), dtype=complex)
     amps[0, 0] = math.sqrt(0.25)
     amps[2, 1] = 1j * math.sqrt(0.75)

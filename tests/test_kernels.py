@@ -63,8 +63,8 @@ def _dense_cutoff(r):
     t = math.tanh(r)
     for dim in DENSE_DIMS:
         if t == 0.0 or dim * dim * t**dim / (1.0 - t * t) < 1e-18:
-            return fs.Truncation(dim, 0.5), True
-    return fs.Truncation(DENSE_DIMS[-1], 0.5), False
+            return reference.Truncation(dim, 0.5), True
+    return reference.Truncation(DENSE_DIMS[-1], 0.5), False
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -273,11 +273,11 @@ def test_photon_numbers_keep_the_tail_checks_and_the_odd_limit():
     # the pair amplitudes behind the Kerr series and the oracles keep their
     # tail checks; the closed forms keep the odd branch's r -> 0 limit |2>,
     # whose split gives P(1,1) = P(n_a = 1) = 1/2
-    mag = reference.pair_amplitudes(np.array([0.725]), -1, fs.Truncation(64))
+    mag = reference.pair_amplitudes(np.array([0.725]), -1, reference.Truncation(64))
     assert abs(float(np.sum(mag[0] ** 2)) - 1.0) <= 1e-12
     for sign in (-1, +1, None):
         with pytest.raises(fs.TruncationError):
-            reference.pair_amplitudes(np.array([1.5]), sign, fs.Truncation(16))
+            reference.pair_amplitudes(np.array([1.5]), sign, reference.Truncation(16))
     with pytest.raises(fs.TruncationError):
         sources.odd_branch_weights(np.array([1.5]), fs.CutoffColumn((16,), 1e-3))
     row = _herald_row(0.0, -1, 8)
@@ -329,7 +329,7 @@ def test_tmss_p11_matches_the_dense_benchmark():
         dense = float(reference.tmss_joint_probability(r, trunc).p[1, 1])
         assert abs(sources.tmss_p11(r) - dense) <= 1e-15
     with pytest.raises(fs.TruncationError):
-        reference.tmss_joint_probability(2.0, fs.Truncation(16))
+        reference.tmss_joint_probability(2.0, reference.Truncation(16))
     with pytest.raises(ValueError):
         sources.tmss_p11(3.5)
 

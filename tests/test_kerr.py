@@ -21,6 +21,26 @@ IDEAL = np.array([math.pi])
 P0_IDEAL = 0.1665808855379014
 
 
+def _column(trunc, points):
+    """The oracle cutoff trunc at each of `points` points, as the
+    CutoffColumn that kerr takes."""
+    return fs.CutoffColumn(np.full(points, trunc.dim), trunc.tail_tol)
+
+
+def _series(r, points=1):
+    """The series cutoff of r at each of `points` points, as
+    registry.truncations gives it to a column."""
+    return registry.truncations("series", np.full(points, float(r)))
+
+
+def _ratio(r, alpha, sigma, dim=None, tail_tol=kerr.SERIES_STATE_TOL):
+    """kerr.phase_ratio at the one point (sigma, r), cut at dim (default:
+    the series cutoff of r) with tail tolerance tail_tol."""
+    dim = reference.series_truncation(r).dim if dim is None else dim
+    column = _column(reference.Truncation(dim, tail_tol), 1)
+    return float(kerr.phase_ratio(np.array([float(sigma)]), r, alpha, column)[0, 0])
+
+
 def fock_grid_p0(tau_tilde, r, sign, alpha, label, sys_dim, pump_dim):
     """Independent oracle: evolve on an explicit two-mode Fock grid.
 
@@ -28,8 +48,8 @@ def fock_grid_p0(tau_tilde, r, sign, alpha, label, sys_dim, pump_dim):
     squeezed_cat(sign)_1 x |label>_2, with every factor built from dense
     amplitudes rather than the label-series kernel.
     """
-    sys_t = fs.Truncation(sys_dim)
-    pump_t = fs.Truncation(pump_dim)
+    sys_t = reference.Truncation(sys_dim)
+    pump_t = reference.Truncation(pump_dim)
     sv = reference.squeezed_vacuum(r, sys_t).amps
     pump = reference.coherent_amplitudes(alpha, pump_t).amps
     n1 = np.arange(sys_dim)
@@ -54,20 +74,20 @@ def test_schedule_validation():
 
 
 def test_hybrid_state_requires_converged_coefficients():
-    trunc = fs.Truncation(16)
+    trunc = reference.Truncation(16)
     with pytest.raises(fs.TruncationError):
         reference.HybridKerrState(np.array([0.5]), np.array([1.0 + 0j]), trunc)
 
 
 def test_kerr_evolve_imprints_pair_phases():
     sched = reference.KerrSchedule(0.7, 2.5)
-    state = reference.kerr_evolve(0.725, sched, kerr.series_truncation(0.725))
+    state = reference.kerr_evolve(0.725, sched, reference.series_truncation(0.725))
     n = state.pair_indices
     expected = 2.5 * np.exp(-1j * n * 0.7)
     assert np.max(np.abs(state.labels - expected)) < 1e-14
     assert np.array_equal(state.photon_numbers, 2 * n)
     full_turn = reference.kerr_evolve(
-        0.725, reference.KerrSchedule(2.0 * math.pi, 2.5), kerr.series_truncation(0.725)
+        0.725, reference.KerrSchedule(2.0 * math.pi, 2.5), reference.series_truncation(0.725)
     )
     assert np.max(np.abs(full_turn.labels - 2.5)) < 1e-12
 
@@ -82,7 +102,7 @@ def test_coherent_overlap_closed_form():
 def state_path_p0(sched, r, sign, label):
     """Oracle: project the explicit hybrid state from kerr_evolve onto the
     superposition and the label, one coherent_overlap per pair term."""
-    trunc = kerr.series_truncation(r)
+    trunc = reference.series_truncation(r)
     state = reference.kerr_evolve(r, sched, trunc)
     d = reference.squeezed_cat(r, sign, trunc).amps
     amp = sum(
@@ -121,7 +141,7 @@ def _odd_series(r, trunc):
 
 def test_pair_series_drops_exactly_the_zero_terms():
     for r in (0.725, 2.0):
-        trunc = kerr.series_truncation(r)
+        trunc = reference.series_truncation(r)
         levels = 2 * np.arange((trunc.dim + 1) // 2)
         base = reference.squeezed_vacuum(r, trunc).amps[levels]
         dense = {}
@@ -175,7 +195,7 @@ def _mp_odd_weights(r, pairs):
 def test_weight_rows_match_50_digit_series(r):
     # every weight that is a normal float, at the series cutoff and at 1.5x
     # it; the oracles' log-space amplitudes read up to 1.2e-11 off at r = 3
-    base = kerr.series_truncation(r)
+    base = reference.series_truncation(r)
     for trunc in (base, base.scaled(1.5)):
         g = _odd_row(r, trunc)
         want = _mp_odd_weights(r, (trunc.dim + 1) // 2)
@@ -260,7 +280,7 @@ def test_half_hermite_rule_equals_full_symmetric_rule():
     for order in (64, 128, 256, 512, 1024):
         nodes, weights = scipy.special.roots_hermite(order)
         for r in (0.725, 2.0):
-            n, g = reference._pair_series(r, -1, kerr.series_truncation(r))
+            n, g = reference._pair_series(r, -1, reference.series_truncation(r))
             ref = reference._overlap_probability(IDEAL, n, g, alpha, -alpha)[0]
             for sigma in (1e-3, 4e-3):
                 taus = math.pi + math.sqrt(2.0) * sigma * nodes
@@ -275,7 +295,7 @@ def test_trapezoid_matches_the_hermite_oracle():
     # twice the pump amplitude puts four times the harmonics in the band
     cases.append((2.0, 20.0, 1e-3))
     for r, alpha, sigma in cases:
-        trapezoid = kerr.gaussian_averaged_ratio(r, alpha, sigma)
+        trapezoid = _ratio(r, alpha, sigma)
         ladder = reference._hermite_ladder_ratio(r, alpha, sigma)
         assert abs(trapezoid - ladder) < 1e-12
 
@@ -323,14 +343,14 @@ def test_coarse_trapezoid_step_fails_the_gate(monkeypatch):
     rule = kerr._trapezoid_rule
     monkeypatch.setattr(kerr, "_trapezoid_rule", lambda sigma, band: rule(sigma, band / 100))
     with pytest.raises(kerr.QuadratureConvergenceError, match="disagree"):
-        kerr.gaussian_averaged_ratio(2.0, 10.0, 0.3)
+        _ratio(2.0, 10.0, 0.3)
 
 
 def test_trapezoid_rule_refuses_oversized_grids():
     # at r = 2 a wide sigma needs (alpha + 3)^2 * 315 nodes, past 2^20
     # for alpha = 60; the refusal comes before any node is evaluated
     with pytest.raises(kerr.QuadratureConvergenceError, match="nodes"):
-        kerr.gaussian_averaged_ratio(2.0, 60.0, 1.0)
+        _ratio(2.0, 60.0, 1.0)
     with pytest.raises(kerr.QuadratureConvergenceError, match="not finite"):
         kerr._trapezoid_rule(1.0, math.inf)
 
@@ -339,7 +359,7 @@ def test_averaged_ratio_covers_wide_phase_noise():
     # the Gauss-Hermite ladder gives up here (sigma = 0.3 at r = 0.725,
     # sigma = 0.01 at r = 2); the periodic rule covers the whole period
     for r in (0.05, 2.0):
-        values = [kerr.gaussian_averaged_ratio(r, 10.0, sigma) for sigma in (0.3, 1.0, 5.0)]
+        values = [_ratio(r, 10.0, sigma) for sigma in (0.3, 1.0, 5.0)]
         assert all(0.0 < v <= 1.0 for v in values)
         assert values[0] > values[1] > values[2]
 
@@ -351,7 +371,7 @@ def test_averaged_ratio_at_vanishing_sigma():
         for r in (0.725, 2.0):
             with warnings.catch_warnings(), np.errstate(divide="raise", invalid="raise"):
                 warnings.simplefilter("error")
-                value = kerr.gaussian_averaged_ratio(r, 10.0, sigma)
+                value = _ratio(r, 10.0, sigma)
             assert abs(value - 1.0) <= 1e-15
 
 
@@ -361,23 +381,40 @@ def test_ratio_whose_reference_has_lost_its_digits_fails_numerically():
     # r = 1e-160 (the trapezoid gate would misreport a disagreement)
     for r in (1e-200, 1e-160):
         with pytest.raises(fs.NumericalFailureError, match="lost its digits"):
-            kerr.gaussian_averaged_ratio(r, 10.0, 0.1)
+            _ratio(r, 10.0, 0.1)
         with pytest.raises(fs.NumericalFailureError, match="lost its digits"):
             reference.phase_error_ratio(r, 10.0, 0.1)
-    assert 0.0 < kerr.gaussian_averaged_ratio(1e-150, 10.0, 0.1) < 1.0
+    assert 0.0 < _ratio(1e-150, 10.0, 0.1) < 1.0
 
 
 def test_averaged_ratio_at_huge_sigma():
     # the phase is uniform over the period; the Fourier series of the
     # wrapped normal keeps one term, whose factor underflows to zero
-    values = [kerr.gaussian_averaged_ratio(0.725, 10.0, sigma) for sigma in (1e3, 1e300)]
+    values = [_ratio(0.725, 10.0, sigma) for sigma in (1e3, 1e300)]
     assert 0.0 < values[0] <= 1.0
     assert values[1] == values[0]
 
 
 def test_series_truncation_floor():
-    assert kerr.series_truncation(0.1).dim == 64
-    assert kerr.series_truncation(2.0).dim > 64
+    # the series cutoffs production takes, and the oracles' series_truncation
+    dims = registry.truncations("series", np.array([0.1, 2.0])).dims
+    assert dims[0] == 64 and dims[1] > 64
+    assert [reference.series_truncation(r).dim for r in (0.1, 2.0)] == dims.tolist()
+
+
+def test_kerr_takes_only_cutoff_columns():
+    # no cutoff, a column of the wrong length and an oracle Truncation are
+    # all refused: the old default cut every r at the largest r's cutoff
+    taus, sigmas = np.full(2, math.pi), np.full(2, 1e-3)
+    good = _series(0.725, 2)
+    for bad in ((), (_series(0.725, 3),), (good, _series(0.725, 1)),
+                (reference.series_truncation(0.725),)):
+        with pytest.raises(ValueError, match="CutoffColumns of 2 cutoffs"):
+            kerr.p0_over_tau(taus, 0.725, 10.0, *bad)
+        with pytest.raises(ValueError, match="CutoffColumns of 2 cutoffs"):
+            kerr.phase_ratio(sigmas, 0.725, 10.0, *bad)
+    assert kerr.p0_over_tau(taus, 0.725, 10.0, good).shape == (1, 2)
+    assert kerr.phase_ratio(sigmas, 0.725, 10.0, good, good.scaled(1.5)).shape == (2, 2)
 
 
 def _exact_series_dim(r: float, tail_tol: float) -> tuple[int, float]:
@@ -415,18 +452,27 @@ def test_series_dims_match_a_40_digit_tail_search():
             assert abs(dim - exact) <= 2, (r, dim, exact, margin)
 
 
-def test_p0_at_ideal_phase_equals_branch_weight():
-    p0 = kerr.p0_over_tau(IDEAL, 0.725, 10.0)[0, 0]
-    assert abs(p0 - sources.cat_norm(0.725, -1) / 4.0) < 1e-12
+@pytest.mark.parametrize("r", [1e-3, 0.05, 0.725, 1.146, 2.0, 3.0])
+def test_p0_at_ideal_phase_equals_branch_weight(r):
+    # at tau_tilde = pi every label overlap is 1, so p0 = (sum_k g_k)^2,
+    # whose full sum is sqrt(N_-)/2.  g_k is proportional to the vacuum
+    # p_2k on odd k, and sum_odd p_2k = N_-/4, so the series cut where the
+    # vacuum tail drops below SERIES_TAIL_TOL lacks at most that tail over
+    # N_-/4 of its sum, and squaring doubles the relative deficit
+    weight = sources.cat_norm(r, -1) / 4.0
+    p0 = kerr.p0_over_tau(IDEAL, r, 10.0, registry.truncations("series", np.array([r])))[0, 0]
+    deficit = 1.0 - p0 / weight
+    assert 0.0 <= deficit <= 2.0 * kerr.SERIES_TAIL_TOL / weight + 1e-14, deficit
 
 
 @pytest.mark.parametrize("alpha", (10.0, 1e3, 1e7, 1e8, 1e100, 1e150))
 def test_p0_at_ideal_phase_is_exact_for_any_pump(alpha):
     # every label overlap is exactly 1 at tau_tilde = pi; a kernel in tau
     # itself multiplies the rounding of n tau by |alpha|^2
-    _, g = _odd_series(0.725, kerr.series_truncation(0.725))
+    _, g = _odd_series(0.725, reference.series_truncation(0.725))
     assert abs(float(np.sum(g)) ** 2 - P0_IDEAL) <= 1e-15 * P0_IDEAL
-    assert abs(kerr.p0_over_tau(IDEAL, 0.725, alpha)[0, 0] - P0_IDEAL) <= 1e-15 * P0_IDEAL
+    assert abs(kerr.p0_over_tau(IDEAL, 0.725, alpha, _series(0.725))[0, 0] - P0_IDEAL) <= (
+        1e-15 * P0_IDEAL)
 
 
 def _fig5b_window(r, trunc, alpha):
@@ -440,7 +486,7 @@ def test_odd_branch_kernel_matches_the_general_overlap():
     taus = np.linspace(*registry.TAU_GRID)
     for alpha in (10.0, 3.0 + 1.0j):
         for r in (0.05, 0.725, 2.0):
-            trunc = kerr.series_truncation(r)
+            trunc = reference.series_truncation(r)
             n, g = _odd_series(r, trunc)
             kernel = kerr._odd_branch_probability(taus - math.pi, g, alpha)
             oracle = reference._overlap_probability(taus, n, g, alpha, -alpha)
@@ -458,7 +504,7 @@ def test_odd_branch_kernel_matches_the_general_overlap():
 def test_kernel_blocks_do_not_change_the_values(monkeypatch):
     # one node per block, and three per block with a shorter last block,
     # give the numbers of the whole fig5b window in one block
-    deltas, n, g = _fig5b_window(2.0, kerr.series_truncation(2.0), 10.0)
+    deltas, n, g = _fig5b_window(2.0, reference.series_truncation(2.0), 10.0)
     assert len(deltas) % 3
     monkeypatch.setattr(kerr, "KERNEL_BLOCK", len(n) * len(deltas))
     whole = kerr._odd_branch_probability(deltas, g, 10.0)
@@ -520,7 +566,7 @@ def test_kernel_hands_only_large_work_to_libm(monkeypatch):
         cis(x, cos_out, sin_out, work)
 
     monkeypatch.setattr(kerr, "_cis", spy)
-    deltas, n, g = _fig5b_window(2.0, kerr.series_truncation(2.0), 10.0)
+    deltas, n, g = _fig5b_window(2.0, reference.series_truncation(2.0), 10.0)
     blocks = -(-len(deltas) // (kerr.KERNEL_BLOCK // len(n)))
     at_limit = math.sqrt(kerr.CIS_LIMIT)
     for alpha, rotations in ((0.999 * at_limit, 2), (1.001 * at_limit, 1)):
@@ -544,7 +590,7 @@ def test_kernel_agrees_with_a_libm_rotation(monkeypatch):
     taus = np.linspace(*registry.TAU_GRID)
     turns = (kerr._cis, kerr._libm_cis)
     for r in (0.725, 2.0):
-        deltas, n, g = _fig5b_window(r, kerr.series_truncation(r), 10.0)
+        deltas, n, g = _fig5b_window(r, reference.series_truncation(r), 10.0)
         values = []
         for turn in turns:
             monkeypatch.setattr(kerr, "_cis", turn)
@@ -558,7 +604,7 @@ def test_kernel_agrees_with_a_libm_rotation(monkeypatch):
 def test_kernel_is_exactly_even_in_delta(monkeypatch):
     # the evenness that lets p0_over_tau evaluate each |delta| once
     taus = np.linspace(*registry.TAU_GRID)
-    _, g = _odd_series(2.0, kerr.series_truncation(2.0))
+    _, g = _odd_series(2.0, reference.series_truncation(2.0))
     for turn in (kerr._cis, kerr._libm_cis):
         monkeypatch.setattr(kerr, "_cis", turn)
         deltas = taus - math.pi
@@ -567,7 +613,7 @@ def test_kernel_is_exactly_even_in_delta(monkeypatch):
     monkeypatch.undo()
     # fig4a's grid: nodes i and 80 - i lie at tau and 2pi - tau; where
     # their |delta| round alike (25 of 40 pairs) the values are identical
-    p0 = kerr.p0_over_tau(taus, 2.0, 10.0)[0]
+    p0 = kerr.p0_over_tau(taus, 2.0, 10.0, _series(2.0, len(taus)))[0]
     deltas = np.abs(np.mod(taus, kerr.TWO_PI) - math.pi)
     same = deltas == deltas[::-1]
     assert np.count_nonzero(same[:40]) == 25
@@ -580,19 +626,20 @@ def test_grouped_p0_matches_one_call_per_r():
     # alone or padded, so the two paths differ only in how they sum
     taus = np.linspace(*registry.TAU_GRID)
     rs = np.array([1e-100, 1e-7, 0.05, 0.725, 2.0])
-    trunc = kerr.series_truncation(2.0)
+    trunc = reference.series_truncation(2.0)
     tau_col, r_col = (c.ravel() for c in np.meshgrid(taus, rs))
     for alpha in (3.0, 10.0):
-        grouped = kerr.p0_over_tau(tau_col, r_col, alpha, trunc).reshape(len(rs), len(taus))
+        grouped = kerr.p0_over_tau(tau_col, r_col, alpha,
+                                   _column(trunc, len(tau_col))).reshape(len(rs), len(taus))
         via_registry = registry.QUANTITIES["p0_cat_minus"].fn(
-            fs.cutoff_column(trunc, len(tau_col)), tau_tilde=tau_col, r=r_col,
+            _column(trunc, len(tau_col)), tau_tilde=tau_col, r=r_col,
             alpha=np.full(len(tau_col), alpha))
         assert np.array_equal(via_registry, grouped.reshape(1, -1))
         for r, row in zip(rs, grouped):
-            single = kerr.p0_over_tau(taus, r, alpha, trunc)[0]
+            single = kerr.p0_over_tau(taus, r, alpha, _column(trunc, len(taus)))[0]
             assert np.all(np.abs(row - single) <= 1e-13 * single), r
     # a column of no points gives one empty row
-    assert kerr.p0_over_tau(taus[:0], rs[:0], 10.0, trunc).shape == (1, 0)
+    assert kerr.p0_over_tau(taus[:0], rs[:0], 10.0, _column(trunc, 0)).shape == (1, 0)
     assert len(_odd_row(1e-100, trunc)) == 1
 
 
@@ -605,23 +652,24 @@ def test_shared_pass_matches_one_pass_per_cutoff():
     taus = np.linspace(*registry.TAU_GRID)
     rs = (0.05, 0.725, 2.0)
     tau_col, r_col = (c.ravel() for c in np.meshgrid(taus, rs))
-    base = kerr.series_truncation(max(rs))
+    base = reference.series_truncation(max(rs))
     sigmas = np.linspace(*registry.SIGMA_GRID)[4::4]
     for alpha in (3.0, 10.0):
         p0 = registry.QUANTITIES["p0_cat_minus"].fn(
-            *(fs.cutoff_column(c, len(tau_col)) for c in (base, base.scaled(1.5))),
+            *(_column(c, len(tau_col)) for c in (base, base.scaled(1.5))),
             tau_tilde=tau_col, r=r_col, alpha=np.full(len(tau_col), alpha))
         for trunc, row in zip((base, base.scaled(1.5)), p0):
-            single = kerr.p0_over_tau(tau_col, r_col, alpha, trunc)[0].reshape(len(rs), -1)
+            single = kerr.p0_over_tau(tau_col, r_col, alpha, _column(trunc, len(tau_col)))[0]
+            single = single.reshape(len(rs), -1)
             gap = np.abs(row.reshape(len(rs), -1) - single)
             assert np.all(gap <= 1e-15 * np.max(single, axis=1, keepdims=True))
         for r in rs:
-            cutoffs = (kerr.series_truncation(r), kerr.series_truncation(r).scaled(1.5))
+            cutoffs = (reference.series_truncation(r), reference.series_truncation(r).scaled(1.5))
             ratios = registry.QUANTITIES["phase_ratio"].fn(
-                *(fs.cutoff_column(c, len(sigmas)) for c in cutoffs),
+                *(_column(c, len(sigmas)) for c in cutoffs),
                 sigma=sigmas, r=np.full(len(sigmas), r), alpha=np.full(len(sigmas), alpha))
             for trunc, row in zip(cutoffs, ratios):
-                single = np.array([kerr.gaussian_averaged_ratio(r, alpha, sigma, trunc.dim)
+                single = np.array([_ratio(r, alpha, sigma, trunc.dim)
                                    for sigma in sigmas])
                 assert np.all(np.abs(row - single) <= 1e-13 * single)
 
@@ -650,7 +698,7 @@ def test_one_kernel_pass_serves_both_cutoffs(monkeypatch):
     rs = np.linspace(*registry.R_GRID_SURFACE)
     calls.clear()
     analysis.evaluate("p0_cat_minus", {"tau_tilde": math.pi, "r": rs, "alpha": 10.0})
-    assert len({kerr.series_truncation(r) for r in rs.tolist()}) == 24
+    assert len({reference.series_truncation(r) for r in rs.tolist()}) == 24
     assert [shape for _, shape in calls] == [(80, calls[0][1][1])]
     # phase_ratio: one call per alpha, over the trapezoid grids of both
     # sigmas laid end to end (111 + 255 nodes at alpha = 9, 123 + 293 at
@@ -679,9 +727,9 @@ def test_one_kernel_pass_serves_both_cutoffs(monkeypatch):
 def test_merged_phase_ratio_column_matches_one_point_calls(rs, sigma, alpha):
     # one merged pass over an r column, each point at its own series cutoff
     # and its own 1.5x recheck, on the trapezoid grid of the widest band,
-    # against one gaussian_averaged_ratio per point and cutoff on its own
+    # against one phase_ratio call per point and cutoff on its own
     rs = np.array(rs)
-    base = fs.CutoffColumn(tuple(kerr.series_truncation(r).dim for r in rs.tolist()),
+    base = fs.CutoffColumn(tuple(reference.series_truncation(r).dim for r in rs.tolist()),
                            kerr.SERIES_STATE_TOL)
     cutoffs = (base, base.scaled(1.5))
     event(f"{len(set(base.dims))} distinct cutoffs")
@@ -693,11 +741,11 @@ def test_merged_phase_ratio_column_matches_one_point_calls(rs, sigma, alpha):
         lost = float(str(exc).split("at r = ")[1].split(",")[0])
         assert lost in rs.tolist() and lost < 1e-150
         with pytest.raises(fs.NumericalFailureError, match="lost its digits"):
-            kerr.gaussian_averaged_ratio(lost, alpha, sigma)
+            _ratio(lost, alpha, sigma)
         return
     for column, row in zip(cutoffs, merged):
         for r, dim, value in zip(rs.tolist(), column.dims, row.tolist()):
-            single = kerr.gaussian_averaged_ratio(r, alpha, sigma, dim, column.tail_tol)
+            single = _ratio(r, alpha, sigma, dim, column.tail_tol)
             assert abs(value - single) <= 1e-14, (r, dim)
 
 
@@ -724,11 +772,13 @@ def test_fused_sigma_pass_matches_one_call_per_sigma(pool, picks, r, alpha):
     # over their trapezoid grids laid end to end; each keeps its own rule,
     # reference and checks, as a call of its own would
     sigmas = np.array([pool[i % len(pool)] for i in picks])
-    trunc = kerr.series_truncation(r)
+    trunc = reference.series_truncation(r)
     cutoffs = (trunc, trunc.scaled(1.5))
     event(f"{len(set(sigmas.tolist()))} distinct sigmas at r = {r}")
-    fused = _outcome(lambda: kerr.phase_ratio(sigmas, r, alpha, *cutoffs))
-    alone = {s: _outcome(lambda s=s: kerr.phase_ratio(np.array([s]), r, alpha, *cutoffs))
+    fused = _outcome(lambda: kerr.phase_ratio(sigmas, r, alpha,
+                                              *(_column(c, len(sigmas)) for c in cutoffs)))
+    alone = {s: _outcome(lambda s=s: kerr.phase_ratio(np.array([s]), r, alpha,
+                                                      *(_column(c, 1) for c in cutoffs)))
              for s in dict.fromkeys(sigmas.tolist())}
     singles = [alone[s] for s in sigmas.tolist()]
     failed = [one for one in singles if isinstance(one, tuple)]
@@ -775,13 +825,14 @@ def test_merged_pass_working_set_is_bounded(monkeypatch):
     # every row's weights and values at once adds about 8 kB a point here
     monkeypatch.setattr(kerr, "MERGE_BLOCK", 2**12)
     rs = np.linspace(0.05, 0.725, 480)
-    trunc = kerr.series_truncation(0.725)
-    kerr.phase_ratio(np.full(len(rs), 4e-3), rs, 10.0, trunc, trunc.scaled(1.5))
+    base = _series(0.725, len(rs))
+    kerr.phase_ratio(np.full(len(rs), 4e-3), rs, 10.0, base, base.scaled(1.5))
     peaks = []
     for size in (120, 480):
+        column = base.take(np.arange(size))
         tracemalloc.start()
         try:
-            kerr.phase_ratio(np.full(size, 4e-3), rs[:size], 10.0, trunc, trunc.scaled(1.5))
+            kerr.phase_ratio(np.full(size, 4e-3), rs[:size], 10.0, column, column.scaled(1.5))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -809,10 +860,10 @@ def test_base_cutoff_fails_its_tail_check_before_the_recheck(monkeypatch):
 def test_averaged_ratio_working_set_is_bounded():
     # 10,663 nodes at r = 1.2, sigma = 1: the kernel holds eight buffers of
     # KERNEL_BLOCK entries, not whole terms x nodes tables
-    kerr.gaussian_averaged_ratio(1.2, 10.0, 1.0)  # fill the series caches
+    _ratio(1.2, 10.0, 1.0)  # fill the series caches
     tracemalloc.start()
     try:
-        kerr.gaussian_averaged_ratio(1.2, 10.0, 1.0)
+        _ratio(1.2, 10.0, 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -820,15 +871,15 @@ def test_averaged_ratio_working_set_is_bounded():
 
 
 def test_p0_vanishes_without_interaction():
-    assert kerr.p0_over_tau(np.array([0.0]), 0.725, 10.0)[0, 0] < 1e-100
+    assert kerr.p0_over_tau(np.array([0.0]), 0.725, 10.0, _series(0.725))[0, 0] < 1e-100
 
 
 def test_p0_rejects_nonpositive_squeezing():
     # r = 0 leaves no pair term, and p0 is its exact limit 0
-    assert np.array_equal(kerr.p0_over_tau(IDEAL, 0.0, 10.0), [[0.0]])
+    assert np.array_equal(kerr.p0_over_tau(IDEAL, 0.0, 10.0, _series(0.0)), [[0.0]])
     for r in (-1e-3, math.nan):
         with pytest.raises(ValueError):
-            kerr.p0_over_tau(IDEAL, r, 10.0)
+            kerr.p0_over_tau(IDEAL, r, 10.0, _series(0.0))
 
 
 def test_p0_rejects_an_unknown_branch_sign():
@@ -857,7 +908,8 @@ def test_p0_matches_fock_grid_oracle():
         assert abs(series - grid) < 1e-10
         if sign < 0:
             # the production branch, through the kernel in delta
-            assert abs(kerr.p0_over_tau(np.array([tau]), 0.725, 3.0)[0, 0] - grid) < 1e-10
+            p0 = kerr.p0_over_tau(np.array([tau]), 0.725, 3.0, _series(0.725))[0, 0]
+            assert abs(p0 - grid) < 1e-10
 
 
 def test_phase_error_ratio_matches_fock_grid_oracle():
@@ -872,18 +924,18 @@ def test_phase_error_ratio_matches_fock_grid_oracle():
 def _p1_cat_minus(trunc):
     """p1_cat_minus at tau_tilde = pi, r = 1.146 and alpha = 10, at trunc."""
     q = registry.QUANTITIES["p1_cat_minus"]
-    return q.fn(fs.cutoff_column(trunc, 1), tau_tilde=IDEAL, r=np.array([1.146]),
+    return q.fn(_column(trunc, 1), tau_tilde=IDEAL, r=np.array([1.146]),
                 alpha=np.array([10.0]))[0, 0]
 
 
 def test_p1_heralded_closed_form_and_peak():
-    p1 = _p1_cat_minus(kerr.series_truncation(1.146))
+    p1 = _p1_cat_minus(reference.series_truncation(1.146))
     closed = math.tanh(1.146) ** 2 / (4.0 * math.cosh(1.146))
     # the default pair series is cut at tail mass 1e-11, which sets the gap
     # to the closed form; the pi-phase projection correction ~ e^{-200} and
     # float noise are both far smaller, as the tighter cutoff shows
     assert abs(p1 - closed) < 1e-11
-    tight = _p1_cat_minus(kerr.series_truncation(1.146, 1e-15))
+    tight = _p1_cat_minus(reference.series_truncation(1.146, 1e-15))
     assert abs(tight - closed) < 1e-14
     assert p1 == pytest.approx(0.0962250, abs=1e-6)
 
@@ -898,8 +950,8 @@ def test_phase_error_ratio_reference_and_symmetry():
 
 def test_phase_error_ratio_equals_probability_ratio():
     dtheta = 0.004
-    shifted = kerr.p0_over_tau(np.array([math.pi + dtheta]), 0.725, 10.0)[0, 0]
-    direct = shifted / kerr.p0_over_tau(IDEAL, 0.725, 10.0)[0, 0]
+    shifted = kerr.p0_over_tau(np.array([math.pi + dtheta]), 0.725, 10.0, _series(0.725))[0, 0]
+    direct = shifted / kerr.p0_over_tau(IDEAL, 0.725, 10.0, _series(0.725))[0, 0]
     assert abs(reference.phase_error_ratio(0.725, 10.0, dtheta) - direct) < 1e-12
 
 
@@ -908,7 +960,7 @@ def test_phase_error_ratio_regression_fixture():
     # at dtheta = 0.004 because small draws dominate the Gaussian weight
     value = reference.phase_error_ratio(0.725, 10.0, 0.004)
     assert value == pytest.approx(0.9285167292647223, abs=1e-10)
-    averaged = kerr.gaussian_averaged_ratio(0.725, 10.0, 0.004)
+    averaged = _ratio(0.725, 10.0, 0.004)
     assert averaged == pytest.approx(0.9412258901826744, abs=1e-9)
 
 
@@ -924,16 +976,16 @@ def test_phase_error_ratio_is_even_quadratic_near_zero():
 def test_alpha_ordering_of_averaged_ratio():
     for sigma in (1e-3, 4e-3):
         values = [
-            kerr.gaussian_averaged_ratio(0.725, alpha, sigma)
+            _ratio(0.725, alpha, sigma)
             for alpha in (9.0, 10.0, 11.0)
         ]
         assert values[0] >= values[1] >= values[2]
 
 
 def test_averaged_ratio_degenerate_and_monotone():
-    assert kerr.gaussian_averaged_ratio(0.725, 10.0, 0.0) == 1.0
+    assert _ratio(0.725, 10.0, 0.0) == 1.0
     sigmas = np.linspace(0.0, 4e-3, 9)
-    values = [kerr.gaussian_averaged_ratio(0.725, 10.0, float(s)) for s in sigmas]
+    values = [_ratio(0.725, 10.0, float(s)) for s in sigmas]
     assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
 
@@ -959,7 +1011,7 @@ def test_phase_ratio_column_stays_a_decaying_ratio(r, alpha, sigmas):
 
 def test_averaged_ratio_monte_carlo_agrees_with_quadrature():
     sigma = 1e-3
-    quad = kerr.gaussian_averaged_ratio(0.725, 10.0, sigma)
+    quad = _ratio(0.725, 10.0, sigma)
     mc = reference._monte_carlo_ratio(0.725, 10.0, sigma, 200_000, 7)
     assert abs(mc - quad) < 5e-5
     again = reference._monte_carlo_ratio(0.725, 10.0, sigma, 200_000, 7)
@@ -981,15 +1033,15 @@ def test_monte_carlo_working_set_is_bounded():
 
 def test_averaged_ratio_input_validation():
     with pytest.raises(ValueError):
-        kerr.gaussian_averaged_ratio(0.725, 10.0, -1e-4)
+        _ratio(0.725, 10.0, -1e-4)
     with pytest.raises(ValueError):
         reference._monte_carlo_ratio(0.725, 10.0, 1e-3, 200_000, None)
     for sigma in (math.inf, math.nan):
         with pytest.raises(ValueError):
-            kerr.gaussian_averaged_ratio(0.725, 10.0, sigma)
+            _ratio(0.725, 10.0, sigma)
     for alpha in (math.inf, math.nan, 0.0, 1e200):
         with pytest.raises(ValueError):
-            kerr.gaussian_averaged_ratio(0.725, alpha, 1e-3)
+            _ratio(0.725, alpha, 1e-3)
 
 
 def test_phase_ratio_reads_a_negative_pump_as_its_mirror():
@@ -1009,7 +1061,7 @@ def test_tolerable_jitter_scale():
     # sigma at which the averaged ratio drops to 0.95, in units of pi; the
     # bracket stays inside the band where the quadrature ladder converges
     def gap(sigma):
-        return kerr.gaussian_averaged_ratio(0.725, 10.0, sigma) - 0.95
+        return _ratio(0.725, 10.0, sigma) - 0.95
 
     sigma_star = scipy.optimize.brentq(gap, 1e-5, 4e-3, xtol=1e-8)
     assert 1e-4 < sigma_star / math.pi < 1e-2

@@ -23,7 +23,7 @@ def binomial_column(total: int) -> np.ndarray:
 
 
 def test_split_fock_states_match_binomial_closed_form():
-    trunc = fs.Truncation(12)
+    trunc = reference.Truncation(12)
     for total in (0, 1, 2, 3, 5, 8):
         st = reference.split(reference.fock_state(total, trunc))
         assert np.max(np.abs(st.amps.imag)) == 0.0
@@ -34,7 +34,7 @@ def test_split_fock_states_match_binomial_closed_form():
 
 
 def test_split_two_photon_example():
-    st = reference.split(reference.fock_state(2, fs.Truncation(8)))
+    st = reference.split(reference.fock_state(2, reference.Truncation(8)))
     assert st.amps[2, 0].real == pytest.approx(0.5, abs=1e-14)
     assert st.amps[0, 2].real == pytest.approx(0.5, abs=1e-14)
     assert st.amps[1, 1].real == pytest.approx(-1.0 / math.sqrt(2.0), abs=1e-14)
@@ -44,7 +44,7 @@ def test_split_two_photon_example():
 
 
 def test_split_vacuum_is_identity():
-    st = reference.split(reference.vacuum_state(fs.Truncation(6)))
+    st = reference.split(reference.vacuum_state(reference.Truncation(6)))
     assert st.amps[0, 0] == 1.0
     assert st.norm_sq() == 1.0
 
@@ -59,7 +59,7 @@ def test_blocks_are_orthogonal():
 
 @pytest.mark.parametrize("dim", [24, 64, 160, 240])
 def test_closed_form_split_matches_expm_blocks(dim):
-    trunc = fs.Truncation(dim)
+    trunc = reference.Truncation(dim)
     rng = np.random.default_rng(dim)
     amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     amps /= np.linalg.norm(amps)
@@ -71,12 +71,12 @@ def test_closed_form_split_matches_expm_blocks(dim):
 
 def test_split_builds_no_expm_blocks():
     before = reference._blocks.cache_info()
-    reference.split(reference.fock_state(3, fs.Truncation(37)))
+    reference.split(reference.fock_state(3, reference.Truncation(37)))
     assert reference._blocks.cache_info() == before
 
 
 def test_total_photon_number_is_conserved():
-    trunc = fs.Truncation(24)
+    trunc = reference.Truncation(24)
     rng = np.random.default_rng(20260814)
     amps = rng.normal(size=trunc.dim) + 1j * rng.normal(size=trunc.dim)
     amps /= np.linalg.norm(amps)
@@ -90,13 +90,13 @@ def test_total_photon_number_is_conserved():
 
 
 def test_split_output_is_symmetric_in_probability():
-    st = reference.split(reference.squeezed_vacuum(0.725, fs.Truncation(48)))
+    st = reference.split(reference.squeezed_vacuum(0.725, reference.Truncation(48)))
     dist = st.joint_distribution()
     assert np.max(np.abs(dist - dist.T)) < 1e-16
 
 
 def test_parity_selection_rules():
-    trunc = fs.Truncation(48)
+    trunc = reference.Truncation(48)
     totals = np.add.outer(np.arange(trunc.dim), np.arange(trunc.dim))
     minus = reference.split(reference.squeezed_cat(0.725, -1, trunc))
     assert np.max(np.abs(minus.amps[totals % 4 != 2])) < 1e-14
@@ -105,7 +105,7 @@ def test_parity_selection_rules():
 
 
 def test_joint_probability_benchmark_values():
-    trunc = fs.Truncation(64)
+    trunc = reference.Truncation(64)
     minus = reference.joint_probability(
         reference.split(reference.squeezed_cat(0.725, -1, trunc))
     )
@@ -120,7 +120,7 @@ def test_joint_probability_benchmark_values():
 
 
 def test_conditional_single_photon_benchmark_values():
-    trunc = fs.Truncation(64)
+    trunc = reference.Truncation(64)
 
     def conditional(state):
         return reference.single_photon_fraction(
@@ -139,7 +139,7 @@ def test_conditional_single_photon_benchmark_values():
 
 
 def test_minus_cat_pair_probability_approaches_half():
-    trunc = fs.Truncation(32)
+    trunc = reference.Truncation(32)
     dist = reference.joint_probability(
         reference.split(reference.squeezed_cat(0.01, -1, trunc))
     )
@@ -148,14 +148,14 @@ def test_minus_cat_pair_probability_approaches_half():
 
 def test_conditional_raises_on_empty_herald_row():
     dist = reference.joint_probability(
-        reference.split(reference.vacuum_state(fs.Truncation(16)))
+        reference.split(reference.vacuum_state(reference.Truncation(16)))
     )
     with pytest.raises(optics.ZeroHeraldError):
         reference.single_photon_fraction(dist.p[1])
 
 
 def test_joint_distribution_deficit_accounting():
-    trunc = fs.Truncation(16)
+    trunc = reference.Truncation(16)
     dist = reference.joint_probability(reference.split(reference.fock_state(3, trunc)))
     assert abs(dist.p.sum() + dist.deficit - 1.0) < 1e-12
     lossy = np.zeros((16, 16), dtype=complex)
@@ -165,7 +165,7 @@ def test_joint_distribution_deficit_accounting():
 
 
 def test_tmss_joint_probability_form():
-    trunc = fs.Truncation(64)
+    trunc = reference.Truncation(64)
     dist = reference.tmss_joint_probability(0.881, trunc)
     assert dist.p[1, 1] == pytest.approx(0.25, abs=1e-6)
     off = dist.p - np.diag(np.diag(dist.p))
@@ -174,7 +174,7 @@ def test_tmss_joint_probability_form():
     assert row1[1] > 0.0
     assert np.max(np.abs(np.delete(row1, 1))) == 0.0
     assert reference.single_photon_fraction(dist.p[1]) == 1.0
-    trivial = reference.tmss_joint_probability(0.0, fs.Truncation(8))
+    trivial = reference.tmss_joint_probability(0.0, reference.Truncation(8))
     assert trivial.p[0, 0] == 1.0
 
 
@@ -196,7 +196,7 @@ def test_pair_dominance_over_benchmark_on_spot_grid():
 
 def test_decomposition_path_agrees_with_direct_unitary():
     r = 0.725
-    trunc = fs.Truncation(48)
+    trunc = reference.Truncation(48)
     direct = reference.split(reference.squeezed_vacuum(r, trunc))
     decomposed = reference.split_via_squeezer_decomposition(r, trunc)
     prob_gap = np.abs(
@@ -211,7 +211,7 @@ def test_decomposition_path_agrees_with_direct_unitary():
 
 def test_two_mode_squeeze_reproduces_schmidt_diagonal():
     r = 0.9
-    trunc = fs.Truncation(48)
+    trunc = reference.Truncation(48)
     evolved = reference.tmss_schmidt_check(r, trunc)
     target = reference.two_mode_squeezed_vacuum(r, trunc)
     gap = np.abs(evolved.joint_distribution() - target.joint_distribution())
@@ -233,14 +233,14 @@ def test_two_mode_squeeze_matches_dense_expm():
     rows = np.arange(2, dim)
     amps[rows, rows - 2] = 0.0
     want = (scipy.linalg.expm(s * gen) @ amps.ravel()).reshape(dim, dim)
-    got = reference.two_mode_squeeze_apply(s, reference.TwoModeState(amps, fs.Truncation(dim))).amps
+    got = reference.two_mode_squeeze_apply(s, reference.TwoModeState(amps, reference.Truncation(dim))).amps
     assert np.max(np.abs(got - want)) <= 1e-13
     assert not np.any(got[rows, rows - 2])
 
 
 def test_opposite_squeezers_through_splitter_give_tmss_probabilities():
     r = 0.9
-    trunc = fs.Truncation(64)
+    trunc = reference.Truncation(64)
     product = reference.tensor(
         reference.squeezed_vacuum(r, trunc), reference.squeezed_vacuum(-r, trunc)
     )
@@ -255,7 +255,7 @@ def test_opposite_squeezers_through_splitter_give_tmss_probabilities():
 
 
 def test_split_requires_normalized_input():
-    trunc = fs.Truncation(8)
+    trunc = reference.Truncation(8)
     bad = reference.SingleModeState(np.full(8, 0.1, dtype=complex), trunc)
     with pytest.raises(ValueError):
         reference.split(bad)

@@ -8,8 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sqherald import detect, kerr, optics, registry, verification
-from sqherald import fockspace as fs
+from sqherald import detect, kerr, optics, reference, registry, verification
 
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference" / "verify.txt"
 MARGIN = re.compile(r" \(margin ([^)]*)%\)")
@@ -129,7 +128,7 @@ def test_verify_reaches_the_production_kernels_only_through_the_registry(monkeyp
 def test_criterion_7_fits_the_gated_phase_ratio_column(monkeypatch):
     # one grouped phase_ratio call per alpha, at the series cutoff and
     # 1.5x it, and the fit of its values agrees with the fit of one
-    # gaussian_averaged_ratio per sigma at that one cutoff
+    # one-point phase_ratio call per sigma at that one cutoff
     q = registry.QUANTITIES["phase_ratio"]
     fit_lambda = kerr.fit_lambda
     calls, rates = [], []
@@ -147,15 +146,16 @@ def test_criterion_7_fits_the_gated_phase_ratio_column(monkeypatch):
     monkeypatch.setattr(kerr, "fit_lambda", fit)
     cfg = verification.VerifyConfig()
     assert verification.criterion_7(cfg).passed
-    base = kerr.series_truncation(0.725)
-    column = fs.CutoffColumn((base.dim,) * kerr.FIT_SAMPLES, base.tail_tol)
-    assert column == registry.truncations("series", np.full(kerr.FIT_SAMPLES, 0.725),
-                                          cfg.dim, cfg.tail_tol)
-    assert calls == [(column, column.scaled(1.5))] * 3
-    assert column.scaled(1.5).dims[0] == base.scaled(1.5).dim
+    base = registry.truncations("series", np.full(kerr.FIT_SAMPLES, 0.725), cfg.dim, cfg.tail_tol)
+    assert base.dims.tolist() == [kerr.series_dims([0.725])[0]] * kerr.FIT_SAMPLES
+    assert len(calls) == 3
+    for column, recheck in calls:
+        assert column.dims.tolist() == base.dims.tolist()
+        assert recheck.dims.tolist() == base.scaled(1.5).dims.tolist()
+        assert column.tail_tol == recheck.tail_tol == base.tail_tol == kerr.SERIES_STATE_TOL
     sigmas = np.linspace(0.0, kerr.FIT_SIGMA_MAX, kerr.FIT_SAMPLES)
     for alpha, rate in zip((9.0, 10.0, 11.0), rates, strict=True):
-        one_cutoff = [kerr.gaussian_averaged_ratio(0.725, alpha, s, base.dim, base.tail_tol)
+        one_cutoff = [kerr.phase_ratio(np.array([s]), 0.725, alpha, base.take([0]))[0, 0]
                       for s in sigmas]
         assert rate == pytest.approx(fit_lambda(zip(sigmas, one_cutoff))[0], rel=1e-9)
 
@@ -164,7 +164,6 @@ def test_verify_runs_no_complex_eigendecomposition(monkeypatch):
     # the oracle exponentials diagonalize a real symmetric tridiagonal
     # matrix; a complex eigh stalled some fresh processes for 0.2-0.5 s
     # with two OpenBLAS threads
-    from sqherald import reference
 
     real_eigh = np.linalg.eigh
     sizes = []
@@ -192,12 +191,11 @@ def test_paired_diagonals_match_one_exponential_per_diagonal():
     # a dense state with amplitude on every diagonal: the shared
     # diagonalization of +o and -o gives what one exponential per diagonal
     # gives, and each diagonal still skips when it carries no amplitude
-    from sqherald import reference
 
     n_a, n_b = np.indices((12, 12))
     amps = np.cos(n_a + 2.0 * n_b + 1.0) + 1j * np.sin(3.0 * n_a - n_b + 0.5)
     amps[n_a - n_b == -3] = 0.0
-    state = reference.TwoModeState(amps / np.linalg.norm(amps), fs.Truncation(12))
+    state = reference.TwoModeState(amps / np.linalg.norm(amps), reference.Truncation(12))
     out = reference.two_mode_squeeze_apply(0.3, state).amps
     for offset in range(-11, 12):
         rows = np.arange(max(offset, 0), 12 + min(offset, 0))
@@ -214,7 +212,6 @@ def test_criterion_9_batched_oracle_matches_the_dense_tables():
     # one photon-number array per cutoff against one dense table per r:
     # numpy's vector log, where the dense table takes math.log, moves the
     # g2 at round-off only
-    from sqherald import reference
 
     cfg = verification.VerifyConfig()
     rs = np.linspace(0.04, 2.0, 50)
@@ -223,12 +220,12 @@ def test_criterion_9_batched_oracle_matches_the_dense_tables():
     assert sorted(set(dims.tolist())) == [64, 160]
     for dim in (64, 160):
         at = dims == dim
-        batched = reference.tmss_g2_numeric(rs[at], fs.Truncation(dim, 1e-3), etas)
+        batched = reference.tmss_g2_numeric(rs[at], reference.Truncation(dim, 1e-3), etas)
         dense = np.array([reference.g2_numeric(reference.tmss_joint_probability(r, cfg.trunc(r)),
                                                etas) for r in rs[at].tolist()])
         assert np.all(np.abs(batched - dense) <= 1e-13 * np.abs(dense))
     # r = 0 keeps the vacuum row of the dense table
-    trunc = fs.Truncation(8)
+    trunc = reference.Truncation(8)
     p = reference.tmss_photon_numbers(np.array([0.0, 0.3]), trunc)
     for row, r in zip(p, (0.0, 0.3)):
         np.testing.assert_allclose(row, np.diag(reference.tmss_joint_probability(r, trunc).p),
