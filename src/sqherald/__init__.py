@@ -4,8 +4,9 @@ cross-Kerr heralding, click detection, and the analysis tools that
 reproduce the published tables.
 
 The names below are the production API.  The independent reference paths
-that `verify` and the tests check it against live in `sqherald.reference`,
-which this package does not import."""
+that `verify` checks it against live in `sqherald.reference`, which no
+production kernel imports; the oracles that only the tests run live in
+tests/oracles.py."""
 
 __version__ = "0.1.0"
 
@@ -13,11 +14,7 @@ from .fockspace import NumericalFailureError, TruncationError
 from .sources import cat_norm, herald_probability, squeezing_db
 from .optics import ZeroHeraldError
 from .kerr import FitDegenerateError, QuadratureConvergenceError, fit_lambda
-from .detect import (
-    DetectorModel,
-    ZeroClickError,
-    ZeroMeanError,
-)
+from .detect import ZeroClickError, ZeroMeanError
 from .analysis import (
     ConvergenceError,
     MaximizeResult,

@@ -32,8 +32,6 @@ squeezed benchmark has its own elementwise closed forms
 """
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from . import sources
@@ -52,16 +50,6 @@ def _check_eta(eta) -> None:
     bad = ~((np.asarray(eta) > 0.0) & (np.asarray(eta) <= 1.0))
     if np.any(bad):
         raise ValueError(f"eta must lie in (0, 1], got {np.asarray(eta)[bad][0]}")
-
-
-@dataclasses.dataclass(frozen=True)
-class DetectorModel:
-    """Threshold ("click / no click") detector with efficiency eta."""
-
-    eta: float
-
-    def __post_init__(self):
-        _check_eta(self.eta)
 
 
 def _levels(r, eta, sign: int | None):

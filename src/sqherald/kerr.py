@@ -33,8 +33,8 @@ vectorised multiply, add and gather passes, for every table; libm
 serves only arguments beyond CIS_LIMIT.  The phase-noise average is a
 periodic trapezoid rule checked against itself at half the step, row by
 row, whose node at delta = 0 is also each row's reference probability.
-The overlap of any branch and label is the oracle in `reference`, on
-libm.
+The overlap of any branch and label is the tests' oracle in
+tests/oracles.py, on libm.
 """
 from __future__ import annotations
 

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, table formats, overrides, and
 byte-level determinism."""
+import ast
 import contextlib
 import io
 import json
@@ -703,6 +704,24 @@ def test_figures_and_verify_run_without_scipy():
     verdicts = [line[:4] + line[5:9] for line in proc.stdout.splitlines()
                 if line.startswith(("PASS", "FAIL"))]
     assert verdicts == [f"PASS[{i:2d}]" for i in range(1, 12)] + ["FAIL[12]"]
+
+
+def _is_scipy(module: str | None) -> bool:
+    return module is not None and module.split(".")[0] == "scipy"
+
+
+def test_no_package_module_imports_scipy():
+    # scipy is a test dependency: no module of the package imports it, at
+    # module level or inside a function
+    package = Path(sqherald.__file__).parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                found += [(path.name, a.name) for a in node.names if _is_scipy(a.name)]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0 and _is_scipy(node.module):
+                found.append((path.name, node.module))
+    assert found == []
 
 
 def test_verify_with_inadequate_cutoff_reports_failures(capsys):

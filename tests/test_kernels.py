@@ -19,13 +19,15 @@ import sqherald
 from sqherald import analysis, cli, detect, optics, reference, registry, sources
 from sqherald import fockspace as fs
 
+import oracles
+
 
 def _dense(r, sign, trunc):
     """The dense split of the source; the odd branch at r = 0 is its limit |2>."""
     if sign is None:
         state = reference.squeezed_vacuum(r, trunc)
     elif sign < 0 and r == 0.0:
-        state = reference.fock_state(2, trunc)
+        state = oracles.fock_state(2, trunc)
     else:
         state = reference.squeezed_cat(r, sign, trunc)
     return reference.joint_probability(reference.split(state))
@@ -124,7 +126,7 @@ def test_kernels_match_the_dense_split(r, eta, sign):
             0.0 <= kernel[name] <= 1.0 for name in stats
         )
     else:
-        oracle = reference.click_statistics(dist, detect.DetectorModel(eta))
+        oracle = oracles.click_statistics(dist, eta)
         assert abs(kernel["p_click"] - oracle.p_click) <= (
             1e-13 + rel * oracle.p_click + dist.deficit)
         assert abs(kernel["p_click_1"] - oracle.p_click_1) <= 1e-13 + rel * oracle.p_click_1

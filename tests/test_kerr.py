@@ -13,6 +13,8 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from sqherald import analysis, kerr, reference, registry, sources
+
+import oracles
 from sqherald import fockspace as fs
 
 # the ideal interaction phase tau_tilde = pi, as a one-point column
@@ -36,7 +38,7 @@ def _series(r, points=1):
 def _ratio(r, alpha, sigma, dim=None, tail_tol=kerr.SERIES_STATE_TOL):
     """kerr.phase_ratio at the one point (sigma, r), cut at dim (default:
     the series cutoff of r) with tail tolerance tail_tol."""
-    dim = reference.series_truncation(r).dim if dim is None else dim
+    dim = oracles.series_truncation(r).dim if dim is None else dim
     column = _column(reference.Truncation(dim, tail_tol), 1)
     return float(kerr.phase_ratio(np.array([float(sigma)]), r, alpha, column)[0, 0])
 
@@ -51,62 +53,62 @@ def fock_grid_p0(tau_tilde, r, sign, alpha, label, sys_dim, pump_dim):
     sys_t = reference.Truncation(sys_dim)
     pump_t = reference.Truncation(pump_dim)
     sv = reference.squeezed_vacuum(r, sys_t).amps
-    pump = reference.coherent_amplitudes(alpha, pump_t).amps
+    pump = oracles.coherent_amplitudes(alpha, pump_t).amps
     n1 = np.arange(sys_dim)
     n2 = np.arange(pump_dim)
     phases = np.exp(-0.5j * tau_tilde * np.outer(n1, n2))
     joint = np.outer(sv, pump) * phases
     cat = reference.squeezed_cat(r, sign, sys_t).amps
-    target_pump = reference.coherent_amplitudes(label, pump_t).amps
+    target_pump = oracles.coherent_amplitudes(label, pump_t).amps
     amp = np.conj(cat) @ joint @ np.conj(target_pump)
     return float(abs(amp) ** 2)
 
 
 def test_schedule_validation():
     with pytest.raises(ValueError):
-        reference.KerrSchedule(math.pi, 0.0)
-    wrapped = reference.KerrSchedule(2.0 * math.pi + 0.5, 4.0)
+        oracles.KerrSchedule(math.pi, 0.0)
+    wrapped = oracles.KerrSchedule(2.0 * math.pi + 0.5, 4.0)
     assert wrapped.tau_tilde == pytest.approx(0.5, abs=1e-12)
     for tau, alpha in ((math.inf, 4.0), (math.nan, 4.0), (math.pi, math.inf),
                        (math.pi, math.nan), (math.pi, complex(1.0, math.nan))):
         with pytest.raises(ValueError):
-            reference.KerrSchedule(tau, alpha)
+            oracles.KerrSchedule(tau, alpha)
 
 
 def test_hybrid_state_requires_converged_coefficients():
     trunc = reference.Truncation(16)
     with pytest.raises(fs.TruncationError):
-        reference.HybridKerrState(np.array([0.5]), np.array([1.0 + 0j]), trunc)
+        oracles.HybridKerrState(np.array([0.5]), np.array([1.0 + 0j]), trunc)
 
 
 def test_kerr_evolve_imprints_pair_phases():
-    sched = reference.KerrSchedule(0.7, 2.5)
-    state = reference.kerr_evolve(0.725, sched, reference.series_truncation(0.725))
+    sched = oracles.KerrSchedule(0.7, 2.5)
+    state = oracles.kerr_evolve(0.725, sched, oracles.series_truncation(0.725))
     n = state.pair_indices
     expected = 2.5 * np.exp(-1j * n * 0.7)
     assert np.max(np.abs(state.labels - expected)) < 1e-14
     assert np.array_equal(state.photon_numbers, 2 * n)
-    full_turn = reference.kerr_evolve(
-        0.725, reference.KerrSchedule(2.0 * math.pi, 2.5), reference.series_truncation(0.725)
+    full_turn = oracles.kerr_evolve(
+        0.725, oracles.KerrSchedule(2.0 * math.pi, 2.5), oracles.series_truncation(0.725)
     )
     assert np.max(np.abs(full_turn.labels - 2.5)) < 1e-12
 
 
 def test_coherent_overlap_closed_form():
-    assert reference.coherent_overlap(1.3, 1.3) == pytest.approx(1.0, abs=1e-15)
+    assert oracles.coherent_overlap(1.3, 1.3) == pytest.approx(1.0, abs=1e-15)
     beta, gamma = 2.0, 2.0 * np.exp(-0.4j)
     expected = np.exp(-0.5 * 8.0 + np.conj(beta) * gamma)
-    assert reference.coherent_overlap(beta, gamma) == pytest.approx(expected, abs=1e-12)
+    assert oracles.coherent_overlap(beta, gamma) == pytest.approx(expected, abs=1e-12)
 
 
 def state_path_p0(sched, r, sign, label):
     """Oracle: project the explicit hybrid state from kerr_evolve onto the
     superposition and the label, one coherent_overlap per pair term."""
-    trunc = reference.series_truncation(r)
-    state = reference.kerr_evolve(r, sched, trunc)
+    trunc = oracles.series_truncation(r)
+    state = oracles.kerr_evolve(r, sched, trunc)
     d = reference.squeezed_cat(r, sign, trunc).amps
     amp = sum(
-        np.conj(d[2 * n]) * c * reference.coherent_overlap(label, beta)
+        np.conj(d[2 * n]) * c * oracles.coherent_overlap(label, beta)
         for n, c, beta in state.components()
     )
     return abs(amp) ** 2
@@ -120,10 +122,10 @@ def test_p0_matches_state_path_oracle():
         (+1, 1.2j, 0.3 - 1.1j),
     ):
         for tau in (0.0, 0.7, math.pi, 4.0):
-            sched = reference.KerrSchedule(tau, alpha)
+            sched = oracles.KerrSchedule(tau, alpha)
             for r in (0.725, 1.5):
                 taus = np.array([sched.tau_tilde])
-                kernel = reference.p0_over_tau(taus, r, alpha, sign=sign, label=label)[0]
+                kernel = oracles.p0_over_tau(taus, r, alpha, sign=sign, label=label)[0]
                 assert abs(kernel - state_path_p0(sched, r, sign, label)) < 1e-12
 
 
@@ -141,13 +143,13 @@ def _odd_series(r, trunc):
 
 def test_pair_series_drops_exactly_the_zero_terms():
     for r in (0.725, 2.0):
-        trunc = reference.series_truncation(r)
+        trunc = oracles.series_truncation(r)
         levels = 2 * np.arange((trunc.dim + 1) // 2)
         base = reference.squeezed_vacuum(r, trunc).amps[levels]
         dense = {}
         for sign in (-1, +1):
             full = (np.conj(base) * reference.squeezed_cat(r, sign, trunc).amps[levels]).real
-            n, g = reference._pair_series(r, sign, trunc)
+            n, g = oracles._pair_series(r, sign, trunc)
             assert np.array_equal(n, np.flatnonzero(full))
             assert np.array_equal(g, full[n])
             assert np.all(n % 2 == (1 if sign < 0 else 0))
@@ -195,7 +197,7 @@ def _mp_odd_weights(r, pairs):
 def test_weight_rows_match_50_digit_series(r):
     # every weight that is a normal float, at the series cutoff and at 1.5x
     # it; the oracles' log-space amplitudes read up to 1.2e-11 off at r = 3
-    base = reference.series_truncation(r)
+    base = oracles.series_truncation(r)
     for trunc in (base, base.scaled(1.5)):
         g = _odd_row(r, trunc)
         want = _mp_odd_weights(r, (trunc.dim + 1) // 2)
@@ -269,9 +271,9 @@ def test_oracles_build_their_own_series(monkeypatch):
 
     monkeypatch.setattr(kerr, "_odd_rows", refuse)
     monkeypatch.setattr(kerr, "_ROWS", {})
-    p0 = reference.p0_over_tau(IDEAL, 0.725, 10.0)[0]
+    p0 = oracles.p0_over_tau(IDEAL, 0.725, 10.0)[0]
     assert abs(p0 - P0_IDEAL) <= 1e-15 * P0_IDEAL
-    assert reference.phase_error_ratio(0.725, 10.0, 0.004) == pytest.approx(
+    assert oracles.phase_error_ratio(0.725, 10.0, 0.004) == pytest.approx(
         0.9285167292647223, abs=1e-10)
 
 
@@ -280,13 +282,13 @@ def test_half_hermite_rule_equals_full_symmetric_rule():
     for order in (64, 128, 256, 512, 1024):
         nodes, weights = scipy.special.roots_hermite(order)
         for r in (0.725, 2.0):
-            n, g = reference._pair_series(r, -1, reference.series_truncation(r))
-            ref = reference._overlap_probability(IDEAL, n, g, alpha, -alpha)[0]
+            n, g = oracles._pair_series(r, -1, oracles.series_truncation(r))
+            ref = oracles._overlap_probability(IDEAL, n, g, alpha, -alpha)[0]
             for sigma in (1e-3, 4e-3):
                 taus = math.pi + math.sqrt(2.0) * sigma * nodes
-                vals = reference._overlap_probability(taus, n, g, alpha, -alpha) / ref
+                vals = oracles._overlap_probability(taus, n, g, alpha, -alpha) / ref
                 full = float(np.dot(weights, vals) / math.sqrt(math.pi))
-                half = reference._averaged_ratio_quadrature(r, alpha, sigma, order, None)
+                half = oracles._averaged_ratio_quadrature(r, alpha, sigma, order, None)
                 assert abs(half - full) < 1e-13
 
 
@@ -296,7 +298,7 @@ def test_trapezoid_matches_the_hermite_oracle():
     cases.append((2.0, 20.0, 1e-3))
     for r, alpha, sigma in cases:
         trapezoid = _ratio(r, alpha, sigma)
-        ladder = reference._hermite_ladder_ratio(r, alpha, sigma)
+        ladder = oracles._hermite_ladder_ratio(r, alpha, sigma)
         assert abs(trapezoid - ladder) < 1e-12
 
 
@@ -329,14 +331,14 @@ def test_production_never_reaches_the_hermite_ladder(monkeypatch):
     def refuse(order):
         raise AssertionError("Gauss-Hermite oracle reached from production")
 
-    monkeypatch.setattr(reference, "_hermite_rule", refuse)
+    monkeypatch.setattr(oracles, "_hermite_rule", refuse)
     for name in ("fig4a", "fig5a"):
         assert np.all(np.isfinite(registry.figure(name).build().rows))
     spec = analysis.SweepSpec("r", *registry.R_GRID_SURFACE, {"alpha": 10.0, "sigma": 0.004})
     column = analysis.sweep(spec, "phase_ratio").rows[:, 1]
     assert np.all((column > 0.0) & (column < 1.0))
     with pytest.raises(AssertionError, match="oracle reached"):
-        reference._hermite_ladder_ratio(0.725, 10.0, 1e-3)
+        oracles._hermite_ladder_ratio(0.725, 10.0, 1e-3)
 
 
 def test_coarse_trapezoid_step_fails_the_gate(monkeypatch):
@@ -383,7 +385,7 @@ def test_ratio_whose_reference_has_lost_its_digits_fails_numerically():
         with pytest.raises(fs.NumericalFailureError, match="lost its digits"):
             _ratio(r, 10.0, 0.1)
         with pytest.raises(fs.NumericalFailureError, match="lost its digits"):
-            reference.phase_error_ratio(r, 10.0, 0.1)
+            oracles.phase_error_ratio(r, 10.0, 0.1)
     assert 0.0 < _ratio(1e-150, 10.0, 0.1) < 1.0
 
 
@@ -399,7 +401,7 @@ def test_series_truncation_floor():
     # the series cutoffs production takes, and the oracles' series_truncation
     dims = registry.truncations("series", np.array([0.1, 2.0])).dims
     assert dims[0] == 64 and dims[1] > 64
-    assert [reference.series_truncation(r).dim for r in (0.1, 2.0)] == dims.tolist()
+    assert [oracles.series_truncation(r).dim for r in (0.1, 2.0)] == dims.tolist()
 
 
 def test_kerr_takes_only_cutoff_columns():
@@ -408,7 +410,7 @@ def test_kerr_takes_only_cutoff_columns():
     taus, sigmas = np.full(2, math.pi), np.full(2, 1e-3)
     good = _series(0.725, 2)
     for bad in ((), (_series(0.725, 3),), (good, _series(0.725, 1)),
-                (reference.series_truncation(0.725),)):
+                (oracles.series_truncation(0.725),)):
         with pytest.raises(ValueError, match="CutoffColumns of 2 cutoffs"):
             kerr.p0_over_tau(taus, 0.725, 10.0, *bad)
         with pytest.raises(ValueError, match="CutoffColumns of 2 cutoffs"):
@@ -469,7 +471,7 @@ def test_p0_at_ideal_phase_equals_branch_weight(r):
 def test_p0_at_ideal_phase_is_exact_for_any_pump(alpha):
     # every label overlap is exactly 1 at tau_tilde = pi; a kernel in tau
     # itself multiplies the rounding of n tau by |alpha|^2
-    _, g = _odd_series(0.725, reference.series_truncation(0.725))
+    _, g = _odd_series(0.725, oracles.series_truncation(0.725))
     assert abs(float(np.sum(g)) ** 2 - P0_IDEAL) <= 1e-15 * P0_IDEAL
     assert abs(kerr.p0_over_tau(IDEAL, 0.725, alpha, _series(0.725))[0, 0] - P0_IDEAL) <= (
         1e-15 * P0_IDEAL)
@@ -486,10 +488,10 @@ def test_odd_branch_kernel_matches_the_general_overlap():
     taus = np.linspace(*registry.TAU_GRID)
     for alpha in (10.0, 3.0 + 1.0j):
         for r in (0.05, 0.725, 2.0):
-            trunc = reference.series_truncation(r)
+            trunc = oracles.series_truncation(r)
             n, g = _odd_series(r, trunc)
             kernel = kerr._odd_branch_probability(taus - math.pi, g, alpha)
-            oracle = reference._overlap_probability(taus, n, g, alpha, -alpha)
+            oracle = oracles._overlap_probability(taus, n, g, alpha, -alpha)
             # far from pi the value falls to 1e-97 and is ill-conditioned in
             # tau (about |alpha|^2 n tau eps relative), so the fig4a grid is
             # compared against its largest value, the one at pi
@@ -497,14 +499,14 @@ def test_odd_branch_kernel_matches_the_general_overlap():
             for cut in (trunc, trunc.scaled(1.5)):
                 deltas, n, g = _fig5b_window(r, cut, alpha)
                 kernel = kerr._odd_branch_probability(deltas, g, alpha)
-                oracle = reference._overlap_probability(math.pi + deltas, n, g, alpha, -alpha)
+                oracle = oracles._overlap_probability(math.pi + deltas, n, g, alpha, -alpha)
                 assert np.all(np.abs(kernel - oracle) <= 1e-12 * oracle)
 
 
 def test_kernel_blocks_do_not_change_the_values(monkeypatch):
     # one node per block, and three per block with a shorter last block,
     # give the numbers of the whole fig5b window in one block
-    deltas, n, g = _fig5b_window(2.0, reference.series_truncation(2.0), 10.0)
+    deltas, n, g = _fig5b_window(2.0, oracles.series_truncation(2.0), 10.0)
     assert len(deltas) % 3
     monkeypatch.setattr(kerr, "KERNEL_BLOCK", len(n) * len(deltas))
     whole = kerr._odd_branch_probability(deltas, g, 10.0)
@@ -566,7 +568,7 @@ def test_kernel_hands_only_large_work_to_libm(monkeypatch):
         cis(x, cos_out, sin_out, work)
 
     monkeypatch.setattr(kerr, "_cis", spy)
-    deltas, n, g = _fig5b_window(2.0, reference.series_truncation(2.0), 10.0)
+    deltas, n, g = _fig5b_window(2.0, oracles.series_truncation(2.0), 10.0)
     blocks = -(-len(deltas) // (kerr.KERNEL_BLOCK // len(n)))
     at_limit = math.sqrt(kerr.CIS_LIMIT)
     for alpha, rotations in ((0.999 * at_limit, 2), (1.001 * at_limit, 1)):
@@ -590,7 +592,7 @@ def test_kernel_agrees_with_a_libm_rotation(monkeypatch):
     taus = np.linspace(*registry.TAU_GRID)
     turns = (kerr._cis, kerr._libm_cis)
     for r in (0.725, 2.0):
-        deltas, n, g = _fig5b_window(r, reference.series_truncation(r), 10.0)
+        deltas, n, g = _fig5b_window(r, oracles.series_truncation(r), 10.0)
         values = []
         for turn in turns:
             monkeypatch.setattr(kerr, "_cis", turn)
@@ -604,7 +606,7 @@ def test_kernel_agrees_with_a_libm_rotation(monkeypatch):
 def test_kernel_is_exactly_even_in_delta(monkeypatch):
     # the evenness that lets p0_over_tau evaluate each |delta| once
     taus = np.linspace(*registry.TAU_GRID)
-    _, g = _odd_series(2.0, reference.series_truncation(2.0))
+    _, g = _odd_series(2.0, oracles.series_truncation(2.0))
     for turn in (kerr._cis, kerr._libm_cis):
         monkeypatch.setattr(kerr, "_cis", turn)
         deltas = taus - math.pi
@@ -626,7 +628,7 @@ def test_grouped_p0_matches_one_call_per_r():
     # alone or padded, so the two paths differ only in how they sum
     taus = np.linspace(*registry.TAU_GRID)
     rs = np.array([1e-100, 1e-7, 0.05, 0.725, 2.0])
-    trunc = reference.series_truncation(2.0)
+    trunc = oracles.series_truncation(2.0)
     tau_col, r_col = (c.ravel() for c in np.meshgrid(taus, rs))
     for alpha in (3.0, 10.0):
         grouped = kerr.p0_over_tau(tau_col, r_col, alpha,
@@ -652,7 +654,7 @@ def test_shared_pass_matches_one_pass_per_cutoff():
     taus = np.linspace(*registry.TAU_GRID)
     rs = (0.05, 0.725, 2.0)
     tau_col, r_col = (c.ravel() for c in np.meshgrid(taus, rs))
-    base = reference.series_truncation(max(rs))
+    base = oracles.series_truncation(max(rs))
     sigmas = np.linspace(*registry.SIGMA_GRID)[4::4]
     for alpha in (3.0, 10.0):
         p0 = registry.QUANTITIES["p0_cat_minus"].fn(
@@ -664,7 +666,7 @@ def test_shared_pass_matches_one_pass_per_cutoff():
             gap = np.abs(row.reshape(len(rs), -1) - single)
             assert np.all(gap <= 1e-15 * np.max(single, axis=1, keepdims=True))
         for r in rs:
-            cutoffs = (reference.series_truncation(r), reference.series_truncation(r).scaled(1.5))
+            cutoffs = (oracles.series_truncation(r), oracles.series_truncation(r).scaled(1.5))
             ratios = registry.QUANTITIES["phase_ratio"].fn(
                 *(_column(c, len(sigmas)) for c in cutoffs),
                 sigma=sigmas, r=np.full(len(sigmas), r), alpha=np.full(len(sigmas), alpha))
@@ -698,7 +700,7 @@ def test_one_kernel_pass_serves_both_cutoffs(monkeypatch):
     rs = np.linspace(*registry.R_GRID_SURFACE)
     calls.clear()
     analysis.evaluate("p0_cat_minus", {"tau_tilde": math.pi, "r": rs, "alpha": 10.0})
-    assert len({reference.series_truncation(r) for r in rs.tolist()}) == 24
+    assert len({oracles.series_truncation(r) for r in rs.tolist()}) == 24
     assert [shape for _, shape in calls] == [(80, calls[0][1][1])]
     # phase_ratio: one call per alpha, over the trapezoid grids of both
     # sigmas laid end to end (111 + 255 nodes at alpha = 9, 123 + 293 at
@@ -729,7 +731,7 @@ def test_merged_phase_ratio_column_matches_one_point_calls(rs, sigma, alpha):
     # and its own 1.5x recheck, on the trapezoid grid of the widest band,
     # against one phase_ratio call per point and cutoff on its own
     rs = np.array(rs)
-    base = fs.CutoffColumn(tuple(reference.series_truncation(r).dim for r in rs.tolist()),
+    base = fs.CutoffColumn(tuple(oracles.series_truncation(r).dim for r in rs.tolist()),
                            kerr.SERIES_STATE_TOL)
     cutoffs = (base, base.scaled(1.5))
     event(f"{len(set(base.dims))} distinct cutoffs")
@@ -772,7 +774,7 @@ def test_fused_sigma_pass_matches_one_call_per_sigma(pool, picks, r, alpha):
     # over their trapezoid grids laid end to end; each keeps its own rule,
     # reference and checks, as a call of its own would
     sigmas = np.array([pool[i % len(pool)] for i in picks])
-    trunc = reference.series_truncation(r)
+    trunc = oracles.series_truncation(r)
     cutoffs = (trunc, trunc.scaled(1.5))
     event(f"{len(set(sigmas.tolist()))} distinct sigmas at r = {r}")
     fused = _outcome(lambda: kerr.phase_ratio(sigmas, r, alpha,
@@ -884,13 +886,13 @@ def test_p0_rejects_nonpositive_squeezing():
 
 def test_p0_rejects_an_unknown_branch_sign():
     with pytest.raises(ValueError, match="sign"):
-        reference.p0_over_tau(IDEAL, 0.725, 10.0, sign=0)
+        oracles.p0_over_tau(IDEAL, 0.725, 10.0, sign=0)
 
 
 def test_branch_probabilities_sum_to_one():
     # residual |<alpha|-alpha>| cross terms bound the deficit by 10 e^{-2 alpha^2}
     for alpha, slack in ((1.5, 10.0 * math.exp(-4.5)), (3.0, 10.0 * math.exp(-18.0))):
-        total = reference.p0_over_tau(IDEAL, 0.725, alpha, sign=-1)[0] + reference.p0_over_tau(
+        total = oracles.p0_over_tau(IDEAL, 0.725, alpha, sign=-1)[0] + oracles.p0_over_tau(
             IDEAL, 0.725, alpha, sign=+1, label=alpha
         )[0]
         assert total <= 1.0 + 1e-12
@@ -903,7 +905,7 @@ def test_p0_matches_fock_grid_oracle():
         (math.pi, +1, 3.0),
         (math.pi + 0.05, -1, -3.0),
     ):
-        series = reference.p0_over_tau(np.array([tau]), 0.725, 3.0, sign=sign, label=label)[0]
+        series = oracles.p0_over_tau(np.array([tau]), 0.725, 3.0, sign=sign, label=label)[0]
         grid = fock_grid_p0(tau, 0.725, sign, 3.0, label, 64, 200)
         assert abs(series - grid) < 1e-10
         if sign < 0:
@@ -917,7 +919,7 @@ def test_phase_error_ratio_matches_fock_grid_oracle():
     # cancel in the ratio, so agreement is much better than either p0
     num = fock_grid_p0(math.pi + 0.004, 0.725, -1, 10.0, -10.0, 64, 400)
     den = fock_grid_p0(math.pi, 0.725, -1, 10.0, -10.0, 64, 400)
-    value = reference.phase_error_ratio(0.725, 10.0, 0.004)
+    value = oracles.phase_error_ratio(0.725, 10.0, 0.004)
     assert abs(value - num / den) < 1e-12
 
 
@@ -929,22 +931,22 @@ def _p1_cat_minus(trunc):
 
 
 def test_p1_heralded_closed_form_and_peak():
-    p1 = _p1_cat_minus(reference.series_truncation(1.146))
+    p1 = _p1_cat_minus(oracles.series_truncation(1.146))
     closed = math.tanh(1.146) ** 2 / (4.0 * math.cosh(1.146))
     # the default pair series is cut at tail mass 1e-11, which sets the gap
     # to the closed form; the pi-phase projection correction ~ e^{-200} and
     # float noise are both far smaller, as the tighter cutoff shows
     assert abs(p1 - closed) < 1e-11
-    tight = _p1_cat_minus(reference.series_truncation(1.146, 1e-15))
+    tight = _p1_cat_minus(oracles.series_truncation(1.146, 1e-15))
     assert abs(tight - closed) < 1e-14
     assert p1 == pytest.approx(0.0962250, abs=1e-6)
 
 
 def test_phase_error_ratio_reference_and_symmetry():
-    assert reference.phase_error_ratio(0.725, 10.0, 0.0) == 1.0
+    assert oracles.phase_error_ratio(0.725, 10.0, 0.0) == 1.0
     for dtheta in (1e-3, 5e-3, 2e-2):
-        left = reference.phase_error_ratio(0.725, 10.0, -dtheta)
-        right = reference.phase_error_ratio(0.725, 10.0, dtheta)
+        left = oracles.phase_error_ratio(0.725, 10.0, -dtheta)
+        right = oracles.phase_error_ratio(0.725, 10.0, dtheta)
         assert abs(left - right) < 1e-12
 
 
@@ -952,13 +954,13 @@ def test_phase_error_ratio_equals_probability_ratio():
     dtheta = 0.004
     shifted = kerr.p0_over_tau(np.array([math.pi + dtheta]), 0.725, 10.0, _series(0.725))[0, 0]
     direct = shifted / kerr.p0_over_tau(IDEAL, 0.725, 10.0, _series(0.725))[0, 0]
-    assert abs(reference.phase_error_ratio(0.725, 10.0, dtheta) - direct) < 1e-12
+    assert abs(oracles.phase_error_ratio(0.725, 10.0, dtheta) - direct) < 1e-12
 
 
 def test_phase_error_ratio_regression_fixture():
     # the averaged value at sigma = 0.004 sits above the deterministic one
     # at dtheta = 0.004 because small draws dominate the Gaussian weight
-    value = reference.phase_error_ratio(0.725, 10.0, 0.004)
+    value = oracles.phase_error_ratio(0.725, 10.0, 0.004)
     assert value == pytest.approx(0.9285167292647223, abs=1e-10)
     averaged = _ratio(0.725, 10.0, 0.004)
     assert averaged == pytest.approx(0.9412258901826744, abs=1e-9)
@@ -969,7 +971,7 @@ def test_phase_error_ratio_is_even_quadratic_near_zero():
     # lands ~2% lower once quartic corrections enter
     curvature = 5205.0
     for dtheta in (2e-4, 1e-3):
-        measured = 1.0 - reference.phase_error_ratio(0.725, 10.0, dtheta)
+        measured = 1.0 - oracles.phase_error_ratio(0.725, 10.0, dtheta)
         assert measured / dtheta**2 == pytest.approx(curvature, rel=0.02)
 
 
@@ -1012,19 +1014,19 @@ def test_phase_ratio_column_stays_a_decaying_ratio(r, alpha, sigmas):
 def test_averaged_ratio_monte_carlo_agrees_with_quadrature():
     sigma = 1e-3
     quad = _ratio(0.725, 10.0, sigma)
-    mc = reference._monte_carlo_ratio(0.725, 10.0, sigma, 200_000, 7)
+    mc = oracles._monte_carlo_ratio(0.725, 10.0, sigma, 200_000, 7)
     assert abs(mc - quad) < 5e-5
-    again = reference._monte_carlo_ratio(0.725, 10.0, sigma, 200_000, 7)
+    again = oracles._monte_carlo_ratio(0.725, 10.0, sigma, 200_000, 7)
     assert again == mc
 
 
 def test_monte_carlo_working_set_is_bounded():
     # 200,000 draws at 16 pair terms: the overlap tables hold
     # MONTE_CARLO_BLOCK draws at a time, not all of them (160 MB)
-    reference._monte_carlo_ratio(0.725, 10.0, 1e-3, 1000, 7)  # fill the series caches
+    oracles._monte_carlo_ratio(0.725, 10.0, 1e-3, 1000, 7)  # fill the series caches
     tracemalloc.start()
     try:
-        reference._monte_carlo_ratio(0.725, 10.0, 1e-3, 200_000, 7)
+        oracles._monte_carlo_ratio(0.725, 10.0, 1e-3, 200_000, 7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1035,7 +1037,7 @@ def test_averaged_ratio_input_validation():
     with pytest.raises(ValueError):
         _ratio(0.725, 10.0, -1e-4)
     with pytest.raises(ValueError):
-        reference._monte_carlo_ratio(0.725, 10.0, 1e-3, 200_000, None)
+        oracles._monte_carlo_ratio(0.725, 10.0, 1e-3, 200_000, None)
     for sigma in (math.inf, math.nan):
         with pytest.raises(ValueError):
             _ratio(0.725, 10.0, sigma)
@@ -1107,6 +1109,6 @@ def test_fitted_decay_rate_monte_carlo_within_noise():
     quad_rate, _ = decay_fit(10.0)
     # the ratio is exactly 1 at sigma = 0
     sigmas = np.linspace(0.0, kerr.FIT_SIGMA_MAX, kerr.FIT_SAMPLES)
-    ratios = [reference._monte_carlo_ratio(0.725, 10.0, s, 100_000, 11) if s else 1.0 for s in sigmas]
+    ratios = [oracles._monte_carlo_ratio(0.725, 10.0, s, 100_000, 11) if s else 1.0 for s in sigmas]
     noisy_rate, noisy_stderr = kerr.fit_lambda(zip(sigmas, ratios))
     assert abs(noisy_rate - quad_rate) < 3.0 * max(noisy_stderr, 1e-12) + 0.01 * quad_rate

@@ -10,6 +10,8 @@ import scipy.linalg
 from sqherald import fockspace as fs
 from sqherald import optics, reference, verification
 
+import oracles
+
 
 def binomial_column(total: int) -> np.ndarray:
     """Closed-form splitter output for |total, 0>: the amplitude on
@@ -25,7 +27,7 @@ def binomial_column(total: int) -> np.ndarray:
 def test_split_fock_states_match_binomial_closed_form():
     trunc = reference.Truncation(12)
     for total in (0, 1, 2, 3, 5, 8):
-        st = reference.split(reference.fock_state(total, trunc))
+        st = reference.split(oracles.fock_state(total, trunc))
         assert np.max(np.abs(st.amps.imag)) == 0.0
         block = np.array(
             [st.amps[na, total - na].real for na in range(total + 1)]
@@ -34,7 +36,7 @@ def test_split_fock_states_match_binomial_closed_form():
 
 
 def test_split_two_photon_example():
-    st = reference.split(reference.fock_state(2, reference.Truncation(8)))
+    st = reference.split(oracles.fock_state(2, reference.Truncation(8)))
     assert st.amps[2, 0].real == pytest.approx(0.5, abs=1e-14)
     assert st.amps[0, 2].real == pytest.approx(0.5, abs=1e-14)
     assert st.amps[1, 1].real == pytest.approx(-1.0 / math.sqrt(2.0), abs=1e-14)
@@ -44,7 +46,7 @@ def test_split_two_photon_example():
 
 
 def test_split_vacuum_is_identity():
-    st = reference.split(reference.vacuum_state(reference.Truncation(6)))
+    st = reference.split(oracles.vacuum_state(reference.Truncation(6)))
     assert st.amps[0, 0] == 1.0
     assert st.norm_sq() == 1.0
 
@@ -65,13 +67,13 @@ def test_closed_form_split_matches_expm_blocks(dim):
     amps /= np.linalg.norm(amps)
     st = reference.SingleModeState(amps, trunc)
     closed = reference.split(st)
-    oracle = reference.apply_beam_splitter(reference.tensor(st, reference.vacuum_state(trunc)))
+    oracle = reference.apply_beam_splitter(oracles.tensor(st, oracles.vacuum_state(trunc)))
     assert np.max(np.abs(closed.amps - oracle.amps)) <= 1e-13
 
 
 def test_split_builds_no_expm_blocks():
     before = reference._blocks.cache_info()
-    reference.split(reference.fock_state(3, reference.Truncation(37)))
+    reference.split(oracles.fock_state(3, reference.Truncation(37)))
     assert reference._blocks.cache_info() == before
 
 
@@ -148,7 +150,7 @@ def test_minus_cat_pair_probability_approaches_half():
 
 def test_conditional_raises_on_empty_herald_row():
     dist = reference.joint_probability(
-        reference.split(reference.vacuum_state(reference.Truncation(16)))
+        reference.split(oracles.vacuum_state(reference.Truncation(16)))
     )
     with pytest.raises(optics.ZeroHeraldError):
         reference.single_photon_fraction(dist.p[1])
@@ -156,7 +158,7 @@ def test_conditional_raises_on_empty_herald_row():
 
 def test_joint_distribution_deficit_accounting():
     trunc = reference.Truncation(16)
-    dist = reference.joint_probability(reference.split(reference.fock_state(3, trunc)))
+    dist = reference.joint_probability(reference.split(oracles.fock_state(3, trunc)))
     assert abs(dist.p.sum() + dist.deficit - 1.0) < 1e-12
     lossy = np.zeros((16, 16), dtype=complex)
     lossy[0, 0] = math.sqrt(0.7)
@@ -212,7 +214,7 @@ def test_decomposition_path_agrees_with_direct_unitary():
 def test_two_mode_squeeze_reproduces_schmidt_diagonal():
     r = 0.9
     trunc = reference.Truncation(48)
-    evolved = reference.tmss_schmidt_check(r, trunc)
+    evolved = oracles.tmss_schmidt_check(r, trunc)
     target = reference.two_mode_squeezed_vacuum(r, trunc)
     gap = np.abs(evolved.joint_distribution() - target.joint_distribution())
     assert gap.max() < 1e-10
@@ -241,7 +243,7 @@ def test_two_mode_squeeze_matches_dense_expm():
 def test_opposite_squeezers_through_splitter_give_tmss_probabilities():
     r = 0.9
     trunc = reference.Truncation(64)
-    product = reference.tensor(
+    product = oracles.tensor(
         reference.squeezed_vacuum(r, trunc), reference.squeezed_vacuum(-r, trunc)
     )
     out = reference.apply_beam_splitter(product)

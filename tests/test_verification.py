@@ -1,6 +1,7 @@
 """The verify report as a table of checks: every numeric check prints its
 margin, which reads above 100% exactly when the check fails, and the
 default report keeps the numbers of the bench reference."""
+import ast
 import dataclasses
 import re
 from pathlib import Path
@@ -233,3 +234,29 @@ def test_criterion_9_batched_oracle_matches_the_dense_tables():
     # a forced cutoff still names the first r that does not fit
     detail = verification.criterion_9(verification.VerifyConfig(dim=8)).detail
     assert "two-mode squeezed vacuum at r = 0.8 does not fit in dim = 8" in detail
+
+
+def test_every_reference_definition_is_reached_from_verify():
+    # sqherald.reference holds verify's oracles and nothing else: from the
+    # reference.X names that verification uses, following the names each
+    # definition loads reaches every top-level definition of the module
+    # (the oracles only the tests run live in tests/oracles.py)
+    package = Path(reference.__file__).parent
+    defs = {}
+    for node in ast.parse((package / "reference.py").read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defs[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defs.update({n.id: node for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)})
+    todo = [n.attr for n in ast.walk(ast.parse((package / "verification.py").read_text()))
+            if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+            and n.value.id == "reference"]
+    reached = set()
+    while todo:
+        name = todo.pop()
+        if name in defs and name not in reached:
+            reached.add(name)
+            todo += [n.id for n in ast.walk(defs[name]) if isinstance(n, ast.Name)]
+    assert sorted(set(defs) - reached) == []
