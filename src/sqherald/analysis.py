@@ -8,10 +8,8 @@ points' parameter values, with the points' cutoffs and 1.5x them in the
 same call; every row must agree between the two within
 CONVERGENCE_TOL, so published tables are convergence-checked row by
 row.  The scan and check grids of maximize_1d are one call each,
-at the points' cutoffs and with no recheck.  Its golden section, and the
-bisection of find_crossing, evaluate in one call every point that their
-next SEARCH_DEPTH steps could visit, then replay those steps on the
-values: the iterates are those of one evaluation per step, to the bit.
+at the points' cutoffs and with no recheck; its golden section, and the
+bisection of find_crossing, take one call per step.
 """
 from __future__ import annotations
 
@@ -29,9 +27,6 @@ SCAN_POINTS = 41
 CHECK_POINTS = 201
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-# each objective call of a search evaluates every point that its next
-# SEARCH_DEPTH evaluations could visit: at most 2**SEARCH_DEPTH - 1 points
-SEARCH_DEPTH = 4
 
 
 class ConvergenceError(RuntimeError):
@@ -329,11 +324,6 @@ class ArrayObjective:
         values = np.asarray(self.fn(xs), dtype=float)
         return _require_finite(values, self.name, lambda i: {self.var: float(xs[i])})
 
-    def at(self, x: float, raw) -> float:
-        """raw, a value of fn at the point x, as a call on x returns it: a
-        float, or the NumericalFailureError naming x if it is not finite."""
-        return float(_require_finite(np.array([raw]), self.name, lambda i: {self.var: float(x)})[0])
-
 
 def objective(
     quantity, dim: int | None = None, tail_tol: float | None = None, **fixed: float
@@ -356,89 +346,24 @@ def objective(
     return ArrayObjective(values, q.name, var)
 
 
-def _searcher(evaluate, check, one):
-    """A search's view of its objective: value(x, tree) is the value at x
-    as check(x, raw) returns it, so only the points a search visits are
-    checked.  The first time x is asked for, evaluate(points) runs once on
-    tree(), the points that the next steps could visit with x first, and
-    every raw value is kept for the steps that follow.  If that evaluation
-    raises, value is one(x), the checked value at x alone, evaluated as a
-    search that takes one point per step would; so a point the search
-    never visits cannot fail it."""
-    known = {}
-
-    def value(x, tree):
-        if x not in known:
-            points = tree()
-            try:
-                raw = evaluate(points)
-            except Exception:
-                return one(x)
-            known.update(zip(points, raw))
-        return check(x, known[x])
-
-    return value
-
-
-def _curve(f):
-    """f's raw values at a list of points, and its check of one of them
-    at x: one f.fn call and f.at for an ArrayObjective, else one call of f
-    per point and the value as it is."""
-    if isinstance(f, ArrayObjective):
-        return (lambda xs: np.asarray(f.fn(np.array(xs, dtype=float)), dtype=float)), f.at
-    return (lambda xs: [f(x) for x in xs]), (lambda x, raw: raw)
-
-
-def _golden_step(a: float, b: float, c: float, d: float, c_wins: bool):
-    """One golden-section step on [a, b] with interior points c < d: keep
-    [a, d] if c wins, else [c, b].  Returns the new a, b, c, d and the one
-    new point."""
-    if c_wins:
-        b, d = d, c
-        c = b - INV_PHI * (b - a)
-        return a, b, c, d, c
-    a, c = c, d
-    d = a + INV_PHI * (b - a)
-    return a, b, c, d, d
-
-
-def _golden_tree(state: tuple, new: tuple, tol: float, depth: int) -> list[float]:
-    """The points that the golden section at state (a, b, c, d), whose
-    points new are not evaluated yet, could visit in its next depth
-    evaluations: new, then below each outcome of the comparison the next
-    step's point or, once b - a <= tol, the midpoint."""
-    a, b = state[:2]
-    points = list(new[:depth])
-    depth -= len(new)
-    if depth > 0:
-        if not (b - a) > tol:
-            points.append(0.5 * (a + b))
-        else:
-            for c_wins in (True, False):
-                *after, p = _golden_step(*state, c_wins)
-                points += _golden_tree(tuple(after), (p,), tol, depth)
-    return points
-
-
 def _golden_section(f: ArrayObjective, a: float, b: float, tol: float) -> tuple[float, float]:
-    """Golden-section maximum of f on [a, b] to tol: the midpoint of the
-    final bracket and f there.  Each call of f.fn evaluates the decision
-    tree of the next SEARCH_DEPTH evaluations, and the search replays its
-    steps on those values, so its iterates, result and first non-finite
-    point are those of one evaluation per step."""
-    value = _searcher(*_curve(f), f)
+    """Golden-section maximum of f on [a, b] to tol, one call of f per
+    step: the midpoint of the final bracket and f there."""
     c = b - INV_PHI * (b - a)
     d = a + INV_PHI * (b - a)
-    state = (a, b, c, d)
-    fc = value(c, lambda: _golden_tree(state, (c, d), tol, SEARCH_DEPTH))
-    fd = value(d, lambda: _golden_tree(state, (d,), tol, SEARCH_DEPTH))
+    fc = f(c)
+    fd = f(d)
     while (b - a) > tol:
-        c_wins = fc > fd
-        a, b, c, d, p = _golden_step(a, b, c, d, c_wins)
-        fp = value(p, lambda: _golden_tree((a, b, c, d), (p,), tol, SEARCH_DEPTH))
-        fc, fd = (fp, fc) if c_wins else (fd, fp)
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - INV_PHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + INV_PHI * (b - a)
+            fd = f(d)
     x = 0.5 * (a + b)
-    return x, value(x, lambda: [x])
+    return x, f(x)
 
 
 def maximize_1d(quantity, lo: float, hi: float, tol: float = GOLDEN_TOL) -> MaximizeResult:
@@ -448,9 +373,8 @@ def maximize_1d(quantity, lo: float, hi: float, tol: float = GOLDEN_TOL) -> Maxi
     grid value beats the polished maximum, the search is repeated around
     the grid winner and the result is flagged non-unimodal.  quantity is
     an ArrayObjective, or a registered name or Quantity (see objective).
-    The scan and the check grid are one objective call each, and each
-    golden-section call evaluates the points its next SEARCH_DEPTH steps
-    could visit (see _golden_section); a value that is not finite is a
+    The scan and the check grid are one objective call each, and the
+    golden section one per step; a value that is not finite is a
     NumericalFailureError naming the first such point the search visits.
     """
     f = quantity if isinstance(quantity, ArrayObjective) else objective(quantity)
@@ -476,40 +400,21 @@ def maximize_1d(quantity, lo: float, hi: float, tol: float = GOLDEN_TOL) -> Maxi
     return MaximizeResult(float(x_star), float(v_star), unimodal)
 
 
-def _bisection_tree(a: float, b: float, tol: float, depth: int) -> list[float]:
-    """The midpoints that the bisection of [a, b] could visit in its next
-    depth steps: its own, then those of either half."""
-    if depth <= 0 or not (b - a) > tol:
-        return []
-    mid = 0.5 * (a + b)
-    return [mid, *_bisection_tree(a, mid, tol, depth - 1), *_bisection_tree(mid, b, tol, depth - 1)]
-
-
 def find_crossing(f, g, lo: float, hi: float, tol: float = GOLDEN_TOL) -> float:
     """Bisection root of f - g on [lo, hi]; the difference must change
     sign, and a difference that is not finite is a NumericalFailureError
     naming its point.
 
-    f and g are ArrayObjectives or callables on one float.  Each
-    evaluation covers the endpoints or midpoints of the next SEARCH_DEPTH
-    steps, in one fn call per ArrayObjective and one call per point of a
-    plain callable, and the bisection replays its steps on those values.
-    It checks f, g and f - g at the points it visits, in that order, as
-    one evaluation of f(x) - g(x) per step would."""
-    (f_values, f_at), (g_values, g_at) = _curve(f), _curve(g)
+    f and g are ArrayObjectives or callables on one float, and each step
+    evaluates f(x) - g(x) at its one point: f, then g, then their
+    difference are checked there, in that order."""
 
-    def difference(x, value):
-        return float(_require_finite(np.array([value], dtype=float), "f - g",
-                                     lambda i: {"x": float(x)})[0])
+    def h(x):
+        value = np.array([f(x) - g(x)], dtype=float)
+        return float(_require_finite(value, "f - g", lambda i: {"x": float(x)})[0])
 
-    value = _searcher(
-        lambda xs: list(zip(f_values(xs), g_values(xs))),
-        lambda x, raw: difference(x, f_at(x, raw[0]) - g_at(x, raw[1])),
-        lambda x: difference(x, f(x) - g(x)),
-    )
-    a, b = float(lo), float(hi)
-    ha = value(lo, lambda: [lo, hi, *_bisection_tree(a, b, tol, SEARCH_DEPTH - 2)])
-    hb = value(hi, lambda: [hi, *_bisection_tree(a, b, tol, SEARCH_DEPTH - 1)])
+    ha = h(lo)
+    hb = h(hi)
     if ha == 0.0:
         return lo
     if hb == 0.0:
@@ -519,9 +424,10 @@ def find_crossing(f, g, lo: float, hi: float, tol: float = GOLDEN_TOL) -> float:
             f"difference does not change sign on [{lo}, {hi}] "
             f"(endpoints {ha:.3e}, {hb:.3e})"
         )
+    a, b = float(lo), float(hi)
     while (b - a) > tol:
         mid = 0.5 * (a + b)
-        hm = value(mid, lambda: _bisection_tree(a, b, tol, SEARCH_DEPTH))
+        hm = h(mid)
         if hm == 0.0:
             return mid
         if (hm > 0.0) == (ha > 0.0):

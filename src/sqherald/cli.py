@@ -186,6 +186,12 @@ def cmd_sweep(args) -> int:
         if not _:
             print(f"--set expects name=value, got {item!r}", file=sys.stderr)
             return EXIT_USAGE
+        if not key:
+            print(f"--set {item!r} names no parameter", file=sys.stderr)
+            return EXIT_USAGE
+        if key in fixed:
+            print(f"--set {item!r} gives {key} a second value", file=sys.stderr)
+            return EXIT_USAGE
         fixed[key] = float(value)
     if args.var is None or args.lo is None or args.hi is None or args.points is None:
         print("--var, --lo, --hi and --points are required", file=sys.stderr)

@@ -22,10 +22,10 @@ earlier call, a cutoff column's in blocks of one build each
 one, so one merged pass, `_row_blocks`, zero-pads
 the rows to the longest and hands them to one kernel,
 `_odd_branch_probability`, as one weight matrix: p0 makes one call for
-all its points, and phase_ratio one for all the sigmas that read the
-same rows, over their trapezoid grids laid end to end.  Only a sweep
-whose weight matrix, value table or grids would pass MERGE_BLOCK
-entries takes more.  The kernel fills at most KERNEL_BLOCK entries of
+all its points, and phase_ratio one for each run of consecutive sigmas
+that read the same rows, over their trapezoid grids laid end to end.
+Only a sweep whose weight matrix, value table or grids would pass
+MERGE_BLOCK entries takes more.  The kernel fills at most KERNEL_BLOCK entries of
 the terms x nodes table at a time.  Its cosines and sines come from `_cis`, a
 table-driven rotation (Cody & Waite 1980; Tang, ACM TOMS 15, 144 (1989))
 that replaces the two libm calls of each of its two rotations with 28
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import bisect
 import cmath
+import itertools
 import math
 from typing import NamedTuple
 
@@ -475,19 +476,20 @@ def phase_ratio(sigmas: np.ndarray, r, alpha: complex, *cutoffs) -> np.ndarray:
 
     The points with sigma > 0 build and tail-check the series of their
     (r, cutoff) weight rows, every first-cutoff row before any recheck
-    row.  Each distinct sigma, in order of first appearance, has its own
-    trapezoid rule, banded by the longest series among its rows; the
-    sigmas that read the same rows share one kernel pass over their rules
-    laid end to end (_averaged_ratios).  Each rule's first node, delta =
-    0, is each row's reference probability.  A reference below the
-    smallest normal float (r below about 2e-154, and r = 0) has lost its
-    digits, and the ratio with them: NumericalFailureError.  A row whose
-    rule disagrees with itself at twice the step by more than
+    row.  The distinct sigmas run in order of first appearance, each with
+    its own trapezoid rule, banded by the longest series among its rows;
+    consecutive sigmas that read the same rows share one kernel pass over
+    their rules laid end to end (_averaged_ratios).  Each rule's first
+    node, delta = 0, is each row's reference probability.  A reference
+    below the smallest normal float (r below about 2e-154, and r = 0) has
+    lost its digits, and the ratio with them: NumericalFailureError.  A
+    row whose rule disagrees with itself at twice the step by more than
     TRAPEZOID_AGREEMENT raises QuadratureConvergenceError.  So a failing
     series raises first; then, sigma by sigma, a rule too large to run,
     or the first of its rows (first-cutoff rows before recheck rows, each
-    in point order) that fails either check, named by its own r.  sigma =
-    0 reads exactly 1 and builds no series.
+    in point order) that fails either check, named by its own r, as soon
+    as its sigma is checked.  sigma = 0 reads exactly 1 and builds no
+    series.
     """
     if not np.all(np.isfinite(sigmas) & (sigmas >= 0.0)):
         raise ValueError("sigma must be finite and nonnegative")
@@ -503,47 +505,41 @@ def phase_ratio(sigmas: np.ndarray, r, alpha: complex, *cutoffs) -> np.ndarray:
     pairs, pair_at = np.unique(np.tile(at, len(columns)) * len(rows.r) + rows.row.ravel(),
                                return_inverse=True)
     runs = [0] + (np.flatnonzero(np.diff(pairs // len(rows.r))) + 1).tolist()
-    groups: dict = {}  # the sigmas of each set of rows, in order
-    for s, mine in enumerate(np.split(pairs % len(rows.r), runs[1:])):
-        groups.setdefault(tuple(mine.tolist()), []).append(s)
+    reads = [tuple(mine.tolist()) for mine in np.split(pairs % len(rows.r), runs[1:])]
     pad = (abs(alpha) + TRAPEZOID_BAND_PAD) ** 2
     values = np.empty(len(pairs))
-    failures: list = []  # (sigma, error), sorted
-    for mine, members in groups.items():
+    # the sigmas in order, consecutive ones that read the same rows together
+    for mine, members in itertools.groupby(range(len(distinct)), lambda s: reads[s]):
         weights = [rows.weights[j] for j in mine]
         band = pad * float(max(2 * max(len(g) for g in weights) - 1, 0))
-        # a sigma after a failing one cannot raise first
-        members = [s for s in members if not failures or s < failures[0][0]]
-        for chunk, *rules in _rule_chunks(distinct, members, band, failures):
+        for chunk, *rules in _rule_chunks(distinct, members, band):
             ratio, gap, ref = _averaged_ratios(*rules, weights, alpha)
             failed = ~(ref >= TINY) | (gap > TRAPEZOID_AGREEMENT)
             for i, s in enumerate(chunk):
                 if failed[i].any():
                     j = int(np.argmax(failed[i]))
-                    failures.append((s, _ratio_failure(ref[i, j], gap[i, j], rows.r[mine[j]],
-                                                       alpha, distinct[s])))
+                    raise _ratio_failure(ref[i, j], gap[i, j], rows.r[mine[j]], alpha,
+                                         distinct[s])
                 values[runs[s]:runs[s] + len(mine)] = ratio[i]
-        failures.sort(key=lambda f: f[0])
-    if failures:
-        raise failures[0][1]
     out[:, live] = values[pair_at].reshape(len(columns), len(live))
     return out
 
 
-def _rule_chunks(sigmas: np.ndarray, members: list, band: float, failures: list):
+def _rule_chunks(sigmas: np.ndarray, members, band: float):
     """(members, nodes, weights, starts) for runs of the sigmas of
     `members`, in order, whose trapezoid rules at band hold at most
     MERGE_BLOCK nodes together, or for one larger rule alone: the run's
     rules laid end to end, the rule of the run's i-th member at nodes
-    starts[i] .. starts[i + 1] - 1.  A rule too large to run goes to
-    failures as (member, error), and no later member is run."""
+    starts[i] .. starts[i + 1] - 1.  A rule too large to run raises
+    QuadratureConvergenceError once the run before it is handed out."""
     chunk, rules, nodes = [], [], 0
     for s in members:
         try:
             rule = _trapezoid_rule(float(sigmas[s]), band)
-        except QuadratureConvergenceError as exc:
-            failures.append((s, exc))
-            break
+        except QuadratureConvergenceError:
+            if chunk:
+                yield (chunk, *_joined(rules))
+            raise
         if chunk and nodes + len(rule[0]) > MERGE_BLOCK:
             yield (chunk, *_joined(rules))
             chunk, rules, nodes = [], [], 0

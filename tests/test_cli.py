@@ -2,6 +2,7 @@
 byte-level determinism."""
 import ast
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -236,6 +237,28 @@ def test_sweep_bad_set_syntax_exits_usage(capsys):
     )
     assert code == cli.EXIT_USAGE
     assert "name=value" in err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--eta", "0.6", "--set", "eta=0.5"), "--set 'eta=0.5' gives eta a second value"),
+    (("--set", "eta=0.6", "--set", "eta=0.5"), "--set 'eta=0.5' gives eta a second value"),
+    (("--set", "=1"), "--set '=1' names no parameter"),
+], ids=["flag_and_set", "set_twice", "no_name"])
+def test_sweep_refuses_a_parameter_set_twice_or_without_a_name(capsys, monkeypatch, flags,
+                                                               message):
+    # the first two used to run with the last value, the third reached
+    # the quantity as an empty name
+    q = registry.QUANTITIES["pclick_tmss"]
+    calls = []
+    monkeypatch.setitem(registry.QUANTITIES, "pclick_tmss", dataclasses.replace(
+        q, fn=lambda *cutoffs, **params: calls.append(params) or q.fn(*cutoffs, **params)))
+    code, out, err = run_cli(
+        capsys, "sweep", "--quantity", "pclick_tmss", "--var", "r",
+        "--lo", "0", "--hi", "1", "--points", "2", *flags,
+    )
+    assert code == cli.EXIT_USAGE
+    assert err == message + "\n"
+    assert out == "" and calls == []
 
 
 def test_sweep_outside_supported_squeezing_exits_usage(capsys):

@@ -814,6 +814,11 @@ def test_column_with_two_failing_points_names_the_first_in_order():
         params = {"sigma": np.array([1.0, 0.5])[order], "r": np.array([2.0, 1e-160])[order]}
         with pytest.raises(error, match=match):
             analysis.evaluate("phase_ratio", {"alpha": 60.0, **params})
+    # sigmas that read the same rows: sigma = 0.1 runs, and is refused,
+    # before the oversized rule of sigma = 1 is
+    with pytest.raises(lost[0], match=lost[1]):
+        analysis.evaluate("phase_ratio", {"alpha": 60.0, "sigma": np.repeat([0.1, 1.0], 2),
+                                          "r": np.tile([2.0, 1e-160], 2)})
     # two rows of one sigma that lose their reference: the first is named
     with pytest.raises(fs.NumericalFailureError, match=r"at r = 1e-200, alpha = 10.0$"):
         analysis.evaluate("phase_ratio", {"alpha": 10.0, "sigma": 0.1,
