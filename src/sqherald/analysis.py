@@ -2,12 +2,12 @@
 
 Quantities are addressed by a registered name (see registry.py) or by
 the registry.Quantity itself.  A sweep is one evaluation: every point
-gets its own cutoff, from one registry.truncations lookup for the
-column's distinct r, and the quantity runs once on arrays of all the
+gets its own cutoff, from one call of the quantity's cutoff policy on
+the column's distinct r, and the quantity runs once on arrays of all the
 points' parameter values, with the points' cutoffs and 1.5x them in the
-same call; every row must agree between the two within
-CONVERGENCE_TOL, so published tables are convergence-checked row by
-row.  The scan and check grids of maximize_1d are one call each,
+same call (a closed form takes none); every row must agree between the
+two within CONVERGENCE_TOL, so published tables are convergence-checked
+row by row.  The scan and check grids of maximize_1d are one call each,
 at the points' cutoffs and with no recheck; its golden section, and the
 bisection of find_crossing, take one call per step.
 """
@@ -156,13 +156,13 @@ def _require_finite(values: np.ndarray, name: str, point: Callable[[int], dict])
 @dataclasses.dataclass(frozen=True)
 class _Points:
     """The points of a parameter mapping: columns holds every parameter as
-    a 1-D array over the points, a fixed one repeated, and cutoff the
-    points' CutoffColumn (None for analytic quantities)."""
+    a 1-D array over the points, a fixed one repeated, and cutoffs the
+    points' CutoffColumn as its one entry, or none for a closed form."""
 
     params: Mapping
     arrays: dict
     columns: dict
-    cutoff: CutoffColumn | None
+    cutoffs: tuple[CutoffColumn, ...]
 
     def point(self, i: int) -> dict:
         return {
@@ -172,10 +172,8 @@ class _Points:
 
 def _points(q, params: Mapping, dim, tail_tol) -> _Points:
     """The points of params (see evaluate), each at its cutoff of
-    registry.truncations(q.cutoff, r, dim, tail_tol), one lookup for the
-    distinct r.  An r outside [0, SQUEEZE_LIMIT] is a ValueError."""
-    from . import registry
-
+    q.cutoff(r, dim, tail_tol), one call for the distinct r.  An r
+    outside [0, SQUEEZE_LIMIT] is a ValueError."""
     arrays = {k: np.asarray(v, dtype=float) for k, v in params.items() if np.ndim(v)}
     size = len(next(iter(arrays.values()))) if arrays else 1
     columns = {k: arrays[k] if k in arrays else np.full(size, float(v)) for k, v in params.items()}
@@ -183,17 +181,17 @@ def _points(q, params: Mapping, dim, tail_tol) -> _Points:
     outside = ~((r >= 0.0) & (r <= SQUEEZE_LIMIT))
     if np.any(outside):
         raise ValueError(f"r must lie in [0, {SQUEEZE_LIMIT}], got {r[outside][0]}")
-    cutoff = None
-    if q.cutoff != "analytic":
+    cutoffs = ()
+    if q.cutoff is not None:
         (rs,), r_at = distinct(r)
-        cutoff = registry.truncations(q.cutoff, rs, dim, tail_tol).take(r_at)
-    return _Points(params, arrays, columns, cutoff)
+        cutoffs = (q.cutoff(rs, dim, tail_tol).take(r_at),)
+    return _Points(params, arrays, columns, cutoffs)
 
 
 class Evaluation(NamedTuple):
     """evaluate's values, the cutoff dims used, and the largest move
     |v(dim) - v(1.5 dim)| with the point where it happens (the first such
-    point; analytic quantities move by 0)."""
+    point; closed-form quantities move by 0)."""
 
     values: np.ndarray
     dims: list[int]
@@ -210,26 +208,25 @@ def evaluate(
     params maps each parameter to a float, held fixed, or to a 1-D array
     with one entry per point; the arrays share one length.  An r outside
     [0, SQUEEZE_LIMIT] is a ValueError before anything is evaluated.  Each
-    point's cutoff is registry.truncations(cutoff, r, dim, tail_tol), and
-    q.fn runs once, with every parameter as an array over the points and
-    with two CutoffColumns, the points' cutoffs and 1.5x them, and returns
-    one row for each; analytic quantities (cutoff None) take the one
-    cutoff None.  Each point must be finite, at both cutoffs, and move by
+    point's cutoff is q.cutoff(r, dim, tail_tol), and q.fn runs once, with
+    every parameter as an array over the points and with two
+    CutoffColumns, the points' cutoffs and 1.5x them, and returns one row
+    for each; a closed form (cutoff None) takes no cutoff and returns one
+    row.  Each point must be finite, at both cutoffs, and move by
     at most CONVERGENCE_TOL between them; the first point in order that
     does not is named, with its own dims, in the NumericalFailureError or
     ConvergenceError.
     """
     q = _resolve(quantity)
     points = _points(q, params, dim, tail_tol)
-    base = points.cutoff
-    cutoffs = [None] if base is None else [base, base.scaled(1.5)]
+    cutoffs = [*points.cutoffs, *(c.scaled(1.5) for c in points.cutoffs)]
     rows = np.array(q.fn(*cutoffs, **points.columns), dtype=float)
     v1, v2 = rows[0], rows[-1]
     bad = ~(np.isfinite(v1) & np.isfinite(v2))
     if np.any(bad):
         i = int(np.flatnonzero(bad)[0])
-        where = "" if base is None else (
-            f" at dim {base.dims[i]} ({float(v1[i])!r}) or dim {cutoffs[1].dims[i]}"
+        where = "" if not cutoffs else (
+            f" at dim {cutoffs[0].dims[i]} ({float(v1[i])!r}) or dim {cutoffs[1].dims[i]}"
         )
         raise NumericalFailureError(
             f"{q.name} is not finite{where} ({float(v2[i])!r}) at {points.point(i)}"
@@ -240,10 +237,10 @@ def evaluate(
         i = int(np.flatnonzero(moved)[0])
         raise ConvergenceError(
             f"{q.name} moved by {move[i]:.3e} between "
-            f"dim {base.dims[i]} and dim {cutoffs[1].dims[i]} at {points.point(i)}"
+            f"dim {cutoffs[0].dims[i]} and dim {cutoffs[1].dims[i]} at {points.point(i)}"
         )
     worst = int(np.argmax(move))
-    dims = [] if base is None else sorted(set(base.dims.tolist()))
+    dims = sorted(set(cutoffs[0].dims.tolist())) if cutoffs else []
     return Evaluation(v1, dims, float(move[worst]), points.point(worst))
 
 
@@ -257,13 +254,12 @@ def sweep(
     """Evaluate a quantity on a 1-D or 2-D uniform grid.
 
     Row order is ascending in the first grid, then the second; identical
-    specs give bit-identical results.  The grid is one evaluate() call:
-    each point runs at registry.truncations(cutoff, r, dim, tail_tol),
-    where dim and tail_tol are the user's overrides and None keeps the
-    default.  Unknown or missing parameters are a ValueError before any
-    evaluation.  Any row failing the convergence check aborts the sweep
-    with the offending parameters in the message.  The metadata's
-    "fixed" holds the parameters that are not swept.
+    specs give bit-identical results.  The grid is one evaluate() call at
+    the user's dim and tail_tol overrides, None keeping the default.
+    Unknown or missing parameters are a ValueError before any evaluation.
+    Any row failing the convergence check aborts the sweep with the
+    offending parameters in the message.  The metadata's "fixed" holds
+    the parameters that are not swept.
     """
     q = _resolve(quantity)
     given = {**spec.fixed, **(second.fixed if second is not None else {})}
@@ -331,9 +327,9 @@ def objective(
     """A registered quantity (a name or a Quantity) as a function of its
     first variable, the others at fixed, which overrides q.defaults: each
     array of points is one q.fn call, each point at its own cutoff
-    registry.truncations(q.cutoff, r, dim, tail_tol), with no 1.5x
-    recheck.  A fixed name the quantity does not take, or a
-    variable left without a value, is a ValueError here."""
+    q.cutoff(r, dim, tail_tol) (none for a closed form), with no 1.5x
+    recheck.  A fixed name the quantity does not take, or a variable left
+    without a value, is a ValueError here."""
     q = _resolve(quantity)
     var = q.variables[0]
     _check_parameters(q, set(fixed), (var,))
@@ -341,7 +337,7 @@ def objective(
 
     def values(xs: np.ndarray) -> np.ndarray:
         points = _points(q, {**params, var: xs}, dim, tail_tol)
-        return np.array(q.fn(points.cutoff, **points.columns)[0], dtype=float)
+        return np.array(q.fn(*points.cutoffs, **points.columns)[0], dtype=float)
 
     return ArrayObjective(values, q.name, var)
 

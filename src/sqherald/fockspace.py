@@ -45,7 +45,8 @@ class CutoffColumn:
     ``dims`` is kept as one read-only ``np.intp`` array, a copy of the
     integers given, each at least 2, with ``tail_tol`` in [0, 1).
     ``dim`` is the largest dim, ``take`` picks points and ``scaled``
-    enlarges every dim, rounding up, for the 1.5x convergence recheck.
+    enlarges every dim, rounding up, for the 1.5x convergence recheck; a
+    product past the largest ``np.intp`` is a ValueError.
     Columns compare by identity.
     """
 
@@ -66,6 +67,9 @@ class CutoffColumn:
         return int(self.dims.max())
 
     def scaled(self, factor: float) -> "CutoffColumn":
+        if self.dims.max(initial=0) * factor >= np.iinfo(np.intp).max:  # the cast would wrap it
+            raise ValueError(f"dim {self.dim} is too large for its {factor:g}x recheck: "
+                             f"dims stop at {np.iinfo(np.intp).max}")
         return CutoffColumn(np.ceil(self.dims * factor), self.tail_tol)
 
     def take(self, points) -> "CutoffColumn":

@@ -112,11 +112,15 @@ def _check_schedule(tau_tilde, alpha: complex) -> None:
         raise ValueError(f"pump amplitude alpha = {alpha} is too large: |alpha|^2 overflows")
 
 
-def series_dims(r, tail_tol: float = SERIES_TAIL_TOL) -> np.ndarray:
-    """Cutoff for label-based sums at each r of a 1-D array: the smallest
-    even dim whose squeezed-vacuum tail mass is below tail_tol
-    (sources.converged_dim), and at least 64."""
-    return np.maximum(64, sources.converged_dim(np.asarray(r, dtype=float), tail_tol))
+def series_cutoffs(r, dim: int | None = None, tail_tol: float | None = None) -> CutoffColumn:
+    """The label series' CutoffColumn at each r of a 1-D array: the
+    smallest even dim, at least 64, whose squeezed-vacuum tail mass at |r|
+    is below SERIES_TAIL_TOL, and the tail SERIES_STATE_TOL its states may
+    leave.  A dim or tail_tol override replaces only its own half."""
+    r = np.abs(np.asarray(r, dtype=float))
+    dims = (np.full(len(r), dim) if dim is not None
+            else np.maximum(64, sources.converged_dim(r, SERIES_TAIL_TOL)))
+    return CutoffColumn(dims, SERIES_STATE_TOL if tail_tol is None else tail_tol)
 
 
 def p0_over_tau(taus: np.ndarray, r, alpha: complex, *cutoffs) -> np.ndarray:
@@ -125,8 +129,8 @@ def p0_over_tau(taus: np.ndarray, r, alpha: complex, *cutoffs) -> np.ndarray:
     generation, at each point (taus[i], r[i]) of the 1-D array taus
     (taken mod 2pi) and of r, a float or an array of the same length, with
     one row per CutoffColumn of cutoffs, each with one cutoff per point
-    (registry.truncations("series", r) gives the series cutoffs); a call
-    with none is refused.
+    (series_cutoffs(r) gives the default ones); a call with none is
+    refused.
 
     Every point reads its own (r, cutoff) weight row at its |delta| in
     one _branch_values pass: the kernel is exactly even in delta.  At

@@ -18,51 +18,31 @@ from . import analysis, detect, kerr, optics, sources
 from .fockspace import CutoffColumn
 
 
-def truncations(
-    kind: str, r, dim: int | None = None, tail_tol: float | None = None
-) -> CutoffColumn | None:
-    """The cutoff policy of every quantity and figure, at each r of a 1-D
-    array, as one CutoffColumn.
-
-    kind is a Quantity's cutoff: "analytic" quantities (every split, click
-    and g2 statistic, in closed form) take none (None); "series"
-    (label-series) ones default to kerr.series_dims(|r|) and
-    kerr.SERIES_STATE_TOL.  A dim or tail_tol override replaces only its
-    own half of the default.
-    """
-    if kind == "analytic":
-        return None
-    if kind != "series":
-        raise ValueError(f"unknown cutoff kind {kind!r}")
-    r = np.abs(np.asarray(r, dtype=float))
-    dims = kerr.series_dims(r) if dim is None else np.full(len(r), dim)
-    return CutoffColumn(dims, kerr.SERIES_STATE_TOL if tail_tol is None else tail_tol)
-
-
 @dataclasses.dataclass(frozen=True)
 class Quantity:
     """A named computation fn(*cutoffs, **params): fn takes every
     parameter as a 1-D float array over points, all of one length, and
-    returns one row per cutoff with one value per point.  Each cutoff is a
-    CutoffColumn, one cutoff per point, or None for analytic quantities;
-    analysis.evaluate passes the points' truncations(cutoff, r, ...) and
-    their 1.5x recheck."""
+    returns one row per cutoff with one value per point.  cutoff is its
+    cutoff policy, cutoff(r, dim, tail_tol) -> CutoffColumn
+    (kerr.series_cutoffs for the Kerr label series), and analysis.evaluate
+    passes fn the points' cutoffs and their 1.5x recheck; closed forms
+    (every split, click and g2 statistic) have cutoff None, and take none."""
 
     name: str
     doc: str
     fn: Callable[..., np.ndarray]
     variables: tuple[str, ...]
     defaults: Mapping[str, float]
-    cutoff: str = "analytic"
+    cutoff: Callable[..., CutoffColumn] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "defaults", dict(self.defaults))
 
 
 def _each(body, **fixed):
-    """fn(None, **params) of an elementwise closed-form body(**params,
-    **fixed): one call on every point, returned as its one row."""
-    def fn(cutoff, **params):
+    """fn(**params) of an elementwise closed-form body(**params, **fixed):
+    one call on every point, returned as its one row."""
+    def fn(**params):
         return np.array([body(**params, **fixed)])
 
     return fn
@@ -185,13 +165,13 @@ def _quantities() -> dict[str, Quantity]:
                  _each(_q_herald_yield_cat_minus), ("r",), {}),
         Quantity("p0_cat_minus", "odd-branch projection probability after the Kerr step",
                  _q_p0_cat_minus, ("tau_tilde", "r"), {"tau_tilde": math.pi, "alpha": 10.0},
-                 cutoff="series"),
+                 cutoff=kerr.series_cutoffs),
         Quantity("p1_cat_minus", "heralded pair probability after the Kerr step",
                  _q_p1_cat_minus, ("tau_tilde", "r"), {"tau_tilde": math.pi, "alpha": 10.0},
-                 cutoff="series"),
+                 cutoff=kerr.series_cutoffs),
         Quantity("phase_ratio", "Gaussian-averaged phase-noise ratio R(r, alpha, sigma)",
                  _q_phase_ratio, ("sigma", "r"), {"r": 0.725, "alpha": 10.0},
-                 cutoff="series"),
+                 cutoff=kerr.series_cutoffs),
         Quantity("pclick_cat_minus", "herald click probability, odd superposition",
                  _each(_q_pclick_cat_minus), ("r", "eta"), {"eta": 0.9}),
         Quantity("pclick1_cat_minus", "single-photon click probability, odd superposition",
@@ -229,7 +209,7 @@ def reject_idle_overrides(names, dim, tail_tol) -> None:
     """Refuse a dim or tail_tol override when none of the named quantities
     has a cutoff to take it, instead of ignoring it."""
     if (dim is not None or tail_tol is not None) and all(
-        resolve(name).cutoff == "analytic" for name in names
+        resolve(name).cutoff is None for name in names
     ):
         raise ValueError(
             f"{', '.join(names)}: no cutoff, so the dim and tail_tol overrides do not apply"

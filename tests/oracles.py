@@ -58,10 +58,11 @@ MONTE_CARLO_BLOCK = 4096
 # ------------------------------------------------------------ Fock space
 
 
-def series_truncation(r: float, tail_tol: float = kerr.SERIES_TAIL_TOL) -> Truncation:
-    """The label series' cutoff at one r, kerr.series_dims, with the tail
-    tolerance kerr.SERIES_STATE_TOL of its states."""
-    return Truncation(int(kerr.series_dims([r], tail_tol)[0]), kerr.SERIES_STATE_TOL)
+def series_truncation(r: float) -> Truncation:
+    """The label series' cutoff at one r, kerr.series_cutoffs, as a
+    Truncation."""
+    column = kerr.series_cutoffs([r])
+    return Truncation(column.dim, column.tail_tol)
 
 
 class TruncationMismatchError(ValueError):

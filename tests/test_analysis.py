@@ -1,6 +1,8 @@
 """Unit tests for sweeps, maximization and crossing search."""
 
+import ast
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -49,7 +51,7 @@ def test_single_point_sweep_matches_direct_call():
     spec = analysis.SweepSpec("r", 0.725, 0.725, 1)
     result = analysis.sweep(spec, "p11_cat_minus")
     q = registry.resolve("p11_cat_minus")
-    direct = q.fn(registry.truncations(q.cutoff, [0.725]), r=np.array([0.725]))[0, 0]
+    direct = q.fn(r=np.array([0.725]))[0, 0]
     assert result.rows[0, 1] == direct
 
 
@@ -91,7 +93,7 @@ def test_convergence_check_rejects_nan():
     quantity = registry.Quantity(
         "nan_quantity", "NaN everywhere",
         lambda *cutoffs, r: np.full((len(cutoffs), len(r)), math.nan), ("r",), {},
-        cutoff="series",
+        cutoff=kerr.series_cutoffs,
     )
     spec = analysis.SweepSpec("r", 0.5, 0.5, 1)
     with pytest.raises(fs.NumericalFailureError) as err:
@@ -109,18 +111,35 @@ def test_convergence_check_passes_cutoff_independent_quantity():
 
 # r = 0.5 and r = 1.5 take different series cutoffs
 POLICY_RS = (0.5, 1.5)
-DOCUMENTED_TAIL_TOLS = {"series": 1e-9}
+DOCUMENTED_TAIL_TOL = 1e-9
+KERR_QUANTITIES = {"p0_cat_minus", "p1_cat_minus", "phase_ratio"}
 
 
 def test_cutoff_kinds_are_analytic_and_series():
-    # every quantity takes one of the two kinds; verify's dense oracles
+    # only the Kerr quantities carry a cutoff policy, the label series';
+    # every other one is a closed form, with none.  verify's dense oracles
     # take their cutoffs from reference, not from the registry
-    assert {q.cutoff for q in registry.QUANTITIES.values()} == {"analytic", "series"}
-    assert registry.truncations("analytic", [0.5]) is None
-    assert registry.truncations("series", [0.5]).tail_tol == DOCUMENTED_TAIL_TOLS["series"]
-    for kind in ("matrix", "dense"):
-        with pytest.raises(ValueError, match=f"unknown cutoff kind '{kind}'"):
-            registry.truncations(kind, [0.5])
+    for name, q in registry.QUANTITIES.items():
+        assert q.cutoff is (kerr.series_cutoffs if name in KERR_QUANTITIES else None), name
+    assert kerr.series_cutoffs([0.5]).tail_tol == DOCUMENTED_TAIL_TOL
+
+
+def test_analysis_names_the_registry_only_to_resolve_names():
+    # the cutoff policy travels with each Quantity, so analysis reaches
+    # the registry only to look a registered name up
+    def owners(node, owner=None):
+        # (top-level function, line) of every name or import of registry
+        for child in ast.iter_child_nodes(node):
+            names = [child.id] if isinstance(child, ast.Name) else []
+            if isinstance(child, (ast.Import, ast.ImportFrom)):
+                names = [getattr(child, "module", None) or ""] + [a.name for a in child.names]
+            if any(name.split(".")[-1] == "registry" for name in names):
+                yield owner, child.lineno
+            inner = child.name if owner is None and isinstance(child, ast.FunctionDef) else owner
+            yield from owners(child, inner)
+
+    found = list(owners(ast.parse(inspect.getsource(analysis))))
+    assert found and {owner for owner, _ in found} == {"_resolve"}, found
 
 
 @pytest.mark.parametrize("dim, tail_tol", [(None, None), (400, None), (None, 1e-6), (400, 1e-6)])
@@ -137,11 +156,11 @@ def test_every_quantity_runs_at_the_one_cutoff_policy(monkeypatch, name, dim, ta
     fixed = {var: value for var, value in (("sigma", 1e-3), ("n", 1.0)) if var in q.variables}
     spec = analysis.SweepSpec("r", *POLICY_RS, 2, fixed)
     analysis.sweep(spec, name, dim=dim, tail_tol=tail_tol)
-    expected = [registry.truncations(q.cutoff, [r], dim, tail_tol) for r in POLICY_RS]
-    if q.cutoff == "analytic":
-        assert expected == [None, None]
-        assert seen == [(None,)]
+    if q.cutoff is None:
+        # a closed form runs once, with no cutoff
+        assert seen == [()]
         return
+    expected = [q.cutoff([r], dim, tail_tol) for r in POLICY_RS]
     # one call, each point at its own cutoff and at its own 1.5x recheck
     ((column, recheck),) = seen
     assert column.dims.tolist() == [int(c.dims[0]) for c in expected]
@@ -149,9 +168,8 @@ def test_every_quantity_runs_at_the_one_cutoff_policy(monkeypatch, name, dim, ta
     assert column.tail_tol == recheck.tail_tol == expected[0].tail_tol
     # an override replaces only its own half of the documented default
     for r, cutoff in zip(POLICY_RS, expected):
-        assert cutoff.dims[0] == (kerr.series_dims([r])[0] if dim is None else dim)
-        assert cutoff.tail_tol == (DOCUMENTED_TAIL_TOLS[q.cutoff] if tail_tol is None
-                                   else tail_tol)
+        assert cutoff.dims[0] == (kerr.series_cutoffs([r]).dims[0] if dim is None else dim)
+        assert cutoff.tail_tol == (DOCUMENTED_TAIL_TOL if tail_tol is None else tail_tol)
     if dim is None:
         assert column.dims[0] < column.dims[1]
 
@@ -315,20 +333,19 @@ def test_evaluate_names_the_first_unconverged_point():
         "drifting", "each point's dim above r = 0.5",
         lambda *cutoffs, r: np.array([np.where(r > 0.5, np.array(c.dims, dtype=float), 0.0)
                                       for c in cutoffs]),
-        ("r",), {}, cutoff="series",
+        ("r",), {}, cutoff=kerr.series_cutoffs,
     )
     with pytest.raises(analysis.ConvergenceError) as err:
         analysis.evaluate(quantity, {"r": np.array([0.2, 1.5, 0.7])})
-    dim = int(kerr.series_dims([1.5])[0])
-    assert dim > int(kerr.series_dims([0.7])[0])
+    dim, below = kerr.series_cutoffs([1.5, 0.7]).dims.tolist()
+    assert dim > below
     assert f"between dim {dim} and dim {math.ceil(1.5 * dim)} at {{'r': 1.5}}" in str(err.value)
 
 
 def test_evaluate_rejects_r_outside_the_squeezing_domain():
     calls = []
     quantity = registry.Quantity(
-        "spy", "records its calls", lambda *cutoffs, r: calls.append(r) or [r], ("r",), {},
-        cutoff="analytic",
+        "spy", "records its calls", lambda r: calls.append(r) or [r], ("r",), {},
     )
     for bad in (-1e-3, 3.0 + 1e-9, math.nan):
         with pytest.raises(ValueError) as err:
@@ -485,13 +502,13 @@ def test_verify_searches_evaluate_whole_grids(monkeypatch, criterion, name, cfg)
 
     monkeypatch.setitem(registry.QUANTITIES, name, dataclasses.replace(q, fn=spy))
     criterion(cfg)
-    assert 0 < len(calls) <= 30
-    # the same search one float at a time, each r at cfg.trunc(r), gives
-    # the same result or the same error
+    assert 0 < len(calls) <= 30 and set(calls) == {()}
+    # the same search one float at a time gives the same result or the
+    # same error
     grouped = _search_outcome(lambda: analysis.maximize_1d(
         analysis.objective(name, cfg.dim, cfg.tail_tol), 0.0, 2.0))
     per_point = _search_outcome(lambda: analysis.maximize_1d(analysis.ArrayObjective(
-        lambda xs: [float(q.fn(cfg.trunc(float(x)), r=np.array([float(x)]))[0, 0]) for x in xs]
+        lambda xs: [float(q.fn(r=np.array([float(x)]))[0, 0]) for x in xs]
     ), 0.0, 2.0))
     assert grouped == per_point
     # both quantities are closed forms, which no cutoff override reaches

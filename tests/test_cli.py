@@ -462,6 +462,18 @@ def test_verify_cutoff_too_large_to_allocate_is_a_usage_error(capsys):
                    "100000000000 x 100000000000 tables that cannot be allocated\n")
 
 
+@pytest.mark.parametrize("dim", ["9223372036854775807", "6148914691236517204"])
+def test_dim_whose_recheck_passes_the_index_range_is_a_usage_error(capsys, dim):
+    # the 1.5x recheck of such a dim used to wrap to a negative np.intp on
+    # the cast, with a RuntimeWarning, and was refused as that negative dim
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "figure", "fig4a", "--dim", dim)
+    assert code == cli.EXIT_USAGE and out == "" and caught == []
+    assert err == (f"invalid parameter: dim {dim} is too large for its 1.5x recheck: "
+                   f"dims stop at {np.iinfo(np.intp).max}\n")
+
+
 # a 10,000-point phase_ratio column: one sigma, 20,000 weight rows
 LONG_COLUMN = ["sweep", "--quantity", "phase_ratio", "--var", "r", "--lo", "0.05", "--hi", "2",
                "--points", "10000", "--set", "sigma=0.004"]

@@ -39,7 +39,7 @@ P1N = {None: "p1n_squeezed", -1: "p1n_cat_minus", +1: "p1n_cat_plus"}
 def _herald_row(r, sign, levels):
     """P(1, n_b) for every n_b < levels from the registered p1n column."""
     n = np.arange(levels, dtype=float)
-    return registry.QUANTITIES[P1N[sign]].fn(None, n=n, r=np.full(levels, float(r)))[0]
+    return registry.QUANTITIES[P1N[sign]].fn(n=n, r=np.full(levels, float(r)))[0]
 
 
 def _outcome(fn):

@@ -1,5 +1,6 @@
 """Unit tests for the cross-Kerr heralding stage and phase-noise fits."""
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -31,8 +32,8 @@ def _column(trunc, points):
 
 def _series(r, points=1):
     """The series cutoff of r at each of `points` points, as
-    registry.truncations gives it to a column."""
-    return registry.truncations("series", np.full(points, float(r)))
+    kerr.series_cutoffs gives it to a column."""
+    return kerr.series_cutoffs(np.full(points, float(r)))
 
 
 def _ratio(r, alpha, sigma, dim=None, tail_tol=kerr.SERIES_STATE_TOL):
@@ -227,19 +228,18 @@ def test_p0_sweep_builds_the_series_once(monkeypatch):
     r = 0.8125
     built = _count_builds(monkeypatch)
     lookups = []
-    series_dims = kerr.series_dims
 
     def spy(rs, *args):
         lookups.append(len(rs))
-        return series_dims(rs, *args)
+        return kerr.series_cutoffs(rs, *args)
 
-    monkeypatch.setattr(kerr, "series_dims", spy)
+    q = dataclasses.replace(registry.QUANTITIES["p0_cat_minus"], cutoff=spy)
     spec = analysis.SweepSpec("tau_tilde", 0.0, 2.0 * math.pi, 9, {"r": r})
-    analysis.sweep(spec, "p0_cat_minus")
+    analysis.sweep(spec, q)
     # one build at the working cutoff and one at 1.5x, each tail-checked
     # when the weight rows are collected and held for the one kernel call
     # over all 9 taus, after one cutoff lookup for the column's one r
-    dim = series_dims([r])[0]
+    dim = kerr.series_cutoffs([r]).dim
     assert built == [(r, dim), (r, math.ceil(1.5 * dim))]
     assert lookups == [1]
 
@@ -399,7 +399,7 @@ def test_averaged_ratio_at_huge_sigma():
 
 def test_series_truncation_floor():
     # the series cutoffs production takes, and the oracles' series_truncation
-    dims = registry.truncations("series", np.array([0.1, 2.0])).dims
+    dims = kerr.series_cutoffs(np.array([0.1, 2.0])).dims
     assert dims[0] == 64 and dims[1] > 64
     assert [oracles.series_truncation(r).dim for r in (0.1, 2.0)] == dims.tolist()
 
@@ -422,7 +422,7 @@ def test_kerr_takes_only_cutoff_columns():
 def _exact_series_dim(r: float, tail_tol: float) -> tuple[int, float]:
     """The smallest even dim whose squeezed-vacuum tail mass is at most
     tail_tol, from a 40-digit sum of the p_2k, at least 64 as in
-    series_dims, and the least relative distance from tail_tol of the
+    series_cutoffs, and the least relative distance from tail_tol of the
     exact tails at that dim and at the dim before it."""
     with mpmath.workdps(40):
         r = mpmath.mpf(r)
@@ -437,7 +437,7 @@ def _exact_series_dim(r: float, tail_tol: float) -> tuple[int, float]:
     return max(64, 2 * len(tails)), float(margin)
 
 
-def test_series_dims_match_a_40_digit_tail_search():
+def test_series_cutoffs_match_a_40_digit_tail_search():
     # where the exact tails at both candidate dims sit clear of the target,
     # the dim is the exact one; nearer the target it may be one step off.
     # The products take their powers in np.longdouble; where that is plain
@@ -445,7 +445,7 @@ def test_series_dims_match_a_40_digit_tail_search():
     # the log-space search gave 1704 against the exact 1706 (margin 7.1e-4)
     rs = np.append(np.random.default_rng(0).uniform(0.01, 3.0, 40), 2.495512)
     wide = np.finfo(np.longdouble).eps < np.finfo(float).eps
-    dims = kerr.series_dims(rs)
+    dims = kerr.series_cutoffs(rs).dims
     for r, dim in zip(rs.tolist(), dims.tolist()):
         exact, margin = _exact_series_dim(r, kerr.SERIES_TAIL_TOL)
         if wide and margin > 5e-4:
@@ -462,7 +462,7 @@ def test_p0_at_ideal_phase_equals_branch_weight(r):
     # vacuum tail drops below SERIES_TAIL_TOL lacks at most that tail over
     # N_-/4 of its sum, and squaring doubles the relative deficit
     weight = sources.cat_norm(r, -1) / 4.0
-    p0 = kerr.p0_over_tau(IDEAL, r, 10.0, registry.truncations("series", np.array([r])))[0, 0]
+    p0 = kerr.p0_over_tau(IDEAL, r, 10.0, kerr.series_cutoffs(np.array([r])))[0, 0]
     deficit = 1.0 - p0 / weight
     assert 0.0 <= deficit <= 2.0 * kerr.SERIES_TAIL_TOL / weight + 1e-14, deficit
 
@@ -814,10 +814,10 @@ def test_column_with_two_failing_points_names_the_first_in_order():
         params = {"sigma": np.array([1.0, 0.5])[order], "r": np.array([2.0, 1e-160])[order]}
         with pytest.raises(error, match=match):
             analysis.evaluate("phase_ratio", {"alpha": 60.0, **params})
-    # sigmas that read the same rows: sigma = 0.1 runs, and is refused,
+    # sigmas that read the same rows: sigma = 0.01 runs, and is refused,
     # before the oversized rule of sigma = 1 is
     with pytest.raises(lost[0], match=lost[1]):
-        analysis.evaluate("phase_ratio", {"alpha": 60.0, "sigma": np.repeat([0.1, 1.0], 2),
+        analysis.evaluate("phase_ratio", {"alpha": 60.0, "sigma": np.repeat([0.01, 1.0], 2),
                                           "r": np.tile([2.0, 1e-160], 2)})
     # two rows of one sigma that lose their reference: the first is named
     with pytest.raises(fs.NumericalFailureError, match=r"at r = 1e-200, alpha = 10.0$"):
@@ -942,7 +942,8 @@ def test_p1_heralded_closed_form_and_peak():
     # to the closed form; the pi-phase projection correction ~ e^{-200} and
     # float noise are both far smaller, as the tighter cutoff shows
     assert abs(p1 - closed) < 1e-11
-    tight = _p1_cat_minus(oracles.series_truncation(1.146, 1e-15))
+    tight_dim = int(sources.converged_dim(np.array([1.146]), 1e-15)[0])
+    tight = _p1_cat_minus(reference.Truncation(tight_dim, kerr.SERIES_STATE_TOL))
     assert abs(tight - closed) < 1e-14
     assert p1 == pytest.approx(0.0962250, abs=1e-6)
 

@@ -147,8 +147,8 @@ def test_criterion_7_fits_the_gated_phase_ratio_column(monkeypatch):
     monkeypatch.setattr(kerr, "fit_lambda", fit)
     cfg = verification.VerifyConfig()
     assert verification.criterion_7(cfg).passed
-    base = registry.truncations("series", np.full(kerr.FIT_SAMPLES, 0.725), cfg.dim, cfg.tail_tol)
-    assert base.dims.tolist() == [kerr.series_dims([0.725])[0]] * kerr.FIT_SAMPLES
+    base = kerr.series_cutoffs(np.full(kerr.FIT_SAMPLES, 0.725), cfg.dim, cfg.tail_tol)
+    assert base.dims.tolist() == [kerr.series_cutoffs([0.725]).dims[0]] * kerr.FIT_SAMPLES
     assert len(calls) == 3
     for column, recheck in calls:
         assert column.dims.tolist() == base.dims.tolist()
