@@ -29,12 +29,14 @@ CHECK_POINTS = 201
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-class ConvergenceError(RuntimeError):
-    """A swept value moved by more than the tolerance when the cutoff grew."""
+class ConvergenceError(NumericalFailureError):
+    """A swept value moved by more than the tolerance when the cutoff grew
+    (exit 2 from ``cli.main``, as every NumericalFailureError)."""
 
 
-class NoCrossingError(RuntimeError):
-    """The difference of the two curves does not change sign on the bracket."""
+class NoCrossingError(NumericalFailureError):
+    """The difference of the two curves does not change sign on the bracket
+    (exit 2 from ``cli.main``, as every NumericalFailureError)."""
 
 
 @dataclasses.dataclass(frozen=True)

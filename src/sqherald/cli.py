@@ -2,41 +2,42 @@
 acceptance-check report.
 
 Exit codes: 0 success, 1 verification failure, 2 numerical failure
-(truncation/convergence), 3 usage error.
+(NUMERICAL_ERRORS), 3 usage error (UsageError, ValueError, MemoryError,
+OSError).  Handlers return 0 or 1 and raise; only ``main`` picks 2 or 3.
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import json
+import re
 import sys
 
 import numpy as np
 
 from . import __version__, analysis, registry, verification
-from .analysis import ConvergenceError, NoCrossingError
-from .fockspace import NumericalFailureError, TruncationError
-from .kerr import QuadratureConvergenceError
+from .fockspace import NumericalFailureError
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_NUMERICAL = 2
 EXIT_USAGE = 3
 
-NUMERICAL_ERRORS = (
-    TruncationError,
-    NumericalFailureError,
-    ConvergenceError,
-    NoCrossingError,
-    QuadratureConvergenceError,
-    ZeroDivisionError,
-    FloatingPointError,
-    OverflowError,
-)
+# ArithmeticError holds ZeroClickError, ZeroMeanError and ZeroHeraldError
+NUMERICAL_ERRORS = (NumericalFailureError, ArithmeticError)
+
+
+class UsageError(Exception):
+    """A refusal of the command line: ``main`` prints its message, exits 3."""
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse flavor whose usage errors exit with code 3."""
+    """argparse flavor whose usage errors exit with code 3, and which takes
+    ``--lo -1e-3`` as a value, as it takes ``--lo -0.001``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+|\d*\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -151,13 +152,11 @@ def cmd_figure(args) -> int:
         _print_figures()
         return EXIT_OK
     if args.selector is None:
-        print("a figure selector is required (or use --list)", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("a figure selector is required (or use --list)")
     try:
         fig = registry.figure(args.selector)
     except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(exc.args[0])
     table = fig.build(dim=args.dim, tail_tol=args.tail_tol, eta=args.eta, alpha=args.alpha)
     metadata = {"figure": fig.name, "description": fig.description, **table.metadata}
     _emit(table.columns, table.rows, metadata, args)
@@ -169,13 +168,11 @@ def cmd_sweep(args) -> int:
         _print_quantities()
         return EXIT_OK
     if args.quantity is None:
-        print("--quantity is required (or use --list)", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("--quantity is required (or use --list)")
     try:
         quantity = registry.resolve(args.quantity)
     except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(exc.args[0])
     fixed: dict[str, float] = {}
     if args.eta is not None:
         fixed["eta"] = args.eta
@@ -184,23 +181,18 @@ def cmd_sweep(args) -> int:
     for item in args.fixed or ():
         key, _, value = item.partition("=")
         if not _:
-            print(f"--set expects name=value, got {item!r}", file=sys.stderr)
-            return EXIT_USAGE
+            raise UsageError(f"--set expects name=value, got {item!r}")
         if not key:
-            print(f"--set {item!r} names no parameter", file=sys.stderr)
-            return EXIT_USAGE
+            raise UsageError(f"--set {item!r} names no parameter")
         if key in fixed:
-            print(f"--set {item!r} gives {key} a second value", file=sys.stderr)
-            return EXIT_USAGE
+            raise UsageError(f"--set {item!r} gives {key} a second value")
         fixed[key] = float(value)
     if args.var is None or args.lo is None or args.hi is None or args.points is None:
-        print("--var, --lo, --hi and --points are required", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("--var, --lo, --hi and --points are required")
     try:
         spec = analysis.SweepSpec(args.var, args.lo, args.hi, args.points, fixed)
     except ValueError as exc:
-        print(f"invalid sweep range: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"invalid sweep range: {exc}")
     registry.reject_idle_overrides([quantity.name], args.dim, args.tail_tol)
     result = analysis.sweep(spec, quantity, dim=args.dim, tail_tol=args.tail_tol)
     metadata = {
@@ -216,11 +208,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = verification.VerifyConfig(
-        dim=args.dim,
-        tail_tol=args.tail_tol,
-        eta=args.eta if args.eta is not None else 0.9,
-    )
+    given = {} if args.eta is None else {"eta": args.eta}
+    cfg = verification.VerifyConfig(dim=args.dim, tail_tol=args.tail_tol, **given)
     results = verification.run_all(cfg)
     print(verification.format_report(results))
     return EXIT_OK if all(res.passed for res in results) else EXIT_VERIFY
@@ -292,6 +281,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.handler(args)
+    except UsageError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_USAGE
     except NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

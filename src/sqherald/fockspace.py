@@ -18,17 +18,19 @@ import numpy as np
 SQUEEZE_LIMIT = 3.0
 
 
-class TruncationError(Exception):
-    """Probability mass beyond the Fock cutoff exceeds the allowed tolerance."""
+class NumericalFailureError(RuntimeError):
+    """A numerical kernel produced non-finite output, or a value that has
+    lost its digits; the base of every numerical refusal, which ``cli.main``
+    maps to exit 2."""
+
+
+class TruncationError(NumericalFailureError):
+    """Probability mass beyond the Fock cutoff exceeds the allowed
+    tolerance; a NumericalFailureError (exit 2 from ``cli.main``)."""
 
     def __init__(self, message: str, tail_mass: float):
         super().__init__(f"{message} (tail mass {tail_mass:.6e})")
         self.tail_mass = tail_mass
-
-
-class NumericalFailureError(RuntimeError):
-    """A numerical kernel produced non-finite output, or a value that has
-    lost its digits."""
 
 
 # Below the smallest normal float a probability or a squared mean has lost

@@ -90,8 +90,9 @@ FIT_SIGMA_MAX = 1e-3
 FIT_SAMPLES = 21
 
 
-class QuadratureConvergenceError(RuntimeError):
-    """A phase-noise quadrature disagrees with its own refinement."""
+class QuadratureConvergenceError(NumericalFailureError):
+    """A phase-noise quadrature disagrees with its own refinement (exit 2
+    from ``cli.main``, as every NumericalFailureError)."""
 
 
 class FitDegenerateError(ValueError):

@@ -3,10 +3,12 @@ byte-level determinism."""
 import ast
 import contextlib
 import dataclasses
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import shutil
 import subprocess
 import sys
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 
 import sqherald
 from sqherald import cli, detect, reference, registry
+from sqherald import fockspace as fs
 from sqherald.reference import default_truncation
 
 ALL_FIGURES = (
@@ -259,6 +262,60 @@ def test_sweep_refuses_a_parameter_set_twice_or_without_a_name(capsys, monkeypat
     assert code == cli.EXIT_USAGE
     assert err == message + "\n"
     assert out == "" and calls == []
+
+
+P11 = ("sweep", "--quantity", "p11_cat_minus")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("figure",), "a figure selector is required (or use --list)"),
+    (("figure", "fig99"), "unknown figure 'fig99'; available: " + ", ".join(registry.FIGURES)),
+    (("sweep",), "--quantity is required (or use --list)"),
+    (("sweep", "--quantity", "foo"),
+     "unknown quantity 'foo'; registered: " + ", ".join(sorted(registry.QUANTITIES))),
+    ((*P11, "--set", "eta"), "--set expects name=value, got 'eta'"),
+    (P11, "--var, --lo, --hi and --points are required"),
+    ((*P11, "--var", "r"), "--var, --lo, --hi and --points are required"),
+    ((*P11, "--var", "r", "--lo", "0", "--hi", "1"), "--var, --lo, --hi and --points are required"),
+    ((*P11, "--var", "r", "--lo", "1", "--hi", "0", "--points", "1"),
+     "invalid sweep range: hi must not be below lo"),
+], ids=["no_selector", "unknown_figure", "no_quantity", "unknown_quantity", "set_without_value",
+        "no_var", "no_range", "no_points", "one_point_below_lo"])
+def test_handler_refusals_print_their_message_alone(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (cli.EXIT_USAGE, "", message + "\n")
+
+
+def test_list_prints_both_listings(capsys):
+    figures = run_cli(capsys, "figure", "--list")[1]
+    quantities = run_cli(capsys, "sweep", "--list")[1]
+    listing = f"figures:\n{figures}\nquantities:\n{quantities}"
+    assert run_cli(capsys, "list") == (cli.EXIT_OK, listing, "")
+
+
+def test_negative_value_in_scientific_notation_is_an_option_value(capsys):
+    # argparse's own pattern for a negative number has no exponent, so
+    # --lo -1e-3 was refused with "expected one argument"
+    sweep = ("sweep", "--quantity", "p0_cat_minus", "--var", "tau_tilde", "--hi", "1",
+             "--points", "2", "--set", "r=1")
+    code, out, err = run_cli(capsys, *sweep, "--lo", "-1e-3")
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert out == run_cli(capsys, *sweep, "--lo=-1e-3")[1]
+    code, out, err = run_cli(capsys, "figure", "fig4a", "--alpha", "-1e1")
+    assert (code, err) == (cli.EXIT_OK, "")
+    ten = run_cli(capsys, "figure", "fig4a", "--alpha", "10")[1]
+    assert parse_csv(out)[1:] == parse_csv(ten)[1:]
+    # a value that is not finite is still refused, on one line
+    for argv in ((*sweep, "--lo", "-1e400"), ("figure", "fig4a", "--alpha", "-1e400")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == cli.EXIT_USAGE and out == "" and len(err.splitlines()) == 1, argv
+
+
+def test_series_dim_past_the_half_binomial_limit_exits_usage(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--quantity", "p0_cat_minus", "--var", "r",
+                             "--lo", "1", "--hi", "1", "--points", "1", "--dim", "40000000")
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == ("invalid parameter: a table of 20000000 half-binomials exceeds the limit of "
+                   "16777216 (is the cutoff too large?)\n")
 
 
 def test_sweep_outside_supported_squeezing_exits_usage(capsys):
@@ -877,6 +934,38 @@ def test_verify_reports_the_known_small_r_floor_failure(capsys):
     failing = [line for line in lines if line.startswith("FAIL")]
     assert len(failing) == 1
     assert "[12]" in failing[0]
+
+
+def _package_exceptions():
+    """Every exception class that a sqherald module defines."""
+    found = []
+    for info in pkgutil.iter_modules(sqherald.__path__):
+        module = importlib.import_module(f"sqherald.{info.name}")
+        found += [obj for obj in vars(module).values() if isinstance(obj, type)
+                  and issubclass(obj, BaseException) and obj.__module__ == module.__name__]
+    return found
+
+
+def test_every_exception_has_one_family_and_each_family_one_exit_code(capsys, monkeypatch):
+    # main alone picks the exit code of a refusal, from the family of what
+    # the command raised
+    families = {fs.NumericalFailureError: cli.EXIT_NUMERICAL, ArithmeticError: cli.EXIT_NUMERICAL,
+                ValueError: cli.EXIT_USAGE, cli.UsageError: cli.EXIT_USAGE}
+    assert cli.NUMERICAL_ERRORS == (fs.NumericalFailureError, ArithmeticError)
+    classes = _package_exceptions()
+    assert {"TruncationError", "ConvergenceError", "NoCrossingError", "QuadratureConvergenceError",
+            "ZeroClickError", "UsageError"} <= {cls.__name__ for cls in classes}
+    for cls in classes + list(families):
+        family = [f for f in families if issubclass(cls, f)]
+        assert len(family) == 1, cls
+        error = cls("boom", 0.5) if issubclass(cls, fs.TruncationError) else cls("boom")
+
+        def refuse(error=error):
+            raise error
+        monkeypatch.setattr(cli, "_print_figures", refuse)
+        code, _, err = run_cli(capsys, "list")
+        assert code == families[family[0]], cls
+        assert len(err.splitlines()) == 1 and "boom" in err, cls
 
 
 def test_console_script_is_installed():

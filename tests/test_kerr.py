@@ -825,6 +825,27 @@ def test_column_with_two_failing_points_names_the_first_in_order():
                                           "r": np.array([0.5, 1e-200, 1e-160])})
 
 
+def test_sigma_run_past_merge_block_splits_into_chunks(monkeypatch):
+    # fig5a's alpha = 10 column: with MERGE_BLOCK at 512 its sigma rules,
+    # laid end to end, are handed out in seven runs, and the column reads as
+    # the unsplit one; which of two failing points is named stays the same
+    spec = analysis.SweepSpec("sigma", *registry.SIGMA_GRID, {"r": 0.725, "alpha": 10.0})
+    whole = analysis.sweep(spec, "phase_ratio").rows
+    chunks = []
+    rule_chunks = kerr._rule_chunks
+
+    def counted(*args):
+        for chunk in rule_chunks(*args):
+            chunks.append(chunk[0])
+            yield chunk
+    monkeypatch.setattr(kerr, "MERGE_BLOCK", 512)
+    monkeypatch.setattr(kerr, "_rule_chunks", counted)
+    rows = analysis.sweep(spec, "phase_ratio").rows
+    assert [len(chunk) for chunk in chunks] == [10, 7, 6, 5, 4, 4, 4]
+    assert np.max(np.abs(np.asarray(rows) - np.asarray(whole))) <= 2.3e-16
+    test_column_with_two_failing_points_names_the_first_in_order()
+
+
 def test_merged_pass_working_set_is_bounded(monkeypatch):
     # the weight rows and the value table of a merged pass are held
     # MERGE_BLOCK entries at a time, so a longer column adds only its
