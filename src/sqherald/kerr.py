@@ -19,26 +19,25 @@ probabilities (sources.odd_branch_weights).  `_weight_rows`
 finds a call's distinct rows and builds those it does not keep from an
 earlier call, a cutoff column's in blocks of one build each
 (`_odd_rows`), and holds them.  A shorter row is a prefix of a longer
-one, so one merged pass, `_row_blocks`, zero-pads
-the rows to the longest and hands them to one kernel,
-`_odd_branch_probability`, as one weight matrix: p0 makes one call for
-all its points, and phase_ratio one for each run of consecutive sigmas
-that read the same rows, over their trapezoid grids laid end to end.
-Only a sweep whose weight matrix, value table or grids would pass
-MERGE_BLOCK entries takes more.  The kernel fills at most KERNEL_BLOCK entries of
-the terms x nodes table at a time.  Its cosines and sines come from `_cis`, a
-table-driven rotation (Cody & Waite 1980; Tang, ACM TOMS 15, 144 (1989))
-that replaces the two libm calls of each of its two rotations with 28
-vectorised multiply, add and gather passes, for every table; libm
-serves only arguments beyond CIS_LIMIT.  The phase-noise average is a
-periodic trapezoid rule checked against itself at half the step, row by
-row, whose node at delta = 0 is also each row's reference probability.
-The overlap of any branch and label is the tests' oracle in
-tests/oracles.py, on libm.
+one, so one merged pass, `_row_blocks`, zero-pads the rows to the
+longest and hands them to one kernel, `_odd_branch_probability`, as one
+weight matrix: p0 makes one call for all its points, and phase_ratio one
+for each group of consecutive sigmas that read the same rows and share
+one trapezoid grid.  Only a sweep whose weight matrix, value table or
+rule weights would pass MERGE_BLOCK entries, or whose sigmas are too far
+apart to share a grid, takes more.  The kernel fills at most
+KERNEL_BLOCK entries of the terms x nodes table at a time.  Its cosines
+and sines come from `_cis`, a table-driven rotation (Cody & Waite 1980;
+Tang, ACM TOMS 15, 144 (1989)) that replaces the two libm calls of each
+of its two rotations with 28 vectorised multiply, add and gather passes,
+for every table; libm serves only arguments beyond CIS_LIMIT.  The
+phase-noise average is a periodic trapezoid rule checked against itself
+at half the step, row by row, whose node at delta = 0 is also each row's
+reference probability.  The overlap of any branch and label is the
+tests' oracle in tests/oracles.py, on libm.
 """
 from __future__ import annotations
 
-import bisect
 import cmath
 import itertools
 import math
@@ -413,61 +412,76 @@ def _odd_branch_blocks(deltas: np.ndarray, g: np.ndarray, alpha: complex):
         yield lo, x
 
 
-def _trapezoid_rule(sigma: float, band: float) -> tuple[np.ndarray, np.ndarray]:
-    """Fine nodes delta_j = j h/2 in [0, pi] and the weights of the
-    trapezoid rule at step h/2 for the wrapped normal of width sigma > 0,
-    for an integrand whose weight lies below the harmonic `band`.
-
-    h = pi/M with M = ceil(2pi/sigma) + ceil(band/2): the coarse rule's
-    2M nodes per period then integrate the product of the integrand and
-    the weight (band 9/sigma) exactly, and h <= sigma/2.  A grid that
-    reaches pi lands on it; it stops at j = 2M or at the first even j
-    past TRAPEZOID_WINDOW sigmas.  The integrand is even and
-    2pi-periodic, so every weight is doubled except at 0 and pi, which
-    are their own mirror images.  The rule at step h takes the even nodes
-    with twice their weights.  The wrapped normal sums whichever of its
-    two series is shorter: the copies phi_sigma(delta + 2pi k) for
-    sigma^2 <= 2pi, in units of sigma (so sigma/2 may underflow), and
-    its Fourier series (1 + 2 sum_k e^{-k^2 sigma^2/2} cos k delta)/2pi
-    above; neither needs more than nine terms.
-    """
+def _own_rule(sigma: float, band: float) -> tuple[int, int]:
+    """(M, last): sigma's own trapezoid rule, for an integrand whose weight
+    lies below the harmonic `band`, has fine nodes 0 .. last at step h/2.
+    h = pi/M with M = ceil(2pi/sigma) + ceil(band/2): the coarse rule's 2M
+    nodes per period then integrate the product of the integrand and the
+    weight (band 9/sigma) exactly, and h <= sigma/2.  A rule of
+    TRAPEZOID_MAX_NODES nodes or more is refused."""
     if not math.isfinite(band):
         raise QuadratureConvergenceError(f"integrand band {band} is not finite")
-    # M overflows a float when sigma is tiny, so it and the step in units
-    # of sigma come from the exact integer ratios of pi and sigma
+    # M overflows a float when sigma is tiny, so it comes from the exact
+    # integer ratios of pi and sigma
     pi_n, pi_d = math.pi.as_integer_ratio()
     s_n, s_d = sigma.as_integer_ratio()
     m = -(-2 * pi_n * s_d // (pi_d * s_n)) + math.ceil(band / 2.0)
-    step = pi_n * s_d / (2 * m * pi_d * s_n)  # h/2 in units of sigma
-    last = 2 * m
-    if TRAPEZOID_WINDOW * sigma < math.pi:
-        last = min(last, 2 * (int(TRAPEZOID_WINDOW / (2.0 * step)) + 1))
+    last = _window_end(sigma, m)
     if last >= TRAPEZOID_MAX_NODES:
         raise QuadratureConvergenceError(
             f"the trapezoid rule needs {last + 1} nodes, more than "
             f"{TRAPEZOID_MAX_NODES} (band {band:.4g}, sigma = {sigma})"
         )
-    j = np.arange(last + 1)
-    if sigma * sigma <= TWO_PI:
-        u = j * step
-        density = np.zeros(last + 1)
-        wraps = math.ceil(TRAPEZOID_WINDOW * sigma / TWO_PI)
-        # the wrapped copies of a narrow Gaussian sit at +-inf in units of sigma
-        with np.errstate(over="ignore"):
-            for k in range(-wraps, wraps + 1):
-                density += np.exp(-0.5 * (u + TWO_PI * k / sigma) ** 2)
-        deltas = sigma * u
-        weights = step / math.sqrt(TWO_PI) * density
-    else:
-        half_step = math.pi / (2 * m)
-        deltas = j * half_step
-        density = np.ones(last + 1)
-        for k in range(1, math.ceil(TRAPEZOID_WINDOW / sigma) + 1):
-            density += 2.0 * math.exp(-0.5 * (k * sigma) * (k * sigma)) * np.cos(k * deltas)
-        weights = half_step / TWO_PI * density
-    weights[1:] *= 2.0
-    if last == 2 * m:
-        weights[-1] /= 2.0
+    return m, last
+
+
+def _window_end(sigma: float, m: int) -> int:
+    """The last fine node j of sigma's rule on the grid j pi/(2M): j = 2M,
+    which lands on pi, or the first even j past TRAPEZOID_WINDOW sigmas,
+    in exact integer arithmetic, as M may be far past a float's range."""
+    (w_n, w_d), (s_n, s_d), (pi_n, pi_d) = (
+        x.as_integer_ratio() for x in (TRAPEZOID_WINDOW, sigma, math.pi))
+    return min(2 * m, 2 * (w_n * s_n * m * pi_d // (w_d * s_d * pi_n) + 1))
+
+
+def _trapezoid_rule(sigmas, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fine nodes delta_j = j pi/(2M) in [0, pi], out to the widest of the
+    sigmas' windows, and one row per sigma > 0 of its trapezoid weights at
+    that step h/2 for the wrapped normal of width sigma, zero past its own
+    window (_window_end).  The integrand is even and 2pi-periodic, so every
+    weight is doubled except at 0 and pi, which are their own mirror
+    images.  The rule at step h takes the even nodes with twice their
+    weights.  The wrapped normal sums whichever of its two series is
+    shorter: the copies phi_sigma(delta + 2pi k) for sigma^2 <= 2pi, in
+    units of sigma (so sigma/2 may underflow), and its Fourier series (1 +
+    2 sum_k e^{-k^2 sigma^2/2} cos k delta)/2pi above; neither needs more
+    than nine terms."""
+    pi_n, pi_d = math.pi.as_integer_ratio()
+    half_step = pi_n / (2 * m * pi_d)
+    ends = [_window_end(sigma, m) for sigma in sigmas]
+    deltas = np.arange(max(ends) + 1) * half_step
+    weights = np.zeros((len(ends), len(deltas)))
+    for row, sigma, last in zip(weights, sigmas, ends):
+        w = row[:last + 1]  # the density, then the weights
+        if sigma * sigma <= TWO_PI:
+            s_n, s_d = sigma.as_integer_ratio()
+            step = pi_n * s_d / (2 * m * pi_d * s_n)  # h/2 in units of sigma
+            u = np.arange(last + 1) * step
+            wraps = math.ceil(TRAPEZOID_WINDOW * sigma / TWO_PI)
+            # the wrapped copies of a narrow Gaussian sit at +-inf in units of sigma
+            with np.errstate(over="ignore"):
+                for k in range(-wraps, wraps + 1):
+                    w += np.exp(-0.5 * (u + TWO_PI * k / sigma) ** 2)
+            w *= step / math.sqrt(TWO_PI)
+        else:
+            w += 1.0
+            for k in range(1, math.ceil(TRAPEZOID_WINDOW / sigma) + 1):
+                w += (2.0 * math.exp(-0.5 * (k * sigma) * (k * sigma))
+                      * np.cos(k * deltas[:last + 1]))
+            w *= half_step / TWO_PI
+        w[1:] *= 2.0
+        if last == 2 * m:
+            w[-1] /= 2.0
     return deltas, weights
 
 
@@ -482,19 +496,19 @@ def phase_ratio(sigmas: np.ndarray, r, alpha: complex, *cutoffs) -> np.ndarray:
     The points with sigma > 0 build and tail-check the series of their
     (r, cutoff) weight rows, every first-cutoff row before any recheck
     row.  The distinct sigmas run in order of first appearance, each with
-    its own trapezoid rule, banded by the longest series among its rows;
-    consecutive sigmas that read the same rows share one kernel pass over
-    their rules laid end to end (_averaged_ratios).  Each rule's first
-    node, delta = 0, is each row's reference probability.  A reference
-    below the smallest normal float (r below about 2e-154, and r = 0) has
-    lost its digits, and the ratio with them: NumericalFailureError.  A
-    row whose rule disagrees with itself at twice the step by more than
-    TRAPEZOID_AGREEMENT raises QuadratureConvergenceError.  So a failing
-    series raises first; then, sigma by sigma, a rule too large to run,
-    or the first of its rows (first-cutoff rows before recheck rows, each
-    in point order) that fails either check, named by its own r, as soon
-    as its sigma is checked.  sigma = 0 reads exactly 1 and builds no
-    series.
+    a trapezoid rule banded by the longest series among its rows; groups
+    of consecutive sigmas that read the same rows share one grid
+    (_shared_grids) and one kernel pass over it (_averaged_ratios).  The
+    grid's first node, delta = 0, is each row's reference probability.  A
+    reference below the smallest normal float (r below about 2e-154, and
+    r = 0) has lost its digits, and the ratio with them:
+    NumericalFailureError.  A row whose rule disagrees with itself at
+    twice the step by more than TRAPEZOID_AGREEMENT raises
+    QuadratureConvergenceError.  So a failing series raises first; then,
+    sigma by sigma, a rule too large to run, or the first of its rows
+    (first-cutoff rows before recheck rows, each in point order) that
+    fails either check, named by its own r, as soon as its sigma is
+    checked.  sigma = 0 reads exactly 1 and builds no series.
     """
     if not np.all(np.isfinite(sigmas) & (sigmas >= 0.0)):
         raise ValueError("sigma must be finite and nonnegative")
@@ -517,52 +531,46 @@ def phase_ratio(sigmas: np.ndarray, r, alpha: complex, *cutoffs) -> np.ndarray:
     for mine, members in itertools.groupby(range(len(distinct)), lambda s: reads[s]):
         weights = [rows.weights[j] for j in mine]
         band = pad * float(max(2 * max(len(g) for g in weights) - 1, 0))
-        for chunk, *rules in _rule_chunks(distinct, members, band):
-            ratio, gap, ref = _averaged_ratios(*rules, weights, alpha)
+        for group, m in _shared_grids(distinct, members, band):
+            deltas, fine = _trapezoid_rule(distinct[group].tolist(), m)
+            ratio, gap, ref = _averaged_ratios(deltas, fine, weights, alpha)
             failed = ~(ref >= TINY) | (gap > TRAPEZOID_AGREEMENT)
-            for i, s in enumerate(chunk):
+            for i, s in enumerate(group):
                 if failed[i].any():
                     j = int(np.argmax(failed[i]))
-                    raise _ratio_failure(ref[i, j], gap[i, j], rows.r[mine[j]], alpha,
-                                         distinct[s])
+                    raise _ratio_failure(ref[j], gap[i, j], rows.r[mine[j]], alpha, distinct[s])
                 values[runs[s]:runs[s] + len(mine)] = ratio[i]
     out[:, live] = values[pair_at].reshape(len(columns), len(live))
     return out
 
 
-def _rule_chunks(sigmas: np.ndarray, members, band: float):
-    """(members, nodes, weights, starts) for runs of the sigmas of
-    `members`, in order, whose trapezoid rules at band hold at most
-    MERGE_BLOCK nodes together, or for one larger rule alone: the run's
-    rules laid end to end, the rule of the run's i-th member at nodes
-    starts[i] .. starts[i + 1] - 1.  A rule too large to run raises
-    QuadratureConvergenceError once the run before it is handed out."""
-    chunk, rules, nodes = [], [], 0
+def _shared_grids(sigmas: np.ndarray, members, band: float):
+    """(group, M) for groups of the sigmas of `members`, in order, that
+    share the grid at the finest fine step pi/(2M) of their own rules at
+    band, out to the widest of their windows.  A sigma joins the group
+    before it while that grid holds no more nodes than their own rules
+    together, and their weights no more than MERGE_BLOCK entries.  A sigma
+    whose own rule is too large to run raises QuadratureConvergenceError
+    once the group before it is handed out."""
+    group, m, widest, own = [], 0, 0.0, 0
     for s in members:
+        sigma = float(sigmas[s])
         try:
-            rule = _trapezoid_rule(float(sigmas[s]), band)
+            m_s, last = _own_rule(sigma, band)
         except QuadratureConvergenceError:
-            if chunk:
-                yield (chunk, *_joined(rules))
+            if group:
+                yield group, m
             raise
-        if chunk and nodes + len(rule[0]) > MERGE_BLOCK:
-            yield (chunk, *_joined(rules))
-            chunk, rules, nodes = [], [], 0
-        chunk.append(s)
-        rules.append(rule)
-        nodes += len(rule[0])
-    if chunk:
-        yield (chunk, *_joined(rules))
-
-
-def _joined(rules: list) -> tuple:
-    """The nodes and the weights of rules laid end to end, and where each
-    rule starts.  rules is emptied, so that only the joined arrays stay
-    held, and a rule alone, as a wide sigma's is, is not copied."""
-    deltas, weights = (x[0] if len(x) == 1 else np.concatenate(x) for x in zip(*rules))
-    starts = np.cumsum([0] + [len(d) for d, _ in rules]).tolist()
-    rules.clear()
-    return deltas, weights, starts
+        # a window widens with sigma, so the widest sigma ends the grid
+        fine, wide = max(m, m_s), max(widest, sigma)
+        nodes = _window_end(wide, fine) + 1
+        if group and (nodes > own + last + 1 or (len(group) + 1) * nodes > MERGE_BLOCK):
+            yield group, m
+            group, fine, wide, own = [], m_s, sigma, 0
+        group.append(s)
+        m, widest, own = fine, wide, own + last + 1
+    if group:
+        yield group, m
 
 
 def _ratio_failure(ref, gap, r, alpha, sigma) -> Exception:
@@ -577,39 +585,29 @@ def _ratio_failure(ref, gap, r, alpha, sigma) -> Exception:
                                       f"alpha = {alpha}, sigma = {sigma}")
 
 
-def _averaged_ratios(deltas: np.ndarray, fine: np.ndarray, starts: list, weights: list,
+def _averaged_ratios(deltas: np.ndarray, fine: np.ndarray, weights: list,
                      alpha) -> tuple[np.ndarray, ...]:
-    """The trapezoid average, by each rule of a run laid end to end (see
-    _rule_chunks), of the probability of each weight row of `weights`
-    over its own value at the rule's first node, delta = 0: (ratio, its
-    gap to the rule at twice the step, reference), each of shape (rules,
-    rows).
-
-    The run takes one kernel pass per _row_blocks block of rows, which is
-    bounded by the weight matrix alone; each node block the kernel yields
-    is summed into the rules it covers and dropped, so no rows x nodes
-    table is held.  A row that lost its reference (a NaN one too) is
-    divided by 1, for the caller to refuse."""
-    shape = (len(starts) - 1, len(weights))
-    ratio, coarse, ref = np.zeros(shape), np.zeros(shape), np.empty(shape)
-    # half the rule at step h: each rule's own even nodes
-    even = np.zeros(len(fine))
-    for lo, hi in zip(starts, starts[1:]):
-        even[lo:hi:2] = fine[lo:hi:2]
+    """The average, by each rule (row of fine) over the nodes deltas, of
+    the probability of each series row of `weights` over its own value at
+    the first node, delta = 0: (ratio and its gap to the rule at twice the
+    step, of shape (rules, rows), and each row's reference).  One kernel
+    pass per _row_blocks block of rows; each node block it yields is
+    contracted with the rules and dropped, so no rows x nodes table is
+    held.  A row that lost its reference (a NaN one too) is divided by 1,
+    for the caller to refuse."""
+    shape = (len(fine), len(weights))
+    ratio, coarse, ref = np.zeros(shape), np.zeros(shape), np.empty(len(weights))
     for at, g in _row_blocks(weights, 0):
         part = slice(int(at[0]), int(at[-1]) + 1)
-        scale = np.empty((shape[0], len(at)))
         for lo, vals in _odd_branch_blocks(deltas, g, alpha):
+            if lo == 0:
+                ref[part] = vals[:, 0]
+                scale = np.where(vals[:, 0] >= TINY, vals[:, 0], 1.0)[:, None]
+            vals /= scale
             hi = lo + vals.shape[1]
-            # the rules with nodes in lo .. hi - 1
-            for i in range(bisect.bisect_right(starts, lo) - 1, bisect.bisect_left(starts, hi)):
-                a, b = max(starts[i], lo), min(starts[i + 1], hi)
-                if a == starts[i]:
-                    ref[i, part] = vals[:, a - lo]
-                    scale[i] = np.where(vals[:, a - lo] >= TINY, vals[:, a - lo], 1.0)
-                v = vals[:, a - lo:b - lo] / scale[i][:, None]
-                ratio[i, part] += v @ fine[a:b]
-                coarse[i, part] += v @ even[a:b]
+            ratio[:, part] += fine[:, lo:hi] @ vals.T
+            # half the rules at step h: the block's even nodes
+            coarse[:, part] += fine[:, lo + lo % 2:hi:2] @ vals[:, lo % 2::2].T
     return ratio, np.abs(2.0 * coarse - ratio), ref
 
 

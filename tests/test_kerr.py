@@ -304,27 +304,37 @@ def test_trapezoid_matches_the_hermite_oracle():
 
 def test_trapezoid_rule_grid_and_weights():
     band = 1000.0
-    # a narrow Gaussian: the grid stops at the first even node past 9 sigma
-    deltas, weights = kerr._trapezoid_rule(4e-3, band)
-    half_step = math.pi / (2 * (math.ceil(2 * math.pi / 4e-3) + 500))
-    assert len(deltas) % 2 == 1
+    # a narrow Gaussian alone, on its own rule: the grid stops at the first
+    # even node past 9 sigma
+    m, last = kerr._own_rule(4e-3, band)
+    assert m == math.ceil(2 * math.pi / 4e-3) + 500
+    deltas, alone = kerr._trapezoid_rule([4e-3], m)
+    assert alone.shape == (1, last + 1) == (1, len(deltas)) and last % 2 == 0
     assert deltas[-1] > 9 * 4e-3 > deltas[-3]
-    assert abs(deltas[1] - half_step) < 1e-18
-    assert abs(weights.sum() - 1.0) < 1e-14
-    assert abs(2.0 * weights[::2].sum() - 1.0) < 1e-14
-    # wide ones: the grid lands on pi, whose weight is not doubled; the
-    # Fourier series of the wrapped normal (sigma = 3) matches its copies
-    for sigma in (1.0, 3.0):
-        deltas, weights = kerr._trapezoid_rule(sigma, band)
-        assert len(deltas) == 2 * (math.ceil(2 * math.pi / sigma) + 500) + 1
-        assert abs(deltas[-1] - math.pi) < 1e-15
-        assert abs(weights.sum() - 1.0) < 1e-14
+    assert abs(deltas[1] - math.pi / (2 * m)) < 1e-18
+    # with two wide ones on its grid, the finest step of the three: it keeps
+    # its row, and each row sums to 1, as do its even nodes at twice their
+    # weights
+    sigmas = [4e-3, 1.0, 3.0]
+    for sigma in sigmas[1:]:
+        own = math.ceil(2 * math.pi / sigma) + 500
+        assert kerr._own_rule(sigma, band) == (own, 2 * own)
+    shared, weights = kerr._trapezoid_rule(sigmas, m)
+    assert len(shared) == 2 * m + 1 and np.array_equal(shared[:last + 1], deltas)
+    assert np.array_equal(weights[0, :last + 1], alone[0])
+    assert not weights[0, last + 1:].any()
+    assert np.all(np.abs(weights.sum(axis=1) - 1.0) < 1e-14)
+    assert np.all(np.abs(2.0 * weights[:, ::2].sum(axis=1) - 1.0) < 1e-14)
+    # the wide ones land on pi, whose weight is not doubled; the Fourier
+    # series of the wrapped normal (sigma = 3) matches its copies
+    assert abs(shared[-1] - math.pi) < 1e-15
+    for sigma, row in zip(sigmas[1:], weights[1:]):
         copies = sum(
-            np.exp(-0.5 * ((deltas + 2 * math.pi * k) / sigma) ** 2) for k in range(-20, 21)
+            np.exp(-0.5 * ((shared + 2 * math.pi * k) / sigma) ** 2) for k in range(-20, 21)
         ) / (sigma * math.sqrt(2 * math.pi))
-        expected = 2.0 * copies * (deltas[1] - deltas[0])
+        expected = 2.0 * copies * (shared[1] - shared[0])
         expected[[0, -1]] /= 2.0
-        assert np.allclose(weights, expected, rtol=1e-13, atol=0.0)
+        assert np.allclose(row, expected, rtol=1e-13, atol=0.0)
 
 
 def test_production_never_reaches_the_hermite_ladder(monkeypatch):
@@ -342,8 +352,8 @@ def test_production_never_reaches_the_hermite_ladder(monkeypatch):
 
 
 def test_coarse_trapezoid_step_fails_the_gate(monkeypatch):
-    rule = kerr._trapezoid_rule
-    monkeypatch.setattr(kerr, "_trapezoid_rule", lambda sigma, band: rule(sigma, band / 100))
+    rule = kerr._own_rule
+    monkeypatch.setattr(kerr, "_own_rule", lambda sigma, band: rule(sigma, band / 100))
     with pytest.raises(kerr.QuadratureConvergenceError, match="disagree"):
         _ratio(2.0, 10.0, 0.3)
 
@@ -354,7 +364,7 @@ def test_trapezoid_rule_refuses_oversized_grids():
     with pytest.raises(kerr.QuadratureConvergenceError, match="nodes"):
         _ratio(2.0, 60.0, 1.0)
     with pytest.raises(kerr.QuadratureConvergenceError, match="not finite"):
-        kerr._trapezoid_rule(1.0, math.inf)
+        kerr._own_rule(1.0, math.inf)
 
 
 def test_averaged_ratio_covers_wide_phase_noise():
@@ -481,7 +491,9 @@ def _fig5b_window(r, trunc, alpha):
     """The fine trapezoid nodes of the widest fig5b sigma at r and trunc."""
     n, g = _odd_series(r, trunc)
     band = (abs(alpha) + kerr.TRAPEZOID_BAND_PAD) ** 2 * float(n[-1])
-    return kerr._trapezoid_rule(registry.SIGMA_GRID[1], band)[0], n, g
+    sigma = registry.SIGMA_GRID[1]
+    m, _ = kerr._own_rule(sigma, band)
+    return kerr._trapezoid_rule([sigma], m)[0], n, g
 
 
 def test_odd_branch_kernel_matches_the_general_overlap():
@@ -702,17 +714,17 @@ def test_one_kernel_pass_serves_both_cutoffs(monkeypatch):
     analysis.evaluate("p0_cat_minus", {"tau_tilde": math.pi, "r": rs, "alpha": 10.0})
     assert len({oracles.series_truncation(r) for r in rs.tolist()}) == 24
     assert [shape for _, shape in calls] == [(80, calls[0][1][1])]
-    # phase_ratio: one call per alpha, over the trapezoid grids of both
-    # sigmas laid end to end (111 + 255 nodes at alpha = 9, 123 + 293 at
-    # 10), a row per r and cutoff; each reference is its grid's node at
-    # tau_tilde = pi, with no one-node call of its own
+    # phase_ratio: one call per alpha, over one grid both sigmas share (327
+    # nodes at alpha = 9 and 365 at 10, where their own rules hold 111 + 255
+    # and 123 + 293), a row per r and cutoff; each reference is the grid's
+    # node at tau_tilde = pi, with no one-node call of its own
     calls.clear()
     sigmas = np.array([1e-3, 3e-3, 1e-3, 3e-3])
     analysis.evaluate("phase_ratio", {"sigma": np.tile(sigmas, 2),
                                       "r": np.tile([0.7, 0.7, 1.5, 1.5], 2),
                                       "alpha": np.repeat([9.0, 10.0], 4)})
     # r = 0.7 keeps 16 and 24 pair terms, 1.5 keeps 58 and 88
-    assert [(nodes, shape[0]) for nodes, shape in calls] == [(366, 4), (416, 4)]
+    assert [(nodes, shape[0]) for nodes, shape in calls] == [(327, 4), (365, 4)]
     calls.clear()
     analysis.evaluate("phase_ratio", {"sigma": 4e-3, "r": rs, "alpha": 10.0})
     assert [shape for _, shape in calls] == [(80, calls[0][1][1])]
@@ -763,7 +775,8 @@ def _outcome(fn):
 @given(
     # a few distinct sigmas, drawn from with repeats; log-uniform, as a
     # rule's cost grows with sigma
-    pool=st.lists(st.just(0.0) | st.floats(-5.0, 0.0).map(lambda e: 10.0 ** e),
+    pool=st.lists(st.sampled_from([0.0, 5e-324])
+                  | st.floats(-5.0, 0.0).map(lambda e: 10.0 ** e),
                   min_size=1, max_size=4, unique=True),
     picks=st.lists(st.integers(0, 3), min_size=2, max_size=6),
     r=st.sampled_from([0.725, 2.0]),
@@ -771,8 +784,10 @@ def _outcome(fn):
 )
 def test_fused_sigma_pass_matches_one_call_per_sigma(pool, picks, r, alpha):
     # the sigmas of one call that read the same rows share one kernel pass
-    # over their trapezoid grids laid end to end; each keeps its own rule,
-    # reference and checks, as a call of its own would
+    # over a grid where that holds fewer nodes; each keeps its own weights,
+    # reference and checks, as a call of its own would.  The smallest
+    # subnormal sigma's M, about 1.3e324, is past a float's range, so the
+    # grouping counts nodes in integers
     sigmas = np.array([pool[i % len(pool)] for i in picks])
     trunc = oracles.series_truncation(r)
     cutoffs = (trunc, trunc.scaled(1.5))
@@ -826,24 +841,68 @@ def test_column_with_two_failing_points_names_the_first_in_order():
 
 
 def test_sigma_run_past_merge_block_splits_into_chunks(monkeypatch):
-    # fig5a's alpha = 10 column: with MERGE_BLOCK at 512 its sigma rules,
-    # laid end to end, are handed out in seven runs, and the column reads as
-    # the unsplit one; which of two failing points is named stays the same
+    # fig5a's alpha = 10 column: with MERGE_BLOCK at 512 its sigmas share
+    # ten grids, each weight matrix within 512 entries, and the column reads
+    # as the unsplit one; which of two failing points is named stays the same
     spec = analysis.SweepSpec("sigma", *registry.SIGMA_GRID, {"r": 0.725, "alpha": 10.0})
     whole = analysis.sweep(spec, "phase_ratio").rows
-    chunks = []
-    rule_chunks = kerr._rule_chunks
+    grids = []
+    rule = kerr._trapezoid_rule
 
-    def counted(*args):
-        for chunk in rule_chunks(*args):
-            chunks.append(chunk[0])
-            yield chunk
+    def counted(sigmas, m):
+        deltas, weights = rule(sigmas, m)
+        grids.append(weights.shape)
+        return deltas, weights
     monkeypatch.setattr(kerr, "MERGE_BLOCK", 512)
-    monkeypatch.setattr(kerr, "_rule_chunks", counted)
+    monkeypatch.setattr(kerr, "_trapezoid_rule", counted)
     rows = analysis.sweep(spec, "phase_ratio").rows
-    assert [len(chunk) for chunk in chunks] == [10, 7, 6, 5, 4, 4, 4]
-    assert np.max(np.abs(np.asarray(rows) - np.asarray(whole))) <= 2.3e-16
+    assert [sigmas for sigmas, _ in grids] == [3, 5, 5, 5, 5, 4, 4, 4, 3, 2]
+    assert all(sigmas * nodes <= 512 for sigmas, nodes in grids)
+    # a group's grid is no finer and no longer than the unsplit one, but exact
+    # for the band as well, so a ratio near 1 moves only by the rounding of
+    # its sum over another set of nodes: a few ulp
+    assert np.max(np.abs(np.asarray(rows) - np.asarray(whole))) <= 4 * np.spacing(1.0)
     test_column_with_two_failing_points_names_the_first_in_order()
+
+
+def test_sigmas_share_a_grid_only_where_it_holds_fewer_nodes(monkeypatch):
+    # each kernel pass runs one grid, of no more nodes than its sigmas' own
+    # rules hold together: at alpha = 3, sigma = 1e-4 and 5 never share one,
+    # as a full period at the finer step would hold 73 times their own rules
+    # (127,357 nodes against 39 + 1,697), though the weights of two sigmas
+    # on it would fit MERGE_BLOCK
+    own, grids, passes = {}, [], []
+    rule, grid, kernel = kerr._own_rule, kerr._trapezoid_rule, kerr._odd_branch_blocks
+
+    def own_rule(sigma, band):
+        m, last = rule(sigma, band)
+        own[sigma] = last + 1
+        return m, last
+
+    def shared(sigmas, m):
+        grids.append(sigmas)
+        return grid(sigmas, m)
+
+    def spy(deltas, g, alpha):
+        passes.append(len(deltas))
+        return kernel(deltas, g, alpha)
+    monkeypatch.setattr(kerr, "_own_rule", own_rule)
+    monkeypatch.setattr(kerr, "_trapezoid_rule", shared)
+    monkeypatch.setattr(kerr, "_odd_branch_blocks", spy)
+    sigmas = np.array([1e-4, 5.0, 1e-3, 5.0, 0.3, 1e-4, 1.0, 5e-324, 2e-3, 4e-3, 5.0])
+    trunc = oracles.series_truncation(0.725)
+    kerr.phase_ratio(sigmas, 0.725, 3.0, *(_column(c, len(sigmas))
+                                           for c in (trunc, trunc.scaled(1.5))))
+    assert len(grids) == len(passes) > 1
+    assert all(nodes <= sum(own[s] for s in group) for group, nodes in zip(grids, passes))
+    assert not any({1e-4, 5.0} <= set(group) for group in grids)
+    # fig5b's 40 sigmas share one grid of 2,361 nodes, where their own
+    # rules hold 20,360
+    own.clear()
+    grids.clear()
+    passes.clear()
+    registry.figure("fig5b").build()
+    assert passes == [2361] and len(grids[0]) == 40 and sum(own.values()) == 20360
 
 
 def test_merged_pass_working_set_is_bounded(monkeypatch):
