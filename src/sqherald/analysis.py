@@ -191,9 +191,9 @@ def _points(q, params: Mapping, dim, tail_tol) -> _Points:
 
 
 class Evaluation(NamedTuple):
-    """evaluate's values, the cutoff dims used, and the largest move
-    |v(dim) - v(1.5 dim)| with the point where it happens (the first such
-    point; closed-form quantities move by 0)."""
+    """evaluate's values, taken at 1.5x the cutoff dims used, those dims,
+    and the largest move |v(dim) - v(1.5 dim)| with the point where it
+    happens (the first such point; closed-form quantities move by 0)."""
 
     values: np.ndarray
     dims: list[int]
@@ -217,7 +217,8 @@ def evaluate(
     row.  Each point must be finite, at both cutoffs, and move by
     at most CONVERGENCE_TOL between them; the first point in order that
     does not is named, with its own dims, in the NumericalFailureError or
-    ConvergenceError.
+    ConvergenceError.  The values returned are the 1.5x row, the better
+    of the two.
     """
     q = _resolve(quantity)
     points = _points(q, params, dim, tail_tol)
@@ -243,7 +244,7 @@ def evaluate(
         )
     worst = int(np.argmax(move))
     dims = sorted(set(cutoffs[0].dims.tolist())) if cutoffs else []
-    return Evaluation(v1, dims, float(move[worst]), points.point(worst))
+    return Evaluation(v2, dims, float(move[worst]), points.point(worst))
 
 
 def sweep(

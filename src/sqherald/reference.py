@@ -33,7 +33,6 @@ tests/oracles.py.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 
 import numpy as np
@@ -92,38 +91,30 @@ def default_dims(r) -> np.ndarray:
     return np.where(r <= 1.2, 64, 160)
 
 
-def default_truncation(r: float = 0.0, tail_tol: float = DEFAULT_TAIL_TOL) -> Truncation:
+def default_truncation(r: float, tail_tol: float = DEFAULT_TAIL_TOL) -> Truncation:
     """The default_dims cutoff of one r, with tail tolerance tail_tol."""
     return Truncation(int(default_dims(r)), tail_tol)
 
 
-# log k! for k < len(_LOG_FACTORIALS): read-only, grown on demand.
-_LOG_FACTORIALS = np.zeros(0)
 # The longest table log_factorials builds (128 MB); the cutoffs in use
 # need a few tens of thousands of entries.
 LOG_FACTORIALS_LIMIT = 2**24
 
 
 def log_factorials(count: int) -> np.ndarray:
-    """Read-only table of log k! = lgamma(k + 1) for k < count: a prefix of
-    one table grown to the largest count asked for, so each entry is the
-    same float at every count (the table itself at that count).  A count
-    above LOG_FACTORIALS_LIMIT is refused (ValueError), and the grown
-    table is allocated before any entry is computed, so a table that
-    cannot fit fails at once."""
-    global _LOG_FACTORIALS
-    table = _LOG_FACTORIALS
+    """Read-only table of log k! = lgamma(k + 1) for k < count, built on
+    every call, so each entry is the same float at every count.  A count
+    above LOG_FACTORIALS_LIMIT is refused (ValueError), and the table is
+    allocated before any entry is computed, so a table that cannot fit
+    fails at once."""
     if count > LOG_FACTORIALS_LIMIT:
         raise ValueError(f"a table of {count} log-factorials exceeds the limit of "
                          f"{LOG_FACTORIALS_LIMIT} (is the cutoff too large?)")
-    if count > len(table):
-        grown = np.empty(count)
-        grown[:len(table)] = table
-        for k in range(len(table), count):
-            grown[k] = math.lgamma(k + 1.0)
-        grown.setflags(write=False)
-        _LOG_FACTORIALS = table = grown
-    return table if count == len(table) else table[:count]
+    table = np.empty(count)
+    for k in range(count):
+        table[k] = math.lgamma(k + 1.0)
+    table.setflags(write=False)
+    return table
 
 
 class DegenerateStateError(ValueError):
@@ -155,9 +146,6 @@ class SingleModeState:
     def norm_sq(self) -> float:
         return float(np.vdot(self.amps, self.amps).real)
 
-    def photon_distribution(self) -> np.ndarray:
-        return np.abs(self.amps) ** 2
-
 
 @dataclasses.dataclass(frozen=True)
 class TwoModeState:
@@ -183,10 +171,6 @@ class TwoModeState:
         return np.abs(self.amps) ** 2
 
 
-# (-i)^k by k mod 4, exactly
-_PHASES = np.array([1.0, -1.0j, -1.0, 1.0j])
-
-
 def _tridiagonal_modes(lower: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(w, u) with exp(G) = u diag(e^{i w}) u^H for the real antisymmetric
     tridiagonal G with subdiagonal lower (G[k+1, k] = lower[k] =
@@ -199,7 +183,8 @@ def _tridiagonal_modes(lower: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not np.all(np.isfinite(lower)):
         raise NumericalFailureError("matrix exponential of a non-finite generator")
     w, v = np.linalg.eigh(np.diag(lower, k=-1) + np.diag(lower, k=1))
-    return w, _PHASES[np.arange(len(v)) % 4, None] * v
+    phases = np.array([1.0, -1.0j, -1.0, 1.0j])  # (-i)^k by k mod 4, exactly
+    return w, phases[np.arange(len(v)) % 4, None] * v
 
 
 def expm_antisymmetric(lower: np.ndarray) -> np.ndarray:
@@ -333,36 +318,32 @@ def two_mode_squeezed_vacuum(r: float, trunc: Truncation) -> TwoModeState:
 # -------------------------------------------------------------- splitter
 
 
-@functools.lru_cache(maxsize=16)
-def _blocks(dim: int, theta: float) -> tuple[np.ndarray, ...]:
-    """Orthogonal beam-splitter blocks, one per total photon number N < dim.
+def _blocks(dim: int) -> list[np.ndarray]:
+    """Orthogonal balanced-splitter blocks, one per total photon number N < dim.
 
     Block N acts on the basis |k, N-k>, k = 0..N, with generator
-    G[k+1, k] = theta sqrt((k+1)(N-k)) and G[k-1, k] = -theta sqrt(k(N-k+1)).
+    G[k+1, k] = (pi/4) sqrt((k+1)(N-k)) and G[k-1, k] = -(pi/4) sqrt(k(N-k+1)).
     The generator is real antisymmetric and tridiagonal, so each block is
     orthogonal and comes from expm_antisymmetric.
     """
     out = []
     for total in range(dim):
         k = np.arange(total)
-        block = expm_antisymmetric(theta * np.sqrt((k + 1.0) * (total - k)))
-        block.setflags(write=False)
-        out.append(block)
-    return tuple(out)
+        out.append(expm_antisymmetric(BALANCED_ANGLE * np.sqrt((k + 1.0) * (total - k))))
+    return out
 
 
-def apply_beam_splitter(state: TwoModeState, theta: float = BALANCED_ANGLE) -> TwoModeState:
-    """Apply U = exp[theta (a^dag b - a b^dag)] to an arbitrary two-mode
-    state, one orthogonal block per total photon number.
+def apply_beam_splitter(state: TwoModeState) -> TwoModeState:
+    """Apply the balanced splitter U = exp[pi/4 (a^dag b - a b^dag)] to an
+    arbitrary two-mode state, one orthogonal block per total photon number.
 
-    At theta = pi/4, U a^dag U^dag = (a^dag - b^dag)/sqrt(2).  The
-    independent reference for split().  Anti-diagonals with total photon
-    number >= dim cannot be represented and are dropped; the lost mass
-    shows up as a norm deficit on the output, mirroring how the cutoff
-    treats every other operation.
+    U a^dag U^dag = (a^dag - b^dag)/sqrt(2).  The independent reference
+    for split().  Anti-diagonals with total photon number >= dim cannot be
+    represented and are dropped; the lost mass shows up as a norm deficit
+    on the output, mirroring how the cutoff treats every other operation.
     """
     d = state.dim
-    blocks = _blocks(d, theta)
+    blocks = _blocks(d)
     rows = np.arange(d)
     out = np.zeros((d, d), dtype=complex)
     for total in range(d):
@@ -371,7 +352,6 @@ def apply_beam_splitter(state: TwoModeState, theta: float = BALANCED_ANGLE) -> T
     return TwoModeState(out, state.truncation)
 
 
-@functools.lru_cache(maxsize=16)
 def _balanced_columns(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form balanced-splitter image of every |N, 0>, N < dim
     (Campos, Saleh & Teich, PRA 40, 1371 (1989)):
@@ -391,10 +371,7 @@ def _balanced_columns(dim: int) -> tuple[np.ndarray, np.ndarray]:
         log_fact[totals] - np.add.outer(log_fact[:dim], log_fact[:dim]) - totals * math.log(2.0)
     )
     coeff = np.where(n % 2 == 0, 1.0, -1.0) * np.exp(log_coeff)
-    totals = np.minimum(totals, dim)
-    coeff.setflags(write=False)
-    totals.setflags(write=False)
-    return coeff, totals
+    return coeff, np.minimum(totals, dim)
 
 
 def split(state: SingleModeState) -> TwoModeState:

@@ -424,13 +424,14 @@ def _averaged_ratio_quadrature(
     return float(np.dot(weights, vals) / math.sqrt(math.pi))
 
 
-def _hermite_ladder_ratio(r: float, alpha: float, sigma: float) -> float:
-    """Gaussian-averaged ratio from the Gauss-Hermite ladder: the first
-    adjacent pair of QUADRATURE_ORDERS that agrees within
-    QUADRATURE_AGREEMENT (the oracle for kerr.phase_ratio)."""
-    prev = _averaged_ratio_quadrature(r, alpha, sigma, QUADRATURE_ORDERS[0], None)
+def _hermite_ladder_ratio(r: float, alpha: float, sigma: float, dim: int | None = None) -> float:
+    """Gaussian-averaged ratio from the Gauss-Hermite ladder at cutoff dim
+    (default: the series cutoff): the first adjacent pair of
+    QUADRATURE_ORDERS that agrees within QUADRATURE_AGREEMENT (the oracle
+    for kerr.phase_ratio)."""
+    prev = _averaged_ratio_quadrature(r, alpha, sigma, QUADRATURE_ORDERS[0], dim)
     for order in QUADRATURE_ORDERS[1:]:
-        cur = _averaged_ratio_quadrature(r, alpha, sigma, order, None)
+        cur = _averaged_ratio_quadrature(r, alpha, sigma, order, dim)
         if abs(cur - prev) <= QUADRATURE_AGREEMENT:
             return cur
         prev = cur

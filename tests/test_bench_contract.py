@@ -4,8 +4,10 @@ bench/tracing.py wraps the package's public functions, every registered
 quantity and `cli.main` at run time, and describes the registry's calls
 by their cutoff's dim.  Its `kerr.gaussian_averaged_ratio` branches
 match a span name that the package no longer has, so they never run.
-A traced sweep through the CLI, followed by the metric pass, fails here
-when an API change breaks that contract.
+It names each acceptance criterion's span by the criterion's
+`__name__`.  A traced sweep and a traced `verify` through the CLI,
+followed by the metric pass, fail here when an API change breaks that
+contract.
 """
 import importlib.util
 import pathlib
@@ -45,3 +47,17 @@ def test_traced_sweep_yields_the_layer_metrics(capsys):
     assert metrics["kerr.series_pairs"] == 0.0
     assert metrics["analysis.recheck_share"] == 0.0
     assert notes
+
+
+def test_traced_verify_times_every_criterion(capsys):
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["verify"])
+    finally:
+        tracer.uninstall()
+    assert code == cli.EXIT_VERIFY, capsys.readouterr().err  # criterion 12, a known red
+    metrics, _ = tracing.layer_metrics(tracer.spans)
+    for index in range(1, 13):
+        assert metrics[f"verification.c{index}_s"] > 0.0, index

@@ -390,8 +390,10 @@ def test_pump_amplitude_whose_square_overflows_exits_usage(capsys, argv):
 
 @pytest.mark.parametrize("alpha", ("10", "1e3", "1e7", "1e8", "1e100", "1e150"))
 def test_p0_at_ideal_phase_survives_large_pump_amplitudes(capsys, alpha):
-    # (sum_n g_n)^2 at r = 0.725: every label overlap is 1 at tau_tilde = pi
-    exact = 0.1665808855379014
+    # every label overlap is 1 at tau_tilde = pi, so the printed value is
+    # the branch weight N_-(0.725)/4 (40-digit mpmath) up to the tail past
+    # the 1.5x cutoff, which is far below one ulp
+    exact = 0.16658088553790504
     code, out, err = run_cli(capsys, "sweep", "--quantity", "p0_cat_minus", "--var",
                              "tau_tilde", "--lo", "3.141592653589793", "--hi",
                              "3.141592653589793", "--points", "1", "--set", "r=0.725",
@@ -814,6 +816,41 @@ def test_no_package_module_imports_scipy():
             elif isinstance(node, ast.ImportFrom) and node.level == 0 and _is_scipy(node.module):
                 found.append((path.name, node.module))
     assert found == []
+
+
+_MUTATORS = {"append", "extend", "insert", "pop", "popitem", "remove", "clear", "update",
+             "setdefault", "add", "discard", "fill", "sort"}
+
+
+def test_only_the_row_cache_and_the_parser_outlive_a_call():
+    # the package's cross-call state is kerr._ROWS, whose weight rows
+    # later Kerr columns reread, and cli._parser, built once per process:
+    # no other cached function, no global statement, and no other
+    # module-level name changed from inside a function
+    package = Path(sqherald.__file__).parent
+    found = set()
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        targets = [t for stmt in tree.body if isinstance(stmt, ast.Assign) for t in stmt.targets]
+        targets += [stmt.target for stmt in tree.body if isinstance(stmt, ast.AnnAssign)]
+        module_names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                found.update((path.stem, name) for name in node.names)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any("cache" in ast.unparse(d) for d in node.decorator_list):
+                    found.add((path.stem, node.name))
+                for inner in ast.walk(node):
+                    if isinstance(inner, ast.Subscript) and not isinstance(inner.ctx, ast.Load):
+                        owner = inner.value
+                    elif isinstance(inner, ast.Call) and isinstance(inner.func, ast.Attribute) \
+                            and inner.func.attr in _MUTATORS:
+                        owner = inner.func.value
+                    else:
+                        continue
+                    if isinstance(owner, ast.Name) and owner.id in module_names:
+                        found.add((path.stem, owner.id))
+    assert found == {("kerr", "_ROWS"), ("cli", "_parser")}
 
 
 def test_verify_with_inadequate_cutoff_reports_failures(capsys):

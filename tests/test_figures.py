@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sqherald import analysis, registry
+from sqherald import analysis, kerr, registry
 
 import oracles
 
@@ -90,7 +90,9 @@ def test_noise_surface_builds_in_full():
         row = np.flatnonzero(np.isclose(table.rows[:, 0], r) & np.isclose(table.rows[:, 1], sigma))
         assert len(row) == 1
         r_grid, sigma_grid = table.rows[row[0], :2]
-        oracle = oracles._hermite_ladder_ratio(r_grid, 10.0, sigma_grid)
+        # the table prints the value at 1.5x the series cutoff
+        printed_dim = kerr.series_cutoffs([r_grid]).scaled(1.5).dim
+        oracle = oracles._hermite_ladder_ratio(r_grid, 10.0, sigma_grid, printed_dim)
         assert abs(values[row[0]] - oracle) < 1e-12
 
 

@@ -71,7 +71,7 @@ def test_coherent_matches_poisson():
     poisson = np.exp(-alpha**2) * alpha ** (2 * n) / np.array(
         [math.factorial(int(k)) for k in n]
     )
-    assert np.max(np.abs(st.photon_distribution() - poisson)) < 1e-12
+    assert np.max(np.abs(np.abs(st.amps) ** 2 - poisson)) < 1e-12
     assert st.norm_sq() == pytest.approx(1.0, abs=1e-10)
 
 
@@ -109,12 +109,12 @@ def test_log_factorials_match_scipy_gammaln():
     table = reference.log_factorials(count)
     np.testing.assert_allclose(table, gammaln(np.arange(count) + 1.0), rtol=1e-14, atol=0.0)
     assert not table.flags.writeable
-    assert reference.log_factorials(count) is table
+    assert len(table) == count
 
 
 def test_log_factorials_are_prefixes_of_one_table():
-    # every count reads the same entries, bit for bit, however the table
-    # has grown
+    # every count reads the same entries, bit for bit, whatever was built
+    # before it
     long = reference.log_factorials(3000)
     for count in (0, 1, 7, 64, 2999):
         short = reference.log_factorials(count)
@@ -125,14 +125,19 @@ def test_log_factorials_are_prefixes_of_one_table():
     assert grown[4999] == math.lgamma(5000.0)
 
 
-def test_log_factorials_refuse_a_table_past_their_limit():
+def test_log_factorials_refuse_a_table_past_their_limit(monkeypatch):
     # a count past the limit is refused before anything is allocated or
-    # computed, and the table already built is kept
+    # computed, and a table within it still builds
     before = reference.log_factorials(100)
-    with pytest.raises(ValueError, match="exceeds the limit"):
-        reference.log_factorials(reference.LOG_FACTORIALS_LIMIT + 1)
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated past the limit")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "empty", no_allocation)
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            reference.log_factorials(reference.LOG_FACTORIALS_LIMIT + 1)
     assert reference.log_factorials(100).tobytes() == before.tobytes()
-    assert len(reference._LOG_FACTORIALS) <= reference.LOG_FACTORIALS_LIMIT
 
 
 def test_oracle_states_build_without_the_production_products(monkeypatch):
@@ -264,7 +269,7 @@ def test_squeeze_vacuum_column_matches_closed_form():
     ref = reference.squeezed_vacuum(r, sixty)
     assert np.max(np.abs(col - ref.amps)) < 2e-7
     assert np.max(np.abs(col[:41] - ref.amps[:41])) < 1e-8
-    assert np.max(np.abs(col**2 - ref.photon_distribution())) < 1e-8
+    assert np.max(np.abs(col**2 - np.abs(ref.amps) ** 2)) < 1e-8
     eighty = reference.Truncation(80)
     col80 = oracles.squeeze_matrix(r, eighty)[:, 0]
     ref80 = reference.squeezed_vacuum(r, eighty)

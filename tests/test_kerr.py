@@ -209,6 +209,36 @@ def test_weight_rows_match_50_digit_series(r):
         assert np.max(gap) <= WEIGHT_ROW_REL, (r, trunc.dim, float(np.max(gap)))
 
 
+def _mp_p0(tau, r, alpha, pairs):
+    """p0 at tau_tilde = tau from the _mp_odd_weights series cut at
+    `pairs` pair levels, summed in 40 digits: |sum_k g_k e^{-2 alpha^2
+    sin^2(k delta/2) + i alpha^2 sin(k delta)}|^2 over the odd k,
+    delta = tau - pi."""
+    g = _mp_odd_weights(r, pairs)
+    with mpmath.workdps(40):
+        a2, delta = mpmath.mpf(alpha) ** 2, mpmath.mpf(tau) - mpmath.pi
+        phases = (-2 * a2 * mpmath.sin(k * delta / 2) ** 2 + 1j * a2 * mpmath.sin(k * delta)
+                  for k in range(1, pairs, 2))
+        total = mpmath.fsum(g_k * mpmath.exp(phase) for g_k, phase in zip(g, phases))
+        return float(abs(total) ** 2)
+
+
+def test_fig4a_prints_the_cell_its_base_cutoff_drops():
+    # at tau_tilde = 6.2046, r = 0.65 the series at its base cutoff (64)
+    # gives 5.667e-53: the term whose label overlap is near 1 lies just
+    # past it.  The table prints the 1.5x value, 7.8047e-42, which the
+    # 40-digit series at 8x the cutoff confirms
+    table = registry.figure("fig4a").build()
+    cell = np.flatnonzero(np.isclose(table.rows[:, 0], 79 * math.pi / 40)
+                          & np.isclose(table.rows[:, 1], 0.65))
+    assert len(cell) == 1
+    tau, r, printed = table.rows[cell[0]]
+    dim = kerr.series_cutoffs([r]).dim
+    assert _mp_p0(tau, r, 10.0, (dim + 1) // 2) < 1e-52
+    exact = _mp_p0(tau, r, 10.0, (8 * dim + 1) // 2)
+    assert abs(printed - exact) <= 1e-9 * exact, (printed, exact)
+
+
 def _count_builds(monkeypatch):
     """The (r, dim) of every weight row built from here on, with the rows
     kept by earlier calls dropped."""

@@ -52,7 +52,7 @@ def test_split_vacuum_is_identity():
 
 
 def test_blocks_are_orthogonal():
-    blocks = reference._blocks(24, reference.BALANCED_ANGLE)
+    blocks = reference._blocks(24)
     for total in range(23):
         block = blocks[total]
         gram = block.T @ block - np.eye(total + 1)
@@ -71,10 +71,13 @@ def test_closed_form_split_matches_expm_blocks(dim):
     assert np.max(np.abs(closed.amps - oracle.amps)) <= 1e-13
 
 
-def test_split_builds_no_expm_blocks():
-    before = reference._blocks.cache_info()
-    reference.split(oracles.fock_state(3, reference.Truncation(37)))
-    assert reference._blocks.cache_info() == before
+def test_split_builds_no_expm_blocks(monkeypatch):
+    def no_expm(lower):
+        raise AssertionError("split built an exponentiated block")
+
+    monkeypatch.setattr(reference, "expm_antisymmetric", no_expm)
+    out = reference.split(oracles.fock_state(3, reference.Truncation(37)))
+    assert out.norm_sq() == pytest.approx(1.0, abs=1e-14)
 
 
 def test_total_photon_number_is_conserved():
@@ -268,10 +271,10 @@ def test_criterion_11_flags_a_corrupted_splitter_block(monkeypatch):
     # block, so a block that is no longer orthogonal moves its mass
     exact = reference._blocks
 
-    def corrupted(dim, theta):
-        blocks = list(exact(dim, theta))
+    def corrupted(dim):
+        blocks = exact(dim)
         blocks[5] = 1.01 * blocks[5]
-        return tuple(blocks)
+        return blocks
 
     assert verification.criterion_11(verification.VerifyConfig()).passed
     monkeypatch.setattr(reference, "_blocks", corrupted)

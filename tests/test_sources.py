@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -130,6 +131,35 @@ def test_cutoff_column_names_its_first_failing_row():
         assert info.value.tail_mass == alone.tail_mass
 
 
+def _mp_odd_tails(r, dim):
+    """The odd superposition's tail mass past dim, 1 - sum of 4 p_2k / N_-
+    over the odd k < (dim + 1)//2, and the same tail with the last such k
+    left out, both from 40-digit sums."""
+    with mpmath.workdps(40):
+        r = mpmath.mpf(r)
+        t2 = mpmath.tanh(r) ** 2
+        n_minus = 2 * (1 - 1 / mpmath.sqrt(mpmath.cosh(2 * r)))
+        p, odd = 1 / mpmath.cosh(r), []
+        for k in range(1, (dim + 1) // 2):
+            p *= t2 * (2 * k - 1) / (2 * k)
+            if k % 2:
+                odd.append(4 * p / n_minus)
+        return float(1 - mpmath.fsum(odd)), float(1 - mpmath.fsum(odd[:-1]))
+
+
+@pytest.mark.parametrize("r, dim", [(0.3, 16), (0.725, 40), (0.725, 43), (2.0, 300)])
+def test_superposition_tail_check_reads_the_last_pair_level(r, dim):
+    # a tolerance between the exact tail and the tail one odd pair level
+    # short of the cutoff is met; one just below the exact tail is not
+    exact, short = _mp_odd_tails(r, dim)
+    assert short > 1.1 * exact
+    assert isinstance(_one_row(r, dim, math.sqrt(exact * short)), np.ndarray)
+    refused = _one_row(r, dim, exact * (1.0 - 1e-4))
+    assert isinstance(refused, fs.TruncationError)
+    assert str(refused).startswith(f"superposition at r = {r}")
+    assert refused.tail_mass == pytest.approx(exact, rel=1e-6)
+
+
 def test_cat_norm_closed_form():
     assert sources.cat_norm(0.0, +1) == 4.0
     assert sources.cat_norm(0.0, -1) == 0.0
@@ -150,7 +180,7 @@ def test_odd_branch_keeps_its_precision_as_r_vanishes():
         assert sources.cat_norm(r, -1) == pytest.approx(series, rel=1e-14)
     for r in (1e-8, 1e-300, 5e-324):
         st = reference.squeezed_cat(r, -1, reference.Truncation(16))
-        assert st.photon_distribution()[2] == pytest.approx(1.0, abs=1e-12)
+        assert abs(st.amps[2]) ** 2 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cat_norms_sum_to_four():
@@ -204,7 +234,7 @@ def test_squeezed_cat_degenerate_and_trivial_limits():
 def test_minus_cat_approaches_two_photon_state():
     st = reference.squeezed_cat(1e-3, -1, reference.Truncation(32))
     assert abs(st.amps[2]) == pytest.approx(1.0, abs=1e-5)
-    assert st.photon_distribution()[2] == pytest.approx(1.0, abs=1e-6)
+    assert abs(st.amps[2]) ** 2 == pytest.approx(1.0, abs=1e-6)
 
 
 def test_superposition_reconstructs_squeezed_vacuum():

@@ -176,7 +176,6 @@ def test_verify_runs_no_complex_eigendecomposition(monkeypatch):
         return real_eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", real_only)
-    reference._blocks.cache_clear()
     results = verification.run_all()
     assert [r.index for r in results if not r.passed] == [12]
     # the two-mode squeezer diagonalizes the shared generator of the
