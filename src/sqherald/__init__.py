@@ -11,18 +11,16 @@ tests/oracles.py."""
 __version__ = "0.1.0"
 
 from .fockspace import NumericalFailureError, TruncationError
-from .sources import cat_norm, herald_probability, squeezing_db
+from .sources import cat_norm, herald_probability
 from .optics import ZeroHeraldError
 from .kerr import FitDegenerateError, QuadratureConvergenceError, fit_lambda
 from .detect import ZeroClickError, ZeroMeanError
 from .analysis import (
     ConvergenceError,
-    MaximizeResult,
     NoCrossingError,
     SweepSpec,
     SweepResult,
     find_crossing,
-    maximize_1d,
     sweep,
 )
 

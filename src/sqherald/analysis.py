@@ -1,4 +1,4 @@
-"""Sweeps, 1-D maximization and crossing detection for the figure data.
+"""Sweeps and crossing detection for the figure data.
 
 Quantities are addressed by a registered name (see registry.py) or by
 the registry.Quantity itself.  A sweep is one evaluation: every point
@@ -7,26 +7,20 @@ the column's distinct r, and the quantity runs once on arrays of all the
 points' parameter values, with the points' cutoffs and 1.5x them in the
 same call (a closed form takes none); every row must agree between the
 two within CONVERGENCE_TOL, so published tables are convergence-checked
-row by row.  The scan and check grids of maximize_1d are one call each,
-at the points' cutoffs and with no recheck; its golden section, and the
-bisection of find_crossing, take one call per step.
+row by row.  The bisection of find_crossing takes one call of each of
+its two functions per step.
 """
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .fockspace import SQUEEZE_LIMIT, CutoffColumn, NumericalFailureError
+from .fockspace import SQUEEZE_LIMIT, NumericalFailureError
 
 CONVERGENCE_TOL = 1e-8
-GOLDEN_TOL = 1e-4
-SCAN_POINTS = 41
-CHECK_POINTS = 201
-
-INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class ConvergenceError(NumericalFailureError):
@@ -85,9 +79,6 @@ class SweepResult:
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
 
-    def column(self, name: str) -> np.ndarray:
-        return self.rows[:, self.columns.index(name)]
-
 
 def _resolve(quantity):
     """The registry.Quantity of a registered name, or the Quantity given."""
@@ -145,51 +136,6 @@ def distinct(*columns) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     return tuple(c[first] for c in columns), at
 
 
-def _require_finite(values: np.ndarray, name: str, point: Callable[[int], dict]) -> np.ndarray:
-    """values, or a NumericalFailureError naming the first point in order
-    whose value is not finite."""
-    bad = ~np.isfinite(values)
-    if np.any(bad):
-        i = int(np.flatnonzero(bad)[0])
-        raise NumericalFailureError(f"{name} is not finite ({float(values[i])!r}) at {point(i)}")
-    return values
-
-
-@dataclasses.dataclass(frozen=True)
-class _Points:
-    """The points of a parameter mapping: columns holds every parameter as
-    a 1-D array over the points, a fixed one repeated, and cutoffs the
-    points' CutoffColumn as its one entry, or none for a closed form."""
-
-    params: Mapping
-    arrays: dict
-    columns: dict
-    cutoffs: tuple[CutoffColumn, ...]
-
-    def point(self, i: int) -> dict:
-        return {
-            k: float(self.arrays[k][i]) if k in self.arrays else v for k, v in self.params.items()
-        }
-
-
-def _points(q, params: Mapping, dim, tail_tol) -> _Points:
-    """The points of params (see evaluate), each at its cutoff of
-    q.cutoff(r, dim, tail_tol), one call for the distinct r.  An r
-    outside [0, SQUEEZE_LIMIT] is a ValueError."""
-    arrays = {k: np.asarray(v, dtype=float) for k, v in params.items() if np.ndim(v)}
-    size = len(next(iter(arrays.values()))) if arrays else 1
-    columns = {k: arrays[k] if k in arrays else np.full(size, float(v)) for k, v in params.items()}
-    r = np.broadcast_to(np.asarray(params.get("r", 0.0), dtype=float), (size,))
-    outside = ~((r >= 0.0) & (r <= SQUEEZE_LIMIT))
-    if np.any(outside):
-        raise ValueError(f"r must lie in [0, {SQUEEZE_LIMIT}], got {r[outside][0]}")
-    cutoffs = ()
-    if q.cutoff is not None:
-        (rs,), r_at = distinct(r)
-        cutoffs = (q.cutoff(rs, dim, tail_tol).take(r_at),)
-    return _Points(params, arrays, columns, cutoffs)
-
-
 class Evaluation(NamedTuple):
     """evaluate's values, taken at 1.5x the cutoff dims used, those dims,
     and the largest move |v(dim) - v(1.5 dim)| with the point where it
@@ -221,9 +167,24 @@ def evaluate(
     of the two.
     """
     q = _resolve(quantity)
-    points = _points(q, params, dim, tail_tol)
-    cutoffs = [*points.cutoffs, *(c.scaled(1.5) for c in points.cutoffs)]
-    rows = np.array(q.fn(*cutoffs, **points.columns), dtype=float)
+    arrays = {k: np.asarray(v, dtype=float) for k, v in params.items() if np.ndim(v)}
+    size = len(next(iter(arrays.values()))) if arrays else 1
+    columns = {k: arrays[k] if k in arrays else np.full(size, float(v)) for k, v in params.items()}
+    r = np.broadcast_to(np.asarray(params.get("r", 0.0), dtype=float), (size,))
+    outside = ~((r >= 0.0) & (r <= SQUEEZE_LIMIT))
+    if np.any(outside):
+        raise ValueError(f"r must lie in [0, {SQUEEZE_LIMIT}], got {r[outside][0]}")
+    cutoffs = []
+    if q.cutoff is not None:
+        # one cutoff-policy call for the distinct r
+        (rs,), r_at = distinct(r)
+        base = q.cutoff(rs, dim, tail_tol).take(r_at)
+        cutoffs = [base, base.scaled(1.5)]
+
+    def point(i: int) -> dict:
+        return {k: float(arrays[k][i]) if k in arrays else v for k, v in params.items()}
+
+    rows = np.array(q.fn(*cutoffs, **columns), dtype=float)
     v1, v2 = rows[0], rows[-1]
     bad = ~(np.isfinite(v1) & np.isfinite(v2))
     if np.any(bad):
@@ -232,7 +193,7 @@ def evaluate(
             f" at dim {cutoffs[0].dims[i]} ({float(v1[i])!r}) or dim {cutoffs[1].dims[i]}"
         )
         raise NumericalFailureError(
-            f"{q.name} is not finite{where} ({float(v2[i])!r}) at {points.point(i)}"
+            f"{q.name} is not finite{where} ({float(v2[i])!r}) at {point(i)}"
         )
     move = np.abs(v1 - v2)
     moved = move > CONVERGENCE_TOL
@@ -240,11 +201,11 @@ def evaluate(
         i = int(np.flatnonzero(moved)[0])
         raise ConvergenceError(
             f"{q.name} moved by {move[i]:.3e} between "
-            f"dim {cutoffs[0].dims[i]} and dim {cutoffs[1].dims[i]} at {points.point(i)}"
+            f"dim {cutoffs[0].dims[i]} and dim {cutoffs[1].dims[i]} at {point(i)}"
         )
     worst = int(np.argmax(move))
     dims = sorted(set(cutoffs[0].dims.tolist())) if cutoffs else []
-    return Evaluation(v2, dims, float(move[worst]), points.point(worst))
+    return Evaluation(v2, dims, float(move[worst]), point(worst))
 
 
 def sweep(
@@ -289,128 +250,21 @@ def sweep(
     )
 
 
-@dataclasses.dataclass(frozen=True)
-class MaximizeResult:
-    """Argmax/value pair plus a post-hoc unimodality flag.
-
-    Iterates as (argmax, value) so callers can tuple-unpack.
-    """
-
-    argmax: float
-    value: float
-    unimodal: bool
-
-    def __iter__(self):
-        return iter((self.argmax, self.value))
-
-
-@dataclasses.dataclass(frozen=True)
-class ArrayObjective:
-    """A function of one variable that takes a 1-D array of points and
-    returns one value per point, so that maximize_1d evaluates each of its
-    grids in one call; called on a float, it returns a float.  A value that
-    is not finite is a NumericalFailureError naming the first such point
-    as {var: x}."""
-
-    fn: Callable[[np.ndarray], np.ndarray]
-    name: str = "objective"
-    var: str = "x"
-
-    def __call__(self, xs):
-        if np.ndim(xs) == 0:
-            return float(self(np.array([xs]))[0])
-        xs = np.asarray(xs, dtype=float)
-        values = np.asarray(self.fn(xs), dtype=float)
-        return _require_finite(values, self.name, lambda i: {self.var: float(xs[i])})
-
-
-def objective(
-    quantity, dim: int | None = None, tail_tol: float | None = None, **fixed: float
-) -> ArrayObjective:
-    """A registered quantity (a name or a Quantity) as a function of its
-    first variable, the others at fixed, which overrides q.defaults: each
-    array of points is one q.fn call, each point at its own cutoff
-    q.cutoff(r, dim, tail_tol) (none for a closed form), with no 1.5x
-    recheck.  A fixed name the quantity does not take, or a variable left
-    without a value, is a ValueError here."""
-    q = _resolve(quantity)
-    var = q.variables[0]
-    _check_parameters(q, set(fixed), (var,))
-    params = {**q.defaults, **fixed}
-
-    def values(xs: np.ndarray) -> np.ndarray:
-        points = _points(q, {**params, var: xs}, dim, tail_tol)
-        return np.array(q.fn(*points.cutoffs, **points.columns)[0], dtype=float)
-
-    return ArrayObjective(values, q.name, var)
-
-
-def _golden_section(f: ArrayObjective, a: float, b: float, tol: float) -> tuple[float, float]:
-    """Golden-section maximum of f on [a, b] to tol, one call of f per
-    step: the midpoint of the final bracket and f there."""
-    c = b - INV_PHI * (b - a)
-    d = a + INV_PHI * (b - a)
-    fc = f(c)
-    fd = f(d)
-    while (b - a) > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + INV_PHI * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
-def maximize_1d(quantity, lo: float, hi: float, tol: float = GOLDEN_TOL) -> MaximizeResult:
-    """Golden-section maximization after a 41-point bracketing scan.
-
-    A 201-point grid check afterwards guards against missed modes: if any
-    grid value beats the polished maximum, the search is repeated around
-    the grid winner and the result is flagged non-unimodal.  quantity is
-    an ArrayObjective, or a registered name or Quantity (see objective).
-    The scan and the check grid are one objective call each, and the
-    golden section one per step; a value that is not finite is a
-    NumericalFailureError naming the first such point the search visits.
-    """
-    f = quantity if isinstance(quantity, ArrayObjective) else objective(quantity)
-    xs = np.linspace(lo, hi, SCAN_POINTS)
-    vals = f(xs)
-    best = int(np.argmax(vals))
-    a = xs[max(best - 1, 0)]
-    b = xs[min(best + 1, SCAN_POINTS - 1)]
-    x_star, v_star = _golden_section(f, float(a), float(b), tol)
-    if vals[best] > v_star:
-        x_star, v_star = float(xs[best]), float(vals[best])
-    unimodal = True
-    check = np.linspace(lo, hi, CHECK_POINTS)
-    cvals = f(check)
-    cbest = int(np.argmax(cvals))
-    if cvals[cbest] > v_star + 1e-9:
-        unimodal = False
-        a2 = check[max(cbest - 1, 0)]
-        b2 = check[min(cbest + 1, CHECK_POINTS - 1)]
-        x2, v2 = _golden_section(f, float(a2), float(b2), tol)
-        if v2 > v_star:
-            x_star, v_star = x2, v2
-    return MaximizeResult(float(x_star), float(v_star), unimodal)
-
-
-def find_crossing(f, g, lo: float, hi: float, tol: float = GOLDEN_TOL) -> float:
+def find_crossing(f, g, lo: float, hi: float, tol: float = 1e-4) -> float:
     """Bisection root of f - g on [lo, hi]; the difference must change
     sign, and a difference that is not finite is a NumericalFailureError
     naming its point.
 
-    f and g are ArrayObjectives or callables on one float, and each step
-    evaluates f(x) - g(x) at its one point: f, then g, then their
-    difference are checked there, in that order."""
+    f and g are callables on one float, and each step evaluates
+    f(x) - g(x) at its one point: f, then g, are called there and then
+    their difference is checked, so a failure of f is raised before g runs."""
 
     def h(x):
-        value = np.array([f(x) - g(x)], dtype=float)
-        return float(_require_finite(value, "f - g", lambda i: {"x": float(x)})[0])
+        value = float(f(x) - g(x))
+        if not math.isfinite(value):
+            point = {"x": float(x)}
+            raise NumericalFailureError(f"f - g is not finite ({value!r}) at {point}")
+        return value
 
     ha = h(lo)
     hb = h(hi)

@@ -17,7 +17,6 @@ difference (see generating_function).
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -28,11 +27,6 @@ from .fockspace import SQUEEZE_LIMIT, CutoffColumn, TruncationError
 # the series-cutoff search sums, far past the cutoff of any allowed r.
 HALF_BINOMIALS_LIMIT = 2**24
 SEARCH_PAIRS = 8192
-
-
-def squeezing_db(r: float) -> float:
-    """Squeezing strength in decibels: 10 log10 e^{2r}."""
-    return 20.0 * r / math.log(10.0)
 
 
 def _check_squeeze(r) -> None:

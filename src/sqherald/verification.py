@@ -173,20 +173,57 @@ def criterion_3(cfg: VerifyConfig) -> Iterator[Check]:
         yield Check.close(label, cfg.at(name, r=r), expected, 5e-4)
 
 
+# Criteria 4 and 5 take r* and the maximum from the closed form and read
+# production at r* and on this grid.  Each quantity is a function of
+# u = tanh^2 r, which rises with r, and its u-derivative changes sign once,
+# so no grid value may exceed the value at r*.  The float r* misses the
+# true argmax by about an ulp, which moves the value only at second order,
+# so the gap to the maximum is production's rounding.  The bounds count
+# relative error in u = 2^-53, taking numpy's sinh, cosh, tanh and pow
+# within 4u each (the bound of its SVML-based SIMD kernels; libm is
+# tighter) and each arithmetic step within u/2.
+PEAK_GRID = np.linspace(0.0, 2.0, 201)
+
+
+def _peak_checks(cfg: VerifyConfig, name: str, value: float, peak: float, form: str,
+                 ulps: float) -> Iterator[Check]:
+    """value, the quantity at its closed-form argmax, within ulps of the
+    closed-form maximum peak (written form), and no value of the quantity
+    on PEAK_GRID above it."""
+    gap = abs(value - peak) / math.ulp(peak)
+    yield Check.below(f"value at r* vs {form}", gap, ulps, f"{gap:g} ulp")
+    column = cfg.column(name, r=PEAK_GRID)
+    i = int(np.argmax(column))
+    yield Check("no value on the 201-point grid above r*'s", bool(column[i] <= value),
+                f"grid max at r = {PEAK_GRID[i]:g}")
+
+
 @_criterion(4, "pair-yield maximization")
 def criterion_4(cfg: VerifyConfig) -> Iterator[Check]:
-    objective = analysis.objective("herald_yield_cat_minus", cfg.dim, cfg.tail_tol)
-    res = analysis.maximize_1d(objective, 0.0, 2.0)
-    yield Check.close("argmax_r of the pair yield", res.argmax, 1.146, 1e-3)
-    yield Check.close("max pair yield", res.value, 0.09623, 1e-4)
-    yield Check("unimodal", res.unimodal, str(res.unimodal))
+    # tanh^2 r / (4 cosh r) = u sqrt(1 - u) / 4 has u-derivative
+    # (2 - 3u) / (8 sqrt(1 - u)): the maximum is 1/(6 sqrt 3) at u = 2/3.
+    # Production forms sinh^2 r / (4 cosh^3 r), since the bit-identical
+    # c (c + 1) of N_-/4 and of the pair factor cancels: 2 x 4 + 1/2 for
+    # sinh^2, 3 x 4 + 4 for cosh^3 and three more roundings make 26u, and
+    # 1/(6 sqrt 3) adds 3u/2: 27.5u, or 21.2 ulp of the maximum.
+    r_star = math.atanh(math.sqrt(2.0 / 3.0))
+    value = cfg.at("herald_yield_cat_minus", r=r_star)
+    yield Check.close("argmax_r of the pair yield", r_star, 1.146, 1e-3)
+    yield Check.close("max pair yield", value, 0.09623, 1e-4)
+    yield from _peak_checks(cfg, "herald_yield_cat_minus", value,
+                            1.0 / (6.0 * math.sqrt(3.0)), "1/(6 sqrt 3)", 22)
 
 
 @_criterion(5, "benchmark maximization and herald row")
 def criterion_5(cfg: VerifyConfig) -> Iterator[Check]:
-    res = analysis.maximize_1d(analysis.objective("p11_tmss", cfg.dim, cfg.tail_tol), 0.0, 2.0)
-    yield Check.close("argmax_r of benchmark P(1,1)", res.argmax, 0.881, 1e-3)
-    yield Check.close("max benchmark P(1,1)", res.value, 0.2500, 1e-6)
+    # P(1,1) = u (1 - u) has its maximum 1/4 at u = 1/2.  Production forms
+    # tanh^2 r / cosh^2 r: 2 x 4 + 1/2 for each square and 1/2 for the
+    # quotient make 17.5u, or 8.75 ulp of 1/4.
+    r_star = math.atanh(1.0 / math.sqrt(2.0))
+    value = cfg.at("p11_tmss", r=r_star)
+    yield Check.close("argmax_r of benchmark P(1,1)", r_star, 0.881, 1e-3)
+    yield Check.close("max benchmark P(1,1)", value, 0.2500, 1e-6)
+    yield from _peak_checks(cfg, "p11_tmss", value, 0.25, "1/4", 9)
     dist = reference.tmss_joint_probability(0.881, cfg.trunc(0.881))
     off = float(np.max(np.abs(np.delete(dist.p[1, :], 1))))
     yield Check.below("P(1, n_b != 1) = 0", off, 1e-12, f"max off-entry {off:.3e}")
@@ -244,9 +281,10 @@ def criterion_9(cfg: VerifyConfig) -> Iterator[Check]:
 def criterion_10(cfg: VerifyConfig) -> Iterator[Check]:
     # at eta = 1 the benchmark g2 is identically 0, so there is no crossing
     # and find_crossing raises NoCrossingError
-    cat, benchmark = (analysis.objective(name, cfg.dim, cfg.tail_tol, eta=cfg.eta)
-                      for name in ("g2_cat_minus", "g2_tmss"))
-    r_cross = analysis.find_crossing(cat, benchmark, 0.02, 2.0, tol=1e-4)
+    def g2(name):
+        return lambda r: cfg.at(name, r=r, eta=cfg.eta)
+
+    r_cross = analysis.find_crossing(g2("g2_cat_minus"), g2("g2_tmss"), 0.02, 2.0, tol=1e-4)
     yield Check.close(f"g2 crossover at eta = {cfg.eta:g}", r_cross, 0.504, 5e-3)
 
 

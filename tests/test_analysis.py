@@ -1,4 +1,4 @@
-"""Unit tests for sweeps, maximization and crossing search."""
+"""Unit tests for sweeps, evaluation and crossing search."""
 
 import ast
 import dataclasses
@@ -35,7 +35,8 @@ def test_sweep_values_and_columns():
     result = analysis.sweep(spec, "herald_prob_cat_minus")
     assert result.columns == ("r", "herald_prob_cat_minus")
     expected = [sources.herald_probability(float(r), -1) for r in spec.grid()]
-    assert np.max(np.abs(result.column("herald_prob_cat_minus") - expected)) == 0.0
+    values = result.rows[:, result.columns.index("herald_prob_cat_minus")]
+    assert np.max(np.abs(values - expected)) == 0.0
     assert result.metadata["dims"] == "analytic"
 
 
@@ -61,9 +62,9 @@ def test_two_dimensional_sweep_shape_and_order():
     result = analysis.sweep(spec_r, "pclickc_tmss", second=spec_eta)
     assert result.columns == ("r", "eta", "pclickc_tmss")
     assert result.rows.shape == (6, 3)
-    rs = result.column("r")
+    rs = result.rows[:, result.columns.index("r")]
     assert np.array_equal(rs, np.repeat(spec_r.grid(), 2))
-    etas = result.column("eta")
+    etas = result.rows[:, result.columns.index("eta")]
     assert np.array_equal(etas, np.tile(spec_eta.grid(), 3))
 
 
@@ -354,89 +355,12 @@ def test_evaluate_rejects_r_outside_the_squeezing_domain():
     assert calls == []
 
 
-def test_maximize_yield_benchmark():
-    result = analysis.maximize_1d("herald_yield_cat_minus", 0.0, 2.0)
-    argmax, value = result
-    assert argmax == pytest.approx(1.1462, abs=1e-3)
-    assert value == pytest.approx(0.09623, abs=1e-4)
-    assert result.unimodal
-
-
-def test_maximize_is_stable_under_interval_shift():
-    base = analysis.maximize_1d("p11_tmss", 0.0, 2.0)
-    shifted = analysis.maximize_1d("p11_tmss", 0.1, 1.9)
-    assert base.argmax == pytest.approx(0.8814, abs=1e-3)
-    assert base.value == pytest.approx(0.25, abs=1e-6)
-    assert abs(base.argmax - shifted.argmax) < 2e-4
-    assert abs(base.value - shifted.value) < 1e-9
-
-
 def test_searches_land_on_the_closed_form_optima():
-    # P(1,1) = t(1 - t) with t = tanh^2 r peaks at t = 1/2, value 1/4, and
-    # equals 0.2 at t = (1 - sqrt(0.2)) / 2 on the rising side
-    result = analysis.maximize_1d("p11_tmss", 0.0, 2.0)
-    assert abs(result.argmax - math.atanh(1.0 / math.sqrt(2.0))) <= analysis.GOLDEN_TOL
-    assert abs(result.value - 0.25) <= 1e-9
-    level = analysis.ArrayObjective(lambda x: np.full(len(x), 0.2))
-    root = analysis.find_crossing(analysis.objective("p11_tmss"), level, 0.0, 0.88)
-    assert abs(root - math.atanh(math.sqrt((1.0 - math.sqrt(0.2)) / 2.0))) <= analysis.GOLDEN_TOL
-
-
-def test_maximize_accepts_plain_callables():
-    result = analysis.maximize_1d(analysis.ArrayObjective(lambda x: -((x - 0.3) ** 2)), 0.0, 1.0)
-    assert result.argmax == pytest.approx(0.3, abs=1e-4)
-    assert result.value == pytest.approx(0.0, abs=1e-8)
-    assert result.unimodal
-
-
-def test_maximize_flags_hidden_narrow_mode():
-    # wide decoy at 0.2; global spike at 0.63 falls between the 41 scan
-    # points (step 0.05) but on the 201-point check grid (step 0.01)
-    def two_bumps(x):
-        return np.exp(-((x - 0.2) ** 2) / 1e-2) + 2.0 * np.exp(
-            -((x - 0.63) ** 2) / 1e-5
-        )
-
-    result = analysis.maximize_1d(analysis.ArrayObjective(two_bumps), 0.0, 2.0)
-    assert not result.unimodal
-    assert result.argmax == pytest.approx(0.63, abs=1e-3)
-    assert result.value == pytest.approx(2.0, abs=1e-4)
-
-
-def test_maximize_rejects_non_finite_objective():
-    # NaN in a band around the peak at 0.3125 that misses the scan grid:
-    # the golden-section polish used to land in it and return value = nan
-    # with unimodal = True
-    def peak(x):
-        return np.where(np.abs(x - 0.3125) < 1e-3, math.nan, -((x - 0.3125) ** 2))
-
-    with pytest.raises(fs.NumericalFailureError) as err:
-        analysis.maximize_1d(analysis.ArrayObjective(peak), 0.0, 1.0)
-    assert str(err.value).startswith("objective is not finite (nan) at {'x': 0.31")
-    # an array objective names its own quantity, variable and first point
-    # in grid order: the scan reaches 0.525 before any golden-section point
-    ramp = analysis.ArrayObjective(lambda r: np.where(r > 0.5, np.inf, r), "ramp", "r")
-    with pytest.raises(fs.NumericalFailureError) as err:
-        analysis.maximize_1d(ramp, 0.0, 1.0)
-    assert str(err.value) == "ramp is not finite (inf) at {'r': 0.525}"
-
-
-def test_objective_checks_its_parameters_when_built():
-    # a variable left without a value used to reach the quantity's
-    # function and fail there with a TypeError
-    for name in ("p0_cat_minus", "p1n_squeezed"):
-        with pytest.raises(ValueError, match=f"^{name} needs a value for r$"):
-            analysis.maximize_1d(name, 0.0, 2.0)
-    with pytest.raises(ValueError, match="^g2_cat_minus takes no parameter bogus;"):
-        analysis.objective("g2_cat_minus", bogus=1.0)
-    with pytest.raises(ValueError, match="^cannot both sweep and fix r$"):
-        analysis.objective("g2_cat_minus", r=1.0)
-    # a fixed value replaces the default; a float point gives a float
-    at_07 = analysis.objective("g2_tmss", eta=0.7)
-    rs = np.array([0.5, 1.0])
-    assert at_07(rs).tolist() == detect.benchmark_g2(rs, 0.7).tolist()
-    assert at_07(0.5) == float(detect.benchmark_g2(0.5, 0.7))
-    assert type(at_07(0.5)) is float
+    # P(1,1) = t(1 - t) with t = tanh^2 r equals 0.2 at
+    # t = (1 - sqrt(0.2)) / 2 on the rising side
+    cfg = verification.VerifyConfig()
+    root = analysis.find_crossing(lambda r: cfg.at("p11_tmss", r=r), lambda r: 0.2, 0.0, 0.88)
+    assert abs(root - math.atanh(math.sqrt((1.0 - math.sqrt(0.2)) / 2.0))) <= 1e-4
 
 
 def test_find_crossing_linear():
@@ -467,82 +391,15 @@ def test_find_crossing_rejects_non_finite_difference():
     assert str(err.value) == "f - g is not finite (nan) at {'x': 0.5}"
 
 
-SEARCH_CONFIGS = {
-    "defaults": verification.VerifyConfig(),
-    "dim200": verification.VerifyConfig(dim=200),
-    "tail_tol0": verification.VerifyConfig(tail_tol=0.0),
-}
-
-
-def _search_outcome(fn) -> str:
-    """repr of fn()'s result or of the exception it raises: a float's repr
-    round-trips, so equal reprs are equal to the bit."""
-    try:
-        return repr(fn())
-    except Exception as exc:  # compared by repr against the other path
-        return repr(exc)
-
-
-@pytest.mark.parametrize("cfg", SEARCH_CONFIGS.values(), ids=SEARCH_CONFIGS.keys())
-@pytest.mark.parametrize(
-    "criterion, name",
-    [(verification.criterion_4, "herald_yield_cat_minus"), (verification.criterion_5, "p11_tmss")],
-    ids=["criterion_4", "criterion_5"],
-)
-def test_verify_searches_evaluate_whole_grids(monkeypatch, criterion, name, cfg):
-    # the 41-point scan and the 201-point check are one call per cutoff
-    # group each (two groups on [0, 2] at the default cutoffs); one call
-    # per float took about 259 calls for criterion 4
-    q = registry.QUANTITIES[name]
-    calls = []
-
-    def spy(*cutoffs, **params):
-        calls.append(cutoffs)
-        return q.fn(*cutoffs, **params)
-
-    monkeypatch.setitem(registry.QUANTITIES, name, dataclasses.replace(q, fn=spy))
-    criterion(cfg)
-    assert 0 < len(calls) <= 30 and set(calls) == {()}
-    # the same search one float at a time gives the same result or the
-    # same error
-    grouped = _search_outcome(lambda: analysis.maximize_1d(
-        analysis.objective(name, cfg.dim, cfg.tail_tol), 0.0, 2.0))
-    per_point = _search_outcome(lambda: analysis.maximize_1d(analysis.ArrayObjective(
-        lambda xs: [float(q.fn(r=np.array([float(x)]))[0, 0]) for x in xs]
-    ), 0.0, 2.0))
-    assert grouped == per_point
-    # both quantities are closed forms, which no cutoff override reaches
-    assert grouped.startswith("MaximizeResult(")
-
-
-def _sequential_golden(f, a, b, tol):
-    """Golden section with one objective call per step, as the search was
-    before its steps were batched: the oracle for analysis._golden_section."""
-    inv_phi = analysis.INV_PHI
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc = f(c)
-    fd = f(d)
-    while (b - a) > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
-def _sequential_crossing(f, g, lo, hi, tol=analysis.GOLDEN_TOL):
+def _sequential_crossing(f, g, lo, hi, tol=1e-4):
     """Bisection with one call of f and g per step, as find_crossing was
     before its steps were batched: its oracle."""
 
     def h(x):
-        value = np.array([f(x) - g(x)], dtype=float)
-        return float(analysis._require_finite(value, "f - g", lambda i: {"x": float(x)})[0])
+        value = float(f(x) - g(x))
+        if not math.isfinite(value):
+            raise fs.NumericalFailureError(f"f - g is not finite ({value!r}) at {{'x': {float(x)!r}}}")
+        return value
 
     ha = h(lo)
     hb = h(hi)
@@ -577,12 +434,6 @@ def _result(fn):
         return type(exc), str(exc)
 
 
-def _sequential_maximize(f, lo, hi):
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(analysis, "_golden_section", _sequential_golden)
-        return _result(lambda: analysis.maximize_1d(f, lo, hi))
-
-
 def _smooth(params):
     """A smooth objective: a Gaussian bump on a slope with a ripple."""
     centre, width, slope, freq, phase = params
@@ -610,77 +461,72 @@ NAN_BAND = st.none() | st.tuples(st.floats(0.0, 1.0), st.floats(1e-7, 0.05))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(params=SMOOTH, lo=st.floats(-3.0, 2.0), span=st.floats(0.01, 4.0), band=NAN_BAND)
-def test_batched_golden_section_replays_the_sequential_search(params, lo, span, band):
-    hi = lo + span
-    f = analysis.ArrayObjective(_with_nan(_smooth(params), lo, hi, band))
-    batched = _result(lambda: analysis.maximize_1d(f, lo, hi))
-    event("raised" if isinstance(batched, tuple) else "returned")
-    assert batched == _sequential_maximize(f, lo, hi)
-
-
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(params=SMOOTH, level=st.floats(-1.0, 1.0), lo=st.floats(-3.0, 2.0),
        span=st.floats(0.01, 4.0), band=NAN_BAND)
 def test_batched_bisection_replays_the_sequential_search(params, level, lo, span, band):
     hi = lo + span
-    f = analysis.ArrayObjective(_with_nan(_smooth(params), lo, hi, band), "bump", "r")
-    g = analysis.ArrayObjective(lambda x: np.full(len(x), level), "level", "r")
+    bump = _with_nan(_smooth(params), lo, hi, band)
+
+    def f(x):
+        return float(bump(x))
+
+    def g(x):
+        return level
+
     batched = _result(lambda: analysis.find_crossing(f, g, lo, hi))
     event("raised" if isinstance(batched, tuple) else "returned")
     assert batched == _result(lambda: _sequential_crossing(f, g, lo, hi))
-    # plain callables on one float go through the same replay
-    plain_f, plain_g = (lambda x: float(f.fn(x))), (lambda x: level)
-    assert _result(lambda: analysis.find_crossing(plain_f, plain_g, lo, hi)) == _result(
-        lambda: _sequential_crossing(plain_f, plain_g, lo, hi))
-
-
-def _recorded(fn):
-    """fn, and the list of every point it is called on."""
-    seen = []
-
-    def recording(x):
-        seen.extend(np.atleast_1d(x).tolist())
-        return fn(x)
-
-    return recording, seen
 
 
 def test_searches_ignore_nan_and_errors_at_points_they_never_visit():
-    # each step evaluates only its own point; at a visited point where f
-    # is NaN and g raises, f's failure is the one reported, as one
-    # evaluation of f(x) - g(x) per step reports it
+    # each step evaluates only its own point: f and g may fail anywhere
+    # else.  At a visited point where f fails, as VerifyConfig.at does on a
+    # value that is not finite, and g raises, f's failure is the one
+    # reported, as one evaluation of f(x) - g(x) per step reports it
     def ramp(x):
         return x - 0.4
 
     lo, hi = 0.0, 1.0
-    flat = analysis.ArrayObjective(lambda x: np.zeros(len(x)))
-    visiting, visited = _recorded(ramp)
-    _sequential_crossing(analysis.ArrayObjective(visiting), flat, lo, hi)
+    visited = []
+    root = _sequential_crossing(lambda x: visited.append(x) or ramp(x), lambda x: 0.0, lo, hi)
+
+    def only_visited(x):
+        if x not in visited:
+            raise fs.NumericalFailureError(f"ramp is not finite (nan) at {{'r': {x!r}}}")
+        return ramp(x)
+
+    def refuse_unvisited(x):
+        if x not in visited:
+            raise ValueError("refused")
+        return 0.0
+
+    assert analysis.find_crossing(only_visited, refuse_unvisited, lo, hi) == root
     spot = visited[2]
-    nan_there = analysis.ArrayObjective(lambda x: np.where(x == spot, math.nan, ramp(x)),
-                                        "ramp", "r")
+
+    def nan_there(x):
+        if x == spot:
+            raise fs.NumericalFailureError(f"ramp is not finite (nan) at {{'r': {x!r}}}")
+        return ramp(x)
 
     def refuse(x):
-        if np.any(x == spot):
+        if x == spot:
             raise ValueError("refused")
-        return np.zeros(len(x))
+        return 0.0
 
-    want = _result(lambda: _sequential_crossing(nan_there, analysis.ArrayObjective(refuse), lo, hi))
-    assert want[0] is analysis.NumericalFailureError and "ramp" in want[1]
-    assert _result(lambda: analysis.find_crossing(
-        nan_there, analysis.ArrayObjective(refuse), lo, hi)) == want
+    want = _result(lambda: _sequential_crossing(nan_there, refuse, lo, hi))
+    assert want[0] is fs.NumericalFailureError and "ramp" in want[1]
+    assert _result(lambda: analysis.find_crossing(nan_there, refuse, lo, hi)) == want
 
 
 @pytest.mark.parametrize("criterion, names, calls", [
-    (verification.criterion_4, ("herald_yield_cat_minus",), 20),
-    (verification.criterion_5, ("p11_tmss",), 20),
+    (verification.criterion_4, ("herald_yield_cat_minus",), 2),
+    (verification.criterion_5, ("p11_tmss",), 2),
     (verification.criterion_10, ("g2_cat_minus", "g2_tmss"), 17),
 ], ids=["criterion_4", "criterion_5", "criterion_10"])
 def test_verify_search_call_counts(monkeypatch, criterion, names, calls):
-    # one call per step: 20 calls for criteria 4 and 5 (the scan, 18
-    # golden-section points, the check grid) and 17 to each objective of
-    # criterion 10 (both endpoints and 15 midpoints)
+    # 2 calls for criteria 4 and 5 (the closed-form argmax and the grid)
+    # and one per bisection step to each quantity of criterion 10 (both
+    # endpoints and 15 midpoints)
     counts = dict.fromkeys(names, 0)
     for name in names:
         q = registry.QUANTITIES[name]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqherald import analysis, detect, reference, registry
+from sqherald import analysis, detect, reference, registry, verification
 
 import oracles
 
@@ -220,9 +220,13 @@ def test_click_limits_at_small_squeezing():
 def g2_crossing(eta):
     """Criterion 10's search at efficiency eta: where the heralded g2 of the
     split odd superposition crosses the benchmark's on [0.02, 2], both read
-    through their registered closed-form objectives."""
-    cat, benchmark = (analysis.objective(name, eta=eta) for name in ("g2_cat_minus", "g2_tmss"))
-    return analysis.find_crossing(cat, benchmark, 0.02, 2.0, tol=1e-4)
+    through VerifyConfig.at."""
+    cfg = verification.VerifyConfig(eta=eta)
+
+    def g2(name):
+        return lambda r: cfg.at(name, r=r, eta=eta)
+
+    return analysis.find_crossing(g2("g2_cat_minus"), g2("g2_tmss"), 0.02, 2.0, tol=1e-4)
 
 
 def test_quality_crossover_at_stated_efficiency():

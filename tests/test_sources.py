@@ -14,11 +14,6 @@ from sqherald import reference, sources
 import oracles
 
 
-def test_squeezing_db():
-    assert sources.squeezing_db(0.725) == pytest.approx(6.2977, abs=5e-4)
-    assert sources.squeezing_db(0.0) == 0.0
-
-
 def test_squeezed_vacuum_closed_form_leading_entries():
     r = 0.725
     st = reference.squeezed_vacuum(r, reference.Truncation(64))

@@ -67,25 +67,54 @@ def _verdicts(text: str) -> dict[int, str]:
             if line.startswith(("PASS", "FAIL"))}
 
 
-# criterion 11's check of the closed forms against the dense split took
-# the place of the dim versus 1.5 dim check the reference prints
-REPLACED = (re.compile(r"; closed form vs dense split: [^;]*"),
-            re.compile(r"; dim vs 1\.5 dim stability: [^;]*"))
+# checks the report prints and the reference lacks, and the reference's
+# checks they took the place of: criterion 11's check of the closed forms
+# against the dense split replaced the dim versus 1.5 dim check, and
+# criteria 4 and 5 check the value at the closed-form argmax against the
+# closed-form maximum and the grid below it, where criterion 4 printed a
+# unimodal flag
+REPLACED = (re.compile(r"; (closed form vs dense split|value at r\* vs [^:]*"
+                       r"|no value on the 201-point grid above r\*'s): [^;\n]*"),
+            re.compile(r"; (dim vs 1\.5 dim stability|unimodal): [^;\n]*"))
+# the reference holds the argmaxes of the golden-section search that
+# criteria 4 and 5 ran, 1.6e-5 from the closed forms
+ARGMAX = re.compile(r"(argmax_r of [^=]*= )(\S+)")
 
 
 def test_default_report_matches_the_bench_reference():
     # the reference was written before margins were printed; without them,
-    # and without the one check that replaced another, every number and
-    # verdict agrees (the largest gap is about 2.5e-15, on the per-block
-    # mass)
+    # without the checks that replaced others, and with the two argmaxes
+    # compared at the search's 1e-4 tolerance, every number and verdict
+    # agrees (the largest gap is about 2.5e-15, on the per-block mass)
     report = verification.format_report(verification.run_all())
     reference = REFERENCE.read_text(encoding="utf-8")
     assert _verdicts(report) == _verdicts(reference)
-    assert len(REPLACED[0].findall(report)) == len(REPLACED[1].findall(reference)) == 1
+    assert len(REPLACED[0].findall(report)) == 5
+    assert len(REPLACED[1].findall(reference)) == 2
     report, reference = REPLACED[0].sub("", report), REPLACED[1].sub("", reference)
+    got, want = (np.array([float(m[1]) for m in ARGMAX.findall(text)])
+                 for text in (report, reference))
+    assert len(got) == len(want) == 2
+    assert np.max(np.abs(got - want)) <= 1e-4
+    report, reference = ARGMAX.sub(r"\1", report), ARGMAX.sub(r"\1", reference)
     got, want = _numbers(MARGIN.sub("", report)), _numbers(reference)
     assert len(got) == len(want)
     assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12
+
+
+def test_criterion_4_reads_production_at_the_closed_form_maximum(monkeypatch):
+    # a yield 1e-13 relative too high, about 690 ulp, keeps 0.09623 +- 1e-4
+    # and the grid's shape, which is all the golden-section search could
+    # check; the ulp check against 1/(6 sqrt 3) fails it
+    q = registry.QUANTITIES["herald_yield_cat_minus"]
+
+    def high(**params):
+        return q.fn(**params) * (1.0 + 1e-13)
+
+    monkeypatch.setitem(registry.QUANTITIES, q.name, dataclasses.replace(q, fn=high))
+    checks = list(verification.criterion_4.checks(verification.VerifyConfig()))
+    assert [c.label for c in checks if not c.passed] == ["value at r* vs 1/(6 sqrt 3)"]
+    assert not verification.criterion_4(verification.VerifyConfig()).passed
 
 
 # the production kernels behind the registered quantities
