@@ -76,10 +76,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="force the Fock cutoff instead of the per-quantity default")
     parser.add_argument("--tail-tol", type=_tail_tol, default=None,
                         help="probability mass allowed above the cutoff")
-    parser.add_argument("--eta", type=_eta, default=None,
-                        help="detector efficiency override")
-    parser.add_argument("--alpha", type=float, default=None,
-                        help="pump amplitude override")
 
 
 def _format_float(value: float) -> str:
@@ -148,11 +144,6 @@ def _print_quantities() -> None:
 
 
 def cmd_figure(args) -> int:
-    if args.list:
-        _print_figures()
-        return EXIT_OK
-    if args.selector is None:
-        raise UsageError("a figure selector is required (or use --list)")
     try:
         fig = registry.figure(args.selector)
     except KeyError as exc:
@@ -164,20 +155,11 @@ def cmd_figure(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.list:
-        _print_quantities()
-        return EXIT_OK
-    if args.quantity is None:
-        raise UsageError("--quantity is required (or use --list)")
     try:
         quantity = registry.resolve(args.quantity)
     except KeyError as exc:
         raise UsageError(exc.args[0])
     fixed: dict[str, float] = {}
-    if args.eta is not None:
-        fixed["eta"] = args.eta
-    if args.alpha is not None:
-        fixed["alpha"] = args.alpha
     for item in args.fixed or ():
         key, _, value = item.partition("=")
         if not _:
@@ -187,8 +169,6 @@ def cmd_sweep(args) -> int:
         if key in fixed:
             raise UsageError(f"--set {item!r} gives {key} a second value")
         fixed[key] = float(value)
-    if args.var is None or args.lo is None or args.hi is None or args.points is None:
-        raise UsageError("--var, --lo, --hi and --points are required")
     try:
         spec = analysis.SweepSpec(args.var, args.lo, args.hi, args.points, fixed)
     except ValueError as exc:
@@ -233,21 +213,20 @@ def build_parser() -> _Parser:
 
     p_fig = sub.add_parser("figure", help="emit the data table behind one figure",
                            parents=[], add_help=True)
-    p_fig.add_argument("selector", nargs="?", default=None,
-                       help="figure name, e.g. fig3a (see --list)")
-    p_fig.add_argument("--list", action="store_true", help="list figure selectors")
+    p_fig.add_argument("selector", help="figure name, e.g. fig3a (see sqherald list)")
     _add_common(p_fig)
+    p_fig.add_argument("--eta", type=_eta, default=None, help="detector efficiency override")
+    p_fig.add_argument("--alpha", type=float, default=None, help="pump amplitude override")
     p_fig.set_defaults(handler=cmd_figure)
 
     p_sweep = sub.add_parser("sweep", help="sweep one registered quantity over a grid")
-    p_sweep.add_argument("--quantity", default=None, help="registered quantity name")
-    p_sweep.add_argument("--var", default=None, help="swept variable name")
-    p_sweep.add_argument("--lo", type=float, default=None)
-    p_sweep.add_argument("--hi", type=float, default=None)
-    p_sweep.add_argument("--points", type=int, default=None)
+    p_sweep.add_argument("--quantity", required=True, help="registered quantity name")
+    p_sweep.add_argument("--var", required=True, help="swept variable name")
+    p_sweep.add_argument("--lo", type=float, required=True)
+    p_sweep.add_argument("--hi", type=float, required=True)
+    p_sweep.add_argument("--points", type=int, required=True)
     p_sweep.add_argument("--set", dest="fixed", action="append", metavar="NAME=VALUE",
-                         help="fix another parameter (repeatable)")
-    p_sweep.add_argument("--list", action="store_true", help="list registered quantities")
+                         help="fix another parameter, e.g. eta=0.8 (repeatable)")
     _add_common(p_sweep)
     p_sweep.set_defaults(handler=cmd_sweep)
 

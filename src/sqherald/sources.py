@@ -302,15 +302,13 @@ def _half_binomials(count: int) -> np.ndarray:
     (Neumaier): a few ulps off at most, and the same at every count.  A
     count above HALF_BINOMIALS_LIMIT is refused before allocating."""
     _check_half_binomials(count)
-    sums = [0.0]
-    total = carry = 0.0
-    # Neumaier: |total| >= |term| after the first term, where both branches add 0
-    for term in np.log1p(-0.5 / np.arange(1.0, count)).tolist():
-        step = total + term
-        carry += (total - step) + term
-        total = step
-        sums.append(total + carry)
-    return np.exp(sums)
+    terms = np.log1p(-0.5 / np.arange(1.0, count))
+    # cumsum adds in sequence, so these are the Neumaier loop's running
+    # total and carry; |total| >= |term| after the first term, where both
+    # branches of Neumaier's step add 0
+    totals = np.concatenate(([0.0], np.cumsum(terms)))
+    carry = np.concatenate(([0.0], np.cumsum((totals[:-1] - totals[1:]) + terms)))
+    return np.exp(totals + carry)
 
 
 def _pair_products(k: np.ndarray, t2, lead=1.0) -> np.ndarray:

@@ -5,6 +5,7 @@ sqherald.reference.  The test modules import this file as `oracles`.
   amplitudes, the lowering operator, the matrix squeezer, inner and
   tensor products, and the label series' cutoff at one r
   (series_truncation).
+- The half-binomials c_k = C(2k, k)/4^k as a compensated loop.
 - The two-mode squeezed vacuum built by the per-diagonal two-mode
   squeezer, against the Schmidt form.
 - Dense click statistics of a joint table at one efficiency.
@@ -63,6 +64,19 @@ def series_truncation(r: float) -> Truncation:
     Truncation."""
     column = kerr.series_cutoffs([r])
     return Truncation(column.dim, column.tail_tol)
+
+
+def half_binomials_loop(count: int) -> np.ndarray:
+    """sources._half_binomials as one Neumaier-compensated loop over the
+    log1p(-1/(2j)) terms, appending each compensated prefix sum."""
+    sums = [0.0]
+    total = carry = 0.0
+    for term in np.log1p(-0.5 / np.arange(1.0, count)).tolist():
+        step = total + term
+        carry += (total - step) + term
+        total = step
+        sums.append(total + carry)
+    return np.exp(sums)
 
 
 class TruncationMismatchError(ValueError):

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, table formats, overrides, and
 byte-level determinism."""
+import argparse
 import ast
 import contextlib
 import dataclasses
@@ -32,7 +33,10 @@ ALL_FIGURES = (
 
 
 def run_cli(capsys, *argv):
-    code = cli.main(list(argv))
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:  # an argparse refusal
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -53,7 +57,7 @@ def parse_csv(text):
 
 
 def test_figure_list_names_every_selector(capsys):
-    code, out, err = run_cli(capsys, "figure", "--list")
+    code, out, err = run_cli(capsys, "list")
     assert code == cli.EXIT_OK
     assert err == ""
     for name in ALL_FIGURES:
@@ -179,7 +183,7 @@ def test_sweep_writes_the_largest_move_between_cutoffs(capsys):
 
 
 def test_sweep_list_shows_registered_quantities(capsys):
-    code, out, err = run_cli(capsys, "sweep", "--list")
+    code, out, err = run_cli(capsys, "list")
     assert code == cli.EXIT_OK
     assert "p11_cat_minus" in out
     assert "g2_tmss" in out
@@ -243,14 +247,13 @@ def test_sweep_bad_set_syntax_exits_usage(capsys):
 
 
 @pytest.mark.parametrize("flags, message", [
-    (("--eta", "0.6", "--set", "eta=0.5"), "--set 'eta=0.5' gives eta a second value"),
     (("--set", "eta=0.6", "--set", "eta=0.5"), "--set 'eta=0.5' gives eta a second value"),
     (("--set", "=1"), "--set '=1' names no parameter"),
-], ids=["flag_and_set", "set_twice", "no_name"])
+], ids=["set_twice", "no_name"])
 def test_sweep_refuses_a_parameter_set_twice_or_without_a_name(capsys, monkeypatch, flags,
                                                                message):
-    # the first two used to run with the last value, the third reached
-    # the quantity as an empty name
+    # the first used to run with the last value, the second reached the
+    # quantity as an empty name
     q = registry.QUANTITIES["pclick_tmss"]
     calls = []
     monkeypatch.setitem(registry.QUANTITIES, "pclick_tmss", dataclasses.replace(
@@ -264,32 +267,78 @@ def test_sweep_refuses_a_parameter_set_twice_or_without_a_name(capsys, monkeypat
     assert out == "" and calls == []
 
 
-P11 = ("sweep", "--quantity", "p11_cat_minus")
+GRID = ("--var", "r", "--lo", "0", "--hi", "1", "--points", "2")
 
 
 @pytest.mark.parametrize("argv, message", [
-    (("figure",), "a figure selector is required (or use --list)"),
     (("figure", "fig99"), "unknown figure 'fig99'; available: " + ", ".join(registry.FIGURES)),
-    (("sweep",), "--quantity is required (or use --list)"),
-    (("sweep", "--quantity", "foo"),
+    (("sweep", "--quantity", "foo", *GRID),
      "unknown quantity 'foo'; registered: " + ", ".join(sorted(registry.QUANTITIES))),
-    ((*P11, "--set", "eta"), "--set expects name=value, got 'eta'"),
-    (P11, "--var, --lo, --hi and --points are required"),
-    ((*P11, "--var", "r"), "--var, --lo, --hi and --points are required"),
-    ((*P11, "--var", "r", "--lo", "0", "--hi", "1"), "--var, --lo, --hi and --points are required"),
-    ((*P11, "--var", "r", "--lo", "1", "--hi", "0", "--points", "1"),
-     "invalid sweep range: hi must not be below lo"),
-], ids=["no_selector", "unknown_figure", "no_quantity", "unknown_quantity", "set_without_value",
-        "no_var", "no_range", "no_points", "one_point_below_lo"])
+    (("sweep", "--quantity", "p11_cat_minus", *GRID, "--set", "eta"),
+     "--set expects name=value, got 'eta'"),
+    (("sweep", "--quantity", "p11_cat_minus", "--var", "r", "--lo", "1", "--hi", "0",
+      "--points", "1"), "invalid sweep range: hi must not be below lo"),
+], ids=["unknown_figure", "unknown_quantity", "set_without_value", "one_point_below_lo"])
 def test_handler_refusals_print_their_message_alone(capsys, argv, message):
     assert run_cli(capsys, *argv) == (cli.EXIT_USAGE, "", message + "\n")
 
 
+SWEEP = ("sweep", "--quantity", "p11_cat_minus", *GRID)
+
+
+# each sweep case is SWEEP less one option, or --lo and --hi, with its value
+@pytest.mark.parametrize("argv, missing", [
+    (("figure",), "selector"),
+    (SWEEP[:1] + SWEEP[3:], "--quantity"),
+    (SWEEP[:3] + SWEEP[5:], "--var"),
+    (SWEEP[:5] + SWEEP[9:], "--lo, --hi"),
+    (SWEEP[:9], "--points"),
+], ids=["no_selector", "no_quantity", "no_var", "no_range", "no_points"])
+def test_missing_arguments_exit_usage_naming_them(capsys, argv, missing):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == cli.EXIT_USAGE
+    assert out == "" and "Traceback" not in err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"sqherald {argv[0]}: error: the following arguments are required: {missing}"]
+
+
 def test_list_prints_both_listings(capsys):
-    figures = run_cli(capsys, "figure", "--list")[1]
-    quantities = run_cli(capsys, "sweep", "--list")[1]
+    figures = "".join(f"{fig.name:7s} {fig.description}\n" for fig in registry.FIGURES.values())
+    quantities = "".join(
+        f"{name:26s} vars: {', '.join(q.variables):14s} {q.doc}\n"
+        for name, q in sorted(registry.QUANTITIES.items()))
     listing = f"figures:\n{figures}\nquantities:\n{quantities}"
     assert run_cli(capsys, "list") == (cli.EXIT_OK, listing, "")
+
+
+@pytest.mark.parametrize("command, options", [
+    ("figure", ["--format", "--out", "--dim", "--tail-tol", "--eta", "--alpha"]),
+    ("sweep", ["--quantity", "--var", "--lo", "--hi", "--points", "--set", "--format", "--out",
+               "--dim", "--tail-tol"]),
+    ("verify", ["--dim", "--tail-tol", "--eta"]),
+    ("list", []),
+])
+def test_each_subcommand_takes_one_spelling_per_input(command, options):
+    # the listings are `sqherald list` alone, and a sweep fixes eta and
+    # alpha through --set
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)).choices[command]
+    assert [s for a in sub._actions for s in a.option_strings if s != "-h"] == \
+        ["--help", *options]
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("figure", "--list"), "sqherald figure: error: the following arguments are required: selector"),
+    (("sweep", "--list"), "sqherald sweep: error: the following arguments are required: "
+                          "--quantity, --var, --lo, --hi, --points"),
+    ((*SWEEP, "--eta", "0.8"), "sqherald: error: unrecognized arguments: --eta 0.8"),
+    ((*SWEEP, "--alpha", "10"), "sqherald: error: unrecognized arguments: --alpha 10"),
+], ids=["figure_list", "sweep_list", "sweep_eta", "sweep_alpha"])
+def test_other_spellings_of_an_input_exit_usage(capsys, argv, error):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == cli.EXIT_USAGE
+    assert out == "" and "Traceback" not in err
+    assert [line for line in err.splitlines() if "error:" in line] == [error]
 
 
 def test_negative_value_in_scientific_notation_is_an_option_value(capsys):
@@ -378,7 +427,7 @@ def test_sweep_non_finite_kerr_input_exits_usage(capsys, quantity, fixed):
     [
         ("figure", "fig4a", "--alpha", "1e300"),
         ("sweep", "--quantity", "phase_ratio", "--var", "r", "--lo", "0.5", "--hi", "0.6",
-         "--points", "2", "--set", "sigma=0.001", "--alpha", "1e200"),
+         "--points", "2", "--set", "sigma=0.001", "--set", "alpha=1e200"),
     ],
 )
 def test_pump_amplitude_whose_square_overflows_exits_usage(capsys, argv):
@@ -397,7 +446,7 @@ def test_p0_at_ideal_phase_survives_large_pump_amplitudes(capsys, alpha):
     code, out, err = run_cli(capsys, "sweep", "--quantity", "p0_cat_minus", "--var",
                              "tau_tilde", "--lo", "3.141592653589793", "--hi",
                              "3.141592653589793", "--points", "1", "--set", "r=0.725",
-                             "--alpha", alpha)
+                             "--set", f"alpha={alpha}")
     assert code == cli.EXIT_OK, err
     _, header, rows = parse_csv(out)
     assert abs(rows[0][header.index("p0_cat_minus")] - exact) <= 1e-15 * exact
@@ -609,7 +658,7 @@ def test_subnormal_click_probability_exits_numerical(capsys):
     # at eta = 1e-320 both click probabilities are subnormal, and their
     # ratio would keep about three digits
     code, out, err = run_cli(capsys, "sweep", "--quantity", "pclickc_cat_minus", "--var", "r",
-                             "--lo", "0.5", "--hi", "0.6", "--points", "2", "--eta", "1e-320")
+                             "--lo", "0.5", "--hi", "0.6", "--points", "2", "--set", "eta=1e-320")
     assert code == cli.EXIT_NUMERICAL
     assert out == ""
     assert "click probability vanished" in err
@@ -623,7 +672,7 @@ def test_non_finite_closed_form_exits_numerical(capsys):
         warnings.simplefilter("always")
         code, out, err = run_cli(capsys, "sweep", "--quantity", "g2_tmss", "--var", "r",
                                  "--lo", "0.1", "--hi", "0.5", "--points", "2",
-                                 "--eta", "1e-320")
+                                 "--set", "eta=1e-320")
     assert code == cli.EXIT_NUMERICAL
     assert out == ""
     assert "g2_tmss is not finite (inf) at" in err
@@ -654,7 +703,7 @@ def test_dim_override_keeps_the_series_tail_tolerance(capsys, argv):
         (("sweep", "--quantity", "p11_tmss", "--var", "r", "--lo", "0.1", "--hi", "0.5",
           "--points", "3", "--set", "foo=1"), "takes no parameter foo"),
         (("sweep", "--quantity", "p11_tmss", "--var", "r", "--lo", "0.1", "--hi", "0.5",
-          "--points", "3", "--alpha", "10"), "takes no parameter alpha"),
+          "--points", "3", "--set", "alpha=10"), "takes no parameter alpha"),
         (("figure", "fig3b", "--eta", "0.8"), "takes no parameter eta"),
         (("sweep", "--quantity", "p0_cat_minus", "--var", "tau_tilde", "--lo", "0.0",
           "--hi", "1.0", "--points", "2"), "needs a value for r"),
@@ -1008,7 +1057,7 @@ def test_every_exception_has_one_family_and_each_family_one_exit_code(capsys, mo
 def test_console_script_is_installed():
     exe = shutil.which("sqherald")
     assert exe is not None, "console script not on PATH"
-    proc = subprocess.run([exe, "figure", "--list"], capture_output=True, text=True)
+    proc = subprocess.run([exe, "list"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "fig9b" in proc.stdout
 
@@ -1076,8 +1125,9 @@ def _cli_arguments(draw):
                 "--points", draw(st.sampled_from(FUZZ_POINTS))]
         for name in draw(st.lists(st.sampled_from(FUZZ_VARIABLES), max_size=2)):
             argv += ["--set", f"{name}={draw(value)}"]
-    flags = st.sampled_from(("--eta", "--alpha", "--dim", "--tail-tol"))
-    for flag in draw(st.lists(flags, max_size=2, unique=True)):
+    flags = ("--eta", "--alpha", "--dim", "--tail-tol") if argv[0] == "figure" else \
+        ("--dim", "--tail-tol")
+    for flag in draw(st.lists(st.sampled_from(flags), max_size=2, unique=True)):
         argv += [flag, draw(st.sampled_from(FUZZ_VALUES + (("8",) if flag == "--dim" else ())))]
     return argv
 
@@ -1087,7 +1137,7 @@ def _cli_arguments(draw):
 # past about 1,000 levels at small eta, (1 + x)^N in the click kernels
 # overflows unless the 2^-N scaling moves into the exponent
 @example(argv=["sweep", "--quantity", "pclick_cat_minus", "--var", "r", "--lo", "2", "--hi", "2",
-               "--points", "1", "--dim", "1100", "--eta", "0.0625"])
+               "--points", "1", "--dim", "1100", "--set", "eta=0.0625"])
 def test_cli_returns_a_table_or_its_exit_code(argv):
     # every argument list gives a documented exit code and no traceback or
     # RuntimeWarning, and exit 0 comes with a table of finite values

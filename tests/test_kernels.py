@@ -250,9 +250,9 @@ def test_closed_forms_match_50_digit_series(r, eta, sign):
 # Faults of the truncated p_N path: each exited 2 (the dim versus 1.5 dim
 # gate) or 3 (no default cutoff above r = 2).
 FAULTS = [
-    ("pclick_cat_minus", ("--lo", "2", "--hi", "2", "--points", "1", "--eta", "0.0625"), 2),
-    ("pclickc_cat_minus", ("--lo", "1.1", "--hi", "1.2", "--points", "2", "--eta", "0.05"), 4),
-    ("g2_cat_minus", ("--lo", "1.2", "--hi", "1.2", "--points", "1", "--eta", "0.05"), 5),
+    ("pclick_cat_minus", ("--lo", "2", "--hi", "2", "--points", "1", "--set", "eta=0.0625"), 2),
+    ("pclickc_cat_minus", ("--lo", "1.1", "--hi", "1.2", "--points", "2", "--set", "eta=0.05"), 4),
+    ("g2_cat_minus", ("--lo", "1.2", "--hi", "1.2", "--points", "1", "--set", "eta=0.05"), 5),
     ("p11_cat_minus", ("--lo", "2.5", "--hi", "3", "--points", "2"), 0),
 ]
 
@@ -264,7 +264,7 @@ def test_former_cutoff_faults_match_50_digit_series(capsys, quantity, argv, stat
     assert code == cli.EXIT_OK, err
     lines = [line for line in out.splitlines() if not line.startswith("#")]
     assert lines[0] == f"r,{quantity}"
-    eta = float(argv[argv.index("--eta") + 1]) if "--eta" in argv else 0.9
+    eta = next((float(a[len("eta="):]) for a in argv if a.startswith("eta=")), 0.9)
     for line in lines[1:]:
         r, value = map(float, line.split(","))
         want = _mp_statistics(r, eta, -1)[stat]

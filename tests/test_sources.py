@@ -155,6 +155,14 @@ def test_superposition_tail_check_reads_the_last_pair_level(r, dim):
     assert refused.tail_mass == pytest.approx(exact, rel=1e-6)
 
 
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 64, 300, 1200, 8193, 2**16])
+def test_half_binomials_replay_the_compensated_loop(count):
+    # the two cumulative sums add in the loop's order, so every entry
+    # matches to the bit
+    table = sources._half_binomials(count)
+    assert table.tobytes() == oracles.half_binomials_loop(count).tobytes()
+
+
 def test_cat_norm_closed_form():
     assert sources.cat_norm(0.0, +1) == 4.0
     assert sources.cat_norm(0.0, -1) == 0.0
